@@ -127,8 +127,7 @@ pub fn pct(v: f64) -> String {
     format!("{:5.1}%", v * 100.0)
 }
 
-/// The deterministic C&R merge workload shared by `bench_cr` and
-/// `bench_snapshot`: `subwindows` batches of `records` sequenced AFRs
+/// `bench_snapshot`'s deterministic C&R merge workload: `subwindows` batches of `records` sequenced AFRs
 /// over a `population`-key space, values mixed so every shard count and
 /// every run replays exactly the same records.
 pub fn cr_workload(

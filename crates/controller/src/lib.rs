@@ -18,9 +18,10 @@
 //! * [`rdma`] — the simulated one-sided RDMA region: hot-key address
 //!   MAT, cold-key append buffer, and Fetch-and-Add offload (§7),
 //! * [`simd`] — scalar vs auto-vectorised AFR aggregation (Exp#7),
-//! * [`live`] — a threaded live deployment: a crossbeam channel from
-//!   the data plane into a controller thread with a shared, lock-
-//!   protected merge table,
+//! * [`live`] — the threaded live deployment: two thin front-ends
+//!   (bounded channel + router thread) over one shared router that
+//!   scatters columnar `RecordBlock`s to per-shard worker threads, each
+//!   folding its key slice into its own lock-protected merge table,
 //! * [`timing`] — the O1–O5 instrumented controller for Exp#4.
 
 #![forbid(unsafe_code)]
@@ -31,6 +32,7 @@ pub mod health;
 pub mod live;
 pub mod rdma;
 pub mod reliability;
+mod router;
 pub mod shard;
 pub mod simd;
 pub mod table;

@@ -1,54 +1,44 @@
 //! A live, threaded switch→controller deployment with a sharded merge
-//! path.
+//! path: the data plane and the controller on different processors,
+//! connected by a message stream.
 //!
-//! The simulation experiments run single-threaded on virtual time, but a
-//! real deployment has the data plane and the controller on different
-//! processors connected by a message stream. This module provides that
-//! runtime shape, in two tiers:
+//! * A **router thread** receives columnar [`RecordBlock`]s over a
+//!   bounded channel and hands each message to the shared `Router`
+//!   (`router.rs`), which drives every window's lifecycle and scatters
+//!   the records by flow-key hash into per-shard blocks — one queue
+//!   send per *block*. A single record is a block of one; there is no
+//!   per-record message.
+//! * **`N` shard workers** (`N` from `OW_SHARDS`, default 1) each fold
+//!   their disjoint key slice into their own lock-protected
+//!   [`MergeTable`], read concurrently through [`LiveHandle`].
 //!
-//! * A **router thread** receives AFR batches or columnar
-//!   [`RecordBlock`]s over a bounded crossbeam channel, drives each
-//!   window's lifecycle through the shared [`WindowEngine`] (announced →
-//!   merged → released on slide-eviction), and scatters the records by
-//!   flow-key hash into capacity-bounded per-shard blocks — one queue
-//!   send per *block*, not per record.
-//! * **`N` shard workers** (one thread per shard, `N` from the
-//!   `OW_SHARDS` environment variable, default 1) each own a disjoint
-//!   key slice in their own lock-protected [`MergeTable`] and fold whole
-//!   blocks ([`MergeTable::insert_block`]). Every worker receives every
-//!   sub-window — empty blocks where it owns no keys — so sliding-window
-//!   evictions stay synchronized across shards.
-//!
-//! Queries read the shard tables concurrently through the
-//! [`LiveHandle`]; its [`LiveHandle::snapshot`] is the deterministic
-//! final fold (canonical key order), byte-identical under
-//! `wire::encode_merged` at any shard count.
+//! The two controllers are thin front-ends (channel + thread + one
+//! `match`) over that one router: [`LiveController`] streams blocks to
+//! the shards as they arrive, [`ReliableLiveController`] holds each
+//! sub-window in a session until the §8 loop has made it complete.
 //!
 //! Back-pressure is explicit at both boundaries: `sender.send` blocks
 //! when the router queue is full (as a NIC queue would), and the
-//! non-blocking [`LiveController::offer`] /
-//! [`ReliableLiveController::offer`] instead reject and count the drop —
-//! there is no silent loss path.
+//! non-blocking `offer` rejects and counts the drop — there is no
+//! silent loss path.
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Sender};
 use parking_lot::RwLock;
 
 use ow_common::afr::{AttrValue, FlowRecord};
-use ow_common::block::{RecordBlock, ShardScatter, DEFAULT_BLOCK_CAPACITY};
-use ow_common::engine::{WindowEngine, WindowEvent, WindowFsm, WindowPhase};
+use ow_common::block::RecordBlock;
 use ow_common::flowkey::FlowKey;
 use ow_common::hash::ShardPartition;
 use ow_common::metrics::ReliabilityMetrics;
 use ow_common::time::Duration;
-use ow_obs::{Counter, Event, Gauge, Obs, TraceContext, Traced};
+use ow_obs::{Counter, Obs, TraceContext, Traced};
 
-use crate::collector::CollectionSession;
-use crate::reliability::{FnTransport, ReliabilityDriver, RetryPolicy};
+use crate::reliability::RetryPolicy;
+use crate::router::Router;
 use crate::table::MergeTable;
 
 /// Parse a shard-count override (the `OW_SHARDS` value). Unset or
@@ -59,242 +49,50 @@ fn parse_shards(value: Option<&str>) -> usize {
         .map_or(1, |n| n.max(1))
 }
 
-/// The shard count configured for this process via `OW_SHARDS`.
-///
-/// This is what [`LiveController::spawn`] and
-/// [`ReliableLiveController::spawn`] use, so the CI matrix can exercise
-/// the whole test suite at several shard counts without touching call
-/// sites.
+/// The shard count both `spawn`s use: `OW_SHARDS`, so CI can run the
+/// whole suite at several shard counts without touching call sites.
 pub fn shards_from_env() -> usize {
     parse_shards(std::env::var("OW_SHARDS").ok().as_deref())
 }
 
-/// A message from the router to one shard worker.
-enum ShardMsg {
-    /// One scattered block of this shard's slice of a sub-window's
-    /// stream (possibly empty — every shard sees every sub-window so
-    /// evictions stay aligned). `open` flags the sub-window's first
-    /// block on this shard: it starts a new evictable unit.
-    Block { block: RecordBlock, open: bool },
-    /// Sliding-window advance: retire the oldest sub-window.
-    Evict,
-    /// Drain and exit.
-    Shutdown,
-}
-
-/// The shard worker pool: `N` threads, each folding its disjoint key
-/// slice into its own merge table.
-struct ShardPool {
-    tables: Vec<Arc<RwLock<MergeTable>>>,
-    senders: Vec<Sender<ShardMsg>>,
-    workers: Vec<JoinHandle<u64>>,
-    partition: ShardPartition,
-    /// Per-shard queue-depth gauges
-    /// (`ow_controller_shard_queue_depth{shard=…}`): incremented by the
-    /// router on every send, decremented by the worker as it dequeues,
-    /// so the live value is the worker's backlog and the value after
-    /// `shutdown()` is deterministically zero.
-    depth_gauges: Option<Vec<Gauge>>,
-    /// Per-shard queued-*record* gauges
-    /// (`ow_controller_shard_queue_records{shard=…}`): the router adds a
-    /// block's row count on send, the worker subtracts it on dequeue —
-    /// depth counts messages, this counts payload.
-    record_gauges: Option<Vec<Gauge>>,
-    /// Blocks routed to shard workers (`ow_controller_blocks_total`).
-    block_counter: Option<Counter>,
-    /// Records routed to shard workers (`ow_controller_records_total`).
-    record_counter: Option<Counter>,
-}
-
-impl ShardPool {
-    fn spawn(shards: usize, queue_depth: usize, obs: Option<&Obs>) -> ShardPool {
-        let partition = ShardPartition::new(shards);
-        let per_shard_gauges = |name: &'static str| {
-            obs.map(|o| {
-                (0..shards)
-                    .map(|i| o.gauge(name, &[("shard", &i.to_string())]))
-                    .collect::<Vec<Gauge>>()
-            })
-        };
-        let depth_gauges = per_shard_gauges("ow_controller_shard_queue_depth");
-        let record_gauges = per_shard_gauges("ow_controller_shard_queue_records");
-        let block_counter = obs.map(|o| o.counter("ow_controller_blocks_total", &[]));
-        let record_counter = obs.map(|o| o.counter("ow_controller_records_total", &[]));
-        let mut tables = Vec::with_capacity(shards);
-        let mut senders = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            // Pre-sized: the open-addressing fast path starts at a few
-            // thousand slots so steady-state ingest never rehashes.
-            let table = Arc::new(RwLock::new(MergeTable::with_capacity(4096)));
-            let (tx, rx): (Sender<ShardMsg>, Receiver<ShardMsg>) = bounded(queue_depth.max(1));
-            let worker_table = table.clone();
-            let depth = depth_gauges.as_ref().map(|g| g[shard].clone());
-            let records = record_gauges.as_ref().map(|g| g[shard].clone());
-            workers.push(std::thread::spawn(move || {
-                let mut blocks = 0u64;
-                while let Ok(msg) = rx.recv() {
-                    if let Some(g) = &depth {
-                        g.dec();
-                    }
-                    match msg {
-                        ShardMsg::Block { block, open } => {
-                            if let Some(g) = &records {
-                                g.sub(block.len() as u64);
-                            }
-                            worker_table.write().insert_block(block, open);
-                            blocks += 1;
-                        }
-                        ShardMsg::Evict => {
-                            worker_table.write().evict_oldest();
-                        }
-                        ShardMsg::Shutdown => break,
-                    }
-                }
-                blocks
-            }));
-            tables.push(table);
-            senders.push(tx);
-        }
-        ShardPool {
-            tables,
-            senders,
-            workers,
-            partition,
-            depth_gauges,
-            record_gauges,
-            block_counter,
-            record_counter,
-        }
-    }
-
-    fn mark_sent(&self, shard: usize) {
-        if let Some(gauges) = &self.depth_gauges {
-            gauges[shard].inc();
-        }
-    }
-
-    /// Send one scattered block to its shard worker. Blocking send: a
-    /// full worker queue back-pressures the router rather than dropping.
-    fn send_block(&self, shard: usize, block: RecordBlock, open: bool) {
-        self.mark_sent(shard);
-        if let Some(gauges) = &self.record_gauges {
-            gauges[shard].add(block.len() as u64);
-        }
-        if let Some(c) = &self.block_counter {
-            c.inc();
-        }
-        if let Some(c) = &self.record_counter {
-            c.add(block.len() as u64);
-        }
-        let _ = self.senders[shard].send(ShardMsg::Block { block, open });
-    }
-
-    /// Fan one sub-window's batch out to every shard, scattered into
-    /// capacity-bounded blocks (one send per block, not per record).
-    fn insert(&self, subwindow: u32, afrs: Vec<FlowRecord>) {
-        let mut scatter = ShardScatter::new(self.partition, DEFAULT_BLOCK_CAPACITY);
-        scatter.scatter_batch(subwindow, &afrs, |shard, block, open| {
-            self.send_block(shard, block, open);
-        });
-    }
-
-    /// Scatter one complete sub-window block across the shards.
-    fn insert_block(&self, block: &RecordBlock) {
-        let mut scatter = ShardScatter::new(self.partition, DEFAULT_BLOCK_CAPACITY);
-        scatter.begin(block.subwindow());
-        scatter.push_block(block, |shard, b, open| self.send_block(shard, b, open));
-        scatter.seal(|shard, b, open| self.send_block(shard, b, open));
-    }
-
-    /// Retire the oldest sub-window on every shard.
-    fn evict(&self) {
-        for (shard, tx) in self.senders.iter().enumerate() {
-            self.mark_sent(shard);
-            let _ = tx.send(ShardMsg::Evict);
-        }
-    }
-
-    /// Stop the workers and wait for their queues to drain, so every
-    /// insert is visible once the router thread returns.
-    fn shutdown(self) {
-        for (shard, tx) in self.senders.iter().enumerate() {
-            self.mark_sent(shard);
-            let _ = tx.send(ShardMsg::Shutdown);
-        }
-        drop(self.senders);
-        for w in self.workers {
-            let _ = w.join();
-        }
-    }
-}
-
-/// Shared handle for querying the live sharded merge tables.
-///
-/// Each query takes the shard read locks one at a time, so a query
-/// concurrent with ingest sees an eventually-consistent view — exactly
-/// what a live telemetry dashboard reads. After `join()` the view is
-/// final.
+/// Shared handle for querying the live sharded merge tables. Each query
+/// takes the shard read locks one at a time, so a query concurrent with
+/// ingest sees an eventually-consistent view; after `join()` it is final.
 #[derive(Debug, Clone)]
 pub struct LiveHandle {
-    tables: Vec<Arc<RwLock<MergeTable>>>,
-    partition: ShardPartition,
-    window_subwindows: usize,
-    dropped: Arc<AtomicU64>,
-    drop_counter: Option<Counter>,
+    pub(crate) tables: Vec<Arc<RwLock<MergeTable>>>,
+    pub(crate) partition: ShardPartition,
+    pub(crate) window_subwindows: usize,
+    pub(crate) dropped: Arc<AtomicU64>,
+    /// `ow_controller_backpressure_dropped_total`.
+    pub(crate) drop_counter: Counter,
 }
 
 impl LiveHandle {
-    /// Count one rejected `offer` on both the handle and, when attached,
-    /// the registry (`ow_controller_backpressure_dropped_total`).
-    ///
-    /// The unit is *records*: a rejected block loses its whole payload,
-    /// so it charges its row count, not 1 — otherwise batching would
-    /// silently deflate the loss accounting.
-    fn count_drop(&self, records: u64) {
+    /// Count one rejected `offer`, in *records*: a rejected block
+    /// charges its row count, or batching would deflate the loss
+    /// accounting; a control message or an empty block charges 1.
+    fn count_drop(&self, block: Option<&RecordBlock>) {
+        let records = block.map_or(1, |b| (b.len() as u64).max(1));
         self.dropped.fetch_add(records, Ordering::Relaxed);
-        if let Some(c) = &self.drop_counter {
-            c.add(records);
-        }
+        self.drop_counter.add(records);
     }
-}
 
-/// How many records a rejected data-plane message loses — the unit the
-/// backpressure accounting charges. Payload-free control messages count
-/// one, as does a degenerate empty block (the message itself is lost).
-fn dataplane_msg_records(msg: &DataPlaneMsg) -> u64 {
-    match msg {
-        DataPlaneMsg::AfrBatch { afrs, .. } => (afrs.len() as u64).max(1),
-        DataPlaneMsg::AfrBlock { block, .. } => (block.len() as u64).max(1),
-        DataPlaneMsg::Shutdown => 1,
-    }
-}
-
-/// Record count of a rejected reliable-path message (see
-/// [`dataplane_msg_records`]).
-fn reliable_msg_records(msg: &ReliableMsg) -> u64 {
-    match msg {
-        ReliableMsg::AfrBlock(block) => (block.len() as u64).max(1),
-        ReliableMsg::TracedAfrBlock(traced) => (traced.payload.len() as u64).max(1),
-        _ => 1,
-    }
-}
-
-impl LiveHandle {
-    /// Flows whose merged scalar is at least `threshold`, right now,
-    /// folded across shards in canonical key order.
-    pub fn flows_over(&self, threshold: f64) -> Vec<(FlowKey, f64)> {
-        let mut out: Vec<(FlowKey, f64)> = self
-            .tables
-            .iter()
-            .flat_map(|t| t.read().flows_over(threshold))
-            .collect();
+    /// Every shard's answer to `query`, in canonical (ascending packed
+    /// key) order — independent of the shard count.
+    fn fold<T>(&self, query: impl Fn(&MergeTable) -> Vec<(FlowKey, T)>) -> Vec<(FlowKey, T)> {
+        let mut out: Vec<(FlowKey, T)> =
+            self.tables.iter().flat_map(|t| query(&t.read())).collect();
         out.sort_by_key(|(k, _)| k.as_u128());
         out
     }
 
-    /// Number of flows currently merged (summed over shards — key
-    /// slices are disjoint, so this never double-counts).
+    /// Flows whose merged scalar is at least `threshold`, right now.
+    pub fn flows_over(&self, threshold: f64) -> Vec<(FlowKey, f64)> {
+        self.fold(|t| t.flows_over(threshold))
+    }
+
+    /// Flows currently merged (key slices are disjoint: a plain sum).
     pub fn merged_flows(&self) -> usize {
         self.tables.iter().map(|t| t.read().len()).sum()
     }
@@ -305,24 +103,15 @@ impl LiveHandle {
     }
 
     /// The sub-windows currently contributing to the table. Every shard
-    /// holds the same list (empty slices keep them aligned), so shard 0
-    /// answers.
+    /// holds the same list (empty slices keep them aligned): shard 0's.
     pub fn subwindows(&self) -> Vec<u32> {
         self.tables[0].read().subwindows()
     }
 
-    /// The deterministic final fold: every shard's merged view in
-    /// canonical (ascending packed key) order. Encoding this with
-    /// `wire::encode_merged` yields bytes independent of the shard
-    /// count.
+    /// The deterministic final fold: `wire::encode_merged` of it yields
+    /// bytes independent of the shard count.
     pub fn snapshot(&self) -> Vec<(FlowKey, AttrValue)> {
-        let mut out: Vec<(FlowKey, AttrValue)> = self
-            .tables
-            .iter()
-            .flat_map(|t| t.read().snapshot())
-            .collect();
-        out.sort_by_key(|(k, _)| k.as_u128());
-        out
+        self.fold(MergeTable::snapshot)
     }
 
     /// Sub-windows per sliding window.
@@ -335,8 +124,7 @@ impl LiveHandle {
         self.tables.len()
     }
 
-    /// AFR records rejected by the non-blocking `offer` path so far (a
-    /// refused block charges its record count; a control message, 1).
+    /// AFR records rejected by the non-blocking `offer` path so far.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
@@ -345,19 +133,11 @@ impl LiveHandle {
 /// A message from the data plane to the controller.
 #[derive(Debug, Clone)]
 pub enum DataPlaneMsg {
-    /// One terminated sub-window's AFR batch.
-    AfrBatch {
-        /// The terminated sub-window.
-        subwindow: u32,
-        /// Its AFRs.
-        afrs: Vec<FlowRecord>,
-    },
-    /// One columnar block of a sub-window's AFR stream — the
-    /// wire-batched hot path. A sub-window's blocks arrive contiguously;
-    /// `seal` marks its last block and completes the sub-window. A block
-    /// for a *different* sub-window (or an [`DataPlaneMsg::AfrBatch`] /
-    /// `Shutdown`) also seals whatever stream is open, so a lost seal
-    /// flag delays but never wedges a sub-window.
+    /// One columnar block of a sub-window's AFR stream. A sub-window's
+    /// blocks arrive contiguously; `seal` marks its last block and
+    /// completes the sub-window. A block for a *different* sub-window
+    /// (or `Shutdown`) also seals whatever stream is open, so a lost
+    /// seal flag delays but never wedges a sub-window.
     AfrBlock {
         /// The stream's columnar records (all one sub-window).
         block: RecordBlock,
@@ -371,7 +151,7 @@ pub enum DataPlaneMsg {
 /// The running controller: its input channel, query handle, and router
 /// thread (which owns the shard worker pool).
 pub struct LiveController {
-    /// Send AFR batches (and finally `Shutdown`) here. `send` blocks
+    /// Send AFR blocks (and finally `Shutdown`) here. `send` blocks
     /// when the queue is full — back-pressure, not loss.
     pub sender: Sender<DataPlaneMsg>,
     /// Concurrent query access.
@@ -382,8 +162,7 @@ pub struct LiveController {
 impl LiveController {
     /// Spawn a controller maintaining a sliding window of
     /// `window_subwindows` sub-windows, sharded per `OW_SHARDS`.
-    /// `queue_depth` bounds every channel (back-pressure toward the
-    /// data plane, as a NIC queue would).
+    /// `queue_depth` bounds every channel.
     pub fn spawn(window_subwindows: usize, queue_depth: usize) -> LiveController {
         LiveController::spawn_sharded(window_subwindows, queue_depth, shards_from_env())
     }
@@ -397,129 +176,30 @@ impl LiveController {
         LiveController::spawn_sharded_obs(window_subwindows, queue_depth, shards, None)
     }
 
-    /// [`LiveController::spawn_sharded`] with observability attached:
-    /// the router's [`WindowEngine`] reports every transition, each
-    /// shard worker exposes a queue-depth gauge, routed batches are
-    /// counted (`ow_controller_batches_total`), and rejected `offer`s
-    /// bump `ow_controller_backpressure_dropped_total`.
+    /// [`LiveController::spawn_sharded`] reporting into the caller's
+    /// [`Obs`]: engine transitions, per-shard queue gauges, routed
+    /// blocks/records, completed sub-windows
+    /// (`ow_controller_batches_total`) and rejected `offer`s
+    /// (`ow_controller_backpressure_dropped_total`).
     pub fn spawn_sharded_obs(
         window_subwindows: usize,
         queue_depth: usize,
         shards: usize,
         obs: Option<&Obs>,
     ) -> LiveController {
-        let (tx, rx): (Sender<DataPlaneMsg>, Receiver<DataPlaneMsg>) = bounded(queue_depth);
-        let pool = ShardPool::spawn(shards, queue_depth, obs);
-        let handle = LiveHandle {
-            tables: pool.tables.clone(),
-            partition: pool.partition,
-            window_subwindows,
-            dropped: Arc::new(AtomicU64::new(0)),
-            drop_counter: obs.map(|o| o.counter("ow_controller_backpressure_dropped_total", &[])),
-        };
-        let obs = obs.cloned();
+        let (sender, rx) = bounded(queue_depth);
+        let (mut router, handle) = Router::new(window_subwindows, queue_depth, shards, obs, None);
         let thread = std::thread::spawn(move || {
-            let batch_counter = obs
-                .as_ref()
-                .map(|o| o.counter("ow_controller_batches_total", &[]));
-            let mut engine = WindowEngine::new();
-            if let Some(o) = &obs {
-                engine.set_sink(o.engine_sink("controller"));
-            }
-            let mut merged_order: VecDeque<u32> = VecDeque::new();
-            let mut batches = 0u64;
-            // Streaming scatter state for the block path: the open
-            // sub-window and how many records it has routed so far.
-            let mut scatter = ShardScatter::new(pool.partition, DEFAULT_BLOCK_CAPACITY);
-            let mut stream: Option<(u32, u64)> = None;
-            // Complete one sub-window: lifecycle bookkeeping plus the
-            // sliding-window eviction sweep. The plain data-plane path
-            // has no loss to repair, so the sub-window is merged the
-            // moment its stream is complete.
-            let finish_subwindow =
-                |subwindow: u32,
-                 announced: u32,
-                 engine: &mut WindowEngine,
-                 merged_order: &mut VecDeque<u32>| {
-                    engine.insert(WindowFsm::announced(subwindow, announced));
-                    if engine.phase(subwindow) == Some(WindowPhase::Collected) {
-                        let _ = engine.apply(subwindow, WindowEvent::StreamComplete);
-                    }
-                    merged_order.push_back(subwindow);
-                    while merged_order.len() > window_subwindows {
-                        let oldest = merged_order.pop_front().expect("non-empty");
-                        if engine.phase(oldest) == Some(WindowPhase::Merged) {
-                            let _ = engine.apply(oldest, WindowEvent::Acked);
-                        }
-                        pool.evict();
-                    }
-                };
             while let Ok(msg) = rx.recv() {
-                // Any non-block message (or a block for a different
-                // sub-window) seals the open block stream first.
-                let boundary = match &msg {
-                    DataPlaneMsg::AfrBlock { block, .. } => {
-                        stream.is_some_and(|(sw, _)| sw != block.subwindow())
-                    }
-                    _ => stream.is_some(),
-                };
-                if boundary {
-                    let (sw, routed) = stream.take().expect("boundary implies open stream");
-                    scatter.seal(|shard, b, open| pool.send_block(shard, b, open));
-                    finish_subwindow(sw, routed as u32, &mut engine, &mut merged_order);
-                    batches += 1;
-                    if let Some(c) = &batch_counter {
-                        c.inc();
-                    }
-                }
                 match msg {
-                    DataPlaneMsg::AfrBatch { subwindow, afrs } => {
-                        let announced = afrs.len() as u32;
-                        pool.insert(subwindow, afrs);
-                        finish_subwindow(subwindow, announced, &mut engine, &mut merged_order);
-                        batches += 1;
-                        if let Some(c) = &batch_counter {
-                            c.inc();
-                        }
-                    }
-                    DataPlaneMsg::AfrBlock { block, seal } => {
-                        if stream.is_none() {
-                            scatter.begin(block.subwindow());
-                            stream = Some((block.subwindow(), 0));
-                        }
-                        let routed = &mut stream.as_mut().expect("opened above").1;
-                        *routed += block.len() as u64;
-                        scatter.push_block(&block, |shard, b, open| {
-                            pool.send_block(shard, b, open);
-                        });
-                        if seal {
-                            let (sw, routed) = stream.take().expect("opened above");
-                            scatter.seal(|shard, b, open| pool.send_block(shard, b, open));
-                            finish_subwindow(sw, routed as u32, &mut engine, &mut merged_order);
-                            batches += 1;
-                            if let Some(c) = &batch_counter {
-                                c.inc();
-                            }
-                        }
-                    }
+                    DataPlaneMsg::AfrBlock { block, seal } => router.stream_block(block, seal),
                     DataPlaneMsg::Shutdown => break,
                 }
             }
-            // A stream left open at shutdown (seal flag lost) still
-            // completes its sub-window before the pool drains.
-            if let Some((sw, routed)) = stream.take() {
-                scatter.seal(|shard, b, open| pool.send_block(shard, b, open));
-                finish_subwindow(sw, routed as u32, &mut engine, &mut merged_order);
-                batches += 1;
-                if let Some(c) = &batch_counter {
-                    c.inc();
-                }
-            }
-            pool.shutdown();
-            batches
+            router.shutdown().0
         });
         LiveController {
-            sender: tx,
+            sender,
             handle,
             thread,
         }
@@ -527,21 +207,20 @@ impl LiveController {
 
     /// Non-blocking send: when the router queue is full (or the
     /// controller is gone) the message is rejected, the drop is counted
-    /// on the handle, and `false` comes back — the caller decides
-    /// whether to retry, never silently losing the fact of the drop.
+    /// on the handle, and `false` comes back.
     pub fn offer(&self, msg: DataPlaneMsg) -> bool {
-        match self.sender.try_send(msg) {
-            Ok(()) => true,
-            Err(e) => {
-                self.handle
-                    .count_drop(dataplane_msg_records(&e.into_inner()));
-                false
-            }
+        let Err(e) = self.sender.try_send(msg) else {
+            return true;
+        };
+        match e.into_inner() {
+            DataPlaneMsg::AfrBlock { block, .. } => self.handle.count_drop(Some(&block)),
+            DataPlaneMsg::Shutdown => self.handle.count_drop(None),
         }
+        false
     }
 
     /// Signal shutdown and wait for the router and every shard worker;
-    /// returns the number of batches routed.
+    /// returns the number of sub-windows routed.
     pub fn join(self) -> u64 {
         let _ = self.sender.send(DataPlaneMsg::Shutdown);
         self.thread.join().expect("controller thread panicked")
@@ -549,24 +228,20 @@ impl LiveController {
 }
 
 /// A message on the reliability-aware live path. Unlike
-/// [`DataPlaneMsg`], AFRs stream individually or in columnar bursts
-/// (each clone is individually droppable on the wire) and each
-/// sub-window is bracketed by an announcement and an end-of-stream
-/// mark.
+/// [`DataPlaneMsg`], bursts need not be contiguous (every row is
+/// individually droppable on the wire) and each sub-window is bracketed
+/// by an announcement and an end-of-stream mark.
 #[derive(Debug, Clone)]
 pub enum ReliableMsg {
     /// Trigger-packet announcement: `announced` AFRs are coming for
-    /// `subwindow`. A duplicate announcement (the trigger clone was
-    /// duplicated in the fabric) is idempotent.
+    /// `subwindow`. A duplicate (the fabric cloned the trigger) is
+    /// idempotent, while the session is open and after it merged.
     Announce {
         /// The terminated sub-window.
         subwindow: u32,
         /// How many AFRs its batch holds.
         announced: u32,
     },
-    /// One AFR report clone — whatever survived the lossy channel, in
-    /// arrival order (possibly before its announcement).
-    Afr(FlowRecord),
     /// The switch finished emitting `subwindow`'s initial stream; the
     /// controller may now run the recovery loop and merge.
     EndOfStream {
@@ -584,24 +259,17 @@ pub enum ReliableMsg {
         /// The window's span-tracing context.
         ctx: TraceContext,
     },
-    /// One AFR report clone wrapped with its [`TraceContext`]. Every
-    /// clone carries the context, so any copy that survives the lossy
-    /// channel delivers it — even when the announcement itself was lost.
-    TracedAfr(Traced<FlowRecord>),
-    /// A burst of AFR report clones for one sub-window in columnar form
-    /// — the wire-batched hot path. Semantically identical to sending
-    /// each row as [`ReliableMsg::Afr`]; blocks and single records may
-    /// interleave freely within and across sub-windows.
+    /// A burst of AFR report clones for one sub-window — whatever
+    /// survived the lossy channel, in arrival order (possibly before
+    /// its announcement, possibly after its sub-window merged).
     AfrBlock(RecordBlock),
-    /// [`ReliableMsg::AfrBlock`] wrapped with its [`TraceContext`].
+    /// [`ReliableMsg::AfrBlock`] with its [`TraceContext`]: any burst
+    /// that survives delivers it, even if the announcement was lost.
     TracedAfrBlock(Traced<RecordBlock>),
-    /// The switch owning `subwindow` departed the fleet (crash churn)
-    /// before its stream completed. The session is abandoned: its
-    /// partial batch is discarded (never merged), its [`WindowFsm`] is
-    /// driven through `SwitchDeparted` to `Released` instead of being
-    /// left to wedge in a recovery loop against a dead peer, and the
-    /// sub-window is tombstoned so late clones of its announcement or
-    /// AFRs are dropped rather than resurrecting the session.
+    /// The switch owning `subwindow` left the fleet (crash churn)
+    /// before its stream completed: the partial batch is never merged,
+    /// the `WindowFsm` is released instead of wedging in a recovery
+    /// loop against a dead peer, and late clones are dropped.
     Depart {
         /// The sub-window whose switch disappeared.
         subwindow: u32,
@@ -610,26 +278,22 @@ pub enum ReliableMsg {
     Shutdown,
 }
 
-/// Controller→switch back-channel serving retransmission requests:
-/// `(subwindow, missing seq ids) → replayed AFRs` (empty when the
-/// request or its replies were lost).
+/// Controller→switch retransmission back-channel: `(subwindow, missing
+/// seq ids) → replayed AFRs` (empty when request or replies were lost).
 pub type RetransmitFn = Box<dyn FnMut(u32, &[u32]) -> Vec<FlowRecord> + Send>;
 
 /// The OS-path escalation: `subwindow → (full batch, charged latency)`.
 pub type OsReadFn = Box<dyn FnMut(u32) -> (Vec<FlowRecord>, Duration) + Send>;
 
 /// A [`LiveController`] variant that tolerates AFR loss: per-sub-window
-/// [`CollectionSession`]s verify completeness against the announced
-/// count, and a [`ReliabilityDriver`] runs the §8 recovery loop
-/// (retransmission rounds, then OS-path escalation) through caller
-/// supplied callbacks before anything is merged. Only complete batches
-/// ever reach the shard tables; each session's [`WindowFsm`] (already
-/// at `Merged` when it leaves the driver) is handed to the router's
-/// [`WindowEngine`], which releases it when the sliding window evicts
-/// the sub-window.
+/// [`CollectionSession`](crate::CollectionSession)s check completeness
+/// against the announced count and a
+/// [`ReliabilityDriver`](crate::ReliabilityDriver) runs the §8 recovery
+/// loop through the caller's callbacks before anything is merged. Only
+/// complete batches ever reach the shard tables.
 pub struct ReliableLiveController {
-    /// Send announcements, AFRs, end-of-stream marks, then `Shutdown`.
-    /// `send` blocks when the queue is full — back-pressure, not loss.
+    /// Send announcements, AFR blocks, end-of-stream marks, then
+    /// `Shutdown`. `send` blocks when the queue is full.
     pub sender: Sender<ReliableMsg>,
     /// Concurrent query access.
     pub handle: LiveHandle,
@@ -638,8 +302,7 @@ pub struct ReliableLiveController {
 
 impl ReliableLiveController {
     /// Spawn the controller sharded per `OW_SHARDS`. `retransmit` and
-    /// `os_read` are the back-channel to the switch (typically spliced
-    /// through a lossy channel in experiments).
+    /// `os_read` are the back-channel to the switch.
     pub fn spawn(
         window_subwindows: usize,
         queue_depth: usize,
@@ -677,364 +340,53 @@ impl ReliableLiveController {
         )
     }
 
-    /// [`ReliableLiveController::spawn_sharded`] with observability
-    /// attached: the router's [`WindowEngine`] reports every transition
-    /// (the first rejected one raises a structured `drift_detected`
-    /// warning), each shard worker exposes a queue-depth gauge, every
-    /// completed session's [`ReliabilityMetrics`] folds into the
-    /// registry (`ow_controller_retransmit_rounds`, the
-    /// `ow_controller_cr_phase_duration{phase="recovery"}` histogram,
-    /// …) alongside a `session_complete` journal event, and rejected
-    /// `offer`s bump `ow_controller_backpressure_dropped_total`.
+    /// [`ReliableLiveController::spawn_sharded`] reporting into the
+    /// caller's [`Obs`]: on top of what
+    /// [`LiveController::spawn_sharded_obs`] reports, every completed
+    /// session folds its [`ReliabilityMetrics`] into the registry, ticks
+    /// `ow_controller_sessions_total`, leaves a `session_complete`
+    /// journal event, and (when traced) joins its recovery timeline to
+    /// the window's causal span tree.
     #[allow(clippy::too_many_arguments)]
     pub fn spawn_sharded_obs(
         window_subwindows: usize,
         queue_depth: usize,
         policy: RetryPolicy,
-        mut retransmit: RetransmitFn,
-        mut os_read: OsReadFn,
+        retransmit: RetransmitFn,
+        os_read: OsReadFn,
         shards: usize,
         obs: Option<&Obs>,
     ) -> ReliableLiveController {
-        let (tx, rx): (Sender<ReliableMsg>, Receiver<ReliableMsg>) = bounded(queue_depth);
-        let pool = ShardPool::spawn(shards, queue_depth, obs);
-        let dropped = Arc::new(AtomicU64::new(0));
-        let handle = LiveHandle {
-            tables: pool.tables.clone(),
-            partition: pool.partition,
-            window_subwindows,
-            dropped: dropped.clone(),
-            drop_counter: obs.map(|o| o.counter("ow_controller_backpressure_dropped_total", &[])),
-        };
-        let obs = obs.cloned();
+        let (sender, rx) = bounded(queue_depth);
+        let recovery = Some((policy, retransmit, os_read));
+        let (mut router, handle) =
+            Router::new(window_subwindows, queue_depth, shards, obs, recovery);
+        let drops = handle.clone();
         let thread = std::thread::spawn(move || {
-            let driver = ReliabilityDriver::new(policy);
-            let mut total = ReliabilityMetrics::default();
-            let session_obs = obs.clone();
-            let session_counter = obs
-                .as_ref()
-                .map(|o| o.counter("ow_controller_sessions_total", &[]));
-            let mut engine = WindowEngine::new();
-            if let Some(o) = &obs {
-                engine.set_sink(o.engine_sink("controller"));
-            }
-            let mut merged_order: VecDeque<u32> = VecDeque::new();
-            // Open sessions and AFRs that raced ahead of their
-            // announcement (reordering across the message stream).
-            let mut sessions: HashMap<u32, (CollectionSession, ReliabilityMetrics)> =
-                HashMap::new();
-            let mut early: HashMap<u32, Vec<FlowRecord>> = HashMap::new();
-            // Trace contexts learned from the wire (traced announcements
-            // or any surviving traced AFR clone), consumed at finalize.
-            let mut ctxs: HashMap<u32, TraceContext> = HashMap::new();
-            // Sub-windows whose switch departed: tombstones that drop
-            // late announcements/AFRs instead of opening a session that
-            // could never complete (bounded by the number of distinct
-            // departed windows a run produces).
-            let mut departed_windows: std::collections::HashSet<u32> =
-                std::collections::HashSet::new();
-
-            let feed = |entry: &mut (CollectionSession, ReliabilityMetrics), rec: FlowRecord| {
-                let before = entry.0.received();
-                if entry.0.receive(rec).is_ok() {
-                    if entry.0.received() > before {
-                        entry.1.first_pass += 1;
-                    } else {
-                        entry.1.duplicates += 1;
-                    }
-                }
-            };
-
-            let feed_block = |entry: &mut (CollectionSession, ReliabilityMetrics),
-                              block: &RecordBlock| {
-                if let Ok((fresh, dups)) = entry.0.receive_block(block) {
-                    entry.1.first_pass += fresh;
-                    entry.1.duplicates += dups;
-                }
-            };
-
-            let mut finalize = |subwindow: u32,
-                                entry: (CollectionSession, ReliabilityMetrics),
-                                ctx: Option<TraceContext>,
-                                total: &mut ReliabilityMetrics,
-                                engine: &mut WindowEngine,
-                                merged_order: &mut VecDeque<u32>| {
-                let (mut session, mut metrics) = entry;
-                driver.complete_session(
-                    &mut session,
-                    &mut metrics,
-                    &mut FnTransport {
-                        retransmit: &mut retransmit,
-                        os_read: &mut os_read,
-                    },
-                );
-                total.merge(&metrics);
-                if let Some(o) = &session_obs {
-                    o.fold_reliability(&metrics);
-                    o.event(
-                        Event::new(
-                            "session_complete",
-                            format!(
-                                "merged {} AFRs (first pass {}, recovered {}) after {} \
-                                 retransmit round(s), {} escalation(s)",
-                                metrics.first_pass + metrics.recovered,
-                                metrics.first_pass,
-                                metrics.recovered,
-                                metrics.retransmit_rounds,
-                                metrics.escalations,
-                            ),
-                        )
-                        .subwindow(subwindow)
-                        .phase("merged"),
-                    );
-                }
-                if let Some(c) = &session_counter {
-                    c.inc();
-                }
-                // The session's FSM arrives at Merged through the §8
-                // loop; the engine tracks it until slide-eviction.
-                engine.insert(*session.fsm());
-                let block = Arc::new(session.into_block());
-                // The window just reached Merged: hand its recovered
-                // answer to the accuracy observatory's shadow scoring
-                // lane (when installed) — the merge path pays an `Arc`
-                // bump, not a copy and not the diff.
-                let scored = session_obs
-                    .as_ref()
-                    .and_then(|o| o.accuracy())
-                    .is_some_and(|acc| acc.score_block(&block));
-                // Reconstruct the recovery timeline into the window's
-                // causal trace. `complete_session` accumulates the exact
-                // same quantities into `wall_clock` (one backoff timeout
-                // per round, then any charged OS-read latency), so the
-                // spans below tile the session's virtual-clock interval
-                // precisely, anchored at the switch-side batch instant.
-                if let (Some(o), Some(ctx)) = (&session_obs, ctx) {
-                    let tracer = o.tracer().clone();
-                    let mut t = ctx.anchor_ns;
-                    for round in 1..=metrics.retransmit_rounds {
-                        let timeout = driver.policy().timeout_for_round(round as u32).as_nanos();
-                        tracer.span(
-                            ctx.trace_id,
-                            ctx.collect,
-                            "retransmit_round",
-                            "controller",
-                            None,
-                            t,
-                            t.saturating_add(timeout),
-                        );
-                        t = t.saturating_add(timeout);
-                    }
-                    let end = ctx.anchor_ns.saturating_add(metrics.wall_clock.as_nanos());
-                    if metrics.escalations > 0 {
-                        tracer.span(
-                            ctx.trace_id,
-                            ctx.root,
-                            "os_read",
-                            "controller",
-                            None,
-                            t,
-                            end,
-                        );
-                    }
-                    if let Some(merge) = tracer.span(
-                        ctx.trace_id,
-                        ctx.root,
-                        "merge",
-                        "controller",
-                        None,
-                        end,
-                        end,
-                    ) {
-                        for shard in 0..pool.partition.shards() {
-                            tracer.span(
-                                ctx.trace_id,
-                                merge,
-                                "shard_insert",
-                                "controller",
-                                Some(shard as u32),
-                                end,
-                                end,
-                            );
-                        }
-                    }
-                    if scored {
-                        tracer.span(
-                            ctx.trace_id,
-                            ctx.root,
-                            "accuracy_score",
-                            "controller",
-                            None,
-                            end,
-                            end,
-                        );
-                    }
-                    tracer.finish_window(ctx.trace_id, end);
-                }
-                pool.insert_block(&block);
-                merged_order.push_back(subwindow);
-                while merged_order.len() > window_subwindows {
-                    let oldest = merged_order.pop_front().expect("non-empty");
-                    if engine.phase(oldest) == Some(WindowPhase::Merged) {
-                        let _ = engine.apply(oldest, WindowEvent::Acked);
-                    }
-                    pool.evict();
-                }
-            };
-
             while let Ok(msg) = rx.recv() {
-                // A traced message is its plain counterpart plus a
-                // context to remember; unwrap it before dispatch.
-                let msg = match msg {
-                    ReliableMsg::TracedAnnounce {
-                        subwindow,
-                        announced,
-                        ctx,
-                    } => {
-                        ctxs.insert(subwindow, ctx);
-                        ReliableMsg::Announce {
-                            subwindow,
-                            announced,
-                        }
-                    }
-                    ReliableMsg::TracedAfr(traced) => {
-                        ctxs.entry(traced.payload.subwindow).or_insert(traced.ctx);
-                        ReliableMsg::Afr(traced.payload)
-                    }
-                    ReliableMsg::TracedAfrBlock(traced) => {
-                        ctxs.entry(traced.payload.subwindow()).or_insert(traced.ctx);
-                        ReliableMsg::AfrBlock(traced.payload)
-                    }
-                    other => other,
-                };
                 match msg {
                     ReliableMsg::Announce {
                         subwindow,
                         announced,
-                    } => {
-                        if departed_windows.contains(&subwindow) {
-                            continue;
-                        }
-                        let entry = sessions.entry(subwindow).or_insert_with(|| {
-                            let m = ReliabilityMetrics {
-                                announced: announced as u64,
-                                ..Default::default()
-                            };
-                            (CollectionSession::new(subwindow, announced), m)
-                        });
-                        for rec in early.remove(&subwindow).unwrap_or_default() {
-                            feed(entry, rec);
-                        }
-                    }
-                    ReliableMsg::Afr(rec) => {
-                        if departed_windows.contains(&rec.subwindow) {
-                            continue;
-                        }
-                        match sessions.get_mut(&rec.subwindow) {
-                            Some(entry) => feed(entry, rec),
-                            None => early.entry(rec.subwindow).or_default().push(rec),
-                        }
-                    }
-                    ReliableMsg::AfrBlock(block) => {
-                        if departed_windows.contains(&block.subwindow()) {
-                            continue;
-                        }
-                        match sessions.get_mut(&block.subwindow()) {
-                            Some(entry) => feed_block(entry, &block),
-                            None => {
-                                // The whole block raced its announcement.
-                                early
-                                    .entry(block.subwindow())
-                                    .or_default()
-                                    .extend(block.iter());
-                            }
-                        }
-                    }
-                    ReliableMsg::EndOfStream { subwindow } => {
-                        if let Some(entry) = sessions.remove(&subwindow) {
-                            let ctx = ctxs.remove(&subwindow);
-                            finalize(
-                                subwindow,
-                                entry,
-                                ctx,
-                                &mut total,
-                                &mut engine,
-                                &mut merged_order,
-                            );
-                        }
-                    }
-                    ReliableMsg::Depart { subwindow } => {
-                        departed_windows.insert(subwindow);
-                        early.remove(&subwindow);
-                        // The merged answer will never arrive; release
-                        // the oracle's truth entry for this window.
-                        if let Some(acc) = session_obs.as_ref().and_then(|o| o.accuracy()) {
-                            acc.window_departed(subwindow);
-                        }
-                        let ctx = ctxs.remove(&subwindow);
-                        if let Some((session, mut metrics)) = sessions.remove(&subwindow) {
-                            metrics.departed = 1;
-                            total.merge(&metrics);
-                            // The partial batch dies with the session;
-                            // only the lifecycle bookkeeping survives.
-                            engine.insert(*session.fsm());
-                            let _ = engine.apply(subwindow, WindowEvent::SwitchDeparted);
-                            if let Some(o) = &session_obs {
-                                o.fold_reliability(&metrics);
-                                o.event(
-                                    Event::new(
-                                        "switch_departed",
-                                        format!(
-                                            "abandoned after {} of {} AFRs: switch left the \
-                                             fleet mid-window",
-                                            metrics.first_pass, metrics.announced,
-                                        ),
-                                    )
-                                    .subwindow(subwindow)
-                                    .phase("released"),
-                                );
-                                // Close the window's causal trace so the
-                                // tree stays complete even though no
-                                // merge span will ever arrive.
-                                if let Some(ctx) = ctx {
-                                    let tracer = o.tracer().clone();
-                                    tracer.span(
-                                        ctx.trace_id,
-                                        ctx.root,
-                                        "departed",
-                                        "controller",
-                                        None,
-                                        ctx.anchor_ns,
-                                        ctx.anchor_ns,
-                                    );
-                                    tracer.finish_window(ctx.trace_id, ctx.anchor_ns);
-                                }
-                            }
-                        }
-                    }
-                    ReliableMsg::TracedAnnounce { .. }
-                    | ReliableMsg::TracedAfr(_)
-                    | ReliableMsg::TracedAfrBlock(_) => {
-                        unreachable!("traced messages are unwrapped above")
-                    }
+                    } => router.announce(subwindow, announced, None),
+                    ReliableMsg::TracedAnnounce {
+                        subwindow,
+                        announced,
+                        ctx,
+                    } => router.announce(subwindow, announced, Some(ctx)),
+                    ReliableMsg::AfrBlock(block) => router.afr_block(block, None),
+                    ReliableMsg::TracedAfrBlock(t) => router.afr_block(t.payload, Some(t.ctx)),
+                    ReliableMsg::EndOfStream { subwindow } => router.end_of_stream(subwindow),
+                    ReliableMsg::Depart { subwindow } => router.depart(subwindow),
                     ReliableMsg::Shutdown => break,
                 }
             }
-            // Sessions whose end-of-stream mark was lost still complete:
-            // the recovery loop fetches whatever the first pass missed.
-            let mut rest: Vec<(u32, (CollectionSession, ReliabilityMetrics))> =
-                sessions.drain().collect();
-            rest.sort_by_key(|(sw, _)| *sw);
-            for (sw, entry) in rest {
-                let ctx = ctxs.remove(&sw);
-                finalize(sw, entry, ctx, &mut total, &mut engine, &mut merged_order);
-            }
-            pool.shutdown();
-            total.dropped += dropped.load(Ordering::Relaxed);
+            let mut total = router.shutdown().1;
+            total.dropped += drops.dropped();
             total
         });
         ReliableLiveController {
-            sender: tx,
+            sender,
             handle,
             thread,
         }
@@ -1043,19 +395,20 @@ impl ReliableLiveController {
     /// Non-blocking send; a rejected message is counted on the handle
     /// (and folded into `join()`'s metrics) instead of lost silently.
     pub fn offer(&self, msg: ReliableMsg) -> bool {
-        match self.sender.try_send(msg) {
-            Ok(()) => true,
-            Err(e) => {
-                self.handle
-                    .count_drop(reliable_msg_records(&e.into_inner()));
-                false
-            }
+        let Err(e) = self.sender.try_send(msg) else {
+            return true;
+        };
+        match e.into_inner() {
+            ReliableMsg::AfrBlock(block) => self.handle.count_drop(Some(&block)),
+            ReliableMsg::TracedAfrBlock(t) => self.handle.count_drop(Some(&t.payload)),
+            _ => self.handle.count_drop(None),
         }
+        false
     }
 
     /// Signal shutdown and wait for the router and every shard worker;
-    /// returns the aggregated reliability counters across all sessions,
-    /// including offer-path drops.
+    /// returns the reliability counters folded across all sessions,
+    /// offer-path drops included.
     pub fn join(self) -> ReliabilityMetrics {
         let _ = self.sender.send(ReliableMsg::Shutdown);
         self.thread.join().expect("controller thread panicked")
@@ -1064,50 +417,109 @@ impl ReliableLiveController {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::wire::encode_merged;
 
-    fn batch(sw: u32, flows: std::ops::Range<u32>, n: u64) -> DataPlaneMsg {
-        DataPlaneMsg::AfrBatch {
-            subwindow: sw,
-            afrs: flows
-                .map(|i| FlowRecord::frequency(FlowKey::src_ip(i), n, sw))
-                .collect(),
+    fn block(sw: u32, flows: std::ops::Range<u32>, n: u64) -> RecordBlock {
+        let afrs: Vec<FlowRecord> = flows
+            .map(|i| FlowRecord::frequency(FlowKey::src_ip(i), n, sw))
+            .collect();
+        RecordBlock::from_records(sw, &afrs)
+    }
+
+    fn sealed(sw: u32, flows: std::ops::Range<u32>, n: u64) -> DataPlaneMsg {
+        DataPlaneMsg::AfrBlock {
+            block: block(sw, flows, n),
+            seal: true,
         }
+    }
+
+    fn seq_batch(sw: u32, n: u32) -> Vec<FlowRecord> {
+        (0..n)
+            .map(|seq| {
+                let mut r = FlowRecord::frequency(FlowKey::src_ip(seq + 1), seq as u64 + 1, sw);
+                r.seq = seq;
+                r
+            })
+            .collect()
+    }
+
+    /// The single-table reference fold: each sub-window inserted whole
+    /// into one [`MergeTable`], sliding over `span` sub-windows.
+    fn reference_fold(span: usize, subwindows: &[(u32, Vec<FlowRecord>)]) -> bytes::Bytes {
+        let mut table = MergeTable::new();
+        for (i, (sw, afrs)) in subwindows.iter().enumerate() {
+            table.insert_batch(*sw, afrs.clone());
+            if i >= span {
+                table.evict_oldest();
+            }
+        }
+        encode_merged(&table.snapshot())
+    }
+
+    type Link = (RetryPolicy, RetransmitFn, OsReadFn);
+
+    /// A router on the reliable path (no router thread, no channel).
+    fn reliable_router(
+        span: usize,
+        shards: usize,
+        obs: Option<&Obs>,
+        link: Link,
+    ) -> (Router, LiveHandle) {
+        Router::new(span, 64, shards, obs, Some(link))
+    }
+
+    /// A back-channel replaying faithfully from `store`; escalation is
+    /// a test failure.
+    fn faithful(store: HashMap<u32, Vec<FlowRecord>>) -> Link {
+        (
+            RetryPolicy::default(),
+            Box::new(move |sw, seqs| seqs.iter().map(|&s| store[&sw][s as usize]).collect()),
+            Box::new(|_| panic!("no escalation expected")),
+        )
+    }
+
+    /// A back-channel that must never be used.
+    fn untouched(why: &'static str) -> Link {
+        (
+            RetryPolicy::default(),
+            Box::new(move |_, _| panic!("retransmit: {why}")),
+            Box::new(move |_| panic!("OS read: {why}")),
+        )
+    }
+
+    fn store_of(subwindows: std::ops::Range<u32>, n: u32) -> HashMap<u32, Vec<FlowRecord>> {
+        subwindows.map(|sw| (sw, seq_batch(sw, n))).collect()
+    }
+
+    /// Announce `sw`, stream the survivors of its batch as one block,
+    /// and mark the end of the stream.
+    fn run_session(
+        router: &mut Router,
+        batch: &[FlowRecord],
+        survives: impl Fn(&FlowRecord) -> bool,
+    ) {
+        let sw = batch[0].subwindow;
+        let survivors: Vec<FlowRecord> = batch.iter().copied().filter(|r| survives(r)).collect();
+        router.announce(sw, batch.len() as u32, None);
+        router.afr_block(RecordBlock::from_records(sw, &survivors), None);
+        router.end_of_stream(sw);
     }
 
     #[test]
     fn live_pipeline_merges_and_slides() {
-        let ctl = LiveController::spawn(2, 16);
-        ctl.sender.send(batch(0, 0..10, 60)).unwrap();
-        ctl.sender.send(batch(1, 0..10, 80)).unwrap();
-        // Wait for the controller to drain.
-        while ctl.handle.merged_flows() < 10 {
-            std::thread::yield_now();
-        }
-        // 60 + 80 = 140 ≥ 100: boundary flows visible live.
-        let mut over = Vec::new();
-        for _ in 0..1000 {
-            over = ctl.handle.flows_over(100.0);
-            if over.len() == 10 {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        assert_eq!(over.len(), 10);
-
+        let (mut router, handle) = Router::new(2, 16, 1, None, None);
+        router.stream_block(block(0, 0..10, 60), true);
+        router.stream_block(block(1, 0..10, 80), true);
         // Slide: sub-window 2 evicts sub-window 0.
-        ctl.sender.send(batch(2, 0..10, 5)).unwrap();
-        let mut sws = Vec::new();
-        for _ in 0..10_000 {
-            sws = ctl.handle.subwindows();
-            if sws == vec![1, 2] {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        assert_eq!(sws, vec![1, 2]);
-        assert_eq!(ctl.join(), 3);
+        router.stream_block(block(2, 0..10, 5), true);
+        assert_eq!(router.shutdown().0, 3);
+        assert_eq!(handle.subwindows(), vec![1, 2]);
+        // 80 + 5 per flow: sub-window 0's 60 is gone.
+        assert_eq!(handle.flows_over(85.0).len(), 10);
+        assert!(handle.flows_over(86.0).is_empty());
     }
 
     #[test]
@@ -1118,31 +530,32 @@ mod tests {
 
     #[test]
     fn sharded_live_controller_is_byte_identical_to_single_shard() {
-        let run = |shards: usize| {
+        let subwindows: Vec<(u32, Vec<FlowRecord>)> = (0..6u32)
+            .map(|sw| (sw, block(sw, 0..40, (sw as u64 + 1) * 7).to_records()))
+            .collect();
+        let reference = reference_fold(3, &subwindows);
+        for shards in [1usize, 2, 4, 8] {
             let ctl = LiveController::spawn_sharded(3, 16, shards);
             for sw in 0..6u32 {
                 ctl.sender
-                    .send(batch(sw, 0..40, (sw as u64 + 1) * 7))
+                    .send(sealed(sw, 0..40, (sw as u64 + 1) * 7))
                     .unwrap();
             }
-            let handle = ctl.handle.clone();
+            let h = ctl.handle.clone();
             assert_eq!(ctl.join(), 6);
-            assert_eq!(handle.shard_count(), shards);
-            assert_eq!(handle.subwindows(), vec![3, 4, 5]);
-            handle
-        };
-        let baseline = run(1);
-        for shards in [2usize, 4, 8] {
-            let h = run(shards);
+            assert_eq!(h.shard_count(), shards);
+            assert_eq!(h.subwindows(), vec![3, 4, 5]);
             assert_eq!(
                 encode_merged(&h.snapshot()),
-                encode_merged(&baseline.snapshot()),
-                "{shards} shards diverged from the single-shard baseline"
+                reference,
+                "{shards} shards diverged from the single-table fold"
             );
-            assert_eq!(h.flows_over(0.0), baseline.flows_over(0.0));
             for i in 0..40u32 {
                 let k = FlowKey::src_ip(i);
-                assert_eq!(h.merged_value(&k), baseline.merged_value(&k));
+                assert_eq!(
+                    h.merged_value(&k),
+                    Some(AttrValue::Frequency(7 * (4 + 5 + 6)))
+                );
             }
         }
     }
@@ -1157,97 +570,46 @@ mod tests {
         assert_eq!(parse_shards(Some(" 8 ")), 8);
     }
 
-    fn seq_batch(sw: u32, n: u32) -> Vec<FlowRecord> {
-        (0..n)
-            .map(|seq| {
-                let mut r = FlowRecord::frequency(FlowKey::src_ip(seq + 1), seq as u64 + 1, sw);
-                r.seq = seq;
-                r
-            })
-            .collect()
-    }
-
     #[test]
     fn reliable_controller_repairs_lossy_stream() {
-        // The switch retains both sub-windows' batches; the back-channel
-        // replays faithfully.
-        let store: HashMap<u32, Vec<FlowRecord>> =
-            (0..2u32).map(|sw| (sw, seq_batch(sw, 10))).collect();
-        let retrans_store = store.clone();
-        let ctl = ReliableLiveController::spawn(
-            2,
-            64,
-            RetryPolicy::default(),
-            Box::new(move |sw, seqs| {
-                let batch = &retrans_store[&sw];
-                seqs.iter().map(|&s| batch[s as usize]).collect()
-            }),
-            Box::new(|_| panic!("no escalation expected")),
-        );
+        let store = store_of(0..2, 10);
+        let (mut router, handle) = reliable_router(2, 1, None, faithful(store.clone()));
         for sw in 0..2u32 {
-            ctl.sender
-                .send(ReliableMsg::Announce {
-                    subwindow: sw,
-                    announced: 10,
-                })
-                .unwrap();
             // Drop every third AFR from the initial stream.
-            for rec in store[&sw].iter().filter(|r| r.seq % 3 != 0) {
-                ctl.sender.send(ReliableMsg::Afr(*rec)).unwrap();
-            }
-            ctl.sender
-                .send(ReliableMsg::EndOfStream { subwindow: sw })
-                .unwrap();
+            run_session(&mut router, &store[&sw], |r| r.seq % 3 != 0);
         }
-        let handle = ctl.handle.clone();
-        let metrics = ctl.join();
+        let (sessions, metrics) = router.shutdown();
+        assert_eq!(sessions, 2);
         // Despite the losses both sub-windows merged complete: every
         // flow's two-sub-window sum is exact.
         assert_eq!(handle.merged_flows(), 10);
         for seq in 0..10u32 {
-            let sum = handle
-                .flows_over(0.0)
-                .into_iter()
-                .find(|(k, _)| *k == FlowKey::src_ip(seq + 1))
-                .map(|(_, v)| v)
-                .unwrap();
-            assert_eq!(sum, 2.0 * (seq as f64 + 1.0));
+            let merged = handle.merged_value(&FlowKey::src_ip(seq + 1));
+            assert_eq!(merged, Some(AttrValue::Frequency(2 * (seq as u64 + 1))));
         }
         assert_eq!(metrics.announced, 20);
         assert_eq!(metrics.first_pass, 12);
         assert_eq!(metrics.recovered, 8);
         assert!(metrics.retransmit_rounds >= 2);
         assert_eq!(metrics.escalations, 0);
-        assert_eq!(metrics.dropped, 0);
     }
 
     #[test]
     fn reliable_controller_handles_reordered_and_duplicated_control_msgs() {
-        let store = seq_batch(4, 5);
-        let retrans_store = store.clone();
-        let ctl = ReliableLiveController::spawn(
-            4,
-            64,
-            RetryPolicy::default(),
-            Box::new(move |_, seqs| seqs.iter().map(|&s| retrans_store[s as usize]).collect()),
-            Box::new(|_| panic!("no escalation expected")),
-        );
-        // AFRs race ahead of their announcement; the trigger arrives
-        // twice (duplicated clone); one AFR arrives twice too.
-        ctl.sender.send(ReliableMsg::Afr(store[1])).unwrap();
-        ctl.sender.send(ReliableMsg::Afr(store[1])).unwrap();
-        for _ in 0..2 {
-            ctl.sender
-                .send(ReliableMsg::Announce {
-                    subwindow: 4,
-                    announced: 5,
-                })
-                .unwrap();
-        }
-        ctl.sender.send(ReliableMsg::Afr(store[3])).unwrap();
+        let batch = seq_batch(4, 5);
+        let link = faithful(HashMap::from([(4, batch.clone())]));
+        let (mut router, handle) = reliable_router(4, 1, None, link);
+        // An AFR races ahead of its announcement and arrives twice; the
+        // trigger arrives twice too (duplicated clone).
+        router.afr_block(RecordBlock::from_records(4, &batch[1..2]), None);
+        router.afr_block(RecordBlock::from_records(4, &batch[1..2]), None);
+        assert_eq!(router.sessions.early_records(), 2);
+        router.announce(4, 5, None);
+        router.announce(4, 5, None);
+        assert_eq!(router.sessions.early_records(), 0);
+        router.afr_block(RecordBlock::from_records(4, &batch[3..4]), None);
         // End-of-stream mark lost: shutdown finalizes the session.
-        let handle = ctl.handle.clone();
-        let metrics = ctl.join();
+        let (_, metrics) = router.shutdown();
         assert_eq!(handle.merged_flows(), 5);
         assert_eq!(metrics.first_pass, 2);
         assert_eq!(metrics.duplicates, 1);
@@ -1255,31 +617,47 @@ mod tests {
     }
 
     #[test]
+    fn late_trigger_and_late_block_cannot_reopen_a_merged_subwindow() {
+        // A duplicated trigger that arrives *after* its session merged
+        // must not open a second session (which shutdown would finalize
+        // through a full retransmit and merge again), and a late block
+        // must not be parked in `early` forever.
+        let batch = seq_batch(0, 5);
+        let link = faithful(HashMap::from([(0, batch.clone())]));
+        let (mut router, handle) = reliable_router(4, 1, None, link);
+        run_session(&mut router, &batch, |_| true);
+        assert!(router.sessions.is_closed(0));
+        router.announce(0, 5, None);
+        router.afr_block(RecordBlock::from_records(0, &batch[0..3]), None);
+        router.end_of_stream(0);
+        assert_eq!(router.sessions.early_records(), 0, "late block leaked");
+        let (sessions, metrics) = router.shutdown();
+        assert_eq!(sessions, 1);
+        assert_eq!(handle.subwindows(), vec![0]);
+        for (_, merged) in handle.flows_over(0.0) {
+            assert!(merged <= 5.0, "a flow merged twice: {merged}");
+        }
+        assert_eq!((metrics.announced, metrics.recovered), (5, 0));
+        assert_eq!(metrics.duplicates, 3, "late rows are charged as duplicates");
+    }
+
+    #[test]
     fn reliable_controller_escalates_when_backchannel_dead() {
-        let store = seq_batch(0, 3);
-        let os_store = store.clone();
-        let ctl = ReliableLiveController::spawn(
-            1,
-            16,
-            RetryPolicy {
-                max_rounds: 2,
-                ..RetryPolicy::default()
-            },
+        let batch = seq_batch(0, 3);
+        let os_batch = batch.clone();
+        let policy = RetryPolicy {
+            max_rounds: 2,
+            ..RetryPolicy::default()
+        };
+        let link: Link = (
+            policy,
             // The back-channel loses every request.
             Box::new(|_, _| Vec::new()),
-            Box::new(move |_| (os_store.clone(), Duration::from_millis(40))),
+            Box::new(move |_| (os_batch.clone(), Duration::from_millis(40))),
         );
-        ctl.sender
-            .send(ReliableMsg::Announce {
-                subwindow: 0,
-                announced: 3,
-            })
-            .unwrap();
-        ctl.sender
-            .send(ReliableMsg::EndOfStream { subwindow: 0 })
-            .unwrap();
-        let handle = ctl.handle.clone();
-        let metrics = ctl.join();
+        let (mut router, handle) = reliable_router(1, 1, None, link);
+        run_session(&mut router, &batch, |_| false);
+        let (_, metrics) = router.shutdown();
         assert_eq!(handle.merged_flows(), 3);
         assert_eq!(metrics.escalations, 1);
         assert_eq!(metrics.retransmit_rounds, 2);
@@ -1289,42 +667,22 @@ mod tests {
     #[test]
     fn departed_session_is_abandoned_not_wedged() {
         let obs = Obs::new();
-        let store = seq_batch(3, 8);
-        let ctl = ReliableLiveController::spawn_sharded_obs(
-            4,
-            64,
-            RetryPolicy::default(),
-            // A departed switch can answer nothing; neither callback may
-            // ever run for the abandoned window.
-            Box::new(|_, _| panic!("no retransmission for a departed switch")),
-            Box::new(|_| panic!("no OS read for a departed switch")),
-            2,
-            Some(&obs),
-        );
-        ctl.sender
-            .send(ReliableMsg::Announce {
-                subwindow: 3,
-                announced: 8,
-            })
-            .unwrap();
+        let batch = seq_batch(3, 8);
+        // A departed switch can answer nothing; neither callback may
+        // ever run for the abandoned window.
+        let link = untouched("the switch departed");
+        let (mut router, handle) = reliable_router(4, 2, Some(&obs), link);
+        router.announce(3, 8, None);
         // Part of the initial stream arrives, then the switch crashes.
-        for rec in store.iter().take(3) {
-            ctl.sender.send(ReliableMsg::Afr(*rec)).unwrap();
-        }
-        ctl.sender
-            .send(ReliableMsg::Depart { subwindow: 3 })
-            .unwrap();
+        router.afr_block(RecordBlock::from_records(3, &batch[0..3]), None);
+        router.depart(3);
         // Late clones and a duplicated announcement hit the tombstone
         // instead of resurrecting a session that could never complete.
-        ctl.sender.send(ReliableMsg::Afr(store[4])).unwrap();
-        ctl.sender
-            .send(ReliableMsg::Announce {
-                subwindow: 3,
-                announced: 8,
-            })
-            .unwrap();
-        let handle = ctl.handle.clone();
-        let metrics = ctl.join();
+        router.afr_block(RecordBlock::from_records(3, &batch[4..5]), None);
+        router.announce(3, 8, None);
+        assert_eq!(router.sessions.early_records(), 0);
+        let (sessions, metrics) = router.shutdown();
+        assert_eq!(sessions, 0);
         assert_eq!(handle.merged_flows(), 0, "partial batch never merges");
         assert_eq!(metrics.departed, 1);
         assert_eq!(metrics.first_pass, 3);
@@ -1351,18 +709,19 @@ mod tests {
 
     #[test]
     fn sharded_reliable_controller_matches_single_shard() {
-        let run = |shards: usize| {
-            let store: HashMap<u32, Vec<FlowRecord>> =
-                (0..4u32).map(|sw| (sw, seq_batch(sw, 25))).collect();
-            let retrans_store = store.clone();
+        // The one threaded reliable run: a lossy initial stream through
+        // the real channel and router thread at every shard count.
+        let store = store_of(0..4, 25);
+        let subwindows: Vec<(u32, Vec<FlowRecord>)> =
+            (0..4u32).map(|sw| (sw, store[&sw].clone())).collect();
+        let reference = reference_fold(2, &subwindows);
+        for shards in [1usize, 2, 4, 8] {
+            let replay = store.clone();
             let ctl = ReliableLiveController::spawn_sharded(
                 2,
                 64,
                 RetryPolicy::default(),
-                Box::new(move |sw, seqs| {
-                    let batch = &retrans_store[&sw];
-                    seqs.iter().map(|&s| batch[s as usize]).collect()
-                }),
+                Box::new(move |sw, seqs| seqs.iter().map(|&s| replay[&sw][s as usize]).collect()),
                 Box::new(|_| panic!("no escalation expected")),
                 shards,
             );
@@ -1373,44 +732,42 @@ mod tests {
                         announced: 25,
                     })
                     .unwrap();
-                // A lossy initial stream: the §8 loop repairs it before
-                // anything reaches the shards.
-                for rec in store[&sw].iter().filter(|r| r.seq % 4 != 1) {
-                    ctl.sender.send(ReliableMsg::Afr(*rec)).unwrap();
-                }
+                let survivors: Vec<FlowRecord> = store[&sw]
+                    .iter()
+                    .copied()
+                    .filter(|r| r.seq % 4 != 1)
+                    .collect();
+                ctl.sender
+                    .send(ReliableMsg::AfrBlock(RecordBlock::from_records(
+                        sw, &survivors,
+                    )))
+                    .unwrap();
                 ctl.sender
                     .send(ReliableMsg::EndOfStream { subwindow: sw })
                     .unwrap();
             }
-            let handle = ctl.handle.clone();
-            let metrics = ctl.join();
-            (handle, metrics)
-        };
-        let (baseline, base_metrics) = run(1);
-        assert_eq!(baseline.subwindows(), vec![2, 3]);
-        for shards in [2usize, 4, 8] {
-            let (h, m) = run(shards);
+            let h = ctl.handle.clone();
+            let m = ctl.join();
+            assert_eq!(h.subwindows(), vec![2, 3]);
             assert_eq!(
                 encode_merged(&h.snapshot()),
-                encode_merged(&baseline.snapshot()),
-                "{shards} shards diverged from the single-shard baseline"
+                reference,
+                "{shards} shards diverged from the single-table fold"
             );
-            assert_eq!(h.flows_over(10.0), baseline.flows_over(10.0));
-            assert_eq!(m.recovered, base_metrics.recovered);
-            assert_eq!(m.first_pass, base_metrics.first_pass);
+            assert_eq!((m.first_pass, m.recovered), (76, 24));
         }
     }
 
-    #[test]
-    fn offer_counts_drops_instead_of_blocking() {
-        // Wedge the router inside a retransmission round so its queue
-        // stays full, then offer past the bound: the overflow must be
-        // rejected and counted, never silently lost and never blocking.
+    /// A reliable controller whose router wedges inside its first
+    /// retransmission round (input queue depth 2) until the returned
+    /// gate is sent to — the setup of every `offer` overflow test.
+    fn wedged_controller(
+        obs: Option<&Obs>,
+    ) -> (ReliableLiveController, std::sync::mpsc::Sender<()>) {
         let (entered_tx, entered_rx) = std::sync::mpsc::channel::<()>();
         let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
-        let store = seq_batch(0, 1);
-        let replay = store.clone();
-        let ctl = ReliableLiveController::spawn_sharded(
+        let replay = seq_batch(0, 1);
+        let ctl = ReliableLiveController::spawn_sharded_obs(
             1,
             2,
             RetryPolicy::default(),
@@ -1421,6 +778,7 @@ mod tests {
             }),
             Box::new(|_| panic!("no escalation expected")),
             1,
+            obs,
         );
         ctl.sender
             .send(ReliableMsg::Announce {
@@ -1432,16 +790,25 @@ mod tests {
             .send(ReliableMsg::EndOfStream { subwindow: 0 })
             .unwrap();
         // The router is now inside the blocked retransmit callback and
-        // its input queue (depth 2) is empty: exactly two offers fit.
+        // its input queue is empty: exactly two offers fit.
         entered_rx.recv().unwrap();
-        assert!(ctl.offer(ReliableMsg::Afr(store[0])));
-        assert!(ctl.offer(ReliableMsg::Afr(store[0])));
-        assert!(
-            !ctl.offer(ReliableMsg::Afr(store[0])),
-            "third offer overflows"
-        );
+        (ctl, gate_tx)
+    }
+
+    fn one_row() -> ReliableMsg {
+        ReliableMsg::AfrBlock(RecordBlock::from_records(0, &seq_batch(0, 1)))
+    }
+
+    #[test]
+    fn offer_counts_drops_instead_of_blocking() {
+        // Offer past the bound: the overflow must be rejected and
+        // counted, never silently lost and never blocking.
+        let (ctl, gate) = wedged_controller(None);
+        assert!(ctl.offer(one_row()));
+        assert!(ctl.offer(one_row()));
+        assert!(!ctl.offer(one_row()), "third offer overflows");
         assert_eq!(ctl.handle.dropped(), 1);
-        gate_tx.send(()).unwrap();
+        gate.send(()).unwrap();
         let handle = ctl.handle.clone();
         let metrics = ctl.join();
         assert_eq!(handle.merged_flows(), 1);
@@ -1455,39 +822,15 @@ mod tests {
     #[test]
     fn obs_attached_reliable_controller_mirrors_join_metrics() {
         let obs = Obs::new();
-        let store: HashMap<u32, Vec<FlowRecord>> =
-            (0..3u32).map(|sw| (sw, seq_batch(sw, 12))).collect();
-        let retrans_store = store.clone();
-        let ctl = ReliableLiveController::spawn_sharded_obs(
-            2,
-            64,
-            RetryPolicy::default(),
-            Box::new(move |sw, seqs| {
-                let batch = &retrans_store[&sw];
-                seqs.iter().map(|&s| batch[s as usize]).collect()
-            }),
-            Box::new(|_| panic!("no escalation expected")),
-            4,
-            Some(&obs),
-        );
+        let store = store_of(0..3, 12);
+        let (mut router, _) = reliable_router(2, 4, Some(&obs), faithful(store.clone()));
         for sw in 0..3u32 {
-            ctl.sender
-                .send(ReliableMsg::Announce {
-                    subwindow: sw,
-                    announced: 12,
-                })
-                .unwrap();
-            for rec in store[&sw].iter().filter(|r| r.seq % 2 == 0) {
-                ctl.sender.send(ReliableMsg::Afr(*rec)).unwrap();
-            }
-            ctl.sender
-                .send(ReliableMsg::EndOfStream { subwindow: sw })
-                .unwrap();
+            run_session(&mut router, &store[&sw], |r| r.seq % 2 == 0);
         }
-        let metrics = ctl.join();
+        let (_, metrics) = router.shutdown();
         let snap = obs.snapshot();
 
-        // The registry mirrors join()'s fold, counter for counter.
+        // The registry mirrors the router's fold, counter for counter.
         assert_eq!(
             snap.value("ow_controller_retransmit_rounds", &[]),
             metrics.retransmit_rounds
@@ -1518,7 +861,7 @@ mod tests {
         );
 
         // Per-shard queue-depth gauges exist for all 4 shards and read
-        // zero after join (every send was matched by a dequeue).
+        // zero after shutdown (every send was matched by a dequeue).
         for shard in 0..4u32 {
             assert_eq!(
                 snap.value(
@@ -1526,7 +869,7 @@ mod tests {
                     &[("shard", &shard.to_string())]
                 ),
                 0,
-                "shard {shard} gauge must settle to 0 after join"
+                "shard {shard} gauge must settle to 0 after shutdown"
             );
         }
 
@@ -1567,32 +910,16 @@ mod tests {
             collect,
             anchor_ns: 2_500,
         };
-        let store = seq_batch(7, 6);
-        let retrans = store.clone();
-        let ctl = ReliableLiveController::spawn_sharded_obs(
-            1,
-            64,
-            RetryPolicy::default(),
-            Box::new(move |_, seqs| seqs.iter().map(|&s| retrans[s as usize]).collect()),
-            Box::new(|_| panic!("no escalation expected")),
-            2,
-            Some(&obs),
-        );
-        ctl.sender
-            .send(ReliableMsg::TracedAnnounce {
-                subwindow: 7,
-                announced: 6,
-                ctx,
-            })
-            .unwrap();
-        // A lossy stream of traced clones; the end-of-stream mark is
-        // lost, so shutdown finalizes the session.
-        for rec in store.iter().filter(|r| r.seq % 2 == 0) {
-            ctl.sender
-                .send(ReliableMsg::TracedAfr(Traced::new(ctx, *rec)))
-                .unwrap();
-        }
-        let metrics = ctl.join();
+        let batch = seq_batch(7, 6);
+        let link = faithful(HashMap::from([(7, batch.clone())]));
+        let (mut router, _) = reliable_router(1, 2, Some(&obs), link);
+        // The traced announcement is lost; a lossy stream of traced
+        // bursts still delivers the context. The end-of-stream mark is
+        // lost too, so shutdown finalizes the session.
+        let survivors: Vec<FlowRecord> = batch.iter().copied().filter(|r| r.seq % 2 == 0).collect();
+        router.afr_block(RecordBlock::from_records(7, &survivors), Some(ctx));
+        router.announce(7, 6, None);
+        let (_, metrics) = router.shutdown();
         assert!(metrics.retransmit_rounds >= 1, "lossy run must retransmit");
 
         let report = ow_obs::TraceReport::capture("test", &tracer, None);
@@ -1635,41 +962,14 @@ mod tests {
 
     #[test]
     fn obs_attached_offer_drop_reaches_the_registry() {
-        // Same wedge as `offer_counts_drops_instead_of_blocking`, with
-        // the registry attached: the rejected offer must surface as
+        // The rejected offer must surface as
         // `ow_controller_backpressure_dropped_total`.
         let obs = Obs::new();
-        let (entered_tx, entered_rx) = std::sync::mpsc::channel::<()>();
-        let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
-        let store = seq_batch(0, 1);
-        let replay = store.clone();
-        let ctl = ReliableLiveController::spawn_sharded_obs(
-            1,
-            2,
-            RetryPolicy::default(),
-            Box::new(move |_, seqs| {
-                entered_tx.send(()).unwrap();
-                gate_rx.recv().unwrap();
-                seqs.iter().map(|&s| replay[s as usize]).collect()
-            }),
-            Box::new(|_| panic!("no escalation expected")),
-            1,
-            Some(&obs),
-        );
-        ctl.sender
-            .send(ReliableMsg::Announce {
-                subwindow: 0,
-                announced: 1,
-            })
-            .unwrap();
-        ctl.sender
-            .send(ReliableMsg::EndOfStream { subwindow: 0 })
-            .unwrap();
-        entered_rx.recv().unwrap();
-        assert!(ctl.offer(ReliableMsg::Afr(store[0])));
-        assert!(ctl.offer(ReliableMsg::Afr(store[0])));
-        assert!(!ctl.offer(ReliableMsg::Afr(store[0])));
-        gate_tx.send(()).unwrap();
+        let (ctl, gate) = wedged_controller(Some(&obs));
+        assert!(ctl.offer(one_row()));
+        assert!(ctl.offer(one_row()));
+        assert!(!ctl.offer(one_row()));
+        gate.send(()).unwrap();
         let metrics = ctl.join();
         assert_eq!(metrics.dropped, 1);
         assert_eq!(
@@ -1681,119 +981,67 @@ mod tests {
 
     #[test]
     fn block_stream_matches_batch_path_byte_for_byte() {
-        // The same workload delivered as AfrBatch messages and as
-        // chunked AfrBlock streams (with a lost seal flag on the last
-        // sub-window, repaired by shutdown) must merge identically.
-        let run_batch = |shards: usize| {
-            let ctl = LiveController::spawn_sharded(3, 64, shards);
-            for sw in 0..5u32 {
-                ctl.sender
-                    .send(batch(sw, 0..60, (sw as u64 + 1) * 3))
-                    .unwrap();
-            }
-            let handle = ctl.handle.clone();
-            assert_eq!(ctl.join(), 5);
-            handle
-        };
-        let run_blocks = |shards: usize| {
-            let ctl = LiveController::spawn_sharded(3, 64, shards);
-            for sw in 0..5u32 {
-                let afrs: Vec<FlowRecord> = (0..60u32)
-                    .map(|i| FlowRecord::frequency(FlowKey::src_ip(i), (sw as u64 + 1) * 3, sw))
-                    .collect();
+        // A workload delivered as chunked block streams (with a lost
+        // seal flag on the last sub-window, repaired by shutdown) must
+        // merge exactly as the single-table fold of whole sub-windows.
+        let subwindows: Vec<(u32, Vec<FlowRecord>)> = (0..5u32)
+            .map(|sw| (sw, block(sw, 0..60, (sw as u64 + 1) * 3).to_records()))
+            .collect();
+        let reference = reference_fold(3, &subwindows);
+        for shards in [1usize, 4] {
+            let (mut router, h) = Router::new(3, 64, shards, None, None);
+            for (sw, afrs) in &subwindows {
                 let chunks: Vec<&[FlowRecord]> = afrs.chunks(17).collect();
                 for (i, chunk) in chunks.iter().enumerate() {
                     // The last sub-window's seal flag is "lost": the
                     // next sub-window's first block (or shutdown) must
                     // seal it implicitly.
-                    let seal = i + 1 == chunks.len() && sw != 4;
-                    ctl.sender
-                        .send(DataPlaneMsg::AfrBlock {
-                            block: RecordBlock::from_records(sw, chunk),
-                            seal,
-                        })
-                        .unwrap();
+                    let seal = i + 1 == chunks.len() && *sw != 4;
+                    router.stream_block(RecordBlock::from_records(*sw, chunk), seal);
                 }
             }
-            let handle = ctl.handle.clone();
-            assert_eq!(ctl.join(), 5);
-            handle
-        };
-        let baseline = run_batch(1);
-        for shards in [1usize, 4] {
-            let h = run_blocks(shards);
+            assert_eq!(router.shutdown().0, 5);
             assert_eq!(h.subwindows(), vec![2, 3, 4]);
             assert_eq!(
                 encode_merged(&h.snapshot()),
-                encode_merged(&baseline.snapshot()),
-                "{shards}-shard block stream diverged from the batch path"
+                reference,
+                "{shards}-shard block stream diverged from the single-table fold"
             );
         }
     }
 
     #[test]
     fn reliable_block_bursts_match_per_record_stream() {
-        let run = |blocked: bool| {
-            let store: HashMap<u32, Vec<FlowRecord>> =
-                (0..3u32).map(|sw| (sw, seq_batch(sw, 40))).collect();
-            let retrans_store = store.clone();
-            let ctl = ReliableLiveController::spawn_sharded(
-                2,
-                64,
-                RetryPolicy::default(),
-                Box::new(move |sw, seqs| {
-                    let batch = &retrans_store[&sw];
-                    seqs.iter().map(|&s| batch[s as usize]).collect()
-                }),
-                Box::new(|_| panic!("no escalation expected")),
-                4,
-            );
+        // Lossy bursts (one duplicated whole) and the same survivors as
+        // one-row blocks both converge on the single-table fold of the
+        // complete batches, with identical accounting.
+        let store = store_of(0..3, 40);
+        let subwindows: Vec<(u32, Vec<FlowRecord>)> =
+            (0..3u32).map(|sw| (sw, store[&sw].clone())).collect();
+        let reference = reference_fold(2, &subwindows);
+        let run = |burst: usize| {
+            let (mut router, handle) = reliable_router(2, 4, None, faithful(store.clone()));
             for sw in 0..3u32 {
-                ctl.sender
-                    .send(ReliableMsg::Announce {
-                        subwindow: sw,
-                        announced: 40,
-                    })
-                    .unwrap();
-                // Lossy stream; one burst is also duplicated whole.
+                router.announce(sw, 40, None);
                 let survivors: Vec<FlowRecord> = store[&sw]
                     .iter()
-                    .filter(|r| r.seq % 5 != 2)
                     .copied()
+                    .filter(|r| r.seq % 5 != 2)
                     .collect();
-                if blocked {
-                    for chunk in survivors.chunks(9) {
-                        let block = RecordBlock::from_records(sw, chunk);
-                        ctl.sender.send(ReliableMsg::AfrBlock(block)).unwrap();
-                    }
-                    ctl.sender
-                        .send(ReliableMsg::AfrBlock(RecordBlock::from_records(
-                            sw,
-                            &survivors[0..9],
-                        )))
-                        .unwrap();
-                } else {
-                    for rec in &survivors {
-                        ctl.sender.send(ReliableMsg::Afr(*rec)).unwrap();
-                    }
-                    for rec in &survivors[0..9] {
-                        ctl.sender.send(ReliableMsg::Afr(*rec)).unwrap();
-                    }
+                for chunk in survivors.chunks(burst).chain(survivors[0..9].chunks(burst)) {
+                    router.afr_block(RecordBlock::from_records(sw, chunk), None);
                 }
-                ctl.sender
-                    .send(ReliableMsg::EndOfStream { subwindow: sw })
-                    .unwrap();
+                router.end_of_stream(sw);
             }
-            let handle = ctl.handle.clone();
-            let metrics = ctl.join();
-            (handle, metrics)
+            let (_, metrics) = router.shutdown();
+            (encode_merged(&handle.snapshot()), metrics)
         };
-        let (per_record, m1) = run(false);
-        let (blocked, m2) = run(true);
+        let (rows, m1) = run(1);
+        let (bursts, m2) = run(9);
+        assert_eq!(bursts, reference, "bursts diverged from the reference");
         assert_eq!(
-            encode_merged(&blocked.snapshot()),
-            encode_merged(&per_record.snapshot()),
-            "block bursts diverged from the per-record stream"
+            rows, reference,
+            "one-row blocks diverged from the reference"
         );
         assert_eq!(m2.first_pass, m1.first_pass);
         assert_eq!(m2.duplicates, m1.duplicates);
@@ -1804,27 +1052,15 @@ mod tests {
     #[test]
     fn early_block_waits_for_its_announcement() {
         // A whole block races ahead of its announcement: it must buffer
-        // and fold in once the announcement lands.
-        let store = seq_batch(6, 8);
-        let ctl = ReliableLiveController::spawn_sharded(
-            2,
-            64,
-            RetryPolicy::default(),
-            Box::new(|_, _| panic!("complete stream needs no retransmit")),
-            Box::new(|_| panic!("no escalation expected")),
-            2,
-        );
-        ctl.sender
-            .send(ReliableMsg::AfrBlock(RecordBlock::from_records(6, &store)))
-            .unwrap();
-        ctl.sender
-            .send(ReliableMsg::Announce {
-                subwindow: 6,
-                announced: 8,
-            })
-            .unwrap();
-        let handle = ctl.handle.clone();
-        let metrics = ctl.join();
+        // (as a block) and fold in once the announcement lands.
+        let batch = seq_batch(6, 8);
+        let link = untouched("the stream is complete");
+        let (mut router, handle) = reliable_router(2, 2, None, link);
+        router.afr_block(RecordBlock::from_records(6, &batch), None);
+        assert_eq!(router.sessions.early_records(), 8);
+        router.announce(6, 8, None);
+        assert_eq!(router.sessions.early_records(), 0);
+        let (_, metrics) = router.shutdown();
         assert_eq!(handle.merged_flows(), 8);
         assert_eq!(metrics.first_pass, 8);
         assert_eq!(metrics.recovered, 0);
@@ -1832,40 +1068,13 @@ mod tests {
 
     #[test]
     fn rejected_block_counts_dropped_records_not_messages() {
-        // Satellite-6 regression: the offer path's drop accounting is in
-        // *records*. Wedge the router, fill the queue (depth 2), then
-        // offer a 5-record block — `dropped` must rise by 5, not 1, and
-        // the registry counter must mirror it.
+        // The offer path's drop accounting is in *records*: fill the
+        // queue, then offer a 5-record block — `dropped` must rise by 5,
+        // not 1, and the registry counter must mirror it.
         let obs = Obs::new();
-        let (entered_tx, entered_rx) = std::sync::mpsc::channel::<()>();
-        let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
-        let store = seq_batch(0, 1);
-        let replay = store.clone();
-        let ctl = ReliableLiveController::spawn_sharded_obs(
-            1,
-            2,
-            RetryPolicy::default(),
-            Box::new(move |_, seqs| {
-                entered_tx.send(()).unwrap();
-                gate_rx.recv().unwrap();
-                seqs.iter().map(|&s| replay[s as usize]).collect()
-            }),
-            Box::new(|_| panic!("no escalation expected")),
-            1,
-            Some(&obs),
-        );
-        ctl.sender
-            .send(ReliableMsg::Announce {
-                subwindow: 0,
-                announced: 1,
-            })
-            .unwrap();
-        ctl.sender
-            .send(ReliableMsg::EndOfStream { subwindow: 0 })
-            .unwrap();
-        entered_rx.recv().unwrap();
-        assert!(ctl.offer(ReliableMsg::Afr(store[0])));
-        assert!(ctl.offer(ReliableMsg::Afr(store[0])));
+        let (ctl, gate) = wedged_controller(Some(&obs));
+        assert!(ctl.offer(one_row()));
+        assert!(ctl.offer(one_row()));
         let burst = RecordBlock::from_records(0, &seq_batch(0, 5));
         assert!(
             !ctl.offer(ReliableMsg::AfrBlock(burst)),
@@ -1876,7 +1085,7 @@ mod tests {
             5,
             "a rejected block drops its whole payload"
         );
-        gate_tx.send(()).unwrap();
+        gate.send(()).unwrap();
         let metrics = ctl.join();
         assert_eq!(metrics.dropped, 5);
         assert_eq!(
@@ -1893,39 +1102,12 @@ mod tests {
         // sub-window) at this scale, and the queued-records gauges
         // settle to zero once the workers drain.
         let obs = Obs::new();
-        let store: HashMap<u32, Vec<FlowRecord>> =
-            (0..3u32).map(|sw| (sw, seq_batch(sw, 12))).collect();
-        let retrans_store = store.clone();
-        let ctl = ReliableLiveController::spawn_sharded_obs(
-            2,
-            64,
-            RetryPolicy::default(),
-            Box::new(move |sw, seqs| {
-                let batch = &retrans_store[&sw];
-                seqs.iter().map(|&s| batch[s as usize]).collect()
-            }),
-            Box::new(|_| panic!("no escalation expected")),
-            4,
-            Some(&obs),
-        );
+        let store = store_of(0..3, 12);
+        let (mut router, _) = reliable_router(2, 4, Some(&obs), faithful(store.clone()));
         for sw in 0..3u32 {
-            ctl.sender
-                .send(ReliableMsg::Announce {
-                    subwindow: sw,
-                    announced: 12,
-                })
-                .unwrap();
-            ctl.sender
-                .send(ReliableMsg::AfrBlock(RecordBlock::from_records(
-                    sw,
-                    &store[&sw],
-                )))
-                .unwrap();
-            ctl.sender
-                .send(ReliableMsg::EndOfStream { subwindow: sw })
-                .unwrap();
+            run_session(&mut router, &store[&sw], |_| true);
         }
-        let _ = ctl.join();
+        let _ = router.shutdown();
         let snap = obs.snapshot();
         assert_eq!(snap.value("ow_controller_records_total", &[]), 36);
         assert_eq!(
@@ -1958,7 +1140,7 @@ mod tests {
             max_seen
         });
         for sw in 0..20u32 {
-            ctl.sender.send(batch(sw, 0..50, 1)).unwrap();
+            ctl.sender.send(sealed(sw, 0..50, 1)).unwrap();
         }
         let _ = reader.join().unwrap();
         let final_handle = ctl.handle.clone();

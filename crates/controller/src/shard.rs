@@ -22,7 +22,7 @@
 //! [`ShardedMergeTable::flows_over`]) sorts by packed key, making the
 //! merged output **byte-identical** to the single-shard baseline at any
 //! shard count — the property the proptests in `tests/props.rs` pin
-//! down and `ow-bench`'s `bench_cr` re-asserts while measuring.
+//! down and `bench_snapshot`'s fold digest re-asserts while measuring.
 
 use ow_common::afr::{AttrValue, FlowRecord};
 use ow_common::block::{RecordBlock, ShardScatter, DEFAULT_BLOCK_CAPACITY};

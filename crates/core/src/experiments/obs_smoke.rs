@@ -13,6 +13,7 @@
 use std::collections::HashMap;
 
 use ow_common::afr::FlowRecord;
+use ow_common::block::RecordBlock;
 use ow_common::flowkey::KeyKind;
 use ow_common::metrics::ReliabilityMetrics;
 use ow_common::packet::{Packet, TcpFlags};
@@ -20,7 +21,7 @@ use ow_common::time::{Duration, Instant};
 use ow_controller::live::{ReliableLiveController, ReliableMsg};
 use ow_controller::reliability::RetryPolicy;
 use ow_netsim::{FaultConfig, LossyChannel, PacketClass};
-use ow_obs::Obs;
+use ow_obs::{Obs, Traced};
 use ow_sketch::CountMin;
 use ow_switch::app::FrequencyApp;
 use ow_switch::signal::WindowSignal;
@@ -170,37 +171,31 @@ pub fn run(cfg: &ObsSmokeConfig) -> ObsSmokeOutcome {
     // the announcement itself is dropped.
     let mut channel = LossyChannel::new(FaultConfig::afr_loss(cfg.seed, cfg.loss));
     for (subwindow, afrs) in &batches {
-        match sw.trace_context(*subwindow) {
-            Some(ctx) => {
-                ctl.sender
-                    .send(ReliableMsg::TracedAnnounce {
-                        subwindow: *subwindow,
-                        announced: afrs.len() as u32,
-                        ctx,
-                    })
-                    .unwrap();
-                let delivered = channel.transmit_traced(PacketClass::AfrReport, ctx, afrs.clone());
-                for t in delivered.into_iter().filter(|t| t.payload.seq != 0) {
-                    ctl.sender.send(ReliableMsg::TracedAfr(t)).unwrap();
-                }
-            }
-            None => {
-                ctl.sender
-                    .send(ReliableMsg::Announce {
-                        subwindow: *subwindow,
-                        announced: afrs.len() as u32,
-                    })
-                    .unwrap();
-                let delivered = channel.transmit(PacketClass::AfrReport, afrs.clone());
-                for rec in delivered.into_iter().filter(|r| r.seq != 0) {
-                    ctl.sender.send(ReliableMsg::Afr(rec)).unwrap();
-                }
-            }
-        }
+        let (subwindow, announced) = (*subwindow, afrs.len() as u32);
+        let mut delivered = channel.transmit(PacketClass::AfrReport, afrs.clone());
+        delivered.retain(|r| r.seq != 0);
+        let block = RecordBlock::from_records(subwindow, &delivered);
+        let (announce, burst) = match sw.trace_context(subwindow) {
+            Some(ctx) => (
+                ReliableMsg::TracedAnnounce {
+                    subwindow,
+                    announced,
+                    ctx,
+                },
+                ReliableMsg::TracedAfrBlock(Traced::new(ctx, block)),
+            ),
+            None => (
+                ReliableMsg::Announce {
+                    subwindow,
+                    announced,
+                },
+                ReliableMsg::AfrBlock(block),
+            ),
+        };
+        ctl.sender.send(announce).unwrap();
+        ctl.sender.send(burst).unwrap();
         ctl.sender
-            .send(ReliableMsg::EndOfStream {
-                subwindow: *subwindow,
-            })
+            .send(ReliableMsg::EndOfStream { subwindow })
             .unwrap();
     }
     let handle = ctl.handle.clone();

@@ -15,7 +15,6 @@
 //! because the recovery loop runs over a better-behaved path).
 
 use ow_common::time::Duration;
-use ow_obs::{TraceContext, Traced};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -268,27 +267,6 @@ impl LossyChannel {
         self.transmit(class, vec![item])
     }
 
-    /// Push a batch through the channel with a [`TraceContext`] stamped
-    /// onto every item. The envelope rides the exact same fault model —
-    /// drops drop it, duplicates copy it, reordering moves it — so
-    /// *whatever* subset arrives still carries the originating window's
-    /// context and the receiver can stitch its spans under the same
-    /// causal root.
-    pub fn transmit_traced<T: Clone>(
-        &mut self,
-        class: PacketClass,
-        ctx: TraceContext,
-        items: Vec<T>,
-    ) -> Vec<Traced<T>> {
-        self.transmit(
-            class,
-            items
-                .into_iter()
-                .map(|payload| Traced::new(ctx, payload))
-                .collect(),
-        )
-    }
-
     /// Sample the one-way latency for one packet of `class`
     /// (base delay plus uniform jitter).
     pub fn latency(&mut self, class: PacketClass) -> Duration {
@@ -393,28 +371,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, input);
         assert!(ch.stats().class(PacketClass::AfrReport).reordered > 0);
-    }
-
-    #[test]
-    fn traced_envelopes_ride_the_same_fault_pattern() {
-        let ctx = TraceContext {
-            trace_id: 7,
-            root: 7,
-            collect: 9,
-            anchor_ns: 123,
-        };
-        let input: Vec<u32> = (0..100).collect();
-        let mut plain = LossyChannel::new(FaultConfig::afr_loss(42, 0.3));
-        let mut traced = LossyChannel::new(FaultConfig::afr_loss(42, 0.3));
-        let a = plain.transmit(PacketClass::AfrReport, input.clone());
-        let b = traced.transmit_traced(PacketClass::AfrReport, ctx, input);
-        // Same seed, same faults: the envelope changes nothing about
-        // which copies arrive or in what order…
-        let payloads: Vec<u32> = b.iter().map(|t| t.payload).collect();
-        assert_eq!(a, payloads);
-        // …and every survivor still carries the originating context.
-        assert!(b.iter().all(|t| t.ctx == ctx));
-        assert!(b.len() < 100, "seed 42 at 30% loss drops something");
     }
 
     #[test]

@@ -343,6 +343,7 @@ mod tests {
     #[test]
     fn live_path_attaches_a_sharded_controller() {
         use ow_common::afr::FlowRecord;
+        use ow_common::block::RecordBlock;
         use ow_common::flowkey::FlowKey;
         use ow_controller::live::DataPlaneMsg;
 
@@ -366,13 +367,14 @@ mod tests {
         assert_eq!(live.controller.handle.shard_count(), 4);
         assert_eq!(live.controller.handle.window_span(), 3);
         for sw in 0..2u32 {
+            let afrs: Vec<FlowRecord> = (0..20)
+                .map(|i| FlowRecord::frequency(FlowKey::src_ip(i), 5, sw))
+                .collect();
             live.controller
                 .sender
-                .send(DataPlaneMsg::AfrBatch {
-                    subwindow: sw,
-                    afrs: (0..20)
-                        .map(|i| FlowRecord::frequency(FlowKey::src_ip(i), 5, sw))
-                        .collect(),
+                .send(DataPlaneMsg::AfrBlock {
+                    block: RecordBlock::from_records(sw, &afrs),
+                    seal: true,
                 })
                 .unwrap();
         }
@@ -385,6 +387,7 @@ mod tests {
     #[test]
     fn obs_knob_wires_the_registry_through_switches_and_controller() {
         use ow_common::afr::FlowRecord;
+        use ow_common::block::RecordBlock;
         use ow_common::flowkey::FlowKey;
         use ow_controller::live::DataPlaneMsg;
 
@@ -406,13 +409,14 @@ mod tests {
                 16,
             )
             .expect("both nodes verify");
+        let afrs: Vec<FlowRecord> = (0..10)
+            .map(|i| FlowRecord::frequency(FlowKey::src_ip(i), 5, 0))
+            .collect();
         live.controller
             .sender
-            .send(DataPlaneMsg::AfrBatch {
-                subwindow: 0,
-                afrs: (0..10)
-                    .map(|i| FlowRecord::frequency(FlowKey::src_ip(i), 5, 0))
-                    .collect(),
+            .send(DataPlaneMsg::AfrBlock {
+                block: RecordBlock::from_records(0, &afrs),
+                seal: true,
             })
             .unwrap();
         assert_eq!(live.controller.join(), 1);

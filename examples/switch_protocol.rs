@@ -6,6 +6,7 @@
 //!
 //! Run with: `cargo run --release --example switch_protocol`
 
+use ow_common::block::RecordBlock;
 use ow_common::flowkey::KeyKind;
 use ow_common::packet::{OwFlag, Packet, TcpFlags};
 use ow_common::time::{Duration, Instant};
@@ -120,9 +121,9 @@ fn main() {
                 );
                 controller
                     .sender
-                    .send(DataPlaneMsg::AfrBatch {
-                        subwindow,
-                        afrs: outcome.afrs,
+                    .send(DataPlaneMsg::AfrBlock {
+                        block: RecordBlock::from_records(subwindow, &outcome.afrs),
+                        seal: true,
                     })
                     .unwrap();
                 batches += 1;

@@ -4,8 +4,9 @@
 //! invisible throughput optimisation: at any shard count and any block
 //! capacity — including capacity 1 (a block per record) and ragged
 //! final blocks — the deterministic final fold must be
-//! **byte-identical** to the 1-shard per-record baseline, and every
-//! query must return the same answer. These properties pin that down on
+//! **byte-identical** to the single-table reference fold (one
+//! [`MergeTable`], each sub-window inserted whole), and every query must
+//! return the same answer. These properties pin that down on
 //! random lossy traces: records dropped on the wire, delivered out of
 //! order, and (on the reliable path) duplicated, with the recovery loop
 //! repairing the losses before anything merges.
@@ -15,6 +16,7 @@ use ow_common::block::RecordBlock;
 use ow_common::flowkey::FlowKey;
 use ow_controller::live::{DataPlaneMsg, LiveController, ReliableLiveController, ReliableMsg};
 use ow_controller::reliability::RetryPolicy;
+use ow_controller::table::MergeTable;
 use ow_controller::wire::encode_merged;
 use proptest::prelude::*;
 
@@ -153,31 +155,32 @@ fn run_dataplane_blocks(
     (observe(&handle), routed)
 }
 
-/// Data-plane per-record baseline: the same arrival schedule as one
-/// `AfrBatch` per sub-window (the pre-block row-at-a-time shape).
-fn run_dataplane_per_record(trace: &[SubwindowTrace]) -> (FoldFacts, u64) {
-    let ctl = LiveController::spawn_sharded(3, 64, 1);
-    for (sw, t) in trace.iter().enumerate() {
-        ctl.sender
-            .send(DataPlaneMsg::AfrBatch {
-                subwindow: sw as u32,
-                afrs: arrivals(t),
-            })
-            .unwrap();
+/// The single-table reference: each sub-window's batch inserted whole
+/// into one [`MergeTable`] sliding over the same 3-sub-window span the
+/// live runs use.
+fn reference_fold(batches: impl Iterator<Item = Vec<FlowRecord>>) -> FoldFacts {
+    let mut table = MergeTable::new();
+    for (sw, batch) in batches.enumerate() {
+        table.insert_batch(sw as u32, batch);
+        if sw >= 3 {
+            table.evict_oldest();
+        }
     }
-    let handle = ctl.handle.clone();
-    let routed = ctl.join();
-    (observe(&handle), routed)
+    (
+        encode_merged(&table.snapshot()).to_vec(),
+        table.flows_over(25.0),
+        table.subwindows(),
+    )
 }
 
-/// Reliable replay: announce, stream the lossy arrival schedule (as
-/// blocks of `capacity`, or per-record when `capacity` is `None`), end
-/// the stream, and let the recovery loop retransmit what the wire
-/// dropped. Returns the fold facts plus the announced-record total.
+/// Reliable replay: announce, stream the lossy arrival schedule as
+/// blocks of `capacity`, end the stream, and let the recovery loop
+/// retransmit what the wire dropped. Returns the fold facts plus the
+/// announced-record total.
 fn run_reliable(
     trace: &[SubwindowTrace],
     shards: usize,
-    capacity: Option<usize>,
+    capacity: usize,
 ) -> (Vec<u8>, Vec<(FlowKey, f64)>, u64) {
     let stores: Vec<Vec<FlowRecord>> = trace.iter().map(|t| t.store.clone()).collect();
     let ctl = ReliableLiveController::spawn_sharded(
@@ -203,20 +206,10 @@ fn run_reliable(
                 announced: t.store.len() as u32,
             })
             .unwrap();
-        let recs = arrivals(t);
-        match capacity {
-            None => {
-                for rec in recs {
-                    ctl.sender.send(ReliableMsg::Afr(rec)).unwrap();
-                }
-            }
-            Some(cap) => {
-                for chunk in recs.chunks(cap) {
-                    ctl.sender
-                        .send(ReliableMsg::AfrBlock(RecordBlock::from_records(sw, chunk)))
-                        .unwrap();
-                }
-            }
+        for chunk in arrivals(t).chunks(capacity) {
+            ctl.sender
+                .send(ReliableMsg::AfrBlock(RecordBlock::from_records(sw, chunk)))
+                .unwrap();
         }
         ctl.sender
             .send(ReliableMsg::EndOfStream { subwindow: sw })
@@ -230,24 +223,24 @@ fn run_reliable(
 }
 
 proptest! {
-    // Each case spawns 17 controllers (1 baseline + 4 shard counts × 4
-    // capacities), each with its worker threads; keep the case count
-    // modest — the shard/capacity sweep inside each case is the point.
+    // Each case spawns 16 controllers (4 shard counts × 4 capacities),
+    // each with its worker threads; keep the case count modest — the
+    // shard/capacity sweep inside each case is the point.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Data-plane block streaming at any (shard count, capacity) is
-    /// byte-identical to the 1-shard per-record baseline on any
-    /// drop+reorder trace, ragged final blocks included.
+    /// byte-identical to the single-table fold of the same arrivals on
+    /// any drop+reorder trace, ragged final blocks included.
     #[test]
     fn dataplane_blocks_match_per_record_baseline(trace in arb_trace(false)) {
-        let ((base_bytes, base_over, base_sws), base_routed) = run_dataplane_per_record(&trace);
-        prop_assert_eq!(base_routed, trace.len() as u64);
+        let (base_bytes, base_over, base_sws) = reference_fold(trace.iter().map(arrivals));
+        let base_routed = trace.len() as u64;
         for shards in SHARDS {
             for cap in CAPACITIES {
                 let ((bytes, over, sws), routed) = run_dataplane_blocks(&trace, shards, cap);
                 prop_assert_eq!(
                     &bytes, &base_bytes,
-                    "{} shards × capacity {} diverged from the per-record fold", shards, cap
+                    "{} shards × capacity {} diverged from the single-table fold", shards, cap
                 );
                 prop_assert_eq!(&over, &base_over);
                 prop_assert_eq!(&sws, &base_sws);
@@ -262,19 +255,18 @@ proptest! {
 
     /// Reliable block streaming under drops, duplication, and
     /// reordering converges — via session dedup and the retransmission
-    /// loop — to the same bytes as the 1-shard per-record reliable
-    /// baseline at every (shard count, capacity).
+    /// loop — to the single-table fold of the loss-free batches at
+    /// every (shard count, capacity).
     #[test]
     fn reliable_blocks_converge_to_per_record_baseline(trace in arb_trace(true)) {
-        let (base_bytes, base_over, base_announced) = run_reliable(&trace, 1, None);
-        let total: u64 = trace.iter().map(|t| t.store.len() as u64).sum();
-        prop_assert_eq!(base_announced, total);
+        let (base_bytes, base_over, _) = reference_fold(trace.iter().map(|t| t.store.clone()));
+        let base_announced: u64 = trace.iter().map(|t| t.store.len() as u64).sum();
         for shards in SHARDS {
             for cap in CAPACITIES {
-                let (bytes, over, announced) = run_reliable(&trace, shards, Some(cap));
+                let (bytes, over, announced) = run_reliable(&trace, shards, cap);
                 prop_assert_eq!(
                     &bytes, &base_bytes,
-                    "{} shards × capacity {} diverged from the per-record fold", shards, cap
+                    "{} shards × capacity {} diverged from the single-table fold", shards, cap
                 );
                 prop_assert_eq!(&over, &base_over);
                 prop_assert_eq!(announced, base_announced);

@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 
 use ow_common::afr::{AttrValue, FlowRecord};
+use ow_common::block::RecordBlock;
 use ow_common::flowkey::{FlowKey, KeyKind};
 use ow_common::packet::{Packet, TcpFlags};
 use ow_common::time::{Duration, Instant};
@@ -269,9 +270,9 @@ fn lost_retransmission_request_is_retried() {
     );
 }
 
-/// A duplicated trigger packet announces the same sub-window twice; the
-/// controller opens one session, counts the sub-window once, and the
-/// merged result is unaffected.
+/// A duplicated trigger packet announces the same sub-window twice —
+/// and once more after it merged; the controller opens one session,
+/// counts the sub-window once, and the merged result is unaffected.
 #[test]
 fn duplicate_trigger_packet_is_idempotent() {
     let (_sw, subwindow, afrs) = switch_with_one_batch();
@@ -299,14 +300,26 @@ fn duplicate_trigger_packet_is_idempotent() {
             })
             .unwrap();
     }
-    for r in afrs.iter().skip(3) {
-        ctl.sender.send(ReliableMsg::Afr(*r)).unwrap();
-    }
+    ctl.sender
+        .send(ReliableMsg::AfrBlock(RecordBlock::from_records(
+            subwindow,
+            &afrs[3..],
+        )))
+        .unwrap();
     ctl.sender
         .send(ReliableMsg::EndOfStream { subwindow })
         .unwrap();
+    // A third clone of the trigger straggles in after the session
+    // merged: it must not re-open the sub-window and merge it again.
+    ctl.sender
+        .send(ReliableMsg::Announce {
+            subwindow,
+            announced: afrs.len() as u32,
+        })
+        .unwrap();
     let handle = ctl.handle.clone();
     let metrics = ctl.join();
+    assert_eq!(handle.subwindows(), vec![subwindow]);
 
     // One session, announced counted once, table exact.
     assert_eq!(metrics.announced, afrs.len() as u64);

@@ -10,6 +10,7 @@
 //! sliding-window evictions.
 
 use ow_common::afr::{AttrValue, DistinctBitmap, FlowRecord};
+use ow_common::block::RecordBlock;
 use ow_common::flowkey::FlowKey;
 use ow_controller::live::{DataPlaneMsg, LiveController};
 use ow_controller::wire::encode_merged;
@@ -113,9 +114,9 @@ proptest! {
             let ctl = LiveController::spawn_sharded(3, 64, shards);
             for (sw, (batch, _)) in ops.iter().enumerate() {
                 ctl.sender
-                    .send(DataPlaneMsg::AfrBatch {
-                        subwindow: sw as u32,
-                        afrs: batch.clone(),
+                    .send(DataPlaneMsg::AfrBlock {
+                        block: RecordBlock::from_records(sw as u32, batch),
+                        seal: true,
                     })
                     .unwrap();
             }

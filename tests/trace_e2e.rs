@@ -13,6 +13,7 @@ use std::collections::{HashMap, HashSet};
 
 use omniwindow::experiments::obs_smoke::{self, ObsSmokeConfig};
 use ow_common::afr::FlowRecord;
+use ow_common::block::RecordBlock;
 use ow_common::flowkey::FlowKey;
 use ow_common::time::Duration;
 use ow_controller::live::{ReliableLiveController, ReliableMsg};
@@ -245,11 +246,12 @@ fn departed_and_escalated_windows_leave_complete_single_rooted_traces() {
             ctx: departing,
         })
         .unwrap();
-    for rec in batch.iter().take(2) {
-        ctl.sender
-            .send(ReliableMsg::TracedAfr(Traced::new(departing, *rec)))
-            .unwrap();
-    }
+    ctl.sender
+        .send(ReliableMsg::TracedAfrBlock(Traced::new(
+            departing,
+            RecordBlock::from_records(0, &batch[..2]),
+        )))
+        .unwrap();
     ctl.sender
         .send(ReliableMsg::Depart { subwindow: 0 })
         .unwrap();
@@ -267,7 +269,10 @@ fn departed_and_escalated_windows_leave_complete_single_rooted_traces() {
     let mut first = batch[0];
     first.subwindow = 1;
     ctl.sender
-        .send(ReliableMsg::TracedAfr(Traced::new(surviving, first)))
+        .send(ReliableMsg::TracedAfrBlock(Traced::new(
+            surviving,
+            RecordBlock::from_records(1, &[first]),
+        )))
         .unwrap();
     ctl.sender
         .send(ReliableMsg::EndOfStream { subwindow: 1 })
