@@ -18,9 +18,6 @@ pub struct Cli {
     pub scale: Scale,
     /// Optional JSON dump path (`--json <path>`).
     pub json: Option<String>,
-    /// Optional span-trace report path (`--trace-json <path>`), for
-    /// binaries that capture an `ow_obs::TraceReport`.
-    pub trace_json: Option<String>,
     /// RNG seed (`--seed <n>`).
     pub seed: u64,
     /// Process-wide observability handle. The journal's console sink is
@@ -32,10 +29,11 @@ pub struct Cli {
 impl Cli {
     /// Parse from `std::env::args`.
     ///
-    /// An unknown flag is a hard error: a structured `cli_error`
-    /// warning goes through the journal (rendering on stderr via its
-    /// console sink) and the process exits with status 2 — experiments
-    /// never run under a silently misread configuration.
+    /// An unknown flag, or a flag whose value is missing or does not
+    /// parse, is a hard error: a structured `cli_error` warning goes
+    /// through the journal (rendering on stderr via its console sink)
+    /// and the process exits with status 2 — experiments never run
+    /// under a silently misread configuration.
     pub fn parse() -> Cli {
         match Cli::try_parse_from(std::env::args().skip(1)) {
             Ok(cli) => cli,
@@ -46,48 +44,43 @@ impl Cli {
     /// [`Cli::parse`] over explicit arguments (program name excluded).
     /// `Err` carries the partially parsed `Cli` whose journal holds the
     /// `cli_error` warning — `parse` exits 2 with it.
-    pub fn try_parse_from(args: impl Iterator<Item = String>) -> Result<Cli, Cli> {
-        let args: Vec<String> = args.collect();
+    pub fn try_parse_from(mut args: impl Iterator<Item = String>) -> Result<Cli, Cli> {
         let obs = Obs::new();
         obs.journal().enable_console();
         let mut cli = Cli {
             scale: Scale::Paper,
             json: None,
-            trace_json: None,
             seed: 0xCA1DA,
             obs,
         };
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--small" => cli.scale = Scale::Small,
-                "--json" => {
-                    i += 1;
-                    cli.json = args.get(i).cloned();
+        while let Some(flag) = args.next() {
+            let parsed = match flag.as_str() {
+                "--small" => {
+                    cli.scale = Scale::Small;
+                    Ok(())
                 }
-                "--trace-json" => {
-                    i += 1;
-                    cli.trace_json = args.get(i).cloned();
-                }
-                "--seed" => {
-                    i += 1;
-                    cli.seed = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(cli.seed);
-                }
-                other => {
-                    cli.obs.event(
-                        Event::new(
-                            "cli_error",
-                            format!(
-                                "unknown flag '{other}' (known: --small --json <path> \
-                                 --seed <n> --trace-json <path>)"
-                            ),
-                        )
-                        .warn(),
-                    );
-                    return Err(cli);
-                }
+                "--json" => args
+                    .next()
+                    .filter(|path| !path.starts_with("--"))
+                    .map(|path| cli.json = Some(path))
+                    .ok_or("--json needs a path".to_string()),
+                "--seed" => args
+                    .next()
+                    .and_then(|n| n.parse().ok())
+                    .map(|n| cli.seed = n)
+                    .ok_or("--seed needs an unsigned integer".to_string()),
+                other => Err(format!("unknown flag '{other}'")),
+            };
+            if let Err(problem) = parsed {
+                cli.obs.event(
+                    Event::new(
+                        "cli_error",
+                        format!("{problem} (known: --small --json <path> --seed <n>)"),
+                    )
+                    .warn(),
+                );
+                return Err(cli);
             }
-            i += 1;
         }
         Ok(cli)
     }
@@ -127,34 +120,6 @@ pub fn pct(v: f64) -> String {
     format!("{:5.1}%", v * 100.0)
 }
 
-/// `bench_snapshot`'s deterministic C&R merge workload: `subwindows` batches of `records` sequenced AFRs
-/// over a `population`-key space, values mixed so every shard count and
-/// every run replays exactly the same records.
-pub fn cr_workload(
-    subwindows: u32,
-    records: u32,
-    population: u32,
-    seed: u64,
-) -> Vec<Vec<ow_common::afr::FlowRecord>> {
-    use ow_common::afr::FlowRecord;
-    use ow_common::flowkey::FlowKey;
-    (0..subwindows)
-        .map(|sw| {
-            (0..records)
-                .map(|i| {
-                    let mix = (u64::from(i))
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add(u64::from(sw).wrapping_mul(seed | 1));
-                    let key = (mix >> 16) as u32 % population;
-                    let mut r = FlowRecord::frequency(FlowKey::src_ip(key), (mix & 0x3FF) + 1, sw);
-                    r.seq = i;
-                    r
-                })
-                .collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,31 +133,31 @@ mod tests {
 
     #[test]
     fn known_flags_parse() {
-        let cli = Cli::try_parse_from(argv(&[
-            "--small",
-            "--seed",
-            "42",
-            "--json",
-            "out.json",
-            "--trace-json",
-            "trace.json",
-        ]))
-        .expect("known flags parse");
+        let cli = Cli::try_parse_from(argv(&["--small", "--seed", "42", "--json", "out.json"]))
+            .expect("known flags parse");
         assert_eq!(cli.scale, Scale::Small);
         assert_eq!(cli.seed, 42);
         assert_eq!(cli.json.as_deref(), Some("out.json"));
-        assert_eq!(cli.trace_json.as_deref(), Some("trace.json"));
     }
 
     #[test]
     fn unknown_flag_is_a_hard_error_with_a_journal_record() {
-        let cli = Cli::try_parse_from(argv(&["--small", "--frobnicate"]))
-            .expect_err("unknown flag must be rejected");
-        let events = cli.obs.journal().events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, "cli_error");
-        assert_eq!(events[0].level, ow_obs::Level::Warn);
-        assert!(events[0].message.contains("--frobnicate"));
+        // An unknown flag, an unparseable value and a missing value are
+        // all the same hard error — none falls back to a default.
+        for (args, named) in [
+            (&["--small", "--frobnicate"][..], "--frobnicate"),
+            (&["--seed", "abc"], "--seed"),
+            (&["--small", "--seed"], "--seed"),
+            (&["--json"], "--json"),
+            (&["--json", "--small"], "--json"),
+        ] {
+            let cli = Cli::try_parse_from(argv(args)).expect_err("must be rejected");
+            let events = cli.obs.journal().events();
+            assert_eq!(events.len(), 1, "{args:?}");
+            assert_eq!(events[0].kind, "cli_error");
+            assert_eq!(events[0].level, ow_obs::Level::Warn);
+            assert!(events[0].message.contains(named), "{args:?}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! These interpret the controller's registry footprint: the sharded
 //! merge path's queue gauges (`ow_controller_shard_queue_*`), the C&R
 //! reliability counters folded per session
-//! (`ow_controller_{retransmit_requests,escalations,…}_total`), and
+//! (`ow_controller_{afr_recovered,escalations,…}_total`), and
 //! the recovery-phase latency histogram that PR 5's SLO machinery
 //! feeds. Install with [`controller_health_rules`] (alone or merged
 //! with the switch and fleet catalogs via `RuleSet::merged`).

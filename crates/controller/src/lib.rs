@@ -10,9 +10,6 @@
 //! * [`table`] — the key-value merge table with the four merge
 //!   strategies (frequency / existence / max-min / distinction) and
 //!   incremental sliding-window eviction,
-//! * [`shard`] — the same table split into `N` disjoint key slices by
-//!   flow-key hash, with a deterministic final fold that is
-//!   byte-identical to the single-shard baseline,
 //! * [`collector`] — the per-sub-window collection session, including
 //!   the sequence-id reliability check and retransmission requests (§8),
 //! * [`rdma`] — the simulated one-sided RDMA region: hot-key address
@@ -33,7 +30,6 @@ pub mod live;
 pub mod rdma;
 pub mod reliability;
 mod router;
-pub mod shard;
 pub mod simd;
 pub mod table;
 pub mod timing;
@@ -43,7 +39,6 @@ pub use collector::{CollectionSession, SessionStatus};
 pub use live::{LiveController, LiveHandle, ReliableLiveController, ReliableMsg};
 pub use rdma::{RdmaRegion, RdmaWriteKind};
 pub use reliability::{AfrTransport, FnTransport, ReliabilityDriver, RetryPolicy, SessionOutcome};
-pub use shard::ShardedMergeTable;
 pub use table::MergeTable;
 pub use timing::{InstrumentedController, OpBreakdown};
 pub use wire::{decode_batch, decode_merged, encode_batch, encode_merged};

@@ -202,7 +202,7 @@ pub fn decode_batch(mut buf: impl Buf) -> Result<Vec<FlowRecord>, OwError> {
 }
 
 /// Encode a merged-table snapshot (`MergeTable::snapshot` /
-/// `ShardedMergeTable::snapshot` output): `count:u32` then `count`
+/// `LiveHandle::snapshot` output): `count:u32` then `count`
 /// `(key, attr)` pairs in the order given.
 ///
 /// Because snapshots are canonically ordered, this encoding is the

@@ -1,5 +1,6 @@
-//! One driver per paper experiment, shared by the `ow-bench` binaries
-//! and the integration tests.
+//! One driver per paper experiment — plus the observability smoke
+//! scenarios ([`obs_smoke`], [`fleet_smoke`]) — shared by the
+//! `ow-bench` binaries and the integration tests.
 //!
 //! Every driver takes a [`Scale`]: `Small` keeps tests fast (seconds),
 //! `Paper` approaches the paper's workload sizes for the bench binaries.
@@ -18,6 +19,7 @@ pub mod exp6_collection;
 pub mod exp7_aggregation;
 pub mod exp8_reset;
 pub mod exp9_consistency;
+pub mod fleet_smoke;
 pub mod obs_smoke;
 
 pub use common::Scale;

@@ -1,5 +1,6 @@
-//! The instrumented lossy C&R smoke run behind the `obs_smoke` bench
-//! binary and the observability end-to-end test.
+//! The instrumented lossy C&R smoke run: `tests/obs_e2e.rs` and
+//! `tests/trace_e2e.rs` assert on it, and the `ow-smoke` binary writes
+//! its snapshot and span traces.
 //!
 //! One [`ow_obs::Obs`] handle is attached to the whole pipeline: a
 //! verified switch generates AFR batches (recording its collect/reset

@@ -532,7 +532,7 @@ pub fn run(cfg: &FleetConfig, obs: Option<&Obs>) -> FleetReport {
         let initially_live = presence.values().filter(|p| p.from_ns == 0).count();
         g.set(initially_live as u64);
     }
-    // Health-engine inputs: declared fleet size, crash liveness (leaves
+    // Health-engine inputs: crash liveness (leaves
     // are expected churn, crashes are faults), and per-rack offered/
     // dropped AFR counters for correlated-degradation detection. All
     // maintained on the replay thread, so totals are deterministic.
@@ -550,10 +550,6 @@ pub fn run(cfg: &FleetConfig, obs: Option<&Obs>) -> FleetReport {
             })
             .collect()
     });
-    if let Some(o) = obs {
-        o.gauge("ow_fleet_switches_declared", &[])
-            .set(cfg.switches as u64);
-    }
     // The accuracy observatory's feeder side: the oracle receives every
     // exact batch before loss and before any sketch compression; the
     // sketch adapter turns data-plane quality signals into telemetry.

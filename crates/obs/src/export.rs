@@ -5,7 +5,7 @@
 //! text exposition format (version 0.0.4): `# TYPE` comment per metric
 //! family, `_bucket{le="…"}` / `_sum` / `_count` series for histograms.
 //! [`check_exposition`] is the matching line-format validator — a
-//! deliberately simple checker used by CI's `obs-smoke` step to prove
+//! deliberately simple checker `tests/obs_e2e.rs` uses to prove
 //! the exposition parses without needing a real Prometheus binary.
 //!
 //! [`ObsReport`] is the on-disk snapshot: registry + journal tail,
@@ -18,6 +18,7 @@ use std::path::Path;
 
 use serde::Serialize;
 
+use crate::flightrec::FlightEntry;
 use crate::journal::{Event, EventJournal};
 use crate::registry::{MetricSnapshot, RegistrySnapshot};
 
@@ -210,6 +211,18 @@ impl ObsReport {
         }
     }
 
+    /// The report with its journal in the flight recorder's canonical
+    /// order and `seq` renumbered to match. A run whose emitters share
+    /// the journal across threads (fleet workers) is seed-deterministic
+    /// only as an event *multiset*; this is the form to write or `cmp`.
+    pub fn canonicalized(mut self) -> ObsReport {
+        self.events.sort_by_cached_key(|e| FlightEntry::from(e));
+        for (seq, event) in self.events.iter_mut().enumerate() {
+            event.seq = seq as u64;
+        }
+        self
+    }
+
     /// Pretty-printed JSON (the byte-stable form the determinism
     /// acceptance test compares).
     pub fn to_json(&self) -> String {
@@ -315,5 +328,39 @@ mod tests {
             .items()
             .unwrap();
         assert_eq!(metrics.len(), 4);
+    }
+
+    #[test]
+    fn canonicalized_is_independent_of_recording_order() {
+        // Events tying on (at_ns, kind, subwindow, message) and
+        // differing only in shard, phase or level — the ties a racy
+        // interleaving can reorder — plus untimestamped ones.
+        let events = || {
+            vec![
+                Event::new("merge", "done").subwindow(3).shard(1),
+                Event::new("merge", "done").subwindow(3).shard(0),
+                Event::new("merge", "done").subwindow(3).phase("sealed"),
+                Event::new("merge", "done").subwindow(3).warn(),
+                Event::new("progress", "b"),
+                Event::new("progress", "a"),
+            ]
+        };
+        let reg = sample_registry();
+        let canonical = |order: Vec<Event>| {
+            let journal = EventJournal::default();
+            for e in order {
+                journal.record(e);
+            }
+            ObsReport::capture("unit", &reg, &journal)
+                .canonicalized()
+                .to_json()
+        };
+        let mut reversed = events();
+        reversed.reverse();
+        let mut rotated = events();
+        rotated.rotate_left(2);
+        let want = canonical(events());
+        assert_eq!(canonical(reversed), want);
+        assert_eq!(canonical(rotated), want);
     }
 }

@@ -26,6 +26,7 @@ use std::path::Path;
 use serde::{Serialize, Value};
 
 use crate::health::AlertEvent;
+use crate::journal::{Event, Level};
 use crate::json::ValueExt;
 use crate::registry::RegistrySnapshot;
 
@@ -64,6 +65,38 @@ impl FlightEntry {
     /// Accounting size of this entry against the byte budget.
     pub fn cost(&self) -> usize {
         16 + self.kind.len() + self.detail.len()
+    }
+}
+
+/// A journal event's canonical line. The sequence number is left out:
+/// it is the one field that depends on cross-thread interleaving, so
+/// ordering by the entry orders same-seed journals identically.
+impl From<&Event> for FlightEntry {
+    fn from(e: &Event) -> FlightEntry {
+        let mut ctx = Vec::new();
+        if let Some(sw) = e.subwindow {
+            ctx.push(format!("sw={sw}"));
+        }
+        if let Some(ph) = &e.phase {
+            ctx.push(format!("phase={ph}"));
+        }
+        if let Some(sh) = e.shard {
+            ctx.push(format!("shard={sh}"));
+        }
+        let ctx = if ctx.is_empty() {
+            String::new()
+        } else {
+            format!(" [{}]", ctx.join(" "))
+        };
+        let level = match e.level {
+            Level::Info => "info",
+            Level::Warn => "warn",
+        };
+        FlightEntry {
+            at_ns: e.at_ns.unwrap_or(0),
+            kind: "event".into(),
+            detail: format!("{level} {}{ctx}: {}", e.kind, e.message),
+        }
     }
 }
 

@@ -904,30 +904,7 @@ fn pull_journal(journal: &EventJournal, last_seq: &mut u64, recorder: &mut Fligh
         if e.seq < *last_seq {
             continue;
         }
-        let mut ctx = Vec::new();
-        if let Some(sw) = e.subwindow {
-            ctx.push(format!("sw={sw}"));
-        }
-        if let Some(ph) = &e.phase {
-            ctx.push(format!("phase={ph}"));
-        }
-        if let Some(sh) = e.shard {
-            ctx.push(format!("shard={sh}"));
-        }
-        let ctx = if ctx.is_empty() {
-            String::new()
-        } else {
-            format!(" [{}]", ctx.join(" "))
-        };
-        let level = match e.level {
-            crate::Level::Info => "info",
-            crate::Level::Warn => "warn",
-        };
-        recorder.record(FlightEntry {
-            at_ns: e.at_ns.unwrap_or(0),
-            kind: "event".into(),
-            detail: format!("{level} {}{ctx}: {}", e.kind, e.message),
-        });
+        recorder.record(FlightEntry::from(&e));
     }
     *last_seq = journal.total_recorded();
 }

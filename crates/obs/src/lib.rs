@@ -99,9 +99,8 @@ impl Default for Obs {
 
 impl Obs {
     /// A fresh registry + journal + tracer triple, with the crate's own
-    /// health metrics pre-registered: `ow_obs_journal_dropped_total`
-    /// (events the bounded journal ring discarded) and
-    /// `ow_obs_spans_total` (spans recorded by the tracer).
+    /// health metric pre-registered: `ow_obs_journal_dropped_total`
+    /// (events the bounded journal ring discarded).
     pub fn new() -> Obs {
         Obs::with_journal_capacity(journal::DEFAULT_CAPACITY)
     }
@@ -113,7 +112,6 @@ impl Obs {
         let journal = Arc::new(EventJournal::with_capacity(capacity));
         let tracer = Arc::new(Tracer::new());
         journal.set_drop_counter(registry.counter("ow_obs_journal_dropped_total", &[]));
-        tracer.set_span_counter(registry.counter("ow_obs_spans_total", &[]));
         Obs {
             registry,
             journal,
@@ -239,8 +237,6 @@ impl Obs {
             .add(m.first_pass);
         self.counter("ow_controller_retransmit_rounds", &[])
             .add(m.retransmit_rounds);
-        self.counter("ow_controller_retransmit_requests_total", &[])
-            .add(m.retransmit_requests);
         self.counter("ow_controller_afr_recovered_total", &[])
             .add(m.recovered);
         self.counter("ow_controller_afr_duplicates_total", &[])

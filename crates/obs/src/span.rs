@@ -39,7 +39,6 @@ use parking_lot::Mutex;
 use serde::Serialize;
 
 use crate::json::ValueExt;
-use crate::registry::Counter;
 use ow_common::time::Duration;
 use serde::Value;
 
@@ -151,25 +150,12 @@ struct TracerInner {
 #[derive(Debug, Default)]
 pub struct Tracer {
     inner: Mutex<TracerInner>,
-    spans_total: Mutex<Option<Counter>>,
 }
 
 impl Tracer {
     /// A tracer with no traces.
     pub fn new() -> Tracer {
         Tracer::default()
-    }
-
-    /// Attach the `ow_obs_spans_total` counter (wired by
-    /// [`crate::Obs::new`]) so span volume shows up in the registry.
-    pub fn set_span_counter(&self, counter: Counter) {
-        *self.spans_total.lock() = Some(counter);
-    }
-
-    fn count_span(&self) {
-        if let Some(c) = self.spans_total.lock().as_ref() {
-            c.inc();
-        }
     }
 
     /// Open a new trace for `subwindow` with a root span named
@@ -199,8 +185,6 @@ impl Tracer {
             },
         );
         inner.active.insert(subwindow, id);
-        drop(inner);
-        self.count_span();
         id
     }
 
@@ -235,8 +219,6 @@ impl Tracer {
             start_ns,
             end_ns: end_ns.max(start_ns),
         });
-        drop(inner);
-        self.count_span();
         Some(id)
     }
 
@@ -528,8 +510,8 @@ impl TraceReport {
 /// parentless span, with `id == root`), every parent resolving to an
 /// earlier span of the same trace (`parent < id` — acyclic by
 /// construction), well-ordered intervals, and a non-empty critical-path
-/// chain. This is what the CI trace-smoke job runs against
-/// `results/trace_smoke.json`.
+/// chain. `ow-obs-report` runs this on every trace report it renders
+/// (CI's `smoke` job renders `results/trace_smoke.json`).
 pub fn validate_trace_json(doc: &Value) -> Result<(), String> {
     doc.field("run")
         .and_then(ValueExt::as_str)

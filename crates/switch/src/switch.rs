@@ -105,12 +105,10 @@ struct SwitchObs {
     reset_time: Histogram,
     os_read_time: Histogram,
     batch_size: Histogram,
-    replay_size: Histogram,
     collections: Counter,
     retransmit_requests: Counter,
     acks: Counter,
     evictions: Counter,
-    spikes: Counter,
     /// Live per-window trace contexts: created when the window's C&R
     /// generates its batch, pruned at ack / OS-read / eviction.
     traces: HashMap<u32, TraceContext>,
@@ -124,12 +122,10 @@ impl SwitchObs {
             reset_time: obs.histogram("ow_switch_cr_phase_duration", &[("phase", "reset")]),
             os_read_time: obs.histogram("ow_switch_os_read_duration", &[]),
             batch_size: obs.histogram("ow_switch_afr_batch_size", &[]),
-            replay_size: obs.histogram("ow_switch_retransmit_replay_size", &[]),
             collections: obs.counter("ow_switch_collections_total", &[]),
             retransmit_requests: obs.counter("ow_switch_retransmit_requests_total", &[]),
             acks: obs.counter("ow_switch_acks_total", &[]),
             evictions: obs.counter("ow_switch_evictions_total", &[]),
-            spikes: obs.counter("ow_switch_latency_spikes_total", &[]),
             obs: obs.clone(),
         }
     }
@@ -240,7 +236,6 @@ impl<A: DataPlaneApp> Switch<A> {
         let replayed = self.retransmit.retransmit(subwindow, seqs);
         if let Some(o) = &self.obs {
             o.retransmit_requests.inc();
-            o.replay_size.record_value(replayed.len() as u64);
             // Zero-length marker under the collect span: the buffer was
             // replayed for this window (the controller-side span carries
             // the round's duration; the replay itself is instantaneous
@@ -528,9 +523,6 @@ impl<A: DataPlaneApp> Switch<A> {
             }
             Placement::LatencySpike { .. } => {
                 self.spikes += 1;
-                if let Some(o) = &self.obs {
-                    o.spikes.inc();
-                }
                 events.push(SwitchEvent::LatencySpike(pkt));
             }
         }

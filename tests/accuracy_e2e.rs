@@ -14,61 +14,14 @@
 //!    produce byte-identical accuracy summaries and alert timelines.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use omniwindow::evaluate;
-use omniwindow::mechanisms::WindowResult;
-use ow_common::metrics;
-use ow_common::time::Duration;
-use ow_netsim::fleet;
-use ow_netsim::{ChurnEvent, ChurnKind, FleetConfig};
-use ow_obs::{
-    accuracy_health_rules, validate_flightrec_json, AccuracyConfig, AccuracyScorer,
-    FlightRecorderConfig, HealthEngine, Obs,
+use omniwindow::experiments::fleet_smoke::{
+    accuracy_config, fired_pairs, offline_inputs, offline_permille, permille, run_with_accuracy,
 };
+use ow_netsim::FleetConfig;
+use ow_obs::validate_flightrec_json;
 use proptest::prelude::*;
-
-/// A fleet whose switches crash occasionally and announce through a
-/// data-plane MV-Sketch of the given geometry (`None` = exact feed).
-fn fleet_config(seed: u64, sketch_feed: Option<(usize, usize)>) -> FleetConfig {
-    FleetConfig {
-        switches: 8,
-        workers: 2,
-        local_windows: 3,
-        afr_loss: 0.15,
-        churn: vec![ChurnEvent {
-            at: Duration::from_micros(1_700),
-            switch: 2,
-            kind: ChurnKind::Crash,
-        }],
-        sketch_feed,
-        seed,
-        ..FleetConfig::default()
-    }
-}
-
-/// Run a fleet with the accuracy observatory and its 4xx catalog
-/// installed; returns the scorer and engine for inspection.
-fn run_with_accuracy(cfg: &FleetConfig) -> (Arc<AccuracyScorer>, Arc<HealthEngine>) {
-    let obs = Obs::with_journal_capacity(1 << 15);
-    let engine = obs.install_health(accuracy_health_rules(), FlightRecorderConfig::default());
-    let scorer = obs.install_accuracy(AccuracyConfig::default());
-    fleet::run(cfg, Some(&obs));
-    (scorer, engine)
-}
-
-fn fired_pairs(engine: &HealthEngine) -> BTreeSet<(String, String)> {
-    engine
-        .timeline()
-        .iter()
-        .filter(|a| a.state == "fired")
-        .map(|a| (a.code.clone(), a.entity.clone()))
-        .collect()
-}
-
-fn permille(x: f64) -> u64 {
-    (x * 1000.0).round() as u64
-}
 
 #[test]
 fn lossless_exact_feed_scores_perfectly_and_stays_silent() {
@@ -80,7 +33,7 @@ fn lossless_exact_feed_scores_perfectly_and_stays_silent() {
         seed: 7,
         ..FleetConfig::default()
     };
-    let (scorer, engine) = run_with_accuracy(&cfg);
+    let (scorer, engine, _obs) = run_with_accuracy(&cfg);
     let summary = scorer.summary();
     assert_eq!(summary.windows_scored, 8 * 3);
     assert_eq!(summary.precision_permille, 1000);
@@ -95,7 +48,7 @@ fn lossless_exact_feed_scores_perfectly_and_stays_silent() {
 fn live_scores_equal_the_offline_evaluation_path() {
     // A moderately sized sketch: enough buckets that most — but not
     // all — flows survive, so the scores are non-trivial.
-    let (scorer, _engine) = run_with_accuracy(&fleet_config(21, Some((1, 12))));
+    let (scorer, _engine, _obs) = run_with_accuracy(&accuracy_config(21, Some((1, 12))));
     let summary = scorer.summary();
     assert!(summary.windows_scored > 0);
     assert!(
@@ -108,58 +61,20 @@ fn live_scores_equal_the_offline_evaluation_path() {
         "scored or departed, nothing wedged"
     );
 
-    // Rebuild the offline evaluation inputs from the per-window data
-    // the scorer retained, in the same (sub-window) order the live
-    // aggregates summed in.
-    let windows = scorer.windows();
-    let threshold = scorer.config().threshold;
-    let mech: Vec<WindowResult> = windows
-        .iter()
-        .enumerate()
-        .map(|(i, w)| WindowResult {
-            index: i,
-            reported: w
-                .merged
-                .iter()
-                .filter(|(_, s)| *s >= threshold)
-                .map(|(k, _)| *k)
-                .collect(),
-            estimates: w.merged.iter().cloned().collect(),
-        })
-        .collect();
-    let refr: Vec<WindowResult> = windows
-        .iter()
-        .enumerate()
-        .map(|(i, w)| WindowResult {
-            index: i,
-            reported: w
-                .truth
-                .iter()
-                .filter(|(_, s)| *s >= threshold)
-                .map(|(k, _)| *k)
-                .collect(),
-            estimates: w.truth.iter().cloned().collect(),
-        })
-        .collect();
-
-    let pr = evaluate::score_reports(&mech, &refr);
-    assert_eq!(permille(pr.precision), summary.precision_permille);
-    assert_eq!(permille(pr.recall), summary.recall_permille);
-
-    // The live AARE is the mean of per-window AREs; replay that shape
-    // through the offline estimator window by window.
-    let ares: Vec<f64> = (0..windows.len())
-        .map(|i| {
-            evaluate::score_estimates(
-                std::slice::from_ref(&mech[i]),
-                std::slice::from_ref(&refr[i]),
-            )
-        })
-        .collect();
-    assert_eq!(permille(metrics::mean(&ares)), summary.aare_permille);
+    // The offline `evaluate::` path over the per-window data the scorer
+    // retained publishes the same permilles the live gauges did.
+    let (mech, refr) = offline_inputs(&scorer);
+    assert_eq!(
+        offline_permille(&mech, &refr),
+        [
+            summary.precision_permille,
+            summary.recall_permille,
+            summary.aare_permille
+        ]
+    );
 
     // The per-window briefs agree with the offline helpers too.
-    for (i, w) in windows.iter().enumerate() {
+    for (i, w) in scorer.windows().iter().enumerate() {
         let pr_w = evaluate::score_reports(
             std::slice::from_ref(&mech[i]),
             std::slice::from_ref(&refr[i]),
@@ -173,7 +88,7 @@ fn live_scores_equal_the_offline_evaluation_path() {
 fn undersized_sketch_fires_the_accuracy_catalog_and_freezes() {
     // Four buckets against a ~20-distinct-key window: most flows are
     // lost in the data plane, invisibly to transport health.
-    let (scorer, engine) = run_with_accuracy(&fleet_config(31, Some((1, 4))));
+    let (scorer, engine, _obs) = run_with_accuracy(&accuracy_config(31, Some((1, 4))));
     let summary = scorer.summary();
     assert!(
         summary.recall_permille < 500,
@@ -204,9 +119,9 @@ proptest! {
     /// byte-identical accuracy summaries and alert timelines.
     #[test]
     fn same_seed_accuracy_runs_are_byte_identical(seed in 1u64..10_000) {
-        let cfg = fleet_config(seed, Some((1, 8)));
-        let (scorer_a, engine_a) = run_with_accuracy(&cfg);
-        let (scorer_b, engine_b) = run_with_accuracy(&cfg);
+        let cfg = accuracy_config(seed, Some((1, 8)));
+        let (scorer_a, engine_a, obs_a) = run_with_accuracy(&cfg);
+        let (scorer_b, engine_b, obs_b) = run_with_accuracy(&cfg);
         let json_a = serde_json::to_string(&scorer_a.summary()).unwrap();
         let json_b = serde_json::to_string(&scorer_b.summary()).unwrap();
         prop_assert_eq!(json_a, json_b);
@@ -214,5 +129,10 @@ proptest! {
         let dump_a = engine_a.flight_dump("e2e").map(|d| d.to_json());
         let dump_b = engine_b.flight_dump("e2e").map(|d| d.to_json());
         prop_assert_eq!(dump_a, dump_b);
+        // The metrics snapshot `ow-smoke` writes beside the dump.
+        prop_assert_eq!(
+            obs_a.report("e2e").canonicalized().to_json(),
+            obs_b.report("e2e").canonicalized().to_json()
+        );
     }
 }

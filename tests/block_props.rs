@@ -10,14 +10,24 @@
 //! random lossy traces: records dropped on the wire, delivered out of
 //! order, and (on the reliable path) duplicated, with the recovery loop
 //! repairing the losses before anything merges.
+//!
+//! One pinned instance rides along: the paper-scale C&R workload's fold
+//! must hash to the digest every `BENCH_<PR>.json` since PR 8 records,
+//! at any shard count, with or without the whole observability stack.
+
+use std::sync::Arc;
 
 use ow_common::afr::{AttrValue, DistinctBitmap, FlowRecord};
-use ow_common::block::RecordBlock;
+use ow_common::block::{RecordBlock, DEFAULT_BLOCK_CAPACITY};
 use ow_common::flowkey::FlowKey;
+use ow_controller::health::controller_health_rules;
 use ow_controller::live::{DataPlaneMsg, LiveController, ReliableLiveController, ReliableMsg};
 use ow_controller::reliability::RetryPolicy;
 use ow_controller::table::MergeTable;
 use ow_controller::wire::encode_merged;
+use ow_obs::{
+    accuracy_health_rules, AccuracyConfig, FlightRecorderConfig, Obs, RuleSet, TraceContext, Traced,
+};
 use proptest::prelude::*;
 
 /// Shard counts × block capacities every property sweeps. Capacity 1
@@ -273,4 +283,139 @@ proptest! {
             }
         }
     }
+}
+
+/// The deterministic paper-scale C&R merge workload: `subwindows`
+/// batches of `records` sequenced AFRs over a `population`-key space,
+/// values mixed so every shard count and every run replays exactly the
+/// same records.
+fn cr_workload(subwindows: u32, records: u32, population: u32, seed: u64) -> Vec<Vec<FlowRecord>> {
+    (0..subwindows)
+        .map(|sw| {
+            (0..records)
+                .map(|i| {
+                    let mix = (u64::from(i))
+                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        .wrapping_add(u64::from(sw).wrapping_mul(seed | 1));
+                    let key = (mix >> 16) as u32 % population;
+                    let mut r = FlowRecord::frequency(FlowKey::src_ip(key), (mix & 0x3FF) + 1, sw);
+                    r.seq = i;
+                    r
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Stream `batches` losslessly through a reliable controller (span 4,
+/// queue 256, full-capacity blocks) and return FNV-1a 64 of the
+/// encoded final fold. `observed` attaches everything a production run
+/// can: registry + journal, a wire-propagated trace context on every
+/// message, the controller + accuracy health catalogs ticking once per
+/// sub-window, and the ground-truth oracle fed the exact workload.
+fn fold_digest(batches: &[Vec<FlowRecord>], shards: usize, observed: bool) -> u64 {
+    let obs = observed.then(Obs::new);
+    let watchers = obs.as_ref().map(|o| {
+        let rules = RuleSet::merged(vec![controller_health_rules(), accuracy_health_rules()])
+            .expect("controller + accuracy catalogs merge");
+        (
+            o.install_health(rules, FlightRecorderConfig::default()),
+            o.install_accuracy(AccuracyConfig::default()),
+        )
+    });
+    let ctl = ReliableLiveController::spawn_sharded_obs(
+        4,
+        256,
+        RetryPolicy::default(),
+        Box::new(|_, _| Vec::new()),
+        Box::new(|_| panic!("a lossless run never escalates")),
+        shards,
+        obs.as_ref(),
+    );
+    for (sw, afrs) in batches.iter().enumerate() {
+        let (sw, announced) = (sw as u32, afrs.len() as u32);
+        if let Some((_, scorer)) = &watchers {
+            scorer.feed_truth_shared(sw, Arc::from(afrs.as_slice()));
+        }
+        let ctx = obs.as_ref().map(|o| {
+            let trace = o.tracer().start_window(sw, "switch", 0);
+            let collect = o
+                .tracer()
+                .span(trace, trace, "collect", "switch", None, 0, 1)
+                .expect("collect span under a live trace");
+            TraceContext {
+                trace_id: trace,
+                root: trace,
+                collect,
+                anchor_ns: 1,
+            }
+        });
+        let blocks = afrs
+            .chunks(DEFAULT_BLOCK_CAPACITY)
+            .map(|chunk| RecordBlock::from_records(sw, chunk));
+        let send = |msg| ctl.sender.send(msg).expect("controller alive");
+        match ctx {
+            Some(ctx) => {
+                send(ReliableMsg::TracedAnnounce {
+                    subwindow: sw,
+                    announced,
+                    ctx,
+                });
+                blocks.for_each(|b| send(ReliableMsg::TracedAfrBlock(Traced::new(ctx, b))));
+            }
+            None => {
+                send(ReliableMsg::Announce {
+                    subwindow: sw,
+                    announced,
+                });
+                blocks.for_each(|b| send(ReliableMsg::AfrBlock(b)));
+            }
+        }
+        send(ReliableMsg::EndOfStream { subwindow: sw });
+        if let Some((engine, _)) = &watchers {
+            engine.tick(ow_common::time::Instant::from_micros(
+                (u64::from(sw) + 1) * 100,
+            ));
+        }
+    }
+    let handle = ctl.handle.clone();
+    assert_eq!(ctl.join().recovered, 0, "lossless: first pass completes");
+    if let Some((engine, scorer)) = &watchers {
+        // The stack really watched the run: every window scored (and
+        // perfectly — the feed was exact), nothing paged.
+        scorer.quiesce();
+        let s = scorer.summary();
+        assert_eq!(
+            (s.windows_scored, s.recall_permille, s.aare_permille),
+            (batches.len() as u64, 1000, 0)
+        );
+        assert!(engine.timeline().is_empty(), "{:?}", engine.timeline());
+    }
+    encode_merged(&handle.snapshot())
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+}
+
+/// The paper workload (24 sub-windows × 40,000 AFRs over 16,384 keys,
+/// seed `0xCA1DA`) folds to the digest pinned in `BENCH_8/9/10.json` at
+/// 1 and 4 shards, bare and fully observed: neither sharding nor the
+/// observatory may move the merge by a bit. One perturbed value must
+/// move it.
+#[test]
+fn fold_digest_is_pinned_across_shards_and_observability() {
+    const PINNED: u64 = 0xee8c_edde_f834_4b86;
+    let mut batches = cr_workload(24, 40_000, 16_384, 0xCA1DA);
+    for shards in [1, 4] {
+        for observed in [false, true] {
+            assert_eq!(
+                fold_digest(&batches, shards, observed),
+                PINNED,
+                "{shards} shard(s), observed={observed}"
+            );
+        }
+    }
+    batches[23][39_999].attr = AttrValue::Frequency(0);
+    assert_ne!(fold_digest(&batches, 4, false), PINNED);
 }

@@ -1,6 +1,6 @@
 //! End-to-end acceptance for the fleet health engine and the black-box
-//! flight recorder, mirroring the `health_smoke` bench gates at test
-//! scale:
+//! flight recorder, over the scenarios `ow-smoke` writes artifacts for
+//! (`omniwindow::experiments::fleet_smoke`):
 //!
 //! 1. **Precision.** A lossless fleet with the full fleet + controller
 //!    catalog installed raises zero alerts and keeps the recorder warm
@@ -8,7 +8,8 @@
 //! 2. **Recall.** Injected faults fire exactly their matching rules:
 //!    a crash fires `OW-HEALTH-301`, a bursting rack fires
 //!    `OW-HEALTH-302` for that rack only, a forced escalation drill
-//!    fires the critical `OW-HEALTH-204` and freezes the black box.
+//!    fires the critical `OW-HEALTH-204` and freezes the black box —
+//!    on the chaos fleet and on the single-switch `obs_smoke` pipeline.
 //! 3. **Determinism.** Same-seed chaos runs produce byte-identical
 //!    flight-recorder dumps and alert timelines (a proptest over
 //!    seeds), which is what lets CI `cmp` two smoke artifacts.
@@ -18,71 +19,26 @@
 
 use std::collections::BTreeSet;
 
-use ow_common::engine::{WindowEngine, WindowEvent, WindowFsm};
-use ow_common::time::Duration;
-use ow_controller::health::controller_health_rules;
-use ow_netsim::fleet::{self, fleet_health_rules};
-use ow_netsim::{ChurnEvent, ChurnKind, FleetConfig, RackBurst};
-use ow_obs::{
-    validate_flightrec_json, FlightRecorderConfig, HealthEngine, Obs, RuleSet, FSM_REJECT_CODE,
+use omniwindow::experiments::fleet_smoke::{
+    chaos_config, fired_pairs, fleet_catalog, judge_obs_smoke, run_with_health,
 };
+use omniwindow::experiments::obs_smoke::{self, ObsSmokeConfig};
+use ow_common::engine::{WindowEngine, WindowEvent, WindowFsm};
+use ow_netsim::FleetConfig;
+use ow_obs::{validate_flightrec_json, FlightRecorderConfig, Obs, FSM_REJECT_CODE};
 use proptest::prelude::*;
 
-/// The catalog every fleet test installs: fleet + controller rules,
-/// minus the scheduling-dependent queue-watermark rule (its firing
-/// path is unit-tested in ow-controller; here it would leak thread
-/// timing into the byte-identity checks).
-fn fleet_catalog() -> RuleSet {
-    RuleSet::merged(vec![fleet_health_rules(), controller_health_rules()])
-        .expect("catalogs merge")
-        .without(&["OW-HEALTH-201"])
-}
-
-/// A small chaos fleet: 30% loss, rack 1 bursting at 90%, switch 2
-/// crashing mid-run, every 4th window's retransmit channel dead.
-fn chaos_config(seed: u64) -> FleetConfig {
-    FleetConfig {
-        switches: 16,
-        workers: 2,
-        local_windows: 3,
-        afr_loss: 0.30,
-        bursts: vec![RackBurst {
-            rack: 1,
-            from: Duration::ZERO,
-            until: Duration::from_millis(100),
-            loss: 0.90,
-        }],
-        churn: vec![ChurnEvent {
-            at: Duration::from_micros(1_700),
-            switch: 2,
-            kind: ChurnKind::Crash,
-        }],
-        escalate_every: 4,
-        seed,
-        ..FleetConfig::default()
-    }
-}
-
-/// Run a fleet with the health catalog installed; returns the engine.
-fn run_with_health(cfg: &FleetConfig) -> std::sync::Arc<HealthEngine> {
-    let obs = Obs::with_journal_capacity(1 << 15);
-    let engine = obs.install_health(fleet_catalog(), FlightRecorderConfig::default());
-    fleet::run(cfg, Some(&obs));
-    engine
-}
-
-fn fired_pairs(engine: &HealthEngine) -> BTreeSet<(String, String)> {
-    engine
-        .timeline()
+/// The `(code, entity)` set a scenario must fire — no more, no less.
+fn expected(pairs: &[(&str, &str)]) -> BTreeSet<(String, String)> {
+    pairs
         .iter()
-        .filter(|a| a.state == "fired")
-        .map(|a| (a.code.clone(), a.entity.clone()))
+        .map(|(c, e)| (c.to_string(), e.to_string()))
         .collect()
 }
 
 #[test]
 fn lossless_fleet_raises_zero_alerts() {
-    let engine = run_with_health(&FleetConfig {
+    let (engine, _obs) = run_with_health(&FleetConfig {
         switches: 16,
         workers: 2,
         local_windows: 3,
@@ -97,25 +53,49 @@ fn lossless_fleet_raises_zero_alerts() {
 
 #[test]
 fn injected_faults_fire_exactly_their_rules() {
-    let engine = run_with_health(&chaos_config(11));
-    let fired = fired_pairs(&engine);
-    let want: BTreeSet<(String, String)> = [
+    let (engine, _obs) = run_with_health(&chaos_config(11));
+    let want = expected(&[
         ("OW-HEALTH-203", "controller"), // escalated recoveries burn the 1ms SLO
         ("OW-HEALTH-204", "controller"), // every 4th window escalating is a storm
         ("OW-HEALTH-205", "controller"), // 30% loss is a retransmit storm
         ("OW-HEALTH-301", "fleet"),      // the injected crash
         ("OW-HEALTH-302", "rack:1"),     // only the bursting rack
-    ]
-    .iter()
-    .map(|(c, e)| (c.to_string(), e.to_string()))
-    .collect();
-    assert_eq!(fired, want, "recall and precision must both hold");
+    ]);
+    assert_eq!(
+        fired_pairs(&engine),
+        want,
+        "recall and precision must both hold"
+    );
     // The critical 204 froze the box, and the dump validates.
     assert!(engine.frozen());
     let dump = engine.flight_dump("e2e").expect("critical froze");
     assert!(dump.freeze_reason.contains("OW-HEALTH-204"));
     let doc = ow_obs::json::parse(&dump.to_json()).expect("dump parses");
     validate_flightrec_json(&doc).expect("dump validates");
+}
+
+/// The instrumented `obs_smoke` pipeline (10% loss, one deterministic
+/// switch-OS escalation) judged by the switch + controller catalogs:
+/// exactly the two controller rules fire, the critical one freezes the
+/// box, and same-seed runs dump byte-identical post-mortems.
+#[test]
+fn forced_critical_obs_smoke_freezes_with_byte_identical_dumps() {
+    let judge = || judge_obs_smoke(&obs_smoke::run(&ObsSmokeConfig::default()).obs);
+    let (a, b) = (judge(), judge());
+    let want = expected(&[
+        ("OW-HEALTH-203", "controller"), // the 40ms OS read blows the 1ms SLO budget
+        ("OW-HEALTH-204", "controller"), // 1 escalation over 5 sessions is a storm
+    ]);
+    assert_eq!(fired_pairs(&a), want);
+    assert!(a.report("e2e").frozen);
+    let dump = a.flight_dump("e2e").expect("critical froze");
+    assert!(dump.freeze_reason.contains("OW-HEALTH-204"));
+    let doc = ow_obs::json::parse(&dump.to_json()).expect("dump parses");
+    validate_flightrec_json(&doc).expect("dump validates");
+    assert_eq!(
+        Some(dump.to_json()),
+        b.flight_dump("e2e").map(|d| d.to_json())
+    );
 }
 
 #[test]
@@ -146,8 +126,8 @@ proptest! {
     #[test]
     fn same_seed_chaos_dumps_are_byte_identical(seed in 1u64..10_000) {
         let cfg = chaos_config(seed);
-        let a = run_with_health(&cfg);
-        let b = run_with_health(&cfg);
+        let (a, obs_a) = run_with_health(&cfg);
+        let (b, obs_b) = run_with_health(&cfg);
         prop_assert_eq!(a.timeline(), b.timeline());
         let dump_a = a.flight_dump("e2e").map(|d| d.to_json());
         let dump_b = b.flight_dump("e2e").map(|d| d.to_json());
@@ -156,5 +136,10 @@ proptest! {
         let report_a = serde_json::to_string(&a.report("e2e")).unwrap();
         let report_b = serde_json::to_string(&b.report("e2e")).unwrap();
         prop_assert_eq!(report_a, report_b);
+        // The metrics snapshot `ow-smoke` writes beside the dump.
+        prop_assert_eq!(
+            obs_a.report("e2e").canonicalized().to_json(),
+            obs_b.report("e2e").canonicalized().to_json()
+        );
     }
 }
