@@ -1,27 +1,22 @@
-//! `bench_fleet` — fleet-scale throughput and recovery-latency bench.
+//! `bench_fleet` — the chaos fleet's seed-deterministic outcome.
 //!
 //! Runs the chaos fleet scenario (10% AFR loss, one rack-level 60% loss
 //! burst, a crash and a graceful leave, periodic forced escalations) at
-//! fleet sizes 32, 128, and 512 (32 only under `--small`), measuring
-//! per size:
+//! fleet sizes 32, 128, and 512 (32 only under `--small`) and reports,
+//! per size, window accounting, reliability counters, fault totals, the
+//! merged-fold digest and the p99 recovery latency — the 99th
+//! percentile of the controller's
+//! `ow_controller_cr_phase_duration{phase="recovery"}` histogram, on
+//! the virtual clock.
 //!
-//! * aggregate merge throughput — announced AFR records over the run's
-//!   wall-clock seconds (workers, shards, and recovery included), and
-//! * p99 recovery latency — the 99th percentile of the controller's
-//!   `ow_controller_cr_phase_duration{phase="recovery"}` histogram, on
-//!   the virtual clock (deterministic per seed).
-//!
-//! Writes three files next to each other (default under `results/`):
-//! `fleet_bench.json` with everything, `fleet_bench.meta.json` with
-//! only the seed-deterministic fields — window accounting, reliability
-//! counters, fault totals, merged-fold digest, p99 latencies — and
+//! Nothing here reads the wall clock (the runs last 3–50 ms; speed is
+//! `benchmark/`'s job), so with `--json results/fleet_bench.meta.json`
+//! the report is byte-identical across same-seed processes — CI runs
+//! the binary twice and `cmp`s it. Next to it goes
 //! `fleet_bench.obs.json`, the largest run's metrics snapshot (fleet
-//! gauges included) for `ow-obs-report`. CI runs the bench twice and
-//! `cmp`s the meta files byte for byte; wall-clock rates stay out of
-//! the determinism gate by construction.
+//! gauges included) for `ow-obs-report`.
 
 use std::path::Path;
-use std::time::Instant;
 
 use omniwindow::experiments::Scale;
 use ow_bench::Cli;
@@ -31,7 +26,7 @@ use ow_netsim::fleet::{self, ChurnEvent, ChurnKind, FleetConfig, RackBurst};
 use ow_obs::Obs;
 use serde::Serialize;
 
-/// Seed-deterministic outcome of one fleet size (the `cmp`-gated part).
+/// Seed-deterministic outcome of one fleet size.
 #[derive(Debug, Clone, Serialize)]
 struct FleetMetaRow {
     /// Fleet size (switch count).
@@ -57,26 +52,6 @@ struct FleetMetaRow {
     /// FNV-1a digest of the fleet-wide `encode_merged` fold — pins the
     /// merged view without embedding megabytes of records.
     merged_fold_fnv: u64,
-}
-
-/// One fleet size's full result: the deterministic row plus wall-clock
-/// throughput.
-#[derive(Debug, Clone, Serialize)]
-struct FleetBenchRow {
-    /// The seed-deterministic outcome.
-    meta: FleetMetaRow,
-    /// Wall seconds for the whole run (schedule replay + drain).
-    wall_secs: f64,
-    /// Aggregate announced-records-per-second over the run.
-    records_per_sec: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct FleetBenchReport {
-    bench: &'static str,
-    seed: u64,
-    afr_loss: f64,
-    rows: Vec<FleetBenchRow>,
 }
 
 #[derive(Debug, Serialize)]
@@ -142,12 +117,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-fn run_size(switches: u32, seed: u64) -> (FleetBenchRow, Obs) {
+fn run_size(switches: u32, seed: u64) -> (FleetMetaRow, Obs) {
     let cfg = fleet_cfg(switches, seed);
     let obs = Obs::new();
-    let started = Instant::now();
-    let report = fleet::run(&cfg, Some(&obs));
-    let wall_secs = started.elapsed().as_secs_f64();
+    let report = fleet::run(&cfg, &obs);
     assert!(
         report.all_windows_accounted(),
         "fleet of {switches} wedged: started {} merged {} departed {}",
@@ -160,7 +133,7 @@ fn run_size(switches: u32, seed: u64) -> (FleetBenchRow, Obs) {
         .get("ow_controller_cr_phase_duration", &[("phase", "recovery")])
         .and_then(|m| m.histogram.as_ref().map(|h| h.p99))
         .unwrap_or(0);
-    let meta = FleetMetaRow {
+    let row = FleetMetaRow {
         switches,
         workers: cfg.workers,
         started_windows: report.started_windows,
@@ -172,11 +145,6 @@ fn run_size(switches: u32, seed: u64) -> (FleetBenchRow, Obs) {
         packets_dropped: report.fault_stats.total_dropped(),
         p99_recovery_ns,
         merged_fold_fnv: fnv1a(&encode_merged(&report.merged)),
-    };
-    let row = FleetBenchRow {
-        records_per_sec: meta.announced_records as f64 / wall_secs.max(1e-9),
-        wall_secs,
-        meta,
     };
     (row, obs)
 }
@@ -191,72 +159,43 @@ fn main() {
     let mut rows = Vec::new();
     let mut last_obs: Option<Obs> = None;
     println!(
-        "{:>9}  {:>8}  {:>8}  {:>8}  {:>9}  {:>14}  {:>16}",
-        "switches", "started", "merged", "departed", "escal.", "p99 rec (ns)", "records/s"
+        "{:>9}  {:>8}  {:>8}  {:>8}  {:>9}  {:>14}",
+        "switches", "started", "merged", "departed", "escal.", "p99 rec (ns)"
     );
     for &switches in sizes {
         cli.progress(format!("fleet of {switches}: running chaos scenario"));
         let (row, obs) = run_size(switches, cli.seed);
         last_obs = Some(obs);
         println!(
-            "{:>9}  {:>8}  {:>8}  {:>8}  {:>9}  {:>14}  {:>16.0}",
-            row.meta.switches,
-            row.meta.started_windows,
-            row.meta.merged_windows,
-            row.meta.departed_windows,
-            row.meta.escalations,
-            row.meta.p99_recovery_ns,
-            row.records_per_sec
+            "{:>9}  {:>8}  {:>8}  {:>8}  {:>9}  {:>14}",
+            row.switches,
+            row.started_windows,
+            row.merged_windows,
+            row.departed_windows,
+            row.escalations,
+            row.p99_recovery_ns,
         );
         rows.push(row);
     }
 
-    let report = FleetBenchReport {
+    cli.dump(&FleetMetaReport {
         bench: "bench_fleet",
         seed: cli.seed,
         afr_loss: 0.10,
         rows,
-    };
-    cli.dump(&report);
-    // The deterministic companion: same path with `.meta.json` for
-    // `.json`, so `--json results/fleet_bench.json` also produces
-    // `results/fleet_bench.meta.json` for CI's two-run `cmp`.
-    if let Some(path) = &cli.json {
-        let meta = FleetMetaReport {
-            bench: report.bench,
-            seed: report.seed,
-            afr_loss: report.afr_loss,
-            rows: report.rows.iter().map(|r| r.meta.clone()).collect(),
-        };
-        let meta_path = match path.strip_suffix(".json") {
-            Some(stem) => format!("{stem}.meta.json"),
-            None => format!("{path}.meta.json"),
-        };
-        match serde_json::to_string_pretty(&meta) {
-            Ok(s) => {
-                if let Err(e) = std::fs::write(&meta_path, s) {
-                    eprintln!("bench_fleet: failed to write {meta_path}: {e}");
-                    std::process::exit(1);
-                }
-                cli.progress(format!("deterministic metadata written to {meta_path}"));
-            }
-            Err(e) => {
-                eprintln!("bench_fleet: failed to serialise metadata: {e}");
-                std::process::exit(1);
-            }
+    });
+    // The largest run's metrics snapshot — fleet gauges included — goes
+    // next to the report: `<stem>.obs.json` for `<stem>.meta.json`.
+    if let (Some(path), Some(obs)) = (&cli.json, &last_obs) {
+        let stem = path
+            .strip_suffix(".meta.json")
+            .or_else(|| path.strip_suffix(".json"))
+            .unwrap_or(path);
+        let obs_path = format!("{stem}.obs.json");
+        if let Err(e) = obs.report("bench_fleet").write(Path::new(&obs_path)) {
+            eprintln!("bench_fleet: failed to write {obs_path}: {e}");
+            std::process::exit(1);
         }
-        // The largest run's metrics snapshot — fleet gauges included —
-        // so `ow-obs-report <stem>.obs.json` renders the fleet section.
-        if let Some(obs) = &last_obs {
-            let obs_path = match path.strip_suffix(".json") {
-                Some(stem) => format!("{stem}.obs.json"),
-                None => format!("{path}.obs.json"),
-            };
-            if let Err(e) = obs.report("bench_fleet").write(Path::new(&obs_path)) {
-                eprintln!("bench_fleet: failed to write {obs_path}: {e}");
-                std::process::exit(1);
-            }
-            cli.progress(format!("metrics snapshot written to {obs_path}"));
-        }
+        cli.progress(format!("metrics snapshot written to {obs_path}"));
     }
 }

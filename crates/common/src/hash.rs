@@ -111,10 +111,9 @@ impl HashFamily {
 /// path.
 ///
 /// Every component that splits or routes `FlowRecord`s by key — the
-/// live controller's router and shard pool, benchmarks, the netsim
-/// topology builder — must agree on the mapping, so it is pinned
-/// here with a fixed internal seed rather than passed around as a bare
-/// `HashFn`. The mapping is the multiply-shift reduction of the mixed
+/// live controller's router and shard pool, benchmarks — must agree
+/// on the mapping, so it is pinned here with a fixed internal seed
+/// rather than passed around as a bare `HashFn`. The mapping is the multiply-shift reduction of the mixed
 /// flow key, i.e. exactly what the sketches use for bucket indexing, so
 /// shard balance inherits the family's uniformity.
 ///

@@ -174,6 +174,23 @@ mod tests {
         assert_eq!(fired[0].code, "OW-HEALTH-201");
         assert_eq!(fired[0].entity, "shard:2");
         assert_eq!(fired[0].value, 900);
+        // A producer that outran the router and had an `offer` rejected
+        // lost records — any backpressure drop fires — and 30 of 100
+        // announced AFRs needing retransmission is a storm (300‰).
+        let lossy = engine.tick_with_sample(HealthSample {
+            at_ns: 2_000,
+            metrics: vec![
+                metric("ow_controller_backpressure_dropped_total", &[], 5),
+                metric("ow_controller_afr_recovered_total", &[], 30),
+                metric("ow_controller_afr_announced_total", &[], 100),
+            ],
+            peaks: vec![],
+        });
+        assert_eq!(lossy.len(), 2);
+        assert_eq!(lossy[0].code, "OW-HEALTH-202");
+        assert_eq!(lossy[1].code, "OW-HEALTH-205");
+        assert_eq!(lossy[1].value, 300);
+        assert_eq!(lossy[0].entity, "controller");
     }
 
     #[test]

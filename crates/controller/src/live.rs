@@ -35,7 +35,7 @@ use ow_common::flowkey::FlowKey;
 use ow_common::hash::ShardPartition;
 use ow_common::metrics::ReliabilityMetrics;
 use ow_common::time::Duration;
-use ow_obs::{Counter, Obs, TraceContext, Traced};
+use ow_obs::{Counter, Obs};
 
 use crate::reliability::RetryPolicy;
 use crate::router::Router;
@@ -248,24 +248,10 @@ pub enum ReliableMsg {
         /// The sub-window whose stream ended.
         subwindow: u32,
     },
-    /// [`ReliableMsg::Announce`] carrying the window's wire-propagated
-    /// [`TraceContext`], so the controller's recovery and merge spans
-    /// join the originating window's causal tree.
-    TracedAnnounce {
-        /// The terminated sub-window.
-        subwindow: u32,
-        /// How many AFRs its batch holds.
-        announced: u32,
-        /// The window's span-tracing context.
-        ctx: TraceContext,
-    },
     /// A burst of AFR report clones for one sub-window — whatever
     /// survived the lossy channel, in arrival order (possibly before
     /// its announcement, possibly after its sub-window merged).
     AfrBlock(RecordBlock),
-    /// [`ReliableMsg::AfrBlock`] with its [`TraceContext`]: any burst
-    /// that survives delivers it, even if the announcement was lost.
-    TracedAfrBlock(Traced<RecordBlock>),
     /// The switch owning `subwindow` left the fleet (crash churn)
     /// before its stream completed: the partial batch is never merged,
     /// the `WindowFsm` is released instead of wedging in a recovery
@@ -345,8 +331,9 @@ impl ReliableLiveController {
     /// [`LiveController::spawn_sharded_obs`] reports, every completed
     /// session folds its [`ReliabilityMetrics`] into the registry, ticks
     /// `ow_controller_sessions_total`, leaves a `session_complete`
-    /// journal event, and (when traced) joins its recovery timeline to
-    /// the window's causal span tree.
+    /// journal event, and (when the switch published a trace context
+    /// for the sub-window into the same [`Obs`]) joins its recovery
+    /// timeline to the window's causal span tree.
     #[allow(clippy::too_many_arguments)]
     pub fn spawn_sharded_obs(
         window_subwindows: usize,
@@ -368,14 +355,8 @@ impl ReliableLiveController {
                     ReliableMsg::Announce {
                         subwindow,
                         announced,
-                    } => router.announce(subwindow, announced, None),
-                    ReliableMsg::TracedAnnounce {
-                        subwindow,
-                        announced,
-                        ctx,
-                    } => router.announce(subwindow, announced, Some(ctx)),
-                    ReliableMsg::AfrBlock(block) => router.afr_block(block, None),
-                    ReliableMsg::TracedAfrBlock(t) => router.afr_block(t.payload, Some(t.ctx)),
+                    } => router.announce(subwindow, announced),
+                    ReliableMsg::AfrBlock(block) => router.afr_block(block),
                     ReliableMsg::EndOfStream { subwindow } => router.end_of_stream(subwindow),
                     ReliableMsg::Depart { subwindow } => router.depart(subwindow),
                     ReliableMsg::Shutdown => break,
@@ -400,7 +381,6 @@ impl ReliableLiveController {
         };
         match e.into_inner() {
             ReliableMsg::AfrBlock(block) => self.handle.count_drop(Some(&block)),
-            ReliableMsg::TracedAfrBlock(t) => self.handle.count_drop(Some(&t.payload)),
             _ => self.handle.count_drop(None),
         }
         false
@@ -421,6 +401,7 @@ mod tests {
 
     use super::*;
     use crate::wire::encode_merged;
+    use ow_obs::TraceContext;
 
     fn block(sw: u32, flows: std::ops::Range<u32>, n: u64) -> RecordBlock {
         let afrs: Vec<FlowRecord> = flows
@@ -503,19 +484,22 @@ mod tests {
     ) {
         let sw = batch[0].subwindow;
         let survivors: Vec<FlowRecord> = batch.iter().copied().filter(|r| survives(r)).collect();
-        router.announce(sw, batch.len() as u32, None);
-        router.afr_block(RecordBlock::from_records(sw, &survivors), None);
+        router.announce(sw, batch.len() as u32);
+        router.afr_block(RecordBlock::from_records(sw, &survivors));
         router.end_of_stream(sw);
     }
 
     #[test]
     fn live_pipeline_merges_and_slides() {
-        let (mut router, handle) = Router::new(2, 16, 1, None, None);
+        let obs = Obs::new();
+        let (mut router, handle) = Router::new(2, 16, 1, Some(&obs), None);
         router.stream_block(block(0, 0..10, 60), true);
         router.stream_block(block(1, 0..10, 80), true);
         // Slide: sub-window 2 evicts sub-window 0.
         router.stream_block(block(2, 0..10, 5), true);
         assert_eq!(router.shutdown().0, 3);
+        let merged = obs.snapshot().value("ow_controller_batches_total", &[]);
+        assert_eq!(merged, 3, "the plain path counts sealed sub-windows");
         assert_eq!(handle.subwindows(), vec![1, 2]);
         // 80 + 5 per flow: sub-window 0's 60 is gone.
         assert_eq!(handle.flows_over(85.0).len(), 10);
@@ -601,13 +585,13 @@ mod tests {
         let (mut router, handle) = reliable_router(4, 1, None, link);
         // An AFR races ahead of its announcement and arrives twice; the
         // trigger arrives twice too (duplicated clone).
-        router.afr_block(RecordBlock::from_records(4, &batch[1..2]), None);
-        router.afr_block(RecordBlock::from_records(4, &batch[1..2]), None);
+        router.afr_block(RecordBlock::from_records(4, &batch[1..2]));
+        router.afr_block(RecordBlock::from_records(4, &batch[1..2]));
         assert_eq!(router.sessions.early_records(), 2);
-        router.announce(4, 5, None);
-        router.announce(4, 5, None);
+        router.announce(4, 5);
+        router.announce(4, 5);
         assert_eq!(router.sessions.early_records(), 0);
-        router.afr_block(RecordBlock::from_records(4, &batch[3..4]), None);
+        router.afr_block(RecordBlock::from_records(4, &batch[3..4]));
         // End-of-stream mark lost: shutdown finalizes the session.
         let (_, metrics) = router.shutdown();
         assert_eq!(handle.merged_flows(), 5);
@@ -627,8 +611,8 @@ mod tests {
         let (mut router, handle) = reliable_router(4, 1, None, link);
         run_session(&mut router, &batch, |_| true);
         assert!(router.sessions.is_closed(0));
-        router.announce(0, 5, None);
-        router.afr_block(RecordBlock::from_records(0, &batch[0..3]), None);
+        router.announce(0, 5);
+        router.afr_block(RecordBlock::from_records(0, &batch[0..3]));
         router.end_of_stream(0);
         assert_eq!(router.sessions.early_records(), 0, "late block leaked");
         let (sessions, metrics) = router.shutdown();
@@ -672,14 +656,14 @@ mod tests {
         // ever run for the abandoned window.
         let link = untouched("the switch departed");
         let (mut router, handle) = reliable_router(4, 2, Some(&obs), link);
-        router.announce(3, 8, None);
+        router.announce(3, 8);
         // Part of the initial stream arrives, then the switch crashes.
-        router.afr_block(RecordBlock::from_records(3, &batch[0..3]), None);
+        router.afr_block(RecordBlock::from_records(3, &batch[0..3]));
         router.depart(3);
         // Late clones and a duplicated announcement hit the tombstone
         // instead of resurrecting a session that could never complete.
-        router.afr_block(RecordBlock::from_records(3, &batch[4..5]), None);
-        router.announce(3, 8, None);
+        router.afr_block(RecordBlock::from_records(3, &batch[4..5]));
+        router.announce(3, 8);
         assert_eq!(router.sessions.early_records(), 0);
         let (sessions, metrics) = router.shutdown();
         assert_eq!(sessions, 0);
@@ -898,32 +882,54 @@ mod tests {
     fn traced_messages_stitch_recovery_spans_into_the_window_trace() {
         let obs = Obs::new();
         let tracer = obs.tracer().clone();
-        // Simulate the switch side: open the window's trace and record
-        // its collect span, as `Switch::run_collection` does.
-        let trace = tracer.start_window(7, "switch", 1_000);
-        let collect = tracer
-            .span(trace, trace, "collect", "switch", None, 1_000, 2_000)
-            .expect("collect span under a live trace");
-        let ctx = TraceContext {
-            trace_id: trace,
-            root: trace,
-            collect,
-            anchor_ns: 2_500,
+        // Simulate the switch side: open the window's trace, record its
+        // collect span and publish the context, as
+        // `Switch::run_collection` does.
+        let publish = |sw: u32| {
+            let trace = tracer.start_window(sw, "switch", 1_000);
+            let collect = tracer
+                .span(trace, trace, "collect", "switch", None, 1_000, 2_000)
+                .expect("collect span under a live trace");
+            let ctx = TraceContext {
+                trace_id: trace,
+                root: trace,
+                collect,
+                anchor_ns: 2_500,
+            };
+            tracer.publish_context(sw, ctx);
+            (trace, collect)
         };
+        let (trace, collect) = publish(7);
         let batch = seq_batch(7, 6);
         let link = faithful(HashMap::from([(7, batch.clone())]));
         let (mut router, _) = reliable_router(1, 2, Some(&obs), link);
-        // The traced announcement is lost; a lossy stream of traced
-        // bursts still delivers the context. The end-of-stream mark is
-        // lost too, so shutdown finalizes the session.
+        // No message carries the context: a lossy stream of plain bursts
+        // races its announcement, the end-of-stream mark is lost, and
+        // shutdown finalizes the session.
         let survivors: Vec<FlowRecord> = batch.iter().copied().filter(|r| r.seq % 2 == 0).collect();
-        router.afr_block(RecordBlock::from_records(7, &survivors), Some(ctx));
-        router.announce(7, 6, None);
+        router.afr_block(RecordBlock::from_records(7, &survivors));
+        router.announce(7, 6);
         let (_, metrics) = router.shutdown();
         assert!(metrics.retransmit_rounds >= 1, "lossy run must retransmit");
 
+        // Sub-window 8 was evicted on the switch before the controller
+        // got to it: its context is retired, so its session merges but
+        // records no controller span.
+        publish(8);
+        tracer.retire_context(8);
+        let evicted = seq_batch(8, 6);
+        let link = faithful(HashMap::from([(8, evicted.clone())]));
+        let (mut router, handle) = reliable_router(1, 2, Some(&obs), link);
+        run_session(&mut router, &evicted, |r| r.seq % 2 == 0);
+        router.shutdown();
+        assert_eq!(handle.subwindows(), vec![8]);
+
         let report = ow_obs::TraceReport::capture("test", &tracer, None);
-        assert_eq!(report.traces.len(), 1);
+        assert_eq!(report.traces.len(), 2);
+        assert!(
+            report.traces[1].spans.iter().all(|s| s.side == "switch"),
+            "a retired context stitches nothing"
+        );
         let summary = &report.traces[0];
         let spans = &summary.spans;
         // Recovery rounds parent to the originating collect span and
@@ -1022,14 +1028,14 @@ mod tests {
         let run = |burst: usize| {
             let (mut router, handle) = reliable_router(2, 4, None, faithful(store.clone()));
             for sw in 0..3u32 {
-                router.announce(sw, 40, None);
+                router.announce(sw, 40);
                 let survivors: Vec<FlowRecord> = store[&sw]
                     .iter()
                     .copied()
                     .filter(|r| r.seq % 5 != 2)
                     .collect();
                 for chunk in survivors.chunks(burst).chain(survivors[0..9].chunks(burst)) {
-                    router.afr_block(RecordBlock::from_records(sw, chunk), None);
+                    router.afr_block(RecordBlock::from_records(sw, chunk));
                 }
                 router.end_of_stream(sw);
             }
@@ -1056,9 +1062,9 @@ mod tests {
         let batch = seq_batch(6, 8);
         let link = untouched("the stream is complete");
         let (mut router, handle) = reliable_router(2, 2, None, link);
-        router.afr_block(RecordBlock::from_records(6, &batch), None);
+        router.afr_block(RecordBlock::from_records(6, &batch));
         assert_eq!(router.sessions.early_records(), 8);
-        router.announce(6, 8, None);
+        router.announce(6, 8);
         assert_eq!(router.sessions.early_records(), 0);
         let (_, metrics) = router.shutdown();
         assert_eq!(handle.merged_flows(), 8);

@@ -51,8 +51,8 @@ struct ShardPool {
     partition: ShardPartition,
     /// Per shard, `ow_controller_shard_queue_depth` (messages) and
     /// `ow_controller_shard_queue_records` (rows): raised on send,
-    /// lowered by the worker on dequeue — the backlog; zero after
-    /// `shutdown()`.
+    /// lowered by the worker on dequeue — what is still queued; zero
+    /// after `shutdown()`.
     queue_gauges: Vec<(Gauge, Gauge)>,
     /// `ow_controller_blocks_total` / `ow_controller_records_total`.
     routed: (Counter, Counter),
@@ -143,9 +143,6 @@ pub(crate) struct Sessions {
     open: HashMap<u32, OpenSession>,
     /// Blocks that raced ahead of their announcement, as they arrived.
     early: HashMap<u32, Vec<RecordBlock>>,
-    /// Trace contexts learned from the wire (a traced announcement or
-    /// any surviving traced block), consumed when the session closes.
-    ctxs: HashMap<u32, TraceContext>,
     /// Tombstones: sub-windows that merged, or whose switch departed.
     /// Late clones of their trigger or AFRs are dropped instead of
     /// re-opening a session that would merge twice or never complete.
@@ -165,10 +162,10 @@ impl Sessions {
     }
 
     /// Tombstone `subwindow` and hand back what was held for it.
-    fn close(&mut self, subwindow: u32) -> (Option<OpenSession>, Option<TraceContext>) {
+    fn close(&mut self, subwindow: u32) -> Option<OpenSession> {
         self.closed.insert(subwindow);
         self.early.remove(&subwindow);
-        (self.open.remove(&subwindow), self.ctxs.remove(&subwindow))
+        self.open.remove(&subwindow)
     }
 }
 
@@ -301,13 +298,10 @@ impl Router {
 
     /// [`ReliableMsg::Announce`](crate::live::ReliableMsg): a duplicate
     /// re-finds the open session; one for a closed sub-window is dropped.
-    pub(crate) fn announce(&mut self, subwindow: u32, announced: u32, ctx: Option<TraceContext>) {
+    pub(crate) fn announce(&mut self, subwindow: u32, announced: u32) {
         let s = &mut self.sessions;
         if s.is_closed(subwindow) {
             return;
-        }
-        if let Some(ctx) = ctx {
-            s.ctxs.insert(subwindow, ctx);
         }
         let entry = s.open.entry(subwindow).or_insert_with(|| {
             let metrics = ReliabilityMetrics {
@@ -324,7 +318,7 @@ impl Router {
     /// [`ReliableMsg::AfrBlock`](crate::live::ReliableMsg): parked if it
     /// raced its announcement. Rows for a closed sub-window are late
     /// redundant copies: dropped, and charged as duplicates.
-    pub(crate) fn afr_block(&mut self, block: RecordBlock, ctx: Option<TraceContext>) {
+    pub(crate) fn afr_block(&mut self, block: RecordBlock) {
         let (s, subwindow) = (&mut self.sessions, block.subwindow());
         if s.is_closed(subwindow) {
             let rows = block.len() as u64;
@@ -332,9 +326,6 @@ impl Router {
             let late = self.obs.counter("ow_controller_afr_duplicates_total", &[]);
             late.add(rows);
             return;
-        }
-        if let Some(ctx) = ctx {
-            s.ctxs.entry(subwindow).or_insert(ctx);
         }
         match s.open.get_mut(&subwindow) {
             Some(entry) => feed(entry, &block),
@@ -352,9 +343,12 @@ impl Router {
         if !self.sessions.open.contains_key(&subwindow) {
             return;
         }
-        let (Some((mut session, mut metrics)), ctx) = self.sessions.close(subwindow) else {
+        let Some((mut session, mut metrics)) = self.sessions.close(subwindow) else {
             return;
         };
+        // Read the context the switch published before the §8 loop can
+        // make it retire it (an OS read does).
+        let ctx = self.obs.tracer().context(subwindow);
         let policy = *policy;
         let mut link = FnTransport {
             retransmit,
@@ -377,13 +371,13 @@ impl Router {
         // The session's FSM arrives at Merged through the §8 loop; the
         // engine tracks it until slide-eviction.
         self.engine.insert(*session.fsm());
-        // Hand the recovered answer to the accuracy observatory's shadow
-        // scoring lane (when installed): an `Arc` bump, not a copy.
-        let block = Arc::new(session.into_block());
+        // Score the recovered answer against the accuracy oracle (when
+        // installed) before it is scattered.
+        let block = session.into_block();
         let scored = self
             .obs
             .accuracy()
-            .is_some_and(|acc| acc.score_block(&block));
+            .is_some_and(|acc| acc.score_block(&block).is_some());
         if let Some(ctx) = ctx {
             self.trace_recovery(ctx, &metrics, &policy, scored);
         }
@@ -435,7 +429,7 @@ impl Router {
         if self.sessions.is_closed(subwindow) {
             return;
         }
-        let (session, ctx) = self.sessions.close(subwindow);
+        let session = self.sessions.close(subwindow);
         // The merged answer will never arrive; release the oracle's
         // truth entry for this window.
         if let Some(acc) = self.obs.accuracy() {
@@ -457,7 +451,7 @@ impl Router {
         self.obs.event(event.subwindow(subwindow).phase("released"));
         // Close the window's causal trace so the tree stays complete
         // even though no merge span will ever arrive.
-        if let Some(ctx) = ctx {
+        if let Some(ctx) = self.obs.tracer().context(subwindow) {
             let (tracer, at) = (self.obs.tracer(), ctx.anchor_ns);
             tracer.span(
                 ctx.trace_id,

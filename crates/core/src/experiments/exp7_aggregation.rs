@@ -6,9 +6,7 @@
 //! record-at-a-time controller loop executes). The "with SIMD" path is
 //! the optimised fast path: attributes kept in structure-of-arrays
 //! 32-bit buffers (the AFR wire format) merged by auto-vectorised loops
-//! — the portable stand-in for the paper's AVX-512 kernels. The
-//! Criterion bench `afr_merge` covers the same comparison with
-//! statistical rigour.
+//! — the portable stand-in for the paper's AVX-512 kernels.
 
 use std::time::Instant;
 

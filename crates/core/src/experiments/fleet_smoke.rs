@@ -100,7 +100,7 @@ pub fn accuracy_config(seed: u64, sketch_feed: Option<(usize, usize)>) -> FleetC
 pub fn run_with_health(cfg: &FleetConfig) -> (Arc<HealthEngine>, Obs) {
     let obs = Obs::with_journal_capacity(1 << 15);
     let engine = obs.install_health(fleet_catalog(), FlightRecorderConfig::default());
-    fleet::run(cfg, Some(&obs));
+    fleet::run(cfg, &obs);
     (engine, obs)
 }
 
@@ -110,7 +110,7 @@ pub fn run_with_accuracy(cfg: &FleetConfig) -> (Arc<AccuracyScorer>, Arc<HealthE
     let obs = Obs::with_journal_capacity(1 << 15);
     let engine = obs.install_health(accuracy_health_rules(), FlightRecorderConfig::default());
     let scorer = obs.install_accuracy(AccuracyConfig::default());
-    fleet::run(cfg, Some(&obs));
+    fleet::run(cfg, &obs);
     (scorer, engine, obs)
 }
 

@@ -22,7 +22,7 @@ use ow_common::time::{Duration, Instant};
 use ow_controller::live::{ReliableLiveController, ReliableMsg};
 use ow_controller::reliability::RetryPolicy;
 use ow_netsim::{FaultConfig, LossyChannel, PacketClass};
-use ow_obs::{Obs, Traced};
+use ow_obs::Obs;
 use ow_sketch::CountMin;
 use ow_switch::app::FrequencyApp;
 use ow_switch::signal::WindowSignal;
@@ -166,35 +166,22 @@ pub fn run(cfg: &ObsSmokeConfig) -> ObsSmokeOutcome {
     // Stream every batch through the lossy channel. On top of the
     // seeded random loss, one AFR per sub-window is force-dropped so
     // the recovery loop provably runs for every session at any seed.
-    // Every message carries the window's wire-propagated trace context
-    // (the switch minted one per retained batch), so the controller's
-    // recovery spans stitch into the switch-side causal tree even when
-    // the announcement itself is dropped.
+    // The switch published one trace context per retained batch into
+    // the shared tracer, so the controller's recovery spans stitch into
+    // the switch-side causal tree whatever the channel drops.
     let mut channel = LossyChannel::new(FaultConfig::afr_loss(cfg.seed, cfg.loss));
     for (subwindow, afrs) in &batches {
         let (subwindow, announced) = (*subwindow, afrs.len() as u32);
         let mut delivered = channel.transmit(PacketClass::AfrReport, afrs.clone());
         delivered.retain(|r| r.seq != 0);
         let block = RecordBlock::from_records(subwindow, &delivered);
-        let (announce, burst) = match sw.trace_context(subwindow) {
-            Some(ctx) => (
-                ReliableMsg::TracedAnnounce {
-                    subwindow,
-                    announced,
-                    ctx,
-                },
-                ReliableMsg::TracedAfrBlock(Traced::new(ctx, block)),
-            ),
-            None => (
-                ReliableMsg::Announce {
-                    subwindow,
-                    announced,
-                },
-                ReliableMsg::AfrBlock(block),
-            ),
-        };
-        ctl.sender.send(announce).unwrap();
-        ctl.sender.send(burst).unwrap();
+        ctl.sender
+            .send(ReliableMsg::Announce {
+                subwindow,
+                announced,
+            })
+            .unwrap();
+        ctl.sender.send(ReliableMsg::AfrBlock(block)).unwrap();
         ctl.sender
             .send(ReliableMsg::EndOfStream { subwindow })
             .unwrap();

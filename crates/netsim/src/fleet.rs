@@ -264,13 +264,12 @@ impl FleetConfig {
     /// case the window passes through an MV-Sketch of that geometry and
     /// the announced records are its recovered heavy-hitter candidates
     /// with their estimated counts. Quality signals (occupancy,
-    /// collisions, evictions) are published through `sketch_obs` when
-    /// one is wired.
+    /// collisions, evictions) are published through `sketch_obs`.
     pub fn announced_batch(
         &self,
         exact: &[FlowRecord],
         global: u32,
-        sketch_obs: Option<&crate::sketchobs::ObsSketchObs>,
+        sketch_obs: &ObsSketchObs,
     ) -> Vec<FlowRecord> {
         let Some((rows, width)) = self.sketch_feed else {
             return exact.to_vec();
@@ -289,9 +288,7 @@ impl FleetConfig {
         for (i, rec) in batch.iter_mut().enumerate() {
             rec.seq = i as u32;
         }
-        if let Some(o) = sketch_obs {
-            mv.publish_quality(o);
-        }
+        mv.publish_quality(sketch_obs);
         batch
     }
 }
@@ -448,15 +445,15 @@ fn schedule(cfg: &FleetConfig) -> (Vec<FleetEvent>, HashMap<u32, Presence>) {
 
 /// Run the fleet to completion and fold the outcome.
 ///
-/// When `obs` is attached, every worker reports through it (per-shard
-/// queue depth, reliability folds, lifecycle transitions) and the run
-/// maintains the fleet gauges: `ow_fleet_switches_live` tracks
+/// Every worker reports through `obs` (per-shard queue depth,
+/// reliability folds, lifecycle transitions) and the run maintains the
+/// fleet gauges: `ow_fleet_switches_live` tracks
 /// membership through churn, and `ow_fleet_windows_inflight{worker=…}`
 /// counts announced-but-unfinished windows per worker (both settle to
 /// their final values deterministically). Counter and histogram totals
 /// are deterministic per seed; journal *interleaving* across workers is
 /// not, so determinism checks compare the report, not the journal.
-pub fn run(cfg: &FleetConfig, obs: Option<&Obs>) -> FleetReport {
+pub fn run(cfg: &FleetConfig, obs: &Obs) -> FleetReport {
     assert!(cfg.switches > 0, "a fleet needs switches");
     assert!(cfg.records_per_window > 0, "windows must announce records");
     let (events, presence) = schedule(cfg);
@@ -517,44 +514,37 @@ pub fn run(cfg: &FleetConfig, obs: Option<&Obs>) -> FleetReport {
                     (store[&sw].clone(), Duration::from_millis(2))
                 }),
                 cfg.shards_per_worker.max(1),
-                obs,
+                Some(obs),
             )
         })
         .collect();
 
-    let live_gauge: Option<Gauge> = obs.map(|o| o.gauge("ow_fleet_switches_live", &[]));
-    let inflight_gauges: Option<Vec<Gauge>> = obs.map(|o| {
-        (0..cfg.workers)
-            .map(|w| o.gauge("ow_fleet_windows_inflight", &[("worker", &w.to_string())]))
-            .collect()
-    });
-    if let Some(g) = &live_gauge {
-        let initially_live = presence.values().filter(|p| p.from_ns == 0).count();
-        g.set(initially_live as u64);
-    }
+    let live_gauge = obs.gauge("ow_fleet_switches_live", &[]);
+    let inflight_gauges: Vec<Gauge> = (0..cfg.workers)
+        .map(|w| obs.gauge("ow_fleet_windows_inflight", &[("worker", &w.to_string())]))
+        .collect();
+    let initially_live = presence.values().filter(|p| p.from_ns == 0).count();
+    live_gauge.set(initially_live as u64);
     // Health-engine inputs: crash liveness (leaves
     // are expected churn, crashes are faults), and per-rack offered/
     // dropped AFR counters for correlated-degradation detection. All
     // maintained on the replay thread, so totals are deterministic.
     let rack_count = cfg.switches.div_ceil(cfg.rack_size.max(1)).max(1);
-    let crash_counter: Option<Counter> =
-        obs.map(|o| o.counter("ow_fleet_switch_crashes_total", &[]));
-    let rack_counters: Option<Vec<(Counter, Counter)>> = obs.map(|o| {
-        (0..rack_count)
-            .map(|r| {
-                let r = r.to_string();
-                (
-                    o.counter("ow_fleet_rack_offered_total", &[("rack", &r)]),
-                    o.counter("ow_fleet_rack_dropped_total", &[("rack", &r)]),
-                )
-            })
-            .collect()
-    });
+    let crash_counter = obs.counter("ow_fleet_switch_crashes_total", &[]);
+    let rack_counters: Vec<(Counter, Counter)> = (0..rack_count)
+        .map(|r| {
+            let r = r.to_string();
+            (
+                obs.counter("ow_fleet_rack_offered_total", &[("rack", &r)]),
+                obs.counter("ow_fleet_rack_dropped_total", &[("rack", &r)]),
+            )
+        })
+        .collect();
     // The accuracy observatory's feeder side: the oracle receives every
     // exact batch before loss and before any sketch compression; the
     // sketch adapter turns data-plane quality signals into telemetry.
-    let accuracy = obs.and_then(|o| o.accuracy());
-    let sketch_obs: Option<ObsSketchObs> = obs.map(ObsSketchObs::new);
+    let accuracy = obs.accuracy();
+    let sketch_obs = ObsSketchObs::new(obs);
 
     // Per-switch lossy links: a baseline channel plus a degraded burst
     // channel, both privately seeded so the draw sequences are fixed by
@@ -593,18 +583,14 @@ pub fn run(cfg: &FleetConfig, obs: Option<&Obs>) -> FleetReport {
     for ev in &events {
         let worker = worker_of(ev.switch, cfg.workers);
         match ev.kind {
-            FleetEventKind::Join => {
-                if let Some(g) = &live_gauge {
-                    g.inc();
-                }
-            }
+            FleetEventKind::Join => live_gauge.inc(),
             FleetEventKind::Announce => {
                 let global = global_subwindow(ev.switch, ev.local);
                 let exact = cfg.workload(ev.switch, ev.local);
                 if let Some(acc) = &accuracy {
                     acc.feed_truth(global, &exact);
                 }
-                let batch = cfg.announced_batch(&exact, global, sketch_obs.as_ref());
+                let batch = cfg.announced_batch(&exact, global, &sketch_obs);
                 store
                     .lock()
                     .expect("store lock")
@@ -626,11 +612,10 @@ pub fn run(cfg: &FleetConfig, obs: Option<&Obs>) -> FleetReport {
                 // bursts: one queue send per block, not per record.
                 let offered = batch.len() as u64;
                 let survivors = channel.transmit(PacketClass::AfrReport, batch);
-                if let Some(racks) = &rack_counters {
-                    let (offered_total, dropped_total) = &racks[cfg.rack_of(ev.switch) as usize];
-                    offered_total.add(offered);
-                    dropped_total.add(offered - survivors.len() as u64);
-                }
+                let (offered_total, dropped_total) =
+                    &rack_counters[cfg.rack_of(ev.switch) as usize];
+                offered_total.add(offered);
+                dropped_total.add(offered - survivors.len() as u64);
                 for chunk in survivors.chunks(FLEET_BLOCK_CAPACITY) {
                     workers[worker]
                         .sender
@@ -644,9 +629,7 @@ pub fn run(cfg: &FleetConfig, obs: Option<&Obs>) -> FleetReport {
                     .entry(ev.switch)
                     .or_default()
                     .push((global, worker));
-                if let Some(gauges) = &inflight_gauges {
-                    gauges[worker].inc();
-                }
+                inflight_gauges[worker].inc();
             }
             FleetEventKind::Eos => {
                 let global = global_subwindow(ev.switch, ev.local);
@@ -657,31 +640,19 @@ pub fn run(cfg: &FleetConfig, obs: Option<&Obs>) -> FleetReport {
                 if let Some(open) = inflight.get_mut(&ev.switch) {
                     open.retain(|&(g, _)| g != global);
                 }
-                if let Some(gauges) = &inflight_gauges {
-                    gauges[worker].dec();
-                }
+                inflight_gauges[worker].dec();
             }
-            FleetEventKind::Leave => {
-                if let Some(g) = &live_gauge {
-                    g.dec();
-                }
-            }
+            FleetEventKind::Leave => live_gauge.dec(),
             FleetEventKind::Crash => {
-                if let Some(g) = &live_gauge {
-                    g.dec();
-                }
-                if let Some(c) = &crash_counter {
-                    c.inc();
-                }
+                live_gauge.dec();
+                crash_counter.inc();
                 for (global, w) in inflight.remove(&ev.switch).unwrap_or_default() {
                     workers[w]
                         .sender
                         .send(ReliableMsg::Depart { subwindow: global })
                         .expect("worker alive");
                     departed += 1;
-                    if let Some(gauges) = &inflight_gauges {
-                        gauges[w].dec();
-                    }
+                    inflight_gauges[w].dec();
                 }
             }
         }
@@ -714,22 +685,15 @@ pub fn run(cfg: &FleetConfig, obs: Option<&Obs>) -> FleetReport {
         fault_stats.merge(base.stats());
         fault_stats.merge(burst.stats());
     }
-    // Let the accuracy observatory's shadow lane finish scoring every
-    // merged window the workers handed it — the health tick below reads
-    // the accuracy gauges.
-    if let Some(acc) = &accuracy {
-        acc.quiesce();
-    }
-    // Evaluate the health engine (when installed) at the quiesce point:
+    // Evaluate the health engine (when installed) at the settle point:
     // after every worker has drained and joined, counter totals and
-    // final gauge values are deterministic per seed — journal
-    // *interleaving* across workers is not, which is exactly why the
-    // fleet ticks at settle instead of mid-replay.
-    if let Some(o) = obs {
-        if let Some(health) = o.health() {
-            let settle_ns = events.last().map_or(0, |e| e.at_ns) + cfg.subwindow_len.as_nanos();
-            health.tick(Instant(settle_ns));
-        }
+    // final gauge values — accuracy scores included, each window having
+    // been scored by the worker that merged it — are deterministic per
+    // seed. Journal *interleaving* across workers is not, which is
+    // exactly why the fleet ticks at settle instead of mid-replay.
+    if let Some(health) = obs.health() {
+        let settle_ns = events.last().map_or(0, |e| e.at_ns) + cfg.subwindow_len.as_nanos();
+        health.tick(Instant(settle_ns));
     }
     FleetReport {
         switches: cfg.switches,
@@ -750,8 +714,8 @@ pub fn run(cfg: &FleetConfig, obs: Option<&Obs>) -> FleetReport {
 pub const RACK_DEGRADED_PERMILLE: u64 = 500;
 
 /// The fleet rule catalog (`OW-HEALTH-3xx`) for runs driven through
-/// [`run`] with observability attached. Evaluated at the post-drain
-/// settle tick, so every signal reads quiesced, deterministic totals.
+/// [`run`]. Evaluated at the post-drain settle tick, so every signal
+/// reads settled, deterministic totals.
 ///
 /// | code | rule | signal |
 /// |------|------|--------|
@@ -862,7 +826,7 @@ mod tests {
             afr_loss: 0.0,
             ..FleetConfig::default()
         };
-        let report = run(&cfg, None);
+        let report = run(&cfg, &Obs::new());
         assert_eq!(report.started_windows, 24);
         assert_eq!(report.merged_windows, 24);
         assert_eq!(report.departed_windows, 0);
@@ -888,7 +852,7 @@ mod tests {
             }],
             ..FleetConfig::default()
         };
-        let report = run(&cfg, None);
+        let report = run(&cfg, &Obs::new());
         assert!(report.all_windows_accounted());
         assert!(
             report.started_windows < 16,
@@ -918,8 +882,8 @@ mod tests {
             ],
             ..FleetConfig::default()
         };
-        let a = run(&cfg, None);
-        let b = run(&cfg, None);
+        let a = run(&cfg, &Obs::new());
+        let b = run(&cfg, &Obs::new());
         assert_eq!(a.started_windows, b.started_windows);
         assert_eq!(a.merged_windows, b.merged_windows);
         assert_eq!(a.departed_windows, b.departed_windows);
@@ -939,7 +903,7 @@ mod tests {
             afr_loss: 0.0,
             ..FleetConfig::default()
         };
-        let report = run(&cfg, Some(&obs));
+        let report = run(&cfg, &obs);
         assert!(report.metrics.lossless());
         // The false-positive gate: a clean fleet fires nothing.
         assert!(engine.timeline().is_empty(), "{:?}", engine.timeline());
@@ -977,7 +941,7 @@ mod tests {
             }],
             ..FleetConfig::default()
         };
-        let report = run(&cfg, Some(&obs));
+        let report = run(&cfg, &obs);
         assert!(report.all_windows_accounted());
         let timeline = engine.timeline();
         let fired: Vec<(&str, &str)> = timeline
@@ -993,5 +957,13 @@ mod tests {
             "{fired:?}"
         );
         assert!(!engine.frozen(), "no critical rule fired");
+        // A window still in flight after the fleet drained is wedged:
+        // critical, so the next tick freezes the black box.
+        obs.gauge("ow_fleet_windows_inflight", &[("worker", "0")])
+            .set(1);
+        let wedged = engine.tick(Instant::from_millis(200));
+        assert_eq!(wedged.len(), 1, "{wedged:?}");
+        assert_eq!(wedged[0].code, "OW-HEALTH-303");
+        assert!(engine.frozen());
     }
 }

@@ -18,10 +18,7 @@
 //! * [`lossradar`] — LossRadar (Li et al., CoNEXT'16): per-sub-window
 //!   packet digests in invertible Bloom lookup tables whose difference
 //!   decodes to exactly the packets lost on the link — *provided* both
-//!   ends agree on each packet's sub-window,
-//! * [`topology`] — a builder for linear paths of OmniWindow switches
-//!   where every node's pipeline is statically verified (`ow-verify`)
-//!   before construction.
+//!   ends agree on each packet's sub-window.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +28,6 @@ pub mod fleet;
 pub mod lossradar;
 pub mod sim;
 pub mod sketchobs;
-pub mod topology;
 
 pub use fault::{ClassProfile, ClassStats, FaultConfig, FaultStats, LossyChannel, PacketClass};
 pub use fleet::{
@@ -40,4 +36,3 @@ pub use fleet::{
 };
 pub use lossradar::{LossRadarMeter, WindowAssign};
 pub use sim::{Link, NetSim, NodeConfig};
-pub use topology::{LivePath, TopologyBuilder, TopologyError, VerifiedPath};

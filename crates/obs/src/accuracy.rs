@@ -18,30 +18,22 @@
 //!   each window's `Merged` transition with the recovered
 //!   [`RecordBlock`].
 //!
-//! Both calls are **off the hot path**: the feeder and the merge path
-//! pay one `Arc` bump and a mutex push each — never an O(records)
-//! copy, never a thread wakeup — onto the *shadow lane*, a deferred
-//! work queue. The lane is applied in arrival order at the next
-//! [`AccuracyScorer::quiesce`], so between quiesce points the
-//! observatory costs the running pipeline nothing but the hand-off —
-//! the fleet quiesces at its settle point, right before the health
-//! engine reads the gauges, which is exactly when the scores are
-//! consumed. The lane's FIFO order preserves the callers' causal
-//! order — truth is fed before its window can merge or depart, so
-//! ingestion always precedes scoring or dropping for a window. The
-//! quiesce pass runs [`AccuracyScorer::score_window`]: it diffs the
-//! merged answer against the oracle entry (consuming it), computes
-//! the per-window precision/recall/ARE with the *identical*
+//! Every call runs **synchronously on the caller's thread**, under the
+//! oracle and score-table mutexes: the feeder ingests a sub-window's
+//! truth before it sends that sub-window's announcement, so the channel
+//! itself orders ingestion before the router's scoring (or dropping) of
+//! the same window. [`AccuracyScorer::score_block`] diffs the merged
+//! answer against the oracle entry (consuming it), computes the
+//! per-window precision/recall/ARE with the *identical*
 //! [`ow_common::metrics`] helpers the offline
 //! `evaluate::score_reports` path uses, and publishes running
 //! aggregates as `ow_accuracy_{precision,recall,aare}_permille`
 //! gauges — so live and offline scores agree to the permille by
-//! construction. Anything that reads scores (the fleet's health tick,
-//! benches, tests) calls [`AccuracyScorer::quiesce`] first.
+//! construction, and the oracle holds truth only for windows still in
+//! flight.
 //!
 //! [`AccuracyScorer::window_departed`] handles crash churn: the
-//! abandoned window's oracle entry is dropped so the map stays
-//! bounded.
+//! abandoned window's oracle entry is dropped on the spot.
 //!
 //! Aggregates are recomputed from a `BTreeMap` keyed by sub-window on
 //! every score, so the *final* gauge values are independent of the
@@ -207,20 +199,6 @@ fn aggregate_records(
     agg
 }
 
-/// Work queued on the shadow lane. Payloads are shared, not cloned:
-/// on a box where the pipeline is memory-bandwidth bound, an
-/// O(records) copy on the hot path would cost more than the merge it
-/// observes.
-#[derive(Debug)]
-enum ScoreMsg {
-    /// One sub-window's exact pre-loss records for the oracle.
-    Truth(u32, Arc<[FlowRecord]>),
-    /// A merged window's block to score.
-    Block(Arc<RecordBlock>),
-    /// A departed window whose oracle entry must be dropped.
-    Departed(u32),
-}
-
 /// One sub-window's exact truth, aggregated per flow key. Keyed by the
 /// packed key so iteration (and therefore scoring) is deterministic.
 type TruthTable = BTreeMap<u128, (FlowKey, AttrValue)>;
@@ -231,17 +209,8 @@ type TruthTable = BTreeMap<u128, (FlowKey, AttrValue)>;
 pub struct AccuracyScorer {
     cfg: AccuracyConfig,
     journal: Arc<EventJournal>,
-    /// The shadow lane: work deferred in arrival order, applied by the
-    /// next [`AccuracyScorer::quiesce`].
-    backlog: Mutex<Vec<ScoreMsg>>,
-    /// Sub-windows whose truth is on the lane or held by the oracle —
-    /// the synchronous view [`AccuracyScorer::score_block`] consults,
-    /// maintained on the caller side so the answer does not wait on
-    /// the shadow lane.
-    fed: Mutex<HashSet<u32>>,
     /// Exact per-sub-window truth, aggregated per key; consumed at
-    /// scoring (or dropped at departure). Written by the quiesce pass
-    /// (and by direct [`AccuracyScorer::score_window`] callers).
+    /// scoring (or dropped at departure).
     oracle: Mutex<HashMap<u32, TruthTable>>,
     /// Every scored window, keyed by sub-window so aggregate recompute
     /// order is deterministic regardless of scoring order.
@@ -269,8 +238,6 @@ impl AccuracyScorer {
         let labels = [("query", cfg.query.as_str())];
         let scorer = AccuracyScorer {
             journal,
-            backlog: Mutex::new(Vec::new()),
-            fed: Mutex::new(HashSet::new()),
             oracle: Mutex::new(HashMap::new()),
             scores: Mutex::new(BTreeMap::new()),
             precision_g: registry.gauge("ow_accuracy_precision_permille", &labels),
@@ -289,92 +256,20 @@ impl AccuracyScorer {
         Arc::new(scorer)
     }
 
-    /// Apply one queued shadow-lane message (runs on whichever thread
-    /// called [`AccuracyScorer::quiesce`]).
-    fn apply(&self, msg: ScoreMsg) {
-        match msg {
-            ScoreMsg::Truth(subwindow, records) => self.ingest_truth(subwindow, &records),
-            ScoreMsg::Block(block) => {
-                self.score_window(&block);
-            }
-            ScoreMsg::Departed(subwindow) => self.drop_departed(subwindow),
-        }
-    }
-
-    /// Defer a message onto the shadow lane — one mutex push, no
-    /// thread wakeup (a channel send would make the consumer runnable
-    /// and cost the pipeline a context switch per hand-off).
-    fn send(&self, msg: ScoreMsg) -> bool {
-        self.backlog.lock().push(msg);
-        true
-    }
-
-    /// Hand a merged window's block to the shadow scoring thread.
-    /// Returns `true` when the oracle was fed truth for the block's
-    /// sub-window (the window *will* be scored), `false` for windows
-    /// the oracle never saw. The merge path pays one `Arc` bump and a
-    /// mutex push — never an O(records) copy; call
-    /// [`AccuracyScorer::quiesce`] before reading scores that must
-    /// include this window.
-    pub fn score_block(&self, block: &Arc<RecordBlock>) -> bool {
-        // Consult (and consume) the synchronous fed-set — the oracle
-        // map itself may still trail behind on the shadow thread.
-        if !self.fed.lock().remove(&block.subwindow()) {
-            return false;
-        }
-        self.send(ScoreMsg::Block(Arc::clone(block)))
-    }
-
-    /// Apply everything handed to the shadow lane —
-    /// [`AccuracyScorer::feed_truth`], [`AccuracyScorer::score_block`],
-    /// [`AccuracyScorer::window_departed`] — before this call, in
-    /// arrival order, on the calling thread. The fleet calls this at
-    /// its settle point, before the health engine reads the accuracy
-    /// gauges.
-    pub fn quiesce(&self) {
-        // Take the backlog out from under the lock first: applying a
-        // block can journal and recompute aggregates, and hand-offs
-        // arriving meanwhile must not deadlock or interleave.
-        let backlog = std::mem::take(&mut *self.backlog.lock());
-        for msg in backlog {
-            self.apply(msg);
-        }
-    }
-
     /// The scored query's configuration.
     pub fn config(&self) -> &AccuracyConfig {
         &self.cfg
     }
 
     /// Feed the oracle one sub-window's *exact* records — called by the
-    /// feeder before loss and before any sketch compression, alongside
-    /// the real announce path. Repeated feeds for the same sub-window
-    /// aggregate (multi-batch feeders). The feeder pays one buffer
-    /// copy (into the shared allocation) and a mutex push;
-    /// aggregation happens on the quiesce pass, so call
-    /// [`AccuracyScorer::quiesce`] before reading oracle state that
-    /// must include this feed. Feeders that already hold (or can
-    /// pre-build) a shared slice use
-    /// [`AccuracyScorer::feed_truth_shared`] and skip the copy too.
-    pub fn feed_truth(&self, subwindow: u32, records: &[FlowRecord]) {
-        self.feed_truth_shared(subwindow, records.into());
-    }
-
-    /// Zero-copy variant of [`AccuracyScorer::feed_truth`]: the feeder
-    /// hands a shared slice, paying one `Arc` bump and a mutex push —
-    /// nothing O(records) on its hot path.
-    pub fn feed_truth_shared(&self, subwindow: u32, records: Arc<[FlowRecord]>) {
-        self.fed.lock().insert(subwindow);
-        self.send(ScoreMsg::Truth(subwindow, records));
-    }
-
-    /// Shadow-thread half of [`AccuracyScorer::feed_truth`]: aggregate
-    /// the batch into the oracle entry.
+    /// feeder before loss and before any sketch compression, and before
+    /// it sends the sub-window's announcement. Repeated feeds for the
+    /// same sub-window aggregate (multi-batch feeders).
     ///
     /// # Panics
     /// Panics if a key is fed two different attribute patterns — the
     /// same hard failure the merge tables raise.
-    fn ingest_truth(&self, subwindow: u32, records: &[FlowRecord]) {
+    pub fn feed_truth(&self, subwindow: u32, records: &[FlowRecord]) {
         // Aggregate the batch hash-first (O(1) per record, outside the
         // oracle lock), then bulk-build the ordered entry — an order of
         // magnitude cheaper than per-record ordered inserts.
@@ -403,9 +298,8 @@ impl AccuracyScorer {
         }
     }
 
-    /// Sub-windows currently held by the oracle (fed, not yet scored).
-    /// Shadow-lane state: [`AccuracyScorer::quiesce`] first for a
-    /// settled answer.
+    /// Sub-windows currently held by the oracle (fed, not yet scored
+    /// or departed).
     pub fn pending_windows(&self) -> usize {
         self.oracle.lock().len()
     }
@@ -413,11 +307,8 @@ impl AccuracyScorer {
     /// Score one window's merged answer at its `Merged` transition:
     /// consume the oracle entry, diff, publish. Returns the per-window
     /// score, or `None` when the oracle was never fed this sub-window
-    /// (unobserved windows are skipped, not scored as empty). Runs on
-    /// the shadow thread for [`AccuracyScorer::score_block`] callers;
-    /// direct callers must [`AccuracyScorer::quiesce`] after
-    /// [`AccuracyScorer::feed_truth`] so the oracle entry has landed.
-    pub fn score_window(&self, block: &RecordBlock) -> Option<WindowScoreBrief> {
+    /// (unobserved windows are skipped, not scored as empty).
+    pub fn score_block(&self, block: &RecordBlock) -> Option<WindowScoreBrief> {
         let subwindow = block.subwindow();
         let truth = self.oracle.lock().remove(&subwindow)?;
 
@@ -522,15 +413,8 @@ impl AccuracyScorer {
 
     /// Drop the oracle entry of a window abandoned through the `Depart`
     /// path — its merged answer will never arrive, and the oracle map
-    /// must not grow without bound under crash churn. The drop rides
-    /// the shadow lane so it cannot outrun the window's own truth feed.
+    /// must not grow without bound under crash churn.
     pub fn window_departed(&self, subwindow: u32) {
-        self.fed.lock().remove(&subwindow);
-        self.send(ScoreMsg::Departed(subwindow));
-    }
-
-    /// Shadow-thread half of [`AccuracyScorer::window_departed`].
-    fn drop_departed(&self, subwindow: u32) {
         if self.oracle.lock().remove(&subwindow).is_some() {
             self.departed_c.inc();
         }
@@ -658,9 +542,8 @@ mod tests {
         let acc = obs.install_accuracy(AccuracyConfig::default());
         let batch = vec![freq(1, 60, 7), freq(2, 80, 7), freq(1, 40, 7)];
         acc.feed_truth(7, &batch);
-        acc.quiesce();
         let brief = acc
-            .score_window(&RecordBlock::from_records(7, &batch))
+            .score_block(&RecordBlock::from_records(7, &batch))
             .expect("fed window scores");
         assert_eq!(brief.precision_permille, 1000);
         assert_eq!(brief.recall_permille, 1000);
@@ -688,10 +571,9 @@ mod tests {
         let obs = Obs::new();
         let acc = obs.install_accuracy(AccuracyConfig::default());
         acc.feed_truth(1, &[freq(1, 100, 1), freq(2, 50, 1)]);
-        acc.quiesce();
         // The merged answer lost key 2 and invented key 9.
         let brief = acc
-            .score_window(&RecordBlock::from_records(
+            .score_block(&RecordBlock::from_records(
                 1,
                 &[freq(1, 100, 1), freq(9, 10, 1)],
             ))
@@ -711,10 +593,9 @@ mod tests {
         // Score out of order: window 5 first, then window 2.
         acc.feed_truth(5, &[freq(1, 10, 5), freq(2, 10, 5)]);
         acc.feed_truth(2, &[freq(3, 10, 2)]);
-        acc.quiesce();
-        acc.score_window(&RecordBlock::from_records(5, &[freq(1, 10, 5)]))
+        acc.score_block(&RecordBlock::from_records(5, &[freq(1, 10, 5)]))
             .unwrap();
-        acc.score_window(&RecordBlock::from_records(2, &[freq(3, 10, 2)]))
+        acc.score_block(&RecordBlock::from_records(2, &[freq(3, 10, 2)]))
             .unwrap();
         let summary = acc.summary();
         assert_eq!(summary.windows_scored, 2);
@@ -734,17 +615,23 @@ mod tests {
         let obs = Obs::new();
         let acc = obs.install_accuracy(AccuracyConfig::default());
         assert!(acc
-            .score_window(&RecordBlock::from_records(3, &[freq(1, 1, 3)]))
+            .score_block(&RecordBlock::from_records(3, &[freq(1, 1, 3)]))
             .is_none());
         acc.feed_truth(4, &[freq(1, 1, 4)]);
-        acc.quiesce();
+        acc.feed_truth(5, &[freq(1, 1, 5)]);
+        assert_eq!(acc.pending_windows(), 2);
+        // Scoring is synchronous: when `score_block` returns the window
+        // is in the summary and its truth is gone, with no further call.
+        acc.score_block(&RecordBlock::from_records(5, &[freq(1, 1, 5)]))
+            .expect("fed window scores");
         assert_eq!(acc.pending_windows(), 1);
+        let scored: Vec<u32> = acc.summary().windows.iter().map(|w| w.subwindow).collect();
+        assert_eq!(scored, vec![5]);
+        // A departed window releases its truth immediately.
         acc.window_departed(4);
-        acc.quiesce();
         assert_eq!(acc.pending_windows(), 0);
         // A second departure of the same window is a no-op.
         acc.window_departed(4);
-        acc.quiesce();
         let snap = obs.snapshot();
         let q = [("query", "heavy_hitter")];
         assert_eq!(snap.value("ow_accuracy_oracle_departed_total", &q), 1);
@@ -758,8 +645,7 @@ mod tests {
         // Perfect window: every 4xx rule stays silent.
         let batch = vec![freq(1, 10, 0), freq(2, 10, 0)];
         acc.feed_truth(0, &batch);
-        acc.quiesce();
-        acc.score_window(&RecordBlock::from_records(0, &batch));
+        acc.score_block(&RecordBlock::from_records(0, &batch));
         engine.tick(Instant::from_millis(1));
         assert!(engine.timeline().is_empty(), "{:?}", engine.timeline());
         assert!(!engine.frozen());
@@ -769,9 +655,11 @@ mod tests {
         for sw in [1u32, 2] {
             let truth: Vec<FlowRecord> = (0..4).map(|k| freq(k, 10, sw)).collect();
             acc.feed_truth(sw, &truth);
-            acc.quiesce();
-            acc.score_window(&RecordBlock::from_records(sw, &[freq(9, 10, sw)]));
+            acc.score_block(&RecordBlock::from_records(sw, &[freq(9, 10, sw)]));
         }
+        // The sketch behind the feed reports itself nearly full: 402.
+        obs.gauge("ow_sketch_occupancy_permille", &[("sketch", "mv")])
+            .set(950);
         engine.tick(Instant::from_millis(2));
         let fired: Vec<String> = engine
             .timeline()
@@ -781,6 +669,7 @@ mod tests {
             .collect();
         let fired: Vec<&str> = fired.iter().map(String::as_str).collect();
         assert!(fired.contains(&"OW-HEALTH-401"), "{fired:?}");
+        assert!(fired.contains(&"OW-HEALTH-402"), "{fired:?}");
         assert!(fired.contains(&"OW-HEALTH-403"), "{fired:?}");
         assert!(fired.contains(&"OW-HEALTH-404"), "{fired:?}");
         assert!(engine.frozen(), "accuracy collapse freezes the recorder");

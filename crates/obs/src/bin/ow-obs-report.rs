@@ -2,7 +2,7 @@
 //! `results/trace_*.json` span-trace report as human-readable tables.
 //!
 //! ```text
-//! ow-obs-report results/obs_smoke.json [--events N] [--prometheus] [--section NAME]
+//! ow-obs-report results/obs_smoke.json [--events N] [--section NAME]
 //! ow-obs-report results/trace_smoke.json
 //! ```
 //!
@@ -12,9 +12,7 @@
 //! silently pass on a typo.
 //!
 //! For a metrics snapshot, prints the run's counters/gauges, histogram
-//! percentiles (virtual nanoseconds), and the retained journal tail;
-//! `--prometheus` instead re-reads just the registry and prints nothing
-//! but the text exposition (handy for piping into format checkers).
+//! percentiles (virtual nanoseconds), and the retained journal tail.
 //!
 //! A document carrying a `traces` field is treated as an
 //! `ow_obs::TraceReport`: it is first checked against the span schema
@@ -54,7 +52,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut path: Option<String> = None;
     let mut events_shown = 20usize;
-    let mut prometheus = false;
     let mut section: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -63,7 +60,6 @@ fn main() -> ExitCode {
                 Some(n) => events_shown = n,
                 None => return usage("--events needs an integer"),
             },
-            "--prometheus" => prometheus = true,
             "--section" => match it.next() {
                 Some(name) if SECTIONS.contains(&name.as_str()) => {
                     section = Some(name.clone());
@@ -77,10 +73,7 @@ fn main() -> ExitCode {
                 None => return usage("--section needs a name"),
             },
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: ow-obs-report <obs_snapshot.json> [--events N] [--prometheus] \
-                     [--section NAME]"
-                );
+                eprintln!("usage: ow-obs-report <obs_snapshot.json> [--events N] [--section NAME]");
                 return ExitCode::SUCCESS;
             }
             other if !other.starts_with('-') && path.is_none() => path = Some(other.to_string()),
@@ -138,7 +131,7 @@ fn main() -> ExitCode {
             }
         };
     }
-    match render(&doc, events_shown, prometheus, section.as_deref()) {
+    match render(&doc, events_shown, section.as_deref()) {
         Ok(out) => {
             print!("{out}");
             ExitCode::SUCCESS
@@ -244,9 +237,7 @@ fn is_set(v: &Value) -> bool {
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("ow-obs-report: {msg}");
-    eprintln!(
-        "usage: ow-obs-report <obs_snapshot.json> [--events N] [--prometheus] [--section NAME]"
-    );
+    eprintln!("usage: ow-obs-report <obs_snapshot.json> [--events N] [--section NAME]");
     ExitCode::from(2)
 }
 
@@ -347,22 +338,13 @@ fn validate_snapshot(doc: &Value) -> Result<(), String> {
     Ok(())
 }
 
-fn render(
-    doc: &Value,
-    events_shown: usize,
-    prometheus: bool,
-    section: Option<&str>,
-) -> Result<String, String> {
+fn render(doc: &Value, events_shown: usize, section: Option<&str>) -> Result<String, String> {
     validate_snapshot(doc)?;
     let metrics = doc
         .field("registry")
         .and_then(|r| r.field("metrics"))
         .and_then(Value::items)
         .ok_or("missing registry.metrics")?;
-
-    if prometheus {
-        return render_prometheus(metrics);
-    }
 
     // `--section X` renders exactly that section; without it, all.
     let want = |name: &str| section.map_or(true, |s| s == name);
@@ -720,69 +702,6 @@ fn render_fleet(metrics: &[Value]) -> String {
     out
 }
 
-fn render_prometheus(metrics: &[Value]) -> Result<String, String> {
-    // Rebuild exposition text from the snapshot JSON (scalar series
-    // only carry their value; histograms re-expand to buckets).
-    let mut out = String::new();
-    let mut last_family: Option<(String, String)> = None;
-    for m in metrics {
-        let name = m
-            .field("name")
-            .and_then(Value::as_str)
-            .ok_or("metric without name")?
-            .to_string();
-        let kind = m
-            .field("kind")
-            .and_then(Value::as_str)
-            .ok_or("metric without kind")?
-            .to_string();
-        let family = (name.clone(), kind.clone());
-        if last_family.as_ref() != Some(&family) {
-            out.push_str(&format!("# TYPE {name} {kind}\n"));
-            last_family = Some(family);
-        }
-        let id = render_id(m)?;
-        if kind == "histogram" {
-            let h = m
-                .field("histogram")
-                .ok_or("histogram metric without detail")?;
-            let buckets = h.field("buckets").and_then(Value::items).unwrap_or(&[]);
-            let mut cumulative = 0u64;
-            let (bare, labels) = match id.split_once('{') {
-                Some((n, rest)) => (n.to_string(), {
-                    let inner = rest.trim_end_matches('}');
-                    format!(",{inner}")
-                }),
-                None => (id.clone(), String::new()),
-            };
-            for pair in buckets {
-                let kv = pair.items().ok_or("bucket is not a pair")?;
-                let bound = kv.first().and_then(Value::as_u64).unwrap_or(0);
-                cumulative += kv.get(1).and_then(Value::as_u64).unwrap_or(0);
-                out.push_str(&format!(
-                    "{bare}_bucket{{le=\"{bound}\"{labels}}} {cumulative}\n"
-                ));
-            }
-            let count = h.field("count").and_then(Value::as_u64).unwrap_or(0);
-            let sum = h.field("sum").and_then(Value::as_u64).unwrap_or(0);
-            out.push_str(&format!("{bare}_bucket{{le=\"+Inf\"{labels}}} {count}\n"));
-            let suffix_id = |suffix: &str| {
-                if labels.is_empty() {
-                    format!("{bare}{suffix}")
-                } else {
-                    format!("{bare}{suffix}{{{}}}", labels.trim_start_matches(','))
-                }
-            };
-            out.push_str(&format!("{} {sum}\n", suffix_id("_sum")));
-            out.push_str(&format!("{} {count}\n", suffix_id("_count")));
-        } else {
-            let value = m.field("value").and_then(Value::as_u64).unwrap_or(0);
-            out.push_str(&format!("{id} {value}\n"));
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -796,7 +715,7 @@ mod tests {
         obs.gauge("ow_fleet_windows_inflight", &[("worker", "1")])
             .set(4);
         let doc = parse(&obs.report("fleet").to_json()).expect("report parses");
-        let rendered = render(&doc, 0, false, None).expect("snapshot renders");
+        let rendered = render(&doc, 0, None).expect("snapshot renders");
         assert!(rendered.contains("== fleet =="));
         assert!(rendered.contains("switches live: 30"));
         assert!(rendered.contains("windows in flight: 7 across 2 worker(s)"));
@@ -807,7 +726,7 @@ mod tests {
         let obs = ow_obs::Obs::new();
         obs.counter("ow_controller_sessions_total", &[]).inc();
         let doc = parse(&obs.report("plain").to_json()).expect("report parses");
-        let rendered = render(&doc, 0, false, None).expect("snapshot renders");
+        let rendered = render(&doc, 0, None).expect("snapshot renders");
         assert!(!rendered.contains("== fleet =="));
         assert!(!rendered.contains("== health =="));
     }
@@ -818,23 +737,23 @@ mod tests {
         obs.counter("ow_test_events_total", &[]).inc();
         obs.event(ow_obs::Event::new("progress", "ok"));
         let good = obs.report("unit").to_json();
-        render(&parse(&good).unwrap(), 5, false, None).expect("pristine report renders");
+        render(&parse(&good).unwrap(), 5, None).expect("pristine report renders");
 
         // An unknown metric kind (a `summary` from some other system)
         // must fail, not silently drop the series.
         let bad_kind = good.replace("\"counter\"", "\"summary\"");
-        let err = render(&parse(&bad_kind).unwrap(), 5, false, None).unwrap_err();
+        let err = render(&parse(&bad_kind).unwrap(), 5, None).unwrap_err();
         assert!(err.contains("unrecognized kind 'summary'"), "{err}");
 
         // An unrecognized top-level section means the artifact is not
         // the schema this renderer understands.
         let bad_section = good.replacen("\"run\"", "\"generator\"", 1);
-        let err = render(&parse(&bad_section).unwrap(), 5, false, None).unwrap_err();
+        let err = render(&parse(&bad_section).unwrap(), 5, None).unwrap_err();
         assert!(err.contains("unrecognized top-level section"), "{err}");
 
         // A journal event with an unknown level is malformed.
         let bad_level = good.replace("\"Info\"", "\"Trace\"");
-        let err = render(&parse(&bad_level).unwrap(), 5, false, None).unwrap_err();
+        let err = render(&parse(&bad_level).unwrap(), 5, None).unwrap_err();
         assert!(err.contains("unknown level 'Trace'"), "{err}");
 
         // A histogram stripped of its bucket detail is malformed even
@@ -844,7 +763,7 @@ mod tests {
             .record(ow_common::time::Duration::from_micros(3));
         let hist = obs2.report("unit").to_json();
         let stripped = hist.replace("\"kind\": \"histogram\"", "\"kind\": \"gauge\"");
-        let err = render(&parse(&stripped).unwrap(), 5, false, None).unwrap_err();
+        let err = render(&parse(&stripped).unwrap(), 5, None).unwrap_err();
         assert!(err.contains("carries histogram detail"), "{err}");
     }
 
@@ -869,7 +788,7 @@ mod tests {
         obs.gauge("ow_test_depth", &[]).set(50);
         engine.tick(ow_common::time::Instant(1_000));
         let doc = parse(&obs.report("unit").to_json()).expect("report parses");
-        let rendered = render(&doc, 0, false, None).expect("snapshot renders");
+        let rendered = render(&doc, 0, None).expect("snapshot renders");
         assert!(rendered.contains("== health =="), "{rendered}");
         assert!(
             rendered.contains("fleet score: 750/1000 (DEGRADED)"),
@@ -894,14 +813,13 @@ mod tests {
             FlowRecord::frequency(FlowKey::src_ip(2), 60, 2),
         ];
         acc.feed_truth(2, &batch);
-        acc.quiesce();
-        acc.score_window(&RecordBlock::from_records(2, &batch));
+        acc.score_block(&RecordBlock::from_records(2, &batch));
         obs.gauge("ow_sketch_occupancy_permille", &[("sketch", "mv")])
             .set(875);
         obs.counter("ow_sketch_hash_collisions_total", &[("sketch", "mv")])
             .add(4);
         let doc = parse(&obs.report("unit").to_json()).expect("report parses");
-        let rendered = render(&doc, 0, false, None).expect("snapshot renders");
+        let rendered = render(&doc, 0, None).expect("snapshot renders");
         assert!(rendered.contains("== accuracy =="), "{rendered}");
         assert!(
             rendered.contains(
@@ -928,7 +846,7 @@ mod tests {
             .record(ow_common::time::Duration::from_micros(3));
         obs.event(ow_obs::Event::new("progress", "ok"));
         let doc = parse(&obs.report("unit").to_json()).expect("report parses");
-        let fleet_only = render(&doc, 20, false, Some("fleet")).expect("renders");
+        let fleet_only = render(&doc, 20, Some("fleet")).expect("renders");
         assert!(fleet_only.contains("== fleet =="), "{fleet_only}");
         assert!(
             !fleet_only.contains("== counters & gauges =="),
@@ -937,12 +855,12 @@ mod tests {
         assert!(!fleet_only.contains("== histograms"), "{fleet_only}");
         assert!(!fleet_only.contains("== journal"), "{fleet_only}");
         assert!(!fleet_only.contains("run:"), "{fleet_only}");
-        let journal_only = render(&doc, 20, false, Some("journal")).expect("renders");
+        let journal_only = render(&doc, 20, Some("journal")).expect("renders");
         assert!(journal_only.contains("== journal"), "{journal_only}");
         assert!(!journal_only.contains("== fleet =="), "{journal_only}");
         // A snapshot with no accuracy scorer renders an empty accuracy
         // section — the filter is exact, not an error.
-        let accuracy_only = render(&doc, 20, false, Some("accuracy")).expect("renders");
+        let accuracy_only = render(&doc, 20, Some("accuracy")).expect("renders");
         assert_eq!(accuracy_only, "");
     }
 

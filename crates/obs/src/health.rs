@@ -3,12 +3,12 @@
 //! Raw signals — per-shard queue gauges, recovery-latency histograms,
 //! retransmit counters — say nothing by themselves; this module is the
 //! interpretation layer. A declarative [`RuleSet`] of [`Rule`]s (stable
-//! `OW-HEALTH-*` codes, threshold + duration + [`Severity`]) is
+//! `OW-HEALTH-*` codes, threshold + [`Severity`]) is
 //! evaluated on explicit virtual-clock **ticks** against a
 //! [`HealthSample`] (registry snapshot + gauge high-watermarks), with
-//! derived [`Signal`] evaluators: deltas, rates, EWMA smoothing,
-//! saturation and numerator/denominator ratios, and SLO burn rate read
-//! straight from the log2 latency histograms. All arithmetic is
+//! derived [`Signal`] evaluators: instantaneous values, saturation and
+//! numerator/denominator ratios, and SLO burn rate read straight from
+//! the log2 latency histograms. All arithmetic is
 //! integer/permille, so two same-seed runs produce byte-identical
 //! alert timelines.
 //!
@@ -136,23 +136,6 @@ impl MetricSelector {
 pub enum Signal {
     /// The summed instantaneous value of the selected series.
     Value,
-    /// The summed gauge high-watermark since the previous tick
-    /// (see [`crate::Gauge::take_peak`]).
-    Peak,
-    /// Increase of the summed value since the previous tick (0 on the
-    /// first tick, and on counter resets).
-    Delta,
-    /// [`Signal::Delta`] normalized to events per virtual second
-    /// (0 when no virtual time elapsed).
-    RatePerSec,
-    /// Exponentially weighted moving average of the summed value:
-    /// `ewma' = (alpha·v + (1000−alpha)·ewma) / 1000`, seeded with the
-    /// first observation.
-    EwmaPermille {
-        /// Smoothing weight of the new observation, in permille
-        /// (1..=1000; 1000 disables smoothing).
-        alpha_permille: u64,
-    },
     /// `numerator · 1000 / denominator` where the numerator is the
     /// rule's selector and the denominator its own selector, matched
     /// per entity. A group whose denominator is still 0 carries no
@@ -164,7 +147,8 @@ pub enum Signal {
         denominator: MetricSelector,
     },
     /// `peak · 1000 / capacity` — how close a gauge's high-watermark
-    /// came to a fixed capacity.
+    /// since the previous tick (see [`crate::Gauge::take_peak`]) came
+    /// to a fixed capacity.
     SaturationPermille {
         /// The capacity the gauge saturates at.
         capacity: u64,
@@ -214,16 +198,13 @@ pub struct Rule {
     pub cmp: Cmp,
     /// The threshold (same unit as the signal).
     pub threshold: u64,
-    /// Consecutive breaching ticks required before firing (≥ 1) — the
-    /// "for: duration" debounce.
-    pub for_ticks: u32,
     /// Severity when firing.
     pub severity: Severity,
 }
 
 impl Rule {
-    /// A rule with defaults: entity `"fleet"`, no grouping, fires after
-    /// one breaching tick. Refine with the builder methods.
+    /// A rule with defaults: entity `"fleet"`, no grouping. It fires on
+    /// the first breaching tick. Refine with the builder methods.
     pub fn new(
         code: &str,
         name: &str,
@@ -242,7 +223,6 @@ impl Rule {
             signal,
             cmp,
             threshold,
-            for_ticks: 1,
             severity,
         }
     }
@@ -258,12 +238,6 @@ impl Rule {
         self.group_by = Some(label.to_string());
         self
     }
-
-    /// Require `n` consecutive breaching ticks before firing.
-    pub fn for_ticks(mut self, n: u32) -> Rule {
-        self.for_ticks = n.max(1);
-        self
-    }
 }
 
 /// A validated, immutable collection of rules.
@@ -275,7 +249,7 @@ pub struct RuleSet {
 impl RuleSet {
     /// Validate and freeze a rule list: every code must match
     /// `OW-HEALTH-NNN`, be unique, and not collide with the reserved
-    /// [`FSM_REJECT_CODE`]; EWMA weights must lie in 1..=1000.
+    /// [`FSM_REJECT_CODE`]; burn budgets must lie in 1..=1000‰.
     pub fn new(rules: Vec<Rule>) -> Result<RuleSet, String> {
         let mut seen: Vec<&str> = Vec::new();
         for r in &rules {
@@ -291,14 +265,6 @@ impl RuleSet {
                 return Err(format!("duplicate rule code '{}'", r.code));
             }
             seen.push(&r.code);
-            if let Signal::EwmaPermille { alpha_permille } = r.signal {
-                if alpha_permille == 0 || alpha_permille > 1000 {
-                    return Err(format!(
-                        "rule '{}' EWMA alpha {alpha_permille}‰ outside 1..=1000",
-                        r.code
-                    ));
-                }
-            }
             if let Signal::BurnRatePermille {
                 budget_permille, ..
             } = r.signal
@@ -386,11 +352,8 @@ pub struct AlertEvent {
 /// Per-(rule, entity) evaluation state.
 #[derive(Debug, Clone, Default)]
 struct RuleState {
-    breached_ticks: u32,
     active: bool,
     severity_penalty: u64,
-    ewma: Option<u64>,
-    prev: Option<u64>,
 }
 
 /// Aggregated inputs of one entity under one rule.
@@ -498,9 +461,6 @@ impl HealthEngine {
         let tick = inner.ticks;
         inner.ticks += 1;
         self.ticks_total.inc();
-        let elapsed_ns = sample
-            .at_ns
-            .saturating_sub(inner.last_at_ns.unwrap_or(sample.at_ns));
         inner.last_at_ns = Some(sample.at_ns);
 
         let mut transitions: Vec<AlertEvent> = Vec::new();
@@ -516,7 +476,7 @@ impl HealthEngine {
                     continue;
                 }
                 let state = inner.states.entry((ri, entity.clone())).or_default();
-                let value = eval_signal(&rule.signal, &agg, state, elapsed_ns);
+                let value = eval_signal(&rule.signal, &agg);
                 signal_lines.push(FlightEntry {
                     at_ns: sample.at_ns,
                     kind: "signal".into(),
@@ -529,12 +489,7 @@ impl HealthEngine {
                     Cmp::Above => value > rule.threshold,
                     Cmp::Below => value < rule.threshold,
                 };
-                if breach {
-                    state.breached_ticks = state.breached_ticks.saturating_add(1);
-                } else {
-                    state.breached_ticks = 0;
-                }
-                if breach && !state.active && state.breached_ticks >= rule.for_ticks {
+                if breach && !state.active {
                     state.active = true;
                     state.severity_penalty = rule.severity.penalty();
                     let alert = AlertEvent {
@@ -723,17 +678,6 @@ impl HealthEngine {
         self.inner.lock().timeline.clone()
     }
 
-    /// Currently-active alerts as `(code, entity)` pairs, sorted.
-    pub fn active_alerts(&self) -> Vec<(String, String)> {
-        let inner = self.inner.lock();
-        inner
-            .states
-            .iter()
-            .filter(|(_, s)| s.active)
-            .map(|((ri, entity), _)| (self.rules.rules()[*ri].code.clone(), entity.clone()))
-            .collect()
-    }
-
     /// Whether the flight recorder froze.
     pub fn frozen(&self) -> bool {
         self.inner.lock().recorder.is_frozen()
@@ -846,29 +790,9 @@ fn aggregate(rule: &Rule, sample: &HealthSample) -> BTreeMap<String, GroupAgg> {
     groups
 }
 
-fn eval_signal(signal: &Signal, agg: &GroupAgg, state: &mut RuleState, elapsed_ns: u64) -> u64 {
+fn eval_signal(signal: &Signal, agg: &GroupAgg) -> u64 {
     match signal {
         Signal::Value => agg.value,
-        Signal::Peak => agg.peak,
-        Signal::Delta => {
-            let delta = agg.value.saturating_sub(state.prev.unwrap_or(agg.value));
-            state.prev = Some(agg.value);
-            delta
-        }
-        Signal::RatePerSec => {
-            let delta = agg.value.saturating_sub(state.prev.unwrap_or(agg.value));
-            state.prev = Some(agg.value);
-            delta
-                .saturating_mul(1_000_000_000)
-                .checked_div(elapsed_ns)
-                .unwrap_or(0)
-        }
-        Signal::EwmaPermille { alpha_permille } => {
-            let prev = state.ewma.unwrap_or(agg.value);
-            let next = (alpha_permille * agg.value + (1000 - alpha_permille) * prev) / 1000;
-            state.ewma = Some(next);
-            next
-        }
         Signal::RatioPermille { .. } => agg
             .value
             .saturating_mul(1000)
@@ -976,26 +900,25 @@ mod tests {
     fn threshold_duration_fire_and_clear() {
         let (_obs, engine) = engine_with(vec![Rule::new(
             "OW-HEALTH-900",
-            "unit_backlog",
-            MetricSelector::new("ow_test_backlog", &[]),
+            "unit_pending",
+            MetricSelector::new("ow_test_pending", &[]),
             Signal::Value,
             Cmp::Above,
             10,
             Severity::Warning,
         )
-        .for_ticks(2)
         .entity("unit")]);
 
-        // One breaching tick is not enough (for_ticks = 2)…
+        // A healthy tick is silent…
         let t0 = engine.tick_with_sample(sample(
             100,
-            vec![metric("ow_test_backlog", &[], "gauge", 50)],
+            vec![metric("ow_test_pending", &[], "gauge", 5)],
         ));
         assert!(t0.is_empty());
-        // …the second consecutive breach fires.
+        // …the first breach fires.
         let t1 = engine.tick_with_sample(sample(
             200,
-            vec![metric("ow_test_backlog", &[], "gauge", 60)],
+            vec![metric("ow_test_pending", &[], "gauge", 60)],
         ));
         assert_eq!(t1.len(), 1);
         assert_eq!(t1[0].state, "fired");
@@ -1005,21 +928,17 @@ mod tests {
         assert!(engine
             .tick_with_sample(sample(
                 300,
-                vec![metric("ow_test_backlog", &[], "gauge", 70)]
+                vec![metric("ow_test_pending", &[], "gauge", 70)]
             ))
             .is_empty());
-        assert_eq!(
-            engine.active_alerts(),
-            vec![("OW-HEALTH-900".into(), "unit".into())]
-        );
+        assert_eq!(engine.report("unit").fleet_score, 750);
         // …and clear as soon as the signal recovers.
         let t3 = engine.tick_with_sample(sample(
             400,
-            vec![metric("ow_test_backlog", &[], "gauge", 5)],
+            vec![metric("ow_test_pending", &[], "gauge", 5)],
         ));
         assert_eq!(t3.len(), 1);
         assert_eq!(t3[0].state, "cleared");
-        assert!(engine.active_alerts().is_empty());
         assert!(!engine.frozen(), "warning severity never freezes");
 
         let report = engine.report("unit");
@@ -1067,87 +986,26 @@ mod tests {
     }
 
     #[test]
-    fn ratio_delta_rate_and_ewma_signals() {
-        let mut st = RuleState::default();
+    fn ratio_and_saturation_signals() {
+        let ratio = Signal::RatioPermille {
+            denominator: MetricSelector::new("ow_test_d", &[]),
+        };
         let mut agg = GroupAgg {
             value: 30,
             denom: 200,
             ..GroupAgg::default()
         };
-        assert_eq!(
-            eval_signal(
-                &Signal::RatioPermille {
-                    denominator: MetricSelector::new("ow_test_d", &[])
-                },
-                &agg,
-                &mut st,
-                0
-            ),
-            150
-        );
+        assert_eq!(eval_signal(&ratio, &agg), 150);
         agg.denom = 0;
         assert_eq!(
-            eval_signal(
-                &Signal::RatioPermille {
-                    denominator: MetricSelector::new("ow_test_d", &[])
-                },
-                &agg,
-                &mut st,
-                0
-            ),
+            eval_signal(&ratio, &agg),
             0,
             "zero denominator reads 0, not a panic"
         );
-
-        // Delta: first observation is 0 (seeded), then increments.
-        let mut st = RuleState::default();
-        agg.value = 100;
-        assert_eq!(eval_signal(&Signal::Delta, &agg, &mut st, 0), 0);
-        agg.value = 130;
-        assert_eq!(eval_signal(&Signal::Delta, &agg, &mut st, 0), 30);
-
-        // Rate: 30 events over 2 virtual seconds = 15/s.
-        let mut st = RuleState::default();
-        agg.value = 100;
-        assert_eq!(eval_signal(&Signal::RatePerSec, &agg, &mut st, 1), 0);
-        agg.value = 130;
-        assert_eq!(
-            eval_signal(&Signal::RatePerSec, &agg, &mut st, 2_000_000_000),
-            15
-        );
-
-        // EWMA seeds with the first value then smooths.
-        let mut st = RuleState::default();
-        agg.value = 1000;
-        let e0 = eval_signal(
-            &Signal::EwmaPermille {
-                alpha_permille: 500,
-            },
-            &agg,
-            &mut st,
-            0,
-        );
-        assert_eq!(e0, 1000);
-        agg.value = 0;
-        let e1 = eval_signal(
-            &Signal::EwmaPermille {
-                alpha_permille: 500,
-            },
-            &agg,
-            &mut st,
-            0,
-        );
-        assert_eq!(e1, 500);
-
         // Saturation of a peak against a fixed capacity.
         agg.peak = 75;
         assert_eq!(
-            eval_signal(
-                &Signal::SaturationPermille { capacity: 100 },
-                &agg,
-                &mut st,
-                0
-            ),
+            eval_signal(&Signal::SaturationPermille { capacity: 100 }, &agg),
             750
         );
     }
@@ -1162,13 +1020,12 @@ mod tests {
         };
         agg.hist_buckets.insert(1024, 90);
         agg.hist_buckets.insert(1 << 21, 10);
-        let mut st = RuleState::default();
         let signal = Signal::BurnRatePermille {
             deadline_ns: 1_000_000,
             budget_permille: 50,
         };
         // 10% violations against a 5% budget = burn 2000‰ (2× budget).
-        assert_eq!(eval_signal(&signal, &agg, &mut st, 0), 2000);
+        assert_eq!(eval_signal(&signal, &agg), 2000);
         // Bucket straddling the deadline (lower bound below it) does
         // not count — conservative undercount, no false positives.
         let mut low = GroupAgg {
@@ -1176,9 +1033,9 @@ mod tests {
             ..GroupAgg::default()
         };
         low.hist_buckets.insert(1 << 20, 100); // (2^19, 2^20] straddles 1e6
-        assert_eq!(eval_signal(&signal, &low, &mut st, 0), 0);
+        assert_eq!(eval_signal(&signal, &low), 0);
         let empty = GroupAgg::default();
-        assert_eq!(eval_signal(&signal, &empty, &mut st, 0), 0);
+        assert_eq!(eval_signal(&signal, &empty), 0);
     }
 
     #[test]
@@ -1238,7 +1095,6 @@ mod tests {
             deadline_ns: 1500,
             budget_permille: 500,
         };
-        let mut st = RuleState::default();
         let mut agg = GroupAgg {
             hist_count: 10,
             ..GroupAgg::default()
@@ -1247,14 +1103,14 @@ mod tests {
         agg.hist_buckets.insert(4096, 5); // ≥ 2·deadline, counted
                                           // True violated share is 1000‰ (all ten); measured is 500‰ —
                                           // the undercount is exactly the straddling bucket's share.
-        assert_eq!(eval_signal(&signal, &agg, &mut st, 0), 1000);
+        assert_eq!(eval_signal(&signal, &agg), 1000);
         // Move the hidden half past 2× the deadline: nothing can hide.
         let mut all_past = GroupAgg {
             hist_count: 10,
             ..GroupAgg::default()
         };
         all_past.hist_buckets.insert(4096, 10);
-        assert_eq!(eval_signal(&signal, &all_past, &mut st, 0), 2000);
+        assert_eq!(eval_signal(&signal, &all_past), 2000);
         // And with every violation inside the straddling band the
         // signal reads zero — silent, never over-reporting.
         let mut all_hidden = GroupAgg {
@@ -1262,7 +1118,7 @@ mod tests {
             ..GroupAgg::default()
         };
         all_hidden.hist_buckets.insert(2048, 10);
-        assert_eq!(eval_signal(&signal, &all_hidden, &mut st, 0), 0);
+        assert_eq!(eval_signal(&signal, &all_hidden), 0);
     }
 
     #[test]

@@ -2,21 +2,15 @@
 //!
 //! Typed [`Event`]s — each carrying the sub-window, lifecycle phase,
 //! shard, and (when the emitter knows it) the *virtual* timestamp —
-//! are appended to a bounded in-memory ring. Two optional sinks tee
-//! every event out as it is recorded:
-//!
-//! * a **JSONL sink** (any `Write`), one JSON object per line, for
-//!   post-hoc analysis and `ow-obs-report`;
-//! * a **console sink** that renders progress lines to *stderr*,
-//!   replacing the free-form `eprintln!` calls the bench binaries used
-//!   to scatter — stdout stays clean for `--json` pipelines.
+//! are appended to a bounded in-memory ring. An optional **console
+//! sink** renders every event as a progress line on *stderr* as it is
+//! recorded — stdout stays clean for `--json` pipelines.
 //!
 //! The ring is bounded (default [`DEFAULT_CAPACITY`]) so a long run
 //! keeps the newest events without growing; `total_recorded` keeps the
 //! true count for "N events, showing last M" reporting.
 
 use std::collections::VecDeque;
-use std::io::Write;
 
 use parking_lot::Mutex;
 use serde::Serialize;
@@ -137,11 +131,10 @@ struct JournalInner {
     next_seq: u64,
     dropped: u64,
     console: bool,
-    jsonl: Option<Box<dyn Write + Send>>,
     drop_counter: Option<crate::registry::Counter>,
 }
 
-/// The bounded, sink-teeing event journal (interior-mutable; share via
+/// The bounded event journal (interior-mutable; share via
 /// `Arc` / [`crate::Obs`]).
 pub struct EventJournal {
     inner: Mutex<JournalInner>,
@@ -174,7 +167,6 @@ impl EventJournal {
                 next_seq: 0,
                 dropped: 0,
                 console: false,
-                jsonl: None,
                 drop_counter: None,
             }),
         }
@@ -184,12 +176,6 @@ impl EventJournal {
     /// stderr (stdout stays clean for `--json` pipelines).
     pub fn enable_console(&self) {
         self.inner.lock().console = true;
-    }
-
-    /// Attach a JSONL sink: every event is also written as one JSON
-    /// object per line.
-    pub fn set_jsonl_sink(&self, sink: Box<dyn Write + Send>) {
-        self.inner.lock().jsonl = Some(sink);
     }
 
     /// Attach the `ow_obs_journal_dropped_total` counter (wired by
@@ -208,11 +194,6 @@ impl EventJournal {
         inner.next_seq += 1;
         if inner.console {
             eprintln!("{}", event.console_line());
-        }
-        if let Some(sink) = inner.jsonl.as_mut() {
-            if let Ok(line) = serde_json::to_string(&event) {
-                let _ = writeln!(sink, "{line}");
-            }
         }
         if inner.ring.len() == inner.capacity {
             inner.ring.pop_front();
@@ -307,37 +288,6 @@ mod tests {
         assert!(line.contains("WARN"), "{line}");
         assert!(line.contains("sw=4"), "{line}");
         assert!(line.contains("t=10000ns"), "{line}");
-    }
-
-    #[test]
-    fn jsonl_sink_writes_one_object_per_line() {
-        use std::sync::{Arc, Mutex as StdMutex};
-
-        #[derive(Clone, Default)]
-        struct Buf(Arc<StdMutex<Vec<u8>>>);
-        impl Write for Buf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let buf = Buf::default();
-        let j = EventJournal::default();
-        j.set_jsonl_sink(Box::new(buf.clone()));
-        j.record(Event::new("a", "first").subwindow(1));
-        j.progress("second");
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"kind\":\"a\""), "{}", lines[0]);
-        assert!(lines[1].contains("\"progress\""), "{}", lines[1]);
-        for line in lines {
-            crate::json::parse(line).expect("every journal line is valid JSON");
-        }
     }
 
     #[test]

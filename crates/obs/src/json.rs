@@ -1,9 +1,9 @@
 //! A minimal JSON parser producing the serde shim's [`Value`] tree.
 //!
 //! The offline `serde` shim can serialize but not deserialize, so this
-//! module supplies the inverse for the two places that read JSON back:
-//! `ow-obs-report` (snapshot files) and the journal tests (JSONL
-//! lines). It is a strict recursive-descent parser over the subset the
+//! module supplies the inverse for the places that read JSON back:
+//! `ow-obs-report` (snapshot files) and the schema validators' tests.
+//! It is a strict recursive-descent parser over the subset the
 //! shim emits — objects, arrays, strings with the standard escapes,
 //! integers, floats, booleans, null — which is all of JSON minus
 //! `\uXXXX` surrogate pairs (the shim never emits unpaired escapes for

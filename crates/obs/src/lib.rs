@@ -8,18 +8,19 @@
 //!   atomics shared out of the registry, so hot paths never touch the
 //!   registry lock. Names follow `ow_<crate>_<name>`.
 //! * [`EventJournal`] ([`journal`]) — typed lifecycle events (window,
-//!   phase, shard) in a bounded ring, with optional JSONL and console
-//!   sinks; this replaces free-form `eprintln!` progress prints.
+//!   phase, shard) in a bounded ring, with an optional console sink;
+//!   this replaces free-form `eprintln!` progress prints.
 //! * Exporters ([`export`]) — Prometheus text exposition with a
 //!   line-format checker, plus `results/obs_*.json` snapshot reports
 //!   rendered by the `ow-obs-report` binary.
 //! * [`Tracer`] ([`span`]) — causal span tracing: per-window span
-//!   trees on the virtual clock, stitched across the lossy channel by
-//!   a wire-propagated [`TraceContext`], analysed by
+//!   trees on the virtual clock, stitched across switch and
+//!   controller by the [`TraceContext`] the tracer holds per
+//!   sub-window, analysed by
 //!   [`critical_path`] and exported as `results/trace_*.json`.
 //! * [`HealthEngine`] ([`health`]) — the streaming interpretation
 //!   layer: declarative `OW-HEALTH-*` rules over derived signals
-//!   (rates, EWMA, saturation, SLO burn rate), per-entity scoring
+//!   (ratios, saturation, SLO burn rate), per-entity scoring
 //!   rolled up to `ow_health_fleet_score`, and a bounded black-box
 //!   [`FlightRecorder`] ([`flightrec`]) that freezes a deterministic
 //!   `results/flightrec_*.json` post-mortem on critical alerts or FSM
@@ -27,14 +28,14 @@
 //!
 //! * [`AccuracyScorer`] ([`accuracy`]) — the live query-accuracy
 //!   observatory: a streaming ground-truth oracle fed per sub-window
-//!   by the feeder, scored against each window's merged answer at its
-//!   `Merged` transition, published as `ow_accuracy_*` permille gauges
-//!   and closed through the health engine by the `OW-HEALTH-4xx`
-//!   catalog ([`accuracy_health_rules`]).
+//!   by the feeder, scored synchronously against each window's merged
+//!   answer at its `Merged` transition, published as `ow_accuracy_*`
+//!   permille gauges and closed through the health engine by the
+//!   `OW-HEALTH-4xx` catalog ([`accuracy_health_rules`]).
 //!
 //! [`Obs`] bundles one registry, one journal, and one tracer into a
 //! cheap-clone handle that threads through the switch, controller, and
-//! topology builder. [`Obs::engine_sink`] adapts the handle onto
+//! fleet. [`Obs::engine_sink`] adapts the handle onto
 //! [`ow_common::engine::TransitionSink`] so every `WindowEngine`
 //! transition — including rejected drift — lands in the registry, the
 //! journal, and (when the window has an active trace) the span tree.
@@ -76,7 +77,7 @@ pub use registry::{
 };
 pub use span::{
     critical_path, validate_trace_json, CriticalPath, PhaseMark, Span, TraceContext, TraceReport,
-    TraceSummary, Traced, Tracer,
+    TraceSummary, Tracer,
 };
 
 /// The combined observability handle: one metrics registry, one event

@@ -13,11 +13,12 @@
 //!   free: byte-identical reports under a fixed spawn order, and a
 //!   trivial acyclicity proof (`parent < id` always, enforced at
 //!   insertion).
-//! * [`TraceContext`] — the propagation key carried **on the wire**.
-//!   The switch stamps it onto every message it emits for a window;
-//!   [`Traced`] envelopes survive the lossy channel's drops, dups,
-//!   and reordering unchanged, so whichever copies arrive let the
-//!   controller stitch its recovery spans under the same root.
+//! * [`TraceContext`] — the propagation key. The switch publishes it
+//!   into the [`Tracer`] both sides already record into
+//!   ([`Tracer::publish_context`]) when a window's batch is generated
+//!   and retires it at ack / OS-read / eviction; the controller looks
+//!   it up by sub-window when the session closes, so no message
+//!   carries it and no drop, dup or reordering can lose it.
 //! * [`critical_path`] — the analyser: per-name self-time, the
 //!   longest blocking chain from the root, the fraction of window
 //!   wall latency attributed to named child spans, and SLO/deadline
@@ -42,12 +43,8 @@ use crate::json::ValueExt;
 use ow_common::time::Duration;
 use serde::Value;
 
-/// The wire-propagated trace context: enough for any receiver of any
-/// (possibly duplicated, reordered, or retransmitted) message to file
-/// its spans under the originating window's tree.
-///
-/// `Copy` on purpose — the lossy channel clones payloads freely when it
-/// duplicates, and every copy must carry the same context.
+/// A window's trace context: enough for whichever side handles the
+/// window next to file its spans under the originating window's tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TraceContext {
     /// The trace this window's lifecycle belongs to.
@@ -61,24 +58,6 @@ pub struct TraceContext {
     /// the batch (end of `reset`); the controller anchors its recovery
     /// timeline at this instant.
     pub anchor_ns: u64,
-}
-
-/// A payload wrapped with its [`TraceContext`] for transit through
-/// `ow-netsim` channels. The envelope is transparent to the fault
-/// model: drops drop it, duplicates copy it, reordering moves it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Traced<T> {
-    /// The originating window's context.
-    pub ctx: TraceContext,
-    /// The wrapped message.
-    pub payload: T,
-}
-
-impl<T> Traced<T> {
-    /// Wrap `payload` under `ctx`.
-    pub fn new(ctx: TraceContext, payload: T) -> Traced<T> {
-        Traced { ctx, payload }
-    }
 }
 
 /// One completed span: a named virtual-clock interval inside a trace.
@@ -139,6 +118,8 @@ struct TracerInner {
     traces: BTreeMap<u64, TraceData>,
     /// Sub-window → currently active trace (latest wins on reuse).
     active: HashMap<u32, u64>,
+    /// Sub-window → the context its switch published, until retired.
+    contexts: HashMap<u32, TraceContext>,
 }
 
 /// The shared span recorder.
@@ -258,9 +239,21 @@ impl Tracer {
         self.inner.lock().active.get(&subwindow).copied()
     }
 
-    /// Number of traces recorded.
-    pub fn trace_count(&self) -> usize {
-        self.inner.lock().traces.len()
+    /// Publish `subwindow`'s context (the switch, once the window's
+    /// batch is generated) for whoever handles the window next.
+    pub fn publish_context(&self, subwindow: u32, ctx: TraceContext) {
+        self.inner.lock().contexts.insert(subwindow, ctx);
+    }
+
+    /// The context published for `subwindow`, unless already retired.
+    pub fn context(&self, subwindow: u32) -> Option<TraceContext> {
+        self.inner.lock().contexts.get(&subwindow).copied()
+    }
+
+    /// Retire `subwindow`'s context (the switch, at ack / OS-read /
+    /// eviction): later lookups find nothing and record no span.
+    pub fn retire_context(&self, subwindow: u32) -> Option<TraceContext> {
+        self.inner.lock().contexts.remove(&subwindow)
     }
 }
 
@@ -693,7 +686,10 @@ mod tests {
     fn marks_record_against_the_active_trace_only() {
         let t = Tracer::new();
         t.mark(5, "switch", "signal_fired", "open", "terminated");
-        assert_eq!(t.trace_count(), 0, "no active trace, mark dropped");
+        assert!(
+            TraceReport::capture("unit", &t, None).traces.is_empty(),
+            "no active trace, mark dropped"
+        );
         let root = t.start_window(5, "switch", 0);
         t.mark(5, "switch", "signal_fired", "open", "terminated");
         let report = TraceReport::capture("unit", &t, None);

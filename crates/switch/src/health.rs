@@ -134,5 +134,15 @@ mod tests {
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].code, "OW-HEALTH-102");
         assert_eq!(fired[0].severity, "warning");
+        // A batch evicted unacknowledged from the retransmit buffer can
+        // no longer be repaired: worth a record, not a page.
+        let evicted = engine.tick_with_sample(HealthSample {
+            at_ns: 2_000,
+            metrics: vec![metric("ow_switch_evictions_total", 1)],
+            peaks: vec![],
+        });
+        assert_eq!(evicted.len(), 1);
+        assert_eq!(evicted[0].code, "OW-HEALTH-103");
+        assert_eq!(evicted[0].severity, "info");
     }
 }

@@ -6,8 +6,6 @@ use ow_common::flowkey::FlowKey;
 use ow_common::packet::Packet;
 use ow_common::time::{Duration, Instant};
 
-use std::collections::HashMap;
-
 use ow_common::afr::FlowRecord;
 use ow_obs::{Counter, Event, Histogram, Obs, TraceContext};
 
@@ -109,15 +107,11 @@ struct SwitchObs {
     retransmit_requests: Counter,
     acks: Counter,
     evictions: Counter,
-    /// Live per-window trace contexts: created when the window's C&R
-    /// generates its batch, pruned at ack / OS-read / eviction.
-    traces: HashMap<u32, TraceContext>,
 }
 
 impl SwitchObs {
     fn new(obs: &Obs) -> SwitchObs {
         SwitchObs {
-            traces: HashMap::new(),
             collect_time: obs.histogram("ow_switch_cr_phase_duration", &[("phase", "collect")]),
             reset_time: obs.histogram("ow_switch_cr_phase_duration", &[("phase", "reset")]),
             os_read_time: obs.histogram("ow_switch_os_read_duration", &[]),
@@ -240,7 +234,7 @@ impl<A: DataPlaneApp> Switch<A> {
             // replayed for this window (the controller-side span carries
             // the round's duration; the replay itself is instantaneous
             // on the virtual clock).
-            if let Some(ctx) = o.traces.get(&subwindow) {
+            if let Some(ctx) = o.obs.tracer().context(subwindow) {
                 o.obs.tracer().span(
                     ctx.trace_id,
                     ctx.collect,
@@ -260,9 +254,9 @@ impl<A: DataPlaneApp> Switch<A> {
     pub fn ack_collection(&mut self, subwindow: u32) {
         self.retire_window(subwindow, false);
         self.retransmit.release(subwindow);
-        if let Some(o) = &mut self.obs {
+        if let Some(o) = &self.obs {
             o.acks.inc();
-            o.traces.remove(&subwindow);
+            o.obs.tracer().retire_context(subwindow);
         }
     }
 
@@ -279,7 +273,7 @@ impl<A: DataPlaneApp> Switch<A> {
             .os_read(app.meta().register_arrays, app.states_per_array());
         self.retire_window(subwindow, true);
         self.retransmit.release(subwindow);
-        if let Some(o) = &mut self.obs {
+        if let Some(o) = &self.obs {
             o.os_read_time.record(cost);
             o.obs.event(
                 Event::new(
@@ -288,7 +282,7 @@ impl<A: DataPlaneApp> Switch<A> {
                 )
                 .subwindow(subwindow),
             );
-            if let Some(ctx) = o.traces.remove(&subwindow) {
+            if let Some(ctx) = o.obs.tracer().retire_context(subwindow) {
                 o.obs.tracer().span(
                     ctx.trace_id,
                     ctx.collect,
@@ -331,17 +325,6 @@ impl<A: DataPlaneApp> Switch<A> {
         &self.retransmit
     }
 
-    /// The wire-propagation [`TraceContext`] for `subwindow`'s C&R
-    /// batch: live from batch generation until ack / OS-read / eviction,
-    /// `None` outside that range or with no observability attached.
-    /// Streamers stamp this onto every announce and AFR they send so the
-    /// controller's spans join the same causal tree.
-    pub fn trace_context(&self, subwindow: u32) -> Option<TraceContext> {
-        self.obs
-            .as_ref()
-            .and_then(|o| o.traces.get(&subwindow).copied())
-    }
-
     /// Run the due C&R if `now` has passed its start time.
     fn maybe_collect(&mut self, now: Instant, events: &mut Vec<SwitchEvent>) {
         if let Some(ended) = self.engine.due_collection(now) {
@@ -375,9 +358,9 @@ impl<A: DataPlaneApp> Switch<A> {
         // buffer pushed out can no longer be repaired and are released.
         for evicted in self.retransmit.retain(ended, &outcome.afrs) {
             let _ = self.engine.apply(evicted, WindowEvent::Evicted);
-            if let Some(o) = &mut self.obs {
+            if let Some(o) = &self.obs {
                 o.evictions.inc();
-                o.traces.remove(&evicted);
+                o.obs.tracer().retire_context(evicted);
                 o.obs.event(
                     Event::new(
                         "retransmit_evicted",
@@ -395,7 +378,7 @@ impl<A: DataPlaneApp> Switch<A> {
             .and_then(|f| f.terminated_at())
             .map(|t| t.as_nanos())
             .unwrap_or_else(|| started.as_nanos());
-        if let Some(o) = &mut self.obs {
+        if let Some(o) = &self.obs {
             o.collections.inc();
             o.collect_time.record(outcome.collect_time);
             o.reset_time.record(outcome.reset_time);
@@ -417,8 +400,9 @@ impl<A: DataPlaneApp> Switch<A> {
             // Span out the on-switch portion of the window's lifecycle:
             // cr_wait from termination to the C&R start, then the collect
             // and reset passes back-to-back. The reset end is the anchor
-            // every downstream (controller-side) span hangs off of.
-            let tracer = o.obs.tracer().clone();
+            // every downstream (controller-side) span hangs off of; the
+            // context stays published until ack / OS-read / eviction.
+            let tracer = o.obs.tracer();
             let trace = tracer
                 .active_trace(ended)
                 .unwrap_or_else(|| tracer.start_window(ended, "switch", term_ns));
@@ -437,7 +421,7 @@ impl<A: DataPlaneApp> Switch<A> {
             );
             tracer.span(trace, trace, "reset", "switch", None, collect_end, anchor);
             if let Some(collect) = collect {
-                o.traces.insert(
+                tracer.publish_context(
                     ended,
                     TraceContext {
                         trace_id: trace,
@@ -830,6 +814,8 @@ mod tests {
             app(1),
             app(2),
         );
+        let obs = Obs::new();
+        sw.attach_obs(&obs);
         for w in 0..3u64 {
             sw.process(pkt(w as u32 + 1, w * 100 + 10));
         }
@@ -842,6 +828,16 @@ mod tests {
         let evicted = sw.retransmit_buffer().evicted();
         assert_eq!(sw.engine().released(), evicted);
         assert_eq!(sw.engine().rejected(), 0);
+        // Eviction retired the trace context with the batch: only the
+        // retained window can still be stitched by the controller.
+        let retained = sw.retransmit_buffer().retained();
+        for sub in 0..=sw.current_subwindow() {
+            assert_eq!(
+                obs.tracer().context(sub).is_some(),
+                retained.contains(&sub),
+                "sub-window {sub}"
+            );
+        }
     }
 
     #[test]
@@ -854,8 +850,13 @@ mod tests {
         }
         let events = sw.flush();
         let (subwindow, announced) = afr_batches(&events)[0];
+        // The batch's trace context is published from generation…
+        let ctx = obs.tracer().context(subwindow).expect("context published");
+        assert_eq!(obs.tracer().active_trace(subwindow), Some(ctx.trace_id));
         sw.handle_retransmit_request(subwindow, &[0]);
         sw.ack_collection(subwindow);
+        // …until the ack retires it.
+        assert_eq!(obs.tracer().context(subwindow), None);
 
         let snap = obs.snapshot();
         assert_eq!(snap.value("ow_switch_collections_total", &[]), 1);

@@ -15,8 +15,6 @@
 //! must hash to the digest every `BENCH_<PR>.json` since PR 8 records,
 //! at any shard count, with or without the whole observability stack.
 
-use std::sync::Arc;
-
 use ow_common::afr::{AttrValue, DistinctBitmap, FlowRecord};
 use ow_common::block::{RecordBlock, DEFAULT_BLOCK_CAPACITY};
 use ow_common::flowkey::FlowKey;
@@ -26,7 +24,7 @@ use ow_controller::reliability::RetryPolicy;
 use ow_controller::table::MergeTable;
 use ow_controller::wire::encode_merged;
 use ow_obs::{
-    accuracy_health_rules, AccuracyConfig, FlightRecorderConfig, Obs, RuleSet, TraceContext, Traced,
+    accuracy_health_rules, AccuracyConfig, FlightRecorderConfig, Obs, RuleSet, TraceContext,
 };
 use proptest::prelude::*;
 
@@ -310,8 +308,8 @@ fn cr_workload(subwindows: u32, records: u32, population: u32, seed: u64) -> Vec
 /// Stream `batches` losslessly through a reliable controller (span 4,
 /// queue 256, full-capacity blocks) and return FNV-1a 64 of the
 /// encoded final fold. `observed` attaches everything a production run
-/// can: registry + journal, a wire-propagated trace context on every
-/// message, the controller + accuracy health catalogs ticking once per
+/// can: registry + journal, a trace context published per sub-window,
+/// the controller + accuracy health catalogs ticking once per
 /// sub-window, and the ground-truth oracle fed the exact workload.
 fn fold_digest(batches: &[Vec<FlowRecord>], shards: usize, observed: bool) -> u64 {
     let obs = observed.then(Obs::new);
@@ -335,42 +333,29 @@ fn fold_digest(batches: &[Vec<FlowRecord>], shards: usize, observed: bool) -> u6
     for (sw, afrs) in batches.iter().enumerate() {
         let (sw, announced) = (sw as u32, afrs.len() as u32);
         if let Some((_, scorer)) = &watchers {
-            scorer.feed_truth_shared(sw, Arc::from(afrs.as_slice()));
+            scorer.feed_truth(sw, afrs);
         }
-        let ctx = obs.as_ref().map(|o| {
+        if let Some(o) = &obs {
             let trace = o.tracer().start_window(sw, "switch", 0);
             let collect = o
                 .tracer()
                 .span(trace, trace, "collect", "switch", None, 0, 1)
                 .expect("collect span under a live trace");
-            TraceContext {
+            let ctx = TraceContext {
                 trace_id: trace,
                 root: trace,
                 collect,
                 anchor_ns: 1,
-            }
-        });
-        let blocks = afrs
-            .chunks(DEFAULT_BLOCK_CAPACITY)
-            .map(|chunk| RecordBlock::from_records(sw, chunk));
-        let send = |msg| ctl.sender.send(msg).expect("controller alive");
-        match ctx {
-            Some(ctx) => {
-                send(ReliableMsg::TracedAnnounce {
-                    subwindow: sw,
-                    announced,
-                    ctx,
-                });
-                blocks.for_each(|b| send(ReliableMsg::TracedAfrBlock(Traced::new(ctx, b))));
-            }
-            None => {
-                send(ReliableMsg::Announce {
-                    subwindow: sw,
-                    announced,
-                });
-                blocks.for_each(|b| send(ReliableMsg::AfrBlock(b)));
-            }
+            };
+            o.tracer().publish_context(sw, ctx);
         }
+        let send = |msg| ctl.sender.send(msg).expect("controller alive");
+        send(ReliableMsg::Announce {
+            subwindow: sw,
+            announced,
+        });
+        afrs.chunks(DEFAULT_BLOCK_CAPACITY)
+            .for_each(|chunk| send(ReliableMsg::AfrBlock(RecordBlock::from_records(sw, chunk))));
         send(ReliableMsg::EndOfStream { subwindow: sw });
         if let Some((engine, _)) = &watchers {
             engine.tick(ow_common::time::Instant::from_micros(
@@ -383,7 +368,6 @@ fn fold_digest(batches: &[Vec<FlowRecord>], shards: usize, observed: bool) -> u6
     if let Some((engine, scorer)) = &watchers {
         // The stack really watched the run: every window scored (and
         // perfectly — the feed was exact), nothing paged.
-        scorer.quiesce();
         let s = scorer.summary();
         assert_eq!(
             (s.windows_scored, s.recall_permille, s.aare_permille),

@@ -23,6 +23,7 @@
 use ow_common::time::Duration;
 use ow_controller::wire::encode_merged;
 use ow_netsim::fleet::{self, ChurnEvent, ChurnKind, FleetConfig, FleetReport, RackBurst};
+use ow_obs::Obs;
 use proptest::prelude::*;
 
 /// The ISSUE scenario at one fleet size: 30% loss, one rack-level
@@ -76,7 +77,7 @@ fn chaos_config(switches: u32, seed: u64) -> FleetConfig {
 /// Assert the three fleet guarantees for one config; returns the
 /// chaotic report for further scenario-specific checks.
 fn assert_chaos_invariants(cfg: &FleetConfig) -> FleetReport {
-    let chaotic = fleet::run(cfg, None);
+    let chaotic = fleet::run(cfg, &Obs::new());
 
     // 1. Every started window terminated: merged or departed-released.
     assert!(
@@ -93,7 +94,7 @@ fn assert_chaos_invariants(cfg: &FleetConfig) -> FleetReport {
 
     // 2. Byte-identical merge against the lossless single-worker run of
     //    the same schedule.
-    let baseline = fleet::run(&cfg.lossless_baseline(), None);
+    let baseline = fleet::run(&cfg.lossless_baseline(), &Obs::new());
     assert_eq!(
         baseline.started_windows, chaotic.started_windows,
         "the window schedule must not depend on loss"
@@ -106,7 +107,7 @@ fn assert_chaos_invariants(cfg: &FleetConfig) -> FleetReport {
     );
 
     // 3. Deterministic replay.
-    let again = fleet::run(cfg, None);
+    let again = fleet::run(cfg, &Obs::new());
     assert_eq!(again.started_windows, chaotic.started_windows);
     assert_eq!(again.merged_windows, chaotic.merged_windows);
     assert_eq!(again.departed_windows, chaotic.departed_windows);
@@ -205,7 +206,7 @@ fn worker_count_does_not_change_the_merge() {
             workers: 1,
             ..base.clone()
         },
-        None,
+        &Obs::new(),
     );
     for workers in [2usize, 8] {
         let report = fleet::run(
@@ -213,7 +214,7 @@ fn worker_count_does_not_change_the_merge() {
                 workers,
                 ..base.clone()
             },
-            None,
+            &Obs::new(),
         );
         assert!(report.all_windows_accounted());
         assert_eq!(
@@ -277,7 +278,7 @@ proptest! {
             ..FleetConfig::default()
         };
 
-        let chaotic = fleet::run(&cfg, None);
+        let chaotic = fleet::run(&cfg, &Obs::new());
         prop_assert!(
             chaotic.all_windows_accounted(),
             "wedged: started {} merged {} departed {}",
@@ -285,7 +286,7 @@ proptest! {
         );
         prop_assert_eq!(chaotic.metrics.departed, chaotic.departed_windows);
 
-        let baseline = fleet::run(&cfg.lossless_baseline(), None);
+        let baseline = fleet::run(&cfg.lossless_baseline(), &Obs::new());
         prop_assert_eq!(baseline.started_windows, chaotic.started_windows);
         prop_assert_eq!(
             encode_merged(&chaotic.merged),
@@ -293,7 +294,7 @@ proptest! {
             "chaotic fold diverged from the lossless baseline"
         );
 
-        let again = fleet::run(&cfg, None);
+        let again = fleet::run(&cfg, &Obs::new());
         prop_assert_eq!(again.metrics, chaotic.metrics);
         prop_assert_eq!(
             encode_merged(&again.merged),

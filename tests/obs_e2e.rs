@@ -100,7 +100,7 @@ fn fleet_run_exposes_fleet_gauges() {
             kind: ChurnKind::Leave,
         },
     ];
-    let report = fleet::run(&cfg, Some(&obs));
+    let report = fleet::run(&cfg, &obs);
     assert!(report.all_windows_accounted());
     assert!(report.departed_windows > 0, "the crash departed a window");
 

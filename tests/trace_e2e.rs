@@ -4,8 +4,9 @@
 //! the tentpole guarantees of the span-tracing subsystem: every
 //! collected window yields exactly one single-rooted span tree with no
 //! orphans, retransmission spans parent to the window's original
-//! `collect` span (the wire-propagated [`ow_obs::TraceContext`] survived
-//! drops, duplication, and reordering), the critical path attributes
+//! `collect` span (the [`ow_obs::TraceContext`] the switch published
+//! into the shared tracer needs no surviving message), the critical
+//! path attributes
 //! ≥95% of the window's virtual wall time to named spans, and two
 //! same-seed runs serialize to byte-identical reports.
 
@@ -18,7 +19,7 @@ use ow_common::flowkey::FlowKey;
 use ow_common::time::Duration;
 use ow_controller::live::{ReliableLiveController, ReliableMsg};
 use ow_controller::reliability::RetryPolicy;
-use ow_obs::{validate_trace_json, Obs, TraceContext, TraceReport, Traced};
+use ow_obs::{validate_trace_json, Obs, TraceContext, TraceReport};
 
 fn lossy_cfg() -> ObsSmokeConfig {
     ObsSmokeConfig {
@@ -105,7 +106,7 @@ fn retransmit_spans_parent_to_the_original_collect_span() {
                 round.parent,
                 Some(collect.id),
                 "sub-window {}: retransmit round must hang off the original \
-                 collect span (context propagated through the lossy wire)",
+                 collect span (context published through the tracer)",
                 trace.subwindow
             );
             assert_eq!(round.side, "controller");
@@ -223,33 +224,35 @@ fn departed_and_escalated_windows_leave_complete_single_rooted_traces() {
         Some(&obs),
     );
 
+    // The switch side: open each window's trace, record its collect
+    // span and publish the context into the shared tracer.
     let tracer = obs.tracer().clone();
-    let ctx_for = |sw: u32| {
+    let publish_ctx = |sw: u32| {
         let trace = tracer.start_window(sw, "switch", 0);
         let collect = tracer
             .span(trace, trace, "collect", "switch", None, 0, 1)
             .expect("collect span under a live trace");
-        TraceContext {
+        let ctx = TraceContext {
             trace_id: trace,
             root: trace,
             collect,
             anchor_ns: 1,
-        }
+        };
+        tracer.publish_context(sw, ctx);
     };
 
     // Sub-window 0: announced, half-streamed, then its switch departs.
-    let departing = ctx_for(0);
+    publish_ctx(0);
     ctl.sender
-        .send(ReliableMsg::TracedAnnounce {
+        .send(ReliableMsg::Announce {
             subwindow: 0,
             announced: batch.len() as u32,
-            ctx: departing,
         })
         .unwrap();
     ctl.sender
-        .send(ReliableMsg::TracedAfrBlock(Traced::new(
-            departing,
-            RecordBlock::from_records(0, &batch[..2]),
+        .send(ReliableMsg::AfrBlock(RecordBlock::from_records(
+            0,
+            &batch[..2],
         )))
         .unwrap();
     ctl.sender
@@ -258,20 +261,19 @@ fn departed_and_escalated_windows_leave_complete_single_rooted_traces() {
 
     // Sub-window 1: announced, one first-pass survivor, end-of-stream —
     // recovery must run its rounds dry and escalate to the OS read.
-    let surviving = ctx_for(1);
+    publish_ctx(1);
     ctl.sender
-        .send(ReliableMsg::TracedAnnounce {
+        .send(ReliableMsg::Announce {
             subwindow: 1,
             announced: batch.len() as u32,
-            ctx: surviving,
         })
         .unwrap();
     let mut first = batch[0];
     first.subwindow = 1;
     ctl.sender
-        .send(ReliableMsg::TracedAfrBlock(Traced::new(
-            surviving,
-            RecordBlock::from_records(1, &[first]),
+        .send(ReliableMsg::AfrBlock(RecordBlock::from_records(
+            1,
+            &[first],
         )))
         .unwrap();
     ctl.sender
