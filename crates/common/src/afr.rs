@@ -162,6 +162,7 @@ pub enum AttrValue {
 
 impl AttrValue {
     /// The pattern of this value.
+    #[inline]
     pub fn kind(&self) -> AttrKind {
         match self {
             AttrValue::Frequency(_) => AttrKind::Frequency,
@@ -260,6 +261,7 @@ impl AttrValue {
 
     /// Scalar view of the value for threshold queries: the counter for
     /// frequency/max/min, 0/1 for existence, the estimate for distinction.
+    #[inline]
     pub fn scalar(&self) -> f64 {
         match self {
             AttrValue::Frequency(v) | AttrValue::Max(v) => *v as f64,

@@ -94,6 +94,7 @@ impl FlowKey {
 
     /// The canonical byte representation under the projection: fields not
     /// selected by `kind` are zeroed so equality/hash/serialisation agree.
+    #[inline]
     pub fn canonical(self) -> FlowKey {
         match self.kind {
             KeyKind::FiveTuple => self,
@@ -114,6 +115,7 @@ impl FlowKey {
     ///
     /// Layout (most to least significant): kind tag, src ip, dst ip,
     /// src port, dst port, proto. Non-projected fields are zero.
+    #[inline]
     pub fn as_u128(self) -> u128 {
         let c = self.canonical();
         ((c.kind as u128) << 104)

@@ -79,8 +79,13 @@ impl LiveHandle {
     }
 
     /// Every shard's answer to `query`, in canonical (ascending packed
-    /// key) order — independent of the shard count.
+    /// key) order — independent of the shard count. Each shard answers
+    /// in that order already, so one shard's answer is the answer; several
+    /// are concatenated and stable-sorted, which merges the sorted runs.
     fn fold<T>(&self, query: impl Fn(&MergeTable) -> Vec<(FlowKey, T)>) -> Vec<(FlowKey, T)> {
+        if let [table] = &self.tables[..] {
+            return query(&table.read());
+        }
         let mut out: Vec<(FlowKey, T)> =
             self.tables.iter().flat_map(|t| query(&t.read())).collect();
         out.sort_by_key(|(k, _)| k.as_u128());

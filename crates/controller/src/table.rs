@@ -11,18 +11,26 @@
 //! Storage is a pre-sized **open-addressing** index (linear probing over
 //! a power-of-two bucket array) on top of dense structure-of-arrays slot
 //! columns: keys, cached hashes, pattern tags, one `u64` scalar lane,
-//! and a per-slot retained-record refcount. Scalar-pattern statistics
+//! a one-byte magnitude of that lane, and a per-slot retained-record
+//! refcount. Scalar-pattern statistics
 //! (frequency / max / min / existence / signed) live entirely in the
 //! lane; the two bitmap-carrying patterns spill to a side map keyed by
 //! slot. [`MergeTable::insert_block`] is the hot path: it resolves every
 //! row of a [`RecordBlock`] to a slot first, then folds the block's
 //! scalar lane with the auto-vectorizable [`crate::simd`] kernels —
 //! per-row `match`ing only happens for mixed-pattern blocks.
+//!
+//! The read side ([`MergeTable::flows_over`], [`MergeTable::snapshot`])
+//! is written as explicit loops over those columns. A per-slot closure
+//! that hands an `AttrValue` across the crate boundary costs 14 ns a
+//! slot whenever the inliner leaves it out of line, which the build
+//! directory alone decides (DESIGN.md §4l).
 
 use ow_common::afr::{AttrKind, AttrValue, FlowRecord};
 use ow_common::block::RecordBlock;
 use ow_common::flowkey::FlowKey;
 use ow_common::hash::{mix64, FastMap};
+use std::collections::VecDeque;
 
 use crate::simd;
 
@@ -32,6 +40,11 @@ const EMPTY: u32 = u32::MAX;
 const TOMB: u32 = u32::MAX - 1;
 /// Smallest bucket array.
 const MIN_BUCKETS: usize = 16;
+/// Magnitude sentinel: the slot's scalar is not its raw lane, so a
+/// threshold query evaluates it exactly.
+const EXACT: u8 = u8::MAX;
+/// Slots per magnitude chunk a threshold query can skip whole.
+const MAG_CHUNK: usize = 64;
 
 /// Hash a flow key for the table index (mix64 over both packed halves —
 /// the stand-in for DPDK `rte_hash` CRC hashing; `std`'s SipHash costs
@@ -64,6 +77,40 @@ fn lane_identity(kind: AttrKind) -> u64 {
     }
 }
 
+/// The magnitude byte of a slot: the bit length of the lane for the
+/// plain counters, whose scalar *is* the lane, and [`EXACT`] for every
+/// other pattern (min's `u64::MAX` identity reads 0, signed lanes are
+/// two's complement, bitmaps live in the side map).
+#[inline]
+fn mag_of(kind: AttrKind, lane: u64) -> u8 {
+    match kind {
+        AttrKind::Frequency | AttrKind::Max => bit_len(lane),
+        _ => EXACT,
+    }
+}
+
+/// Bits needed to write `v` (0 for 0).
+#[inline]
+fn bit_len(v: u64) -> u8 {
+    (u64::BITS - v.leading_zeros()) as u8
+}
+
+/// The integer cut of a threshold: `lane as f64 >= t ⇔ lane >= cut`.
+/// Holds for `t` below 2⁵³ — `ceil(t)` is then exact in `f64`, any lane
+/// under it converts exactly, and the conversion is monotone above it.
+/// `None` (NaN, or 2⁵³ and over) sends every slot down the exact path.
+#[inline]
+fn integer_cut(t: f64) -> Option<u64> {
+    const F64_EXACT: f64 = (1u64 << f64::MANTISSA_DIGITS) as f64;
+    if t <= 0.0 {
+        Some(0)
+    } else if t < F64_EXACT {
+        Some(t.ceil() as u64)
+    } else {
+        None
+    }
+}
+
 /// The controller's merge table over a span of sub-windows.
 ///
 /// The §4.1 motivating case — 60 packets in one sub-window, 80 in the
@@ -93,6 +140,9 @@ pub struct MergeTable {
     hashes: Vec<u64>,
     kinds: Vec<AttrKind>,
     scalars: Vec<u64>,
+    /// [`mag_of`] each slot's pattern and lane, kept current by every
+    /// write to `kinds` or `scalars`.
+    mags: Vec<u8>,
     /// Retained records referencing each slot (any pattern, matching or
     /// not) — drives vanished-flow removal on eviction.
     refs: Vec<u32>,
@@ -100,7 +150,7 @@ pub struct MergeTable {
     heavy: FastMap<u32, AttrValue>,
     /// Retained per-sub-window blocks, oldest first. One entry per
     /// evictable unit; a unit may hold several blocks.
-    batches: Vec<(u32, Vec<RecordBlock>)>,
+    batches: VecDeque<(u32, Vec<RecordBlock>)>,
     /// Scratch slot ids for the block fold.
     slot_scratch: Vec<u32>,
 }
@@ -131,9 +181,10 @@ impl MergeTable {
             hashes: Vec::with_capacity(flows),
             kinds: Vec::with_capacity(flows),
             scalars: Vec::with_capacity(flows),
+            mags: Vec::with_capacity(flows),
             refs: Vec::with_capacity(flows),
             heavy: FastMap::default(),
-            batches: Vec::new(),
+            batches: VecDeque::new(),
             slot_scratch: Vec::new(),
         }
     }
@@ -234,7 +285,9 @@ impl MergeTable {
         self.keys.push(key);
         self.hashes.push(h);
         self.kinds.push(kind);
-        self.scalars.push(lane_identity(kind));
+        let lane = lane_identity(kind);
+        self.scalars.push(lane);
+        self.mags.push(mag_of(kind, lane));
         self.refs.push(0);
         // Heavy patterns get no identity seed: a Distinction identity
         // carries the default bitmap geometry, which may not match the
@@ -263,11 +316,18 @@ impl MergeTable {
         }
     }
 
+    /// Bring slot `s`'s magnitude byte up to date with its lane.
+    #[inline]
+    fn remag(&mut self, s: usize) {
+        self.mags[s] = mag_of(self.kinds[s], self.scalars[s]);
+    }
+
     /// Overwrite slot `s`'s merged value (eviction recompute).
     fn set_value(&mut self, s: usize, value: AttrValue) {
         let kind = value.kind();
         self.kinds[s] = kind;
         self.scalars[s] = lane_of(&value);
+        self.remag(s);
         if matches!(kind, AttrKind::Distinction | AttrKind::ConnBytes) {
             self.heavy.insert(s as u32, value);
         } else {
@@ -312,6 +372,7 @@ impl MergeTable {
             }
             _ => {} // pattern mismatch: ignore, same as the merge algebra's error path
         }
+        self.remag(s);
     }
 
     /// Insert one sub-window's AFR batch and fold it into the merged
@@ -339,7 +400,7 @@ impl MergeTable {
         debug_assert!(
             open || self
                 .batches
-                .last()
+                .back()
                 .is_some_and(|(sw, _)| *sw == block.subwindow()),
             "appending a block to a different sub-window"
         );
@@ -371,6 +432,14 @@ impl MergeTable {
                     AttrKind::Min => simd::fold_slots_min(&mut self.scalars, &slots, lane),
                     _ => unreachable!("scalar_lane only yields foldable patterns"),
                 }
+                // Min slots stay EXACT; the counters' lanes just moved.
+                if kind != AttrKind::Min {
+                    for &s in &slots {
+                        if s != simd::SKIP_SLOT {
+                            self.mags[s as usize] = bit_len(self.scalars[s as usize]);
+                        }
+                    }
+                }
             }
             None => {
                 for i in 0..n {
@@ -383,9 +452,9 @@ impl MergeTable {
         }
         self.slot_scratch = slots;
 
-        match (open, self.batches.last_mut()) {
+        match (open, self.batches.back_mut()) {
             (false, Some((_, blocks))) => blocks.push(block),
-            _ => self.batches.push((block.subwindow(), vec![block])),
+            _ => self.batches.push_back((block.subwindow(), vec![block])),
         }
     }
 
@@ -419,6 +488,7 @@ impl MergeTable {
         self.hashes.swap_remove(s);
         self.kinds.swap_remove(s);
         self.scalars.swap_remove(s);
+        self.mags.swap_remove(s);
         self.refs.swap_remove(s);
     }
 
@@ -430,10 +500,7 @@ impl MergeTable {
     /// detected by the per-slot retained-record refcount instead of the
     /// old full scan over every retained record.
     pub fn evict_oldest(&mut self) -> Option<u32> {
-        if self.batches.is_empty() {
-            return None;
-        }
-        let (evicted_sw, evicted) = self.batches.remove(0);
+        let (evicted_sw, evicted) = self.batches.pop_front()?;
 
         // Pass A: retire the evicted records' refcounts, so refs == the
         // number of *retained* records per slot.
@@ -463,6 +530,7 @@ impl MergeTable {
                         // ignore the subtraction.
                         if self.kinds[s] == AttrKind::Frequency {
                             self.scalars[s] = self.scalars[s].saturating_sub(b);
+                            self.remag(s);
                         }
                     }
                     _ => needs_recompute.push(key),
@@ -509,24 +577,66 @@ impl MergeTable {
         (0..self.keys.len()).map(move |s| (self.keys[s], self.value_of(s)))
     }
 
+    /// Whether every magnitude byte matches its definition — what
+    /// [`MergeTable::flows_over`] relies on; the read-path proptest
+    /// asserts it after every step.
+    #[doc(hidden)]
+    pub fn mags_current(&self) -> bool {
+        (0..self.keys.len()).all(|s| self.mags[s] == mag_of(self.kinds[s], self.scalars[s]))
+    }
+
     /// The full merged view in canonical order (ascending packed key) —
     /// the deterministic snapshot used to compare tables byte for byte
     /// regardless of probe order or shard layout.
     pub fn snapshot(&self) -> Vec<(FlowKey, AttrValue)> {
-        let mut out: Vec<(FlowKey, AttrValue)> = self.iter().collect();
-        out.sort_by_key(|(k, _)| k.as_u128());
+        // Sort a narrow index, then gather each wide row exactly once.
+        let n = self.keys.len();
+        let mut order: Vec<(u128, u32)> = Vec::with_capacity(n);
+        for (s, key) in self.keys.iter().enumerate() {
+            order.push((key.as_u128(), s as u32));
+        }
+        order.sort_unstable(); // keys are unique: the slot never decides
+        let mut out = Vec::with_capacity(n);
+        for &(_, s) in &order {
+            out.push((self.keys[s as usize], self.value_of(s as usize)));
+        }
         out
     }
 
     /// Threshold query (O4): flows whose merged scalar ≥ `threshold` —
     /// the heavy-hitter / anomaly reporting step.
+    ///
+    /// A plain counter can only reach the threshold's integer cut if its
+    /// magnitude byte reaches the cut's bit length, so the scan reads one
+    /// byte per slot, skips whole chunks on their byte maximum, and
+    /// touches the wide columns for candidates only.
     pub fn flows_over(&self, threshold: f64) -> Vec<(FlowKey, f64)> {
-        let mut out: Vec<(FlowKey, f64)> = self
-            .iter()
-            .map(|(k, v)| (k, v.scalar()))
-            .filter(|(_, s)| *s >= threshold)
-            .collect();
-        out.sort_by_key(|(k, _)| k.as_u128());
+        let cut = integer_cut(threshold);
+        let floor = cut.map_or(0, bit_len);
+        let mut out: Vec<(FlowKey, f64)> = Vec::new();
+        for (c, chunk) in self.mags.chunks(MAG_CHUNK).enumerate() {
+            // A byte-max reduction: vectorises to `pmaxub` on baseline
+            // x86-64, where a `u64 >=` scan of the lanes does not.
+            if chunk.iter().fold(0, |m, &b| m.max(b)) < floor {
+                continue;
+            }
+            for (i, &mag) in chunk.iter().enumerate() {
+                if mag < floor {
+                    continue;
+                }
+                let s = c * MAG_CHUNK + i;
+                let hit = match cut {
+                    Some(cut) if mag != EXACT => {
+                        (self.scalars[s] >= cut).then_some(self.scalars[s] as f64)
+                    }
+                    _ => Some(self.value_of(s).scalar()).filter(|v| *v >= threshold),
+                };
+                if let Some(scalar) = hit {
+                    out.push((self.keys[s], scalar));
+                }
+            }
+        }
+        out.sort_unstable_by_key(|(k, _)| k.as_u128()); // keys are unique
         out
     }
 
@@ -538,6 +648,7 @@ impl MergeTable {
         self.hashes.clear();
         self.kinds.clear();
         self.scalars.clear();
+        self.mags.clear();
         self.refs.clear();
         self.heavy.clear();
         self.batches.clear();

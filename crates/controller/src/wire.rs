@@ -15,6 +15,29 @@ use ow_common::afr::{AttrValue, DistinctBitmap, FlowRecord, DISTINCT_BITMAP_WORD
 use ow_common::error::OwError;
 use ow_common::flowkey::{FlowKey, KeyKind};
 
+/// Encoded size of a flow key.
+const KEY_BYTES: usize = 14;
+/// Smallest encoded attribute: the tag and existence's one byte.
+const MIN_ATTR_BYTES: usize = 2;
+
+/// Read a `count:u32` header and refuse one that claims more rows than
+/// the bytes behind it could hold at `min_row` bytes each — the count is
+/// the sender's, so nothing is reserved for it until it is plausible.
+fn get_count(b: &mut impl Buf, min_row: usize) -> Result<usize, OwError> {
+    if b.remaining() < 4 {
+        return Err(OwError::Decode("truncated count header".into()));
+    }
+    let count = b.get_u32() as usize;
+    let fits = b.remaining() / min_row;
+    if count > fits {
+        return Err(OwError::Decode(format!(
+            "header claims {count} rows, {} bytes hold at most {fits}",
+            b.remaining()
+        )));
+    }
+    Ok(count)
+}
+
 fn put_key(b: &mut BytesMut, key: &FlowKey) {
     let c = key.canonical();
     b.put_u8(match c.kind {
@@ -31,7 +54,7 @@ fn put_key(b: &mut BytesMut, key: &FlowKey) {
 }
 
 fn get_key(b: &mut impl Buf) -> Result<FlowKey, OwError> {
-    if b.remaining() < 14 {
+    if b.remaining() < KEY_BYTES {
         return Err(OwError::Decode("truncated flow key".into()));
     }
     let kind = match b.get_u8() {
@@ -172,11 +195,8 @@ pub fn encode_batch(records: &[FlowRecord]) -> Bytes {
 
 /// Decode an AFR batch.
 pub fn decode_batch(mut buf: impl Buf) -> Result<Vec<FlowRecord>, OwError> {
-    if buf.remaining() < 4 {
-        return Err(OwError::Decode("truncated batch header".into()));
-    }
-    let count = buf.get_u32() as usize;
-    let mut out = Vec::with_capacity(count.min(1 << 20));
+    let count = get_count(&mut buf, KEY_BYTES + 8 + MIN_ATTR_BYTES)?;
+    let mut out = Vec::with_capacity(count);
     for _ in 0..count {
         let key = get_key(&mut buf)?;
         if buf.remaining() < 8 {
@@ -220,11 +240,8 @@ pub fn encode_merged(entries: &[(FlowKey, AttrValue)]) -> Bytes {
 
 /// Decode a merged-table snapshot produced by [`encode_merged`].
 pub fn decode_merged(mut buf: impl Buf) -> Result<Vec<(FlowKey, AttrValue)>, OwError> {
-    if buf.remaining() < 4 {
-        return Err(OwError::Decode("truncated snapshot header".into()));
-    }
-    let count = buf.get_u32() as usize;
-    let mut out = Vec::with_capacity(count.min(1 << 20));
+    let count = get_count(&mut buf, KEY_BYTES + MIN_ATTR_BYTES)?;
+    let mut out = Vec::with_capacity(count);
     for _ in 0..count {
         let key = get_key(&mut buf)?;
         let attr = get_attr(&mut buf)?;

@@ -2,20 +2,32 @@
 //! AFR wire codec.
 
 use ow_common::afr::{AttrValue, DistinctBitmap, FlowRecord};
+use ow_common::block::RecordBlock;
+use ow_common::error::OwError;
 use ow_common::flowkey::FlowKey;
 use ow_controller::table::MergeTable;
 use ow_controller::timing::{InstrumentedController, WindowMode};
-use ow_controller::wire::{decode_batch, encode_batch};
+use ow_controller::wire::{decode_batch, decode_merged, encode_batch, encode_merged};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
+/// Counter values: small counts, every power of two and its two
+/// neighbours (the magnitude boundaries), and arbitrary words.
+fn arb_lane() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..600,
+        (0u32..64, 0u64..3).prop_map(|(bit, d)| (1u64 << bit) - 1 + d),
+        any::<u64>(),
+    ]
+}
+
 fn arb_attr() -> impl Strategy<Value = AttrValue> {
     prop_oneof![
-        any::<u64>().prop_map(AttrValue::Frequency),
+        arb_lane().prop_map(AttrValue::Frequency),
         any::<bool>().prop_map(AttrValue::Existence),
-        any::<u64>().prop_map(AttrValue::Max),
-        any::<u64>().prop_map(AttrValue::Min),
-        any::<i64>().prop_map(AttrValue::Signed),
+        arb_lane().prop_map(AttrValue::Max),
+        arb_lane().prop_map(AttrValue::Min),
+        arb_lane().prop_map(|v| AttrValue::Signed(v as i64)),
         proptest::collection::vec(any::<u64>(), 0..20).prop_map(|hs| {
             let mut bm = DistinctBitmap::default();
             for h in hs {
@@ -64,6 +76,61 @@ fn to_records(sw: u32, batch: &[(u8, u16)]) -> Vec<FlowRecord> {
         r.seq = i as u32;
     }
     recs
+}
+
+/// One step of the read-path differential test: fold a block (`open`
+/// starts a new evictable unit, otherwise it joins the newest one),
+/// evict the oldest unit, or release the whole window.
+#[derive(Debug, Clone)]
+enum TableOp {
+    Insert {
+        open: bool,
+        rows: Vec<(u8, AttrValue)>,
+    },
+    Evict,
+    Clear,
+}
+
+/// Blocks over a 24-key population shared by every pattern, so a key's
+/// slot regularly holds another pattern than the row that hits it
+/// (`SKIP_SLOT` rows). Half the blocks carry one scalar pattern and take
+/// the lane fold; the rest mix all seven and take the per-row merge.
+fn arb_ops() -> impl Strategy<Value = Vec<TableOp>> {
+    let scalar = (
+        0u8..3,
+        proptest::collection::vec((0u8..24, arb_lane()), 0..30),
+    )
+        .prop_map(|(kind, rows)| {
+            let attr = match kind {
+                0 => AttrValue::Frequency,
+                1 => AttrValue::Max,
+                _ => AttrValue::Min,
+            };
+            rows.into_iter().map(|(k, v)| (k, attr(v))).collect()
+        });
+    let mixed = proptest::collection::vec((0u8..24, arb_attr()), 0..30);
+    let op =
+        (0u8..8, any::<bool>(), prop_oneof![scalar, mixed]).prop_map(
+            |(tag, open, rows)| match tag {
+                0 | 1 => TableOp::Evict,
+                2 => TableOp::Clear,
+                _ => TableOp::Insert { open, rows },
+            },
+        );
+    proptest::collection::vec(op, 1..24)
+}
+
+/// Thresholds on both sides of every branch of the integer cut:
+/// negative, zero, fractional, powers of two and their neighbours, 2⁵³
+/// and beyond (where `f64` stops holding every integer), ∞ and NaN.
+fn thresholds() -> Vec<f64> {
+    let mut ts = vec![-3.0, 0.0, 0.5, 2.5, 299.5, 1e19, 3e19];
+    for bit in [0, 1, 8, 31, 52, 53, 54, 63] {
+        let p = (1u64 << bit) as f64;
+        ts.extend([p - 1.0, p, p + 1.0]);
+    }
+    ts.extend([f64::INFINITY, f64::NAN]);
+    ts
 }
 
 /// Naive reference: merged counts over a span of batches.
@@ -168,30 +235,63 @@ proptest! {
     }
 
     /// Decoding arbitrary bytes never panics; on success, re-encoding
-    /// reproduces semantically equal records.
+    /// reproduces semantically equal records. A header that claims more
+    /// rows than the bytes behind it could hold is refused up front, so
+    /// a short datagram cannot make a decoder reserve for `u32::MAX`.
     #[test]
     fn wire_decode_is_safe(data in proptest::collection::vec(any::<u8>(), 0..256)) {
         if let Ok(batch) = decode_batch(&data[..]) {
             let re = encode_batch(&batch);
             prop_assert_eq!(decode_batch(re).unwrap(), batch);
         }
+        if let Ok(entries) = decode_merged(&data[..]) {
+            let re = encode_merged(&entries);
+            prop_assert_eq!(decode_merged(re).unwrap(), entries);
+        }
+        let mut lying = u32::MAX.to_be_bytes().to_vec();
+        lying.extend_from_slice(&data);
+        let refused = |e: OwError| matches!(e, OwError::Decode(m) if m.contains("claims"));
+        prop_assert!(refused(decode_batch(&lying[..]).unwrap_err()));
+        prop_assert!(refused(decode_merged(&lying[..]).unwrap_err()));
     }
 
-    /// `flows_over` returns exactly the flows at/above the threshold,
-    /// sorted by key.
+    /// After every insert, evict and clear, `flows_over` and `snapshot` equal
+    /// the naive reading of the same table — every slot through
+    /// `iter()`, `scalar() >= T`, sorted by packed key — and the
+    /// magnitude column matches its definition, so a write that forgets
+    /// to refresh it fails here.
     #[test]
-    fn flows_over_is_exact(batch in proptest::collection::vec((0u8..40, 1u16..300), 0..60), t in 1u32..500) {
-        let recs = to_records(0, &batch);
+    fn read_path_matches_naive_reference(ops in arb_ops()) {
         let mut table = MergeTable::new();
-        table.insert_batch(0, recs.clone());
-        let over = table.flows_over(t as f64);
-        let naive = naive_merge(&[recs]);
-        for (k, v) in &over {
-            prop_assert!(*v >= t as f64);
-            prop_assert_eq!(naive[k] as f64, *v);
+        let mut sw = 0u32;
+        for (step, op) in ops.into_iter().enumerate() {
+            match op {
+                TableOp::Evict => {
+                    table.evict_oldest();
+                }
+                TableOp::Clear => table.clear(),
+                TableOp::Insert { open, rows } => {
+                    let open = open || table.subwindows().is_empty();
+                    sw += open as u32;
+                    let mut block = RecordBlock::new(sw);
+                    for (seq, (k, attr)) in rows.into_iter().enumerate() {
+                        block.push_row(FlowKey::src_ip(k as u32), attr, seq as u32);
+                    }
+                    table.insert_block(block, open);
+                }
+            }
+            prop_assert!(table.mags_current(), "stale magnitude byte, step {}", step);
+            let mut rows: Vec<(FlowKey, AttrValue)> = table.iter().collect();
+            rows.sort_by_key(|(k, _)| k.as_u128());
+            prop_assert_eq!(&table.snapshot(), &rows, "snapshot, step {}", step);
+            for t in thresholds() {
+                let expect: Vec<(FlowKey, f64)> = rows
+                    .iter()
+                    .map(|(k, v)| (*k, v.scalar()))
+                    .filter(|(_, s)| *s >= t)
+                    .collect();
+                prop_assert_eq!(table.flows_over(t), expect, "T = {}, step {}", t, step);
+            }
         }
-        let expect_count = naive.values().filter(|&&v| v as f64 >= t as f64).count();
-        prop_assert_eq!(over.len(), expect_count);
-        prop_assert!(over.windows(2).all(|w| w[0].0.as_u128() < w[1].0.as_u128()));
     }
 }
