@@ -45,6 +45,7 @@ pub struct FlowKey {
 
 impl FlowKey {
     /// Extract the key of `kind` from a packet's five-tuple.
+    #[inline]
     pub fn of_packet(pkt: &Packet, kind: KeyKind) -> FlowKey {
         FlowKey {
             src_ip: pkt.src_ip,

@@ -72,7 +72,36 @@ impl HashFn {
     }
 }
 
+/// One key's hash under a [`HashFamily`], from which every row's index
+/// is derived (Kirsch–Mitzenmacher double hashing): row `i` reads
+/// `a + i·b`, reduced by the same multiply-shift as [`HashFn::index`].
+///
+/// A `d`-row sketch therefore mixes the key once (three [`mix64`]
+/// rounds) instead of once per row. `b` is odd, so the `d` row values
+/// of one key are distinct.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyDigest {
+    a: u64,
+    b: u64,
+}
+
+impl KeyDigest {
+    /// The key's index into row `row` of `buckets` cells, in
+    /// `[0, buckets)`.
+    #[inline]
+    pub fn index(&self, row: usize, buckets: usize) -> usize {
+        debug_assert!(buckets > 0);
+        let h = self.a.wrapping_add((row as u64).wrapping_mul(self.b));
+        (((h as u128) * (buckets as u128)) >> 64) as usize
+    }
+}
+
 /// A convenience bundle of `d` hash functions, as used by d-row sketches.
+///
+/// The row-indexed sketches (Count-Min, SuMax, MV-Sketch, SpreadSketch,
+/// Bloom filter) take all their row indices from one [`KeyDigest`];
+/// structures that peel or re-key per stage (FlowRadar, IBLT, HashPipe)
+/// use the member functions themselves.
 #[derive(Debug, Clone)]
 pub struct HashFamily {
     fns: Vec<HashFn>,
@@ -83,6 +112,21 @@ impl HashFamily {
     pub fn new(seed: u64, d: usize) -> HashFamily {
         HashFamily {
             fns: (0..d).map(|i| HashFn::new(seed, i)).collect(),
+        }
+    }
+
+    /// Digest `key` once for every row of the family (salted by the
+    /// family's first function).
+    ///
+    /// # Panics
+    /// Panics on an empty family.
+    #[inline]
+    pub fn digest(&self, key: &FlowKey) -> KeyDigest {
+        let f = &self.fns[0];
+        let a = f.hash_key(key);
+        KeyDigest {
+            a,
+            b: mix64(a ^ f.salt1) | 1,
         }
     }
 

@@ -322,6 +322,7 @@ impl Packet {
     }
 
     /// The packet's flow key under the given projection.
+    #[inline]
     pub fn key(&self, kind: KeyKind) -> FlowKey {
         FlowKey::of_packet(self, kind)
     }

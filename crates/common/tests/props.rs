@@ -3,7 +3,7 @@
 use bytes::Bytes;
 use ow_common::afr::{AttrKind, AttrValue, DistinctBitmap};
 use ow_common::flowkey::{FlowKey, KeyKind};
-use ow_common::hash::HashFn;
+use ow_common::hash::{HashFamily, HashFn};
 use ow_common::packet::{OwFlag, OwHeader};
 use proptest::prelude::*;
 
@@ -96,6 +96,16 @@ proptest! {
         prop_assert!(h.index(&k, buckets) < buckets);
     }
 
+    /// Digest row indices are always in range, at the widths the unit
+    /// test of `HashFn::index` pins and for every row a sketch could ask.
+    #[test]
+    fn digest_index_in_range(k in arb_key(), seed in any::<u64>(), row in 0usize..64) {
+        let d = HashFamily::new(seed, 1).digest(&k);
+        for buckets in [1usize, 2, 3, 1000, 65536, 100003] {
+            prop_assert!(d.index(row, buckets) < buckets);
+        }
+    }
+
     /// Frequency merge is commutative and associative.
     #[test]
     fn frequency_merge_comm_assoc(a in any::<u32>(), b in any::<u32>(), c in any::<u32>()) {
@@ -168,6 +178,73 @@ proptest! {
             let re = h.encode();
             let dec2 = OwHeader::decode(re).unwrap();
             prop_assert_eq!(dec2, h);
+        }
+    }
+}
+
+/// 64 k structured (counter-derived) keys of `kind` — sequential fields
+/// are the input a weak mixer fails on first.
+fn sequential_keys(kind: KeyKind) -> Vec<FlowKey> {
+    (0..65_536u32)
+        .map(|i| FlowKey {
+            src_ip: 0x0A00_0000 + i,
+            dst_ip: 0xC0A8_0000 + i.rotate_left(8),
+            src_port: (i % 1000) as u16,
+            dst_port: 80,
+            proto: 6,
+            kind,
+        })
+        .collect()
+}
+
+/// Every digest row is uniform on its own (chi-square over 64 buckets,
+/// 63 degrees of freedom: mean 63, sd ≈ 11) and any two rows of one key
+/// agree about as often as independent functions would (1/w).
+#[test]
+fn digest_rows_are_uniform_and_pairwise_independent() {
+    const ROWS: usize = 7; // the Bloom filter's k, the most rows any user asks for
+    for kind in [
+        KeyKind::FiveTuple,
+        KeyKind::SrcIp,
+        KeyKind::DstIp,
+        KeyKind::SrcDst,
+    ] {
+        let keys = sequential_keys(kind);
+        let n = keys.len() as f64;
+        let fam = HashFamily::new(0x5EED ^ kind as u64, ROWS);
+        let pairs: Vec<(usize, usize)> = (0..ROWS)
+            .flat_map(|r| ((r + 1)..ROWS).map(move |q| (r, q)))
+            .collect();
+        for w in [64usize, 1021] {
+            let mut counts = vec![vec![0u32; w]; ROWS];
+            let mut agree = vec![0u32; pairs.len()];
+            for k in &keys {
+                let d = fam.digest(k);
+                for (r, row) in counts.iter_mut().enumerate() {
+                    row[d.index(r, w)] += 1;
+                }
+                for (hits, &(r, q)) in agree.iter_mut().zip(&pairs) {
+                    *hits += (d.index(r, w) == d.index(q, w)) as u32;
+                }
+            }
+            let expected = n / w as f64;
+            let dof = (w - 1) as f64;
+            for (r, row) in counts.iter().enumerate() {
+                let chi2: f64 = row
+                    .iter()
+                    .map(|&c| (c as f64 - expected).powi(2) / expected)
+                    .sum();
+                assert!(
+                    chi2 < dof + 5.0 * (2.0 * dof).sqrt(),
+                    "{kind:?} row {r} width {w}: chi2 {chi2:.1} over {dof} dof"
+                );
+            }
+            for (&hits, (r, q)) in agree.iter().zip(&pairs) {
+                assert!(
+                    (hits as f64 - expected).abs() < 5.0 * expected.sqrt(),
+                    "{kind:?} rows {r},{q} width {w}: agree {hits}, expected {expected:.0}"
+                );
+            }
         }
     }
 }

@@ -107,7 +107,7 @@ fn trace() -> Vec<Packet> {
 fn collect_batches(sw: &mut Switch<App>) -> Vec<(u32, Vec<FlowRecord>)> {
     let mut events = Vec::new();
     for p in trace() {
-        events.extend(sw.process(p));
+        sw.process_into(p, &mut events);
     }
     events.extend(sw.flush());
     let mut batches = Vec::new();

@@ -93,19 +93,20 @@ impl CountMin {
 }
 
 impl FrequencySketch for CountMin {
+    #[inline]
     fn update(&mut self, key: &FlowKey, weight: u64) {
         let w = u32::try_from(weight).unwrap_or(u32::MAX);
-        for (r, h) in self.hashes.iter().enumerate() {
-            let idx = r * self.width + h.index(key, self.width);
+        let d = self.hashes.digest(key);
+        for r in 0..self.rows {
+            let idx = r * self.width + d.index(r, self.width);
             self.counters[idx] = self.counters[idx].saturating_add(w);
         }
     }
 
     fn query(&self, key: &FlowKey) -> u64 {
-        self.hashes
-            .iter()
-            .enumerate()
-            .map(|(r, h)| self.counters[r * self.width + h.index(key, self.width)])
+        let d = self.hashes.digest(key);
+        (0..self.rows)
+            .map(|r| self.counters[r * self.width + d.index(r, self.width)])
             .min()
             .unwrap_or(0) as u64
     }

@@ -60,6 +60,8 @@ impl FlowRadar {
         }
     }
 
+    // Separate `HashFn`s, not one `KeyDigest`: peeling needs two flows
+    // that share a cell to part ways in their other cells.
     fn indices(&self, key: &FlowKey) -> Vec<usize> {
         let k = self.hashes.len();
         let per = self.cells.len() / k.max(1);

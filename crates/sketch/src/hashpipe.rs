@@ -63,7 +63,9 @@ impl HashPipe {
 
 impl FrequencySketch for HashPipe {
     fn update(&mut self, key: &FlowKey, weight: u64) {
-        // Stage 0: always insert, evicting the resident entry.
+        // Stage 0: always insert, evicting the resident entry. (A separate
+        // `HashFn` per stage, not one `KeyDigest`: each stage re-keys on
+        // whatever key the previous stage evicted.)
         let idx0 = self.hashes.get(0).index(key, self.width);
         let slot0 = &mut self.slots[idx0];
         let (mut carried_key, mut carried_count) = match slot0.key {

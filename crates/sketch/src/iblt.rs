@@ -58,6 +58,8 @@ impl Iblt {
     }
 
     fn indices(&self, key: &FlowKey) -> Vec<usize> {
+        // Separate `HashFn`s, not one `KeyDigest`: peeling needs two keys
+        // that share a cell to part ways in their other cells.
         // Distinct cells per hash: partition the table into k sub-ranges so
         // a key never hits the same cell twice (standard IBLT practice).
         let k = self.hashes.len();

@@ -124,8 +124,9 @@ impl MvSketch {
 impl FrequencySketch for MvSketch {
     fn update(&mut self, key: &FlowKey, weight: u64) {
         let w = weight as i64;
-        for (r, h) in self.hashes.iter().enumerate() {
-            let b = &mut self.buckets[r * self.width + h.index(key, self.width)];
+        let d = self.hashes.digest(key);
+        for r in 0..self.rows {
+            let b = &mut self.buckets[r * self.width + d.index(r, self.width)];
             b.v += weight;
             match b.k {
                 None => {
@@ -149,11 +150,10 @@ impl FrequencySketch for MvSketch {
     }
 
     fn query(&self, key: &FlowKey) -> u64 {
-        self.hashes
-            .iter()
-            .enumerate()
-            .map(|(r, h)| {
-                let b = &self.buckets[r * self.width + h.index(key, self.width)];
+        let d = self.hashes.digest(key);
+        (0..self.rows)
+            .map(|r| {
+                let b = &self.buckets[r * self.width + d.index(r, self.width)];
                 let est = if b.k == Some(*key) {
                     (b.v as i64 + b.c) / 2
                 } else {

@@ -69,10 +69,9 @@ impl SpreadSketch {
     /// exports for the key: per-sub-window bitmaps union losslessly into
     /// the window's distinct summary (§4.2, distinction statistics).
     pub fn bitmap(&self, key: &FlowKey) -> DistinctBitmap {
-        self.hashes
-            .iter()
-            .enumerate()
-            .map(|(r, h)| &self.buckets[r * self.width + h.index(key, self.width)].bitmap)
+        let d = self.hashes.digest(key);
+        (0..self.rows)
+            .map(|r| &self.buckets[r * self.width + d.index(r, self.width)].bitmap)
             .min_by(|a, b| {
                 a.estimate()
                     .partial_cmp(&b.estimate())
@@ -90,8 +89,9 @@ impl SpreadEstimator for SpreadSketch {
         let pair_hash = mix64(self.element_hash.hash_key(key) ^ mix64(element));
         let level = pair_hash.leading_zeros().min(255) as u8;
         let elem_hash = self.element_hash.index_u64(element, usize::MAX) as u64 ^ mix64(element);
-        for (r, h) in self.hashes.iter().enumerate() {
-            let b = &mut self.buckets[r * self.width + h.index(key, self.width)];
+        let d = self.hashes.digest(key);
+        for r in 0..self.rows {
+            let b = &mut self.buckets[r * self.width + d.index(r, self.width)];
             b.bitmap.insert_hash(elem_hash);
             if b.key.is_none() || level >= b.level {
                 b.key = Some(*key);
@@ -101,11 +101,10 @@ impl SpreadEstimator for SpreadSketch {
     }
 
     fn spread(&self, key: &FlowKey) -> u64 {
-        self.hashes
-            .iter()
-            .enumerate()
-            .map(|(r, h)| {
-                self.buckets[r * self.width + h.index(key, self.width)]
+        let d = self.hashes.digest(key);
+        (0..self.rows)
+            .map(|r| {
+                self.buckets[r * self.width + d.index(r, self.width)]
                     .bitmap
                     .estimate()
             })

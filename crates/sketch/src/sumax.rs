@@ -47,22 +47,22 @@ impl SuMax {
         self.width
     }
 
-    fn cell_indices(&self, key: &FlowKey) -> impl Iterator<Item = usize> + '_ {
-        let key = *key;
-        self.hashes
-            .iter()
-            .enumerate()
-            .map(move |(r, h)| r * self.width + h.index(&key, self.width))
+    /// The key's cell in every row (the same cells Count-Min would
+    /// touch under the same seed).
+    fn cell_indices(&self, key: &FlowKey) -> impl Iterator<Item = usize> + Clone {
+        let d = self.hashes.digest(key);
+        let width = self.width;
+        (0..self.rows).map(move |r| r * width + d.index(r, width))
     }
 }
 
 impl FrequencySketch for SuMax {
     fn update(&mut self, key: &FlowKey, weight: u64) {
         let w = u32::try_from(weight).unwrap_or(u32::MAX);
-        let idxs: Vec<usize> = self.cell_indices(key).collect();
-        let min = idxs.iter().map(|&i| self.counters[i]).min().unwrap_or(0);
+        let idxs = self.cell_indices(key);
+        let min = idxs.clone().map(|i| self.counters[i]).min().unwrap_or(0);
         let target = min.saturating_add(w);
-        for &i in &idxs {
+        for i in idxs {
             if self.counters[i] < target {
                 self.counters[i] = target;
             }

@@ -2,7 +2,9 @@
 
 use ow_common::flowkey::FlowKey;
 use ow_sketch::traits::FrequencySketch;
-use ow_sketch::{CountMin, HashPipe, HyperLogLog, Iblt, LinearCounting, MvSketch, SuMax};
+use ow_sketch::{
+    BloomFilter, CountMin, HashPipe, HyperLogLog, Iblt, LinearCounting, MvSketch, SuMax,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -49,6 +51,31 @@ proptest! {
             let q = sm.query(&key(k));
             prop_assert!(q >= truth);
             prop_assert!(q <= cm.query(&key(k)));
+        }
+    }
+
+    /// A Bloom filter has no false negatives, and `check_and_insert` is
+    /// `contains` then `insert`: same answers, same bits, on streams
+    /// with repeats.
+    #[test]
+    fn bloom_check_and_insert_is_contains_then_insert(
+        stream in proptest::collection::vec(0u16..200, 1..600),
+        seed in any::<u64>(),
+    ) {
+        let mut fused = BloomFilter::new(1024, 7, seed);
+        let mut split = BloomFilter::new(1024, 7, seed);
+        for &k in &stream {
+            let was = split.contains(&key(k));
+            if !was {
+                split.insert(&key(k));
+            }
+            prop_assert_eq!(fused.check_and_insert(&key(k)), was);
+            prop_assert!(fused.contains(&key(k)), "false negative");
+        }
+        prop_assert_eq!(fused.inserted(), split.inserted());
+        prop_assert_eq!(fused.fill_ratio(), split.fill_ratio());
+        for k in 0u16..400 {
+            prop_assert_eq!(fused.contains(&key(k)), split.contains(&key(k)));
         }
     }
 
@@ -181,5 +208,21 @@ proptest! {
             }
         }
         prop_assert!(incomplete <= 1, "{incomplete}/20 decodes incomplete");
+    }
+}
+
+/// At `for_capacity`'s design load the digest-indexed filter keeps the
+/// false-positive rate seven independent functions would give (≈ 0.8 %).
+#[test]
+fn bloom_false_positives_at_design_load() {
+    let n = 65_536u32;
+    let k = |i: u32| FlowKey::five_tuple(i, !i, (i % 60_000) as u16, 443, 6);
+    for seed in 1..=4u64 {
+        let mut bf = BloomFilter::for_capacity(n as usize, seed);
+        (0..n).for_each(|i| bf.insert(&k(i)));
+        assert!((0..n).all(|i| bf.contains(&k(i))), "false negative");
+        let fps = (n..2 * n).filter(|&i| bf.contains(&k(i))).count();
+        let rate = fps as f64 / n as f64;
+        assert!(rate <= 0.015, "seed {seed}: false positive rate {rate}");
     }
 }

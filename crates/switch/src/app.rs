@@ -18,7 +18,15 @@ pub trait DataPlaneApp {
     fn key_kind(&self) -> KeyKind;
 
     /// Process one packet (the normal measurement path).
-    fn update(&mut self, pkt: &Packet);
+    fn update(&mut self, pkt: &Packet) {
+        let key = pkt.key(self.key_kind());
+        self.update_keyed(pkt, &key);
+    }
+
+    /// [`DataPlaneApp::update`] with the packet's key under
+    /// [`DataPlaneApp::key_kind`] already built — the switch builds it
+    /// once for the application and the flowkey tracker.
+    fn update_keyed(&mut self, pkt: &Packet, key: &FlowKey);
 
     /// Data-plane flow query: the statistic recorded for `key`, used to
     /// generate this flow's AFR when the sub-window terminates.
@@ -74,13 +82,14 @@ impl<S: ow_sketch::traits::FrequencySketch> DataPlaneApp for FrequencyApp<S> {
         self.kind
     }
 
-    fn update(&mut self, pkt: &Packet) {
+    #[inline]
+    fn update_keyed(&mut self, pkt: &Packet, key: &FlowKey) {
         let w = if self.count_bytes {
             pkt.wire_len as u64
         } else {
             1
         };
-        self.sketch.update(&pkt.key(self.kind), w);
+        self.sketch.update(key, w);
     }
 
     fn query(&self, key: &FlowKey) -> AttrValue {

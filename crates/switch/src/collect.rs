@@ -118,9 +118,11 @@ impl CrEngine {
         // Assemble the key set: structure-resident keys, buffered keys,
         // and controller-held overflow keys.
         let mut keys: Vec<FlowKey> = app.self_tracked_keys();
+        let self_tracked = keys.len();
         keys.extend_from_slice(tracker.buffered());
         keys.extend_from_slice(tracker.overflowed());
-        keys.sort_by_key(|k| k.as_u128());
+        // Stable, and each key is packed once rather than per comparison.
+        keys.sort_by_cached_key(|k| k.as_u128());
         keys.dedup();
 
         let (from_dataplane, injected) = match cfg.mode {
@@ -128,7 +130,7 @@ impl CrEngine {
             CollectMode::ControlPlane => (0, keys.len()),
             CollectMode::DataPlane => (keys.len(), 0),
             CollectMode::Hybrid => {
-                let buffered = tracker.buffered().len() + app.self_tracked_keys().len();
+                let buffered = tracker.buffered().len() + self_tracked;
                 let buffered = buffered.min(keys.len());
                 (buffered, keys.len() - buffered)
             }
@@ -267,14 +269,23 @@ impl RetransmitBuffer {
     /// Replay the requested sequence ids of `subwindow`. Unknown ids and
     /// sub-windows no longer retained yield nothing (the controller's
     /// timeout, not an error, handles that).
+    ///
+    /// [`CrEngine::collect_and_reset`] numbers a batch `0..n`, so a seq
+    /// is its own index; a batch with gaps (seqs still ascending) is
+    /// binary-searched instead.
     pub fn retransmit(&self, subwindow: u32, seqs: &[u32]) -> Vec<FlowRecord> {
-        match self.batches.get(&subwindow) {
-            None => Vec::new(),
-            Some(batch) => seqs
-                .iter()
-                .filter_map(|&seq| batch.iter().find(|r| r.seq == seq).cloned())
-                .collect(),
-        }
+        let Some(batch) = self.batches.get(&subwindow) else {
+            return Vec::new();
+        };
+        seqs.iter()
+            .filter_map(|&seq| match batch.get(seq as usize) {
+                Some(r) if r.seq == seq => Some(*r),
+                _ => batch
+                    .binary_search_by_key(&seq, |r| r.seq)
+                    .ok()
+                    .map(|i| batch[i]),
+            })
+            .collect()
     }
 
     /// The full retained batch of `subwindow` (the OS-path readback).
@@ -537,6 +548,32 @@ mod tests {
         buf.release(7);
         assert!(buf.full_batch(7).is_none());
         assert!(buf.retransmit(7, &[1]).is_empty());
+    }
+
+    #[test]
+    fn retransmit_indexes_like_the_linear_scan() {
+        let linear = |batch: &[FlowRecord], seqs: &[u32]| -> Vec<FlowRecord> {
+            seqs.iter()
+                .filter_map(|&s| batch.iter().find(|r| r.seq == s).copied())
+                .collect()
+        };
+        // Every tenth seq of a dense 20 000-record batch, then ids past
+        // its end.
+        let dense: Vec<FlowRecord> = (0..20_000).map(|s| afr(s, 3)).collect();
+        let mut seqs: Vec<u32> = (0..2_000).map(|i| i * 10 + 7).collect();
+        seqs.extend([20_000, 99_999, u32::MAX]);
+        let mut buf = RetransmitBuffer::new(0);
+        buf.retain(3, &dense);
+        let got = buf.retransmit(3, &seqs);
+        assert_eq!(got.len(), 2_000);
+        assert_eq!(got, linear(&dense, &seqs));
+        // A batch with gaps (seq != index) goes through the binary search.
+        let gappy: Vec<FlowRecord> = (0..500).map(|s| afr(s * 3 + 1, 4)).collect();
+        buf.retain(4, &gappy);
+        let seqs: Vec<u32> = (0..1_600).collect();
+        let got = buf.retransmit(4, &seqs);
+        assert_eq!(got.len(), 500);
+        assert_eq!(got, linear(&gappy, &seqs));
     }
 
     #[test]

@@ -67,6 +67,7 @@ impl ConsistencyModel {
     /// Process a packet: stamp it (first hop) or adopt its stamp
     /// (transit), mutating `pkt.ow.subwindow` and possibly fast-
     /// forwarding `signals`.
+    #[inline]
     pub fn place(
         &self,
         pkt: &mut Packet,

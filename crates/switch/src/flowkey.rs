@@ -58,6 +58,7 @@ impl FlowkeyTracker {
     }
 
     /// Algorithm 1 for one packet's key.
+    #[inline]
     pub fn track(&mut self, key: &FlowKey) -> TrackOutcome {
         if self.bloom.check_and_insert(key) {
             return TrackOutcome::AlreadyTracked;

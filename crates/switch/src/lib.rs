@@ -52,4 +52,4 @@ pub use regions::TwoRegionState;
 pub use register::{FlattenedLayout, RegisterArray, SaluOp};
 pub use resources::{FeatureUsage, ResourceReport};
 pub use signal::{SignalEngine, Termination, WindowSignal};
-pub use switch::{Switch, SwitchConfig, SwitchEvent};
+pub use switch::{EventSink, Switch, SwitchConfig, SwitchEvent};

@@ -88,6 +88,7 @@ impl SignalEngine {
     }
 
     /// The current sub-window number.
+    #[inline]
     pub fn current(&self) -> u32 {
         self.current
     }
@@ -118,6 +119,7 @@ impl SignalEngine {
     /// switch into a new sub-window. For timeout signals several
     /// sub-windows may have elapsed in silence; the returned
     /// `Termination::next` reflects the final position.
+    #[inline]
     pub fn on_packet(&mut self, pkt: &Packet) -> Option<Termination> {
         match &self.signal {
             WindowSignal::Timeout(len) => {

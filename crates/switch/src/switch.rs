@@ -94,6 +94,23 @@ pub enum SwitchEvent {
     LatencySpike(Packet),
 }
 
+/// Where [`Switch::process_into`] delivers a packet's events, in order.
+///
+/// `Vec<SwitchEvent>` is the collecting sink (what [`Switch::process`]
+/// returns); a caller that only reacts to some events implements the
+/// trait itself and pays for no allocation.
+pub trait EventSink {
+    /// Receive the next event.
+    fn emit(&mut self, event: SwitchEvent);
+}
+
+impl EventSink for Vec<SwitchEvent> {
+    #[inline]
+    fn emit(&mut self, event: SwitchEvent) {
+        self.push(event);
+    }
+}
+
 /// Pre-registered observability handles for the switch hot paths (one
 /// registry lookup at attach time, atomic bumps afterwards).
 #[derive(Debug, Clone)]
@@ -326,18 +343,28 @@ impl<A: DataPlaneApp> Switch<A> {
     }
 
     /// Run the due C&R if `now` has passed its start time.
-    fn maybe_collect(&mut self, now: Instant, events: &mut Vec<SwitchEvent>) {
-        if let Some(ended) = self.engine.due_collection(now) {
-            let due = self
-                .engine
-                .get(ended)
-                .and_then(|f| f.cr_due())
-                .expect("due window has a cr_due");
-            self.run_collection(ended, due, events);
+    ///
+    /// A window waits for its C&R exactly while the two-region state
+    /// holds it pending (from `on_termination`'s `rotate` to
+    /// `run_collection`'s `complete_cr`), so outside that interval the
+    /// packet path reads one `Option` and never walks the engine.
+    #[inline]
+    fn maybe_collect(&mut self, now: Instant, sink: &mut impl EventSink) {
+        let due = self.state.pending_cr().and_then(|(ended, _)| {
+            let due = self.engine.get(ended)?.cr_due()?;
+            (now >= due).then_some((ended, due))
+        });
+        debug_assert_eq!(
+            due.map(|(ended, _)| ended),
+            self.engine.due_collection(now),
+            "pending region and window engine disagree on the due C&R"
+        );
+        if let Some((ended, due)) = due {
+            self.run_collection(ended, due, sink);
         }
     }
 
-    fn run_collection(&mut self, ended: u32, started: Instant, events: &mut Vec<SwitchEvent>) {
+    fn run_collection(&mut self, ended: u32, started: Instant, sink: &mut impl EventSink) {
         self.engine
             .apply(ended, WindowEvent::CollectStarted { at: started })
             .expect("C&R must start from cr_wait");
@@ -432,7 +459,7 @@ impl<A: DataPlaneApp> Switch<A> {
                 );
             }
         }
-        events.push(SwitchEvent::AfrBatch {
+        sink.emit(SwitchEvent::AfrBatch {
             subwindow: ended,
             started,
             outcome,
@@ -468,37 +495,46 @@ impl<A: DataPlaneApp> Switch<A> {
         events
     }
 
-    /// Process one packet through the full pipeline.
-    pub fn process(&mut self, mut pkt: Packet) -> Vec<SwitchEvent> {
+    /// Process one packet through the full pipeline, returning its
+    /// events ([`Switch::process_into`] collected into a `Vec`).
+    pub fn process(&mut self, pkt: Packet) -> Vec<SwitchEvent> {
         let mut events = Vec::with_capacity(2);
+        self.process_into(pkt, &mut events);
+        events
+    }
+
+    /// Process one packet through the full pipeline, handing its events
+    /// to `sink` in order: a due `AfrBatch`, `Trigger`s, an
+    /// `OverflowKey` or `LatencySpike`, and `Forward` last.
+    pub fn process_into(&mut self, mut pkt: Packet, sink: &mut impl EventSink) {
         let now = pkt.ts;
 
         // An overdue C&R runs before anything else (it happened "in the
         // background" between packets).
-        self.maybe_collect(now, &mut events);
+        self.maybe_collect(now, sink);
 
         // 1. Local signal (first hop only — transit switches move via
         //    embedded stamps).
         if self.cfg.first_hop {
             if let Some(term) = self.signals.on_packet(&pkt) {
-                self.on_termination(term.ended, term.next, now, &mut events);
+                self.on_termination(term.ended, term.next, now, sink);
             }
         }
 
         // 2. Consistency model: stamp or adopt, possibly fast-forwarding.
         let outcome = self.consistency.place(&mut pkt, &mut self.signals, now);
         if let Some(term) = outcome.fast_forwarded {
-            self.on_termination(term.ended, term.next, now, &mut events);
+            self.on_termination(term.ended, term.next, now, sink);
         }
 
         // 3. Record the packet into the placement's region.
         match outcome.placement {
             Placement::SubWindow(sw) => {
                 if let Some((app, tracker)) = self.state.region_of(sw) {
-                    app.update(&pkt);
                     let key = pkt.key(app.key_kind());
+                    app.update_keyed(&pkt, &key);
                     if tracker.track(&key) == TrackOutcome::SentToController {
-                        events.push(SwitchEvent::OverflowKey(key));
+                        sink.emit(SwitchEvent::OverflowKey(key));
                     }
                 }
                 // A sub-window with no resident region (e.g. first packet
@@ -507,25 +543,18 @@ impl<A: DataPlaneApp> Switch<A> {
             }
             Placement::LatencySpike { .. } => {
                 self.spikes += 1;
-                events.push(SwitchEvent::LatencySpike(pkt));
+                sink.emit(SwitchEvent::LatencySpike(pkt));
             }
         }
 
-        events.push(SwitchEvent::Forward(pkt));
-        events
+        sink.emit(SwitchEvent::Forward(pkt));
     }
 
-    fn on_termination(
-        &mut self,
-        ended: u32,
-        next: u32,
-        now: Instant,
-        events: &mut Vec<SwitchEvent>,
-    ) {
+    fn on_termination(&mut self, ended: u32, next: u32, now: Instant, sink: &mut impl EventSink) {
         // If the previous C&R is still pending, run it first (its due time
         // has certainly passed within one sub-window).
         if let Some((prev_ended, due)) = self.engine.pending_cr() {
-            self.run_collection(prev_ended, due.min(now), events);
+            self.run_collection(prev_ended, due.min(now), sink);
         }
         self.engine.open(ended);
         // Open the window's causal trace before the signal fires so the
@@ -540,7 +569,7 @@ impl<A: DataPlaneApp> Switch<A> {
             let (_, tracker) = self.state.active_mut();
             tracker.total_tracked() as u32
         };
-        events.push(SwitchEvent::Trigger {
+        sink.emit(SwitchEvent::Trigger {
             ended,
             at: now,
             tracked_keys: tracked,

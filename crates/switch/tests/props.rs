@@ -1,19 +1,200 @@
 //! Property-based tests for the switch model's invariants.
 
+use ow_common::afr::{AttrValue, FlowRecord};
+use ow_common::flowkey::{FlowKey, KeyKind};
 use ow_common::packet::{Packet, TcpFlags};
 use ow_common::time::{Duration, Instant};
+use ow_sketch::traits::SketchMeta;
+use ow_sketch::CountMin;
+use ow_switch::app::{DataPlaneApp, FrequencyApp};
+use ow_switch::collect::{CollectConfig, CrEngine};
 use ow_switch::consistency::{ConsistencyModel, Placement};
 use ow_switch::flowkey::FlowkeyTracker;
 use ow_switch::latency::LatencyModel;
 use ow_switch::register::{FlattenedLayout, SaluOp};
 use ow_switch::signal::{SignalEngine, WindowSignal};
+use ow_switch::{Switch, SwitchConfig, SwitchEvent};
 use proptest::prelude::*;
 
 fn pkt_at_ns(ns: u64) -> Packet {
     Packet::tcp(Instant::from_nanos(ns), 1, 2, 3, 4, TcpFlags::ack(), 64)
 }
 
+const SUBWINDOW_MS: u64 = 100;
+
+/// A switch small enough that a short trace overflows its `fk_buffer`.
+fn small_switch(first_hop: bool) -> Switch<FrequencyApp<CountMin>> {
+    let app = |s| FrequencyApp::new(CountMin::new(2, 64, s), KeyKind::SrcIp, false);
+    Switch::new_unchecked(
+        SwitchConfig {
+            first_hop,
+            signal: WindowSignal::Timeout(Duration::from_millis(SUBWINDOW_MS)),
+            fk_capacity: 8,
+            expected_flows: 64,
+            cr_wait: Duration::from_millis(1),
+            retransmit_depth: 2,
+            ..SwitchConfig::default()
+        },
+        app(1),
+        app(2),
+    )
+}
+
+/// Where an event may stand in one packet's stream: collections and
+/// triggers, then the packet's own overflow / spike, then `Forward`.
+fn event_rank(e: &SwitchEvent) -> u8 {
+    match e {
+        SwitchEvent::AfrBatch { .. } | SwitchEvent::Trigger { .. } => 0,
+        SwitchEvent::OverflowKey(_) | SwitchEvent::LatencySpike(_) => 1,
+        SwitchEvent::Forward(_) => 2,
+    }
+}
+
+/// A frequency app that also stores keys of its own (what MV-Sketch or
+/// HashPipe would report), so C&R has three key sources to merge.
+struct KeyedApp {
+    inner: FrequencyApp<CountMin>,
+    own: Vec<FlowKey>,
+}
+
+impl DataPlaneApp for KeyedApp {
+    fn key_kind(&self) -> KeyKind {
+        self.inner.key_kind()
+    }
+    fn update_keyed(&mut self, pkt: &Packet, key: &FlowKey) {
+        self.inner.update_keyed(pkt, key);
+    }
+    fn query(&self, key: &FlowKey) -> AttrValue {
+        self.inner.query(key)
+    }
+    fn self_tracked_keys(&self) -> Vec<FlowKey> {
+        self.own.clone()
+    }
+    fn reset(&mut self) {
+        self.inner.reset();
+        self.own.clear();
+    }
+    fn states_per_array(&self) -> usize {
+        self.inner.states_per_array()
+    }
+    fn meta(&self) -> SketchMeta {
+        self.inner.meta()
+    }
+}
+
+fn arb_kind() -> impl Strategy<Value = KeyKind> {
+    prop_oneof![
+        Just(KeyKind::FiveTuple),
+        Just(KeyKind::SrcIp),
+        Just(KeyKind::DstIp),
+        Just(KeyKind::SrcDst),
+    ]
+}
+
 proptest! {
+    /// `process` and `process_into` are one body: on any trace — dense
+    /// runs, gaps around `cr_wait`, whole sub-windows skipped in
+    /// silence, a transit switch fast-forwarded by stamps, stragglers
+    /// inside and beyond the preservation horizon — they emit the same
+    /// events in the same order. (In a debug build every packet also
+    /// checks `maybe_collect`'s shortcut against the engine walk.)
+    #[test]
+    fn process_and_process_into_emit_the_same_stream(
+        first_hop in any::<bool>(),
+        steps in proptest::collection::vec((0u8..4, 0u64..1000, 1u32..40, 0u32..7), 1..300),
+    ) {
+        let mut by_vec = small_switch(first_hop);
+        let mut by_sink = small_switch(first_hop);
+        let mut now_us = 0u64;
+        for &(class, gap, src, stamp) in &steps {
+            now_us += match class {
+                0 => gap / 20,           // back to back
+                1 => gap * 2,            // either side of cr_wait
+                2 => 90_000 + gap * 20,  // about one sub-window
+                _ => 250_000 + gap * 650, // several sub-windows in silence
+            };
+            let mut p = Packet::tcp(
+                Instant::from_nanos(now_us * 1_000), src, 9, 1, 80, TcpFlags::ack(), 64,
+            );
+            // Transit stamps wander from three windows behind the clock
+            // to three ahead of it (a first hop overwrites them).
+            let clock = (now_us / (SUBWINDOW_MS * 1_000)) as u32;
+            p.ow.subwindow = (clock + stamp).saturating_sub(3);
+
+            let returned = by_vec.process(p);
+            let mut sunk = Vec::new();
+            by_sink.process_into(p, &mut sunk);
+            prop_assert_eq!(format!("{returned:?}"), format!("{sunk:?}"));
+            prop_assert!(matches!(returned.last(), Some(SwitchEvent::Forward(_))));
+            prop_assert!(returned.windows(2).all(|w| event_rank(&w[0]) <= event_rank(&w[1])));
+            prop_assert_eq!(returned.iter().filter(|e| event_rank(e) == 2).count(), 1);
+        }
+        prop_assert_eq!(format!("{:?}", by_vec.flush()), format!("{:?}", by_sink.flush()));
+        prop_assert_eq!(by_vec.latency_spikes(), by_sink.latency_spikes());
+        prop_assert_eq!(by_vec.engine().rejected(), 0);
+    }
+
+    /// `collect_and_reset` equals its definition — concatenate the three
+    /// key sources, stable-sort by packed key, dedup, query each — in
+    /// keys (down to the surviving duplicate's raw fields), order, seq
+    /// and the data-plane / injected split, for every key kind, with
+    /// self-tracked keys repeating buffered ones and with overflow.
+    #[test]
+    fn collect_and_reset_matches_its_definition(
+        kind in arb_kind(),
+        ids in proptest::collection::vec((1u32..400, 1u64..9), 0..120),
+        own_picks in proptest::collection::vec((0usize..120, any::<bool>()), 0..40),
+        capacity in 1usize..64,
+    ) {
+        let key_of = |id: u32| FlowKey {
+            src_ip: id,
+            dst_ip: id.wrapping_mul(7),
+            src_port: (id % 13) as u16,
+            dst_port: 80,
+            proto: 6,
+            kind,
+        };
+        let mut app = KeyedApp {
+            inner: FrequencyApp::new(CountMin::new(3, 128, 5), kind, false),
+            own: Vec::new(),
+        };
+        let mut tracker = FlowkeyTracker::new(capacity, 512, 6);
+        for &(id, n) in &ids {
+            let (p, key) = (Packet::tcp(Instant::ZERO, id, 9, 1, 80, TcpFlags::ack(), 64), key_of(id));
+            (0..n).for_each(|_| app.update_keyed(&p, &key));
+            tracker.track(&key);
+        }
+        for &(pick, fresh) in &own_picks {
+            let mut k = match ids.get(pick) {
+                Some(&(id, _)) if !fresh => key_of(id),
+                _ => key_of(1_000 + pick as u32),
+            };
+            if kind != KeyKind::FiveTuple {
+                k.src_port ^= 0x4000; // equal under the projection, different raw bytes
+            }
+            app.own.push(k);
+        }
+
+        let mut keys = app.own.clone();
+        keys.extend_from_slice(tracker.buffered());
+        keys.extend_from_slice(tracker.overflowed());
+        keys.sort_by_key(|k| k.as_u128());
+        keys.dedup();
+        let expected: Vec<FlowRecord> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, k)| FlowRecord { key: *k, attr: app.query(k), subwindow: 9, seq: i as u32 })
+            .collect();
+        let from_dataplane = (tracker.buffered().len() + app.own.len()).min(keys.len());
+
+        let out = CrEngine::new(LatencyModel::default())
+            .collect_and_reset(&mut app, &mut tracker, 9, CollectConfig::default());
+        prop_assert_eq!(format!("{:?}", out.afrs), format!("{expected:?}"));
+        prop_assert_eq!(out.keys_from_dataplane, from_dataplane);
+        prop_assert_eq!(out.keys_injected, keys.len() - from_dataplane);
+        prop_assert_eq!(tracker.total_tracked(), 0);
+    }
+
     /// Timeout signals always place the engine in sub-window
     /// `floor(t / len)` after processing a packet at time `t`, for any
     /// non-decreasing packet sequence.

@@ -77,7 +77,7 @@ fn main() {
     let mut batches: Vec<(u32, Vec<FlowRecord>)> = Vec::new();
     let mut events = Vec::new();
     for p in packets {
-        events.extend(switch.process(p));
+        switch.process_into(p, &mut events);
     }
     events.extend(switch.flush());
     for e in events {

@@ -86,16 +86,10 @@ fn main() {
     for sw in 0..4u64 {
         for i in 0..40 {
             let ts = Instant::from_millis(sw * 100 + 2 + i * 2);
-            events.extend(switch.process(Packet::tcp(ts, 77, 9, 1, 80, TcpFlags::ack(), 64)));
-            events.extend(switch.process(Packet::tcp(
-                ts,
-                1000 + i as u32,
-                9,
-                1,
-                80,
-                TcpFlags::ack(),
-                64,
-            )));
+            for src in [77, 1000 + i as u32] {
+                let p = Packet::tcp(ts, src, 9, 1, 80, TcpFlags::ack(), 64);
+                switch.process_into(p, &mut events);
+            }
         }
     }
     events.extend(switch.flush());

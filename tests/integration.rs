@@ -45,7 +45,7 @@ fn run_pipeline(switch: &mut Switch<App>, packets: Vec<Packet>) -> MergeTable {
     let mut table = MergeTable::new();
     let mut events = Vec::new();
     for p in packets {
-        events.extend(switch.process(p));
+        switch.process_into(p, &mut events);
     }
     events.extend(switch.flush());
 
@@ -309,7 +309,7 @@ fn lossy_channel_recovers_byte_identical_merge_table() {
     let mut sw = mk_switch(true, 4096);
     let mut events = Vec::new();
     for p in mk_packets() {
-        events.extend(sw.process(p));
+        sw.process_into(p, &mut events);
     }
     events.extend(sw.flush());
     for e in events {
@@ -329,7 +329,7 @@ fn lossy_channel_recovers_byte_identical_merge_table() {
         let mut sw = mk_switch(true, 4096);
         let mut events = Vec::new();
         for p in mk_packets() {
-            events.extend(sw.process(p));
+            sw.process_into(p, &mut events);
         }
         events.extend(sw.flush());
 

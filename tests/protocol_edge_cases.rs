@@ -95,7 +95,7 @@ fn two_ingresses_one_transit_stay_consistent() {
     let mut transit_events = Vec::new();
     for (at, mut p) in downstream {
         p.ts = Instant::from_nanos(at);
-        transit_events.extend(transit.process(p));
+        transit.process_into(p, &mut transit_events);
     }
     transit_events.extend(transit.flush());
 
@@ -501,19 +501,19 @@ fn straggler_counted_in_its_stamped_subwindow() {
     for i in 0..10u64 {
         let mut p = pkt(5, 110 + i);
         p.ow.subwindow = 1;
-        events.extend(transit.process(p));
+        transit.process_into(p, &mut events);
     }
     // …then the switch is pushed to sub-window 2…
     let mut p2 = pkt(6, 210);
     p2.ow.subwindow = 2;
-    events.extend(transit.process(p2));
+    transit.process_into(p2, &mut events);
     // …and a straggler stamped 1 arrives 800 µs later — before the
     // delayed C&R (cr_wait = 1 ms) reclaims sub-window 1's region, so the
     // preservation horizon still holds it.
     let mut late = pkt(5, 210);
     late.ts = Instant::from_micros(210_800);
     late.ow.subwindow = 1;
-    events.extend(transit.process(late));
+    transit.process_into(late, &mut events);
 
     events.extend(transit.flush());
     let counts = batch_counts(&events, FlowKey::src_ip(5));
