@@ -14,7 +14,7 @@
 //! the report is byte-identical across same-seed processes — CI runs
 //! the binary twice and `cmp`s it. Next to it goes
 //! `fleet_bench.obs.json`, the largest run's metrics snapshot (fleet
-//! gauges included) for `ow-obs-report`.
+//! gauges included), and its rendered text, `fleet_bench.obs.txt`.
 
 use std::path::Path;
 
@@ -185,7 +185,8 @@ fn main() {
         rows,
     });
     // The largest run's metrics snapshot — fleet gauges included — goes
-    // next to the report: `<stem>.obs.json` for `<stem>.meta.json`.
+    // next to the report: `<stem>.obs.json` (and its rendered
+    // `<stem>.obs.txt`) for `<stem>.meta.json`.
     if let (Some(path), Some(obs)) = (&cli.json, &last_obs) {
         let stem = path
             .strip_suffix(".meta.json")

@@ -1,5 +1,7 @@
 //! `ow-smoke [--seed N] [--out DIR]` — run every observability smoke
-//! scenario once and write the artifacts `ow-obs-report` renders.
+//! scenario once and write its artifacts. Every snapshot, span trace
+//! and post-mortem is written with its rendered text beside it
+//! (`<stem>.txt` for `<stem>.json`).
 //!
 //! | file (under `--out`, default `results/`) | scenario |
 //! | --- | --- |
@@ -56,7 +58,7 @@ fn write(dir: &Path, name: &str, json: String) -> std::io::Result<()> {
 /// The post-mortem, when a critical alert froze the recorder.
 fn write_dump(dir: &Path, name: &str, engine: &HealthEngine) -> std::io::Result<()> {
     match engine.flight_dump(name.trim_end_matches(".json")) {
-        Some(dump) => write(dir, name, dump.to_json()),
+        Some(dump) => dump.write(&dir.join(name)),
         None => Ok(()),
     }
 }
@@ -89,13 +91,15 @@ fn main() -> Result<(), Box<dyn Error>> {
         seed,
         ..ObsSmokeConfig::default()
     });
-    write(&out, "obs_smoke.json", cr.obs.report("obs_smoke").to_json())?;
+    cr.obs
+        .report("obs_smoke")
+        .write(&out.join("obs_smoke.json"))?;
     let traces = TraceReport::capture(
         "obs_smoke",
         cr.obs.tracer(),
         Some(Duration::from_millis(10)),
     );
-    write(&out, "trace_smoke.json", traces.to_json())?;
+    traces.write(&out.join("trace_smoke.json"))?;
     let forced = judge_obs_smoke(&cr.obs);
 
     let (chaos, chaos_obs) = run_with_health(&chaos_config(seed));
@@ -114,7 +118,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Fleet workers journal from their own router threads: only the
     // canonical order of the snapshot is seed-deterministic.
     let snapshot = chaos_obs.report("health_smoke").canonicalized();
-    write(&out, "health_smoke.obs.json", snapshot.to_json())?;
+    snapshot.write(&out.join("health_smoke.obs.json"))?;
     write_dump(&out, "flightrec_health_smoke.json", &chaos)?;
 
     let (exact, _, _) = run_with_accuracy(&accuracy_config(seed, None));
@@ -135,7 +139,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         serde_json::to_string_pretty(&doc)?,
     )?;
     let snapshot = degraded_obs.report("accuracy_smoke").canonicalized();
-    write(&out, "accuracy_smoke.obs.json", snapshot.to_json())?;
+    snapshot.write(&out.join("accuracy_smoke.obs.json"))?;
     write_dump(&out, "flightrec_accuracy_smoke.json", &engine)?;
 
     println!("ow-smoke: seed {seed}, artifacts in {}", out.display());

@@ -91,27 +91,26 @@ impl Cli {
         self.obs.journal().progress(message);
     }
 
-    /// Write `value` as pretty JSON if `--json` was given.
+    /// Write `value` as pretty JSON if `--json` was given. A dump that
+    /// cannot be serialised or written is a failed run: the journal
+    /// gets a `dump_error` warning and the process exits with status 1.
     pub fn dump<T: serde::Serialize>(&self, value: &T) {
-        if let Some(path) = &self.json {
-            match serde_json::to_string_pretty(value) {
-                Ok(s) => {
-                    if let Err(e) = std::fs::write(path, s) {
-                        self.obs.event(
-                            Event::new("dump_error", format!("failed to write {path}: {e}")).warn(),
-                        );
-                    } else {
-                        self.progress(format!("results written to {path}"));
-                    }
-                }
-                Err(e) => {
-                    self.obs.event(
-                        Event::new("dump_error", format!("failed to serialise results: {e}"))
-                            .warn(),
-                    );
-                }
-            }
+        if let Err(problem) = self.try_dump(value) {
+            self.obs.event(Event::new("dump_error", problem).warn());
+            std::process::exit(1);
         }
+    }
+
+    /// [`Cli::dump`] returning the problem instead of exiting.
+    pub fn try_dump<T: serde::Serialize>(&self, value: &T) -> Result<(), String> {
+        let Some(path) = &self.json else {
+            return Ok(());
+        };
+        let json = serde_json::to_string_pretty(value)
+            .map_err(|e| format!("failed to serialise results: {e}"))?;
+        std::fs::write(path, json).map_err(|e| format!("failed to write {path}: {e}"))?;
+        self.progress(format!("results written to {path}"));
+        Ok(())
     }
 }
 
@@ -158,6 +157,29 @@ mod tests {
             assert_eq!(events[0].level, ow_obs::Level::Warn);
             assert!(events[0].message.contains(named), "{args:?}");
         }
+    }
+
+    #[test]
+    fn a_dump_that_cannot_be_written_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("ow-bench-dump-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let good = dir.join("rows.json");
+        let bad = dir.join("no-such-dir").join("rows.json");
+        for (path, written) in [(&good, true), (&bad, false)] {
+            let path = path.to_str().unwrap();
+            let cli = Cli::try_parse_from(argv(&["--json", path])).expect("flags parse");
+            let outcome = cli.try_dump(&vec![1u64, 2]);
+            assert_eq!(outcome.is_ok(), written, "{path}: {outcome:?}");
+            assert_eq!(std::path::Path::new(path).exists(), written);
+            if let Err(problem) = outcome {
+                assert!(problem.contains("failed to write"), "{problem}");
+                assert!(problem.contains(path), "{problem}");
+            }
+        }
+        // Without --json there is nothing to write and nothing to fail.
+        let cli = Cli::try_parse_from(argv(&[])).expect("empty argv parses");
+        assert_eq!(cli.try_dump(&vec![1u64]), Ok(()));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

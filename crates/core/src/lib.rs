@@ -23,8 +23,6 @@
 //! * [`migration`] — the §8 state-migration path for structures without
 //!   data-plane flow query (FlowRadar): the controller decodes migrated
 //!   states into AFRs,
-//! * [`signal_windows`] — windows delimited by counter / session /
-//!   user-defined signals (variable-length windows, §5),
 //! * [`lifetime`] — variable-size windows: per-flow lifetime
 //!   reconstruction from retained sub-window batches (the G1 use case),
 //! * [`verify`] (re-export of `ow-verify`) — the static RMT pipeline
@@ -81,7 +79,6 @@ pub mod experiments;
 pub mod lifetime;
 pub mod mechanisms;
 pub mod migration;
-pub mod signal_windows;
 
 /// The static pipeline verifier (re-export of `ow-verify`).
 pub use ow_verify as verify;

@@ -23,11 +23,10 @@ use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
 
-use serde::{Serialize, Value};
+use serde::Serialize;
 
 use crate::health::AlertEvent;
 use crate::journal::{Event, Level};
-use crate::json::ValueExt;
 use crate::registry::RegistrySnapshot;
 
 /// Byte/entry bounds of the recorder ring.
@@ -73,25 +72,11 @@ impl FlightEntry {
 /// ordering by the entry orders same-seed journals identically.
 impl From<&Event> for FlightEntry {
     fn from(e: &Event) -> FlightEntry {
-        let mut ctx = Vec::new();
-        if let Some(sw) = e.subwindow {
-            ctx.push(format!("sw={sw}"));
-        }
-        if let Some(ph) = &e.phase {
-            ctx.push(format!("phase={ph}"));
-        }
-        if let Some(sh) = e.shard {
-            ctx.push(format!("shard={sh}"));
-        }
-        let ctx = if ctx.is_empty() {
-            String::new()
-        } else {
-            format!(" [{}]", ctx.join(" "))
-        };
         let level = match e.level {
             Level::Info => "info",
             Level::Warn => "warn",
         };
+        let ctx = e.context(false);
         FlightEntry {
             at_ns: e.at_ns.unwrap_or(0),
             kind: "event".into(),
@@ -142,12 +127,34 @@ impl FlightDump {
         serde_json::to_string_pretty(self).expect("flight dump serializes")
     }
 
-    /// Write the dump to `path`, creating parent directories.
+    /// Write the dump to `path` and its [`render`](FlightDump::render)ed
+    /// form beside it as `<stem>.txt`, creating parent directories.
     pub fn write(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
+        crate::render::write_artifact(path, self.to_json(), self.render())
+    }
+
+    /// What the types do not already guarantee about a dump: a
+    /// non-empty `freeze_reason`, entry kinds in `event|signal|tick`,
+    /// a stable `OW-HEALTH-*` code and a `fired|cleared` state on every
+    /// timeline record.
+    pub fn check(&self) -> Result<(), String> {
+        if self.freeze_reason.is_empty() {
+            return Err("empty freeze_reason".into());
         }
-        std::fs::write(path, self.to_json())
+        for (i, e) in self.entries.iter().enumerate() {
+            if !matches!(e.kind.as_str(), "event" | "signal" | "tick") {
+                return Err(format!("entry {i} has unknown kind '{}'", e.kind));
+            }
+        }
+        for (i, a) in self.timeline.iter().enumerate() {
+            if !crate::health::valid_code(&a.code) {
+                return Err(format!("timeline record {i} has bad code '{}'", a.code));
+            }
+            if !matches!(a.state.as_str(), "fired" | "cleared") {
+                return Err(format!("timeline record {i} has state '{}'", a.state));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -282,80 +289,6 @@ impl FlightRecorder {
     }
 }
 
-/// Validate a parsed flight-recorder dump against the schema
-/// [`FlightDump`] emits: non-empty `freeze_reason`, well-formed
-/// entries (`at_ns`/`kind`/`detail` with a known kind), a registry
-/// snapshot with a metrics array, trace briefs, and timeline records
-/// each carrying a stable `OW-HEALTH-*` code.
-pub fn validate_flightrec_json(doc: &Value) -> Result<(), String> {
-    doc.field("run")
-        .and_then(Value::as_str)
-        .ok_or("dump without run")?;
-    let reason = doc
-        .field("freeze_reason")
-        .and_then(Value::as_str)
-        .ok_or("dump without freeze_reason")?;
-    if reason.is_empty() {
-        return Err("empty freeze_reason".into());
-    }
-    doc.field("frozen_at_ns")
-        .and_then(Value::as_u64)
-        .ok_or("dump without frozen_at_ns")?;
-    let entries = doc
-        .field("entries")
-        .and_then(Value::items)
-        .ok_or("dump without entries array")?;
-    for (i, e) in entries.iter().enumerate() {
-        e.field("at_ns")
-            .and_then(Value::as_u64)
-            .ok_or(format!("entry {i} without at_ns"))?;
-        let kind = e
-            .field("kind")
-            .and_then(Value::as_str)
-            .ok_or(format!("entry {i} without kind"))?;
-        if !matches!(kind, "event" | "signal" | "tick") {
-            return Err(format!("entry {i} has unknown kind '{kind}'"));
-        }
-        e.field("detail")
-            .and_then(Value::as_str)
-            .ok_or(format!("entry {i} without detail"))?;
-    }
-    doc.field("registry")
-        .and_then(|r| r.field("metrics"))
-        .and_then(Value::items)
-        .ok_or("dump without registry.metrics")?;
-    let traces = doc
-        .field("traces")
-        .and_then(Value::items)
-        .ok_or("dump without traces array")?;
-    for (i, t) in traces.iter().enumerate() {
-        t.field("trace_id")
-            .and_then(Value::as_u64)
-            .ok_or(format!("trace brief {i} without trace_id"))?;
-        t.field("spans")
-            .and_then(Value::as_u64)
-            .ok_or(format!("trace brief {i} without spans"))?;
-    }
-    let timeline = doc
-        .field("timeline")
-        .and_then(Value::items)
-        .ok_or("dump without timeline array")?;
-    for (i, a) in timeline.iter().enumerate() {
-        let code = a
-            .field("code")
-            .and_then(Value::as_str)
-            .ok_or(format!("timeline record {i} without code"))?;
-        if !crate::health::valid_code(code) {
-            return Err(format!("timeline record {i} has bad code '{code}'"));
-        }
-        a.field("state")
-            .and_then(Value::as_str)
-            .filter(|s| matches!(*s, "fired" | "cleared"))
-            .ok_or(format!("timeline record {i} without fired/cleared state"))?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,21 +375,43 @@ mod tests {
         let dump = rec.dump("unit").expect("frozen");
         let order: Vec<&str> = dump.entries.iter().map(|e| e.detail.as_str()).collect();
         assert_eq!(order, vec!["early", "tick=0", "late"]);
-        let doc = crate::json::parse(&dump.to_json()).expect("dump parses");
-        validate_flightrec_json(&doc).expect("dump validates");
+        dump.check().expect("dump validates");
     }
 
     #[test]
     fn validator_rejects_malformed_dumps() {
-        let bad = crate::json::parse(r#"{"run":"x","freeze_reason":""}"#).unwrap();
-        assert!(validate_flightrec_json(&bad).is_err());
-        let bad_kind = crate::json::parse(
-            r#"{"run":"x","freeze_reason":"r","frozen_at_ns":1,
-                "entries":[{"at_ns":1,"kind":"bogus","detail":"d"}],
-                "registry":{"metrics":[]},"traces":[],"timeline":[]}"#,
-        )
-        .unwrap();
-        let err = validate_flightrec_json(&bad_kind).unwrap_err();
+        let mut rec = FlightRecorder::new(FlightRecorderConfig::default());
+        rec.record(entry(1, "d"));
+        rec.freeze("r", 1, RegistrySnapshot::default(), vec![], vec![]);
+        let good = rec.dump("x").expect("frozen");
+        good.check().expect("well-formed dump");
+
+        let mut empty_reason = good.clone();
+        empty_reason.freeze_reason.clear();
+        assert!(empty_reason.check().is_err());
+
+        let mut bad_kind = good.clone();
+        bad_kind.entries[0].kind = "bogus".into();
+        let err = bad_kind.check().unwrap_err();
         assert!(err.contains("unknown kind"), "{err}");
+
+        let mut bad_timeline = good;
+        bad_timeline.timeline.push(AlertEvent {
+            tick: 0,
+            at_ns: 1,
+            code: "OW-HEALTH-999".into(),
+            rule: "unit".into(),
+            entity: "unit".into(),
+            severity: "critical".into(),
+            state: "flapping".into(),
+            value: 1,
+            threshold: 0,
+        });
+        let err = bad_timeline.check().unwrap_err();
+        assert!(err.contains("state 'flapping'"), "{err}");
+        bad_timeline.timeline[0].state = "fired".into();
+        bad_timeline.timeline[0].code = "HEALTH-1".into();
+        let err = bad_timeline.check().unwrap_err();
+        assert!(err.contains("bad code"), "{err}");
     }
 }

@@ -1150,8 +1150,7 @@ mod tests {
             dump.entries.iter().any(|e| e.kind == "signal"),
             "ring holds signal readings"
         );
-        let doc = crate::json::parse(&dump.to_json()).expect("dump parses");
-        crate::flightrec::validate_flightrec_json(&doc).expect("dump validates");
+        dump.check().expect("dump validates");
     }
 
     #[test]

@@ -98,7 +98,9 @@ impl Event {
         self
     }
 
-    fn console_line(&self) -> String {
+    /// The event's context as ` [sw=3 phase=merged shard=1]` (empty when
+    /// it carries none); `with_time` appends the virtual timestamp.
+    pub(crate) fn context(&self, with_time: bool) -> String {
         let mut ctx = Vec::new();
         if let Some(sw) = self.subwindow {
             ctx.push(format!("sw={sw}"));
@@ -109,18 +111,22 @@ impl Event {
         if let Some(s) = self.shard {
             ctx.push(format!("shard={s}"));
         }
-        if let Some(ns) = self.at_ns {
+        if let Some(ns) = self.at_ns.filter(|_| with_time) {
             ctx.push(format!("t={ns}ns"));
         }
-        let ctx = if ctx.is_empty() {
+        if ctx.is_empty() {
             String::new()
         } else {
             format!(" [{}]", ctx.join(" "))
-        };
+        }
+    }
+
+    fn console_line(&self) -> String {
         let level = match self.level {
             Level::Info => "info",
             Level::Warn => "WARN",
         };
+        let ctx = self.context(true);
         format!("[{level}] {}{ctx}: {}", self.kind, self.message)
     }
 }
@@ -179,8 +185,8 @@ impl EventJournal {
     }
 
     /// Attach the `ow_obs_journal_dropped_total` counter (wired by
-    /// [`crate::Obs::new`]) so ring overflow is visible in the
-    /// Prometheus exposition and JSON snapshots, not silent.
+    /// [`crate::Obs::new`]) so ring overflow is visible in
+    /// every snapshot, not silent.
     pub fn set_drop_counter(&self, counter: crate::registry::Counter) {
         self.inner.lock().drop_counter = Some(counter);
     }

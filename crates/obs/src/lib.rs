@@ -10,9 +10,10 @@
 //! * [`EventJournal`] ([`journal`]) — typed lifecycle events (window,
 //!   phase, shard) in a bounded ring, with an optional console sink;
 //!   this replaces free-form `eprintln!` progress prints.
-//! * Exporters ([`export`]) — Prometheus text exposition with a
-//!   line-format checker, plus `results/obs_*.json` snapshot reports
-//!   rendered by the `ow-obs-report` binary.
+//! * [`ObsReport`] ([`export`]) — the `results/obs_*.json` snapshot.
+//!   It, [`TraceReport`] and [`FlightDump`] each `render()` to text
+//!   from their typed fields, and `write(path)` puts that text beside
+//!   the JSON as `<stem>.txt`.
 //! * [`Tracer`] ([`span`]) — causal span tracing: per-window span
 //!   trees on the virtual clock, stitched across switch and
 //!   controller by the [`TraceContext`] the tracer holds per
@@ -45,8 +46,8 @@ pub mod export;
 pub mod flightrec;
 pub mod health;
 pub mod journal;
-pub mod json;
 pub mod registry;
+mod render;
 pub mod span;
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -61,11 +62,8 @@ pub use accuracy::{
     accuracy_health_rules, AccuracyConfig, AccuracyScorer, AccuracySummary, WindowScore,
     WindowScoreBrief,
 };
-pub use export::{check_exposition, prometheus_text, ObsReport};
-pub use flightrec::{
-    validate_flightrec_json, FlightDump, FlightEntry, FlightRecorder, FlightRecorderConfig,
-    TraceBrief,
-};
+pub use export::ObsReport;
+pub use flightrec::{FlightDump, FlightEntry, FlightRecorder, FlightRecorderConfig, TraceBrief};
 pub use health::{
     valid_code, AlertEvent, Cmp, HealthEngine, HealthReport, HealthSample, MetricSelector, Rule,
     RuleSet, Severity, Signal, FSM_REJECT_CODE,
@@ -76,8 +74,7 @@ pub use registry::{
     MetricsRegistry, PeakSample, RegistrySnapshot,
 };
 pub use span::{
-    critical_path, validate_trace_json, CriticalPath, PhaseMark, Span, TraceContext, TraceReport,
-    TraceSummary, Tracer,
+    critical_path, CriticalPath, PhaseMark, Span, TraceContext, TraceReport, TraceSummary, Tracer,
 };
 
 /// The combined observability handle: one metrics registry, one event
@@ -366,7 +363,7 @@ mod tests {
     }
 
     #[test]
-    fn journal_overflow_surfaces_in_snapshot_exposition_and_report() {
+    fn journal_overflow_surfaces_in_snapshot_and_report() {
         let obs = Obs::with_journal_capacity(4);
         for i in 0..10 {
             obs.event(Event::new("tick", format!("event {i}")));
@@ -374,8 +371,6 @@ mod tests {
         // 10 recorded into a 4-slot ring: 6 dropped, visible everywhere.
         let snap = obs.snapshot();
         assert_eq!(snap.value("ow_obs_journal_dropped_total", &[]), 6);
-        let text = crate::prometheus_text(&snap);
-        assert!(text.contains("ow_obs_journal_dropped_total 6"), "{text}");
         let report = obs.report("unit");
         assert_eq!(report.events_dropped, 6);
         assert_eq!(report.events_recorded, 10);

@@ -14,7 +14,7 @@
 //! Metric names follow the workspace scheme `ow_<crate>_<name>`
 //! (lower-snake, `ow_` prefix) — [`validate_metric_name`] enforces it at
 //! registration time so a misnamed metric fails the first test that
-//! touches it instead of silently polluting the exposition.
+//! touches it instead of silently polluting the snapshots.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -24,8 +24,8 @@
 //!   wall latency attributed to named child spans, and SLO/deadline
 //!   violations.
 //! * [`TraceReport`] — the deterministic `results/trace_smoke.json`
-//!   form, with [`validate_trace_json`] as the schema checker CI runs
-//!   against the emitted file.
+//!   form, with [`TraceReport::check`] for the tree invariants the
+//!   types cannot carry.
 //!
 //! The span vocabulary mirrors the §8 lifecycle: a `window` root
 //! covers `cr_wait` → `collect` → `reset` on the switch side, then
@@ -39,9 +39,7 @@ use std::collections::{BTreeMap, HashMap};
 use parking_lot::Mutex;
 use serde::Serialize;
 
-use crate::json::ValueExt;
 use ow_common::time::Duration;
-use serde::Value;
 
 /// A window's trace context: enough for whichever side handles the
 /// window next to file its spans under the originating window's tree.
@@ -489,104 +487,54 @@ impl TraceReport {
         serde_json::to_string_pretty(self).expect("trace report serializes")
     }
 
-    /// Write the report to `path`, creating parent directories.
+    /// Write the report to `path` and its [`render`](TraceReport::render)ed
+    /// form beside it as `<stem>.txt`, creating parent directories.
     pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_json())
+        crate::render::write_artifact(path, self.to_json(), self.render())
     }
-}
 
-/// Validate a parsed trace-report document against the schema
-/// [`TraceReport`] emits: per trace, exactly one root (the only
-/// parentless span, with `id == root`), every parent resolving to an
-/// earlier span of the same trace (`parent < id` — acyclic by
-/// construction), well-ordered intervals, and a non-empty critical-path
-/// chain. `ow-obs-report` runs this on every trace report it renders
-/// (CI's `smoke` job renders `results/trace_smoke.json`).
-pub fn validate_trace_json(doc: &Value) -> Result<(), String> {
-    doc.field("run")
-        .and_then(ValueExt::as_str)
-        .ok_or("missing string field 'run'")?;
-    let traces = doc
-        .field("traces")
-        .and_then(ValueExt::items)
-        .ok_or("missing array field 'traces'")?;
-    if traces.is_empty() {
-        return Err("trace report has no traces".to_string());
-    }
-    for trace in traces {
-        let trace_id = trace
-            .field("trace_id")
-            .and_then(ValueExt::as_u64)
-            .ok_or("trace missing 'trace_id'")?;
-        let root = trace
-            .field("root")
-            .and_then(ValueExt::as_u64)
-            .ok_or("trace missing 'root'")?;
-        let spans = trace
-            .field("spans")
-            .and_then(ValueExt::items)
-            .ok_or("trace missing 'spans' array")?;
-        if spans.is_empty() {
-            return Err(format!("trace {trace_id} has no spans"));
+    /// What the types do not already guarantee about a report: at least
+    /// one trace; per trace exactly one parentless span and it is the
+    /// root, every parent an earlier span of the same trace
+    /// (`parent < id` — acyclic by construction), well-ordered
+    /// intervals, and a non-empty critical-path chain.
+    pub fn check(&self) -> Result<(), String> {
+        if self.traces.is_empty() {
+            return Err("trace report has no traces".to_string());
         }
-        let mut ids = std::collections::HashSet::new();
-        let mut roots = 0usize;
-        for span in spans {
-            let id = span
-                .field("id")
-                .and_then(ValueExt::as_u64)
-                .ok_or("span missing 'id'")?;
-            let start = span
-                .field("start_ns")
-                .and_then(ValueExt::as_u64)
-                .ok_or("span missing 'start_ns'")?;
-            let end = span
-                .field("end_ns")
-                .and_then(ValueExt::as_u64)
-                .ok_or("span missing 'end_ns'")?;
-            if end < start {
-                return Err(format!("span {id} ends before it starts"));
-            }
-            span.field("name")
-                .and_then(ValueExt::as_str)
-                .ok_or("span missing 'name'")?;
-            match span.field("parent") {
-                Some(Value::Null) | None => {
-                    roots += 1;
-                    if id != root {
-                        return Err(format!(
-                            "trace {trace_id}: parentless span {id} is not the root {root}"
-                        ));
-                    }
+        for trace in &self.traces {
+            let (trace_id, root) = (trace.trace_id, trace.root);
+            let mut ids = std::collections::HashSet::new();
+            let mut roots = 0usize;
+            for span in &trace.spans {
+                let id = span.id;
+                if span.end_ns < span.start_ns {
+                    return Err(format!("span {id} ends before it starts"));
                 }
-                Some(p) => {
-                    let p = p.as_u64().ok_or("span 'parent' is not an id")?;
-                    if p >= id {
+                match span.parent {
+                    None if id != root => {
+                        return Err(format!("trace {trace_id}: span {id} has no parent"));
+                    }
+                    None => roots += 1,
+                    Some(p) if p >= id => {
                         return Err(format!("span {id} parents forward to {p} (cycle risk)"));
                     }
-                    if !ids.contains(&p) {
+                    Some(p) if !ids.contains(&p) => {
                         return Err(format!("span {id} is orphaned (parent {p} unknown)"));
                     }
+                    Some(_) => {}
                 }
+                ids.insert(id);
             }
-            ids.insert(id);
+            if roots != 1 {
+                return Err(format!("trace {trace_id} has {roots} roots (want 1)"));
+            }
+            if trace.critical_path.chain.is_empty() {
+                return Err(format!("trace {trace_id} has an empty critical path"));
+            }
         }
-        if roots != 1 {
-            return Err(format!("trace {trace_id} has {roots} roots (want 1)"));
-        }
-        let chain = trace
-            .field("critical_path")
-            .and_then(|cp| cp.field("chain"))
-            .and_then(ValueExt::items)
-            .ok_or("trace missing critical_path.chain")?;
-        if chain.is_empty() {
-            return Err(format!("trace {trace_id} has an empty critical path"));
-        }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -699,35 +647,44 @@ mod tests {
     }
 
     #[test]
-    fn report_json_passes_the_validator() {
+    fn own_report_passes_the_check() {
         let (t, _) = demo_tracer();
         let report = TraceReport::capture("unit", &t, Some(Duration::from_micros(1)));
-        let doc = crate::json::parse(&report.to_json()).expect("report parses");
-        validate_trace_json(&doc).expect("own report validates");
+        report.check().expect("own report validates");
     }
 
     #[test]
     fn validator_rejects_orphans_and_forward_parents() {
-        let bad_orphan = r#"{"run":"x","slo_deadline_ns":null,"traces":[{
-            "trace_id":1,"subwindow":0,"root":1,
-            "spans":[
-                {"id":1,"parent":null,"name":"window","side":"switch","shard":null,"start_ns":0,"end_ns":10},
-                {"id":3,"parent":2,"name":"collect","side":"switch","shard":null,"start_ns":0,"end_ns":5}
-            ],
-            "transitions":[],
-            "critical_path":{"wall_ns":10,"attributed_permille":500,"chain":["window"],"self_time_ns":[],"slo_violated":false}
-        }]}"#;
-        let doc = crate::json::parse(bad_orphan).unwrap();
-        let err = validate_trace_json(&doc).unwrap_err();
+        let (t, _) = demo_tracer();
+        let good = TraceReport::capture("unit", &t, None);
+        let last = good.traces[0].spans.len() - 1;
+
+        let mut orphan = good.clone();
+        orphan.traces[0].spans[last].id = 99;
+        orphan.traces[0].spans[last].parent = Some(98);
+        let err = orphan.check().unwrap_err();
         assert!(err.contains("orphaned"), "{err}");
 
-        let two_roots = bad_orphan.replace("\"parent\":2", "\"parent\":null");
-        let doc = crate::json::parse(&two_roots).unwrap();
-        let err = validate_trace_json(&doc).unwrap_err();
-        assert!(
-            err.contains("not the root") || err.contains("roots"),
-            "{err}"
-        );
+        let mut forward = good.clone();
+        forward.traces[0].spans[1].parent = Some(99);
+        let err = forward.check().unwrap_err();
+        assert!(err.contains("parents forward"), "{err}");
+
+        let mut two_roots = good.clone();
+        two_roots.traces[0].spans[last].parent = None;
+        let err = two_roots.check().unwrap_err();
+        assert!(err.contains("has no parent"), "{err}");
+
+        let mut backwards = good.clone();
+        backwards.traces[0].spans[last].end_ns = 0;
+        assert!(backwards.check().unwrap_err().contains("ends before"));
+
+        let mut no_chain = good;
+        no_chain.traces[0].critical_path.chain.clear();
+        assert!(no_chain
+            .check()
+            .unwrap_err()
+            .contains("empty critical path"));
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //!
 //! * [`spec`] — a declarative query model covering the seven anomaly
 //!   detection queries of Table 1 (Q1–Q7),
-//! * [`plan`] — the declarative dataflow front end (filter → group_by
-//!   → aggregate → having) that compiles into executable specs,
 //! * [`exact`] — an error-free execution engine (hash maps), used for
 //!   the ideal-window ground truths ITW/ISW,
 //! * [`registers`] — the data-plane engine: hash-indexed register cells
@@ -19,11 +17,9 @@
 #![warn(missing_docs)]
 
 pub mod exact;
-pub mod plan;
 pub mod registers;
 pub mod spec;
 
 pub use exact::ExactEngine;
-pub use plan::{Agg, Pred, QueryPlan};
 pub use registers::RegisterEngine;
 pub use spec::{standard_queries, QuerySpec, StatKind};

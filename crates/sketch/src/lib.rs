@@ -19,7 +19,6 @@
 //! | [`elastic`] | Elastic Sketch (Yang et al.) | heavy-key telemetry (§4.2 integration) |
 //! | [`flowradar`] | FlowRadar (Li et al.) | the §8 state-migration path (no data-plane query) |
 //! | [`iblt`] | Invertible Bloom Lookup Table | LossRadar digests (Exp#9) |
-//! | [`sliding`] | Sliding Sketch framework (Gou et al.) | the competing sliding-window baseline |
 //!
 //! Every structure is deterministic given a hash seed, supports `reset()`
 //! (the operation OmniWindow's clear packets perform region-by-region),
@@ -37,7 +36,6 @@ pub mod hll;
 pub mod iblt;
 pub mod lc;
 pub mod mv;
-pub mod sliding;
 pub mod spread;
 pub mod sumax;
 pub mod traits;
@@ -52,7 +50,6 @@ pub use hll::HyperLogLog;
 pub use iblt::Iblt;
 pub use lc::LinearCounting;
 pub use mv::MvSketch;
-pub use sliding::{SlidingCm, SlidingMv};
 pub use spread::SpreadSketch;
 pub use sumax::SuMax;
 pub use traits::{

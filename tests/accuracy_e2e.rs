@@ -20,7 +20,6 @@ use omniwindow::experiments::fleet_smoke::{
     accuracy_config, fired_pairs, offline_inputs, offline_permille, permille, run_with_accuracy,
 };
 use ow_netsim::FleetConfig;
-use ow_obs::validate_flightrec_json;
 use proptest::prelude::*;
 
 #[test]
@@ -108,8 +107,7 @@ fn undersized_sketch_fires_the_accuracy_catalog_and_freezes() {
     assert!(engine.frozen(), "the critical 404 freezes the black box");
     let dump = engine.flight_dump("e2e").expect("frozen");
     assert!(dump.freeze_reason.contains("OW-HEALTH-404"));
-    let doc = ow_obs::json::parse(&dump.to_json()).expect("dump parses");
-    validate_flightrec_json(&doc).expect("dump validates");
+    dump.check().expect("dump validates");
 }
 
 proptest! {

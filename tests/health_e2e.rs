@@ -25,7 +25,7 @@ use omniwindow::experiments::fleet_smoke::{
 use omniwindow::experiments::obs_smoke::{self, ObsSmokeConfig};
 use ow_common::engine::{WindowEngine, WindowEvent, WindowFsm};
 use ow_netsim::FleetConfig;
-use ow_obs::{validate_flightrec_json, FlightRecorderConfig, Obs, FSM_REJECT_CODE};
+use ow_obs::{FlightRecorderConfig, Obs, FSM_REJECT_CODE};
 use proptest::prelude::*;
 
 /// The `(code, entity)` set a scenario must fire — no more, no less.
@@ -70,8 +70,7 @@ fn injected_faults_fire_exactly_their_rules() {
     assert!(engine.frozen());
     let dump = engine.flight_dump("e2e").expect("critical froze");
     assert!(dump.freeze_reason.contains("OW-HEALTH-204"));
-    let doc = ow_obs::json::parse(&dump.to_json()).expect("dump parses");
-    validate_flightrec_json(&doc).expect("dump validates");
+    dump.check().expect("dump validates");
 }
 
 /// The instrumented `obs_smoke` pipeline (10% loss, one deterministic
@@ -90,8 +89,7 @@ fn forced_critical_obs_smoke_freezes_with_byte_identical_dumps() {
     assert!(a.report("e2e").frozen);
     let dump = a.flight_dump("e2e").expect("critical froze");
     assert!(dump.freeze_reason.contains("OW-HEALTH-204"));
-    let doc = ow_obs::json::parse(&dump.to_json()).expect("dump parses");
-    validate_flightrec_json(&doc).expect("dump validates");
+    dump.check().expect("dump validates");
     assert_eq!(
         Some(dump.to_json()),
         b.flight_dump("e2e").map(|d| d.to_json())

@@ -6,7 +6,7 @@
 use omniwindow::experiments::obs_smoke::{self, ObsSmokeConfig};
 use ow_common::time::Duration;
 use ow_netsim::fleet::{self, ChurnEvent, ChurnKind, FleetConfig};
-use ow_obs::{check_exposition, prometheus_text, Obs};
+use ow_obs::Obs;
 
 fn acceptance_cfg() -> ObsSmokeConfig {
     ObsSmokeConfig {
@@ -69,9 +69,6 @@ fn lossy_sharded_run_snapshot_meets_acceptance() {
             &[("side", "controller")]
         ) > 0
     );
-
-    // The whole snapshot renders to a valid Prometheus exposition.
-    check_exposition(&prometheus_text(&snap)).expect("exposition line format");
 }
 
 #[test]
@@ -132,11 +129,10 @@ fn fleet_run_exposes_fleet_gauges() {
         report.departed_windows
     );
 
-    // Fleet gauges survive the text exposition.
-    let text = prometheus_text(&snap);
-    assert!(text.contains("ow_fleet_switches_live"));
-    assert!(text.contains("ow_fleet_windows_inflight"));
-    check_exposition(&text).expect("exposition line format");
+    // Fleet gauges reach the rendered report.
+    let text = obs.report("fleet").render();
+    let want = "== fleet ==\nswitches live: 14\nwindows in flight: 0 across 3 worker(s)\n";
+    assert!(text.contains(want), "{text}");
 }
 
 #[test]

@@ -19,7 +19,7 @@ use ow_common::flowkey::FlowKey;
 use ow_common::time::Duration;
 use ow_controller::live::{ReliableLiveController, ReliableMsg};
 use ow_controller::reliability::RetryPolicy;
-use ow_obs::{validate_trace_json, Obs, TraceContext, TraceReport};
+use ow_obs::{Obs, TraceContext, TraceReport};
 
 fn lossy_cfg() -> ObsSmokeConfig {
     ObsSmokeConfig {
@@ -154,11 +154,13 @@ fn critical_path_attributes_at_least_95_percent_of_wall_time() {
 #[test]
 fn same_seed_runs_serialize_byte_identically_and_validate() {
     let cfg = lossy_cfg();
-    let a = capture(&cfg).to_json();
-    let b = capture(&cfg).to_json();
-    assert_eq!(a, b, "same seed ⇒ byte-identical trace report");
-    let doc = ow_obs::json::parse(&a).expect("report parses");
-    validate_trace_json(&doc).expect("report passes the span schema");
+    let (a, b) = (capture(&cfg), capture(&cfg));
+    assert_eq!(
+        a.to_json(),
+        b.to_json(),
+        "same seed ⇒ byte-identical trace report"
+    );
+    a.check().expect("report passes the span-tree check");
 }
 
 #[test]
