@@ -8,9 +8,10 @@
 //!   the records by flow-key hash into per-shard blocks — one queue
 //!   send per *block*. A single record is a block of one; there is no
 //!   per-record message.
-//! * **`N` shard workers** (`N` from `OW_SHARDS`, default 1) each fold
-//!   their disjoint key slice into their own lock-protected
-//!   [`MergeTable`], read concurrently through [`LiveHandle`].
+//! * **`N` shard workers** (`N` is the constructor's `shards`
+//!   argument) each fold their disjoint key slice into their own
+//!   lock-protected [`MergeTable`], read concurrently through
+//!   [`LiveHandle`].
 //!
 //! The two controllers are thin front-ends (channel + thread + one
 //! `match`) over that one router: [`LiveController`] streams blocks to
@@ -41,20 +42,6 @@ use crate::reliability::RetryPolicy;
 use crate::router::Router;
 use crate::table::MergeTable;
 
-/// Parse a shard-count override (the `OW_SHARDS` value). Unset or
-/// unparsable means 1; zero clamps to 1 (a partition needs a shard).
-fn parse_shards(value: Option<&str>) -> usize {
-    value
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map_or(1, |n| n.max(1))
-}
-
-/// The shard count both `spawn`s use: `OW_SHARDS`, so CI can run the
-/// whole suite at several shard counts without touching call sites.
-pub fn shards_from_env() -> usize {
-    parse_shards(std::env::var("OW_SHARDS").ok().as_deref())
-}
-
 /// Shared handle for querying the live sharded merge tables. Each query
 /// takes the shard read locks one at a time, so a query concurrent with
 /// ingest sees an eventually-consistent view; after `join()` it is final.
@@ -62,7 +49,6 @@ pub fn shards_from_env() -> usize {
 pub struct LiveHandle {
     pub(crate) tables: Vec<Arc<RwLock<MergeTable>>>,
     pub(crate) partition: ShardPartition,
-    pub(crate) window_subwindows: usize,
     pub(crate) dropped: Arc<AtomicU64>,
     /// `ow_controller_backpressure_dropped_total`.
     pub(crate) drop_counter: Counter,
@@ -119,11 +105,6 @@ impl LiveHandle {
         self.fold(MergeTable::snapshot)
     }
 
-    /// Sub-windows per sliding window.
-    pub fn window_span(&self) -> usize {
-        self.window_subwindows
-    }
-
     /// Number of merge shards behind this handle.
     pub fn shard_count(&self) -> usize {
         self.tables.len()
@@ -166,24 +147,10 @@ pub struct LiveController {
 
 impl LiveController {
     /// Spawn a controller maintaining a sliding window of
-    /// `window_subwindows` sub-windows, sharded per `OW_SHARDS`.
-    /// `queue_depth` bounds every channel.
-    pub fn spawn(window_subwindows: usize, queue_depth: usize) -> LiveController {
-        LiveController::spawn_sharded(window_subwindows, queue_depth, shards_from_env())
-    }
-
-    /// [`LiveController::spawn`] with an explicit shard count.
-    pub fn spawn_sharded(
-        window_subwindows: usize,
-        queue_depth: usize,
-        shards: usize,
-    ) -> LiveController {
-        LiveController::spawn_sharded_obs(window_subwindows, queue_depth, shards, None)
-    }
-
-    /// [`LiveController::spawn_sharded`] reporting into the caller's
-    /// [`Obs`]: engine transitions, per-shard queue gauges, routed
-    /// blocks/records, completed sub-windows
+    /// `window_subwindows` sub-windows over `shards` merge shards;
+    /// `queue_depth` bounds every channel. It reports into `obs` (a
+    /// detached one when `None`): engine transitions, per-shard queue
+    /// gauges, routed blocks/records, completed sub-windows
     /// (`ow_controller_batches_total`) and rejected `offer`s
     /// (`ow_controller_backpressure_dropped_total`).
     pub fn spawn_sharded_obs(
@@ -193,7 +160,8 @@ impl LiveController {
         obs: Option<&Obs>,
     ) -> LiveController {
         let (sender, rx) = bounded(queue_depth);
-        let (mut router, handle) = Router::new(window_subwindows, queue_depth, shards, obs, None);
+        let obs = obs.cloned().unwrap_or_default();
+        let (mut router, handle) = Router::new(window_subwindows, queue_depth, shards, &obs, None);
         let thread = std::thread::spawn(move || {
             while let Ok(msg) = rx.recv() {
                 match msg {
@@ -292,47 +260,8 @@ pub struct ReliableLiveController {
 }
 
 impl ReliableLiveController {
-    /// Spawn the controller sharded per `OW_SHARDS`. `retransmit` and
-    /// `os_read` are the back-channel to the switch.
-    pub fn spawn(
-        window_subwindows: usize,
-        queue_depth: usize,
-        policy: RetryPolicy,
-        retransmit: RetransmitFn,
-        os_read: OsReadFn,
-    ) -> ReliableLiveController {
-        ReliableLiveController::spawn_sharded(
-            window_subwindows,
-            queue_depth,
-            policy,
-            retransmit,
-            os_read,
-            shards_from_env(),
-        )
-    }
-
-    /// [`ReliableLiveController::spawn`] with an explicit shard count.
-    pub fn spawn_sharded(
-        window_subwindows: usize,
-        queue_depth: usize,
-        policy: RetryPolicy,
-        retransmit: RetransmitFn,
-        os_read: OsReadFn,
-        shards: usize,
-    ) -> ReliableLiveController {
-        ReliableLiveController::spawn_sharded_obs(
-            window_subwindows,
-            queue_depth,
-            policy,
-            retransmit,
-            os_read,
-            shards,
-            None,
-        )
-    }
-
-    /// [`ReliableLiveController::spawn_sharded`] reporting into the
-    /// caller's [`Obs`]: on top of what
+    /// Spawn the controller over `shards` merge shards; `retransmit`
+    /// and `os_read` are the back-channel to the switch. On top of what
     /// [`LiveController::spawn_sharded_obs`] reports, every completed
     /// session folds its [`ReliabilityMetrics`] into the registry, ticks
     /// `ow_controller_sessions_total`, leaves a `session_complete`
@@ -350,9 +279,10 @@ impl ReliableLiveController {
         obs: Option<&Obs>,
     ) -> ReliableLiveController {
         let (sender, rx) = bounded(queue_depth);
+        let obs = obs.cloned().unwrap_or_default();
         let recovery = Some((policy, retransmit, os_read));
         let (mut router, handle) =
-            Router::new(window_subwindows, queue_depth, shards, obs, recovery);
+            Router::new(window_subwindows, queue_depth, shards, &obs, recovery);
         let drops = handle.clone();
         let thread = std::thread::spawn(move || {
             while let Ok(msg) = rx.recv() {
@@ -448,12 +378,7 @@ mod tests {
     type Link = (RetryPolicy, RetransmitFn, OsReadFn);
 
     /// A router on the reliable path (no router thread, no channel).
-    fn reliable_router(
-        span: usize,
-        shards: usize,
-        obs: Option<&Obs>,
-        link: Link,
-    ) -> (Router, LiveHandle) {
+    fn reliable_router(span: usize, shards: usize, obs: &Obs, link: Link) -> (Router, LiveHandle) {
         Router::new(span, 64, shards, obs, Some(link))
     }
 
@@ -497,7 +422,7 @@ mod tests {
     #[test]
     fn live_pipeline_merges_and_slides() {
         let obs = Obs::new();
-        let (mut router, handle) = Router::new(2, 16, 1, Some(&obs), None);
+        let (mut router, handle) = Router::new(2, 16, 1, &obs, None);
         router.stream_block(block(0, 0..10, 60), true);
         router.stream_block(block(1, 0..10, 80), true);
         // Slide: sub-window 2 evicts sub-window 0.
@@ -513,7 +438,7 @@ mod tests {
 
     #[test]
     fn shutdown_without_traffic() {
-        let ctl = LiveController::spawn(5, 4);
+        let ctl = LiveController::spawn_sharded_obs(5, 4, 1, None);
         assert_eq!(ctl.join(), 0);
     }
 
@@ -524,7 +449,7 @@ mod tests {
             .collect();
         let reference = reference_fold(3, &subwindows);
         for shards in [1usize, 2, 4, 8] {
-            let ctl = LiveController::spawn_sharded(3, 16, shards);
+            let ctl = LiveController::spawn_sharded_obs(3, 16, shards, None);
             for sw in 0..6u32 {
                 ctl.sender
                     .send(sealed(sw, 0..40, (sw as u64 + 1) * 7))
@@ -550,19 +475,9 @@ mod tests {
     }
 
     #[test]
-    fn ow_shards_parsing_defaults_and_clamps() {
-        assert_eq!(parse_shards(None), 1);
-        assert_eq!(parse_shards(Some("")), 1);
-        assert_eq!(parse_shards(Some("banana")), 1);
-        assert_eq!(parse_shards(Some("0")), 1);
-        assert_eq!(parse_shards(Some("1")), 1);
-        assert_eq!(parse_shards(Some(" 8 ")), 8);
-    }
-
-    #[test]
     fn reliable_controller_repairs_lossy_stream() {
         let store = store_of(0..2, 10);
-        let (mut router, handle) = reliable_router(2, 1, None, faithful(store.clone()));
+        let (mut router, handle) = reliable_router(2, 1, &Obs::new(), faithful(store.clone()));
         for sw in 0..2u32 {
             // Drop every third AFR from the initial stream.
             run_session(&mut router, &store[&sw], |r| r.seq % 3 != 0);
@@ -587,7 +502,7 @@ mod tests {
     fn reliable_controller_handles_reordered_and_duplicated_control_msgs() {
         let batch = seq_batch(4, 5);
         let link = faithful(HashMap::from([(4, batch.clone())]));
-        let (mut router, handle) = reliable_router(4, 1, None, link);
+        let (mut router, handle) = reliable_router(4, 1, &Obs::new(), link);
         // An AFR races ahead of its announcement and arrives twice; the
         // trigger arrives twice too (duplicated clone).
         router.afr_block(RecordBlock::from_records(4, &batch[1..2]));
@@ -613,7 +528,7 @@ mod tests {
         // must not be parked in `early` forever.
         let batch = seq_batch(0, 5);
         let link = faithful(HashMap::from([(0, batch.clone())]));
-        let (mut router, handle) = reliable_router(4, 1, None, link);
+        let (mut router, handle) = reliable_router(4, 1, &Obs::new(), link);
         run_session(&mut router, &batch, |_| true);
         assert!(router.sessions.is_closed(0));
         router.announce(0, 5);
@@ -644,7 +559,7 @@ mod tests {
             Box::new(|_, _| Vec::new()),
             Box::new(move |_| (os_batch.clone(), Duration::from_millis(40))),
         );
-        let (mut router, handle) = reliable_router(1, 1, None, link);
+        let (mut router, handle) = reliable_router(1, 1, &Obs::new(), link);
         run_session(&mut router, &batch, |_| false);
         let (_, metrics) = router.shutdown();
         assert_eq!(handle.merged_flows(), 3);
@@ -660,7 +575,7 @@ mod tests {
         // A departed switch can answer nothing; neither callback may
         // ever run for the abandoned window.
         let link = untouched("the switch departed");
-        let (mut router, handle) = reliable_router(4, 2, Some(&obs), link);
+        let (mut router, handle) = reliable_router(4, 2, &obs, link);
         router.announce(3, 8);
         // Part of the initial stream arrives, then the switch crashes.
         router.afr_block(RecordBlock::from_records(3, &batch[0..3]));
@@ -706,13 +621,14 @@ mod tests {
         let reference = reference_fold(2, &subwindows);
         for shards in [1usize, 2, 4, 8] {
             let replay = store.clone();
-            let ctl = ReliableLiveController::spawn_sharded(
+            let ctl = ReliableLiveController::spawn_sharded_obs(
                 2,
                 64,
                 RetryPolicy::default(),
                 Box::new(move |sw, seqs| seqs.iter().map(|&s| replay[&sw][s as usize]).collect()),
                 Box::new(|_| panic!("no escalation expected")),
                 shards,
+                None,
             );
             for sw in 0..4u32 {
                 ctl.sender
@@ -750,9 +666,7 @@ mod tests {
     /// A reliable controller whose router wedges inside its first
     /// retransmission round (input queue depth 2) until the returned
     /// gate is sent to — the setup of every `offer` overflow test.
-    fn wedged_controller(
-        obs: Option<&Obs>,
-    ) -> (ReliableLiveController, std::sync::mpsc::Sender<()>) {
+    fn wedged_controller(obs: &Obs) -> (ReliableLiveController, std::sync::mpsc::Sender<()>) {
         let (entered_tx, entered_rx) = std::sync::mpsc::channel::<()>();
         let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
         let replay = seq_batch(0, 1);
@@ -767,7 +681,7 @@ mod tests {
             }),
             Box::new(|_| panic!("no escalation expected")),
             1,
-            obs,
+            Some(obs),
         );
         ctl.sender
             .send(ReliableMsg::Announce {
@@ -792,7 +706,7 @@ mod tests {
     fn offer_counts_drops_instead_of_blocking() {
         // Offer past the bound: the overflow must be rejected and
         // counted, never silently lost and never blocking.
-        let (ctl, gate) = wedged_controller(None);
+        let (ctl, gate) = wedged_controller(&Obs::new());
         assert!(ctl.offer(one_row()));
         assert!(ctl.offer(one_row()));
         assert!(!ctl.offer(one_row()), "third offer overflows");
@@ -812,7 +726,7 @@ mod tests {
     fn obs_attached_reliable_controller_mirrors_join_metrics() {
         let obs = Obs::new();
         let store = store_of(0..3, 12);
-        let (mut router, _) = reliable_router(2, 4, Some(&obs), faithful(store.clone()));
+        let (mut router, _) = reliable_router(2, 4, &obs, faithful(store.clone()));
         for sw in 0..3u32 {
             run_session(&mut router, &store[&sw], |r| r.seq % 2 == 0);
         }
@@ -907,7 +821,7 @@ mod tests {
         let (trace, collect) = publish(7);
         let batch = seq_batch(7, 6);
         let link = faithful(HashMap::from([(7, batch.clone())]));
-        let (mut router, _) = reliable_router(1, 2, Some(&obs), link);
+        let (mut router, _) = reliable_router(1, 2, &obs, link);
         // No message carries the context: a lossy stream of plain bursts
         // races its announcement, the end-of-stream mark is lost, and
         // shutdown finalizes the session.
@@ -924,7 +838,7 @@ mod tests {
         tracer.retire_context(8);
         let evicted = seq_batch(8, 6);
         let link = faithful(HashMap::from([(8, evicted.clone())]));
-        let (mut router, handle) = reliable_router(1, 2, Some(&obs), link);
+        let (mut router, handle) = reliable_router(1, 2, &obs, link);
         run_session(&mut router, &evicted, |r| r.seq % 2 == 0);
         router.shutdown();
         assert_eq!(handle.subwindows(), vec![8]);
@@ -976,7 +890,7 @@ mod tests {
         // The rejected offer must surface as
         // `ow_controller_backpressure_dropped_total`.
         let obs = Obs::new();
-        let (ctl, gate) = wedged_controller(Some(&obs));
+        let (ctl, gate) = wedged_controller(&obs);
         assert!(ctl.offer(one_row()));
         assert!(ctl.offer(one_row()));
         assert!(!ctl.offer(one_row()));
@@ -1000,7 +914,7 @@ mod tests {
             .collect();
         let reference = reference_fold(3, &subwindows);
         for shards in [1usize, 4] {
-            let (mut router, h) = Router::new(3, 64, shards, None, None);
+            let (mut router, h) = Router::new(3, 64, shards, &Obs::new(), None);
             for (sw, afrs) in &subwindows {
                 let chunks: Vec<&[FlowRecord]> = afrs.chunks(17).collect();
                 for (i, chunk) in chunks.iter().enumerate() {
@@ -1031,7 +945,7 @@ mod tests {
             (0..3u32).map(|sw| (sw, store[&sw].clone())).collect();
         let reference = reference_fold(2, &subwindows);
         let run = |burst: usize| {
-            let (mut router, handle) = reliable_router(2, 4, None, faithful(store.clone()));
+            let (mut router, handle) = reliable_router(2, 4, &Obs::new(), faithful(store.clone()));
             for sw in 0..3u32 {
                 router.announce(sw, 40);
                 let survivors: Vec<FlowRecord> = store[&sw]
@@ -1066,7 +980,7 @@ mod tests {
         // (as a block) and fold in once the announcement lands.
         let batch = seq_batch(6, 8);
         let link = untouched("the stream is complete");
-        let (mut router, handle) = reliable_router(2, 2, None, link);
+        let (mut router, handle) = reliable_router(2, 2, &Obs::new(), link);
         router.afr_block(RecordBlock::from_records(6, &batch));
         assert_eq!(router.sessions.early_records(), 8);
         router.announce(6, 8);
@@ -1083,7 +997,7 @@ mod tests {
         // queue, then offer a 5-record block — `dropped` must rise by 5,
         // not 1, and the registry counter must mirror it.
         let obs = Obs::new();
-        let (ctl, gate) = wedged_controller(Some(&obs));
+        let (ctl, gate) = wedged_controller(&obs);
         assert!(ctl.offer(one_row()));
         assert!(ctl.offer(one_row()));
         let burst = RecordBlock::from_records(0, &seq_batch(0, 5));
@@ -1114,7 +1028,7 @@ mod tests {
         // settle to zero once the workers drain.
         let obs = Obs::new();
         let store = store_of(0..3, 12);
-        let (mut router, _) = reliable_router(2, 4, Some(&obs), faithful(store.clone()));
+        let (mut router, _) = reliable_router(2, 4, &obs, faithful(store.clone()));
         for sw in 0..3u32 {
             run_session(&mut router, &store[&sw], |_| true);
         }
@@ -1140,7 +1054,7 @@ mod tests {
 
     #[test]
     fn queries_concurrent_with_ingest() {
-        let ctl = LiveController::spawn(3, 64);
+        let ctl = LiveController::spawn_sharded_obs(3, 64, 1, None);
         let handle = ctl.handle.clone();
         let reader = std::thread::spawn(move || {
             let mut max_seen = 0;

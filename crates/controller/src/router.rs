@@ -4,12 +4,12 @@
 //! [`Router`] owns the shard worker pool, the [`WindowEngine`] tracking
 //! every window's lifecycle, the merged-order deque behind the single
 //! slide/evict sweep, and an always-present [`Obs`] (a detached one
-//! nobody exports when the caller attached none). The front-ends in
-//! [`crate::live`] call one method per message: the plain path streams
-//! blocks through the scatter as they arrive; the reliable path holds a
-//! sub-window in [`Sessions`] until the §8 loop has completed it, then
-//! scatters it whole. No method touches a channel or a clock, so unit
-//! tests drive the router synchronously.
+//! nobody exports when the front-end's caller attached none). The
+//! front-ends in [`crate::live`] call one method per message: the plain
+//! path streams blocks through the scatter as they arrive; the reliable
+//! path holds a sub-window in [`Sessions`] until the §8 loop has
+//! completed it, then scatters it whole. No method touches a channel or
+//! a clock, so unit tests drive the router synchronously.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -200,25 +200,22 @@ pub(crate) struct Router {
 
 impl Router {
     /// Spawn the shard pool; build the router and the query handle over
-    /// its tables. `obs: None` means a detached [`Obs`]; `recovery` puts
-    /// the router on the reliable path.
+    /// its tables. `recovery` puts the router on the reliable path.
     pub(crate) fn new(
         window_subwindows: usize,
         queue_depth: usize,
         shards: usize,
-        obs: Option<&Obs>,
+        obs: &Obs,
         recovery: Option<(RetryPolicy, RetransmitFn, OsReadFn)>,
     ) -> (Router, LiveHandle) {
-        let obs = obs.cloned().unwrap_or_default();
         let merged_series = match recovery {
             Some(_) => "ow_controller_sessions_total",
             None => "ow_controller_batches_total",
         };
-        let pool = ShardPool::spawn(shards, queue_depth, &obs);
+        let pool = ShardPool::spawn(shards, queue_depth, obs);
         let handle = LiveHandle {
             tables: pool.tables.clone(),
             partition: pool.partition,
-            window_subwindows,
             dropped: Arc::default(),
             drop_counter: obs.counter("ow_controller_backpressure_dropped_total", &[]),
         };
@@ -231,7 +228,7 @@ impl Router {
             merged_order: VecDeque::new(),
             window_subwindows,
             merged: (0, obs.counter(merged_series, &[])),
-            obs,
+            obs: obs.clone(),
             stream: None,
             sessions: Sessions::default(),
             recovery,

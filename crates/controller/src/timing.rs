@@ -1,29 +1,29 @@
 //! The O1–O5 instrumented controller (Exp#4).
 //!
-//! Wraps the merge pipeline with wall-clock timers around the five
-//! controller operations the paper breaks down:
+//! Wall-clock timers around the five controller operations the paper
+//! breaks down, taken on the [`MergeTable`] every live path folds into:
 //!
-//! * **O1** — collect the sub-window's AFRs (receive/stage the batch),
-//! * **O2** — insert AFRs into the key-value table (hash + slot
-//!   allocation, the `rte_hash` work),
-//! * **O3** — merge each flow's AFR into its slot,
+//! * **O1** — collect the sub-window's AFRs: stage them as a
+//!   [`RecordBlock`] (the copy the live feeder also pays),
+//! * **O2+O3** — insert the AFRs into the key-value table and merge each
+//!   flow's AFR into its slot. [`MergeTable::insert_block`] resolves the
+//!   slots and folds the attribute lane in one call, so the two are one
+//!   column: timing them apart would take a second table implementation,
+//!   and then the instrument would not time the table that runs,
 //! * **O4** — process the merged result (threshold query) — once per
 //!   complete window for tumbling, after every sub-window for sliding,
-//! * **O5** — remove the oldest sub-window (sliding only): subtract
-//!   frequency contributions and delete flows whose reference count
-//!   drops to zero.
+//! * **O5** — remove the oldest sub-window (sliding only).
 //!
-//! The table is reference-counted per flow so eviction is O(batch), the
-//! same trick the paper's controller needs to stay under the sub-window
-//! budget. Timings use `std::time::Instant` (real CPU time): these
-//! operations run on the controller host in the real system too.
+//! Timings use `std::time::Instant` (real CPU time): these operations
+//! run on the controller host in the real system too.
 
-use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use ow_common::afr::{AttrValue, FlowRecord};
+use ow_common::afr::FlowRecord;
+use ow_common::block::RecordBlock;
 use ow_common::flowkey::FlowKey;
-use ow_common::hash::FastMap;
+
+use crate::table::MergeTable;
 
 /// Window reconstruction mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,10 +47,8 @@ pub struct OpBreakdown {
     pub subwindow: u32,
     /// O1: AFR collection/staging.
     pub o1_collect: Duration,
-    /// O2: key-value table insertion.
-    pub o2_insert: Duration,
-    /// O3: per-flow merging.
-    pub o3_merge: Duration,
+    /// O2+O3: key-value table insertion and per-flow merging (one call).
+    pub o23_insert_merge: Duration,
     /// O4: merged-result processing.
     pub o4_process: Duration,
     /// O5: oldest-sub-window removal (sliding only).
@@ -60,16 +58,8 @@ pub struct OpBreakdown {
 impl OpBreakdown {
     /// Total controller time for the sub-window.
     pub fn total(&self) -> Duration {
-        self.o1_collect + self.o2_insert + self.o3_merge + self.o4_process + self.o5_evict
+        self.o1_collect + self.o23_insert_merge + self.o4_process + self.o5_evict
     }
-}
-
-/// One key-value table slot: the merged value plus the number of
-/// retained sub-windows the key appears in.
-#[derive(Debug, Clone)]
-struct Slot {
-    value: AttrValue,
-    refs: u32,
 }
 
 /// The instrumented controller.
@@ -77,10 +67,7 @@ struct Slot {
 pub struct InstrumentedController {
     mode: WindowMode,
     threshold: f64,
-    /// Retained per-sub-window batches, oldest first.
-    batches: VecDeque<(u32, Vec<FlowRecord>)>,
-    /// The reference-counted key-value table.
-    table: FastMap<FlowKey, Slot>,
+    table: MergeTable,
     /// Per-sub-window breakdowns.
     breakdowns: Vec<OpBreakdown>,
     /// Reported flow sets, one per completed window.
@@ -94,8 +81,7 @@ impl InstrumentedController {
         InstrumentedController {
             mode,
             threshold,
-            batches: VecDeque::new(),
-            table: FastMap::default(),
+            table: MergeTable::new(),
             breakdowns: Vec::new(),
             reports: Vec::new(),
         }
@@ -108,58 +94,29 @@ impl InstrumentedController {
             ..OpBreakdown::default()
         };
 
-        // O1: collect — stage the batch (the DPDK receive loop's copy).
         let t = Instant::now();
-        let mut staged: Vec<FlowRecord> = Vec::with_capacity(incoming.len());
-        staged.extend_from_slice(incoming);
+        let block = RecordBlock::from_records(subwindow, incoming);
         bd.o1_collect = t.elapsed();
 
-        // O2: insert — hash each key, allocate its slot if new, bump its
-        // reference count (the rte_hash insert).
         let t = Instant::now();
-        for rec in &staged {
-            let slot = self.table.entry(rec.key).or_insert_with(|| Slot {
-                value: AttrValue::identity(rec.attr.kind()),
-                refs: 0,
-            });
-            slot.refs += 1;
-        }
-        bd.o2_insert = t.elapsed();
+        self.table.insert_block(block, true);
+        bd.o23_insert_merge = t.elapsed();
 
-        // O3: merge each flow's attribute into its slot.
-        let t = Instant::now();
-        for rec in &staged {
-            if let Some(slot) = self.table.get_mut(&rec.key) {
-                let _ = slot.value.merge(&rec.attr);
-            }
-        }
-        bd.o3_merge = t.elapsed();
+        let (WindowMode::Tumbling { subwindows } | WindowMode::Sliding { subwindows }) = self.mode;
+        if self.table.subwindows().len() >= subwindows {
+            // O4: once per complete window (tumbling), or after every
+            // sub-window once the window is full (sliding).
+            let t = Instant::now();
+            let over = self.table.flows_over(self.threshold);
+            bd.o4_process = t.elapsed();
+            self.reports
+                .push(over.into_iter().map(|(k, _)| k).collect());
 
-        self.batches.push_back((subwindow, staged));
-
-        match self.mode {
-            WindowMode::Tumbling { subwindows } => {
-                if self.batches.len() >= subwindows {
-                    // O4: process once per complete window, then release.
+            match self.mode {
+                WindowMode::Tumbling { .. } => self.table.clear(),
+                WindowMode::Sliding { .. } => {
                     let t = Instant::now();
-                    let report = self.query();
-                    bd.o4_process = t.elapsed();
-                    self.reports.push(report);
-                    self.batches.clear();
-                    self.table.clear();
-                }
-            }
-            WindowMode::Sliding { subwindows } => {
-                if self.batches.len() >= subwindows {
-                    // O4: process after every sub-window once full.
-                    let t = Instant::now();
-                    let report = self.query();
-                    bd.o4_process = t.elapsed();
-                    self.reports.push(report);
-
-                    // O5: evict the oldest sub-window.
-                    let t = Instant::now();
-                    self.evict_oldest();
+                    self.table.evict_oldest();
                     bd.o5_evict = t.elapsed();
                 }
             }
@@ -167,65 +124,6 @@ impl InstrumentedController {
 
         self.breakdowns.push(bd);
         bd
-    }
-
-    fn query(&self) -> Vec<FlowKey> {
-        let mut out: Vec<FlowKey> = self
-            .table
-            .iter()
-            .filter(|(_, s)| s.value.scalar() >= self.threshold)
-            .map(|(k, _)| *k)
-            .collect();
-        out.sort_by_key(|k| k.as_u128());
-        out
-    }
-
-    /// O5: subtract the oldest batch. Frequency values are subtracted in
-    /// place; flows whose reference count reaches zero are deleted; the
-    /// rare non-invertible patterns are recomputed from the retained
-    /// batches (only for the affected keys).
-    fn evict_oldest(&mut self) {
-        let Some((_, evicted)) = self.batches.pop_front() else {
-            return;
-        };
-        let mut recompute: Vec<FlowKey> = Vec::new();
-        for rec in &evicted {
-            let Some(slot) = self.table.get_mut(&rec.key) else {
-                continue;
-            };
-            slot.refs -= 1;
-            if slot.refs == 0 {
-                self.table.remove(&rec.key);
-                continue;
-            }
-            match rec.attr {
-                AttrValue::Frequency(_) => {
-                    let _ = slot.value.unmerge_frequency(&rec.attr);
-                }
-                AttrValue::Signed(v) => {
-                    let _ = slot.value.merge(&AttrValue::Signed(-v));
-                }
-                _ => recompute.push(rec.key),
-            }
-        }
-        for key in recompute {
-            let mut acc: Option<AttrValue> = None;
-            for (_, batch) in &self.batches {
-                for r in batch.iter().filter(|r| r.key == key) {
-                    match &mut acc {
-                        Some(v) => {
-                            let _ = v.merge(&r.attr);
-                        }
-                        None => acc = Some(r.attr),
-                    }
-                }
-            }
-            if let Some(v) = acc {
-                if let Some(slot) = self.table.get_mut(&key) {
-                    slot.value = v;
-                }
-            }
-        }
     }
 
     /// All per-sub-window breakdowns so far.
@@ -247,6 +145,7 @@ impl InstrumentedController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ow_common::afr::AttrValue;
 
     fn batch(sw: u32, flows: std::ops::Range<u32>, count: u64) -> Vec<FlowRecord> {
         flows
@@ -311,10 +210,10 @@ mod tests {
         c.ingest(2, &rec(2, -2));
         // ingest(2) reported window [1,2] (3 + (−2) = 1) and then evicted
         // sub-window 1, so the table now holds only sub-window 2's −2 —
-        // the signed negation must have removed sub-window 1's +3.
+        // the eviction must have removed sub-window 1's +3.
         assert_eq!(
-            c.table.get(&FlowKey::src_ip(1)).unwrap().value,
-            AttrValue::Signed(-2)
+            c.table.get(&FlowKey::src_ip(1)),
+            Some(AttrValue::Signed(-2))
         );
     }
 

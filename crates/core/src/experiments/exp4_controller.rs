@@ -1,9 +1,10 @@
 //! Exp#4 (Figure 10): controller time-usage breakdown.
 //!
 //! Measures the wall-clock time of the five controller operations
-//! (O1 collect, O2 insert, O3 merge, O4 process, O5 evict) over one
-//! complete window of five sub-windows, for both tumbling and sliding
-//! reconstruction, using Q1-scale AFR batches.
+//! (O1 collect, O2+O3 insert and merge — one `MergeTable::insert_block`
+//! call, so one column — O4 process, O5 evict) per sub-window, for both
+//! tumbling and sliding reconstruction over five-sub-window windows,
+//! using Q1-scale AFR batches.
 
 use serde::Serialize;
 
@@ -19,10 +20,8 @@ pub struct BreakdownRow {
     pub subwindow: u32,
     /// O1 collect µs.
     pub o1_collect: f64,
-    /// O2 insert µs.
-    pub o2_insert: f64,
-    /// O3 merge µs.
-    pub o3_merge: f64,
+    /// O2+O3 insert-and-merge µs.
+    pub o23_insert_merge: f64,
     /// O4 process µs.
     pub o4_process: f64,
     /// O5 evict µs.
@@ -32,7 +31,7 @@ pub struct BreakdownRow {
 impl BreakdownRow {
     /// Total µs.
     pub fn total(&self) -> f64 {
-        self.o1_collect + self.o2_insert + self.o3_merge + self.o4_process + self.o5_evict
+        self.o1_collect + self.o23_insert_merge + self.o4_process + self.o5_evict
     }
 }
 
@@ -83,8 +82,7 @@ pub fn run(flows_per_subwindow: usize, subwindows: u32, seed: u64) -> Exp4Result
             rows.push(BreakdownRow {
                 subwindow: sw + 1,
                 o1_collect: bd.o1_collect.as_secs_f64() * 1e6,
-                o2_insert: bd.o2_insert.as_secs_f64() * 1e6,
-                o3_merge: bd.o3_merge.as_secs_f64() * 1e6,
+                o23_insert_merge: bd.o23_insert_merge.as_secs_f64() * 1e6,
                 o4_process: bd.o4_process.as_secs_f64() * 1e6,
                 o5_evict: bd.o5_evict.as_secs_f64() * 1e6,
             });

@@ -36,6 +36,8 @@ use serde::Serialize;
 
 use ow_common::error::OwError;
 
+use crate::resources::ResourceConfig;
+
 /// One match-action step of a feature (occupies part of one stage).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Step {
@@ -769,10 +771,19 @@ fn build_placement(
     }
 }
 
-/// The OmniWindow feature steps of the Exp#5 build (Q1 configuration):
-/// the same per-feature totals as the resource report's rows, broken
-/// into the per-stage steps the P4 program serialises.
-pub fn omniwindow_features(fk_sram_kb: u32, bloom_hashes: u32, rdma_sram_kb: u32) -> Vec<Feature> {
+/// The OmniWindow feature steps of the Exp#5 build (Q1 configuration),
+/// broken into the per-stage steps the P4 program serialises — the one
+/// definition of Table 2: the resource report's rows are the sums of
+/// these steps and the verifier's program is built from them.
+///
+/// Sizes that depend on the configuration (Bloom filter, `fk_buffer`,
+/// the RDMA address MAT) are computed here; fixed control logic
+/// (comparisons, header rewrites) is charged with constants taken from
+/// the paper's measured P4 build. "RDMA opt." is omitted when disabled.
+pub fn omniwindow_features(cfg: &ResourceConfig) -> Vec<Feature> {
+    let bloom_hashes = cfg.bloom_hashes;
+    let fk_sram_kb = cfg.bloom_kb + (cfg.fk_capacity * 13).div_ceil(1024) + 8;
+    let rdma_sram_kb = (cfg.rdma_hot_keys * 29).div_ceil(1024);
     let mut features = vec![
         Feature {
             name: "Signal".into(),
@@ -831,7 +842,7 @@ pub fn omniwindow_features(fk_sram_kb: u32, bloom_hashes: u32, rdma_sram_kb: u32
             gateways: 3,
         }],
     });
-    features.push(Feature {
+    let rdma = Feature {
         name: "RDMA opt.".into(),
         steps: vec![
             Step {
@@ -865,7 +876,10 @@ pub fn omniwindow_features(fk_sram_kb: u32, bloom_hashes: u32, rdma_sram_kb: u32
                 gateways: 2,
             }, // header build
         ],
-    });
+    };
+    if cfg.rdma_enabled {
+        features.push(rdma);
+    }
     features.push(Feature {
         name: "In-switch reset".into(),
         steps: vec![
@@ -904,7 +918,7 @@ mod tests {
         // The greedy packer is a *lower bound* on the measured build
         // (which also shares the pipeline with Q1 + switch.p4 and their
         // cross-table dependencies), so it may do slightly better.
-        let features = omniwindow_features(624, 3, 928);
+        let features = omniwindow_features(&ResourceConfig::default());
         let placement = place(&features, StageLimits::default()).expect("fits");
         assert!(
             (6..=8).contains(&placement.stages_used),
@@ -920,7 +934,7 @@ mod tests {
 
     #[test]
     fn dependencies_are_serialised() {
-        let features = omniwindow_features(624, 3, 928);
+        let features = omniwindow_features(&ResourceConfig::default());
         let placement = place(&features, StageLimits::default()).unwrap();
         for (name, stages) in &placement.assignments {
             for w in stages.windows(2) {
@@ -931,7 +945,7 @@ mod tests {
 
     #[test]
     fn capacity_is_respected() {
-        let features = omniwindow_features(624, 3, 928);
+        let features = omniwindow_features(&ResourceConfig::default());
         let limits = StageLimits::default();
         let placement = place(&features, limits).unwrap();
         for (s, residual) in placement.residual.iter().enumerate() {
@@ -1055,7 +1069,7 @@ mod tests {
 
     #[test]
     fn search_never_uses_more_stages_than_greedy() {
-        let features = omniwindow_features(624, 3, 928);
+        let features = omniwindow_features(&ResourceConfig::default());
         let greedy = place(&features, StageLimits::default()).unwrap();
         let opt = place_optimal(
             &features,
@@ -1069,7 +1083,7 @@ mod tests {
 
     #[test]
     fn search_is_deterministic() {
-        let features = omniwindow_features(624, 3, 928);
+        let features = omniwindow_features(&ResourceConfig::default());
         let a = place_optimal(
             &features,
             StageLimits::default(),
@@ -1089,7 +1103,7 @@ mod tests {
 
     #[test]
     fn exhausted_budget_keeps_the_greedy_incumbent() {
-        let features = omniwindow_features(624, 3, 928);
+        let features = omniwindow_features(&ResourceConfig::default());
         let greedy = place(&features, StageLimits::default()).unwrap();
         let p = place_optimal(
             &features,
@@ -1242,7 +1256,7 @@ mod tests {
     #[test]
     fn tighter_salu_budget_spreads_stages() {
         // With only 2 SALUs per stage the same program needs more stages.
-        let features = omniwindow_features(624, 3, 928);
+        let features = omniwindow_features(&ResourceConfig::default());
         let tight = StageLimits {
             salus: 1,
             ..StageLimits::default()

@@ -6,18 +6,20 @@
 //! between features that can be packed into the same stage, so the total
 //! is less than the per-feature sum — exactly the caveat Table 2 notes.
 //!
-//! Sizes that depend on configuration (Bloom filter, `fk_buffer`, the
-//! RDMA address MAT) are computed from the configuration; fixed control
-//! logic (comparisons, header rewrites) is charged per feature with
-//! constants taken from the paper's measured P4 build of Q1.
+//! The per-feature rows are the sums of the per-stage steps
+//! [`omniwindow_features`] defines (a feature touches one stage per
+//! step); only the totals' stage/VLIW sharing and the normalisation
+//! baseline are the paper's measured build of Q1.
 
 use serde::{Deserialize, Serialize};
 
+use crate::placement::{omniwindow_features, Step};
+
 /// One feature's resource usage (one row of Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FeatureUsage {
     /// Feature name (row label).
-    pub feature: &'static str,
+    pub feature: String,
     /// Pipeline stages touched.
     pub stages: u32,
     /// SRAM in KB.
@@ -76,69 +78,20 @@ pub struct ResourceReport {
 impl ResourceReport {
     /// Build the report for a configuration.
     pub fn for_config(cfg: &ResourceConfig) -> ResourceReport {
-        let fk_sram = cfg.bloom_kb + (cfg.fk_capacity * 13).div_ceil(1024) + 8;
-        let rdma_sram = (cfg.rdma_hot_keys * 29).div_ceil(1024);
-
-        let mut features = vec![
-            FeatureUsage {
-                feature: "Signal",
-                stages: 1,
-                sram_kb: 32,
-                salus: 1,
-                vliw: 3,
-                gateways: 2,
-            },
-            FeatureUsage {
-                feature: "Consistency model",
-                stages: 1,
-                sram_kb: 0,
-                salus: 0,
-                vliw: 2,
-                gateways: 1,
-            },
-            FeatureUsage {
-                feature: "Address location",
-                stages: 1,
-                sram_kb: 16,
-                salus: 0,
-                vliw: 2,
-                gateways: 0,
-            },
-            FeatureUsage {
-                feature: "Flowkey tracking",
-                stages: cfg.bloom_hashes + 1,
-                sram_kb: fk_sram,
-                salus: cfg.bloom_hashes + 1,
-                vliw: 7,
-                gateways: 7,
-            },
-            FeatureUsage {
-                feature: "AFR generation",
-                stages: 1,
-                sram_kb: 0,
-                salus: 0,
-                vliw: 4,
-                gateways: 3,
-            },
-        ];
-        if cfg.rdma_enabled {
-            features.push(FeatureUsage {
-                feature: "RDMA opt.",
-                stages: 5,
-                sram_kb: rdma_sram,
-                salus: 2,
-                vliw: 20,
-                gateways: 13,
-            });
-        }
-        features.push(FeatureUsage {
-            feature: "In-switch reset",
-            stages: 3,
-            sram_kb: 32,
-            salus: 1,
-            vliw: 5,
-            gateways: 5,
-        });
+        let features: Vec<FeatureUsage> = omniwindow_features(cfg)
+            .into_iter()
+            .map(|f| {
+                let sum = |of: fn(&Step) -> u32| f.steps.iter().map(of).sum::<u32>();
+                FeatureUsage {
+                    stages: f.steps.len() as u32,
+                    sram_kb: sum(|s| s.sram_kb),
+                    salus: sum(|s| s.salus),
+                    vliw: sum(|s| s.vliw),
+                    gateways: sum(|s| s.gateways),
+                    feature: f.name,
+                }
+            })
+            .collect();
 
         // SRAM, SALUs and gateways are exclusive; stages and VLIW are
         // shared across co-resident features. The measured build packs
@@ -148,7 +101,7 @@ impl ResourceReport {
         let stage_sum = sum(|f| f.stages);
         let vliw_sum = sum(|f| f.vliw);
         let total = FeatureUsage {
-            feature: "Total",
+            feature: "Total".into(),
             // Stage packing: features co-reside; the measured build packs
             // the 16 stage-feature touches of the Q1 config into 8
             // physical stages (two features per stage on average). Scale
@@ -165,7 +118,7 @@ impl ResourceReport {
         // build: stages 75 %, SRAM 14.7 %, SALU 44.4 %, VLIW 40.7 %,
         // gateway 44.9 %.
         let baseline = FeatureUsage {
-            feature: "Q1 + switch.p4",
+            feature: "Q1 + switch.p4".into(),
             stages: 11,      // ≈ 8 / 0.75 (rounded to whole stages)
             sram_kb: 11_102, // ≈ 1632 / 0.147
             salus: 18,       // ≈ 8 / 0.444
@@ -202,7 +155,7 @@ mod tests {
     fn default_config_matches_table_2() {
         let r = ResourceReport::for_config(&ResourceConfig::default());
         let get = |name: &str| {
-            *r.features
+            r.features
                 .iter()
                 .find(|f| f.feature == name)
                 .unwrap_or_else(|| panic!("missing {name}"))
@@ -226,6 +179,48 @@ mod tests {
         assert_eq!(r.total.stages, 8);
         assert_eq!(r.total.vliw, 35);
         assert_eq!(r.total.gateways, 31);
+    }
+
+    #[test]
+    fn every_row_is_the_sum_of_its_steps() {
+        for bloom_hashes in 1..=6 {
+            for rdma_enabled in [true, false] {
+                let cfg = ResourceConfig {
+                    bloom_hashes,
+                    rdma_enabled,
+                    ..ResourceConfig::default()
+                };
+                let rows = ResourceReport::for_config(&cfg).features;
+                let features = omniwindow_features(&cfg);
+                assert_eq!(rows.len(), features.len());
+                assert_eq!(rows.len(), if rdma_enabled { 7 } else { 6 });
+                for (row, f) in rows.iter().zip(&features) {
+                    let sums = f.steps.iter().fold([0; 4], |a, s| {
+                        [
+                            a[0] + s.sram_kb,
+                            a[1] + s.salus,
+                            a[2] + s.vliw,
+                            a[3] + s.gateways,
+                        ]
+                    });
+                    assert_eq!((&row.feature, row.stages), (&f.name, f.steps.len() as u32));
+                    assert_eq!(
+                        [row.sram_kb, row.salus, row.vliw, row.gateways],
+                        sums,
+                        "{}: h = {bloom_hashes}, rdma = {rdma_enabled}",
+                        f.name
+                    );
+                }
+                // One step per Bloom hash plus the fk_buffer append.
+                let fk = &rows[3];
+                assert_eq!(fk.feature, "Flowkey tracking");
+                assert_eq!(
+                    (fk.vliw, fk.gateways),
+                    (2 * bloom_hashes + 1, 2 * bloom_hashes + 1)
+                );
+                assert_eq!((fk.stages, fk.salus), (bloom_hashes + 1, bloom_hashes + 1));
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@ use ow_common::time::{Duration, Instant};
 use ow_sketch::traits::SketchMeta;
 use ow_sketch::CountMin;
 use ow_switch::app::{DataPlaneApp, FrequencyApp};
-use ow_switch::collect::{CollectConfig, CrEngine};
+use ow_switch::collect::{
+    make_collection_packets, CollectConfig, CrEngine, PacketCollector, PassResult,
+};
 use ow_switch::consistency::{ConsistencyModel, Placement};
 use ow_switch::flowkey::FlowkeyTracker;
 use ow_switch::latency::LatencyModel;
@@ -193,6 +195,55 @@ proptest! {
         prop_assert_eq!(out.keys_from_dataplane, from_dataplane);
         prop_assert_eq!(out.keys_injected, keys.len() - from_dataplane);
         prop_assert_eq!(tracker.total_tracked(), 0);
+    }
+
+    /// The literal Algorithm 2 and the engine the switch runs agree:
+    /// with every key in `fk_buffer`, one collection packet recirculated
+    /// through `PacketCollector::pass` until `Done` reports the same
+    /// `(key, value)` set as `collect_and_reset`, the reset sweep visits
+    /// every register index once, and both leave the region zeroed.
+    #[test]
+    fn packet_collector_matches_collect_and_reset(
+        ids in proptest::collection::vec((1u32..400, 1u64..9), 0..120),
+    ) {
+        let mut app = FrequencyApp::new(CountMin::new(3, 128, 5), KeyKind::SrcIp, false);
+        let mut tracker = FlowkeyTracker::new(512, 512, 6);
+        for &(id, n) in &ids {
+            let p = Packet::tcp(Instant::ZERO, id, 9, 1, 80, TcpFlags::ack(), 64);
+            (0..n).for_each(|_| app.update(&p));
+            tracker.track(&FlowKey::src_ip(id));
+        }
+        prop_assert!(tracker.overflowed().is_empty());
+        let (mut literal_app, literal_tracker) = (app.clone(), tracker.clone());
+
+        let out = CrEngine::new(LatencyModel::default())
+            .collect_and_reset(&mut app, &mut tracker, 9, CollectConfig::default());
+        let mut expected: Vec<(FlowKey, u64)> =
+            out.afrs.iter().map(|r| (r.key, r.attr.scalar() as u64)).collect();
+
+        let mut collector = PacketCollector::new(9);
+        let mut p = make_collection_packets(1, 9, Instant::ZERO).remove(0);
+        let mut reported: Vec<(FlowKey, u64)> = Vec::new();
+        loop {
+            match collector.pass(&mut p, &mut literal_app, &literal_tracker) {
+                PassResult::Report { clone, recirculate } => {
+                    prop_assert!(recirculate && clone.ow.subwindow == 9);
+                    let key = clone.ow.flowkey.expect("a report carries its key");
+                    reported.push((key, clone.ow.afr_value));
+                }
+                PassResult::BecameReset | PassResult::ResetPass { .. } => {}
+                PassResult::Done => break,
+            }
+        }
+        expected.sort_by_key(|(k, _)| k.as_u128());
+        reported.sort_by_key(|(k, _)| k.as_u128());
+        prop_assert_eq!(reported, expected);
+        prop_assert_eq!(collector.reset_passes(), literal_app.states_per_array());
+        for &(id, _) in &ids {
+            let key = FlowKey::src_ip(id);
+            prop_assert_eq!(app.query(&key), AttrValue::Frequency(0));
+            prop_assert_eq!(literal_app.query(&key), AttrValue::Frequency(0));
+        }
     }
 
     /// Timeout signals always place the engine in sub-window

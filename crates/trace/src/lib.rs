@@ -21,9 +21,7 @@
 
 pub mod anomaly;
 pub mod dml;
-pub mod file;
 pub mod gen;
 
 pub use anomaly::{Anomaly, AnomalyKind};
-pub use file::{load, save};
 pub use gen::{Trace, TraceBuilder, TraceConfig};

@@ -130,7 +130,7 @@ pub fn repo_programs() -> Vec<(String, PipelineProgram)> {
         ));
     }
 
-    // Sharded live-controller deployments (`OW_SHARDS`).
+    // Sharded live-controller deployments.
     // The shard count lives on the controller, so the pipeline program
     // itself is unchanged — but each shard count scales the flow
     // population the deployment is expected to serve, and that *does*

@@ -258,30 +258,23 @@ impl PipelineProgram {
 /// `app_states` is the per-region cell count of the wrapped telemetry
 /// application's state arrays (sizes the clear-packet sweep bound).
 pub fn omniwindow_program(cfg: &ResourceConfig, app_states: usize) -> PipelineProgram {
-    let fk_sram = cfg.bloom_kb + (cfg.fk_capacity * 13).div_ceil(1024) + 8;
-    let rdma_sram = (cfg.rdma_hot_keys * 29).div_ceil(1024);
-    let features: Vec<FeatureDecl> = ow_switch::placement::omniwindow_features(
-        fk_sram,
-        cfg.bloom_hashes,
-        if cfg.rdma_enabled { rdma_sram } else { 0 },
-    )
-    .into_iter()
-    .filter(|f| cfg.rdma_enabled || f.name != "RDMA opt.")
-    .map(|f| {
-        FeatureDecl::new(
-            f.name,
-            f.steps
-                .iter()
-                .map(|s| StepDecl {
-                    sram_kb: s.sram_kb,
-                    salus: s.salus,
-                    vliw: s.vliw,
-                    gateways: s.gateways,
-                })
-                .collect(),
-        )
-    })
-    .collect();
+    let features: Vec<FeatureDecl> = ow_switch::placement::omniwindow_features(cfg)
+        .into_iter()
+        .map(|f| {
+            FeatureDecl::new(
+                f.name,
+                f.steps
+                    .iter()
+                    .map(|s| StepDecl {
+                        sram_kb: s.sram_kb,
+                        salus: s.salus,
+                        vliw: s.vliw,
+                        gateways: s.gateways,
+                    })
+                    .collect(),
+            )
+        })
+        .collect();
 
     let app_states = app_states.max(1);
     let bloom_cells = (cfg.bloom_kb as usize * 1024 * 8 / 32)

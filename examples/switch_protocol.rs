@@ -79,7 +79,7 @@ fn main() {
         mk_app(2),
     )
     .expect("pipeline verifies");
-    let controller = LiveController::spawn(5, 64);
+    let controller = LiveController::spawn_sharded_obs(5, 64, 1, None);
 
     // 4 sub-windows of traffic: host 77 sends 40 packets per sub-window.
     let mut events = Vec::new();

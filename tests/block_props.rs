@@ -135,7 +135,7 @@ fn run_dataplane_blocks(
     shards: usize,
     capacity: usize,
 ) -> (FoldFacts, u64) {
-    let ctl = LiveController::spawn_sharded(3, 64, shards);
+    let ctl = LiveController::spawn_sharded_obs(3, 64, shards, None);
     for (sw, t) in trace.iter().enumerate() {
         let recs = arrivals(t);
         let chunks: Vec<&[FlowRecord]> = recs.chunks(capacity).collect();
@@ -191,7 +191,7 @@ fn run_reliable(
     capacity: usize,
 ) -> (Vec<u8>, Vec<(FlowKey, f64)>, u64) {
     let stores: Vec<Vec<FlowRecord>> = trace.iter().map(|t| t.store.clone()).collect();
-    let ctl = ReliableLiveController::spawn_sharded(
+    let ctl = ReliableLiveController::spawn_sharded_obs(
         3,
         64,
         RetryPolicy::default(),
@@ -205,6 +205,7 @@ fn run_reliable(
         }),
         Box::new(|_| panic!("a reliable back-channel never escalates")),
         shards,
+        None,
     );
     for (sw, t) in trace.iter().enumerate() {
         let sw = sw as u32;

@@ -284,55 +284,58 @@ fn duplicate_trigger_packet_is_idempotent() {
     let trigger_copies = channel.transmit_one(PacketClass::Trigger, subwindow);
     assert_eq!(trigger_copies.len(), 2, "channel duplicates the trigger");
 
-    let store = afrs.clone();
-    let ctl = ReliableLiveController::spawn(
-        4,
-        64,
-        RetryPolicy::default(),
-        Box::new(move |_, seqs: &[u32]| seqs.iter().map(|&s| store[s as usize]).collect()),
-        Box::new(|_| panic!("no escalation expected")),
-    );
-    for &sw in &trigger_copies {
+    let mut expected = MergeTable::new();
+    expected.insert_batch(subwindow, afrs.clone());
+    // The one threaded reliable end-to-end run: same outcome whether
+    // one shard or eight fold it.
+    for shards in [1usize, 8] {
+        let store = afrs.clone();
+        let ctl = ReliableLiveController::spawn_sharded_obs(
+            4,
+            64,
+            RetryPolicy::default(),
+            Box::new(move |_, seqs: &[u32]| seqs.iter().map(|&s| store[s as usize]).collect()),
+            Box::new(|_| panic!("no escalation expected")),
+            shards,
+            None,
+        );
+        for &sw in &trigger_copies {
+            ctl.sender
+                .send(ReliableMsg::Announce {
+                    subwindow: sw,
+                    announced: afrs.len() as u32,
+                })
+                .unwrap();
+        }
+        ctl.sender
+            .send(ReliableMsg::AfrBlock(RecordBlock::from_records(
+                subwindow,
+                &afrs[3..],
+            )))
+            .unwrap();
+        ctl.sender
+            .send(ReliableMsg::EndOfStream { subwindow })
+            .unwrap();
+        // A third clone of the trigger straggles in after the session
+        // merged: it must not re-open the sub-window and merge it again.
         ctl.sender
             .send(ReliableMsg::Announce {
-                subwindow: sw,
+                subwindow,
                 announced: afrs.len() as u32,
             })
             .unwrap();
-    }
-    ctl.sender
-        .send(ReliableMsg::AfrBlock(RecordBlock::from_records(
-            subwindow,
-            &afrs[3..],
-        )))
-        .unwrap();
-    ctl.sender
-        .send(ReliableMsg::EndOfStream { subwindow })
-        .unwrap();
-    // A third clone of the trigger straggles in after the session
-    // merged: it must not re-open the sub-window and merge it again.
-    ctl.sender
-        .send(ReliableMsg::Announce {
-            subwindow,
-            announced: afrs.len() as u32,
-        })
-        .unwrap();
-    let handle = ctl.handle.clone();
-    let metrics = ctl.join();
-    assert_eq!(handle.subwindows(), vec![subwindow]);
+        let handle = ctl.handle.clone();
+        let metrics = ctl.join();
+        assert_eq!(handle.shard_count(), shards);
+        assert_eq!(handle.subwindows(), vec![subwindow]);
 
-    // One session, announced counted once, table exact.
-    assert_eq!(metrics.announced, afrs.len() as u64);
-    assert_eq!(handle.merged_flows(), afrs.len());
-    let mut expected = MergeTable::new();
-    expected.insert_batch(subwindow, afrs.clone());
-    for r in &afrs {
-        let merged = handle
-            .flows_over(0.0)
-            .into_iter()
-            .find(|(k, _)| k == &r.key)
-            .map(|(_, v)| v);
-        assert_eq!(merged, Some(expected.get(&r.key).unwrap().scalar()));
+        // One session, announced counted once, table exact.
+        assert_eq!(metrics.announced, afrs.len() as u64);
+        assert_eq!(
+            (metrics.first_pass, metrics.recovered),
+            (afrs.len() as u64 - 3, 3)
+        );
+        assert_eq!(handle.snapshot(), expected.snapshot(), "{shards} shards");
     }
 }
 

@@ -73,7 +73,7 @@ proptest! {
     #[test]
     fn live_controller_fold_matches_across_shards(ops in arb_ops(), threshold in 0u32..2_000) {
         let run_live = |shards: usize| {
-            let ctl = LiveController::spawn_sharded(3, 64, shards);
+            let ctl = LiveController::spawn_sharded_obs(3, 64, shards, None);
             for (sw, batch) in ops.iter().enumerate() {
                 ctl.sender
                     .send(DataPlaneMsg::AfrBlock {
