@@ -3,7 +3,7 @@
 
 use omniwindow::experiments::exp3_dml;
 use ow_bench::Cli;
-use ow_trace::dml::{compression_ratio, DmlConfig};
+use ow_trace::dml::{compression_ratio, DmlConfig, DOUBLE_EVERY};
 
 fn main() {
     let cli = Cli::parse();
@@ -15,16 +15,13 @@ fn main() {
     let result = exp3_dml::run(&cfg);
 
     println!("Exp#3: distributed-ML iteration times (Figure 9)");
-    println!(
-        "compression doubles every {} iterations\n",
-        cfg.double_every
-    );
+    println!("compression doubles every {DOUBLE_EVERY} iterations\n");
     println!(
         "{:>9} {:>6} {:>14} {:>12}",
         "iteration", "ratio", "mean time (µs)", "per worker"
     );
     for it in (1..=cfg.iterations).step_by(4) {
-        let ratio = compression_ratio(&cfg, it - 1);
+        let ratio = compression_ratio(it - 1);
         let per_worker: Vec<String> = (0..cfg.workers)
             .map(|w| {
                 result

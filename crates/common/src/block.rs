@@ -283,11 +283,6 @@ impl ShardScatter {
         self.partition
     }
 
-    /// Whether a sub-window is currently open.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
     /// The sub-window currently open (meaningful only when active).
     pub fn subwindow(&self) -> u32 {
         self.subwindow

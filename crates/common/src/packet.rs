@@ -331,11 +331,6 @@ impl Packet {
     pub fn five_tuple(&self) -> FlowKey {
         self.key(KeyKind::FiveTuple)
     }
-
-    /// Whether this is a special (non-`Normal`) OmniWindow packet.
-    pub fn is_special(&self) -> bool {
-        self.ow.flag != OwFlag::Normal
-    }
 }
 
 #[cfg(test)]

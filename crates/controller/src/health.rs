@@ -16,13 +16,8 @@
 //! | `OW-HEALTH-204` | `escalation_storm` | switch-OS escalations per 1000 sessions above 50‰ (**critical**) |
 //! | `OW-HEALTH-205` | `cr_retransmit_storm` | AFRs recovered by retransmission per 1000 announced above 150‰ |
 
+use ow_common::block::DEFAULT_BLOCK_CAPACITY;
 use ow_obs::{Cmp, MetricSelector, Rule, RuleSet, Severity, Signal};
-
-/// Queued-record capacity the saturation rule judges peaks against.
-/// The default is far above anything the in-tree scenarios enqueue —
-/// saturating a shard queue is exceptional by construction — and
-/// callers with small bounded queues pass their real capacity.
-pub const DEFAULT_SHARD_QUEUE_CAPACITY: u64 = 1 << 20;
 
 /// Saturation threshold (‰ of capacity) for `OW-HEALTH-201`.
 pub const QUEUE_SATURATION_PERMILLE: u64 = 800;
@@ -46,9 +41,13 @@ pub const ESCALATION_STORM_PERMILLE: u64 = 50;
 /// the 10% steady state.
 pub const CR_RETRANSMIT_STORM_PERMILLE: u64 = 150;
 
-/// The controller rule catalog (`OW-HEALTH-2xx`) with an explicit
-/// shard-queue capacity.
-pub fn controller_health_rules_with_capacity(queue_capacity: u64) -> RuleSet {
+/// The controller rule catalog (`OW-HEALTH-2xx`) for a controller
+/// spawned with `queue_depth` — the depth its caller hands
+/// `spawn_sharded_obs`. A shard queue holds that many blocks of up to
+/// [`DEFAULT_BLOCK_CAPACITY`] rows, which is the record capacity
+/// `OW-HEALTH-201` judges queue peaks against.
+pub fn controller_health_rules(queue_depth: usize) -> RuleSet {
+    let queue_capacity = (queue_depth.max(1) * DEFAULT_BLOCK_CAPACITY) as u64;
     RuleSet::new(vec![
         Rule::new(
             "OW-HEALTH-201",
@@ -114,15 +113,10 @@ pub fn controller_health_rules_with_capacity(queue_capacity: u64) -> RuleSet {
     .expect("controller rule catalog validates")
 }
 
-/// The controller rule catalog with [`DEFAULT_SHARD_QUEUE_CAPACITY`].
-pub fn controller_health_rules() -> RuleSet {
-    controller_health_rules_with_capacity(DEFAULT_SHARD_QUEUE_CAPACITY)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ow_obs::{FlightRecorderConfig, HealthSample, MetricSnapshot, Obs, PeakSample};
+    use ow_obs::{HealthSample, MetricSnapshot, Obs, PeakSample};
 
     fn metric(name: &str, labels: &[(&str, &str)], value: u64) -> MetricSnapshot {
         MetricSnapshot {
@@ -140,7 +134,7 @@ mod tests {
     #[test]
     fn catalog_validates_and_merges_with_the_switch_catalog() {
         let merged = RuleSet::merged(vec![
-            controller_health_rules(),
+            controller_health_rules(256),
             ow_switch::health::switch_health_rules(),
         ])
         .expect("cross-catalog codes stay unique");
@@ -150,15 +144,14 @@ mod tests {
     #[test]
     fn queue_saturation_judges_the_peak_not_the_drained_value() {
         let obs = Obs::new();
-        let engine = obs.install_health(
-            controller_health_rules_with_capacity(100),
-            FlightRecorderConfig::default(),
-        );
-        // Queue spiked to 90 records mid-window but drained to 0 by
-        // the sample: the instantaneous gauge hides it, the
-        // high-watermark does not (900‰ of a 100-record capacity).
-        let fired = engine.tick_with_sample(HealthSample {
-            at_ns: 1_000,
+        let engine = obs.install_health(controller_health_rules(256));
+        // What `fleet::run` and `obs_smoke` install: 256 blocks × 1024
+        // rows = 262,144 records per shard queue. The queue spiked
+        // mid-window but drained to 0 by the sample: the instantaneous
+        // gauge hides it, the high-watermark does not — 200,000 queued
+        // is 762‰ (silent), 230,000 is 877‰ (over the 800‰ threshold).
+        let spiked_to = |at_ns, peak| HealthSample {
+            at_ns,
             metrics: vec![metric(
                 "ow_controller_shard_queue_records",
                 &[("shard", "2")],
@@ -167,13 +160,15 @@ mod tests {
             peaks: vec![PeakSample {
                 name: "ow_controller_shard_queue_records".into(),
                 labels: vec![("shard".into(), "2".into())],
-                peak: 90,
+                peak,
             }],
-        });
+        };
+        assert!(engine.tick_with_sample(spiked_to(500, 200_000)).is_empty());
+        let fired = engine.tick_with_sample(spiked_to(1_000, 230_000));
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].code, "OW-HEALTH-201");
         assert_eq!(fired[0].entity, "shard:2");
-        assert_eq!(fired[0].value, 900);
+        assert_eq!(fired[0].value, 877);
         // A producer that outran the router and had an `offer` rejected
         // lost records — any backpressure drop fires — and 30 of 100
         // announced AFRs needing retransmission is a storm (300‰).
@@ -196,7 +191,7 @@ mod tests {
     #[test]
     fn escalation_storm_is_critical_and_freezes_the_black_box() {
         let obs = Obs::new();
-        let engine = obs.install_health(controller_health_rules(), FlightRecorderConfig::default());
+        let engine = obs.install_health(controller_health_rules(256));
         // 1 escalation per 100 sessions = 10‰: within tolerance.
         engine.tick_with_sample(HealthSample {
             at_ns: 1_000,
@@ -228,7 +223,7 @@ mod tests {
     fn recovery_burn_fires_when_escalated_sessions_blow_the_deadline() {
         use ow_common::time::Duration;
         let obs = Obs::new();
-        let engine = obs.install_health(controller_health_rules(), FlightRecorderConfig::default());
+        let engine = obs.install_health(controller_health_rules(256));
         let hist = obs.histogram("ow_controller_cr_phase_duration", &[("phase", "recovery")]);
         // 19 fast recoveries (~100µs) + 1 escalated one (40ms): 5% of
         // sessions past the 1ms deadline against a 5% budget — at the

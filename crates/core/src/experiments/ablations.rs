@@ -17,7 +17,7 @@ use ow_common::flowkey::FlowKey;
 use ow_common::time::Duration;
 use ow_sketch::traits::FrequencySketch;
 use ow_sketch::CountMin;
-use ow_switch::latency::LatencyModel;
+use ow_switch::latency;
 
 use crate::experiments::common::Scale;
 
@@ -197,14 +197,14 @@ pub struct FkCapacityPoint {
 /// Sweep the hybrid collection's flowkey-array capacity for a population
 /// of `total_keys` keys — the CPC↔DPC trade-off OmniWindow sits between.
 pub fn fk_capacity_sweep(total_keys: usize) -> Vec<FkCapacityPoint> {
-    let lat = LatencyModel::default();
     let caps: Vec<usize> = (0..8).map(|i| total_keys >> i).rev().collect();
     caps.into_iter()
         .map(|capacity| {
             let buffered = capacity.min(total_keys);
             let injected = total_keys - buffered;
-            let t =
-                lat.trigger_rtt + lat.recirc_enumeration(buffered, 3) + lat.inject(injected, false);
+            let t = latency::TRIGGER_RTT
+                + latency::recirc_enumeration(buffered, 3)
+                + latency::inject(injected, false);
             FkCapacityPoint {
                 capacity,
                 from_dataplane: buffered,
@@ -230,11 +230,10 @@ pub struct RecircPoint {
 /// Sweep the number of recirculating collection/clear packets (why the
 /// paper stops at 16).
 pub fn recirc_sweep(slots: usize) -> Vec<RecircPoint> {
-    let lat = LatencyModel::default();
     [1usize, 2, 4, 8, 16, 32]
         .into_iter()
         .map(|packets| {
-            let t = lat.recirc_enumeration(slots, packets);
+            let t = latency::recirc_enumeration(slots, packets);
             RecircPoint {
                 packets,
                 enumerate_ms: t.as_millis_f64(),

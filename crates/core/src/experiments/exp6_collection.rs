@@ -19,9 +19,8 @@ use ow_common::packet::{Packet, TcpFlags};
 use ow_common::time::Instant;
 use ow_sketch::CountMin;
 use ow_switch::app::{DataPlaneApp, FrequencyApp};
-use ow_switch::collect::{CollectConfig, CollectMode, CrEngine};
+use ow_switch::collect::{collect_and_reset, CollectConfig, CollectMode};
 use ow_switch::flowkey::FlowkeyTracker;
-use ow_switch::latency::LatencyModel;
 
 /// One (method, hash-count) measurement.
 #[derive(Debug, Clone, Serialize)]
@@ -77,7 +76,6 @@ pub fn run(seed: u64) -> Exp6Result {
 
 /// Run with custom key counts (tests use smaller populations).
 pub fn run_sized(total_keys: usize, cached_keys: usize, seed: u64) -> Exp6Result {
-    let engine = CrEngine::new(LatencyModel::default());
     let mut times = Vec::new();
     let methods: [(&str, CollectMode, usize, bool, usize); 7] = [
         // (label, mode, recirc packets, rdma, fk capacity)
@@ -92,7 +90,7 @@ pub fn run_sized(total_keys: usize, cached_keys: usize, seed: u64) -> Exp6Result
     for hashes in 1..=4usize {
         for (label, mode, recirc, rdma, fk) in methods {
             let (mut app, mut tracker) = build_state(hashes, fk, total_keys, seed);
-            let out = engine.collect_and_reset(
+            let out = collect_and_reset(
                 &mut app,
                 &mut tracker,
                 0,

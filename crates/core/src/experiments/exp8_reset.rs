@@ -9,8 +9,7 @@
 
 use serde::Serialize;
 
-use ow_switch::latency::LatencyModel;
-use ow_switch::osmodel::SwitchOsModel;
+use ow_switch::{latency, osmodel};
 
 /// One (method, register-count) cell of the figure.
 #[derive(Debug, Clone, Serialize)]
@@ -34,14 +33,12 @@ pub struct Exp8Result {
 
 /// Run Exp#8 with `entries` entries per register (paper: 65 536).
 pub fn run(entries: usize) -> Exp8Result {
-    let latency = LatencyModel::default();
-    let os = SwitchOsModel::new(latency);
     let mut times = Vec::new();
     for registers in 1..=4usize {
         times.push(ResetTime {
             method: "OS".into(),
             registers,
-            millis: os.reset_time(registers, entries).as_millis_f64(),
+            millis: osmodel::reset_time(registers, entries).as_millis_f64(),
         });
         for packets in [4usize, 8, 16] {
             times.push(ResetTime {
@@ -49,7 +46,7 @@ pub fn run(entries: usize) -> Exp8Result {
                 registers,
                 // One pass clears the same index of all registers: the
                 // register count does not appear.
-                millis: latency.recirc_enumeration(entries, packets).as_millis_f64(),
+                millis: latency::recirc_enumeration(entries, packets).as_millis_f64(),
             });
         }
     }

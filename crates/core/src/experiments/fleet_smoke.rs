@@ -14,10 +14,7 @@ use ow_common::time::{Duration, Instant};
 use ow_controller::health::controller_health_rules;
 use ow_netsim::fleet::{self, fleet_health_rules};
 use ow_netsim::{ChurnEvent, ChurnKind, FleetConfig, RackBurst};
-use ow_obs::{
-    accuracy_health_rules, AccuracyConfig, AccuracyScorer, FlightRecorderConfig, HealthEngine, Obs,
-    RuleSet,
-};
+use ow_obs::{accuracy_health_rules, AccuracyConfig, AccuracyScorer, HealthEngine, Obs, RuleSet};
 use ow_switch::health::switch_health_rules;
 
 use crate::evaluate;
@@ -44,9 +41,12 @@ pub fn permille(x: f64) -> u64 {
 /// firing path is unit-tested in ow-controller; here it would leak
 /// thread timing into the byte-identity checks).
 pub fn fleet_catalog() -> RuleSet {
-    RuleSet::merged(vec![fleet_health_rules(), controller_health_rules()])
-        .expect("catalogs merge")
-        .without(&["OW-HEALTH-201"])
+    RuleSet::merged(vec![
+        fleet_health_rules(),
+        controller_health_rules(fleet::QUEUE_DEPTH),
+    ])
+    .expect("catalogs merge")
+    .without(&["OW-HEALTH-201"])
 }
 
 /// Switch 2 crashing mid-run, so the departure path exercises too.
@@ -99,7 +99,7 @@ pub fn accuracy_config(seed: u64, sketch_feed: Option<(usize, usize)>) -> FleetC
 /// `fleet::run` evaluates the rules.
 pub fn run_with_health(cfg: &FleetConfig) -> (Arc<HealthEngine>, Obs) {
     let obs = Obs::with_journal_capacity(1 << 15);
-    let engine = obs.install_health(fleet_catalog(), FlightRecorderConfig::default());
+    let engine = obs.install_health(fleet_catalog());
     fleet::run(cfg, &obs);
     (engine, obs)
 }
@@ -108,7 +108,7 @@ pub fn run_with_health(cfg: &FleetConfig) -> (Arc<HealthEngine>, Obs) {
 /// and its `OW-HEALTH-4xx` catalog installed.
 pub fn run_with_accuracy(cfg: &FleetConfig) -> (Arc<AccuracyScorer>, Arc<HealthEngine>, Obs) {
     let obs = Obs::with_journal_capacity(1 << 15);
-    let engine = obs.install_health(accuracy_health_rules(), FlightRecorderConfig::default());
+    let engine = obs.install_health(accuracy_health_rules());
     let scorer = obs.install_accuracy(AccuracyConfig::default());
     fleet::run(cfg, &obs);
     (scorer, engine, obs)
@@ -122,9 +122,12 @@ pub fn run_with_accuracy(cfg: &FleetConfig) -> (Arc<AccuracyScorer>, Arc<HealthE
 /// the switch pipeline, so the 1xx switch rules stay silent; the
 /// controller folds are the live signals.)
 pub fn judge_obs_smoke(obs: &Obs) -> Arc<HealthEngine> {
-    let rules = RuleSet::merged(vec![switch_health_rules(), controller_health_rules()])
-        .expect("switch + controller catalogs merge");
-    let engine = obs.install_health(rules, FlightRecorderConfig::default());
+    let rules = RuleSet::merged(vec![
+        switch_health_rules(),
+        controller_health_rules(super::obs_smoke::QUEUE_DEPTH),
+    ])
+    .expect("switch + controller catalogs merge");
+    let engine = obs.install_health(rules);
     engine.tick(Instant::from_millis(1_000));
     engine
 }

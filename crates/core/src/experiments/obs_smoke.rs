@@ -38,19 +38,23 @@ pub struct ObsSmokeConfig {
     pub seed: u64,
     /// AFR-report loss rate on the data channel.
     pub loss: f64,
-    /// Merge shards for the live controller.
-    pub shards: usize,
-    /// Sub-windows per sliding window.
-    pub window_subwindows: usize,
 }
+
+/// Merge shards of the live controller.
+const SHARDS: usize = 4;
+
+/// Sub-windows per sliding window.
+const WINDOW_SUBWINDOWS: usize = 3;
+
+/// Channel and shard-queue depth of the live controller;
+/// `fleet_smoke::judge_obs_smoke` sizes the health catalog with it.
+pub const QUEUE_DEPTH: usize = 256;
 
 impl Default for ObsSmokeConfig {
     fn default() -> ObsSmokeConfig {
         ObsSmokeConfig {
             seed: 7,
             loss: 0.10,
-            shards: 4,
-            window_subwindows: 3,
         }
     }
 }
@@ -74,7 +78,6 @@ fn mk_switch() -> Switch<App> {
             fk_capacity: 4096,
             expected_flows: 16 * 1024,
             signal: WindowSignal::Timeout(Duration::from_millis(100)),
-            cr_wait: Duration::from_millis(1),
             ..SwitchConfig::default()
         },
         app(1),
@@ -145,8 +148,8 @@ pub fn run(cfg: &ObsSmokeConfig) -> ObsSmokeOutcome {
     let escalate = batches[1].0;
 
     let ctl = ReliableLiveController::spawn_sharded_obs(
-        cfg.window_subwindows,
-        256,
+        WINDOW_SUBWINDOWS,
+        QUEUE_DEPTH,
         RetryPolicy {
             max_rounds: 2,
             ..RetryPolicy::default()
@@ -159,7 +162,7 @@ pub fn run(cfg: &ObsSmokeConfig) -> ObsSmokeOutcome {
             seqs.iter().filter_map(|s| batch.get(s).copied()).collect()
         }),
         Box::new(move |swid| (os_store[&swid].clone(), Duration::from_millis(40))),
-        cfg.shards,
+        SHARDS,
         Some(&obs),
     );
 

@@ -11,7 +11,7 @@ use ow_common::flowkey::{FlowKey, KeyKind};
 use ow_common::time::Duration;
 use ow_controller::table::MergeTable;
 use ow_sketch::FlowRadar;
-use ow_switch::latency::LatencyModel;
+use ow_switch::latency;
 use ow_trace::Trace;
 
 use crate::config::WindowConfig;
@@ -141,7 +141,7 @@ pub fn run_flowradar(
 
     // The migration recirculates one packet per register slot, like the
     // data-plane collection path over `cells` slots.
-    let migration_time = LatencyModel::default().recirc_enumeration(fr_cfg.cells, 16);
+    let migration_time = latency::recirc_enumeration(fr_cfg.cells, 16);
 
     MigrationRun {
         windows,

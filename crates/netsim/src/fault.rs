@@ -131,16 +131,6 @@ impl FaultConfig {
             PacketClass::RetransmitData => &self.retransmit_data,
         }
     }
-
-    /// Mutable access to the profile governing `class`.
-    pub fn profile_mut(&mut self, class: PacketClass) -> &mut ClassProfile {
-        match class {
-            PacketClass::AfrReport => &mut self.afr,
-            PacketClass::Trigger => &mut self.trigger,
-            PacketClass::RetransmitRequest => &mut self.retransmit_request,
-            PacketClass::RetransmitData => &mut self.retransmit_data,
-        }
-    }
 }
 
 /// Delivery counters for one packet class.
@@ -173,11 +163,6 @@ impl FaultStats {
     /// Total packets dropped across all classes.
     pub fn total_dropped(&self) -> u64 {
         self.classes.iter().map(|c| c.dropped).sum()
-    }
-
-    /// Total packets offered across all classes.
-    pub fn total_offered(&self) -> u64 {
-        self.classes.iter().map(|c| c.offered).sum()
     }
 
     /// Fold another channel's counters into this aggregate (per-class,

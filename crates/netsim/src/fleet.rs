@@ -58,6 +58,23 @@ const LOCAL_BITS: u32 = 8;
 /// and a lost burst should not erase a whole sub-window.
 const FLEET_BLOCK_CAPACITY: usize = 256;
 
+/// AFRs per per-switch sub-window batch.
+pub const RECORDS_PER_WINDOW: u32 = 24;
+
+/// Flow-key population the synthetic batches draw from (keys are
+/// shared fleet-wide, so merges overlap across switches).
+pub const POPULATION: u32 = 64;
+
+/// Virtual length of one sub-window period.
+pub const SUBWINDOW_LEN: Duration = Duration::from_millis(1);
+
+/// Switches per rack (the correlated failure domain).
+pub const RACK_SIZE: u32 = 8;
+
+/// Channel and shard-queue depth of every worker's controller; callers
+/// judging a fleet run with the controller health catalog pass it this.
+pub const QUEUE_DEPTH: usize = 256;
+
 /// Salt for the rendezvous assignment weights (fixed so the assignment
 /// is a pure function of `(switch, workers)`).
 const ASSIGN_SALT: u64 = 0x6f77_666c_6565_7431;
@@ -133,7 +150,7 @@ pub struct ChurnEvent {
 /// AFR streams at `loss` for events inside `[from, until)`.
 #[derive(Debug, Clone, Copy)]
 pub struct RackBurst {
-    /// The failure domain (rack index, `switch / rack_size`).
+    /// The failure domain (rack index, `switch / RACK_SIZE`).
     pub rack: u32,
     /// Burst start (inclusive, virtual time).
     pub from: Duration,
@@ -154,17 +171,8 @@ pub struct FleetConfig {
     pub shards_per_worker: usize,
     /// Sub-windows each switch terminates over the run, < 2⁸.
     pub local_windows: u32,
-    /// AFRs per per-switch sub-window batch.
-    pub records_per_window: u32,
-    /// Flow-key population the synthetic batches draw from (keys are
-    /// shared fleet-wide, so merges overlap across switches).
-    pub population: u32,
-    /// Virtual length of one sub-window period.
-    pub subwindow_len: Duration,
     /// Baseline per-link AFR-stream loss probability.
     pub afr_loss: f64,
-    /// Switches per rack (the correlated failure domain).
-    pub rack_size: u32,
     /// Rack-level loss bursts.
     pub bursts: Vec<RackBurst>,
     /// Membership churn schedule.
@@ -190,11 +198,7 @@ impl Default for FleetConfig {
             workers: 4,
             shards_per_worker: 2,
             local_windows: 4,
-            records_per_window: 24,
-            population: 64,
-            subwindow_len: Duration::from_millis(1),
             afr_loss: 0.10,
-            rack_size: 8,
             bursts: Vec::new(),
             churn: Vec::new(),
             escalate_every: 0,
@@ -204,27 +208,27 @@ impl Default for FleetConfig {
     }
 }
 
-impl FleetConfig {
-    /// The failure domain of a switch.
-    pub fn rack_of(&self, switch: u32) -> u32 {
-        switch / self.rack_size.max(1)
-    }
+/// The failure domain of a switch.
+fn rack_of(switch: u32) -> u32 {
+    switch / RACK_SIZE
+}
 
+impl FleetConfig {
     /// The deterministic per-switch phase offset within the sub-window
     /// period (the de-spiking stagger).
     pub fn stagger_ns(&self, switch: u32) -> u64 {
-        let period = self.subwindow_len.as_nanos().max(1);
+        let period = SUBWINDOW_LEN.as_nanos();
         mix64(STAGGER_SALT ^ self.seed ^ switch as u64) % period
     }
 
     /// When `switch` announces its `local`-th sub-window.
     fn announce_ns(&self, switch: u32, local: u32) -> u64 {
-        local as u64 * self.subwindow_len.as_nanos() + self.stagger_ns(switch)
+        local as u64 * SUBWINDOW_LEN.as_nanos() + self.stagger_ns(switch)
     }
 
     /// When `switch` finishes streaming its `local`-th sub-window.
     fn eos_ns(&self, switch: u32, local: u32) -> u64 {
-        self.announce_ns(switch, local) + self.subwindow_len.as_nanos() / 2
+        self.announce_ns(switch, local) + SUBWINDOW_LEN.as_nanos() / 2
     }
 
     /// The lossless single-worker control run used as the merge-identity
@@ -247,10 +251,10 @@ impl FleetConfig {
     /// over the shared population, seq-numbered for the §8 loop.
     pub fn workload(&self, switch: u32, local: u32) -> Vec<FlowRecord> {
         let global = global_subwindow(switch, local);
-        (0..self.records_per_window)
+        (0..RECORDS_PER_WINDOW)
             .map(|i| {
                 let draw = mix64(WORKLOAD_SALT ^ self.seed ^ ((global as u64) << 16) ^ i as u64);
-                let key = (draw % self.population.max(1) as u64) as u32;
+                let key = (draw % POPULATION as u64) as u32;
                 let count = 1 + (draw >> 32) % 100;
                 let mut rec = FlowRecord::frequency(FlowKey::src_ip(key), count, global);
                 rec.seq = i;
@@ -455,7 +459,6 @@ fn schedule(cfg: &FleetConfig) -> (Vec<FleetEvent>, HashMap<u32, Presence>) {
 /// not, so determinism checks compare the report, not the journal.
 pub fn run(cfg: &FleetConfig, obs: &Obs) -> FleetReport {
     assert!(cfg.switches > 0, "a fleet needs switches");
-    assert!(cfg.records_per_window > 0, "windows must announce records");
     let (events, presence) = schedule(cfg);
 
     // The switch-OS retained copies: every announced batch, keyed by
@@ -499,7 +502,7 @@ pub fn run(cfg: &FleetConfig, obs: &Obs) -> FleetReport {
             let os_store = store.clone();
             ReliableLiveController::spawn_sharded_obs(
                 (per_worker_started[w] as usize).max(1) + 1,
-                256,
+                QUEUE_DEPTH,
                 RetryPolicy::default(),
                 Box::new(move |sw, seqs| {
                     if retrans_dead.contains(&sw) {
@@ -529,7 +532,7 @@ pub fn run(cfg: &FleetConfig, obs: &Obs) -> FleetReport {
     // are expected churn, crashes are faults), and per-rack offered/
     // dropped AFR counters for correlated-degradation detection. All
     // maintained on the replay thread, so totals are deterministic.
-    let rack_count = cfg.switches.div_ceil(cfg.rack_size.max(1)).max(1);
+    let rack_count = cfg.switches.div_ceil(RACK_SIZE);
     let crash_counter = obs.counter("ow_fleet_switch_crashes_total", &[]);
     let rack_counters: Vec<(Counter, Counter)> = (0..rack_count)
         .map(|r| {
@@ -558,7 +561,7 @@ pub fn run(cfg: &FleetConfig, obs: &Obs) -> FleetReport {
             let burst_loss = cfg
                 .bursts
                 .iter()
-                .find(|b| b.rack == cfg.rack_of(s))
+                .find(|b| b.rack == rack_of(s))
                 .map_or(cfg.afr_loss, |b| b.loss);
             let burst = LossyChannel::new(FaultConfig::afr_loss(
                 cfg.seed ^ mix64(s as u64 | 1 << 40),
@@ -569,9 +572,7 @@ pub fn run(cfg: &FleetConfig, obs: &Obs) -> FleetReport {
         .collect();
     let in_burst = |switch: u32, at_ns: u64| {
         cfg.bursts.iter().any(|b| {
-            b.rack == cfg.rack_of(switch)
-                && at_ns >= b.from.as_nanos()
-                && at_ns < b.until.as_nanos()
+            b.rack == rack_of(switch) && at_ns >= b.from.as_nanos() && at_ns < b.until.as_nanos()
         })
     };
 
@@ -612,8 +613,7 @@ pub fn run(cfg: &FleetConfig, obs: &Obs) -> FleetReport {
                 // bursts: one queue send per block, not per record.
                 let offered = batch.len() as u64;
                 let survivors = channel.transmit(PacketClass::AfrReport, batch);
-                let (offered_total, dropped_total) =
-                    &rack_counters[cfg.rack_of(ev.switch) as usize];
+                let (offered_total, dropped_total) = &rack_counters[rack_of(ev.switch) as usize];
                 offered_total.add(offered);
                 dropped_total.add(offered - survivors.len() as u64);
                 for chunk in survivors.chunks(FLEET_BLOCK_CAPACITY) {
@@ -692,7 +692,7 @@ pub fn run(cfg: &FleetConfig, obs: &Obs) -> FleetReport {
     // seed. Journal *interleaving* across workers is not, which is
     // exactly why the fleet ticks at settle instead of mid-replay.
     if let Some(health) = obs.health() {
-        let settle_ns = events.last().map_or(0, |e| e.at_ns) + cfg.subwindow_len.as_nanos();
+        let settle_ns = events.last().map_or(0, |e| e.at_ns) + SUBWINDOW_LEN.as_nanos();
         health.tick(Instant(settle_ns));
     }
     FleetReport {
@@ -764,7 +764,6 @@ pub fn fleet_health_rules() -> RuleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ow_obs::FlightRecorderConfig;
 
     #[test]
     fn rendezvous_assignment_is_stable_and_minimally_disruptive() {
@@ -813,7 +812,7 @@ mod tests {
             "128 switches landed on only {} distinct offsets",
             offsets.len()
         );
-        let period = cfg.subwindow_len.as_nanos();
+        let period = SUBWINDOW_LEN.as_nanos();
         assert!(offsets.iter().all(|&o| o < period));
     }
 
@@ -895,7 +894,7 @@ mod tests {
     #[test]
     fn lossless_fleet_with_health_engine_raises_no_alerts() {
         let obs = Obs::new();
-        let engine = obs.install_health(fleet_health_rules(), FlightRecorderConfig::default());
+        let engine = obs.install_health(fleet_health_rules());
         let cfg = FleetConfig {
             switches: 8,
             workers: 2,
@@ -920,7 +919,7 @@ mod tests {
     #[test]
     fn crash_and_rack_burst_fire_exactly_their_fleet_rules() {
         let obs = Obs::new();
-        let engine = obs.install_health(fleet_health_rules(), FlightRecorderConfig::default());
+        let engine = obs.install_health(fleet_health_rules());
         let cfg = FleetConfig {
             switches: 16,
             workers: 2,

@@ -48,11 +48,6 @@ pub fn packet_id(key: &FlowKey, seq: u32) -> u128 {
     (key.as_u128() << 20) ^ seq as u128
 }
 
-/// Recover the flow-identifying part of a packet id.
-pub fn flow_of_packet_id(id: u128, seq_hint: u32) -> u128 {
-    (id ^ seq_hint as u128) >> 20
-}
-
 impl LossRadarMeter {
     /// Create a meter with `cells`-cell digests per sub-window.
     pub fn new(

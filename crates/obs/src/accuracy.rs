@@ -529,7 +529,7 @@ pub fn accuracy_health_rules() -> RuleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FlightRecorderConfig, Obs};
+    use crate::Obs;
     use ow_common::time::Instant;
 
     fn freq(key: u32, count: u64, sw: u32) -> FlowRecord {
@@ -640,7 +640,7 @@ mod tests {
     #[test]
     fn collapse_rule_fires_and_freezes_only_on_bad_recall() {
         let obs = Obs::new();
-        let engine = obs.install_health(accuracy_health_rules(), FlightRecorderConfig::default());
+        let engine = obs.install_health(accuracy_health_rules());
         let acc = obs.install_accuracy(AccuracyConfig::default());
         // Perfect window: every 4xx rule stays silent.
         let batch = vec![freq(1, 10, 0), freq(2, 10, 0)];

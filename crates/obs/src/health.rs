@@ -410,7 +410,6 @@ impl HealthEngine {
         registry: Arc<MetricsRegistry>,
         journal: Arc<EventJournal>,
         tracer: Arc<Tracer>,
-        recorder_cfg: FlightRecorderConfig,
     ) -> HealthEngine {
         let alerts_info = registry.counter("ow_health_alerts_total", &[("severity", "info")]);
         let alerts_warning = registry.counter("ow_health_alerts_total", &[("severity", "warning")]);
@@ -436,7 +435,7 @@ impl HealthEngine {
                 last_journal_seq: 0,
                 states: BTreeMap::new(),
                 timeline: Vec::new(),
-                recorder: FlightRecorder::new(recorder_cfg),
+                recorder: FlightRecorder::new(FlightRecorderConfig::default()),
             }),
         }
     }
@@ -853,10 +852,7 @@ mod tests {
 
     fn engine_with(rules: Vec<Rule>) -> (Obs, Arc<HealthEngine>) {
         let obs = Obs::new();
-        let engine = obs.install_health(
-            RuleSet::new(rules).expect("rules validate"),
-            FlightRecorderConfig::default(),
-        );
+        let engine = obs.install_health(RuleSet::new(rules).expect("rules validate"));
         (obs, engine)
     }
 
@@ -1157,7 +1153,7 @@ mod tests {
     fn fsm_rejection_freezes_via_engine_sink() {
         use ow_common::engine::{WindowEngine, WindowEvent, WindowFsm};
         let obs = Obs::new();
-        let engine = obs.install_health(RuleSet::default(), FlightRecorderConfig::default());
+        let engine = obs.install_health(RuleSet::default());
         let mut fsm_engine = WindowEngine::new();
         fsm_engine.set_sink(obs.engine_sink("controller"));
         fsm_engine.insert(WindowFsm::announced(3, 5));

@@ -124,17 +124,12 @@ impl Obs {
     /// engine-transition sink uses it to freeze the flight recorder on
     /// FSM invariant rejections). Installing again replaces the
     /// previous engine.
-    pub fn install_health(
-        &self,
-        rules: RuleSet,
-        recorder_cfg: FlightRecorderConfig,
-    ) -> Arc<HealthEngine> {
+    pub fn install_health(&self, rules: RuleSet) -> Arc<HealthEngine> {
         let engine = Arc::new(HealthEngine::new(
             rules,
             Arc::clone(&self.registry),
             Arc::clone(&self.journal),
             Arc::clone(&self.tracer),
-            recorder_cfg,
         ));
         *self.health.write() = Some(Arc::clone(&engine));
         engine

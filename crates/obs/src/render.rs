@@ -332,7 +332,7 @@ impl FlightDump {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Cmp, FlightRecorderConfig, MetricSelector, Rule, RuleSet, Severity, Signal};
+    use crate::{Cmp, MetricSelector, Rule, RuleSet, Severity, Signal};
     use crate::{Event, HealthEngine, Obs};
     use ow_common::time::{Duration, Instant};
     use std::sync::Arc;
@@ -354,10 +354,7 @@ mod tests {
             threshold,
             severity,
         );
-        obs.install_health(
-            RuleSet::new(vec![rule.entity("unit")]).unwrap(),
-            FlightRecorderConfig::default(),
-        )
+        obs.install_health(RuleSet::new(vec![rule.entity("unit")]).unwrap())
     }
 
     #[test]

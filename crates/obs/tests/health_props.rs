@@ -172,8 +172,8 @@ proptest! {
     ) {
         let obs_a = Obs::new();
         let obs_b = Obs::new();
-        let engine_a = obs_a.install_health(prop_rules(), FlightRecorderConfig::default());
-        let engine_b = obs_b.install_health(prop_rules(), FlightRecorderConfig::default());
+        let engine_a = obs_a.install_health(prop_rules());
+        let engine_b = obs_b.install_health(prop_rules());
         let fired_a = engine_a.tick_with_sample(sample_of(&values, &order_a));
         let fired_b = engine_b.tick_with_sample(sample_of(&values, &order_b));
         prop_assert_eq!(fired_a, fired_b);

@@ -106,6 +106,10 @@ impl FrequencySketch for ElasticSketch {
         heavy_part + light_part
     }
 
+    fn resident_keys(&self) -> Vec<FlowKey> {
+        self.candidates()
+    }
+
     fn reset(&mut self) {
         self.heavy.fill(Bucket::default());
         self.light.reset();

@@ -138,6 +138,10 @@ impl FrequencySketch for HashPipe {
         total
     }
 
+    fn resident_keys(&self) -> Vec<FlowKey> {
+        self.candidates()
+    }
+
     fn reset(&mut self) {
         self.slots.fill(Slot::default());
     }

@@ -165,6 +165,10 @@ impl FrequencySketch for MvSketch {
             .unwrap_or(0)
     }
 
+    fn resident_keys(&self) -> Vec<FlowKey> {
+        self.candidates()
+    }
+
     fn reset(&mut self) {
         self.buckets.fill(Bucket::default());
     }

@@ -29,6 +29,13 @@ pub trait FrequencySketch {
     fn update(&mut self, key: &FlowKey, weight: u64);
     /// Estimate the total weight recorded for `key`.
     fn query(&self, key: &FlowKey) -> u64;
+    /// Keys the structure itself stores (its
+    /// [`InvertibleSketch::candidates`]); empty for sketches that keep
+    /// none. Collect-and-reset reports these even when the flowkey
+    /// tracker missed them (§4.2).
+    fn resident_keys(&self) -> Vec<FlowKey> {
+        Vec::new()
+    }
     /// Clear all state (the in-switch reset operation).
     fn reset(&mut self);
     /// Resource footprint.

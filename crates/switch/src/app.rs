@@ -96,6 +96,10 @@ impl<S: ow_sketch::traits::FrequencySketch> DataPlaneApp for FrequencyApp<S> {
         AttrValue::Frequency(self.sketch.query(key))
     }
 
+    fn self_tracked_keys(&self) -> Vec<FlowKey> {
+        self.sketch.resident_keys()
+    }
+
     fn reset(&mut self) {
         self.sketch.reset();
     }

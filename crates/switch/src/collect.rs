@@ -4,7 +4,7 @@
 //!
 //! Two layers:
 //!
-//! * [`CrEngine::collect_and_reset`] — the *functional* engine used by
+//! * [`collect_and_reset`] — the *functional* engine used by
 //!   the window mechanisms: queries the terminated region for every
 //!   tracked flowkey, produces the AFR batch, resets the region, and
 //!   charges the configured path's latency.
@@ -24,7 +24,7 @@ use ow_common::time::{Duration, Instant};
 
 use crate::app::DataPlaneApp;
 use crate::flowkey::FlowkeyTracker;
-use crate::latency::LatencyModel;
+use crate::latency;
 
 /// Which collection path to charge (the Exp#6 variants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,143 +79,108 @@ pub struct CollectOutcome {
     pub reset_time: Duration,
 }
 
-impl CollectOutcome {
-    /// Total C&R latency.
-    pub fn total_time(&self) -> Duration {
-        self.collect_time + self.reset_time
-    }
-}
+/// Collect the terminated region's AFRs and reset it.
+///
+/// `app` and `tracker` are the *inactive* region's state. `subwindow`
+/// is the terminated sub-window number. Returns the AFR batch and the
+/// charged latencies.
+pub fn collect_and_reset<A: DataPlaneApp>(
+    app: &mut A,
+    tracker: &mut FlowkeyTracker,
+    subwindow: u32,
+    cfg: CollectConfig,
+) -> CollectOutcome {
+    // Assemble the key set: structure-resident keys, buffered keys,
+    // and controller-held overflow keys.
+    let mut keys: Vec<FlowKey> = app.self_tracked_keys();
+    let self_tracked = keys.len();
+    keys.extend_from_slice(tracker.buffered());
+    keys.extend_from_slice(tracker.overflowed());
+    // Stable, and each key is packed once rather than per comparison.
+    keys.sort_by_cached_key(|k| k.as_u128());
+    keys.dedup();
 
-/// The collect-and-reset engine.
-#[derive(Debug, Clone)]
-pub struct CrEngine {
-    latency: LatencyModel,
-}
-
-impl CrEngine {
-    /// Create an engine with the given latency model.
-    pub fn new(latency: LatencyModel) -> CrEngine {
-        CrEngine { latency }
-    }
-
-    /// The latency model in use.
-    pub fn latency(&self) -> &LatencyModel {
-        &self.latency
-    }
-
-    /// Collect the terminated region's AFRs and reset it.
-    ///
-    /// `app` and `tracker` are the *inactive* region's state. `subwindow`
-    /// is the terminated sub-window number. Returns the AFR batch and the
-    /// charged latencies.
-    pub fn collect_and_reset<A: DataPlaneApp>(
-        &self,
-        app: &mut A,
-        tracker: &mut FlowkeyTracker,
-        subwindow: u32,
-        cfg: CollectConfig,
-    ) -> CollectOutcome {
-        // Assemble the key set: structure-resident keys, buffered keys,
-        // and controller-held overflow keys.
-        let mut keys: Vec<FlowKey> = app.self_tracked_keys();
-        let self_tracked = keys.len();
-        keys.extend_from_slice(tracker.buffered());
-        keys.extend_from_slice(tracker.overflowed());
-        // Stable, and each key is packed once rather than per comparison.
-        keys.sort_by_cached_key(|k| k.as_u128());
-        keys.dedup();
-
-        let (from_dataplane, injected) = match cfg.mode {
-            CollectMode::SwitchOs => (0, 0),
-            CollectMode::ControlPlane => (0, keys.len()),
-            CollectMode::DataPlane => (keys.len(), 0),
-            CollectMode::Hybrid => {
-                let buffered = tracker.buffered().len() + self_tracked;
-                let buffered = buffered.min(keys.len());
-                (buffered, keys.len() - buffered)
-            }
-        };
-
-        // Generate the AFRs (the query operation of Algorithm 2 line 8).
-        let afrs: Vec<FlowRecord> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| FlowRecord {
-                key: *k,
-                attr: app.query(k),
-                subwindow,
-                seq: i as u32,
-            })
-            .collect();
-
-        // Charge the path's latency. AFR reports stream back to the
-        // controller *while* the switch enumerates / the controller
-        // injects, so the receive cost overlaps generation: the total is
-        // the trigger round trip plus the max of (generation+injection)
-        // and receive.
-        let receive = self.latency.receive(afrs.len(), cfg.rdma);
-        let collect_time = match cfg.mode {
-            CollectMode::SwitchOs => {
-                let m = app.meta();
-                self.latency
-                    .os_read(m.register_arrays, app.states_per_array())
-            }
-            CollectMode::ControlPlane => {
-                self.latency.trigger_rtt + self.latency.inject(injected, cfg.rdma).max(receive)
-            }
-            CollectMode::DataPlane => {
-                self.latency.trigger_rtt
-                    + self
-                        .latency
-                        .recirc_enumeration(from_dataplane, cfg.recirc_packets)
-                        .max(receive)
-            }
-            CollectMode::Hybrid => {
-                let inject_time = if cfg.rdma {
-                    self.latency.rdma_inject(injected)
-                } else {
-                    self.latency.inject(injected, false)
-                };
-                let generation = self
-                    .latency
-                    .recirc_enumeration(from_dataplane, cfg.recirc_packets)
-                    + inject_time;
-                self.latency.trigger_rtt + generation.max(receive)
-            }
-        };
-
-        // Reset: clear packets sweep every register index once; one pass
-        // clears the same index of all arrays (§4.3), so array count does
-        // not multiply the time. The OS path is linear in arrays (Exp#8).
-        let reset_time = match cfg.mode {
-            CollectMode::SwitchOs => {
-                let m = app.meta();
-                self.latency
-                    .os_reset(m.register_arrays, app.states_per_array())
-            }
-            _ => self
-                .latency
-                .recirc_enumeration(app.states_per_array(), cfg.recirc_packets),
-        };
-
-        // Perform the functional reset.
-        app.reset();
-        tracker.reset();
-
-        CollectOutcome {
-            afrs,
-            keys_from_dataplane: from_dataplane,
-            keys_injected: injected,
-            collect_time,
-            reset_time,
+    let (from_dataplane, injected) = match cfg.mode {
+        CollectMode::SwitchOs => (0, 0),
+        CollectMode::ControlPlane => (0, keys.len()),
+        CollectMode::DataPlane => (keys.len(), 0),
+        CollectMode::Hybrid => {
+            let buffered = tracker.buffered().len() + self_tracked;
+            let buffered = buffered.min(keys.len());
+            (buffered, keys.len() - buffered)
         }
+    };
+
+    // Generate the AFRs (the query operation of Algorithm 2 line 8).
+    let afrs: Vec<FlowRecord> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, k)| FlowRecord {
+            key: *k,
+            attr: app.query(k),
+            subwindow,
+            seq: i as u32,
+        })
+        .collect();
+
+    // Charge the path's latency. AFR reports stream back to the
+    // controller *while* the switch enumerates / the controller
+    // injects, so the receive cost overlaps generation: the total is
+    // the trigger round trip plus the max of (generation+injection)
+    // and receive.
+    let receive = latency::receive(afrs.len(), cfg.rdma);
+    let collect_time = match cfg.mode {
+        CollectMode::SwitchOs => {
+            let m = app.meta();
+            latency::os_read(m.register_arrays, app.states_per_array())
+        }
+        CollectMode::ControlPlane => {
+            latency::TRIGGER_RTT + latency::inject(injected, cfg.rdma).max(receive)
+        }
+        CollectMode::DataPlane => {
+            latency::TRIGGER_RTT
+                + latency::recirc_enumeration(from_dataplane, cfg.recirc_packets).max(receive)
+        }
+        CollectMode::Hybrid => {
+            let inject_time = if cfg.rdma {
+                latency::rdma_inject(injected)
+            } else {
+                latency::inject(injected, false)
+            };
+            let generation =
+                latency::recirc_enumeration(from_dataplane, cfg.recirc_packets) + inject_time;
+            latency::TRIGGER_RTT + generation.max(receive)
+        }
+    };
+
+    // Reset: clear packets sweep every register index once; one pass
+    // clears the same index of all arrays (§4.3), so array count does
+    // not multiply the time. The OS path is linear in arrays (Exp#8).
+    let reset_time = match cfg.mode {
+        CollectMode::SwitchOs => {
+            let m = app.meta();
+            latency::os_reset(m.register_arrays, app.states_per_array())
+        }
+        _ => latency::recirc_enumeration(app.states_per_array(), cfg.recirc_packets),
+    };
+
+    // Perform the functional reset.
+    app.reset();
+    tracker.reset();
+
+    CollectOutcome {
+        afrs,
+        keys_from_dataplane: from_dataplane,
+        keys_injected: injected,
+        collect_time,
+        reset_time,
     }
 }
 
 /// Switch-side retention of terminated AFR batches (§8, "Reliability of
 /// AFRs").
 ///
-/// [`CrEngine::collect_and_reset`] destroys the region state the moment
+/// [`collect_and_reset`] destroys the region state the moment
 /// the batch is generated, so the AFRs themselves are the only copy the
 /// switch still has. They are parked here — indexed by sub-window, in
 /// cheap DRAM on the switch CPU — until the controller either confirms
@@ -270,7 +235,7 @@ impl RetransmitBuffer {
     /// sub-windows no longer retained yield nothing (the controller's
     /// timeout, not an error, handles that).
     ///
-    /// [`CrEngine::collect_and_reset`] numbers a batch `0..n`, so a seq
+    /// [`collect_and_reset`] numbers a batch `0..n`, so a seq
     /// is its own index; a batch with gaps (seqs still ascending) is
     /// binary-searched instead.
     pub fn retransmit(&self, subwindow: u32, seqs: &[u32]) -> Vec<FlowRecord> {
@@ -306,16 +271,6 @@ impl RetransmitBuffer {
     /// Batches evicted before the controller released them.
     pub fn evicted(&self) -> u64 {
         self.evicted
-    }
-}
-
-impl LatencyModel {
-    /// RDMA-batched flowkey injection (OW*): the controller writes key
-    /// batches into the switch's injection ring as one-sided RDMA writes,
-    /// amortising the per-packet DPDK cost. Calibrated to the paper's
-    /// OW* = 1.8 ms with 32 K injected keys.
-    pub fn rdma_inject(&self, keys: usize) -> Duration {
-        Duration::from_nanos(40).saturating_mul(keys as u64)
     }
 }
 
@@ -497,8 +452,7 @@ mod tests {
         let mut a = app(1);
         let mut t = FlowkeyTracker::new(2, 100, 2); // force overflow
         feed(&mut a, &mut t, &[(1, 5), (2, 3), (3, 7)]);
-        let engine = CrEngine::new(LatencyModel::default());
-        let out = engine.collect_and_reset(&mut a, &mut t, 4, CollectConfig::default());
+        let out = collect_and_reset(&mut a, &mut t, 4, CollectConfig::default());
         assert_eq!(out.afrs.len(), 3);
         assert_eq!(out.keys_from_dataplane, 2);
         assert_eq!(out.keys_injected, 1);
@@ -522,8 +476,7 @@ mod tests {
         let mut a = app(3);
         let mut t = FlowkeyTracker::new(10, 100, 4);
         feed(&mut a, &mut t, &[(1, 5)]);
-        let engine = CrEngine::new(LatencyModel::default());
-        engine.collect_and_reset(&mut a, &mut t, 0, CollectConfig::default());
+        collect_and_reset(&mut a, &mut t, 0, CollectConfig::default());
         assert_eq!(a.query(&FlowKey::src_ip(1)), AttrValue::Frequency(0));
         assert_eq!(t.total_tracked(), 0);
     }
@@ -611,7 +564,6 @@ mod tests {
     #[test]
     fn hybrid_beats_cpc_and_approaches_dpc() {
         // The Exp#6 ordering: DPC < OW < CPC (all far below OS).
-        let engine = CrEngine::new(LatencyModel::default());
         let mk = || {
             let mut a = app(5);
             let mut t = FlowkeyTracker::new(500, 2000, 6);
@@ -624,18 +576,17 @@ mod tests {
         };
         let run = |mode| {
             let (mut a, mut t) = mk();
-            engine
-                .collect_and_reset(
-                    &mut a,
-                    &mut t,
-                    0,
-                    CollectConfig {
-                        mode,
-                        recirc_packets: 3,
-                        rdma: false,
-                    },
-                )
-                .collect_time
+            collect_and_reset(
+                &mut a,
+                &mut t,
+                0,
+                CollectConfig {
+                    mode,
+                    recirc_packets: 3,
+                    rdma: false,
+                },
+            )
+            .collect_time
         };
         let os = run(CollectMode::SwitchOs);
         let cpc = run(CollectMode::ControlPlane);
@@ -648,7 +599,6 @@ mod tests {
 
     #[test]
     fn rdma_reduces_hybrid_time() {
-        let engine = CrEngine::new(LatencyModel::default());
         let mk = || {
             let a = app(7);
             let mut t = FlowkeyTracker::new(500, 2000, 8);
@@ -658,31 +608,19 @@ mod tests {
             (a.clone(), t)
         };
         let (mut a1, mut t1) = mk();
-        let plain = engine
-            .collect_and_reset(
-                &mut a1,
-                &mut t1,
-                0,
-                CollectConfig {
-                    mode: CollectMode::Hybrid,
-                    recirc_packets: 3,
-                    rdma: false,
-                },
-            )
-            .collect_time;
+        let plain = collect_and_reset(&mut a1, &mut t1, 0, CollectConfig::default()).collect_time;
         let (mut a2, mut t2) = mk();
-        let rdma = engine
-            .collect_and_reset(
-                &mut a2,
-                &mut t2,
-                0,
-                CollectConfig {
-                    mode: CollectMode::Hybrid,
-                    recirc_packets: 16,
-                    rdma: true,
-                },
-            )
-            .collect_time;
+        let rdma = collect_and_reset(
+            &mut a2,
+            &mut t2,
+            0,
+            CollectConfig {
+                mode: CollectMode::Hybrid,
+                recirc_packets: 16,
+                rdma: true,
+            },
+        )
+        .collect_time;
         assert!(rdma < plain, "rdma {rdma} !< plain {plain}");
     }
 

@@ -62,7 +62,7 @@ pub fn switch_health_rules() -> RuleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ow_obs::{FlightRecorderConfig, HealthSample, MetricSnapshot, Obs};
+    use ow_obs::{HealthSample, MetricSnapshot, Obs};
 
     fn metric(name: &str, value: u64) -> MetricSnapshot {
         MetricSnapshot {
@@ -87,7 +87,7 @@ mod tests {
     #[test]
     fn retransmit_storm_fires_on_ratio_not_raw_count() {
         let obs = Obs::new();
-        let engine = obs.install_health(switch_health_rules(), FlightRecorderConfig::default());
+        let engine = obs.install_health(switch_health_rules());
         // 100 retransmits over 1000 collections = 100‰: loud in
         // absolute terms, healthy as a ratio.
         let quiet = engine.tick_with_sample(HealthSample {
@@ -117,7 +117,7 @@ mod tests {
     #[test]
     fn os_escalation_fires_on_any_fallback_read() {
         let obs = Obs::new();
-        let engine = obs.install_health(switch_health_rules(), FlightRecorderConfig::default());
+        let engine = obs.install_health(switch_health_rules());
         // The histogram's snapshot value is its sample count; one
         // switch-OS read is already noteworthy.
         let fired = engine.tick_with_sample(HealthSample {

@@ -16,97 +16,81 @@
 
 use ow_common::time::Duration;
 
-/// Per-step costs of every C&R path. All values are per-item unless
-/// stated otherwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencyModel {
-    /// Switch-OS PCIe/RPC read per register entry (Exp#6 "OS": 2.4 s for
-    /// one 128 KB Count-Min array of 32 K four-byte cells → ≈ 74 µs per
-    /// cell, dominated by per-cell RPC framing).
-    pub os_read_per_entry: Duration,
-    /// Switch-OS reset per register entry; the OS cannot reset registers
-    /// concurrently, so total reset time is linear in the register count
-    /// (Exp#8).
-    pub os_reset_per_entry: Duration,
-    /// One recirculation pass through the pipeline (one entry advanced
-    /// per in-flight packet per pass).
-    pub recirc_pass: Duration,
-    /// Controller → switch flowkey injection over DPDK, per key (the
-    /// dominant CPC cost).
-    pub dpdk_inject_per_key: Duration,
-    /// Extra per-key cost of looking up the key-value-table address
-    /// before injection (the CPC* overhead that makes CPC* *slower* than
-    /// CPC).
-    pub addr_lookup_per_key: Duration,
-    /// Controller receive+parse cost per AFR over DPDK.
-    pub dpdk_rx_per_afr: Duration,
-    /// RNIC write cost per AFR under the RDMA optimisation (no controller
-    /// CPU involvement).
-    pub rdma_write_per_afr: Duration,
-    /// Fixed cost of the trigger-packet round trip that starts collection
-    /// (clone to controller, wait, send back — Figure 3).
-    pub trigger_rtt: Duration,
+/// Switch-OS PCIe/RPC read per register entry (Exp#6 "OS": 2.4 s for
+/// one 128 KB Count-Min array of 32 K four-byte cells → ≈ 74 µs per
+/// cell, dominated by per-cell RPC framing).
+pub const OS_READ_PER_ENTRY: Duration = Duration::from_nanos(74_000);
+/// Switch-OS reset per register entry; the OS cannot reset registers
+/// concurrently, so total reset time is linear in the register count
+/// (Exp#8).
+pub const OS_RESET_PER_ENTRY: Duration = Duration::from_nanos(2_000);
+/// One recirculation pass through the pipeline (one entry advanced
+/// per in-flight packet per pass).
+pub const RECIRC_PASS: Duration = Duration::from_nanos(250);
+/// Controller → switch flowkey injection over DPDK, per key (the
+/// dominant CPC cost).
+pub const DPDK_INJECT_PER_KEY: Duration = Duration::from_nanos(190);
+/// Extra per-key cost of looking up the key-value-table address
+/// before injection (the CPC* overhead that makes CPC* *slower* than
+/// CPC).
+pub const ADDR_LOOKUP_PER_KEY: Duration = Duration::from_nanos(110);
+/// Controller receive+parse cost per AFR over DPDK.
+pub const DPDK_RX_PER_AFR: Duration = Duration::from_nanos(60);
+/// RNIC write cost per AFR under the RDMA optimisation (no controller
+/// CPU involvement).
+pub const RDMA_WRITE_PER_AFR: Duration = Duration::from_nanos(15);
+/// Fixed cost of the trigger-packet round trip that starts collection
+/// (clone to controller, wait, send back — Figure 3).
+pub const TRIGGER_RTT: Duration = Duration::from_micros(100);
+
+/// Time for the switch OS to read `arrays` register arrays of
+/// `entries` entries each (sequential, no concurrency — C1).
+pub fn os_read(arrays: usize, entries: usize) -> Duration {
+    OS_READ_PER_ENTRY.saturating_mul((arrays * entries) as u64)
 }
 
-impl Default for LatencyModel {
-    fn default() -> Self {
-        LatencyModel {
-            os_read_per_entry: Duration::from_nanos(74_000),
-            os_reset_per_entry: Duration::from_nanos(2_000),
-            recirc_pass: Duration::from_nanos(250),
-            dpdk_inject_per_key: Duration::from_nanos(190),
-            addr_lookup_per_key: Duration::from_nanos(110),
-            dpdk_rx_per_afr: Duration::from_nanos(60),
-            rdma_write_per_afr: Duration::from_nanos(15),
-            trigger_rtt: Duration::from_micros(100),
-        }
-    }
+/// Time for the switch OS to reset `arrays` arrays of `entries`
+/// entries (sequential across arrays).
+pub fn os_reset(arrays: usize, entries: usize) -> Duration {
+    OS_RESET_PER_ENTRY.saturating_mul((arrays * entries) as u64)
 }
 
-impl LatencyModel {
-    /// Time for the switch OS to read `arrays` register arrays of
-    /// `entries` entries each (sequential, no concurrency — C1).
-    pub fn os_read(&self, arrays: usize, entries: usize) -> Duration {
-        self.os_read_per_entry
-            .saturating_mul((arrays * entries) as u64)
-    }
+/// Time to enumerate `items` data-plane slots with `packets`
+/// simultaneously recirculating packets. One pipeline pass advances
+/// every in-flight packet by one slot, and — key property of the §4.3
+/// design — a single pass touches the same index of *all* register
+/// arrays, so the count of arrays does not appear.
+pub fn recirc_enumeration(items: usize, packets: usize) -> Duration {
+    let passes = items.div_ceil(packets.max(1));
+    RECIRC_PASS.saturating_mul(passes as u64)
+}
 
-    /// Time for the switch OS to reset `arrays` arrays of `entries`
-    /// entries (sequential across arrays).
-    pub fn os_reset(&self, arrays: usize, entries: usize) -> Duration {
-        self.os_reset_per_entry
-            .saturating_mul((arrays * entries) as u64)
-    }
+/// Controller-side time to inject `keys` flowkeys (CPC / hybrid OW
+/// paths); `with_addr_lookup` adds the key-value-table lookup of the
+/// RDMA variant.
+pub fn inject(keys: usize, with_addr_lookup: bool) -> Duration {
+    let per = if with_addr_lookup {
+        DPDK_INJECT_PER_KEY + ADDR_LOOKUP_PER_KEY
+    } else {
+        DPDK_INJECT_PER_KEY
+    };
+    per.saturating_mul(keys as u64)
+}
 
-    /// Time to enumerate `items` data-plane slots with `packets`
-    /// simultaneously recirculating packets. One pipeline pass advances
-    /// every in-flight packet by one slot, and — key property of the §4.3
-    /// design — a single pass touches the same index of *all* register
-    /// arrays, so the count of arrays does not appear.
-    pub fn recirc_enumeration(&self, items: usize, packets: usize) -> Duration {
-        let passes = items.div_ceil(packets.max(1));
-        self.recirc_pass.saturating_mul(passes as u64)
-    }
+/// RDMA-batched flowkey injection (OW*): the controller writes key
+/// batches into the switch's injection ring as one-sided RDMA writes,
+/// amortising the per-packet DPDK cost. Calibrated to the paper's
+/// OW* = 1.8 ms with 32 K injected keys.
+pub fn rdma_inject(keys: usize) -> Duration {
+    Duration::from_nanos(40).saturating_mul(keys as u64)
+}
 
-    /// Controller-side time to inject `keys` flowkeys (CPC / hybrid OW
-    /// paths); `with_addr_lookup` adds the key-value-table lookup of the
-    /// RDMA variant.
-    pub fn inject(&self, keys: usize, with_addr_lookup: bool) -> Duration {
-        let per = if with_addr_lookup {
-            self.dpdk_inject_per_key + self.addr_lookup_per_key
-        } else {
-            self.dpdk_inject_per_key
-        };
-        per.saturating_mul(keys as u64)
-    }
-
-    /// Controller-side time to receive `afrs` AFR reports.
-    pub fn receive(&self, afrs: usize, rdma: bool) -> Duration {
-        if rdma {
-            self.rdma_write_per_afr.saturating_mul(afrs as u64)
-        } else {
-            self.dpdk_rx_per_afr.saturating_mul(afrs as u64)
-        }
+/// Controller-side time to receive `afrs` AFR reports.
+pub fn receive(afrs: usize, rdma: bool) -> Duration {
+    if rdma {
+        RDMA_WRITE_PER_AFR.saturating_mul(afrs as u64)
+    } else {
+        DPDK_RX_PER_AFR.saturating_mul(afrs as u64)
     }
 }
 
@@ -116,20 +100,18 @@ mod tests {
 
     #[test]
     fn os_read_matches_paper_order() {
-        let m = LatencyModel::default();
         // One 128 KB array (32 K cells): ≈ 2.4 s (paper Exp#6 lower bound).
-        let t = m.os_read(1, 32_768);
+        let t = os_read(1, 32_768);
         assert!((2.0..3.0).contains(&(t.as_nanos() as f64 / 1e9)), "{t}");
         // Four arrays: ≈ 9.7 s (paper upper bound 10.3 s).
-        let t4 = m.os_read(4, 32_768);
+        let t4 = os_read(4, 32_768);
         assert!((8.0..11.0).contains(&(t4.as_nanos() as f64 / 1e9)), "{t4}");
     }
 
     #[test]
     fn recirc_divides_by_packets() {
-        let m = LatencyModel::default();
-        let t3 = m.recirc_enumeration(65_536, 3);
-        let t16 = m.recirc_enumeration(65_536, 16);
+        let t3 = recirc_enumeration(65_536, 3);
+        let t16 = recirc_enumeration(65_536, 16);
         // 64K entries, 3 packets: ≈ 5.5 ms (paper DPC).
         assert!((4.0..7.0).contains(&(t3.as_millis_f64())), "{t3}");
         // 16 packets: ≈ 1 ms (paper DPC* 1.3 ms).
@@ -138,34 +120,30 @@ mod tests {
 
     #[test]
     fn injection_dominates_cpc() {
-        let m = LatencyModel::default();
         // 64K keys: ≈ 12 ms (paper CPC).
-        let t = m.inject(65_536, false);
+        let t = inject(65_536, false);
         assert!((10.0..15.0).contains(&t.as_millis_f64()), "{t}");
         // Address lookup makes CPC* slower than CPC (paper: 19 ms).
-        let t_star = m.inject(65_536, true);
+        let t_star = inject(65_536, true);
         assert!(t_star > t);
         assert!((17.0..22.0).contains(&t_star.as_millis_f64()), "{t_star}");
     }
 
     #[test]
     fn rdma_receive_is_cheaper() {
-        let m = LatencyModel::default();
-        assert!(m.receive(10_000, true) < m.receive(10_000, false));
+        assert!(receive(10_000, true) < receive(10_000, false));
     }
 
     #[test]
     fn os_reset_linear_in_registers() {
-        let m = LatencyModel::default();
-        let one = m.os_reset(1, 65_536);
-        let four = m.os_reset(4, 65_536);
+        let one = os_reset(1, 65_536);
+        let four = os_reset(4, 65_536);
         assert_eq!(four.as_nanos(), one.as_nanos() * 4);
     }
 
     #[test]
     fn zero_packets_does_not_divide_by_zero() {
-        let m = LatencyModel::default();
-        let t = m.recirc_enumeration(100, 0);
-        assert_eq!(t, m.recirc_pass.saturating_mul(100));
+        let t = recirc_enumeration(100, 0);
+        assert_eq!(t, RECIRC_PASS.saturating_mul(100));
     }
 }

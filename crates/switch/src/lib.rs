@@ -40,10 +40,9 @@ pub mod signal;
 pub mod switch;
 
 pub use app::DataPlaneApp;
-pub use collect::{CollectConfig, CollectOutcome, CrEngine, RetransmitBuffer};
+pub use collect::{CollectConfig, CollectOutcome, RetransmitBuffer};
 pub use consistency::ConsistencyModel;
 pub use flowkey::{FlowkeyTracker, TrackOutcome};
-pub use latency::LatencyModel;
 pub use placement::{
     place, place_optimal, DepGraph, Feature, PackingDensity, Placement, PlacementError,
     ResourceClass, SearchBudget, StageLimits, StepRef,

@@ -11,40 +11,25 @@
 
 use ow_common::time::Duration;
 
-use crate::latency::LatencyModel;
+use crate::latency;
 
-/// The switch-OS slow path.
-#[derive(Debug, Clone)]
-pub struct SwitchOsModel {
-    latency: LatencyModel,
-    /// Fixed per-RPC overhead (connection + framing), charged per array.
-    pub rpc_overhead: Duration,
+/// Fixed per-RPC overhead (connection + framing), charged per array.
+pub const RPC_OVERHEAD: Duration = Duration::from_micros(500);
+
+/// Time to read `arrays` register arrays of `entries` entries each.
+pub fn read_time(arrays: usize, entries: usize) -> Duration {
+    latency::os_read(arrays, entries) + RPC_OVERHEAD.saturating_mul(arrays as u64)
 }
 
-impl SwitchOsModel {
-    /// Create with the default latency model.
-    pub fn new(latency: LatencyModel) -> SwitchOsModel {
-        SwitchOsModel {
-            latency,
-            rpc_overhead: Duration::from_micros(500),
-        }
-    }
+/// Time to reset the same registers (sequential across arrays).
+pub fn reset_time(arrays: usize, entries: usize) -> Duration {
+    latency::os_reset(arrays, entries) + RPC_OVERHEAD.saturating_mul(arrays as u64)
+}
 
-    /// Time to read `arrays` register arrays of `entries` entries each.
-    pub fn read_time(&self, arrays: usize, entries: usize) -> Duration {
-        self.latency.os_read(arrays, entries) + self.rpc_overhead.saturating_mul(arrays as u64)
-    }
-
-    /// Time to reset the same registers (sequential across arrays).
-    pub fn reset_time(&self, arrays: usize, entries: usize) -> Duration {
-        self.latency.os_reset(arrays, entries) + self.rpc_overhead.saturating_mul(arrays as u64)
-    }
-
-    /// Full C&R time (read then reset; the OS cannot overlap them on one
-    /// register).
-    pub fn cr_time(&self, arrays: usize, entries: usize) -> Duration {
-        self.read_time(arrays, entries) + self.reset_time(arrays, entries)
-    }
+/// Full C&R time (read then reset; the OS cannot overlap them on one
+/// register).
+pub fn cr_time(arrays: usize, entries: usize) -> Duration {
+    read_time(arrays, entries) + reset_time(arrays, entries)
 }
 
 #[cfg(test)]
@@ -53,17 +38,15 @@ mod tests {
 
     #[test]
     fn read_time_linear_in_arrays() {
-        let os = SwitchOsModel::new(LatencyModel::default());
-        let one = os.read_time(1, 65_536);
-        let four = os.read_time(4, 65_536);
+        let one = read_time(1, 65_536);
+        let four = read_time(4, 65_536);
         let ratio = four.as_nanos() as f64 / one.as_nanos() as f64;
         assert!((3.9..4.1).contains(&ratio), "ratio {ratio}");
     }
 
     #[test]
     fn os_cr_is_orders_of_magnitude_slower_than_subwindow() {
-        let os = SwitchOsModel::new(LatencyModel::default());
-        let t = os.cr_time(4, 65_536);
+        let t = cr_time(4, 65_536);
         // Far beyond a 100 ms sub-window — the motivation for fast C&R.
         assert!(t > Duration::from_millis(1_000), "{t}");
     }

@@ -10,33 +10,28 @@ use ow_common::afr::FlowRecord;
 use ow_obs::{Counter, Event, Histogram, Obs, TraceContext};
 
 use crate::app::DataPlaneApp;
-use crate::collect::{CollectConfig, CollectOutcome, CrEngine, RetransmitBuffer};
+use crate::collect::{collect_and_reset, CollectConfig, CollectOutcome, RetransmitBuffer};
 use crate::consistency::{ConsistencyModel, Placement};
 use crate::flowkey::{FlowkeyTracker, TrackOutcome};
-use crate::latency::LatencyModel;
+use crate::latency;
 use crate::regions::TwoRegionState;
 use crate::signal::{SignalEngine, WindowSignal};
+
+/// How long after a termination the controller waits before starting
+/// collection, letting out-of-order packets drain (Figure 3).
+pub const CR_WAIT: Duration = Duration::from_millis(1);
 
 /// Configuration of one OmniWindow switch.
 #[derive(Debug, Clone)]
 pub struct SwitchConfig {
     /// Whether this switch stamps packets (first hop) or adopts stamps.
     pub first_hop: bool,
-    /// Terminated sub-windows preserved for out-of-order packets.
-    pub preserve: u32,
     /// The window termination signal.
     pub signal: WindowSignal,
     /// `fk_buffer` capacity per region.
     pub fk_capacity: usize,
     /// Expected flows per sub-window (sizes the Bloom filter).
     pub expected_flows: usize,
-    /// Collection path configuration.
-    pub collect: CollectConfig,
-    /// Latency model for C&R accounting.
-    pub latency: LatencyModel,
-    /// How long after a termination the controller waits before starting
-    /// collection, letting out-of-order packets drain (Figure 3).
-    pub cr_wait: Duration,
     /// Terminated AFR batches retained in switch-CPU memory for §8
     /// retransmission (0 = unbounded).
     pub retransmit_depth: usize,
@@ -48,13 +43,9 @@ impl Default for SwitchConfig {
     fn default() -> Self {
         SwitchConfig {
             first_hop: true,
-            preserve: 1,
             signal: WindowSignal::Timeout(Duration::from_millis(100)),
             fk_capacity: 32 * 1024,
             expected_flows: 96 * 1024,
-            collect: CollectConfig::default(),
-            latency: LatencyModel::default(),
-            cr_wait: Duration::from_millis(1),
             retransmit_depth: 8,
             seed: 0x5111C4,
         }
@@ -149,7 +140,6 @@ pub struct Switch<A> {
     signals: SignalEngine,
     consistency: ConsistencyModel,
     state: TwoRegionState<A>,
-    cr: CrEngine,
     /// The per-window lifecycle FSMs — the single source of truth for
     /// which window is open, awaiting its delayed C&R, collecting, or
     /// parked for §8 retransmission.
@@ -183,9 +173,10 @@ impl<A: DataPlaneApp> Switch<A> {
         engine.open(signals.current());
         Switch {
             signals,
-            consistency: ConsistencyModel::new(cfg.first_hop, cfg.preserve),
+            // Two regions (§6) hold exactly one terminated sub-window, so
+            // that is the only preservation horizon `region_of` can honour.
+            consistency: ConsistencyModel::new(cfg.first_hop, 1),
             state: TwoRegionState::new(region_a, region_b, tracker(0x0A), tracker(0x0B)),
-            cr: CrEngine::new(cfg.latency),
             retransmit: RetransmitBuffer::new(cfg.retransmit_depth),
             cfg,
             engine,
@@ -284,10 +275,7 @@ impl<A: DataPlaneApp> Switch<A> {
     pub fn os_read_terminated(&mut self, subwindow: u32) -> Option<(Vec<FlowRecord>, Duration)> {
         let batch = self.retransmit.full_batch(subwindow)?.to_vec();
         let app = self.state.active();
-        let cost = self
-            .cr
-            .latency()
-            .os_read(app.meta().register_arrays, app.states_per_array());
+        let cost = latency::os_read(app.meta().register_arrays, app.states_per_array());
         self.retire_window(subwindow, true);
         self.retransmit.release(subwindow);
         if let Some(o) = &self.obs {
@@ -368,9 +356,8 @@ impl<A: DataPlaneApp> Switch<A> {
         self.engine
             .apply(ended, WindowEvent::CollectStarted { at: started })
             .expect("C&R must start from cr_wait");
-        let cfg = self.cfg.collect;
         let (app, tracker) = self.state.inactive_mut();
-        let outcome = self.cr.collect_and_reset(app, tracker, ended, cfg);
+        let outcome = collect_and_reset(app, tracker, ended, CollectConfig::default());
         self.engine
             .apply(
                 ended,
@@ -574,7 +561,7 @@ impl<A: DataPlaneApp> Switch<A> {
             at: now,
             tracked_keys: tracked,
         });
-        let due = now + self.cfg.cr_wait;
+        let due = now + CR_WAIT;
         self.engine
             .apply(ended, WindowEvent::CrScheduled { due })
             .expect("cr_wait schedules after termination");
@@ -585,12 +572,10 @@ impl<A: DataPlaneApp> Switch<A> {
     }
 
     fn estimate_cr_finish(&mut self, start: Instant) -> Instant {
-        let cfg = self.cfg.collect;
+        let packets = CollectConfig::default().recirc_packets;
         let (app, tracker) = self.state.active_mut();
-        let keys = tracker.total_tracked();
-        let lat = self.cr.latency();
-        let collect = lat.recirc_enumeration(keys, cfg.recirc_packets);
-        let reset = lat.recirc_enumeration(app.states_per_array(), cfg.recirc_packets);
+        let collect = latency::recirc_enumeration(tracker.total_tracked(), packets);
+        let reset = latency::recirc_enumeration(app.states_per_array(), packets);
         start + collect + reset
     }
 }
@@ -613,7 +598,6 @@ mod tests {
                 first_hop,
                 fk_capacity: 1024,
                 expected_flows: 4096,
-                cr_wait: Duration::from_millis(1),
                 ..SwitchConfig::default()
             },
             app(1),

@@ -4,15 +4,15 @@ use ow_common::afr::{AttrValue, FlowRecord};
 use ow_common::flowkey::{FlowKey, KeyKind};
 use ow_common::packet::{Packet, TcpFlags};
 use ow_common::time::{Duration, Instant};
-use ow_sketch::traits::SketchMeta;
-use ow_sketch::CountMin;
+use ow_sketch::traits::{FrequencySketch, SketchMeta};
+use ow_sketch::{CountMin, MvSketch};
 use ow_switch::app::{DataPlaneApp, FrequencyApp};
 use ow_switch::collect::{
-    make_collection_packets, CollectConfig, CrEngine, PacketCollector, PassResult,
+    collect_and_reset, make_collection_packets, CollectConfig, PacketCollector, PassResult,
 };
 use ow_switch::consistency::{ConsistencyModel, Placement};
-use ow_switch::flowkey::FlowkeyTracker;
-use ow_switch::latency::LatencyModel;
+use ow_switch::flowkey::{FlowkeyTracker, TrackOutcome};
+use ow_switch::latency::{inject, recirc_enumeration};
 use ow_switch::register::{FlattenedLayout, SaluOp};
 use ow_switch::signal::{SignalEngine, WindowSignal};
 use ow_switch::{Switch, SwitchConfig, SwitchEvent};
@@ -33,7 +33,6 @@ fn small_switch(first_hop: bool) -> Switch<FrequencyApp<CountMin>> {
             signal: WindowSignal::Timeout(Duration::from_millis(SUBWINDOW_MS)),
             fk_capacity: 8,
             expected_flows: 64,
-            cr_wait: Duration::from_millis(1),
             retransmit_depth: 2,
             ..SwitchConfig::default()
         },
@@ -189,8 +188,7 @@ proptest! {
             .collect();
         let from_dataplane = (tracker.buffered().len() + app.own.len()).min(keys.len());
 
-        let out = CrEngine::new(LatencyModel::default())
-            .collect_and_reset(&mut app, &mut tracker, 9, CollectConfig::default());
+        let out = collect_and_reset(&mut app, &mut tracker, 9, CollectConfig::default());
         prop_assert_eq!(format!("{:?}", out.afrs), format!("{expected:?}"));
         prop_assert_eq!(out.keys_from_dataplane, from_dataplane);
         prop_assert_eq!(out.keys_injected, keys.len() - from_dataplane);
@@ -216,8 +214,7 @@ proptest! {
         prop_assert!(tracker.overflowed().is_empty());
         let (mut literal_app, literal_tracker) = (app.clone(), tracker.clone());
 
-        let out = CrEngine::new(LatencyModel::default())
-            .collect_and_reset(&mut app, &mut tracker, 9, CollectConfig::default());
+        let out = collect_and_reset(&mut app, &mut tracker, 9, CollectConfig::default());
         let mut expected: Vec<(FlowKey, u64)> =
             out.afrs.iter().map(|r| (r.key, r.attr.scalar() as u64)).collect();
 
@@ -379,12 +376,52 @@ proptest! {
         pkts_a in 1usize..64,
         pkts_b in 1usize..64,
     ) {
-        let m = LatencyModel::default();
         let (lo, hi) = (items_a.min(items_b), items_a.max(items_b));
-        prop_assert!(m.recirc_enumeration(lo, pkts_a) <= m.recirc_enumeration(hi, pkts_a));
+        prop_assert!(recirc_enumeration(lo, pkts_a) <= recirc_enumeration(hi, pkts_a));
         let (pl, ph) = (pkts_a.min(pkts_b), pkts_a.max(pkts_b));
-        prop_assert!(m.recirc_enumeration(items_a, ph) <= m.recirc_enumeration(items_a, pl));
-        prop_assert!(m.inject(lo, false) <= m.inject(hi, false));
-        prop_assert!(m.inject(items_a, false) <= m.inject(items_a, true));
+        prop_assert!(recirc_enumeration(items_a, ph) <= recirc_enumeration(items_a, pl));
+        prop_assert!(inject(lo, false) <= inject(hi, false));
+        prop_assert!(inject(items_a, false) <= inject(items_a, true));
     }
+}
+
+const HEAVY: u32 = 1_000_000;
+
+/// §4.2: a key the structure itself holds is reported even when the
+/// flowkey tracker never saw it as new. A minimum-size Bloom filter
+/// (640 bits, 7 hashes) saturated by 3,000 light keys answers
+/// `AlreadyTracked` for a late heavy key, so the tracker never buffers
+/// it. Returns the C&R batch and the heavy key's count before it.
+fn bloom_masked_batch<S: FrequencySketch>(sketch: S) -> (Vec<FlowRecord>, AttrValue) {
+    let heavy = FlowKey::src_ip(HEAVY);
+    let mut app = FrequencyApp::new(sketch, KeyKind::SrcIp, false);
+    let mut tracker = FlowkeyTracker::new(8192, 64, 11);
+    let pkt = |src| Packet::tcp(Instant::ZERO, src, 9, 1, 80, TcpFlags::ack(), 64);
+    for id in 1..=3_000u32 {
+        app.update(&pkt(id));
+        tracker.track(&FlowKey::src_ip(id));
+    }
+    (0..500).for_each(|_| app.update(&pkt(HEAVY)));
+    assert_eq!(tracker.track(&heavy), TrackOutcome::AlreadyTracked);
+    assert!(!tracker.buffered().contains(&heavy) && tracker.overflowed().is_empty());
+    let count = app.query(&heavy);
+    let out = collect_and_reset(&mut app, &mut tracker, 3, CollectConfig::default());
+    (out.afrs, count)
+}
+
+#[test]
+fn resident_key_survives_a_bloom_false_positive() {
+    // MV-Sketch holds the heavy key as a candidate: reported, with its count.
+    let (afrs, count) = bloom_masked_batch(MvSketch::new(2, 256, 7));
+    let reported = afrs
+        .iter()
+        .find(|r| r.key.src_ip == HEAVY)
+        .expect("resident key");
+    assert!(
+        reported.attr == count && count.scalar() >= 500.0,
+        "{count:?}"
+    );
+    // Count-Min keeps no keys: the tracker's batch, unchanged.
+    let (afrs, _) = bloom_masked_batch(CountMin::new(2, 256, 7));
+    assert!(!afrs.is_empty() && afrs.iter().all(|r| r.key.src_ip != HEAVY));
 }

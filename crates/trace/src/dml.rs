@@ -25,19 +25,20 @@ pub struct DmlConfig {
     /// Uncompressed gradient size in bytes (VGG19 ≈ 550 MB; scaled down
     /// here — only the *shape* over iterations matters).
     pub base_gradient_bytes: u64,
-    /// Initial compression ratio (paper: 2).
-    pub initial_ratio: u64,
-    /// Iterations between ratio doublings (paper: 16).
-    pub double_every: u32,
-    /// Maximum ratio (paper: 2048).
-    pub max_ratio: u64,
-    /// Link throughput used to derive transfer times, bytes/sec.
-    pub link_bytes_per_sec: u64,
-    /// Fixed per-iteration compute time (forward/backward pass).
-    pub compute_time: Duration,
-    /// MTU-sized payload per packet.
-    pub mtu: u16,
 }
+
+/// Initial compression ratio (paper: 2).
+pub const INITIAL_RATIO: u64 = 2;
+/// Iterations between ratio doublings (paper: 16).
+pub const DOUBLE_EVERY: u32 = 16;
+/// Maximum ratio (paper: 2048).
+pub const MAX_RATIO: u64 = 2048;
+/// Link throughput used to derive transfer times, bytes/sec.
+pub const LINK_BYTES_PER_SEC: u64 = 1_000_000_000;
+/// Fixed per-iteration compute time (forward/backward pass).
+pub const COMPUTE_TIME: Duration = Duration::from_millis(2);
+/// MTU-sized payload per packet.
+pub const MTU: u16 = 1400;
 
 impl Default for DmlConfig {
     fn default() -> Self {
@@ -45,12 +46,6 @@ impl Default for DmlConfig {
             workers: 3,
             iterations: 160,
             base_gradient_bytes: 8 * 1024 * 1024,
-            initial_ratio: 2,
-            double_every: 16,
-            max_ratio: 2048,
-            link_bytes_per_sec: 1_000_000_000,
-            compute_time: Duration::from_millis(2),
-            mtu: 1400,
         }
     }
 }
@@ -63,11 +58,11 @@ pub fn worker_addr(w: usize) -> u32 {
 }
 
 /// The compression ratio in effect at `iteration` (0-based).
-pub fn compression_ratio(cfg: &DmlConfig, iteration: u32) -> u64 {
-    let doublings = iteration / cfg.double_every;
-    cfg.initial_ratio
+pub fn compression_ratio(iteration: u32) -> u64 {
+    let doublings = iteration / DOUBLE_EVERY;
+    INITIAL_RATIO
         .saturating_mul(1u64 << doublings.min(63))
-        .min(cfg.max_ratio)
+        .min(MAX_RATIO)
 }
 
 /// Generate the parameter-server trace. Every packet's `app_tag` is the
@@ -77,8 +72,8 @@ pub fn generate(cfg: &DmlConfig) -> Vec<Packet> {
     let mut packets = Vec::new();
     let mut now = Instant::ZERO;
     for it in 0..cfg.iterations {
-        let ratio = compression_ratio(cfg, it);
-        let grad_bytes = (cfg.base_gradient_bytes / ratio).max(cfg.mtu as u64);
+        let ratio = compression_ratio(it);
+        let grad_bytes = (cfg.base_gradient_bytes / ratio).max(MTU as u64);
         let iter_tag = it + 1;
 
         // Workers push concurrently; iteration time = slowest worker.
@@ -86,8 +81,8 @@ pub fn generate(cfg: &DmlConfig) -> Vec<Packet> {
         for w in 0..cfg.workers {
             let src = worker_addr(w);
             // Mild heterogeneity: worker w is (1 + w/10) slower.
-            let eff_rate = cfg.link_bytes_per_sec * 10 / (10 + w as u64);
-            let n_pkts = grad_bytes.div_ceil(cfg.mtu as u64);
+            let eff_rate = LINK_BYTES_PER_SEC * 10 / (10 + w as u64);
+            let n_pkts = grad_bytes.div_ceil(MTU as u64);
             let total_ns = grad_bytes * 1_000_000_000 / eff_rate;
             for i in 0..n_pkts {
                 let ts = now + Duration::from_nanos(total_ns * i / n_pkts.max(1));
@@ -102,7 +97,7 @@ pub fn generate(cfg: &DmlConfig) -> Vec<Packet> {
                     } else {
                         TcpFlags::ack()
                     },
-                    cfg.mtu,
+                    MTU,
                 );
                 p.app_tag = iter_tag;
                 packets.push(p);
@@ -116,7 +111,7 @@ pub fn generate(cfg: &DmlConfig) -> Vec<Packet> {
                 5000,
                 9000 + w as u16,
                 TcpFlags::ack(),
-                cfg.mtu,
+                MTU,
             );
             pull.app_tag = iter_tag;
             packets.push(pull);
@@ -124,7 +119,7 @@ pub fn generate(cfg: &DmlConfig) -> Vec<Packet> {
                 iter_end = done;
             }
         }
-        now = iter_end + cfg.compute_time;
+        now = iter_end + COMPUTE_TIME;
     }
     packets.sort_by_key(|p| p.ts);
     packets
@@ -136,15 +131,14 @@ mod tests {
 
     #[test]
     fn ratio_follows_paper_schedule() {
-        let cfg = DmlConfig::default();
-        assert_eq!(compression_ratio(&cfg, 0), 2);
-        assert_eq!(compression_ratio(&cfg, 15), 2);
-        assert_eq!(compression_ratio(&cfg, 16), 4);
-        assert_eq!(compression_ratio(&cfg, 32), 8);
-        assert_eq!(compression_ratio(&cfg, 159), 1024);
-        assert_eq!(compression_ratio(&cfg, 160), 2048);
+        assert_eq!(compression_ratio(0), 2);
+        assert_eq!(compression_ratio(15), 2);
+        assert_eq!(compression_ratio(16), 4);
+        assert_eq!(compression_ratio(32), 8);
+        assert_eq!(compression_ratio(159), 1024);
+        assert_eq!(compression_ratio(160), 2048);
         // Capped at max.
-        assert_eq!(compression_ratio(&cfg, 10_000), 2048);
+        assert_eq!(compression_ratio(10_000), 2048);
     }
 
     #[test]

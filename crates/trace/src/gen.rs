@@ -9,6 +9,9 @@ use ow_common::zipf::Zipf;
 
 use crate::anomaly::Anomaly;
 
+/// Fraction of flows that are TCP (the rest are UDP).
+pub const TCP_FRACTION: f64 = 0.8;
+
 /// Configuration of the synthetic background workload.
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
@@ -20,8 +23,6 @@ pub struct TraceConfig {
     pub packets: usize,
     /// Zipf exponent for the flow popularity distribution.
     pub zipf_alpha: f64,
-    /// Fraction of flows that are TCP (the rest are UDP).
-    pub tcp_fraction: f64,
     /// RNG seed; all randomness derives from this.
     pub seed: u64,
 }
@@ -33,7 +34,6 @@ impl Default for TraceConfig {
             flows: 20_000,
             packets: 400_000,
             zipf_alpha: 1.05,
-            tcp_fraction: 0.8,
             seed: 0xCA1DA,
         }
     }
@@ -154,8 +154,8 @@ impl TraceBuilder {
 
         for (flow_id, count) in per_flow {
             let (src, dst, sport, dport) = background_flow_tuple(flow_id, cfg.seed);
-            let is_tcp = (flow_id as f64 / cfg.flows as f64) < cfg.tcp_fraction
-                || rng.gen::<f64>() < cfg.tcp_fraction * 0.2;
+            let is_tcp = (flow_id as f64 / cfg.flows as f64) < TCP_FRACTION
+                || rng.gen::<f64>() < TCP_FRACTION * 0.2;
 
             // Flow lifetime: popular flows span most of the trace, small
             // flows are short-lived at a random offset.
@@ -231,15 +231,6 @@ impl TraceBuilder {
     }
 }
 
-/// Convenience: a default background-only trace.
-pub fn default_trace(seed: u64) -> Trace {
-    TraceBuilder::new(TraceConfig {
-        seed,
-        ..TraceConfig::default()
-    })
-    .build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,7 +243,6 @@ mod tests {
             flows: 2_000,
             packets: 20_000,
             zipf_alpha: 1.05,
-            tcp_fraction: 0.8,
             seed,
         }
     }

@@ -22,55 +22,87 @@ use std::process::ExitCode;
 
 use ow_switch::placement::SearchBudget;
 use ow_verify::catalog::repo_programs;
-use ow_verify::verify_with_budget;
+use ow_verify::{verify_with_budget, PipelineProgram};
+
+const USAGE: &str = "usage: ow-lint [--json] [--only SUBSTR] [--budget NODES]";
+
+/// What the command line asked for; `programs` is the catalog
+/// narrowed by `--only`.
+struct Options {
+    json: bool,
+    budget: SearchBudget,
+    programs: Vec<(String, PipelineProgram)>,
+}
+
+/// Parse `args` over the catalog; `Ok(None)` is `--help`. An unknown
+/// flag, a flag missing its value, and an `--only` filter that selects
+/// nothing are errors: a run that verified no program must not exit 0.
+fn parse_args(
+    args: &[String],
+    mut programs: Vec<(String, PipelineProgram)>,
+) -> Result<Option<Options>, String> {
+    let (mut json, mut budget) = (false, SearchBudget::default());
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().ok_or(format!("{arg} expects a value"));
+        match arg.as_str() {
+            "--help" | "-h" => return Ok(None),
+            "--json" => json = true,
+            "--only" => {
+                let filter = value()?;
+                programs.retain(|(name, _)| name.contains(filter.as_str()));
+                if programs.is_empty() {
+                    return Err(format!("--only '{filter}' matches no catalog program"));
+                }
+            }
+            "--budget" => {
+                let raw = value()?;
+                let max_nodes = raw
+                    .parse()
+                    .map_err(|_| format!("--budget expects a node count, got '{raw}'"))?;
+                budget = SearchBudget { max_nodes };
+            }
+            other => return Err(format!("unknown argument '{other}'")),
+        }
+    }
+    Ok(Some(Options {
+        json,
+        budget,
+        programs,
+    }))
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
+    let opts = match parse_args(&args, repo_programs()) {
+        Ok(Some(opts)) => opts,
+        Ok(None) => {
+            eprintln!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("ow-lint: {e}");
+            return ExitCode::FAILURE;
+        }
     };
-    let only = flag_value("--only");
-    let budget = match flag_value("--budget") {
-        None => SearchBudget::default(),
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(max_nodes) => SearchBudget { max_nodes },
-            Err(_) => {
-                eprintln!("ow-lint: --budget expects a node count, got '{raw}'");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: ow-lint [--json] [--only SUBSTR] [--budget NODES]");
-        return ExitCode::SUCCESS;
-    }
 
     let mut failures = 0usize;
     let mut reports: Vec<String> = Vec::new();
-    for (name, program) in repo_programs() {
-        if let Some(filter) = &only {
-            if !name.contains(filter.as_str()) {
-                continue;
-            }
-        }
-        let report = match verify_with_budget(&program, budget) {
+    for (name, program) in opts.programs {
+        let report = match verify_with_budget(&program, opts.budget) {
             Ok(witness) => witness.report().clone(),
             Err(report) => {
                 failures += 1;
                 *report
             }
         };
-        if json {
+        if opts.json {
             reports.push(report.to_json());
         } else {
             print!("[{name}] {report}");
         }
     }
-    if json {
+    if opts.json {
         println!("[{}]", reports.join(",\n"));
     }
     if failures > 0 {
@@ -78,5 +110,32 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Option<Options>, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args, repo_programs())
+    }
+
+    #[test]
+    fn bad_command_lines_are_errors() {
+        let err = |args| parse(args).err().expect("rejected");
+        assert!(err(&["--jsno"]).contains("--jsno"));
+        assert!(err(&["--json", "--budget"]).contains("expects a value"));
+        assert!(err(&["--only", "no_such_program"]).contains("matches no"));
+    }
+
+    #[test]
+    fn good_command_lines_select_programs() {
+        let all = parse(&[]).unwrap().expect("not --help");
+        assert!(!all.json && all.budget == SearchBudget::default());
+        assert_eq!(all.programs.len(), repo_programs().len());
+        let table2 = parse(&["--only", "table2"]).unwrap().expect("not --help");
+        assert!(!table2.programs.is_empty() && table2.programs.len() < all.programs.len());
     }
 }

@@ -32,7 +32,7 @@ fn main() {
     let mut prev_mean = f64::INFINITY;
     for it in (8..=cfg.iterations).step_by(16) {
         let mean = result.mean_time(it);
-        let ratio = compression_ratio(&cfg, it - 1);
+        let ratio = compression_ratio(it - 1);
         let bar = "#".repeat((mean / 8.0).min(60.0) as usize);
         println!("{it:>9} {ratio:>7} {mean:>16.0}  {bar}");
         assert!(

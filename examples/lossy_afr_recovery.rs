@@ -34,7 +34,6 @@ fn mk_switch() -> Switch<App> {
             fk_capacity: 4096,
             expected_flows: 16 * 1024,
             signal: WindowSignal::Timeout(Duration::from_millis(100)),
-            cr_wait: Duration::from_millis(1),
             ..SwitchConfig::default()
         },
         app(1),

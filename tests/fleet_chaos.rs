@@ -35,11 +35,7 @@ fn chaos_config(switches: u32, seed: u64) -> FleetConfig {
         workers: 4,
         shards_per_worker: 2,
         local_windows: 4,
-        records_per_window: 24,
-        population: 64,
-        subwindow_len: Duration::from_millis(1),
         afr_loss: 0.30,
-        rack_size: 8,
         bursts: vec![RackBurst {
             rack: 1,
             from: Duration::from_micros(500),

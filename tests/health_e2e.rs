@@ -25,7 +25,7 @@ use omniwindow::experiments::fleet_smoke::{
 use omniwindow::experiments::obs_smoke::{self, ObsSmokeConfig};
 use ow_common::engine::{WindowEngine, WindowEvent, WindowFsm};
 use ow_netsim::FleetConfig;
-use ow_obs::{FlightRecorderConfig, Obs, FSM_REJECT_CODE};
+use ow_obs::{Obs, FSM_REJECT_CODE};
 use proptest::prelude::*;
 
 /// The `(code, entity)` set a scenario must fire — no more, no less.
@@ -99,7 +99,7 @@ fn forced_critical_obs_smoke_freezes_with_byte_identical_dumps() {
 #[test]
 fn fsm_invariant_rejection_freezes_through_the_sink() {
     let obs = Obs::new();
-    let engine = obs.install_health(fleet_catalog(), FlightRecorderConfig::default());
+    let engine = obs.install_health(fleet_catalog());
     let mut fsm = WindowEngine::new();
     fsm.set_sink(obs.engine_sink("controller"));
     fsm.insert(WindowFsm::announced(9, 4));

@@ -26,7 +26,6 @@ fn mk_switch(first_hop: bool, fk_capacity: usize) -> Switch<App> {
             fk_capacity,
             expected_flows: 16 * 1024,
             signal: WindowSignal::Timeout(Duration::from_millis(100)),
-            cr_wait: Duration::from_millis(1),
             ..SwitchConfig::default()
         },
         app(1),

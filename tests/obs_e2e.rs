@@ -12,8 +12,6 @@ fn acceptance_cfg() -> ObsSmokeConfig {
     ObsSmokeConfig {
         seed: 7,
         loss: 0.10,
-        shards: 4,
-        window_subwindows: 3,
     }
 }
 

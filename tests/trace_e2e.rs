@@ -25,8 +25,6 @@ fn lossy_cfg() -> ObsSmokeConfig {
     ObsSmokeConfig {
         seed: 7,
         loss: 0.30,
-        shards: 4,
-        window_subwindows: 3,
     }
 }
 
