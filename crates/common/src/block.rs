@@ -57,6 +57,7 @@ impl AttrColumn {
     }
 
     /// Number of rows.
+    #[inline]
     pub fn len(&self) -> usize {
         match self {
             AttrColumn::Frequency(v) | AttrColumn::Max(v) | AttrColumn::Min(v) => v.len(),
@@ -70,6 +71,7 @@ impl AttrColumn {
     }
 
     /// The scalar lane and its pattern, when the column is scalar.
+    #[inline]
     pub fn scalar_lane(&self) -> Option<(AttrKind, &[u64])> {
         match self {
             AttrColumn::Frequency(v) => Some((AttrKind::Frequency, v)),
@@ -80,6 +82,7 @@ impl AttrColumn {
     }
 
     /// Row `i` as a full [`AttrValue`].
+    #[inline]
     pub fn get(&self, i: usize) -> AttrValue {
         match self {
             AttrColumn::Frequency(v) => AttrValue::Frequency(v[i]),
@@ -91,6 +94,7 @@ impl AttrColumn {
 
     /// Append a row, promoting an empty column to the row's scalar
     /// pattern and demoting to `Mixed` on the first pattern clash.
+    #[inline]
     pub fn push(&mut self, attr: AttrValue) {
         // An empty column adopts whichever scalar pattern arrives first.
         if self.is_empty() {
@@ -160,6 +164,7 @@ impl RecordBlock {
     }
 
     /// Number of rows.
+    #[inline]
     pub fn len(&self) -> usize {
         self.keys.len()
     }
@@ -175,6 +180,7 @@ impl RecordBlock {
     }
 
     /// Append one row from its parts.
+    #[inline]
     pub fn push_row(&mut self, key: FlowKey, attr: AttrValue, seq: u32) {
         self.keys.push(key);
         self.seqs.push(seq);
@@ -182,26 +188,31 @@ impl RecordBlock {
     }
 
     /// The key column.
+    #[inline]
     pub fn keys(&self) -> &[FlowKey] {
         &self.keys
     }
 
     /// The sequence column.
+    #[inline]
     pub fn seqs(&self) -> &[u32] {
         &self.seqs
     }
 
     /// The attribute column.
+    #[inline]
     pub fn column(&self) -> &AttrColumn {
         &self.col
     }
 
     /// Row `i`'s key.
+    #[inline]
     pub fn key(&self, i: usize) -> FlowKey {
         self.keys[i]
     }
 
     /// Row `i`'s attribute.
+    #[inline]
     pub fn attr(&self, i: usize) -> AttrValue {
         self.col.get(i)
     }

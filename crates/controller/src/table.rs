@@ -204,9 +204,9 @@ impl MergeTable {
         self.keys.is_empty()
     }
 
-    /// Find the slot holding `key`, if any.
+    /// Find the bucket whose slot holds `key`, if any.
     #[inline]
-    fn lookup(&self, key: &FlowKey) -> Option<usize> {
+    fn bucket_of(&self, key: &FlowKey) -> Option<usize> {
         let h = hash_key(key);
         let mut b = (h as usize) & self.mask;
         loop {
@@ -217,11 +217,17 @@ impl MergeTable {
             if e != TOMB {
                 let s = e as usize;
                 if self.hashes[s] == h && self.keys[s] == *key {
-                    return Some(s);
+                    return Some(b);
                 }
             }
             b = (b + 1) & self.mask;
         }
+    }
+
+    /// Find the slot holding `key`, if any.
+    #[inline]
+    fn lookup(&self, key: &FlowKey) -> Option<usize> {
+        self.bucket_of(key).map(|b| self.buckets[b] as usize)
     }
 
     /// Rebuild the index at `new_buckets` capacity (drops tombstones).
@@ -458,15 +464,11 @@ impl MergeTable {
         }
     }
 
-    /// Unlink slot `s` from the index and drop its columns
-    /// (`swap_remove`; the displaced last slot's index entry is fixed
-    /// up).
-    fn remove_slot(&mut self, s: usize) {
-        // Tombstone s's bucket.
-        let mut b = (self.hashes[s] as usize) & self.mask;
-        while self.buckets[b] != s as u32 {
-            b = (b + 1) & self.mask;
-        }
+    /// Unlink slot `s`, which bucket `b` points at, from the index and
+    /// drop its columns (`swap_remove`; the displaced last slot's index
+    /// entry is fixed up).
+    fn remove_slot(&mut self, s: usize, b: usize) {
+        debug_assert_eq!(self.buckets[b], s as u32);
         self.buckets[b] = TOMB;
         self.tombs += 1;
         self.heavy.remove(&(s as u32));
@@ -499,71 +501,90 @@ impl MergeTable {
     /// Flows that only appeared in the evicted sub-window are removed —
     /// detected by the per-slot retained-record refcount instead of the
     /// old full scan over every retained record.
+    ///
+    /// Each evicted record is hashed and probed once: pass A remembers
+    /// the *bucket* it found. Only an insert rebuilds the index and none
+    /// runs before this returns, so a live flow keeps its bucket; the
+    /// slot id in it follows `swap_remove`, and it reads [`TOMB`] once
+    /// the flow is gone.
     pub fn evict_oldest(&mut self) -> Option<u32> {
         let (evicted_sw, evicted) = self.batches.pop_front()?;
 
         // Pass A: retire the evicted records' refcounts, so refs == the
         // number of *retained* records per slot.
+        let mut found: Vec<usize> = Vec::with_capacity(evicted.iter().map(RecordBlock::len).sum());
         for block in &evicted {
             for key in block.keys() {
-                let s = self.lookup(key).expect("evicted key must have a slot");
-                self.refs[s] -= 1;
+                let b = self.bucket_of(key).expect("evicted key must have a slot");
+                self.refs[self.buckets[b] as usize] -= 1;
+                found.push(b);
             }
         }
 
         // Pass B: per evicted record in order — remove vanished flows,
         // subtract invertible frequencies, queue the rest for recompute.
-        let mut needs_recompute: Vec<FlowKey> = Vec::new();
+        let mut needs_recompute: Vec<usize> = Vec::new();
+        let mut found = found.into_iter(); // one bucket per row, pass A's order
         for block in &evicted {
-            for i in 0..block.len() {
-                let key = block.key(i);
-                let Some(s) = self.lookup(&key) else {
+            for (i, b) in (0..block.len()).zip(&mut found) {
+                let e = self.buckets[b];
+                if e == TOMB {
                     continue; // removed earlier in this eviction
-                };
+                }
+                let s = e as usize;
                 if self.refs[s] == 0 {
-                    self.remove_slot(s);
+                    self.remove_slot(s, b);
                     continue;
                 }
                 match block.attr(i) {
-                    AttrValue::Frequency(b) => {
+                    AttrValue::Frequency(x) => {
                         // Mirror `unmerge_frequency`: mismatched slots
                         // ignore the subtraction.
                         if self.kinds[s] == AttrKind::Frequency {
-                            self.scalars[s] = self.scalars[s].saturating_sub(b);
+                            self.scalars[s] = self.scalars[s].saturating_sub(x);
                             self.remag(s);
                         }
                     }
-                    _ => needs_recompute.push(key),
+                    // Retained (refs > 0), so its bucket stays live.
+                    _ => needs_recompute.push(b),
                 }
             }
         }
-
-        // Recompute non-invertible patterns from the retained blocks.
-        needs_recompute.sort_by_key(|k| k.as_u128());
-        needs_recompute.dedup();
-        for key in needs_recompute {
-            let mut acc: Option<AttrValue> = None;
-            for (_, blocks) in &self.batches {
-                for block in blocks {
-                    for i in 0..block.len() {
-                        if block.key(i) == key {
-                            let attr = block.attr(i);
-                            match &mut acc {
-                                Some(v) => {
-                                    let _ = v.merge(&attr);
-                                }
-                                None => acc = Some(attr),
-                            }
-                        }
-                    }
-                }
-            }
-            // refs > 0 guaranteed at least one retained record.
-            let v = acc.expect("recompute key must have retained records");
-            let s = self.lookup(&key).expect("recompute key must have a slot");
-            self.set_value(s, v);
+        if !needs_recompute.is_empty() {
+            self.recompute(&needs_recompute);
         }
         Some(evicted_sw)
+    }
+
+    /// Rebuild the non-invertible values of the slots `buckets` point at
+    /// from the retained blocks: one pass, oldest row first, that reseeds
+    /// a marked slot with its first retained row and merges the later
+    /// ones in — whatever the number of marked slots.
+    fn recompute(&mut self, buckets: &[usize]) {
+        const KEEP: u8 = 0;
+        const RESEED: u8 = 1;
+        const FOLD: u8 = 2;
+        let mut marks = vec![KEEP; self.keys.len()];
+        for &b in buckets {
+            marks[self.buckets[b] as usize] = RESEED;
+        }
+        let batches = std::mem::take(&mut self.batches);
+        for block in batches.iter().flat_map(|(_, blocks)| blocks) {
+            for i in 0..block.len() {
+                let s = self
+                    .lookup(&block.key(i))
+                    .expect("retained key must have a slot");
+                match marks[s] {
+                    KEEP => {}
+                    RESEED => {
+                        self.set_value(s, block.attr(i));
+                        marks[s] = FOLD;
+                    }
+                    _ => self.merge_into_slot(s, &block.attr(i)),
+                }
+            }
+        }
+        self.batches = batches;
     }
 
     /// The merged statistic for one flow.
@@ -839,29 +860,22 @@ mod tests {
                     _ => recompute.push(rec.key),
                 }
             }
-            recompute.sort_by_key(|k| k.as_u128());
-            recompute.dedup();
-            for k in recompute {
-                let mut acc: Option<AttrValue> = None;
-                for (_, b) in &self.batches {
-                    for r in b.iter().filter(|r| r.key == k) {
-                        match &mut acc {
-                            Some(v) => {
-                                let _ = v.merge(&r.attr);
-                            }
-                            None => acc = Some(r.attr),
+            // Every queued key is retained, so the fold below reaches it.
+            let recompute: std::collections::HashSet<FlowKey> = recompute.into_iter().collect();
+            let mut acc: std::collections::HashMap<FlowKey, AttrValue> = Default::default();
+            for r in self.batches.iter().flat_map(|(_, b)| b) {
+                if recompute.contains(&r.key) {
+                    match acc.get_mut(&r.key) {
+                        Some(v) => {
+                            let _ = v.merge(&r.attr);
+                        }
+                        None => {
+                            acc.insert(r.key, r.attr);
                         }
                     }
                 }
-                match acc {
-                    Some(v) => {
-                        self.merged.insert(k, v);
-                    }
-                    None => {
-                        self.merged.remove(&k);
-                    }
-                }
             }
+            self.merged.extend(acc);
         }
 
         fn snapshot(&self) -> Vec<(FlowKey, AttrValue)> {
@@ -912,6 +926,54 @@ mod tests {
             m.insert_batch(sw, batch);
             if sw >= 3 {
                 assert!(t.evict_oldest().is_some());
+                m.evict_oldest();
+            }
+            assert_eq!(t.snapshot(), m.snapshot(), "diverged at sw {sw}");
+        }
+    }
+
+    #[test]
+    fn recompute_is_one_pass_over_the_retained_blocks() {
+        // A span-5 window of 20 000 `Max` flows per sub-window beside
+        // churning `Frequency` flows and `Distinction` flows, each
+        // pattern in its own block of the unit. Every eviction queues all
+        // 20 200 non-invertible flows: one scan of the 100 000 retained
+        // records per flow would be 2 * 10^9 key comparisons an eviction
+        // (minutes for this test); one pass over them is milliseconds.
+        const SPAN: u32 = 5;
+        let unit = |sw: u32| -> [Vec<FlowRecord>; 3] {
+            let rec = |k: u32, attr: AttrValue, seq: u32| FlowRecord {
+                key: key(k),
+                attr,
+                subwindow: sw,
+                seq,
+            };
+            let max = (0..20_000u32)
+                .map(|i| rec(i, AttrValue::Max(((i * 7 + sw * 131) % 1_000) as u64), i))
+                .collect();
+            // Keys enter at `sw * 100` and live five sub-windows.
+            let freq = (0..500u32)
+                .map(|j| rec(20_000 + sw * 100 + j, AttrValue::Frequency(j as u64 + 1), j))
+                .collect();
+            let distinct = (0..200u32)
+                .map(|j| {
+                    let mut bm = DistinctBitmap::default();
+                    bm.insert_hash((j as u64 * 0x9E37_79B9) ^ sw as u64);
+                    rec(40_000 + j, AttrValue::Distinction(bm), j)
+                })
+                .collect();
+            [max, freq, distinct]
+        };
+        let mut t = MergeTable::new();
+        let mut m = ModelTable::default();
+        for sw in 0..SPAN + 3 {
+            let blocks = unit(sw);
+            for (n, rows) in blocks.iter().enumerate() {
+                t.insert_block(RecordBlock::from_records(sw, rows), n == 0);
+            }
+            m.insert_batch(sw, blocks.concat());
+            if sw >= SPAN {
+                assert_eq!(t.evict_oldest(), Some(sw - SPAN));
                 m.evict_oldest();
             }
             assert_eq!(t.snapshot(), m.snapshot(), "diverged at sw {sw}");

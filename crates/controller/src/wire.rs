@@ -343,6 +343,76 @@ mod tests {
         assert!(decode_merged(&cut[..cut.len() - 2]).is_err());
     }
 
+    fn hex(s: &str) -> Vec<u8> {
+        let digits: Vec<u8> = s.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        digits
+            .chunks(2)
+            .map(|d| u8::from_str_radix(std::str::from_utf8(d).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    /// The bytes on the wire, written out from the layout in the module
+    /// doc: one record per attribute kind, then one merged entry. A
+    /// frequency record is 31 bytes — what `wire.bytes_per_record`
+    /// reads, plus the amortised header.
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        let rec = |key, attr, seq| FlowRecord {
+            key,
+            attr,
+            subwindow: 7,
+            seq,
+        };
+        let mut words = [0u64; DISTINCT_BITMAP_WORDS];
+        (words[0], words[7]) = (1, 1 << 63);
+        let wide = DistinctBitmap {
+            words,
+            logical_bits: 512,
+        };
+        let mut conns = DistinctBitmap::with_logical_bits(64);
+        conns.words[0] = 5;
+        let five = FlowKey::five_tuple(0x0A00_0001, 0x0A00_0002, 0x1234, 80, 6);
+        let src_dst = FlowKey {
+            kind: KeyKind::SrcDst,
+            ..FlowKey::five_tuple(1, 2, 3, 4, 6) // ports and proto are projected away
+        };
+        let batch = [
+            rec(five, AttrValue::Frequency(1234), 0),
+            rec(FlowKey::src_ip(0xC0A8_0001), AttrValue::Existence(true), 1),
+            rec(FlowKey::dst_ip(9), AttrValue::Max(88), 2),
+            rec(src_dst, AttrValue::Min(u64::MAX), 3),
+            rec(FlowKey::dst_ip(9), AttrValue::Distinction(wide), 4),
+            rec(FlowKey::src_ip(1), AttrValue::Signed(-42), 5),
+            rec(
+                FlowKey::src_ip(1),
+                AttrValue::ConnBytes { conns, bytes: 555 },
+                6,
+            ),
+        ];
+        let zeros = |words: usize| "0000000000000000".repeat(words);
+        let golden = [
+            "00000007".to_string(),
+            // kind src      dst      sport dport proto | subwindow seq | tag payload
+            "00 0A000001 0A000002 1234 0050 06  00000007 00000000  00 00000000000004D2".into(),
+            "01 C0A80001 00000000 0000 0000 00  00000007 00000001  01 01".into(),
+            "02 00000000 00000009 0000 0000 00  00000007 00000002  02 0000000000000058".into(),
+            "03 00000001 00000002 0000 0000 00  00000007 00000003  03 FFFFFFFFFFFFFFFF".into(),
+            "02 00000000 00000009 0000 0000 00  00000007 00000004  04 00000200".into(),
+            format!("0000000000000001 {} 8000000000000000", zeros(6)),
+            "01 00000001 00000000 0000 0000 00  00000007 00000005  05 FFFFFFFFFFFFFFD6".into(),
+            "01 00000001 00000000 0000 0000 00  00000007 00000006  06 00000040".into(),
+            format!("0000000000000005 {} 000000000000022B", zeros(7)),
+        ];
+        assert_eq!(encode_batch(&batch).to_vec(), hex(&golden.concat()));
+        assert_eq!(encode_batch(&batch[..1]).len(), 4 + 31);
+
+        let merged = encode_merged(&[(five, AttrValue::Frequency(1234))]);
+        assert_eq!(
+            merged.to_vec(),
+            hex("00000001  00 0A000001 0A000002 1234 0050 06  00 00000000000004D2")
+        );
+    }
+
     #[test]
     fn bad_tags_detected() {
         let mut wire = encode_batch(&sample()[..1]).to_vec();

@@ -167,23 +167,42 @@ proptest! {
         }
     }
 
-    /// Eviction is exact: after evicting the oldest batch, the table
-    /// equals the naive merge over the remaining batches — inverse
-    /// subtraction and deletion never drift.
+    /// Eviction is exact: after evicting the oldest unit, the table
+    /// equals the naive merge over the remaining ones — inverse
+    /// subtraction and deletion never drift. A unit is several blocks
+    /// over a 24-key population, so a key repeats inside a block and
+    /// across the blocks of one unit; when that unit holds the key's
+    /// last records, the second one finds the flow already removed.
     #[test]
-    fn eviction_matches_naive_merge(batches in arb_batches()) {
-        let recs: Vec<Vec<FlowRecord>> = batches
+    fn eviction_matches_naive_merge(
+        units in proptest::collection::vec(
+            proptest::collection::vec(
+                proptest::collection::vec((0u8..24, 1u16..500), 0..12),
+                1..4,
+            ),
+            1..8,
+        ),
+    ) {
+        let recs: Vec<Vec<Vec<FlowRecord>>> = units
             .iter()
             .enumerate()
-            .map(|(sw, b)| to_records(sw as u32, b))
+            .map(|(sw, blocks)| {
+                let row = |&(k, c): &(u8, u16)| {
+                    FlowRecord::frequency(FlowKey::src_ip(k as u32 + 1), c as u64, sw as u32)
+                };
+                let rows = |b: &Vec<(u8, u16)>| b.iter().map(row).collect::<Vec<_>>();
+                blocks.iter().map(rows).collect()
+            })
             .collect();
         let mut table = MergeTable::new();
-        for (sw, b) in recs.iter().enumerate() {
-            table.insert_batch(sw as u32, b.clone());
+        for (sw, blocks) in recs.iter().enumerate() {
+            for (n, rows) in blocks.iter().enumerate() {
+                table.insert_block(RecordBlock::from_records(sw as u32, rows), n == 0);
+            }
         }
         for evicted in 0..recs.len() {
-            table.evict_oldest();
-            let naive = naive_merge(&recs[evicted + 1..]);
+            prop_assert_eq!(table.evict_oldest(), Some(evicted as u32));
+            let naive = naive_merge(&recs[evicted + 1..].concat());
             prop_assert_eq!(table.len(), naive.len(), "after evicting {}", evicted);
             for (k, v) in &naive {
                 prop_assert_eq!(table.get(k), Some(AttrValue::Frequency(*v)));
@@ -238,8 +257,19 @@ proptest! {
     /// reproduces semantically equal records. A header that claims more
     /// rows than the bytes behind it could hold is refused up front, so
     /// a short datagram cannot make a decoder reserve for `u32::MAX`.
+    ///
+    /// Every single-bit flip of a valid batch is refused or decodes to a
+    /// batch that encodes back to the flipped bytes. The exception is a
+    /// flip the decoder canonicalises away — a key's kind (the fields the
+    /// new projection drops are zeroed), a field the projection drops, an
+    /// existence flag above bit 0, or a tag that reframes what follows it
+    /// into such keys: there the re-encoding has the same length and is a
+    /// fixed point.
     #[test]
-    fn wire_decode_is_safe(data in proptest::collection::vec(any::<u8>(), 0..256)) {
+    fn wire_decode_is_safe(
+        data in proptest::collection::vec(any::<u8>(), 0..256),
+        valid in proptest::collection::vec((arb_record(), any::<bool>()), 1..5),
+    ) {
         if let Ok(batch) = decode_batch(&data[..]) {
             let re = encode_batch(&batch);
             prop_assert_eq!(decode_batch(re).unwrap(), batch);
@@ -253,6 +283,29 @@ proptest! {
         let refused = |e: OwError| matches!(e, OwError::Decode(m) if m.contains("claims"));
         prop_assert!(refused(decode_batch(&lying[..]).unwrap_err()));
         prop_assert!(refused(decode_merged(&lying[..]).unwrap_err()));
+
+        let valid: Vec<FlowRecord> = valid
+            .into_iter()
+            .map(|(mut r, five)| {
+                if five {
+                    r.key = FlowKey::five_tuple(r.key.src_ip, !r.key.src_ip, r.seq as u16, 80, 6);
+                }
+                r
+            })
+            .collect();
+        let wire = encode_batch(&valid).to_vec();
+        prop_assert_eq!(decode_batch(&wire[..]).unwrap(), valid);
+        for bit in 0..wire.len() * 8 {
+            let mut flipped = wire.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(batch) = decode_batch(&flipped[..]) {
+                let re = encode_batch(&batch);
+                if re[..] != flipped[..] {
+                    prop_assert_eq!(re.len(), flipped.len(), "bit {}", bit);
+                    prop_assert_eq!(decode_batch(re).unwrap(), batch, "bit {}", bit);
+                }
+            }
+        }
     }
 
     /// After every insert, evict and clear, `flows_over` and `snapshot` equal

@@ -83,6 +83,45 @@ impl DataPlaneApp for KeyedApp {
     }
 }
 
+/// Equal keys are told apart only by arrival: `SrcIp` keys whose ports
+/// differ are one key under the projection, and the copy C&R reports is
+/// the first to arrive — self-tracked, then buffered, then overflowed —
+/// down to the bytes the projection ignores.
+#[test]
+fn first_arrival_of_a_key_survives_byte_for_byte() {
+    let raw = |src_ip: u32, src_port: u16| FlowKey {
+        src_ip,
+        dst_ip: 77,
+        src_port,
+        dst_port: 80,
+        proto: 6,
+        kind: KeyKind::SrcIp,
+    };
+    let mut app = KeyedApp {
+        inner: FrequencyApp::new(CountMin::new(3, 128, 5), KeyKind::SrcIp, false),
+        own: vec![raw(5, 1), raw(3, 2), raw(5, 3)],
+    };
+    // One buffer cell: 3 is buffered, 5 / 7 / 1 overflow, the second 7
+    // is already tracked.
+    let mut tracker = FlowkeyTracker::new(1, 512, 6);
+    for key in [raw(3, 10), raw(5, 11), raw(7, 12), raw(1, 13), raw(7, 14)] {
+        tracker.track(&key);
+    }
+    assert_eq!(tracker.overflowed().len(), 3);
+
+    let out = collect_and_reset(&mut app, &mut tracker, 4, CollectConfig::default());
+    let keys: Vec<FlowKey> = out.afrs.iter().map(|r| r.key).collect();
+    assert_eq!(
+        format!("{keys:?}"),
+        format!("{:?}", [raw(1, 13), raw(3, 2), raw(5, 1), raw(7, 12)])
+    );
+    assert_eq!(
+        out.afrs.iter().map(|r| r.seq).collect::<Vec<_>>(),
+        [0, 1, 2, 3]
+    );
+    assert_eq!((out.keys_from_dataplane, out.keys_injected), (4, 0));
+}
+
 fn arb_kind() -> impl Strategy<Value = KeyKind> {
     prop_oneof![
         Just(KeyKind::FiveTuple),

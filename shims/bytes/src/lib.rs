@@ -22,6 +22,7 @@ pub trait Buf {
     fn remaining(&self) -> usize;
 
     /// Whether any bytes remain.
+    #[inline]
     fn has_remaining(&self) -> bool {
         self.remaining() > 0
     }
@@ -33,6 +34,7 @@ pub trait Buf {
     fn advance(&mut self, cnt: usize);
 
     /// Copy `dst.len()` bytes into `dst`, advancing.
+    #[inline]
     fn copy_to_slice(&mut self, dst: &mut [u8]) {
         assert!(self.remaining() >= dst.len(), "Buf: advance past end");
         dst.copy_from_slice(&self.chunk()[..dst.len()]);
@@ -40,6 +42,7 @@ pub trait Buf {
     }
 
     /// Read one byte.
+    #[inline]
     fn get_u8(&mut self) -> u8 {
         let mut b = [0u8; 1];
         self.copy_to_slice(&mut b);
@@ -47,6 +50,7 @@ pub trait Buf {
     }
 
     /// Read a big-endian u16.
+    #[inline]
     fn get_u16(&mut self) -> u16 {
         let mut b = [0u8; 2];
         self.copy_to_slice(&mut b);
@@ -54,6 +58,7 @@ pub trait Buf {
     }
 
     /// Read a big-endian u32.
+    #[inline]
     fn get_u32(&mut self) -> u32 {
         let mut b = [0u8; 4];
         self.copy_to_slice(&mut b);
@@ -61,6 +66,7 @@ pub trait Buf {
     }
 
     /// Read a big-endian u64.
+    #[inline]
     fn get_u64(&mut self) -> u64 {
         let mut b = [0u8; 8];
         self.copy_to_slice(&mut b);
@@ -68,6 +74,7 @@ pub trait Buf {
     }
 
     /// Read a big-endian i64.
+    #[inline]
     fn get_i64(&mut self) -> i64 {
         let mut b = [0u8; 8];
         self.copy_to_slice(&mut b);
@@ -76,12 +83,15 @@ pub trait Buf {
 }
 
 impl Buf for &[u8] {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self
     }
+    #[inline]
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.len(), "Buf: advance past end");
         *self = &self[cnt..];
@@ -89,12 +99,15 @@ impl Buf for &[u8] {
 }
 
 impl<B: Buf + ?Sized> Buf for &mut B {
+    #[inline]
     fn remaining(&self) -> usize {
         (**self).remaining()
     }
+    #[inline]
     fn chunk(&self) -> &[u8] {
         (**self).chunk()
     }
+    #[inline]
     fn advance(&mut self, cnt: usize) {
         (**self).advance(cnt)
     }
@@ -106,6 +119,7 @@ pub trait BufMut {
     fn put_slice(&mut self, src: &[u8]);
 
     /// Append `cnt` copies of `val`.
+    #[inline]
     fn put_bytes(&mut self, val: u8, cnt: usize) {
         for _ in 0..cnt {
             self.put_slice(&[val]);
@@ -113,35 +127,42 @@ pub trait BufMut {
     }
 
     /// Append one byte.
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
 
     /// Append a big-endian u16.
+    #[inline]
     fn put_u16(&mut self, v: u16) {
         self.put_slice(&v.to_be_bytes());
     }
 
     /// Append a big-endian u32.
+    #[inline]
     fn put_u32(&mut self, v: u32) {
         self.put_slice(&v.to_be_bytes());
     }
 
     /// Append a big-endian u64.
+    #[inline]
     fn put_u64(&mut self, v: u64) {
         self.put_slice(&v.to_be_bytes());
     }
 
     /// Append a big-endian i64.
+    #[inline]
     fn put_i64(&mut self, v: i64) {
         self.put_slice(&v.to_be_bytes());
     }
 }
 
 impl BufMut for Vec<u8> {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }
+    #[inline]
     fn put_bytes(&mut self, val: u8, cnt: usize) {
         self.resize(self.len() + cnt, val);
     }
@@ -157,12 +178,14 @@ pub struct Bytes {
 
 impl Bytes {
     /// Length of the (unread portion of the) buffer.
+    #[inline]
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.data.len() - self.pos
     }
 
     /// Whether no bytes remain.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -193,12 +216,14 @@ impl From<&[u8]> for Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.data[self.pos..]
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self
     }
@@ -212,12 +237,15 @@ impl PartialEq for Bytes {
 impl Eq for Bytes {}
 
 impl Buf for Bytes {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
+    #[inline]
     fn chunk(&self) -> &[u8] {
         &self.data[self.pos..]
     }
+    #[inline]
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.len(), "Buf: advance past end");
         self.pos += cnt;
@@ -244,12 +272,14 @@ impl BytesMut {
     }
 
     /// Current length.
+    #[inline]
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.data.len()
     }
 
     /// Whether the buffer is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
@@ -268,33 +298,40 @@ impl From<&[u8]> for BytesMut {
 
 impl Deref for BytesMut {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.data
     }
 }
 
 impl DerefMut for BytesMut {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [u8] {
         &mut self.data
     }
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
     }
+    #[inline]
     fn put_bytes(&mut self, val: u8, cnt: usize) {
         self.data.resize(self.data.len() + cnt, val);
     }
 }
 
 impl Buf for BytesMut {
+    #[inline]
     fn remaining(&self) -> usize {
         self.data.len()
     }
+    #[inline]
     fn chunk(&self) -> &[u8] {
         &self.data
     }
+    #[inline]
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.data.len(), "Buf: advance past end");
         self.data.drain(..cnt);
