@@ -44,7 +44,7 @@ impl Cli {
     /// [`Cli::parse`] over explicit arguments (program name excluded).
     /// `Err` carries the partially parsed `Cli` whose journal holds the
     /// `cli_error` warning — `parse` exits 2 with it.
-    pub fn try_parse_from(mut args: impl Iterator<Item = String>) -> Result<Cli, Cli> {
+    pub(crate) fn try_parse_from(mut args: impl Iterator<Item = String>) -> Result<Cli, Cli> {
         let obs = Obs::new();
         obs.journal().enable_console();
         let mut cli = Cli {
@@ -102,7 +102,7 @@ impl Cli {
     }
 
     /// [`Cli::dump`] returning the problem instead of exiting.
-    pub fn try_dump<T: serde::Serialize>(&self, value: &T) -> Result<(), String> {
+    pub(crate) fn try_dump<T: serde::Serialize>(&self, value: &T) -> Result<(), String> {
         let Some(path) = &self.json else {
             return Ok(());
         };

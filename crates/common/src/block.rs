@@ -256,7 +256,7 @@ impl RecordBlock {
 /// blocks, hashing the key column in bulk.
 ///
 /// The scatter is *streaming*: `begin` opens a sub-window, any number of
-/// `push_block` / `push_records` calls feed it (full blocks are emitted
+/// `push_block` calls feed it (full blocks are emitted
 /// eagerly), and `seal` flushes the remainder. Every shard is emitted at
 /// least one block per sub-window — empty where it owns no keys — so
 /// shard evictions stay synchronized, and the first block emitted to a
@@ -367,19 +367,6 @@ impl ShardScatter {
         self.scratch = scratch;
     }
 
-    /// Scatter a record slice (AoS convenience path).
-    pub fn push_records(
-        &mut self,
-        records: &[FlowRecord],
-        mut emit: impl FnMut(usize, RecordBlock, bool),
-    ) {
-        assert!(self.active, "ShardScatter: push without begin()");
-        for rec in records {
-            let shard = self.partition.shard_of(&rec.key);
-            self.place(shard, rec.key, rec.attr, rec.seq, &mut emit);
-        }
-    }
-
     /// Close the open sub-window, emitting every shard's remainder.
     ///
     /// A shard that never filled a block receives its (possibly empty)
@@ -395,18 +382,6 @@ impl ShardScatter {
                 emit(shard, block, first);
             }
         }
-    }
-
-    /// One-shot convenience: `begin` + `push_records` + `seal`.
-    pub fn scatter_batch(
-        &mut self,
-        subwindow: u32,
-        records: &[FlowRecord],
-        mut emit: impl FnMut(usize, RecordBlock, bool),
-    ) {
-        self.begin(subwindow);
-        self.push_records(records, &mut emit);
-        self.seal(&mut emit);
     }
 }
 
@@ -480,13 +455,16 @@ mod tests {
         let mut sc = ShardScatter::new(p, 16);
         let mut got: Vec<Vec<FlowRecord>> = vec![Vec::new(); 4];
         let mut opens = [0u32; 4];
-        sc.scatter_batch(2, &recs, |shard, block, open| {
+        let mut emit = |shard: usize, block: RecordBlock, open: bool| {
             assert!(block.len() <= 16);
             if open {
                 opens[shard] += 1;
             }
             got[shard].extend(block.iter());
-        });
+        };
+        sc.begin(2);
+        sc.push_block(&RecordBlock::from_records(2, &recs), &mut emit);
+        sc.seal(&mut emit);
         let want = p.split(&recs);
         for s in 0..4 {
             assert_eq!(got[s], want[s], "shard {s} order/content diverged");
@@ -502,10 +480,13 @@ mod tests {
         let recs = vec![freq(1, 1, 0, 0)];
         let mut sc = ShardScatter::new(p, 8);
         let mut seen = [false; 4];
-        sc.scatter_batch(0, &recs, |shard, _block, open| {
+        let mut emit = |shard: usize, _block: RecordBlock, open: bool| {
             assert!(open);
             seen[shard] = true;
-        });
+        };
+        sc.begin(0);
+        sc.push_block(&RecordBlock::from_records(0, &recs), &mut emit);
+        sc.seal(&mut emit);
         assert!(seen.iter().all(|&s| s), "every shard must be emitted");
     }
 
@@ -520,7 +501,11 @@ mod tests {
 
         let mut one = ShardScatter::new(p, 16);
         let mut a: Vec<Vec<FlowRecord>> = vec![Vec::new(); 2];
-        one.scatter_batch(1, &recs, |s, b, _| a[s].extend(b.iter()));
+        one.begin(1);
+        one.push_block(&RecordBlock::from_records(1, &recs), |s, b, _| {
+            a[s].extend(b.iter())
+        });
+        one.seal(|s, b, _| a[s].extend(b.iter()));
 
         let mut streaming = ShardScatter::new(p, 16);
         let mut b_out: Vec<Vec<FlowRecord>> = vec![Vec::new(); 2];

@@ -270,12 +270,6 @@ impl WindowFsm {
         self.cr_due
     }
 
-    /// The announced batch size (set by `BatchGenerated` or
-    /// [`WindowFsm::announced`]).
-    pub fn announced_count(&self) -> Option<u32> {
-        self.announced
-    }
-
     /// §8 retransmission rounds applied so far.
     pub fn retransmit_rounds(&self) -> u32 {
         self.retransmit_rounds
@@ -522,15 +516,6 @@ impl WindowEngine {
             .map(|f| f.subwindow())
     }
 
-    /// Sub-windows currently in `phase`, ascending.
-    pub fn in_phase(&self, phase: WindowPhase) -> Vec<u32> {
-        self.windows
-            .values()
-            .filter(|f| f.phase() == phase)
-            .map(|f| f.subwindow())
-            .collect()
-    }
-
     /// Windows that completed their lifecycle (pruned on release).
     pub fn released(&self) -> u64 {
         self.released
@@ -570,7 +555,7 @@ mod tests {
         let mut fsm = WindowFsm::open(0);
         full_switch_side(&mut fsm);
         assert_eq!(fsm.phase(), WindowPhase::Collected);
-        assert_eq!(fsm.announced_count(), Some(10));
+        assert_eq!(fsm.announced, Some(10));
         fsm.apply(WindowEvent::StreamComplete).unwrap();
         fsm.apply(WindowEvent::Acked).unwrap();
         assert_eq!(fsm.phase(), WindowPhase::Released);
@@ -770,14 +755,5 @@ mod tests {
         );
         assert!(ts[1].rejected());
         assert_eq!(ts[1].from, WindowPhase::Released);
-    }
-
-    #[test]
-    fn in_phase_lists_ascending() {
-        let mut engine = WindowEngine::new();
-        for sw in [5u32, 1, 3] {
-            engine.insert(WindowFsm::announced(sw, 1));
-        }
-        assert_eq!(engine.in_phase(WindowPhase::Collected), vec![1, 3, 5]);
     }
 }

@@ -197,7 +197,7 @@ impl ShardPartition {
 
     /// The shard owning `key`, in `[0, shards)`.
     #[inline]
-    pub fn shard_of(&self, key: &FlowKey) -> usize {
+    pub(crate) fn shard_of(&self, key: &FlowKey) -> usize {
         if self.shards == 1 {
             0
         } else {
@@ -211,7 +211,7 @@ impl ShardPartition {
     /// order. This is the block path's router primitive: hashing the
     /// column in one tight pass amortizes the multiply-shift across the
     /// block instead of interleaving it with per-record bookkeeping.
-    pub fn shard_indices(&self, keys: &[FlowKey], out: &mut Vec<u32>) {
+    pub(crate) fn shard_indices(&self, keys: &[FlowKey], out: &mut Vec<u32>) {
         out.clear();
         out.reserve(keys.len());
         if self.shards == 1 {

@@ -178,19 +178,6 @@ impl ReliabilityMetrics {
     }
 }
 
-/// Relative error of a single scalar estimate.
-pub fn relative_error(estimate: f64, truth: f64) -> f64 {
-    if truth == 0.0 {
-        if estimate == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        (estimate - truth).abs() / truth
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,13 +227,6 @@ mod tests {
         let are = average_relative_error(&pairs);
         assert!((are - 0.25).abs() < 1e-12);
         assert_eq!(average_relative_error(&[]), 0.0);
-    }
-
-    #[test]
-    fn relative_error_handles_zero() {
-        assert_eq!(relative_error(0.0, 0.0), 0.0);
-        assert!(relative_error(1.0, 0.0).is_infinite());
-        assert!((relative_error(12.0, 10.0) - 0.2).abs() < 1e-12);
     }
 
     #[test]

@@ -25,21 +25,12 @@ impl TcpFlags {
     pub const FIN: u8 = 0x01;
     /// SYN bit.
     pub const SYN: u8 = 0x02;
-    /// RST bit.
-    pub const RST: u8 = 0x04;
-    /// PSH bit.
-    pub const PSH: u8 = 0x08;
     /// ACK bit.
     pub const ACK: u8 = 0x10;
 
     /// A pure SYN (connection initiation).
     pub const fn syn() -> TcpFlags {
         TcpFlags(Self::SYN)
-    }
-
-    /// A SYN+ACK (connection acceptance).
-    pub const fn syn_ack() -> TcpFlags {
-        TcpFlags(Self::SYN | Self::ACK)
     }
 
     /// A pure ACK.
@@ -57,24 +48,9 @@ impl TcpFlags {
         self.0 & (Self::SYN | Self::ACK) == Self::SYN
     }
 
-    /// Whether the SYN bit is set (regardless of ACK).
-    pub const fn has_syn(self) -> bool {
-        self.0 & Self::SYN != 0
-    }
-
-    /// Whether the ACK bit is set.
-    pub const fn has_ack(self) -> bool {
-        self.0 & Self::ACK != 0
-    }
-
     /// Whether the FIN bit is set.
     pub const fn has_fin(self) -> bool {
         self.0 & Self::FIN != 0
-    }
-
-    /// Whether the RST bit is set.
-    pub const fn has_rst(self) -> bool {
-        self.0 & Self::RST != 0
     }
 }
 
@@ -408,11 +384,9 @@ mod tests {
     #[test]
     fn tcp_flag_predicates() {
         assert!(TcpFlags::syn().is_pure_syn());
-        assert!(!TcpFlags::syn_ack().is_pure_syn());
-        assert!(TcpFlags::syn_ack().has_syn());
+        assert!(!TcpFlags(TcpFlags::SYN | TcpFlags::ACK).is_pure_syn());
         assert!(TcpFlags::fin_ack().has_fin());
-        assert!(TcpFlags::fin_ack().has_ack());
-        assert!(!TcpFlags::ack().has_rst());
+        assert!(!TcpFlags::ack().has_fin());
     }
 
     #[test]

@@ -49,11 +49,6 @@ impl Instant {
         Duration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked signed difference in nanoseconds (`self - other`).
-    pub const fn signed_since(self, other: Instant) -> i64 {
-        self.0 as i64 - other.0 as i64
-    }
-
     /// Advance by `d`, saturating at the end of representable time.
     ///
     /// The `+` operator is unchecked (debug-panics on overflow), which
@@ -215,14 +210,6 @@ mod tests {
         let late = Instant::from_millis(2);
         assert_eq!(early.saturating_since(late), Duration::ZERO);
         assert_eq!(late.saturating_since(early), Duration::from_millis(1));
-    }
-
-    #[test]
-    fn signed_since_is_signed() {
-        let a = Instant::from_micros(10);
-        let b = Instant::from_micros(25);
-        assert_eq!(a.signed_since(b), -15_000);
-        assert_eq!(b.signed_since(a), 15_000);
     }
 
     #[test]

@@ -141,7 +141,10 @@ impl CollectionSession {
     /// bitmap test-and-set per row and a single completion check for the
     /// whole block. Returns `(fresh, duplicates)` counts. A block for
     /// the wrong sub-window is rejected whole.
-    pub fn receive_block(&mut self, block: &RecordBlock) -> Result<(u64, u64), ow_common::OwError> {
+    pub(crate) fn receive_block(
+        &mut self,
+        block: &RecordBlock,
+    ) -> Result<(u64, u64), ow_common::OwError> {
         if block.subwindow() != self.subwindow {
             return Err(ow_common::OwError::Protocol(format!(
                 "AFR block for sub-window {} in session {}",
@@ -224,7 +227,7 @@ impl CollectionSession {
     /// # Panics
     /// Panics if called while AFRs are still missing — callers must
     /// drive retransmission to completion first.
-    pub fn into_block(mut self) -> RecordBlock {
+    pub(crate) fn into_block(mut self) -> RecordBlock {
         assert!(
             self.received() as u32 >= self.announced,
             "session for sub-window {} incomplete: {}/{}",

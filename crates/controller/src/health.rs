@@ -20,26 +20,26 @@ use ow_common::block::DEFAULT_BLOCK_CAPACITY;
 use ow_obs::{Cmp, MetricSelector, Rule, RuleSet, Severity, Signal};
 
 /// Saturation threshold (‰ of capacity) for `OW-HEALTH-201`.
-pub const QUEUE_SATURATION_PERMILLE: u64 = 800;
+pub(crate) const QUEUE_SATURATION_PERMILLE: u64 = 800;
 
 /// Recovery SLO deadline (virtual ns) for the burn-rate rule: normal
 /// lossy recovery lands well under 1ms, switch-OS escalation rounds
 /// (tens of ms of control-plane reads) blow past it.
-pub const RECOVERY_SLO_DEADLINE_NS: u64 = 1_000_000;
+pub(crate) const RECOVERY_SLO_DEADLINE_NS: u64 = 1_000_000;
 
 /// Error budget (‰ of sessions allowed past the deadline) for
 /// `OW-HEALTH-203`.
-pub const RECOVERY_SLO_BUDGET_PERMILLE: u64 = 50;
+pub(crate) const RECOVERY_SLO_BUDGET_PERMILLE: u64 = 50;
 
 /// Escalation-storm threshold (‰ of sessions escalating to switch-OS
 /// reads) for the critical `OW-HEALTH-204`.
-pub const ESCALATION_STORM_PERMILLE: u64 = 50;
+pub(crate) const ESCALATION_STORM_PERMILLE: u64 = 50;
 
 /// Retransmit-storm threshold (‰ of announced AFRs recovered through
 /// the §8 retransmission loop) for `OW-HEALTH-205`: the loop holds
 /// this near the loss rate, so 150‰ separates heavy loss (30%) from
 /// the 10% steady state.
-pub const CR_RETRANSMIT_STORM_PERMILLE: u64 = 150;
+pub(crate) const CR_RETRANSMIT_STORM_PERMILLE: u64 = 150;
 
 /// The controller rule catalog (`OW-HEALTH-2xx`) for a controller
 /// spawned with `queue_depth` — the depth its caller hands

@@ -38,7 +38,7 @@ pub mod wire;
 pub use collector::{CollectionSession, SessionStatus};
 pub use live::{LiveController, LiveHandle, ReliableLiveController, ReliableMsg};
 pub use rdma::{RdmaRegion, RdmaWriteKind};
-pub use reliability::{AfrTransport, FnTransport, ReliabilityDriver, RetryPolicy, SessionOutcome};
+pub use reliability::{AfrTransport, ReliabilityDriver, RetryPolicy, SessionOutcome};
 pub use table::MergeTable;
 pub use timing::{InstrumentedController, OpBreakdown};
 pub use wire::{decode_batch, decode_merged, encode_batch, encode_merged};

@@ -33,7 +33,6 @@ use parking_lot::RwLock;
 use ow_common::afr::{AttrValue, FlowRecord};
 use ow_common::block::RecordBlock;
 use ow_common::flowkey::FlowKey;
-use ow_common::hash::ShardPartition;
 use ow_common::metrics::ReliabilityMetrics;
 use ow_common::time::Duration;
 use ow_obs::{Counter, Obs};
@@ -48,7 +47,6 @@ use crate::table::MergeTable;
 #[derive(Debug, Clone)]
 pub struct LiveHandle {
     pub(crate) tables: Vec<Arc<RwLock<MergeTable>>>,
-    pub(crate) partition: ShardPartition,
     pub(crate) dropped: Arc<AtomicU64>,
     /// `ow_controller_backpressure_dropped_total`.
     pub(crate) drop_counter: Counter,
@@ -86,11 +84,6 @@ impl LiveHandle {
     /// Flows currently merged (key slices are disjoint: a plain sum).
     pub fn merged_flows(&self) -> usize {
         self.tables.iter().map(|t| t.read().len()).sum()
-    }
-
-    /// The merged statistic for one flow, served by its owning shard.
-    pub fn merged_value(&self, key: &FlowKey) -> Option<AttrValue> {
-        self.tables[self.partition.shard_of(key)].read().get(key)
     }
 
     /// The sub-windows currently contributing to the table. Every shard
@@ -239,10 +232,10 @@ pub enum ReliableMsg {
 
 /// Controller→switch retransmission back-channel: `(subwindow, missing
 /// seq ids) → replayed AFRs` (empty when request or replies were lost).
-pub type RetransmitFn = Box<dyn FnMut(u32, &[u32]) -> Vec<FlowRecord> + Send>;
+pub(crate) type RetransmitFn = Box<dyn FnMut(u32, &[u32]) -> Vec<FlowRecord> + Send>;
 
 /// The OS-path escalation: `subwindow → (full batch, charged latency)`.
-pub type OsReadFn = Box<dyn FnMut(u32) -> (Vec<FlowRecord>, Duration) + Send>;
+pub(crate) type OsReadFn = Box<dyn FnMut(u32) -> (Vec<FlowRecord>, Duration) + Send>;
 
 /// A [`LiveController`] variant that tolerates AFR loss: per-sub-window
 /// [`CollectionSession`](crate::CollectionSession)s check completeness
@@ -464,13 +457,11 @@ mod tests {
                 reference,
                 "{shards} shards diverged from the single-table fold"
             );
-            for i in 0..40u32 {
-                let k = FlowKey::src_ip(i);
-                assert_eq!(
-                    h.merged_value(&k),
-                    Some(AttrValue::Frequency(7 * (4 + 5 + 6)))
-                );
-            }
+            let snap = h.snapshot();
+            assert_eq!(snap.len(), 40);
+            assert!(snap
+                .iter()
+                .all(|(_, v)| *v == AttrValue::Frequency(7 * (4 + 5 + 6))));
         }
     }
 
@@ -487,9 +478,13 @@ mod tests {
         // Despite the losses both sub-windows merged complete: every
         // flow's two-sub-window sum is exact.
         assert_eq!(handle.merged_flows(), 10);
+        let snap = handle.snapshot();
         for seq in 0..10u32 {
-            let merged = handle.merged_value(&FlowKey::src_ip(seq + 1));
-            assert_eq!(merged, Some(AttrValue::Frequency(2 * (seq as u64 + 1))));
+            let merged = snap.iter().find(|(k, _)| *k == FlowKey::src_ip(seq + 1));
+            assert_eq!(
+                merged.map(|(_, v)| *v),
+                Some(AttrValue::Frequency(2 * (seq as u64 + 1)))
+            );
         }
         assert_eq!(metrics.announced, 20);
         assert_eq!(metrics.first_pass, 12);

@@ -8,7 +8,7 @@
 //! * the controller owns a region: a slot array for hot keys (grouped by
 //!   key, one slot per key) and an append buffer for cold keys;
 //! * the controller installs hot keys' slot addresses into the switch's
-//!   *address MAT* and monitors hotness, promoting/demoting keys;
+//!   *address MAT*, promoting/demoting keys;
 //! * the switch-side writer matches a key in the address MAT — hit →
 //!   `WRITE`/`Fetch-and-Add` straight into the slot; miss → append the
 //!   whole AFR to the buffer;
@@ -43,8 +43,6 @@ pub struct RdmaRegion {
     addr_mat: HashMap<FlowKey, usize>,
     /// Cold-key append buffer (drained by the controller CPU).
     buffer: Vec<FlowRecord>,
-    /// Per-key write counts for hotness monitoring.
-    hotness: HashMap<FlowKey, u32>,
     /// Verb counters for accounting.
     pub writes: u64,
     /// Fetch-and-Add count.
@@ -78,16 +76,10 @@ impl RdmaRegion {
         })
     }
 
-    /// Whether the switch's address MAT currently matches `key`.
-    pub fn is_hot(&self, key: &FlowKey) -> bool {
-        self.addr_mat.contains_key(key)
-    }
-
     /// The switch-side write path for one AFR: address-MAT hit uses
     /// Fetch-and-Add (frequency) or WRITE (other patterns); miss appends
     /// to the cold buffer. Returns which verb was used.
     pub fn switch_write(&mut self, rec: FlowRecord) -> RdmaWriteKind {
-        *self.hotness.entry(rec.key).or_insert(0) += 1;
         match self.addr_mat.get(&rec.key) {
             Some(&idx) => match rec.attr {
                 AttrValue::Frequency(v) => {
@@ -122,36 +114,6 @@ impl RdmaRegion {
     /// work under the RDMA optimisation).
     pub fn drain_buffer(&mut self) -> Vec<FlowRecord> {
         std::mem::take(&mut self.buffer)
-    }
-
-    /// Hotness pass: promote keys with ≥ `threshold` writes since the
-    /// last pass, demote hot keys that went quiet. Returns
-    /// `(promoted, demoted)` — the notification the controller sends to
-    /// the switch's address MAT.
-    pub fn rebalance(&mut self, threshold: u32) -> (Vec<FlowKey>, Vec<FlowKey>) {
-        let mut promoted = Vec::new();
-        let mut demoted = Vec::new();
-        let hot_now: Vec<FlowKey> = self.addr_mat.keys().copied().collect();
-        for key in hot_now {
-            if self.hotness.get(&key).copied().unwrap_or(0) == 0 {
-                self.demote(&key);
-                demoted.push(key);
-            }
-        }
-        let candidates: Vec<FlowKey> = self
-            .hotness
-            .iter()
-            .filter(|(k, &n)| n >= threshold && !self.addr_mat.contains_key(*k))
-            .map(|(k, _)| *k)
-            .collect();
-        for key in candidates {
-            self.promote(key);
-            promoted.push(key);
-        }
-        self.hotness.clear();
-        promoted.sort_by_key(|k| k.as_u128());
-        demoted.sort_by_key(|k| k.as_u128());
-        (promoted, demoted)
     }
 }
 
@@ -205,24 +167,9 @@ mod tests {
         r.promote(key(1));
         r.switch_write(freq(1, 25, 0));
         assert_eq!(r.demote(&key(1)), Some(25));
-        assert!(!r.is_hot(&key(1)));
+        assert_eq!(r.hot_value(&key(1)), None);
         // Next write for the key is cold.
         assert_eq!(r.switch_write(freq(1, 1, 1)), RdmaWriteKind::BufferAppend);
-    }
-
-    #[test]
-    fn rebalance_promotes_busy_and_demotes_quiet() {
-        let mut r = RdmaRegion::new();
-        r.promote(key(1)); // will go quiet
-        for _ in 0..5 {
-            r.switch_write(freq(2, 1, 0)); // busy cold key
-        }
-        let (promoted, demoted) = r.rebalance(3);
-        assert_eq!(promoted, vec![key(2)]);
-        // key(1) had zero writes this epoch → demoted.
-        assert_eq!(demoted, vec![key(1)]);
-        assert!(!r.is_hot(&key(1)));
-        assert!(r.is_hot(&key(2)));
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub trait AfrTransport {
 /// [`AfrTransport`] assembled from closures (no initial stream — for
 /// callers that already fed the first pass in, like the live
 /// controller).
-pub struct FnTransport<R, O>
+pub(crate) struct FnTransport<R, O>
 where
     R: FnMut(u32, &[u32]) -> Vec<FlowRecord>,
     O: FnMut(u32) -> (Vec<FlowRecord>, Duration),
@@ -176,7 +176,7 @@ impl ReliabilityDriver {
     /// rounds with bounded exponential backoff, then OS-path escalation.
     /// Returns whether escalation happened. Waited timeouts and charged
     /// OS latency accumulate into `metrics.wall_clock`.
-    pub fn complete_session<T: AfrTransport>(
+    pub(crate) fn complete_session<T: AfrTransport>(
         &self,
         session: &mut CollectionSession,
         metrics: &mut ReliabilityMetrics,

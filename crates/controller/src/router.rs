@@ -215,7 +215,6 @@ impl Router {
         let pool = ShardPool::spawn(shards, queue_depth, obs);
         let handle = LiveHandle {
             tables: pool.tables.clone(),
-            partition: pool.partition,
             dropped: Arc::default(),
             drop_counter: obs.counter("ow_controller_backpressure_dropped_total", &[]),
         };

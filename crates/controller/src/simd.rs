@@ -24,14 +24,6 @@ fn add_one(a: u64, b: u64) -> u64 {
     a.wrapping_add(b)
 }
 
-/// Element-wise `dst[i] += src[i]` — vectorisable implementation.
-pub fn sum_vectorized(dst: &mut [u64], src: &[u64]) {
-    assert_eq!(dst.len(), src.len(), "length mismatch");
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
-        *d = d.wrapping_add(*s);
-    }
-}
-
 /// Element-wise `dst[i] = max(dst[i], src[i])` — scalar reference.
 pub fn max_scalar(dst: &mut [u64], src: &[u64]) {
     assert_eq!(dst.len(), src.len(), "length mismatch");
@@ -50,7 +42,7 @@ fn max_one(a: u64, b: u64) -> u64 {
 }
 
 /// Element-wise max — vectorisable implementation.
-pub fn max_vectorized(dst: &mut [u64], src: &[u64]) {
+pub(crate) fn max_vectorized(dst: &mut [u64], src: &[u64]) {
     assert_eq!(dst.len(), src.len(), "length mismatch");
     for (d, s) in dst.iter_mut().zip(src.iter()) {
         *d = (*d).max(*s);
@@ -59,7 +51,7 @@ pub fn max_vectorized(dst: &mut [u64], src: &[u64]) {
 
 /// Element-wise min — vectorisable implementation (completes the
 /// max/min pattern pair; the paper's figure shows sum and max).
-pub fn min_vectorized(dst: &mut [u64], src: &[u64]) {
+pub(crate) fn min_vectorized(dst: &mut [u64], src: &[u64]) {
     assert_eq!(dst.len(), src.len(), "length mismatch");
     for (d, s) in dst.iter_mut().zip(src.iter()) {
         *d = (*d).min(*s);
@@ -91,7 +83,7 @@ pub fn max_vectorized_u32(dst: &mut [u32], src: &[u32]) {
 /// so the block-fold path needs a saturating lane kernel. Written as
 /// compare-and-select over the wrapped sum, which LLVM turns into
 /// vector `cmp` + `blend` — no branch in the loop body.
-pub fn sum_saturating_vectorized(dst: &mut [u64], src: &[u64]) {
+pub(crate) fn sum_saturating_vectorized(dst: &mut [u64], src: &[u64]) {
     assert_eq!(dst.len(), src.len(), "length mismatch");
     for (d, s) in dst.iter_mut().zip(src.iter()) {
         let sum = d.wrapping_add(*s);
@@ -194,7 +186,7 @@ mod tests {
         let mut d1 = a.clone();
         let mut d2 = a.clone();
         sum_scalar(&mut d1, &b);
-        sum_vectorized(&mut d2, &b);
+        sum_saturating_vectorized(&mut d2, &b);
         assert_eq!(d1, d2);
         assert_eq!(d1[10], a[10] + b[10]);
     }
@@ -219,7 +211,7 @@ mod tests {
     #[test]
     fn sum_wraps_instead_of_panicking() {
         let mut d = vec![u64::MAX];
-        sum_vectorized(&mut d, &[2]);
+        sum_scalar(&mut d, &[2]);
         assert_eq!(d, vec![1]);
     }
 
@@ -227,7 +219,7 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn length_mismatch_panics() {
         let mut d = vec![1, 2];
-        sum_vectorized(&mut d, &[1]);
+        sum_scalar(&mut d, &[1]);
     }
 
     #[test]

@@ -68,8 +68,6 @@ pub struct InstrumentedController {
     mode: WindowMode,
     threshold: f64,
     table: MergeTable,
-    /// Per-sub-window breakdowns.
-    breakdowns: Vec<OpBreakdown>,
     /// Reported flow sets, one per completed window.
     reports: Vec<Vec<FlowKey>>,
 }
@@ -82,7 +80,6 @@ impl InstrumentedController {
             mode,
             threshold,
             table: MergeTable::new(),
-            breakdowns: Vec::new(),
             reports: Vec::new(),
         }
     }
@@ -122,13 +119,7 @@ impl InstrumentedController {
             }
         }
 
-        self.breakdowns.push(bd);
         bd
-    }
-
-    /// All per-sub-window breakdowns so far.
-    pub fn breakdowns(&self) -> &[OpBreakdown] {
-        &self.breakdowns
     }
 
     /// Reported flow sets, one per completed window.
@@ -220,12 +211,12 @@ mod tests {
     #[test]
     fn breakdowns_recorded_per_subwindow() {
         let mut c = InstrumentedController::new(WindowMode::Sliding { subwindows: 2 }, 5.0);
-        for sw in 0..4 {
-            c.ingest(sw, &batch(sw, 0..100, 1));
-        }
-        assert_eq!(c.breakdowns().len(), 4);
+        let breakdowns: Vec<OpBreakdown> = (0..4)
+            .map(|sw| c.ingest(sw, &batch(sw, 0..100, 1)))
+            .collect();
+        assert_eq!(breakdowns[2].subwindow, 2);
         // O5 only fires once the window is full.
-        assert_eq!(c.breakdowns()[0].o5_evict, Duration::ZERO);
-        assert!(c.breakdowns()[3].total() > Duration::ZERO);
+        assert_eq!(breakdowns[0].o5_evict, Duration::ZERO);
+        assert!(breakdowns[3].total() > Duration::ZERO);
     }
 }

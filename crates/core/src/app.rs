@@ -215,7 +215,7 @@ impl WindowApp for QueryApp {
 // ---------------------------------------------------------------------
 
 /// Uniform memory-budgeted constructor over the frequency sketches.
-pub trait SketchFactory: Sized {
+pub(crate) trait SketchFactory: Sized {
     /// Build an instance with `rows` rows within `total_bytes`.
     fn build(rows: usize, total_bytes: usize, seed: u64) -> Self;
 }
@@ -350,7 +350,7 @@ where
 
 /// Per-flow size estimation (bytes per five-tuple).
 #[derive(Debug, Clone, Copy)]
-pub struct SizeApp<S> {
+pub(crate) struct SizeApp<S> {
     rows: usize,
     /// Report threshold in bytes (heavy flows by volume); size accuracy
     /// itself is scored by ARE over probe keys.
@@ -360,7 +360,7 @@ pub struct SizeApp<S> {
 
 impl SizeApp<CountMin> {
     /// Count-Min size app (paper depth 4).
-    pub fn count_min(threshold: u64) -> Self {
+    pub(crate) fn count_min(threshold: u64) -> Self {
         SizeApp {
             rows: 4,
             threshold,
@@ -432,7 +432,7 @@ where
 /// Super-spreader detection with SpreadSketch (distinct destinations per
 /// source).
 #[derive(Debug, Clone, Copy)]
-pub struct SpreadApp {
+pub(crate) struct SpreadApp {
     rows: usize,
     threshold: u64,
 }
@@ -496,7 +496,7 @@ impl WindowApp for SpreadApp {
 
 /// Super-spreader detection with the Vector Bloom Filter.
 #[derive(Debug, Clone, Copy)]
-pub struct VbfApp {
+pub(crate) struct VbfApp {
     threshold: u64,
 }
 

@@ -19,7 +19,7 @@ use crate::mechanisms::Mode;
 
 /// Which estimator backs the cardinality pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Estimator {
+pub(crate) enum Estimator {
     /// Linear Counting with the given bitmap bits per instance.
     LinearCounting {
         /// Bits per (sub-)window instance.
@@ -69,7 +69,7 @@ impl State {
 }
 
 /// Exact per-window flow cardinalities (the ideal baseline).
-pub fn ideal_cardinality(trace: &Trace, cfg: &WindowConfig, mode: Mode) -> Vec<f64> {
+pub(crate) fn ideal_cardinality(trace: &Trace, cfg: &WindowConfig, mode: Mode) -> Vec<f64> {
     let n_sub = cfg.subwindows_in(trace.duration);
     let mut subs: Vec<HashSet<FlowKey>> = vec![HashSet::new(); n_sub];
     for pkt in trace.iter() {
@@ -92,7 +92,7 @@ pub fn ideal_cardinality(trace: &Trace, cfg: &WindowConfig, mode: Mode) -> Vec<f
 
 /// OmniWindow cardinality: one estimator instance per sub-window (each
 /// sized to the sub-window budget), state-merged per window position.
-pub fn omniwindow_cardinality(
+pub(crate) fn omniwindow_cardinality(
     trace: &Trace,
     cfg: &WindowConfig,
     mode: Mode,
@@ -122,7 +122,7 @@ pub fn omniwindow_cardinality(
 /// Conventional tumbling-window cardinality with one full-window
 /// instance; `blackout` models the TW1 hazard (traffic during the C&R
 /// at each window start after the first is not inserted).
-pub fn conventional_cardinality(
+pub(crate) fn conventional_cardinality(
     trace: &Trace,
     cfg: &WindowConfig,
     est: Estimator,
@@ -167,7 +167,7 @@ pub fn conventional_cardinality(
 /// Sliding-Sketch-style sliding cardinality: two half-size instances,
 /// rotation per tumbling window, estimate = merge of both — includes up
 /// to a full extra window of traffic (the over-inclusion error).
-pub fn sliding_sketch_cardinality(
+pub(crate) fn sliding_sketch_cardinality(
     trace: &Trace,
     cfg: &WindowConfig,
     est: Estimator,

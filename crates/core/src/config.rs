@@ -81,30 +81,13 @@ impl WindowConfig {
     }
 
     /// The global sub-window index a timestamp falls into.
-    pub fn subwindow_of(&self, ts: ow_common::time::Instant) -> u32 {
+    pub(crate) fn subwindow_of(&self, ts: ow_common::time::Instant) -> u32 {
         (ts.as_nanos() / self.subwindow.as_nanos()) as u32
     }
 
     /// Number of complete sub-windows in a trace of `duration`.
-    pub fn subwindows_in(&self, duration: Duration) -> usize {
+    pub(crate) fn subwindows_in(&self, duration: Duration) -> usize {
         (duration.as_nanos() / self.subwindow.as_nanos()) as usize
-    }
-
-    /// Number of complete *tumbling* windows in a trace of `duration`.
-    pub fn tumbling_windows_in(&self, duration: Duration) -> usize {
-        (duration.as_nanos() / self.window.as_nanos()) as usize
-    }
-
-    /// Number of *sliding* window positions in a trace of `duration`
-    /// (every slide step whose full window fits in the trace).
-    pub fn sliding_positions_in(&self, duration: Duration) -> usize {
-        let dur = duration.as_nanos();
-        let win = self.window.as_nanos();
-        if dur < win {
-            0
-        } else {
-            ((dur - win) / self.slide.as_nanos() + 1) as usize
-        }
     }
 }
 
@@ -143,16 +126,6 @@ mod tests {
     fn window_counts() {
         let c = WindowConfig::paper_default();
         let dur = Duration::from_millis(2_000);
-        assert_eq!(c.tumbling_windows_in(dur), 4);
         assert_eq!(c.subwindows_in(dur), 20);
-        // Sliding positions: starts at 0,100,…,1500 → 16.
-        assert_eq!(c.sliding_positions_in(dur), 16);
-    }
-
-    #[test]
-    fn sliding_positions_in_short_trace() {
-        let c = WindowConfig::paper_default();
-        assert_eq!(c.sliding_positions_in(Duration::from_millis(400)), 0);
-        assert_eq!(c.sliding_positions_in(Duration::from_millis(500)), 1);
     }
 }

@@ -63,7 +63,10 @@ pub fn score_estimates(mechanism: &[WindowResult], reference: &[WindowResult]) -
 /// position, so ITW's united detections are a subset of ISW's — its
 /// union precision is 1.0 and its union recall measures exactly the
 /// anomalies that only a sliding window can catch (Figure 1).
-pub fn union_score(mechanism: &[WindowResult], reference: &[WindowResult]) -> PrecisionRecall {
+pub(crate) fn union_score(
+    mechanism: &[WindowResult],
+    reference: &[WindowResult],
+) -> PrecisionRecall {
     let mech: std::collections::HashSet<_> = mechanism
         .iter()
         .flat_map(|w| w.reported.iter().copied())

@@ -49,7 +49,7 @@ impl Scale {
     /// Memory for one original window's sketch state (scaled stand-in
     /// for the paper's 8 MB: the trace carries fewer flows, and accuracy
     /// depends on the cells-per-flow ratio, which this preserves).
-    pub fn window_memory(self) -> usize {
+    pub(crate) fn window_memory(self) -> usize {
         match self {
             Scale::Tiny => 96 * 1024,
             Scale::Small => 256 * 1024,
@@ -60,7 +60,7 @@ impl Scale {
     /// Register slots for one original window's Sonata query state
     /// (sized a few× the expected key count, as deployed Sonata states
     /// are; sub-windows get 1/4 of this).
-    pub fn query_slots(self) -> usize {
+    pub(crate) fn query_slots(self) -> usize {
         match self {
             Scale::Tiny => 6 * 1024,
             Scale::Small => 16 * 1024,
@@ -70,7 +70,7 @@ impl Scale {
 
     /// Memory per sub-window: the paper allocates 1/4 of the window
     /// memory (not 1/5) because traffic is non-uniform.
-    pub fn subwindow_memory(self) -> usize {
+    pub(crate) fn subwindow_memory(self) -> usize {
         self.window_memory() / 4
     }
 
@@ -99,7 +99,7 @@ pub struct MechScore {
 /// of every attack Table 1's queries detect, staggered so that some land
 /// inside windows and some straddle window boundaries (the Figure-1
 /// pathology that separates tumbling from sliding windows).
-pub fn evaluation_anomalies(duration: Duration) -> Vec<Anomaly> {
+pub(crate) fn evaluation_anomalies(duration: Duration) -> Vec<Anomaly> {
     let ms = Duration::from_millis;
     let dur_ms = duration.as_nanos() / 1_000_000;
     let mut anomalies = Vec::new();
@@ -149,14 +149,14 @@ pub fn evaluation_anomalies(duration: Duration) -> Vec<Anomaly> {
 
 /// Build the shared evaluation trace: CAIDA-like background plus the
 /// full anomaly set.
-pub fn evaluation_trace(scale: Scale, seed: u64) -> Trace {
+pub(crate) fn evaluation_trace(scale: Scale, seed: u64) -> Trace {
     evaluation_trace_stretched(scale, seed, 1)
 }
 
 /// [`evaluation_trace`] with the duration (and packet/anomaly budget)
 /// multiplied — Exp#10 sweeps windows up to 2 s and needs several
 /// complete windows of the largest size.
-pub fn evaluation_trace_stretched(scale: Scale, seed: u64, stretch: u32) -> Trace {
+pub(crate) fn evaluation_trace_stretched(scale: Scale, seed: u64, stretch: u32) -> Trace {
     let duration = scale.duration() * stretch as u64;
     TraceBuilder::new(TraceConfig {
         duration,

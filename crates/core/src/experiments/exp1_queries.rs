@@ -36,7 +36,7 @@ pub struct Exp1Result {
 /// TW1's blackout: the switch-OS C&R time for the query state, during
 /// which the single memory region cannot measure. 60 ms ≈ the OS reading
 /// + clearing a Sonata-scale register array via PCIe.
-pub const TW1_BLACKOUT: Duration = Duration::from_millis(60);
+pub(crate) const TW1_BLACKOUT: Duration = Duration::from_millis(60);
 
 /// Run Exp#1.
 pub fn run(scale: Scale, seed: u64) -> Exp1Result {

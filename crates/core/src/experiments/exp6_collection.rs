@@ -43,11 +43,11 @@ pub struct Exp6Result {
 }
 
 /// Keys in the sub-window (paper: 64 K).
-pub const TOTAL_KEYS: usize = 64 * 1024;
+pub(crate) const TOTAL_KEYS: usize = 64 * 1024;
 /// Keys cached in the data-plane flowkey array for the hybrid (32 K).
-pub const CACHED_KEYS: usize = 32 * 1024;
+pub(crate) const CACHED_KEYS: usize = 32 * 1024;
 /// Count-Min state array size (128 KB of 4-byte counters per array).
-pub const ARRAY_BYTES: usize = 128 * 1024;
+pub(crate) const ARRAY_BYTES: usize = 128 * 1024;
 
 fn build_state(
     hashes: usize,

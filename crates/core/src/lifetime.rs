@@ -60,11 +60,6 @@ impl LifetimeInspector {
         }
     }
 
-    /// Release sub-windows older than `keep_from` (bounded retention).
-    pub fn release_before(&mut self, keep_from: u32) {
-        self.batches.retain(|sw, _| *sw >= keep_from);
-    }
-
     /// Retained sub-windows, sorted.
     pub fn subwindows(&self) -> Vec<u32> {
         let mut v: Vec<u32> = self.batches.keys().copied().collect();
@@ -146,19 +141,6 @@ mod tests {
     fn absent_flow_is_none() {
         let li = LifetimeInspector::new();
         assert!(li.lifetime(&FlowKey::src_ip(9)).is_none());
-    }
-
-    #[test]
-    fn bounded_retention_releases_history() {
-        let mut li = LifetimeInspector::new();
-        for sw in 0..10u32 {
-            li.insert_batch(sw, [rec(1, sw, 1)]);
-        }
-        li.release_before(6);
-        assert_eq!(li.subwindows(), vec![6, 7, 8, 9]);
-        let l = li.lifetime(&FlowKey::src_ip(1)).unwrap();
-        assert_eq!(l.first_subwindow, 6);
-        assert_eq!(l.merged, AttrValue::Frequency(4));
     }
 
     #[test]

@@ -368,7 +368,7 @@ fn report_table<A: WindowApp>(
 /// one absorbs traffic, both answer queries, rotation happens at
 /// tumbling boundaries. Queries therefore reflect one-to-two windows of
 /// traffic — the over-inclusion the paper measures.
-pub fn run_sliding_sketch<A: WindowApp>(
+pub(crate) fn run_sliding_sketch<A: WindowApp>(
     app: &A,
     trace: &Trace,
     cfg: &WindowConfig,

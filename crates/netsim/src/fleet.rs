@@ -59,17 +59,17 @@ const LOCAL_BITS: u32 = 8;
 const FLEET_BLOCK_CAPACITY: usize = 256;
 
 /// AFRs per per-switch sub-window batch.
-pub const RECORDS_PER_WINDOW: u32 = 24;
+pub(crate) const RECORDS_PER_WINDOW: u32 = 24;
 
 /// Flow-key population the synthetic batches draw from (keys are
 /// shared fleet-wide, so merges overlap across switches).
-pub const POPULATION: u32 = 64;
+pub(crate) const POPULATION: u32 = 64;
 
 /// Virtual length of one sub-window period.
-pub const SUBWINDOW_LEN: Duration = Duration::from_millis(1);
+pub(crate) const SUBWINDOW_LEN: Duration = Duration::from_millis(1);
 
 /// Switches per rack (the correlated failure domain).
-pub const RACK_SIZE: u32 = 8;
+pub(crate) const RACK_SIZE: u32 = 8;
 
 /// Channel and shard-queue depth of every worker's controller; callers
 /// judging a fleet run with the controller health catalog pass it this.
@@ -90,7 +90,7 @@ const WORKLOAD_SALT: u64 = 0x6f77_776f_726b_6c64;
 ///
 /// # Panics
 /// Panics when `local` ≥ 2⁸ or `switch` ≥ 2²⁴ (the packing bounds).
-pub fn global_subwindow(switch: u32, local: u32) -> u32 {
+pub(crate) fn global_subwindow(switch: u32, local: u32) -> u32 {
     assert!(
         local < (1 << LOCAL_BITS),
         "local window {local} out of range"
@@ -102,18 +102,13 @@ pub fn global_subwindow(switch: u32, local: u32) -> u32 {
     (switch << LOCAL_BITS) | local
 }
 
-/// The switch that owns a fleet-global sub-window id.
-pub fn subwindow_switch(global: u32) -> u32 {
-    global >> LOCAL_BITS
-}
-
 /// Rendezvous (highest-random-weight) assignment of a switch to one of
 /// `workers` controller workers: deterministic, uniform, and minimally
 /// disruptive when the worker count changes.
 ///
 /// # Panics
 /// Panics when `workers` is zero.
-pub fn worker_of(switch: u32, workers: usize) -> usize {
+pub(crate) fn worker_of(switch: u32, workers: usize) -> usize {
     assert!(workers > 0, "a fleet needs at least one worker");
     (0..workers)
         .max_by_key(|&w| mix64(ASSIGN_SALT ^ ((switch as u64) << 32) ^ w as u64))
@@ -269,7 +264,7 @@ impl FleetConfig {
     /// the announced records are its recovered heavy-hitter candidates
     /// with their estimated counts. Quality signals (occupancy,
     /// collisions, evictions) are published through `sketch_obs`.
-    pub fn announced_batch(
+    pub(crate) fn announced_batch(
         &self,
         exact: &[FlowRecord],
         global: u32,
@@ -711,7 +706,7 @@ pub fn run(cfg: &FleetConfig, obs: &Obs) -> FleetReport {
 /// Rack-degradation threshold (‰ of offered AFRs dropped) for
 /// `OW-HEALTH-302`: comfortably above the 30% heavy-loss steady state,
 /// comfortably below a bursting rack's drop rate.
-pub const RACK_DEGRADED_PERMILLE: u64 = 500;
+pub(crate) const RACK_DEGRADED_PERMILLE: u64 = 500;
 
 /// The fleet rule catalog (`OW-HEALTH-3xx`) for runs driven through
 /// [`run`]. Evaluated at the post-drain settle tick, so every signal
@@ -795,7 +790,9 @@ mod tests {
     fn global_subwindow_round_trips() {
         for switch in [0u32, 1, 511, (1 << 23) - 1] {
             for local in [0u32, 1, 255] {
-                assert_eq!(subwindow_switch(global_subwindow(switch, local)), switch);
+                let global = global_subwindow(switch, local);
+                assert_eq!(global >> LOCAL_BITS, switch);
+                assert_eq!(global & ((1 << LOCAL_BITS) - 1), local);
             }
         }
     }

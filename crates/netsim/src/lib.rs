@@ -30,9 +30,6 @@ pub mod sim;
 pub mod sketchobs;
 
 pub use fault::{ClassProfile, ClassStats, FaultConfig, FaultStats, LossyChannel, PacketClass};
-pub use fleet::{
-    fleet_health_rules, global_subwindow, subwindow_switch, worker_of, ChurnEvent, ChurnKind,
-    FleetConfig, FleetReport, RackBurst,
-};
+pub use fleet::{fleet_health_rules, ChurnEvent, ChurnKind, FleetConfig, FleetReport, RackBurst};
 pub use lossradar::{LossRadarMeter, WindowAssign};
 pub use sim::{Link, NetSim, NodeConfig};

@@ -103,7 +103,7 @@ impl LossRadarMeter {
     }
 
     /// Take (remove) the digest of one sub-window.
-    pub fn take_digest(&mut self, sw: u32) -> Option<RawIblt> {
+    pub(crate) fn take_digest(&mut self, sw: u32) -> Option<RawIblt> {
         self.digests.remove(&sw)
     }
 }

@@ -104,13 +104,6 @@ impl NetSim {
         }
     }
 
-    /// Local time at `node` for a given global time.
-    pub fn local_time(&self, node: usize, global: Instant) -> Instant {
-        let offset = self.nodes[node].clock_offset_ns;
-        let ns = global.as_nanos() as i64 + offset;
-        Instant::from_nanos(ns.max(0) as u64)
-    }
-
     /// Packets dropped so far (ground truth).
     pub fn drops(&self) -> &[DropRecord] {
         &self.drops

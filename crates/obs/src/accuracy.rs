@@ -64,23 +64,23 @@ use crate::registry::{Counter, Gauge, Histogram, MetricsRegistry};
 /// recall SLO (the `OW-HEALTH-401` deadline). 64‰ keeps the log2
 /// histogram bucket boundaries clean: a window with recall ≤ 936‰
 /// records an error value whose bucket lies entirely past the deadline.
-pub const RECALL_SLO_ERROR_PERMILLE: u64 = 64;
+pub(crate) const RECALL_SLO_ERROR_PERMILLE: u64 = 64;
 
 /// Error budget for `OW-HEALTH-401`: the allowed fraction of windows
 /// (‰) that may violate the recall SLO before the burn rate exceeds 1×.
-pub const RECALL_SLO_BUDGET_PERMILLE: u64 = 100;
+pub(crate) const RECALL_SLO_BUDGET_PERMILLE: u64 = 100;
 
 /// Sketch occupancy (‰) above which `OW-HEALTH-402` flags saturation.
-pub const SKETCH_SATURATION_PERMILLE: u64 = 900;
+pub(crate) const SKETCH_SATURATION_PERMILLE: u64 = 900;
 
 /// Merged/oracle distinct-key ratio (‰) below which `OW-HEALTH-403`
 /// flags cardinality drift (the merged answer is missing keys the
 /// oracle saw).
-pub const CARDINALITY_DRIFT_PERMILLE: u64 = 900;
+pub(crate) const CARDINALITY_DRIFT_PERMILLE: u64 = 900;
 
 /// Live recall (‰) below which `OW-HEALTH-404` declares accuracy
 /// collapse — critical, freezing the flight recorder.
-pub const ACCURACY_COLLAPSE_PERMILLE: u64 = 500;
+pub(crate) const ACCURACY_COLLAPSE_PERMILLE: u64 = 500;
 
 /// Configuration of the live accuracy query being scored.
 #[derive(Debug, Clone)]

@@ -244,7 +244,7 @@ impl FlightRecorder {
     }
 
     /// Whether a freeze already happened.
-    pub fn is_frozen(&self) -> bool {
+    pub(crate) fn is_frozen(&self) -> bool {
         self.frozen.is_some()
     }
 

@@ -50,7 +50,7 @@ use crate::{Counter, Gauge};
 pub const FSM_REJECT_CODE: &str = "OW-HEALTH-001";
 
 /// Check an alert code against the stable scheme `OW-HEALTH-<3 digits>`.
-pub fn valid_code(code: &str) -> bool {
+pub(crate) fn valid_code(code: &str) -> bool {
     code.len() == 13
         && code.starts_with("OW-HEALTH-")
         && code[10..].chars().all(|c| c.is_ascii_digit())
@@ -69,7 +69,7 @@ pub enum Severity {
 
 impl Severity {
     /// Health-score penalty while a rule of this severity is active.
-    pub fn penalty(self) -> u64 {
+    pub(crate) fn penalty(self) -> u64 {
         match self {
             Severity::Info => 0,
             Severity::Warning => 250,
@@ -601,7 +601,7 @@ impl HealthEngine {
     /// freezes the flight recorder. Called from the engine-transition
     /// sink, so any invariant rejection anywhere in the system becomes
     /// a post-mortem.
-    pub fn fsm_invariant_rejected(&self, side: &str, subwindow: u32, detail: &str) {
+    pub(crate) fn fsm_invariant_rejected(&self, side: &str, subwindow: u32, detail: &str) {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
         let at_ns = inner.last_at_ns.unwrap_or(0);

@@ -18,7 +18,7 @@ use serde::Serialize;
 use ow_common::time::Instant;
 
 /// Default ring capacity (events retained in memory).
-pub const DEFAULT_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_CAPACITY: usize = 4096;
 
 /// Severity of one journal event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -187,7 +187,7 @@ impl EventJournal {
     /// Attach the `ow_obs_journal_dropped_total` counter (wired by
     /// [`crate::Obs::new`]) so ring overflow is visible in
     /// every snapshot, not silent.
-    pub fn set_drop_counter(&self, counter: crate::registry::Counter) {
+    pub(crate) fn set_drop_counter(&self, counter: crate::registry::Counter) {
         self.inner.lock().drop_counter = Some(counter);
     }
 
@@ -224,7 +224,7 @@ impl EventJournal {
     }
 
     /// Total events ever recorded (≥ retained count).
-    pub fn total_recorded(&self) -> u64 {
+    pub(crate) fn total_recorded(&self) -> u64 {
         self.inner.lock().next_seq
     }
 

@@ -65,13 +65,13 @@ pub use accuracy::{
 pub use export::ObsReport;
 pub use flightrec::{FlightDump, FlightEntry, FlightRecorder, FlightRecorderConfig, TraceBrief};
 pub use health::{
-    valid_code, AlertEvent, Cmp, HealthEngine, HealthReport, HealthSample, MetricSelector, Rule,
-    RuleSet, Severity, Signal, FSM_REJECT_CODE,
+    AlertEvent, Cmp, HealthEngine, HealthReport, HealthSample, MetricSelector, Rule, RuleSet,
+    Severity, Signal, FSM_REJECT_CODE,
 };
 pub use journal::{Event, EventJournal, Level};
 pub use registry::{
-    validate_metric_name, Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot,
-    MetricsRegistry, PeakSample, RegistrySnapshot,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot, MetricsRegistry, PeakSample,
+    RegistrySnapshot,
 };
 pub use span::{
     critical_path, CriticalPath, PhaseMark, Span, TraceContext, TraceReport, TraceSummary, Tracer,

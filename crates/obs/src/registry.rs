@@ -28,11 +28,11 @@ use ow_common::time::Duration;
 /// Number of log2 buckets: bucket `i` counts values `v` with
 /// `2^(i-1) < v <= 2^i` (bucket 0 counts 0 and 1). With u64 values the
 /// 64 buckets cover every representable nanosecond span.
-pub const HISTOGRAM_BUCKETS: usize = 64;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 64;
 
 /// Check a metric name against the `ow_<crate>_<name>` scheme:
 /// `ow_` prefix, lower-snake, at least one segment after the prefix.
-pub fn validate_metric_name(name: &str) -> Result<(), String> {
+pub(crate) fn validate_metric_name(name: &str) -> Result<(), String> {
     if !name.starts_with("ow_") {
         return Err(format!("metric '{name}' is missing the 'ow_' prefix"));
     }
@@ -52,7 +52,7 @@ pub fn validate_metric_name(name: &str) -> Result<(), String> {
 
 /// A metric identity: name plus ordered `(key, value)` labels.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct MetricId {
+pub(crate) struct MetricId {
     /// The `ow_<crate>_<name>` metric name.
     pub name: String,
     /// Label pairs, sorted by key (sorted at construction).
@@ -167,7 +167,7 @@ impl Gauge {
     /// The high watermark since the previous `take_peak`, resetting it
     /// to the current value (never below it — a reader observing a
     /// still-elevated gauge keeps seeing at least that level).
-    pub fn take_peak(&self) -> u64 {
+    pub(crate) fn take_peak(&self) -> u64 {
         let now = self.0.value.load(Ordering::Relaxed);
         self.0.peak.swap(now, Ordering::Relaxed).max(now)
     }
@@ -267,7 +267,7 @@ impl Histogram {
     /// the upper bound of the first bucket whose cumulative count
     /// reaches `q·count`. Deterministic (no interpolation); `None` when
     /// empty.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<u64> {
         let count = self.count();
         if count == 0 {
             return None;
@@ -375,7 +375,7 @@ impl MetricsRegistry {
     /// per-tick peak sample; [`MetricsRegistry::snapshot`] deliberately
     /// leaves watermarks alone so exports stay side-effect-free and
     /// byte-stable.
-    pub fn take_gauge_peaks(&self) -> Vec<PeakSample> {
+    pub(crate) fn take_gauge_peaks(&self) -> Vec<PeakSample> {
         let metrics = self.metrics.read();
         metrics
             .iter()
@@ -504,7 +504,7 @@ pub struct MetricSnapshot {
 
 impl MetricSnapshot {
     /// The rendered `name{labels}` identity.
-    pub fn render_id(&self) -> String {
+    pub(crate) fn render_id(&self) -> String {
         MetricId {
             name: self.name.clone(),
             labels: self.labels.clone(),

@@ -13,11 +13,10 @@ use std::collections::HashSet;
 
 use ow_common::afr::AttrValue;
 use ow_common::flowkey::FlowKey;
-use ow_common::hash::HashFn;
+use ow_common::hash::{mix64, HashFn};
 use ow_common::packet::Packet;
 
-use crate::exact::update_attr;
-use crate::spec::QuerySpec;
+use crate::spec::{QuerySpec, StatKind};
 
 /// One register cell: the shared statistic plus the last key that
 /// updated it (the key slot Sonata uses to emit reports).
@@ -25,6 +24,30 @@ use crate::spec::QuerySpec;
 struct Cell {
     attr: AttrValue,
     key: Option<FlowKey>,
+}
+
+/// Apply one packet to an attribute value under a query's statistic.
+fn update_attr(attr: &mut AttrValue, spec: &QuerySpec, pkt: &Packet) {
+    match (spec.stat, attr) {
+        (StatKind::Count, AttrValue::Frequency(v)) => *v += 1,
+        (StatKind::Distinct(el), AttrValue::Distinction(bm)) => {
+            bm.insert_hash(mix64(el.extract(pkt) ^ 0xD157));
+        }
+        (StatKind::CountDiff { plus, minus }, AttrValue::Signed(v)) => {
+            if plus(pkt) {
+                *v += 1;
+            }
+            if minus(pkt) {
+                *v -= 1;
+            }
+        }
+        (StatKind::ConnBytes, AttrValue::ConnBytes { conns, bytes }) => {
+            let conn = ((pkt.src_ip as u64) << 16) | pkt.src_port as u64;
+            conns.insert_hash(mix64(conn ^ 0xC077));
+            *bytes += pkt.wire_len as u64;
+        }
+        _ => unreachable!("attr initialised from spec.stat"),
+    }
 }
 
 /// Register-based execution of one query over one window/sub-window.
@@ -131,7 +154,6 @@ impl RegisterEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::ExactEngine;
     use crate::spec::standard_queries;
     use ow_common::packet::TcpFlags;
     use ow_common::time::Instant;
@@ -144,15 +166,54 @@ mod tests {
     fn matches_exact_when_no_collisions() {
         let q5 = standard_queries()[4];
         let mut reg = RegisterEngine::new(q5, 1 << 16, 1);
-        let mut exact = ExactEngine::new(q5);
         for i in 0..100u32 {
-            let p = syn(1000 + i, 7, 1000, 80);
-            reg.update(&p);
-            exact.update(&p);
+            reg.update(&syn(1000 + i, 7, 1000, 80));
         }
         let victim = FlowKey::dst_ip(7);
-        assert_eq!(reg.query(&victim), exact.query(&victim));
-        assert_eq!(reg.report(), exact.report());
+        assert_eq!(reg.query(&victim), AttrValue::Frequency(100));
+        assert_eq!(reg.report(), HashSet::from([victim]));
+    }
+
+    #[test]
+    fn q3_counts_distinct_ports() {
+        let q3 = standard_queries()[2];
+        let mut reg = RegisterEngine::new(q3, 1 << 16, 7);
+        // 100 distinct ports probed, each twice (duplicates must not count).
+        for _ in 0..2 {
+            for port in 0..100u16 {
+                reg.update(&syn(1, 7, 1000, port + 1));
+            }
+        }
+        let victim = FlowKey::dst_ip(7);
+        let est = reg.query(&victim).scalar();
+        assert!((80.0..130.0).contains(&est), "distinct ports {est}");
+        assert!(reg.report().contains(&victim));
+    }
+
+    #[test]
+    fn q6_diff_counts_incomplete_flows() {
+        let q6 = standard_queries()[5];
+        let mut reg = RegisterEngine::new(q6, 1 << 16, 8);
+        // 60 opens, 10 closes → diff 50 ≥ threshold.
+        for i in 0..60u16 {
+            reg.update(&syn(1, 7, 2000 + i, 443));
+        }
+        for i in 0..10u16 {
+            let p = Packet::tcp(Instant::ZERO, 1, 7, 2000 + i, 443, TcpFlags::fin_ack(), 64);
+            reg.update(&p);
+        }
+        assert_eq!(reg.query(&FlowKey::dst_ip(7)), AttrValue::Signed(50));
+        assert!(reg.report().contains(&FlowKey::dst_ip(7)));
+    }
+
+    #[test]
+    fn filter_excludes_non_matching_packets() {
+        let q2 = standard_queries()[1];
+        let mut reg = RegisterEngine::new(q2, 1 << 16, 9);
+        for i in 0..50 {
+            reg.update(&syn(i, 7, 1000, 80)); // port 80, not SSH
+        }
+        assert!(reg.resident_keys().is_empty());
     }
 
     #[test]

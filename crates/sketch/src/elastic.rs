@@ -29,7 +29,7 @@ struct Bucket {
 }
 
 /// Bytes per heavy bucket: 13 B key + 2 × 4 B votes + flag → 24.
-pub const ELASTIC_BUCKET_BYTES: usize = 24;
+pub(crate) const ELASTIC_BUCKET_BYTES: usize = 24;
 
 /// An Elastic Sketch: heavy hash table + light Count-Min.
 #[derive(Debug, Clone)]
@@ -59,11 +59,6 @@ impl ElasticSketch {
     pub fn with_memory(total_bytes: usize, seed: u64) -> ElasticSketch {
         let heavy = (total_bytes * 3 / 4 / ELASTIC_BUCKET_BYTES).max(1);
         ElasticSketch::new(heavy, total_bytes / 4, seed)
-    }
-
-    /// Heavy-part slots.
-    pub fn heavy_buckets(&self) -> usize {
-        self.heavy.len()
     }
 }
 

@@ -16,7 +16,7 @@ use ow_common::flowkey::FlowKey;
 use ow_common::hash::{HashFamily, HashFn};
 
 use crate::bloom::BloomFilter;
-use crate::traits::{SketchMeta, SketchObs};
+use crate::traits::SketchMeta;
 
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Cell {
@@ -132,17 +132,6 @@ impl FlowRadar {
         FlowRadarDecode { flows, complete }
     }
 
-    /// [`FlowRadar::decode`] with data-quality observation: an
-    /// incomplete peel (flows left encoded, AFR generation incomplete)
-    /// reports one decode failure to `obs`.
-    pub fn decode_observed(&mut self, obs: &dyn SketchObs) -> FlowRadarDecode {
-        let result = self.decode();
-        if !result.complete {
-            obs.decode_failures("flowradar", 1);
-        }
-        result
-    }
-
     /// Clear the state (the in-switch reset target).
     pub fn reset(&mut self) {
         self.filter.reset();
@@ -158,11 +147,6 @@ impl FlowRadar {
             salus_per_packet: self.filter.meta().salus_per_packet + self.hashes.len() * 3,
             hash_units: self.filter.meta().hash_units + self.hashes.len(),
         }
-    }
-
-    /// Number of counting cells.
-    pub fn ncells(&self) -> usize {
-        self.cells.len()
     }
 }
 

@@ -20,7 +20,7 @@ struct Slot {
 
 /// Bytes per slot in the hardware layout: 13 B key + 4 B count → 17,
 /// rounded to 20 for alignment.
-pub const HASHPIPE_SLOT_BYTES: usize = 20;
+pub(crate) const HASHPIPE_SLOT_BYTES: usize = 20;
 
 /// A `d`-stage HashPipe with `w` slots per stage.
 #[derive(Debug, Clone)]
@@ -102,13 +102,10 @@ impl FrequencySketch for HashPipe {
                     slot.count += carried_count;
                     return;
                 }
-                Some(_) if carried_count > slot.count => {
-                    let tmp_key = slot.key.take().expect("slot occupied");
-                    let tmp_count = slot.count;
+                Some(resident) if carried_count > slot.count => {
                     slot.key = Some(carried_key);
-                    slot.count = carried_count;
-                    carried_key = tmp_key;
-                    carried_count = tmp_count;
+                    carried_key = resident;
+                    std::mem::swap(&mut slot.count, &mut carried_count);
                 }
                 Some(_) => { /* carried entry continues */ }
                 None => {

@@ -11,7 +11,7 @@
 use ow_common::flowkey::FlowKey;
 use ow_common::hash::{HashFamily, HashFn};
 
-use crate::traits::{SketchMeta, SketchObs};
+use crate::traits::SketchMeta;
 
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Cell {
@@ -176,17 +176,6 @@ impl Iblt {
             extra,
             complete,
         }
-    }
-
-    /// [`Iblt::decode`] with data-quality observation: an incomplete
-    /// peel (keys stuck in the table, recovery incomplete) reports one
-    /// decode failure to `obs`.
-    pub fn decode_observed(&mut self, obs: &dyn SketchObs) -> DecodeResult {
-        let result = self.decode();
-        if !result.complete {
-            obs.decode_failures("iblt", 1);
-        }
-        result
     }
 
     /// Clear all cells.

@@ -82,7 +82,7 @@ impl LinearCounting {
 
     /// Whether every bit is set — [`LinearCounting::estimate`] is
     /// pinned at its (unreachable) upper bound `m·ln(m)`.
-    pub fn is_saturated(&self) -> bool {
+    pub(crate) fn is_saturated(&self) -> bool {
         self.occupancy_permille() == 1000
     }
 

@@ -54,7 +54,7 @@ pub struct MvSketch {
 
 /// Bytes a bucket occupies in the hardware layout the paper assumes:
 /// 4 B total count + 13 B key + 4 B indicator, rounded to 24.
-pub const MV_BUCKET_BYTES: usize = 24;
+pub(crate) const MV_BUCKET_BYTES: usize = 24;
 
 impl MvSketch {
     /// Create a sketch with `rows` rows of `width` buckets.

@@ -22,7 +22,7 @@ struct Bucket {
 }
 
 /// Bytes per bucket: 64 B bitmap + 13 B key + 1 B level, rounded to 80.
-pub const SPREAD_BUCKET_BYTES: usize = 80;
+pub(crate) const SPREAD_BUCKET_BYTES: usize = 80;
 
 /// A `d × w` SpreadSketch.
 #[derive(Debug, Clone)]
@@ -72,11 +72,7 @@ impl SpreadSketch {
         let d = self.hashes.digest(key);
         (0..self.rows)
             .map(|r| &self.buckets[r * self.width + d.index(r, self.width)].bitmap)
-            .min_by(|a, b| {
-                a.estimate()
-                    .partial_cmp(&b.estimate())
-                    .expect("estimates are finite")
-            })
+            .min_by(|a, b| a.estimate().total_cmp(&b.estimate()))
             .copied()
             .unwrap_or_default()
     }

@@ -105,10 +105,3 @@ pub trait SketchObs {
         let _ = (sketch, n);
     }
 }
-
-/// The do-nothing observer: every signal is discarded. Useful as the
-/// default argument where no observability stack is attached.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSketchObs;
-
-impl SketchObs for NullSketchObs {}

@@ -21,10 +21,10 @@ use crate::traits::{SketchMeta, SketchObs, SpreadEstimator};
 /// Bits per small bitmap (one per (array, index) cell).
 pub const VBF_CELL_BITS: usize = 64;
 /// Number of arrays (the paper's configuration).
-pub const VBF_ARRAYS: usize = 5;
+pub(crate) const VBF_ARRAYS: usize = 5;
 /// Cells per array: 2^12 = 4096 (the paper's configuration). Fixed —
 /// the bit-slice geometry `[5a, 5a+12)` depends on it.
-pub const VBF_CELLS: usize = 4096;
+pub(crate) const VBF_CELLS: usize = 4096;
 /// Bits of address each slice reads.
 const SLICE_BITS: u32 = 12;
 /// Slice stride: consecutive slices overlap in `12 − 5 = 7` bits.
@@ -45,11 +45,6 @@ impl VectorBloomFilter {
             bits: vec![0; VBF_ARRAYS * VBF_CELLS],
             element_hash: HashFn::new(seed ^ 0xB7F0, 0),
         }
-    }
-
-    /// The paper's evaluation configuration (alias of [`Self::new`]).
-    pub fn paper_config(seed: u64) -> VectorBloomFilter {
-        VectorBloomFilter::new(seed)
     }
 
     /// The 32-bit address the bit slices read. The VBF is defined over
@@ -145,7 +140,7 @@ impl VectorBloomFilter {
     /// Cells whose 64-bit `DistinctBitmap` is fully set: their
     /// linear-counting estimate is pinned at the ceiling, so spreads
     /// read through them are unbounded-noise.
-    pub fn saturated_cells(&self) -> usize {
+    pub(crate) fn saturated_cells(&self) -> usize {
         self.bits.iter().filter(|w| **w == u64::MAX).count()
     }
 
@@ -216,7 +211,7 @@ mod tests {
 
     #[test]
     fn estimates_small_spreads_well() {
-        let mut vbf = VectorBloomFilter::paper_config(1);
+        let mut vbf = VectorBloomFilter::new(1);
         for d in 0..10u64 {
             vbf.update_element(&src(0x0A01_0203), d * 7 + 3);
         }
@@ -226,7 +221,7 @@ mod tests {
 
     #[test]
     fn duplicates_do_not_inflate() {
-        let mut vbf = VectorBloomFilter::paper_config(2);
+        let mut vbf = VectorBloomFilter::new(2);
         for _ in 0..100 {
             vbf.update_element(&src(5), 42);
         }
@@ -235,7 +230,7 @@ mod tests {
 
     #[test]
     fn saturation_reports_large_spread() {
-        let mut vbf = VectorBloomFilter::paper_config(3);
+        let mut vbf = VectorBloomFilter::new(3);
         for d in 0..1000u64 {
             vbf.update_element(&src(9), d);
         }
@@ -255,7 +250,7 @@ mod tests {
 
     #[test]
     fn reset_clears() {
-        let mut vbf = VectorBloomFilter::paper_config(5);
+        let mut vbf = VectorBloomFilter::new(5);
         vbf.update_element(&src(1), 1);
         vbf.reset();
         assert_eq!(vbf.spread(&src(1)), 0);
@@ -263,14 +258,14 @@ mod tests {
 
     #[test]
     fn meta_matches_paper_config() {
-        let vbf = VectorBloomFilter::paper_config(6);
+        let vbf = VectorBloomFilter::new(6);
         assert_eq!(vbf.meta().memory_bytes, 5 * 4096 * 8);
         assert_eq!(vbf.meta().register_arrays, 5);
     }
 
     #[test]
     fn reconstruction_recovers_spreaders() {
-        let mut vbf = VectorBloomFilter::paper_config(7);
+        let mut vbf = VectorBloomFilter::new(7);
         let spreaders = [0x0A00_0001u32, 0xC0A8_1234, 0x7F31_AB09];
         for &s in &spreaders {
             for d in 0..200u64 {

@@ -266,7 +266,7 @@ impl RetransmitBuffer {
     }
 
     /// The full retained batch of `subwindow` (the OS-path readback).
-    pub fn full_batch(&self, subwindow: u32) -> Option<&[FlowRecord]> {
+    pub(crate) fn full_batch(&self, subwindow: u32) -> Option<&[FlowRecord]> {
         self.batches.get(&subwindow).map(Vec::as_slice)
     }
 

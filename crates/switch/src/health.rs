@@ -18,7 +18,7 @@ use ow_obs::{Cmp, MetricSelector, Rule, RuleSet, Severity, Signal};
 /// Ratio threshold (‰) for the retransmit-storm rule: more than one
 /// retransmit request per two collections means the back-channel loss
 /// loop dominates the window, not the stream.
-pub const RETRANSMIT_STORM_PERMILLE: u64 = 500;
+pub(crate) const RETRANSMIT_STORM_PERMILLE: u64 = 500;
 
 /// The switch rule catalog (`OW-HEALTH-1xx`).
 pub fn switch_health_rules() -> RuleSet {

@@ -19,26 +19,26 @@ use ow_common::time::Duration;
 /// Switch-OS PCIe/RPC read per register entry (Exp#6 "OS": 2.4 s for
 /// one 128 KB Count-Min array of 32 K four-byte cells → ≈ 74 µs per
 /// cell, dominated by per-cell RPC framing).
-pub const OS_READ_PER_ENTRY: Duration = Duration::from_nanos(74_000);
+pub(crate) const OS_READ_PER_ENTRY: Duration = Duration::from_nanos(74_000);
 /// Switch-OS reset per register entry; the OS cannot reset registers
 /// concurrently, so total reset time is linear in the register count
 /// (Exp#8).
-pub const OS_RESET_PER_ENTRY: Duration = Duration::from_nanos(2_000);
+pub(crate) const OS_RESET_PER_ENTRY: Duration = Duration::from_nanos(2_000);
 /// One recirculation pass through the pipeline (one entry advanced
 /// per in-flight packet per pass).
-pub const RECIRC_PASS: Duration = Duration::from_nanos(250);
+pub(crate) const RECIRC_PASS: Duration = Duration::from_nanos(250);
 /// Controller → switch flowkey injection over DPDK, per key (the
 /// dominant CPC cost).
-pub const DPDK_INJECT_PER_KEY: Duration = Duration::from_nanos(190);
+pub(crate) const DPDK_INJECT_PER_KEY: Duration = Duration::from_nanos(190);
 /// Extra per-key cost of looking up the key-value-table address
 /// before injection (the CPC* overhead that makes CPC* *slower* than
 /// CPC).
-pub const ADDR_LOOKUP_PER_KEY: Duration = Duration::from_nanos(110);
+pub(crate) const ADDR_LOOKUP_PER_KEY: Duration = Duration::from_nanos(110);
 /// Controller receive+parse cost per AFR over DPDK.
-pub const DPDK_RX_PER_AFR: Duration = Duration::from_nanos(60);
+pub(crate) const DPDK_RX_PER_AFR: Duration = Duration::from_nanos(60);
 /// RNIC write cost per AFR under the RDMA optimisation (no controller
 /// CPU involvement).
-pub const RDMA_WRITE_PER_AFR: Duration = Duration::from_nanos(15);
+pub(crate) const RDMA_WRITE_PER_AFR: Duration = Duration::from_nanos(15);
 /// Fixed cost of the trigger-packet round trip that starts collection
 /// (clone to controller, wait, send back — Figure 3).
 pub const TRIGGER_RTT: Duration = Duration::from_micros(100);
@@ -51,7 +51,7 @@ pub fn os_read(arrays: usize, entries: usize) -> Duration {
 
 /// Time for the switch OS to reset `arrays` arrays of `entries`
 /// entries (sequential across arrays).
-pub fn os_reset(arrays: usize, entries: usize) -> Duration {
+pub(crate) fn os_reset(arrays: usize, entries: usize) -> Duration {
     OS_RESET_PER_ENTRY.saturating_mul((arrays * entries) as u64)
 }
 
@@ -81,7 +81,7 @@ pub fn inject(keys: usize, with_addr_lookup: bool) -> Duration {
 /// batches into the switch's injection ring as one-sided RDMA writes,
 /// amortising the per-packet DPDK cost. Calibrated to the paper's
 /// OW* = 1.8 ms with 32 K injected keys.
-pub fn rdma_inject(keys: usize) -> Duration {
+pub(crate) fn rdma_inject(keys: usize) -> Duration {
     Duration::from_nanos(40).saturating_mul(keys as u64)
 }
 

@@ -44,8 +44,8 @@ pub use collect::{CollectConfig, CollectOutcome, RetransmitBuffer};
 pub use consistency::ConsistencyModel;
 pub use flowkey::{FlowkeyTracker, TrackOutcome};
 pub use placement::{
-    place, place_optimal, DepGraph, Feature, PackingDensity, Placement, PlacementError,
-    ResourceClass, SearchBudget, StageLimits, StepRef,
+    place, place_optimal, Feature, PackingDensity, Placement, PlacementError, ResourceClass,
+    SearchBudget, StageLimits, StepRef,
 };
 pub use regions::TwoRegionState;
 pub use register::{FlattenedLayout, RegisterArray, SaluOp};

@@ -328,7 +328,8 @@ impl From<PlacementError> for OwError {
 ///
 /// * **strict** — intra-feature precedence: step `i+1` of a feature
 ///   must land in a strictly later stage than step `i` (stateful
-///   dependencies serialise). These are hard constraints.
+///   dependencies serialise). These are hard constraints, implied by
+///   the feature-major step order, so they are not stored.
 /// * **conflict** — cross-feature register-conflict edges supplied by
 ///   the caller (`ow-verify` derives them from the order a path's
 ///   access sequence touches the SALU steps serving shared register
@@ -337,11 +338,9 @@ impl From<PlacementError> for OwError {
 ///   shrinking the feasible set, so search stays strictly more
 ///   permissive than greedy.
 #[derive(Debug, Clone)]
-pub struct DepGraph {
+pub(crate) struct DepGraph {
     /// Global step count.
     pub steps: usize,
-    /// Strict intra-feature precedence edges `(a, b)`: `stage(a) < stage(b)`.
-    pub strict: Vec<(usize, usize)>,
     /// Cross-feature conflict edges (search guidance, not constraints).
     pub conflicts: Vec<(usize, usize)>,
 }
@@ -362,12 +361,6 @@ impl DepGraph {
             })
             .collect();
         let steps: usize = features.iter().map(|f| f.steps.len()).sum();
-        let mut strict = Vec::new();
-        for (fi, f) in features.iter().enumerate() {
-            for s in 1..f.steps.len() {
-                strict.push((offsets[fi] + s - 1, offsets[fi] + s));
-            }
-        }
         let gid = |(fi, si): StepRef| -> Option<usize> {
             features
                 .get(fi)
@@ -383,13 +376,12 @@ impl DepGraph {
         edges.dedup();
         DepGraph {
             steps,
-            strict,
             conflicts: edges,
         }
     }
 
     /// Number of conflict edges touching each step.
-    pub fn conflict_degree(&self) -> Vec<u32> {
+    pub(crate) fn conflict_degree(&self) -> Vec<u32> {
         let mut deg = vec![0u32; self.steps];
         for &(a, b) in &self.conflicts {
             deg[a] += 1;
@@ -1228,7 +1220,7 @@ mod tests {
     }
 
     #[test]
-    fn depgraph_builds_strict_chains_and_dedups_conflicts() {
+    fn depgraph_dedups_and_filters_conflicts() {
         let features = greedy_hostile_features();
         let g = DepGraph::build(
             &features,
@@ -1240,7 +1232,6 @@ mod tests {
             ],
         );
         assert_eq!(g.steps, 4);
-        assert_eq!(g.strict, vec![(1, 2), (2, 3)]);
         assert_eq!(g.conflicts, vec![(0, 2)]);
         assert_eq!(g.conflict_degree(), vec![1, 0, 1, 0]);
     }

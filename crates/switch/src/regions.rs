@@ -10,8 +10,8 @@
 //! array and installs each region's base offset in a match-action table;
 //! address = offset(subwindow) + index. One SALU per register array then
 //! serves both regions — without the layout, each region needs its own
-//! SALU and the SALU cost doubles (the ablation `salu_cost` quantifies
-//! this).
+//! SALU and the SALU cost doubles (`ablations::salu_ablation`
+//! quantifies this).
 
 use ow_common::time::Instant;
 
@@ -60,7 +60,7 @@ impl<A: DataPlaneApp> TwoRegionState<A> {
     }
 
     /// Mutable active region plus its tracker — the per-packet hot path.
-    pub fn active_mut(&mut self) -> (&mut A, &mut FlowkeyTracker) {
+    pub(crate) fn active_mut(&mut self) -> (&mut A, &mut FlowkeyTracker) {
         (
             &mut self.regions[self.active],
             &mut self.trackers[self.active],
@@ -68,12 +68,12 @@ impl<A: DataPlaneApp> TwoRegionState<A> {
     }
 
     /// The sub-window number being measured.
-    pub fn active_subwindow(&self) -> u32 {
+    pub(crate) fn active_subwindow(&self) -> u32 {
         self.active_subwindow
     }
 
     /// The inactive region and its tracker (the one C&R operates on).
-    pub fn inactive_mut(&mut self) -> (&mut A, &mut FlowkeyTracker) {
+    pub(crate) fn inactive_mut(&mut self) -> (&mut A, &mut FlowkeyTracker) {
         let idx = 1 - self.active;
         // Split-borrow via indices.
         let (r, t) = (&mut self.regions, &mut self.trackers);
@@ -85,7 +85,7 @@ impl<A: DataPlaneApp> TwoRegionState<A> {
     ///
     /// The preserved previous sub-window (for out-of-order packets) is the
     /// inactive region until its C&R completes.
-    pub fn region_of(&mut self, sw: u32) -> Option<(&mut A, &mut FlowkeyTracker)> {
+    pub(crate) fn region_of(&mut self, sw: u32) -> Option<(&mut A, &mut FlowkeyTracker)> {
         if sw == self.active_subwindow {
             Some(self.active_mut())
         } else if self
@@ -123,27 +123,13 @@ impl<A: DataPlaneApp> TwoRegionState<A> {
 
     /// Mark the pending C&R as done (called after the collect engine
     /// finishes with the inactive region).
-    pub fn complete_cr(&mut self) {
+    pub(crate) fn complete_cr(&mut self) {
         self.pending_cr = None;
     }
 
     /// The pending C&R, if any.
     pub fn pending_cr(&self) -> Option<(u32, Instant)> {
         self.pending_cr
-    }
-
-    /// Number of rotations that raced with an unfinished C&R.
-    pub fn cr_overruns(&self) -> u64 {
-        self.cr_overruns
-    }
-
-    /// SALU cost of deploying both regions: the paper's flattened layout
-    /// keeps the per-packet SALU count at one per register array; the
-    /// naive layout (two separate registers) doubles it. Returned as
-    /// `(flattened, naive)` for the ablation bench.
-    pub fn salu_cost(&self) -> (usize, usize) {
-        let per_region = self.regions[0].meta().salus_per_packet;
-        (per_region, per_region * 2)
     }
 
     /// Total memory across both regions in bytes.
@@ -223,7 +209,7 @@ mod tests {
         s.rotate(1, Instant::from_millis(100), Instant::from_millis(200));
         // …but the next rotation happens at 150ms.
         s.rotate(2, Instant::from_millis(150), Instant::from_millis(250));
-        assert_eq!(s.cr_overruns(), 1);
+        assert_eq!(s.cr_overruns, 1);
     }
 
     #[test]
@@ -232,13 +218,6 @@ mod tests {
         s.rotate(1, Instant::from_millis(100), Instant::from_millis(102));
         s.complete_cr();
         s.rotate(2, Instant::from_millis(200), Instant::from_millis(202));
-        assert_eq!(s.cr_overruns(), 0);
-    }
-
-    #[test]
-    fn flattened_layout_halves_salus() {
-        let s = make();
-        let (flat, naive) = s.salu_cost();
-        assert_eq!(naive, flat * 2);
+        assert_eq!(s.cr_overruns, 0);
     }
 }

@@ -108,11 +108,6 @@ impl RegisterArray {
         self.accessed_this_pass = false;
     }
 
-    /// Whether a pass is currently open (a packet is in the pipeline).
-    pub fn pass_open(&self) -> bool {
-        self.pass_open
-    }
-
     /// Passes begun while the previous pass was never ended. A non-zero
     /// value means a handler path leaked a pass; the `ow-verify`
     /// soundness property asserts this stays zero for verified programs.

@@ -19,7 +19,7 @@ use crate::signal::{SignalEngine, WindowSignal};
 
 /// How long after a termination the controller waits before starting
 /// collection, letting out-of-order packets drain (Figure 3).
-pub const CR_WAIT: Duration = Duration::from_millis(1);
+pub(crate) const CR_WAIT: Duration = Duration::from_millis(1);
 
 /// Configuration of one OmniWindow switch.
 #[derive(Debug, Clone)]
@@ -194,11 +194,6 @@ impl<A: DataPlaneApp> Switch<A> {
         self.obs = Some(SwitchObs::new(obs));
     }
 
-    /// Current sub-window number.
-    pub fn current_subwindow(&self) -> u32 {
-        self.signals.current()
-    }
-
     /// Number of latency-spike packets seen.
     pub fn latency_spikes(&self) -> u64 {
         self.spikes
@@ -213,12 +208,6 @@ impl<A: DataPlaneApp> Switch<A> {
     /// of everything this switch has in flight.
     pub fn engine(&self) -> &WindowEngine {
         &self.engine
-    }
-
-    /// The lifecycle phase of `subwindow`, `None` once released (or
-    /// never seen).
-    pub fn window_phase(&self, subwindow: u32) -> Option<WindowPhase> {
-        self.engine.phase(subwindow)
     }
 
     /// Serve a controller retransmission request: replay the requested
@@ -689,7 +678,7 @@ mod tests {
         let mut p1 = pkt(1, 100);
         p1.ow.subwindow = 1;
         sw.process(p1);
-        assert_eq!(sw.current_subwindow(), 1);
+        assert_eq!(sw.signals.current(), 1);
         // A straggler stamped 0 still gets measured (preserve = 1) while
         // its C&R has not run yet (cr_wait pending).
         let mut p0 = pkt(2, 100);
@@ -797,19 +786,19 @@ mod tests {
     fn window_engine_tracks_the_full_lifecycle() {
         use ow_common::engine::WindowPhase;
         let mut sw = mk_switch(true);
-        assert_eq!(sw.window_phase(0), Some(WindowPhase::Open));
+        assert_eq!(sw.engine().phase(0), Some(WindowPhase::Open));
         sw.process(pkt(1, 10));
         sw.process(pkt(2, 105)); // terminate sw0, schedule its C&R
-        assert_eq!(sw.window_phase(0), Some(WindowPhase::CrWait));
-        assert_eq!(sw.window_phase(1), Some(WindowPhase::Open));
+        assert_eq!(sw.engine().phase(0), Some(WindowPhase::CrWait));
+        assert_eq!(sw.engine().phase(1), Some(WindowPhase::Open));
         sw.process(pkt(2, 110)); // cr_wait elapsed → collected
-        assert_eq!(sw.window_phase(0), Some(WindowPhase::Collected));
+        assert_eq!(sw.engine().phase(0), Some(WindowPhase::Collected));
         // One §8 retransmit round, then the controller confirms.
         sw.handle_retransmit_request(0, &[0]);
-        assert_eq!(sw.window_phase(0), Some(WindowPhase::Retransmitting));
+        assert_eq!(sw.engine().phase(0), Some(WindowPhase::Retransmitting));
         assert_eq!(sw.engine().get(0).unwrap().retransmit_rounds(), 1);
         sw.ack_collection(0);
-        assert_eq!(sw.window_phase(0), None, "released windows are pruned");
+        assert_eq!(sw.engine().phase(0), None, "released windows are pruned");
         assert_eq!(sw.engine().released(), 1);
         assert_eq!(sw.engine().rejected(), 0, "no drift on the happy path");
     }
@@ -844,7 +833,7 @@ mod tests {
         // Eviction retired the trace context with the batch: only the
         // retained window can still be stitched by the controller.
         let retained = sw.retransmit_buffer().retained();
-        for sub in 0..=sw.current_subwindow() {
+        for sub in 0..=sw.signals.current() {
             assert_eq!(
                 obs.tracer().context(sub).is_some(),
                 retained.contains(&sub),

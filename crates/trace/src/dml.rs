@@ -28,17 +28,17 @@ pub struct DmlConfig {
 }
 
 /// Initial compression ratio (paper: 2).
-pub const INITIAL_RATIO: u64 = 2;
+pub(crate) const INITIAL_RATIO: u64 = 2;
 /// Iterations between ratio doublings (paper: 16).
 pub const DOUBLE_EVERY: u32 = 16;
 /// Maximum ratio (paper: 2048).
-pub const MAX_RATIO: u64 = 2048;
+pub(crate) const MAX_RATIO: u64 = 2048;
 /// Link throughput used to derive transfer times, bytes/sec.
-pub const LINK_BYTES_PER_SEC: u64 = 1_000_000_000;
+pub(crate) const LINK_BYTES_PER_SEC: u64 = 1_000_000_000;
 /// Fixed per-iteration compute time (forward/backward pass).
-pub const COMPUTE_TIME: Duration = Duration::from_millis(2);
+pub(crate) const COMPUTE_TIME: Duration = Duration::from_millis(2);
 /// MTU-sized payload per packet.
-pub const MTU: u16 = 1400;
+pub(crate) const MTU: u16 = 1400;
 
 impl Default for DmlConfig {
     fn default() -> Self {

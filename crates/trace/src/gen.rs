@@ -10,7 +10,7 @@ use ow_common::zipf::Zipf;
 use crate::anomaly::Anomaly;
 
 /// Fraction of flows that are TCP (the rest are UDP).
-pub const TCP_FRACTION: f64 = 0.8;
+pub(crate) const TCP_FRACTION: f64 = 0.8;
 
 /// Configuration of the synthetic background workload.
 #[derive(Debug, Clone)]
@@ -94,7 +94,7 @@ pub struct TraceBuilder {
 
 /// The five-tuple assigned to background flow `id` (deterministic).
 /// Exposed so tests and ground-truth computations can reference flows.
-pub fn background_flow_tuple(id: u64, seed: u64) -> (u32, u32, u16, u16) {
+pub(crate) fn background_flow_tuple(id: u64, seed: u64) -> (u32, u32, u16, u16) {
     use ow_common::hash::mix64;
     let h = mix64(id.wrapping_mul(0x9E37_79B9).wrapping_add(seed));
     // Background hosts live in 10.0.0.0/8 to keep anomaly hosts

@@ -42,7 +42,7 @@ fn countmin_program(fk_capacity: usize, expected_flows: usize, width: usize) -> 
 /// permissive than greedy is a pinned, externally visible fact (see
 /// `optimizer_is_strictly_more_permissive` below and the
 /// `multitenant-dense-pack` row of `results/verify_table2.json`).
-pub fn dense_tenant_program() -> PipelineProgram {
+pub(crate) fn dense_tenant_program() -> PipelineProgram {
     let limits = StageLimits {
         stages: 3,
         sram_kb: 128,

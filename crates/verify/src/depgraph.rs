@@ -39,7 +39,7 @@ use crate::ir::PipelineProgram;
 /// described in the module docs. Programs that under-provision SALUs
 /// simply leave the tail registers unmapped (the verifier rejects them
 /// separately with `OW-SALU-UNDERPROVISIONED`).
-pub fn register_salu_steps(program: &PipelineProgram) -> Vec<(String, StepRef)> {
+pub(crate) fn register_salu_steps(program: &PipelineProgram) -> Vec<(String, StepRef)> {
     let mut salu_steps: Vec<StepRef> = Vec::new();
     for (fi, feature) in program.features.iter().enumerate() {
         for (si, step) in feature.steps.iter().enumerate() {
@@ -61,7 +61,7 @@ pub fn register_salu_steps(program: &PipelineProgram) -> Vec<(String, StepRef)> 
 /// `(a, b)` per consecutive access pair in any path whose registers
 /// are served by steps of different features, deduplicated and sorted
 /// so the derivation is deterministic.
-pub fn register_conflict_edges(program: &PipelineProgram) -> Vec<(StepRef, StepRef)> {
+pub(crate) fn register_conflict_edges(program: &PipelineProgram) -> Vec<(StepRef, StepRef)> {
     let mapping = register_salu_steps(program);
     let serving: HashMap<&str, StepRef> = mapping
         .iter()

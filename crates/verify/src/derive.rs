@@ -26,7 +26,7 @@ use crate::verify::verify;
 
 /// Derive the static pipeline program that a [`SwitchConfig`] wrapped
 /// around an application with `meta` / `app_states` actually deploys.
-pub fn program_for_switch(
+pub(crate) fn program_for_switch(
     cfg: &SwitchConfig,
     meta: &SketchMeta,
     app_states: usize,

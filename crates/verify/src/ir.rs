@@ -123,7 +123,7 @@ impl PacketClass {
     /// Whether this class runs on the switch CPU (control plane) rather
     /// than transiting the match-action pipeline. CPU classes must not
     /// declare SALU accesses.
-    pub fn is_control_plane(&self) -> bool {
+    pub(crate) fn is_control_plane(&self) -> bool {
         matches!(self, PacketClass::Retransmit | PacketClass::OsRead)
     }
 }
@@ -246,7 +246,7 @@ impl PipelineProgram {
     }
 
     /// Look up a register declaration by name.
-    pub fn find_register(&self, name: &str) -> Option<&RegisterDecl> {
+    pub(crate) fn find_register(&self, name: &str) -> Option<&RegisterDecl> {
         self.registers.iter().find(|r| r.name == name)
     }
 }

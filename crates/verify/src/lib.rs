@@ -40,8 +40,7 @@ pub mod exec;
 pub mod ir;
 pub mod verify;
 
-pub use depgraph::{register_conflict_edges, register_salu_steps};
-pub use derive::{program_for_switch, verified_switch};
+pub use derive::verified_switch;
 pub use diag::{Diagnostic, ErrorCode, ResourceTotals, Severity, VerifyReport};
 pub use ir::{
     omniwindow_program, AccessDecl, AccessKind, FeatureDecl, PacketClass, PathDecl,
