@@ -32,7 +32,7 @@ use parking_lot::RwLock;
 
 use ow_common::afr::{AttrValue, FlowRecord};
 use ow_common::block::RecordBlock;
-use ow_common::flowkey::FlowKey;
+use ow_common::flowkey::{sort_by_packed_key, FlowKey};
 use ow_common::metrics::ReliabilityMetrics;
 use ow_common::time::Duration;
 use ow_obs::{Counter, Obs};
@@ -65,14 +65,15 @@ impl LiveHandle {
     /// Every shard's answer to `query`, in canonical (ascending packed
     /// key) order — independent of the shard count. Each shard answers
     /// in that order already, so one shard's answer is the answer; several
-    /// are concatenated and stable-sorted, which merges the sorted runs.
+    /// are concatenated and put in packed-key order (the key slices are
+    /// disjoint, so that order is total).
     fn fold<T>(&self, query: impl Fn(&MergeTable) -> Vec<(FlowKey, T)>) -> Vec<(FlowKey, T)> {
         if let [table] = &self.tables[..] {
             return query(&table.read());
         }
         let mut out: Vec<(FlowKey, T)> =
             self.tables.iter().flat_map(|t| query(&t.read())).collect();
-        out.sort_by_key(|(k, _)| k.as_u128());
+        sort_by_packed_key(&mut out, |(k, _)| *k);
         out
     }
 

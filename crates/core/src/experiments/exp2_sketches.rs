@@ -11,7 +11,7 @@ use std::collections::HashSet;
 
 use serde::Serialize;
 
-use ow_common::flowkey::FlowKey;
+use ow_common::flowkey::{sort_by_packed_key, FlowKey};
 use ow_common::time::Duration;
 
 use crate::app::{HeavyHitterApp, SizeApp, SpreadApp, VbfApp, WindowApp};
@@ -91,7 +91,7 @@ fn probe_keys<A: WindowApp>(app: &A, trace: &ow_trace::Trace) -> Vec<FlowKey> {
         }
     }
     let mut v: Vec<FlowKey> = keys.into_iter().collect();
-    v.sort_by_key(|k| k.as_u128());
+    sort_by_packed_key(&mut v, |k| *k);
     v
 }
 

@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 
 use ow_common::afr::{AttrValue, FlowRecord};
-use ow_common::flowkey::FlowKey;
+use ow_common::flowkey::{sort_by_packed_key, FlowKey};
 
 /// A flow's lifetime view, merged across exactly the sub-windows it was
 /// active in.
@@ -104,7 +104,7 @@ impl LifetimeInspector {
     pub fn lifetimes<'a>(&self, keys: impl IntoIterator<Item = &'a FlowKey>) -> Vec<FlowLifetime> {
         let mut out: Vec<FlowLifetime> =
             keys.into_iter().filter_map(|k| self.lifetime(k)).collect();
-        out.sort_by_key(|l| l.key.as_u128());
+        sort_by_packed_key(&mut out, |l| l.key);
         out
     }
 }

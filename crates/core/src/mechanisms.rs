@@ -17,7 +17,7 @@
 use std::collections::{HashMap, HashSet};
 
 use ow_common::afr::FlowRecord;
-use ow_common::flowkey::FlowKey;
+use ow_common::flowkey::{sort_by_packed_key, FlowKey};
 use ow_common::time::Duration;
 use ow_controller::table::MergeTable;
 use ow_switch::flowkey::FlowkeyTracker;
@@ -264,7 +264,7 @@ pub fn run_omniwindow_probed<A: WindowApp>(
             let mut keys: Vec<FlowKey> = app.resident_keys(state);
             keys.extend_from_slice(tracker.buffered());
             keys.extend_from_slice(tracker.overflowed());
-            keys.sort_by_key(|k| k.as_u128());
+            sort_by_packed_key(&mut keys, |k| *k);
             keys.dedup();
             let batch = keys
                 .iter()
@@ -392,7 +392,7 @@ pub(crate) fn run_sliding_sketch<A: WindowApp>(
     let report_ss = |cur: &A::State, prev: &A::State, index: usize| {
         let mut keys: Vec<FlowKey> = app.resident_keys(cur);
         keys.extend(app.resident_keys(prev));
-        keys.sort_by_key(|k| k.as_u128());
+        sort_by_packed_key(&mut keys, |k| *k);
         keys.dedup();
         let merged = |k: &FlowKey| {
             let mut a = app.query(cur, k);

@@ -12,7 +12,7 @@
 use std::collections::HashSet;
 
 use ow_common::afr::AttrValue;
-use ow_common::flowkey::FlowKey;
+use ow_common::flowkey::{sort_by_packed_key, FlowKey};
 use ow_common::hash::{mix64, HashFn};
 use ow_common::packet::Packet;
 
@@ -113,7 +113,7 @@ impl RegisterEngine {
     /// enumerate without OmniWindow's flowkey tracking).
     pub fn resident_keys(&self) -> Vec<FlowKey> {
         let mut keys: Vec<FlowKey> = self.cells.iter().filter_map(|c| c.key).collect();
-        keys.sort_by_key(|k| k.as_u128());
+        sort_by_packed_key(&mut keys, |k| *k);
         keys.dedup();
         keys
     }

@@ -9,7 +9,7 @@
 //! which is exactly the partial self-tracking OmniWindow's flowkey
 //! tracking complements.
 
-use ow_common::flowkey::FlowKey;
+use ow_common::flowkey::{sort_by_packed_key, FlowKey};
 use ow_common::hash::HashFn;
 
 use crate::cm::CountMin;
@@ -125,7 +125,7 @@ impl FrequencySketch for ElasticSketch {
 impl InvertibleSketch for ElasticSketch {
     fn candidates(&self) -> Vec<FlowKey> {
         let mut keys: Vec<FlowKey> = self.heavy.iter().filter_map(|b| b.key).collect();
-        keys.sort_by_key(|k| k.as_u128());
+        sort_by_packed_key(&mut keys, |k| *k);
         keys.dedup();
         keys
     }

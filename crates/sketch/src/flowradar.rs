@@ -12,7 +12,7 @@
 //! `{flow_xor, flow_count, packet_count}`. Decoding peels cells with
 //! `flow_count == 1`, whose `packet_count` is exactly that flow's count.
 
-use ow_common::flowkey::FlowKey;
+use ow_common::flowkey::{sort_by_packed_key, FlowKey};
 use ow_common::hash::{HashFamily, HashFn};
 
 use crate::bloom::BloomFilter;
@@ -128,7 +128,7 @@ impl FlowRadar {
             }
         }
         let complete = self.cells.iter().all(|c| c.flow_count == 0);
-        flows.sort_by_key(|(k, _)| k.as_u128());
+        sort_by_packed_key(&mut flows, |(k, _)| *k);
         FlowRadarDecode { flows, complete }
     }
 

@@ -7,7 +7,7 @@
 //! carried entry with the resident one if the carried count is larger —
 //! so small flows ripple out of the pipeline while elephants settle.
 
-use ow_common::flowkey::FlowKey;
+use ow_common::flowkey::{sort_by_packed_key, FlowKey};
 use ow_common::hash::HashFamily;
 
 use crate::traits::{FrequencySketch, InvertibleSketch, SketchMeta};
@@ -157,7 +157,7 @@ impl FrequencySketch for HashPipe {
 impl InvertibleSketch for HashPipe {
     fn candidates(&self) -> Vec<FlowKey> {
         let mut keys: Vec<FlowKey> = self.slots.iter().filter_map(|s| s.key).collect();
-        keys.sort_by_key(|k| k.as_u128());
+        sort_by_packed_key(&mut keys, |k| *k);
         keys.dedup();
         keys
     }

@@ -8,7 +8,7 @@
 //! which is then removed from its other cells, usually cascading until
 //! the digest is empty.
 
-use ow_common::flowkey::FlowKey;
+use ow_common::flowkey::{sort_by_packed_key, FlowKey};
 use ow_common::hash::{HashFamily, HashFn};
 
 use crate::traits::SketchMeta;
@@ -169,8 +169,8 @@ impl Iblt {
             }
         }
         let complete = self.cells.iter().all(|c| *c == Cell::default());
-        missing.sort_by_key(|k| k.as_u128());
-        extra.sort_by_key(|k| k.as_u128());
+        sort_by_packed_key(&mut missing, |k| *k);
+        sort_by_packed_key(&mut extra, |k| *k);
         DecodeResult {
             missing,
             extra,

@@ -9,7 +9,7 @@
 //! Heavy-hitter detection enumerates the candidate slots — exactly the
 //! "data-plane flow query" capability OmniWindow's AFR generation needs.
 
-use ow_common::flowkey::FlowKey;
+use ow_common::flowkey::{sort_by_packed_key, FlowKey};
 use ow_common::hash::HashFamily;
 
 use crate::traits::{FrequencySketch, InvertibleSketch, SketchMeta, SketchObs};
@@ -187,7 +187,7 @@ impl FrequencySketch for MvSketch {
 impl InvertibleSketch for MvSketch {
     fn candidates(&self) -> Vec<FlowKey> {
         let mut keys: Vec<FlowKey> = self.buckets.iter().filter_map(|b| b.k).collect();
-        keys.sort_by_key(|k| k.as_u128());
+        sort_by_packed_key(&mut keys, |k| *k);
         keys.dedup();
         keys
     }

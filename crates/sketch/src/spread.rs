@@ -9,7 +9,7 @@
 //! take the row-minimum of the bitmap estimates.
 
 use ow_common::afr::DistinctBitmap;
-use ow_common::flowkey::FlowKey;
+use ow_common::flowkey::{sort_by_packed_key, FlowKey};
 use ow_common::hash::{mix64, HashFamily, HashFn};
 
 use crate::traits::{InvertibleSketch, SketchMeta, SpreadEstimator};
@@ -127,7 +127,7 @@ impl SpreadEstimator for SpreadSketch {
 impl InvertibleSketch for SpreadSketch {
     fn candidates(&self) -> Vec<FlowKey> {
         let mut keys: Vec<FlowKey> = self.buckets.iter().filter_map(|b| b.key).collect();
-        keys.sort_by_key(|k| k.as_u128());
+        sort_by_packed_key(&mut keys, |k| *k);
         keys.dedup();
         keys
     }

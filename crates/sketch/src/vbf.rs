@@ -13,7 +13,7 @@
 //! reconstructed by chaining hot cells whose overlapping bits agree
 //! ([`VectorBloomFilter::candidates`]), with no stored keys at all.
 
-use ow_common::flowkey::{FlowKey, KeyKind};
+use ow_common::flowkey::{sort_by_packed_key, FlowKey, KeyKind};
 use ow_common::hash::HashFn;
 
 use crate::traits::{SketchMeta, SketchObs, SpreadEstimator};
@@ -133,7 +133,7 @@ impl VectorBloomFilter {
             })
             .map(FlowKey::src_ip)
             .collect();
-        keys.sort_by_key(|k| k.as_u128());
+        sort_by_packed_key(&mut keys, |k| *k);
         keys
     }
 

@@ -18,7 +18,8 @@
 use std::collections::BTreeMap;
 
 use ow_common::afr::FlowRecord;
-use ow_common::flowkey::FlowKey;
+use ow_common::block::RecordBlock;
+use ow_common::flowkey::{packed_order, FlowKey};
 use ow_common::packet::{OwFlag, OwHeader, Packet};
 use ow_common::time::{Duration, Instant};
 
@@ -96,15 +97,9 @@ pub fn collect_and_reset<A: DataPlaneApp>(
     let self_tracked = arrived.len();
     arrived.extend_from_slice(tracker.buffered());
     arrived.extend_from_slice(tracker.overflowed());
-    // Ascending packed key, one entry per distinct key. Each key is
-    // packed once; the arrival index breaks ties, so the unstable sort
-    // orders equal keys as a stable one would and `dedup_by_key` keeps
-    // the first arrival.
-    let mut order: Vec<(u128, u32)> = Vec::with_capacity(arrived.len());
-    for (i, k) in arrived.iter().enumerate() {
-        order.push((k.as_u128(), i as u32));
-    }
-    order.sort_unstable();
+    // Ascending packed key, one entry per distinct key. Equal keys come
+    // out in arrival order, so `dedup_by_key` keeps the first arrival.
+    let mut order = packed_order(arrived.iter().map(|k| k.as_u128()));
     order.dedup_by_key(|&mut (packed, _)| packed);
     let keys: Vec<FlowKey> = order.iter().map(|&(_, i)| arrived[i as usize]).collect();
     // The index is 32 bytes an arrival: freed here, the batch below is
@@ -194,10 +189,12 @@ pub fn collect_and_reset<A: DataPlaneApp>(
 ///
 /// [`collect_and_reset`] destroys the region state the moment
 /// the batch is generated, so the AFRs themselves are the only copy the
-/// switch still has. They are parked here — indexed by sub-window, in
-/// cheap DRAM on the switch CPU — until the controller either confirms
-/// completeness ([`RetransmitBuffer::release`]) or gives up on the fast
-/// path and reads the whole batch back ([`RetransmitBuffer::full_batch`],
+/// switch still has. They are parked here — indexed by sub-window, as a
+/// columnar [`RecordBlock`] (28 bytes a scalar record instead of a
+/// 112-byte row), in cheap DRAM on the switch CPU — until the controller
+/// either confirms completeness ([`RetransmitBuffer::release`]) or gives
+/// up on the fast path and reads the whole batch back
+/// ([`RetransmitBuffer::full_batch`],
 /// the OS-path escalation). Retransmission requests replay exactly the
 /// requested sequence ids.
 ///
@@ -208,7 +205,7 @@ pub fn collect_and_reset<A: DataPlaneApp>(
 /// an undersized buffer.
 #[derive(Debug, Clone, Default)]
 pub struct RetransmitBuffer {
-    batches: BTreeMap<u32, Vec<FlowRecord>>,
+    batches: BTreeMap<u32, RecordBlock>,
     capacity: usize,
     evicted: u64,
 }
@@ -229,7 +226,8 @@ impl RetransmitBuffer {
     /// lifecycle state; with `capacity == 0` (unbounded) the eviction
     /// path provably never runs and the result is always empty.
     pub fn retain(&mut self, subwindow: u32, afrs: &[FlowRecord]) -> Vec<u32> {
-        self.batches.insert(subwindow, afrs.to_vec());
+        self.batches
+            .insert(subwindow, RecordBlock::from_records(subwindow, afrs));
         if self.capacity == 0 {
             return Vec::new();
         }
@@ -254,20 +252,19 @@ impl RetransmitBuffer {
         let Some(batch) = self.batches.get(&subwindow) else {
             return Vec::new();
         };
+        let ids = batch.seqs();
         seqs.iter()
-            .filter_map(|&seq| match batch.get(seq as usize) {
-                Some(r) if r.seq == seq => Some(*r),
-                _ => batch
-                    .binary_search_by_key(&seq, |r| r.seq)
-                    .ok()
-                    .map(|i| batch[i]),
+            .filter_map(|&seq| match ids.get(seq as usize) {
+                Some(&id) if id == seq => Some(seq as usize),
+                _ => ids.binary_search(&seq).ok(),
             })
+            .map(|i| batch.record(i))
             .collect()
     }
 
     /// The full retained batch of `subwindow` (the OS-path readback).
-    pub(crate) fn full_batch(&self, subwindow: u32) -> Option<&[FlowRecord]> {
-        self.batches.get(&subwindow).map(Vec::as_slice)
+    pub(crate) fn full_batch(&self, subwindow: u32) -> Option<&RecordBlock> {
+        self.batches.get(&subwindow)
     }
 
     /// Drop a batch the controller has confirmed complete.
@@ -438,7 +435,7 @@ pub fn make_collection_packets(n: usize, subwindow: u32, now: Instant) -> Vec<Pa
 mod tests {
     use super::*;
     use crate::app::FrequencyApp;
-    use ow_common::afr::AttrValue;
+    use ow_common::afr::{AttrValue, DistinctBitmap};
     use ow_common::flowkey::KeyKind;
     use ow_common::packet::TcpFlags;
     use ow_sketch::CountMin;
@@ -539,6 +536,38 @@ mod tests {
         let got = buf.retransmit(4, &seqs);
         assert_eq!(got.len(), 500);
         assert_eq!(got, linear(&gappy, &seqs));
+    }
+
+    #[test]
+    fn retained_block_replays_mixed_records_unchanged() {
+        let mut conns = DistinctBitmap::with_logical_bits(64);
+        conns.insert_hash(0xABCD);
+        let mut distinct = conns;
+        distinct.insert_hash(0x1234_5678);
+        let batch: Vec<FlowRecord> = (0..9u32)
+            .map(|seq| {
+                let attr = match seq % 3 {
+                    0 => AttrValue::Frequency(seq as u64 * 7),
+                    1 => AttrValue::Distinction(distinct),
+                    _ => AttrValue::ConnBytes {
+                        conns,
+                        bytes: 1_500 + seq as u64,
+                    },
+                };
+                FlowRecord {
+                    key: FlowKey::five_tuple(seq, !seq, 80, 443, 6),
+                    attr,
+                    subwindow: 5,
+                    seq,
+                }
+            })
+            .collect();
+        let mut buf = RetransmitBuffer::new(0);
+        buf.retain(5, &batch);
+        let all: Vec<u32> = (0..9).collect();
+        assert_eq!(buf.retransmit(5, &all), batch);
+        assert_eq!(buf.full_batch(5).unwrap().to_records(), batch);
+        assert_eq!(buf.retransmit(5, &[8, 2]), vec![batch[8], batch[2]]);
     }
 
     #[test]

@@ -262,7 +262,7 @@ impl<A: DataPlaneApp> Switch<A> {
     /// register entries, the slow-but-reliable fallback). Returns `None`
     /// when the sub-window is no longer retained.
     pub fn os_read_terminated(&mut self, subwindow: u32) -> Option<(Vec<FlowRecord>, Duration)> {
-        let batch = self.retransmit.full_batch(subwindow)?.to_vec();
+        let batch = self.retransmit.full_batch(subwindow)?.to_records();
         let app = self.state.active();
         let cost = latency::os_read(app.meta().register_arrays, app.states_per_array());
         self.retire_window(subwindow, true);
