@@ -17,6 +17,34 @@
 use ow_common::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
+
+/// A reordered packet arrives this many keys after its in-order key
+/// `2·slot`.
+const REORDER_DISPLACEMENT: Range<u64> = 2..16;
+
+/// A duplicate arrives this many keys after its original.
+const DUPLICATE_LAG: Range<u64> = 1..8;
+
+/// How far an arrival key can run ahead of its slot's in-order key
+/// `2·slot` (a displaced packet's duplicate). Every arrival drawn at
+/// `slot` or later has key `≥ 2·slot`, so only the arrivals of the last
+/// `MAX_LATE / 2` slots (this one's included, two at most each) can lie
+/// ahead of it.
+const MAX_LATE: u64 = (REORDER_DISPLACEMENT.end - 1) + (DUPLICATE_LAG.end - 1);
+
+/// Insert `item` (arrival key `key`) after every entry of `out` whose
+/// key is at most `key`, so equal keys keep draw order. The scan from
+/// the tail stops within the few entries `MAX_LATE` lets run ahead.
+fn place<T>(keys: &mut Vec<u64>, out: &mut Vec<T>, key: u64, item: T) {
+    let at = keys.iter().rposition(|&k| k <= key).map_or(0, |i| i + 1);
+    debug_assert!(
+        keys.len() - at <= MAX_LATE as usize,
+        "displacement bound broken"
+    );
+    keys.insert(at, key);
+    out.insert(at, item);
+}
 
 /// The traffic classes the collection path distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,10 +84,10 @@ impl PacketClass {
 pub struct ClassProfile {
     /// Independent per-packet drop probability, in `[0, 1]`.
     pub loss: f64,
-    /// Probability a delivered packet arrives twice.
+    /// Probability a delivered packet arrives twice, in `[0, 1]`.
     pub duplicate: f64,
     /// Probability a delivered packet is displaced later in the
-    /// delivery order (modelling multi-path reordering).
+    /// delivery order (modelling multi-path reordering), in `[0, 1]`.
     pub reorder: f64,
     /// Base one-way delay.
     pub delay: Duration,
@@ -197,7 +225,26 @@ pub struct LossyChannel {
 impl LossyChannel {
     /// Build a channel from `cfg` (seeding its private RNG from
     /// `cfg.seed`).
+    ///
+    /// # Panics
+    ///
+    /// If any class's `loss`, `duplicate` or `reorder` is not a
+    /// probability in `[0, 1]` (`NaN` and negative values included);
+    /// the message names the class and the field.
     pub fn new(cfg: FaultConfig) -> LossyChannel {
+        for class in PacketClass::ALL {
+            let p = cfg.profile(class);
+            for (field, value) in [
+                ("loss", p.loss),
+                ("duplicate", p.duplicate),
+                ("reorder", p.reorder),
+            ] {
+                assert!(
+                    (0.0..=1.0).contains(&value),
+                    "fault profile {class:?}.{field} = {value} is not a probability in [0, 1]"
+                );
+            }
+        }
         let rng = StdRng::seed_from_u64(cfg.seed);
         LossyChannel {
             cfg,
@@ -209,41 +256,46 @@ impl LossyChannel {
     /// Push a batch through the channel, returning what arrives in
     /// arrival order (losses removed, duplicates inserted, reordering
     /// applied within the batch).
+    ///
+    /// Arrival order is ascending arrival key, ties in draw order: the
+    /// packet offered at `slot` arrives at key `2·slot`, or
+    /// `2·slot + d` if displaced (`d` in `REORDER_DISPLACEMENT`), and
+    /// its duplicate `c` keys after it (`c` in `DUPLICATE_LAG`). Keys
+    /// therefore never run more than `MAX_LATE` ahead of the current
+    /// slot's `2·slot`, so each arrival is placed in order as it is
+    /// drawn by scanning back over a few tail entries, and each
+    /// survivor is moved (a duplicate: cloned) into the output once.
     pub fn transmit<T: Clone>(&mut self, class: PacketClass, items: Vec<T>) -> Vec<T> {
         let profile = *self.cfg.profile(class);
-        // (arrival key, insertion tiebreak, item); the key displaces
-        // reordered packets later in the delivery sequence.
-        let mut in_flight: Vec<(u64, u64, T)> = Vec::with_capacity(items.len());
-        let mut tiebreak = 0u64;
+        let stats = self.stats.class_mut(class);
+        stats.offered += items.len() as u64;
+        // `keys[i]` is `out[i]`'s arrival key; both stay in arrival order.
+        let mut keys: Vec<u64> = Vec::with_capacity(items.len());
+        let mut out: Vec<T> = Vec::with_capacity(items.len());
         for (slot, item) in items.into_iter().enumerate() {
-            self.stats.class_mut(class).offered += 1;
             if profile.loss > 0.0 && self.rng.gen_bool(profile.loss) {
-                self.stats.class_mut(class).dropped += 1;
+                stats.dropped += 1;
                 continue;
             }
             let displaced = profile.reorder > 0.0 && self.rng.gen_bool(profile.reorder);
             let displacement: u64 = if displaced {
-                self.stats.class_mut(class).reordered += 1;
-                self.rng.gen_range(2u64..16)
+                stats.reordered += 1;
+                self.rng.gen_range(REORDER_DISPLACEMENT)
             } else {
                 0
             };
             let key = slot as u64 * 2 + displacement;
-            let duplicated = profile.duplicate > 0.0 && self.rng.gen_bool(profile.duplicate);
-            if duplicated {
-                self.stats.class_mut(class).duplicated += 1;
-                self.stats.class_mut(class).delivered += 1;
+            if profile.duplicate > 0.0 && self.rng.gen_bool(profile.duplicate) {
+                stats.duplicated += 1;
+                stats.delivered += 1;
                 // The copy takes its own (possibly displaced) arrival slot.
-                let copy_key = key + self.rng.gen_range(1u64..8);
-                in_flight.push((copy_key, tiebreak, item.clone()));
-                tiebreak += 1;
+                let copy_key = key + self.rng.gen_range(DUPLICATE_LAG);
+                place(&mut keys, &mut out, copy_key, item.clone());
             }
-            self.stats.class_mut(class).delivered += 1;
-            in_flight.push((key, tiebreak, item));
-            tiebreak += 1;
+            stats.delivered += 1;
+            place(&mut keys, &mut out, key, item);
         }
-        in_flight.sort_by_key(|(key, tie, _)| (*key, *tie));
-        in_flight.into_iter().map(|(_, _, item)| item).collect()
+        out
     }
 
     /// Push a single packet through the channel; the result is empty
@@ -356,6 +408,28 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, input);
         assert!(ch.stats().class(PacketClass::AfrReport).reordered > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "AfrReport.loss = NaN is not a probability")]
+    fn nan_probability_is_rejected() {
+        LossyChannel::new(FaultConfig::afr_loss(1, f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "Trigger.duplicate = -0.1 is not a probability")]
+    fn negative_probability_is_rejected() {
+        let mut cfg = FaultConfig::lossless(1);
+        cfg.trigger.duplicate = -0.1;
+        LossyChannel::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "RetransmitData.reorder = 1.5 is not a probability")]
+    fn probability_above_one_is_rejected() {
+        let mut cfg = FaultConfig::lossless(1);
+        cfg.retransmit_data.reorder = 1.5;
+        LossyChannel::new(cfg);
     }
 
     #[test]

@@ -1,16 +1,23 @@
-//! Property-based conservation of the lossy channel's accounting.
+//! Property-based checks of the lossy channel.
 //!
-//! Whatever fault profile a channel runs — loss, duplication,
-//! reordering, any mix — its per-class [`ClassStats`] must balance:
-//! every offered packet is either delivered or dropped, duplicates are
-//! *extra* delivered copies on top, and no counter ever leaks across
-//! classes. The fleet sums these counters over hundreds of per-link
-//! channels, so a single-channel imbalance would silently corrupt every
-//! fleet report.
+//! Conservation: whatever fault profile a channel runs — loss,
+//! duplication, reordering, any mix — its per-class [`ClassStats`] must
+//! balance: every offered packet is either delivered or dropped,
+//! duplicates are *extra* delivered copies on top, and no counter ever
+//! leaks across classes. The fleet sums these counters over hundreds of
+//! per-link channels, so a single-channel imbalance would silently
+//! corrupt every fleet report.
+//!
+//! Equivalence: `transmit` places each arrival in order as it is drawn;
+//! [`push_then_sort`] is the model it must equal item for item, counter
+//! for counter and RNG draw for RNG draw, so every seeded artifact built
+//! on the channel stays byte-identical.
 
 use ow_common::time::Duration;
-use ow_netsim::{ClassProfile, FaultConfig, LossyChannel, PacketClass};
+use ow_netsim::{ClassProfile, ClassStats, FaultConfig, LossyChannel, PacketClass};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// An arbitrary per-class profile: independent loss, duplication, and
 /// reorder probabilities (delay/jitter don't touch the counters but are
@@ -142,5 +149,119 @@ proptest! {
                 "merged class {:?} lost the balance", class
             );
         }
+    }
+}
+
+/// The channel's batch semantics written the plain way, on its own RNG
+/// stream: push every arrival as `(arrival key, draw index, item)`,
+/// stable-sort by key, strip the keys.
+fn push_then_sort<T: Clone>(
+    rng: &mut StdRng,
+    profile: &ClassProfile,
+    stats: &mut ClassStats,
+    items: Vec<T>,
+) -> Vec<T> {
+    let mut in_flight: Vec<(u64, u64, T)> = Vec::new();
+    let mut tiebreak = 0u64;
+    for (slot, item) in items.into_iter().enumerate() {
+        stats.offered += 1;
+        if profile.loss > 0.0 && rng.gen_bool(profile.loss) {
+            stats.dropped += 1;
+            continue;
+        }
+        let displaced = profile.reorder > 0.0 && rng.gen_bool(profile.reorder);
+        let displacement: u64 = if displaced {
+            stats.reordered += 1;
+            rng.gen_range(2u64..16)
+        } else {
+            0
+        };
+        let key = slot as u64 * 2 + displacement;
+        if profile.duplicate > 0.0 && rng.gen_bool(profile.duplicate) {
+            stats.duplicated += 1;
+            stats.delivered += 1;
+            let copy_key = key + rng.gen_range(1u64..8);
+            in_flight.push((copy_key, tiebreak, item.clone()));
+            tiebreak += 1;
+        }
+        stats.delivered += 1;
+        in_flight.push((key, tiebreak, item));
+        tiebreak += 1;
+    }
+    in_flight.sort_by_key(|(key, tie, _)| (*key, *tie));
+    in_flight.into_iter().map(|(_, _, item)| item).collect()
+}
+
+/// A probability with its edges drawn on purpose: exactly 0 skips a
+/// class's draw, exactly 1 always fires it.
+fn arb_probability() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0), Just(1.0), 0.0f64..=1.0]
+}
+
+/// A profile over the whole probability range, with non-zero jitter so
+/// that a `latency` call after the script reads the next RNG draw.
+fn arb_faulty_profile() -> impl Strategy<Value = ClassProfile> {
+    (
+        arb_probability(),
+        arb_probability(),
+        arb_probability(),
+        1u64..500,
+    )
+        .prop_map(|(loss, duplicate, reorder, jitter_us)| ClassProfile {
+            loss,
+            duplicate,
+            reorder,
+            delay: Duration::ZERO,
+            jitter: Duration::from_micros(jitter_us),
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `transmit` returns what [`push_then_sort`] returns, in the same
+    /// order, leaves the same counters and the RNG at the same draw.
+    /// The payload is an owned `String` unique per batch and slot, so a
+    /// survivor delivered twice or a duplicate gone missing shows.
+    #[test]
+    fn transmit_equals_push_then_sort(
+        seed in any::<u64>(),
+        profiles in (
+            arb_faulty_profile(),
+            arb_faulty_profile(),
+            arb_faulty_profile(),
+            arb_faulty_profile(),
+        ),
+        script in proptest::collection::vec((0u8..4, 0usize..3000), 0..5),
+    ) {
+        let cfg = FaultConfig {
+            seed,
+            afr: profiles.0,
+            trigger: profiles.1,
+            retransmit_request: profiles.2,
+            retransmit_data: profiles.3,
+        };
+        let mut channel = LossyChannel::new(cfg.clone());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut stats = [ClassStats::default(); 4];
+        for (batch, &(class_idx, len)) in script.iter().enumerate() {
+            let class = PacketClass::ALL[class_idx as usize];
+            let items: Vec<String> = (0..len).map(|slot| format!("{batch}/{slot}")).collect();
+            let want = push_then_sort(
+                &mut rng,
+                cfg.profile(class),
+                &mut stats[class_idx as usize],
+                items.clone(),
+            );
+            let got = channel.transmit(class, items);
+            prop_assert_eq!(&got, &want, "batch {} ({:?}, {} items)", batch, class, len);
+        }
+        for (idx, &class) in PacketClass::ALL.iter().enumerate() {
+            prop_assert_eq!(channel.stats().class(class), &stats[idx], "{:?}", class);
+        }
+        let profile = cfg.profile(PacketClass::AfrReport);
+        let next = profile.delay
+            + Duration::from_nanos(rng.gen_range(0..=profile.jitter.as_nanos()));
+        prop_assert_eq!(channel.latency(PacketClass::AfrReport), next);
     }
 }
