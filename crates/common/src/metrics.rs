@@ -32,17 +32,6 @@ pub struct PrecisionRecall {
     pub fn_: usize,
 }
 
-impl PrecisionRecall {
-    /// F1 score (harmonic mean of precision and recall).
-    pub fn f1(&self) -> f64 {
-        if self.precision + self.recall == 0.0 {
-            0.0
-        } else {
-            2.0 * self.precision * self.recall / (self.precision + self.recall)
-        }
-    }
-}
-
 /// Compare a reported flow set against ground truth.
 ///
 /// Empty-set conventions: precision of an empty report is 1.0 (nothing
@@ -192,7 +181,6 @@ mod tests {
         let pr = precision_recall(&truth, &truth);
         assert_eq!(pr.precision, 1.0);
         assert_eq!(pr.recall, 1.0);
-        assert_eq!(pr.f1(), 1.0);
         assert_eq!((pr.tp, pr.fp, pr.fn_), (3, 0, 0));
     }
 
@@ -255,17 +243,5 @@ mod tests {
         assert_eq!(total.wall_clock, Duration::from_micros(800));
         assert!((total.first_pass_loss() - 0.3).abs() < 1e-12);
         assert!(!total.lossless());
-    }
-
-    #[test]
-    fn f1_handles_all_zero() {
-        let pr = PrecisionRecall {
-            precision: 0.0,
-            recall: 0.0,
-            tp: 0,
-            fp: 1,
-            fn_: 1,
-        };
-        assert_eq!(pr.f1(), 0.0);
     }
 }

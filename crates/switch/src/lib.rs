@@ -45,7 +45,7 @@ pub use consistency::ConsistencyModel;
 pub use flowkey::{FlowkeyTracker, TrackOutcome};
 pub use placement::{
     place, place_optimal, Feature, PackingDensity, Placement, PlacementError, ResourceClass,
-    SearchBudget, StageLimits, StepRef,
+    StageLimits,
 };
 pub use regions::TwoRegionState;
 pub use register::{FlattenedLayout, RegisterArray, SaluOp};

@@ -13,15 +13,15 @@
 //!   fixed feature order with no backtracking: it can fragment scarce
 //!   resources (SALUs especially) and reject programs that fit.
 //! * [`place_optimal`] — dependency-aware branch-and-bound over stage
-//!   assignments. It takes an explicit [`DepGraph`] (intra-feature
-//!   precedence chains plus cross-feature register-conflict edges
-//!   supplied by the caller), seeds the search with the greedy
-//!   solution as the incumbent so it is **never worse than greedy**,
-//!   and explores alternative assignments under a deterministic
-//!   node-count [`SearchBudget`]. On failure it returns a structured
+//!   assignments. It branches longest-remaining-chain first (then by
+//!   the step's SALU and SRAM appetite), seeds the search with the
+//!   greedy solution as the incumbent so it is **never worse than
+//!   greedy**, and stops after a fixed number of expanded nodes
+//!   (`MAX_SEARCH_NODES`) — a count, not wall-clock, so every result is
+//!   deterministic. On failure it returns a structured
 //!   [`PlacementError`] naming the feature, step, and binding
 //!   [`ResourceClass`], and whether infeasibility was *proven*
-//!   (exhaustive search / lower bound) or the budget ran out.
+//!   (exhaustive search / lower bound) or the node limit ran out.
 //!
 //! A successful [`Placement`] can report its [`PackingDensity`] — the
 //! per-stage utilisation permille of each resource class across the
@@ -79,7 +79,7 @@ impl Default for StageLimits {
 }
 
 /// A named feature: an ordered list of steps.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Feature {
     /// Feature name.
     pub name: String,
@@ -222,9 +222,6 @@ pub fn place(features: &[Feature], limits: StageLimits) -> Result<Placement, OwE
     })
 }
 
-/// Identifies one step globally as `(feature index, step index)`.
-pub type StepRef = (usize, usize);
-
 /// The resource class that binds a placement decision. `Stages` covers
 /// dependency-chain exhaustion (no stage late enough exists at all).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -260,24 +257,12 @@ impl core::fmt::Display for ResourceClass {
     }
 }
 
-/// Deterministic budget for [`place_optimal`]: the search stops after
-/// expanding `max_nodes` nodes and keeps the best incumbent found.
-/// Counting nodes (not wall-clock) keeps the output byte-identical
-/// across machines and runs — the CI determinism gate relies on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SearchBudget {
-    /// Maximum branch-and-bound nodes to expand.
-    pub max_nodes: u64,
-}
-
-impl Default for SearchBudget {
-    fn default() -> Self {
-        // Large enough to prove optimality for every catalog program,
-        // small enough that `ow-lint` over the full catalog stays well
-        // under a second in CI.
-        SearchBudget { max_nodes: 200_000 }
-    }
-}
+/// Nodes [`place_optimal`] may expand before it keeps the best
+/// incumbent found. Counting nodes (not wall-clock) keeps the output
+/// byte-identical across machines and runs. Large enough to prove
+/// optimality for every `ow-verify` catalog program, small enough that
+/// `ow-lint` over the whole catalog stays well under a second.
+const MAX_SEARCH_NODES: u64 = 200_000;
 
 /// Why [`place_optimal`] could not place a program.
 #[derive(Debug, Clone)]
@@ -291,7 +276,7 @@ pub struct PlacementError {
     pub resource: ResourceClass,
     /// `true` when infeasibility is proven (a lower bound exceeds the
     /// stage count, or the search exhausted the whole tree within
-    /// budget); `false` when the budget ran out first.
+    /// `MAX_SEARCH_NODES`); `false` when the node limit ran out first.
     pub proven: bool,
     /// Human-readable proof / progress detail.
     pub detail: String,
@@ -318,76 +303,6 @@ impl core::fmt::Display for PlacementError {
 impl From<PlacementError> for OwError {
     fn from(e: PlacementError) -> OwError {
         OwError::ResourceExhausted(e.to_string())
-    }
-}
-
-/// The explicit step-dependency graph [`place_optimal`] searches over.
-///
-/// Nodes are global step ids in feature-major order (feature 0 step 0,
-/// feature 0 step 1, …). Two edge kinds:
-///
-/// * **strict** — intra-feature precedence: step `i+1` of a feature
-///   must land in a strictly later stage than step `i` (stateful
-///   dependencies serialise). These are hard constraints, implied by
-///   the feature-major step order, so they are not stored.
-/// * **conflict** — cross-feature register-conflict edges supplied by
-///   the caller (`ow-verify` derives them from the order a path's
-///   access sequence touches the SALU steps serving shared register
-///   arrays). They steer the branching order — higher-conflict steps
-///   are placed earlier, where backtracking is cheap — without
-///   shrinking the feasible set, so search stays strictly more
-///   permissive than greedy.
-#[derive(Debug, Clone)]
-pub(crate) struct DepGraph {
-    /// Global step count.
-    pub steps: usize,
-    /// Cross-feature conflict edges (search guidance, not constraints).
-    pub conflicts: Vec<(usize, usize)>,
-}
-
-impl DepGraph {
-    /// Build the graph for `features`, folding in cross-feature
-    /// `conflicts` given as `(feature, step)` pairs. Conflict edges
-    /// referencing out-of-range steps are ignored; intra-feature
-    /// conflict edges are dropped (the strict chain already orders
-    /// them).
-    pub fn build(features: &[Feature], conflicts: &[(StepRef, StepRef)]) -> DepGraph {
-        let offsets: Vec<usize> = features
-            .iter()
-            .scan(0usize, |acc, f| {
-                let o = *acc;
-                *acc += f.steps.len();
-                Some(o)
-            })
-            .collect();
-        let steps: usize = features.iter().map(|f| f.steps.len()).sum();
-        let gid = |(fi, si): StepRef| -> Option<usize> {
-            features
-                .get(fi)
-                .filter(|f| si < f.steps.len())
-                .map(|_| offsets[fi] + si)
-        };
-        let mut edges: Vec<(usize, usize)> = conflicts
-            .iter()
-            .filter(|((fa, _), (fb, _))| fa != fb)
-            .filter_map(|&(a, b)| Some((gid(a)?, gid(b)?)))
-            .collect();
-        edges.sort_unstable();
-        edges.dedup();
-        DepGraph {
-            steps,
-            conflicts: edges,
-        }
-    }
-
-    /// Number of conflict edges touching each step.
-    pub(crate) fn conflict_degree(&self) -> Vec<u32> {
-        let mut deg = vec![0u32; self.steps];
-        for &(a, b) in &self.conflicts {
-            deg[a] += 1;
-            deg[b] += 1;
-        }
-        deg
     }
 }
 
@@ -537,16 +452,21 @@ impl Search<'_> {
 /// exists) seeds the incumbent, so the result **never uses more stages
 /// than greedy**; when greedy fails, the search still explores the
 /// full assignment space and admits any program that fits — strictly
-/// more permissive than first-fit. `conflicts` are cross-feature
-/// register-conflict edges (see [`DepGraph`]); they order the
-/// branching, not the feasible set. The node-count `budget` makes the
-/// search — and therefore every diagnostic and density figure derived
-/// from it — deterministic.
+/// more permissive than first-fit. The search expands at most
+/// `MAX_SEARCH_NODES` nodes, which makes it — and therefore every
+/// diagnostic and density figure derived from it — deterministic.
 pub fn place_optimal(
     features: &[Feature],
     limits: StageLimits,
-    conflicts: &[(StepRef, StepRef)],
-    budget: SearchBudget,
+) -> Result<Placement, PlacementError> {
+    branch_and_bound(features, limits, MAX_SEARCH_NODES)
+}
+
+/// [`place_optimal`] with an explicit node limit.
+fn branch_and_bound(
+    features: &[Feature],
+    limits: StageLimits,
+    max_nodes: u64,
 ) -> Result<Placement, PlacementError> {
     let n_stages = limits.stages as usize;
     let total_steps: usize = features.iter().map(|f| f.steps.len()).sum();
@@ -651,18 +571,15 @@ pub fn place_optimal(
             });
         }
     }
-    let graph = DepGraph::build(features, conflicts);
-    let degree = graph.conflict_degree();
-    // Longest-chain-first (critical path), then conflict degree, then
-    // resource weight. Within a feature `chain_rem` strictly decreases
-    // with position, so every step sorts after its predecessor and the
-    // order is automatically precedence-compatible.
+    // Longest-chain-first (critical path), then resource weight. Within
+    // a feature `chain_rem` strictly decreases with position, so every
+    // step sorts after its predecessor and the order is automatically
+    // precedence-compatible.
     let mut order: Vec<usize> = (0..total_steps).collect();
     order.sort_by_key(|&i| {
         let st = &flat[i];
         (
             core::cmp::Reverse(st.chain_rem),
-            core::cmp::Reverse(degree[i]),
             core::cmp::Reverse(st.step.salus),
             core::cmp::Reverse(st.step.sram_kb),
             st.feature,
@@ -686,7 +603,7 @@ pub fn place_optimal(
         best: None,
         best_cost,
         nodes: 0,
-        max_nodes: budget.max_nodes,
+        max_nodes,
         exhausted: false,
         deepest_fail: None,
     };
@@ -763,6 +680,87 @@ fn build_placement(
     }
 }
 
+/// The five Table-2 rows every OmniWindow pipeline carries whatever
+/// application it wraps, in the order `[Signal, Consistency model,
+/// Flowkey tracking, AFR generation, In-switch reset]` — the one
+/// definition of their steps. [`omniwindow_features`] builds the Exp#5
+/// program from them and `ow-verify` builds the program a concrete
+/// switch deploys; each inserts its own rows between them.
+///
+/// Flowkey tracking is one step per Bloom hash (each reads/writes one
+/// register array) plus the `fk_buffer` append step, which carries the
+/// rest of `fk_sram_kb`.
+pub fn framework_features(fk_sram_kb: u32, bloom_hashes: u32) -> [Feature; 5] {
+    let per_hash_kb = fk_sram_kb / (bloom_hashes + 1);
+    let mut fk_steps: Vec<Step> = (0..bloom_hashes)
+        .map(|_| Step {
+            sram_kb: per_hash_kb,
+            salus: 1,
+            vliw: 2,
+            gateways: 2,
+        })
+        .collect();
+    fk_steps.push(Step {
+        sram_kb: fk_sram_kb - per_hash_kb * bloom_hashes,
+        salus: 1,
+        vliw: 1,
+        gateways: 1,
+    });
+    [
+        Feature::new(
+            "Signal",
+            vec![Step {
+                sram_kb: 32,
+                salus: 1,
+                vliw: 3,
+                gateways: 2,
+            }],
+        ),
+        Feature::new(
+            "Consistency model",
+            vec![Step {
+                sram_kb: 0,
+                salus: 0,
+                vliw: 2,
+                gateways: 1,
+            }],
+        ),
+        Feature::new("Flowkey tracking", fk_steps),
+        Feature::new(
+            "AFR generation",
+            vec![Step {
+                sram_kb: 0,
+                salus: 0,
+                vliw: 4,
+                gateways: 3,
+            }],
+        ),
+        Feature::new(
+            "In-switch reset",
+            vec![
+                Step {
+                    sram_kb: 32,
+                    salus: 1,
+                    vliw: 2,
+                    gateways: 2,
+                }, // reset_counter
+                Step {
+                    sram_kb: 0,
+                    salus: 0,
+                    vliw: 2,
+                    gateways: 2,
+                }, // index rewrite
+                Step {
+                    sram_kb: 0,
+                    salus: 0,
+                    vliw: 1,
+                    gateways: 1,
+                }, // drop/recirc select
+            ],
+        ),
+    ]
+}
+
 /// The OmniWindow feature steps of the Exp#5 build (Q1 configuration),
 /// broken into the per-stage steps the P4 program serialises — the one
 /// definition of Table 2: the resource report's rows are the sums of
@@ -773,128 +771,63 @@ fn build_placement(
 /// (comparisons, header rewrites) is charged with constants taken from
 /// the paper's measured P4 build. "RDMA opt." is omitted when disabled.
 pub fn omniwindow_features(cfg: &ResourceConfig) -> Vec<Feature> {
-    let bloom_hashes = cfg.bloom_hashes;
     let fk_sram_kb = cfg.bloom_kb + (cfg.fk_capacity * 13).div_ceil(1024) + 8;
-    let rdma_sram_kb = (cfg.rdma_hot_keys * 29).div_ceil(1024);
-    let mut features = vec![
-        Feature {
-            name: "Signal".into(),
-            steps: vec![Step {
-                sram_kb: 32,
-                salus: 1,
-                vliw: 3,
-                gateways: 2,
-            }],
-        },
-        Feature {
-            name: "Consistency model".into(),
-            steps: vec![Step {
-                sram_kb: 0,
-                salus: 0,
-                vliw: 2,
-                gateways: 1,
-            }],
-        },
-        Feature {
-            name: "Address location".into(),
-            steps: vec![Step {
-                sram_kb: 16,
-                salus: 0,
-                vliw: 2,
-                gateways: 0,
-            }],
-        },
-    ];
-    // Flowkey tracking: one step per Bloom hash (each reads/writes one
-    // register array) plus the fk_buffer append step carrying the SRAM.
-    let mut fk_steps: Vec<Step> = (0..bloom_hashes)
-        .map(|_| Step {
-            sram_kb: fk_sram_kb / (bloom_hashes + 1),
-            salus: 1,
-            vliw: 2,
-            gateways: 2,
-        })
-        .collect();
-    fk_steps.push(Step {
-        sram_kb: fk_sram_kb - (fk_sram_kb / (bloom_hashes + 1)) * bloom_hashes,
-        salus: 1,
-        vliw: 1,
-        gateways: 1,
-    });
-    features.push(Feature {
-        name: "Flowkey tracking".into(),
-        steps: fk_steps,
-    });
-    features.push(Feature {
-        name: "AFR generation".into(),
-        steps: vec![Step {
-            sram_kb: 0,
+    let [signal, consistency, flowkey_tracking, afr_generation, in_switch_reset] =
+        framework_features(fk_sram_kb, cfg.bloom_hashes);
+    let address_location = Feature::new(
+        "Address location",
+        vec![Step {
+            sram_kb: 16,
             salus: 0,
-            vliw: 4,
-            gateways: 3,
+            vliw: 2,
+            gateways: 0,
         }],
-    });
-    let rdma = Feature {
-        name: "RDMA opt.".into(),
-        steps: vec![
-            Step {
-                sram_kb: rdma_sram_kb,
-                salus: 0,
-                vliw: 4,
-                gateways: 3,
-            }, // address MAT
-            Step {
-                sram_kb: 0,
-                salus: 1,
-                vliw: 4,
-                gateways: 3,
-            }, // PSN counter
-            Step {
-                sram_kb: 0,
-                salus: 1,
-                vliw: 4,
-                gateways: 3,
-            }, // ICRC state
-            Step {
-                sram_kb: 0,
-                salus: 0,
-                vliw: 4,
-                gateways: 2,
-            }, // header build
-            Step {
-                sram_kb: 0,
-                salus: 0,
-                vliw: 4,
-                gateways: 2,
-            }, // header build
-        ],
-    };
+    );
+    let mut features = vec![
+        signal,
+        consistency,
+        address_location,
+        flowkey_tracking,
+        afr_generation,
+    ];
     if cfg.rdma_enabled {
-        features.push(rdma);
+        features.push(Feature::new(
+            "RDMA opt.",
+            vec![
+                Step {
+                    sram_kb: (cfg.rdma_hot_keys * 29).div_ceil(1024),
+                    salus: 0,
+                    vliw: 4,
+                    gateways: 3,
+                }, // address MAT
+                Step {
+                    sram_kb: 0,
+                    salus: 1,
+                    vliw: 4,
+                    gateways: 3,
+                }, // PSN counter
+                Step {
+                    sram_kb: 0,
+                    salus: 1,
+                    vliw: 4,
+                    gateways: 3,
+                }, // ICRC state
+                Step {
+                    sram_kb: 0,
+                    salus: 0,
+                    vliw: 4,
+                    gateways: 2,
+                }, // header build
+                Step {
+                    sram_kb: 0,
+                    salus: 0,
+                    vliw: 4,
+                    gateways: 2,
+                }, // header build
+            ],
+        ));
     }
-    features.push(Feature {
-        name: "In-switch reset".into(),
-        steps: vec![
-            Step {
-                sram_kb: 32,
-                salus: 1,
-                vliw: 2,
-                gateways: 2,
-            }, // reset_counter
-            Step {
-                sram_kb: 0,
-                salus: 0,
-                vliw: 2,
-                gateways: 2,
-            }, // index rewrite
-            Step {
-                sram_kb: 0,
-                salus: 0,
-                vliw: 1,
-                gateways: 1,
-            }, // drop/recirc select
-        ],
-    });
+    features.push(in_switch_reset);
     features
 }
 
@@ -1043,8 +976,7 @@ mod tests {
         let features = greedy_hostile_features();
         let limits = tight_limits();
         assert!(place(&features, limits).is_err(), "greedy must reject");
-        let p = place_optimal(&features, limits, &[], SearchBudget::default())
-            .expect("branch-and-bound fits");
+        let p = place_optimal(&features, limits).expect("branch-and-bound fits");
         assert_eq!(p.stages_used, 3);
         assert_eq!(p.method, "branch-and-bound");
         assert!(p.optimal, "the search space is tiny; must be proven");
@@ -1063,33 +995,15 @@ mod tests {
     fn search_never_uses_more_stages_than_greedy() {
         let features = omniwindow_features(&ResourceConfig::default());
         let greedy = place(&features, StageLimits::default()).unwrap();
-        let opt = place_optimal(
-            &features,
-            StageLimits::default(),
-            &[],
-            SearchBudget::default(),
-        )
-        .unwrap();
+        let opt = place_optimal(&features, StageLimits::default()).unwrap();
         assert!(opt.stages_used <= greedy.stages_used);
     }
 
     #[test]
     fn search_is_deterministic() {
         let features = omniwindow_features(&ResourceConfig::default());
-        let a = place_optimal(
-            &features,
-            StageLimits::default(),
-            &[],
-            SearchBudget::default(),
-        )
-        .unwrap();
-        let b = place_optimal(
-            &features,
-            StageLimits::default(),
-            &[],
-            SearchBudget::default(),
-        )
-        .unwrap();
+        let a = place_optimal(&features, StageLimits::default()).unwrap();
+        let b = place_optimal(&features, StageLimits::default()).unwrap();
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
@@ -1097,13 +1011,8 @@ mod tests {
     fn exhausted_budget_keeps_the_greedy_incumbent() {
         let features = omniwindow_features(&ResourceConfig::default());
         let greedy = place(&features, StageLimits::default()).unwrap();
-        let p = place_optimal(
-            &features,
-            StageLimits::default(),
-            &[],
-            SearchBudget { max_nodes: 1 },
-        )
-        .expect("incumbent survives budget exhaustion");
+        let p = branch_and_bound(&features, StageLimits::default(), 1)
+            .expect("incumbent survives budget exhaustion");
         assert_eq!(p.stages_used, greedy.stages_used);
         assert!(!p.optimal, "one node proves nothing");
     }
@@ -1149,7 +1058,7 @@ mod tests {
                 }],
             ),
         ];
-        let err = place_optimal(&features, limits, &[], SearchBudget::default()).unwrap_err();
+        let err = place_optimal(&features, limits).unwrap_err();
         assert!(err.proven, "the tree is tiny; must be exhausted");
         assert!(err.feature == "deep" || err.feature == "rider", "{err}");
         assert!(
@@ -1181,7 +1090,7 @@ mod tests {
             salus: 1,
             ..StageLimits::default()
         };
-        let err = place_optimal(&features, limits, &[], SearchBudget::default()).unwrap_err();
+        let err = place_optimal(&features, limits).unwrap_err();
         assert_eq!(err.resource, ResourceClass::Salu);
         assert!(err.proven);
         assert!(err.detail.contains("13 stages"), "{}", err.detail);
@@ -1191,7 +1100,7 @@ mod tests {
     fn density_reports_permille_utilisation() {
         let features = greedy_hostile_features();
         let limits = tight_limits();
-        let p = place_optimal(&features, limits, &[], SearchBudget::default()).unwrap();
+        let p = place_optimal(&features, limits).unwrap();
         let d = p.density(limits);
         assert_eq!(d.stages_used, 3);
         assert_eq!(d.stages_limit, 3);
@@ -1203,42 +1112,8 @@ mod tests {
     }
 
     #[test]
-    fn conflict_edges_are_guidance_not_constraints() {
-        // Even a deliberately backwards conflict edge (late step before
-        // early) must not change feasibility or the optimal stage count.
-        let features = greedy_hostile_features();
-        let limits = tight_limits();
-        let baseline = place_optimal(&features, limits, &[], SearchBudget::default()).unwrap();
-        let steered = place_optimal(
-            &features,
-            limits,
-            &[((1, 2), (0, 0)), ((0, 0), (1, 0))],
-            SearchBudget::default(),
-        )
-        .unwrap();
-        assert_eq!(baseline.stages_used, steered.stages_used);
-    }
-
-    #[test]
-    fn depgraph_dedups_and_filters_conflicts() {
-        let features = greedy_hostile_features();
-        let g = DepGraph::build(
-            &features,
-            &[
-                ((0, 0), (1, 1)),
-                ((0, 0), (1, 1)), // duplicate
-                ((1, 0), (1, 2)), // intra-feature: dropped
-                ((0, 0), (9, 9)), // out of range: dropped
-            ],
-        );
-        assert_eq!(g.steps, 4);
-        assert_eq!(g.conflicts, vec![(0, 2)]);
-        assert_eq!(g.conflict_degree(), vec![1, 0, 1, 0]);
-    }
-
-    #[test]
     fn empty_feature_set_places_trivially() {
-        let p = place_optimal(&[], StageLimits::default(), &[], SearchBudget::default()).unwrap();
+        let p = place_optimal(&[], StageLimits::default()).unwrap();
         assert_eq!(p.stages_used, 0);
         assert!(p.optimal);
         assert_eq!(p.density(StageLimits::default()).salu_permille, 0);

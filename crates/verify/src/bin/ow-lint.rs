@@ -5,32 +5,29 @@
 //! configuration the examples, tests, benchmarks, and simulator use)
 //! and exits non-zero if any program is rejected.
 //!
-//! Placement runs the dependency-aware branch-and-bound search; the
-//! `--budget` knob pins its node count so CI runs stay fast and every
-//! emitted report (the packing-density columns included) is
-//! byte-deterministic — the committed `results/verify_table2.json`
-//! baseline is exactly `ow-lint --json` at the default budget.
+//! Placement runs the dependency-aware branch-and-bound search, which
+//! stops after a fixed node count, so every emitted report (the
+//! packing-density columns included) is byte-deterministic — the
+//! committed `results/verify_table2.json` baseline is exactly
+//! `ow-lint --json`, and `tests/lint_baseline.rs` holds it there.
 //!
 //! ```text
 //! ow-lint             # human-readable, one line per program + diagnostics
 //! ow-lint --json      # machine-readable report array
 //! ow-lint --only X    # restrict to catalog entries whose name contains X
-//! ow-lint --budget N  # cap the placement search at N nodes per program
 //! ```
 
 use std::process::ExitCode;
 
-use ow_switch::placement::SearchBudget;
 use ow_verify::catalog::repo_programs;
-use ow_verify::{verify_with_budget, PipelineProgram};
+use ow_verify::{verify, PipelineProgram};
 
-const USAGE: &str = "usage: ow-lint [--json] [--only SUBSTR] [--budget NODES]";
+const USAGE: &str = "usage: ow-lint [--json] [--only SUBSTR]";
 
 /// What the command line asked for; `programs` is the catalog
 /// narrowed by `--only`.
 struct Options {
     json: bool,
-    budget: SearchBudget,
     programs: Vec<(String, PipelineProgram)>,
 }
 
@@ -41,35 +38,23 @@ fn parse_args(
     args: &[String],
     mut programs: Vec<(String, PipelineProgram)>,
 ) -> Result<Option<Options>, String> {
-    let (mut json, mut budget) = (false, SearchBudget::default());
+    let mut json = false;
     let mut args = args.iter();
     while let Some(arg) = args.next() {
-        let mut value = || args.next().ok_or(format!("{arg} expects a value"));
         match arg.as_str() {
             "--help" | "-h" => return Ok(None),
             "--json" => json = true,
             "--only" => {
-                let filter = value()?;
+                let filter = args.next().ok_or(format!("{arg} expects a value"))?;
                 programs.retain(|(name, _)| name.contains(filter.as_str()));
                 if programs.is_empty() {
                     return Err(format!("--only '{filter}' matches no catalog program"));
                 }
             }
-            "--budget" => {
-                let raw = value()?;
-                let max_nodes = raw
-                    .parse()
-                    .map_err(|_| format!("--budget expects a node count, got '{raw}'"))?;
-                budget = SearchBudget { max_nodes };
-            }
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    Ok(Some(Options {
-        json,
-        budget,
-        programs,
-    }))
+    Ok(Some(Options { json, programs }))
 }
 
 fn main() -> ExitCode {
@@ -89,7 +74,7 @@ fn main() -> ExitCode {
     let mut failures = 0usize;
     let mut reports: Vec<String> = Vec::new();
     for (name, program) in opts.programs {
-        let report = match verify_with_budget(&program, opts.budget) {
+        let report = match verify(&program) {
             Ok(witness) => witness.report().clone(),
             Err(report) => {
                 failures += 1;
@@ -126,14 +111,15 @@ mod tests {
     fn bad_command_lines_are_errors() {
         let err = |args| parse(args).err().expect("rejected");
         assert!(err(&["--jsno"]).contains("--jsno"));
-        assert!(err(&["--json", "--budget"]).contains("expects a value"));
+        assert!(err(&["--json", "--only"]).contains("expects a value"));
+        assert!(err(&["--budget", "200000"]).contains("--budget"));
         assert!(err(&["--only", "no_such_program"]).contains("matches no"));
     }
 
     #[test]
     fn good_command_lines_select_programs() {
         let all = parse(&[]).unwrap().expect("not --help");
-        assert!(!all.json && all.budget == SearchBudget::default());
+        assert!(!all.json);
         assert_eq!(all.programs.len(), repo_programs().len());
         let table2 = parse(&["--only", "table2"]).unwrap().expect("not --help");
         assert!(!table2.programs.is_empty() && table2.programs.len() < all.programs.len());

@@ -10,25 +10,31 @@
 use ow_common::flowkey::KeyKind;
 use ow_sketch::CountMin;
 use ow_switch::app::{DataPlaneApp, FrequencyApp};
-use ow_switch::placement::StageLimits;
+use ow_switch::placement::{Feature, StageLimits, Step};
 use ow_switch::resources::ResourceConfig;
 use ow_switch::switch::SwitchConfig;
 
 use crate::derive::program_for_switch;
 use crate::ir::{
-    omniwindow_program, AccessDecl, AccessKind, FeatureDecl, PacketClass, PathDecl,
-    PipelineProgram, RegisterDecl, StepDecl,
+    omniwindow_program, AccessDecl, AccessKind, PacketClass, PathDecl, PipelineProgram,
+    RegisterDecl,
 };
 
 /// Derive the program for a Count-Min deployment (the application every
-/// example and test in this repo wraps).
-fn countmin_program(fk_capacity: usize, expected_flows: usize, width: usize) -> PipelineProgram {
+/// example, test and the benchmark in this repo wraps) of `rows` ×
+/// `width` counters.
+fn countmin_program(
+    fk_capacity: usize,
+    expected_flows: usize,
+    rows: usize,
+    width: usize,
+) -> PipelineProgram {
     let cfg = SwitchConfig {
         fk_capacity,
         expected_flows,
         ..SwitchConfig::default()
     };
-    let app = FrequencyApp::new(CountMin::new(2, width, 1), KeyKind::SrcIp, false);
+    let app = FrequencyApp::new(CountMin::new(rows, width, 1), KeyKind::SrcIp, false);
     program_for_switch(&cfg, &app.meta(), app.states_per_array())
 }
 
@@ -54,31 +60,31 @@ pub(crate) fn dense_tenant_program() -> PipelineProgram {
         .register(RegisterDecl::new("tenant_a_ctr", 1, 64))
         .register(RegisterDecl::new("tenant_b_row0", 1, 64))
         .register(RegisterDecl::new("tenant_b_row1", 1, 64))
-        .feature(FeatureDecl::new(
+        .feature(Feature::new(
             "Tenant A counter",
-            vec![StepDecl {
+            vec![Step {
                 sram_kb: 8,
                 salus: 1,
                 vliw: 1,
                 gateways: 1,
             }],
         ))
-        .feature(FeatureDecl::new(
+        .feature(Feature::new(
             "Tenant B sketch",
             vec![
-                StepDecl {
+                Step {
                     sram_kb: 8,
                     salus: 1,
                     vliw: 1,
                     gateways: 1,
                 },
-                StepDecl {
+                Step {
                     sram_kb: 8,
                     salus: 1,
                     vliw: 1,
                     gateways: 1,
                 },
-                StepDecl {
+                Step {
                     sram_kb: 0,
                     salus: 0,
                     vliw: 2,
@@ -139,36 +145,46 @@ pub fn repo_programs() -> Vec<(String, PipelineProgram)> {
     for shards in [1usize, 2, 4, 8] {
         rows.push((
             format!("live-sharded-{shards}"),
-            countmin_program(4096, shards * 16 * 1024, 8192),
+            countmin_program(4096, shards * 16 * 1024, 2, 8192),
         ));
     }
 
     // Deployed configurations: examples, integration tests, bench.
     rows.push((
         "example-switch-protocol".into(),
-        countmin_program(1024, 4096, 4096),
+        countmin_program(1024, 4096, 2, 4096),
     ));
     rows.push((
         "example-lossy-afr-recovery".into(),
-        countmin_program(4096, 16 * 1024, 8192),
+        countmin_program(4096, 16 * 1024, 2, 8192),
     ));
     rows.push((
         "example-suspicious-lifetime".into(),
-        countmin_program(4096, 8192, 8192),
+        countmin_program(4096, 8192, 2, 8192),
     ));
     rows.push((
         "tests-integration".into(),
-        countmin_program(4096, 16 * 1024, 8192),
+        countmin_program(4096, 16 * 1024, 2, 8192),
     ));
-    rows.push((
-        "bench-switch-pipeline".into(),
-        countmin_program(2048, 4096, 8192),
-    ));
+    // The benchmark's `build_switch`: Count-Min 4 × 65 536 at each
+    // workload's flowkey capacity and expected flows (`lossy_recovery`
+    // deploys `window_query`'s).
+    for (workload, fk_capacity, expected_flows) in [
+        ("hh-steady", 65_536, 98_304),
+        ("flow-churn", 16_384, 65_536),
+        ("window-query", 32_768, 98_304),
+    ] {
+        rows.push((
+            format!("bench-{workload}"),
+            countmin_program(fk_capacity, expected_flows, 4, 65_536),
+        ));
+    }
     rows.push((
         "switch-defaults".into(),
         countmin_program(
             SwitchConfig::default().fk_capacity,
             SwitchConfig::default().expected_flows,
+            2,
             8192,
         ),
     ));
@@ -203,29 +219,11 @@ mod tests {
     /// the ability to beat greedy — both need a deliberate decision.
     #[test]
     fn optimizer_is_strictly_more_permissive_than_greedy() {
-        use ow_switch::placement::{place, Feature, Step};
+        use ow_switch::placement::place;
 
         let program = dense_tenant_program();
-        let features: Vec<Feature> = program
-            .features
-            .iter()
-            .map(|f| Feature {
-                name: f.name.clone(),
-                steps: f
-                    .steps
-                    .iter()
-                    .map(|s| Step {
-                        sram_kb: s.sram_kb,
-                        salus: s.salus,
-                        vliw: s.vliw,
-                        gateways: s.gateways,
-                    })
-                    .collect(),
-            })
-            .collect();
-
         assert!(
-            place(&features, program.limits).is_err(),
+            place(&program.features, program.limits).is_err(),
             "greedy first-fit should reject the dense-pack slice"
         );
         let witness = verify(&program).expect("branch-and-bound places the dense-pack slice");

@@ -14,14 +14,11 @@ use ow_common::error::OwError;
 use ow_sketch::SketchMeta;
 use ow_switch::app::DataPlaneApp;
 use ow_switch::flowkey::FlowkeyTracker;
-use ow_switch::placement::StageLimits;
+use ow_switch::placement::{framework_features, Feature, StageLimits, Step};
 use ow_switch::switch::{Switch, SwitchConfig};
 
 use crate::diag::{Diagnostic, ErrorCode, VerifyReport};
-use crate::ir::{
-    AccessDecl, AccessKind, FeatureDecl, PacketClass, PathDecl, PipelineProgram, RegisterDecl,
-    StepDecl,
-};
+use crate::ir::{AccessDecl, AccessKind, PacketClass, PathDecl, PipelineProgram, RegisterDecl};
 use crate::verify::verify;
 
 /// Derive the static pipeline program that a [`SwitchConfig`] wrapped
@@ -65,87 +62,29 @@ pub(crate) fn program_for_switch(
     }
 
     // Features, in the Table-2 shapes: signal + consistency first, then
-    // flowkey tracking (one dependent step per Bloom hash, then the
-    // append), the application's own update steps, AFR generation, and
-    // the in-switch reset chain.
-    program = program
-        .feature(FeatureDecl::new(
-            "Signal",
-            vec![StepDecl {
-                sram_kb: 32,
+    // flowkey tracking, the application's own update steps, AFR
+    // generation, and the in-switch reset chain.
+    let [signal, consistency, flowkey_tracking, afr_generation, in_switch_reset] =
+        framework_features(fk_sram, hashes as u32);
+    let app = Feature::new(
+        meta.name,
+        (0..meta.register_arrays.max(1))
+            .map(|_| Step {
+                sram_kb: app_sram_per_array,
                 salus: 1,
-                vliw: 3,
-                gateways: 2,
-            }],
-        ))
-        .feature(FeatureDecl::new(
-            "Consistency model",
-            vec![StepDecl {
-                sram_kb: 0,
-                salus: 0,
                 vliw: 2,
                 gateways: 1,
-            }],
-        ));
-    let mut fk_steps: Vec<StepDecl> = (0..hashes)
-        .map(|_| StepDecl {
-            sram_kb: fk_sram / (hashes as u32 + 1),
-            salus: 1,
-            vliw: 2,
-            gateways: 2,
-        })
-        .collect();
-    fk_steps.push(StepDecl {
-        sram_kb: fk_sram - (fk_sram / (hashes as u32 + 1)) * hashes as u32,
-        salus: 1,
-        vliw: 1,
-        gateways: 1,
-    });
-    program = program
-        .feature(FeatureDecl::new("Flowkey tracking", fk_steps))
-        .feature(FeatureDecl::new(
-            meta.name,
-            (0..meta.register_arrays.max(1))
-                .map(|_| StepDecl {
-                    sram_kb: app_sram_per_array,
-                    salus: 1,
-                    vliw: 2,
-                    gateways: 1,
-                })
-                .collect(),
-        ))
-        .feature(FeatureDecl::new(
-            "AFR generation",
-            vec![StepDecl {
-                sram_kb: 0,
-                salus: 0,
-                vliw: 4,
-                gateways: 3,
-            }],
-        ))
-        .feature(FeatureDecl::new(
-            "In-switch reset",
-            vec![
-                StepDecl {
-                    sram_kb: 32,
-                    salus: 1,
-                    vliw: 2,
-                    gateways: 2,
-                },
-                StepDecl {
-                    sram_kb: 0,
-                    salus: 0,
-                    vliw: 2,
-                    gateways: 2,
-                },
-                StepDecl {
-                    sram_kb: 0,
-                    salus: 0,
-                    vliw: 1,
-                    gateways: 1,
-                },
-            ],
-        ));
+            })
+            .collect(),
+    );
+    program.features.extend([
+        signal,
+        consistency,
+        flowkey_tracking,
+        app,
+        afr_generation,
+        in_switch_reset,
+    ]);
 
     // Normal measured traffic: signal check, Bloom dedup on every hash,
     // fk_buffer append, one update per application array.

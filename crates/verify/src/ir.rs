@@ -6,9 +6,9 @@
 //!
 //! * **register arrays** ([`RegisterDecl`]) — flattened §6 layouts:
 //!   `regions × region_cells` 32-bit cells behind one SALU;
-//! * **features** ([`FeatureDecl`]) — ordered match-action steps with
-//!   their per-stage SRAM/SALU/VLIW/gateway appetite, exactly the shape
-//!   `ow_switch::placement::place` packs onto physical stages;
+//! * **features** ([`Feature`]) — ordered match-action steps with
+//!   their per-stage SRAM/SALU/VLIW/gateway appetite, the type
+//!   `ow_switch::placement` packs onto physical stages;
 //! * **paths** ([`PathDecl`]) — one entry per packet class
 //!   ([`PacketClass`]): the register accesses a single pipeline pass of
 //!   that class performs, plus a static bound on how often the packet
@@ -19,7 +19,7 @@
 //! pass), placement feasibility, budget fit, address-bounds safety, and
 //! recirculation termination — ahead of constructing any runtime state.
 
-use ow_switch::placement::StageLimits;
+use ow_switch::placement::{omniwindow_features, Feature, StageLimits, Step};
 use ow_switch::resources::ResourceConfig;
 use serde::Serialize;
 
@@ -48,39 +48,6 @@ impl RegisterDecl {
     /// Total physical cells across all regions.
     pub fn cells(&self) -> usize {
         self.regions.saturating_mul(self.region_cells)
-    }
-}
-
-/// One match-action step of a feature: its appetite within one stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct StepDecl {
-    /// SRAM the step's tables/registers need in its stage (KB).
-    pub sram_kb: u32,
-    /// SALUs the step uses.
-    pub salus: u32,
-    /// VLIW action slots.
-    pub vliw: u32,
-    /// Gateways (predication units).
-    pub gateways: u32,
-}
-
-/// A named feature: an ordered list of steps (dependency order).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct FeatureDecl {
-    /// Feature name (a Table 2 row).
-    pub name: String,
-    /// Steps in dependency order; step `i+1` must land in a later stage
-    /// than step `i`.
-    pub steps: Vec<StepDecl>,
-}
-
-impl FeatureDecl {
-    /// Declare a feature from its ordered steps.
-    pub fn new(name: impl Into<String>, steps: Vec<StepDecl>) -> FeatureDecl {
-        FeatureDecl {
-            name: name.into(),
-            steps,
-        }
     }
 }
 
@@ -210,7 +177,7 @@ pub struct PipelineProgram {
     /// Declared register arrays.
     pub registers: Vec<RegisterDecl>,
     /// Features to place onto stages.
-    pub features: Vec<FeatureDecl>,
+    pub features: Vec<Feature>,
     /// Per-class pipeline paths.
     pub paths: Vec<PathDecl>,
 }
@@ -234,7 +201,7 @@ impl PipelineProgram {
     }
 
     /// Add a feature.
-    pub fn feature(mut self, feature: FeatureDecl) -> Self {
+    pub fn feature(mut self, feature: Feature) -> Self {
         self.features.push(feature);
         self
     }
@@ -252,30 +219,11 @@ impl PipelineProgram {
 }
 
 /// The paper's Table-2 OmniWindow program for a [`ResourceConfig`]:
-/// the Exp#5 feature steps (via
-/// [`ow_switch::placement::omniwindow_features`]) plus the register
+/// the Exp#5 feature steps ([`omniwindow_features`]) plus the register
 /// arrays and per-class paths the window state machine implies.
 /// `app_states` is the per-region cell count of the wrapped telemetry
 /// application's state arrays (sizes the clear-packet sweep bound).
 pub fn omniwindow_program(cfg: &ResourceConfig, app_states: usize) -> PipelineProgram {
-    let features: Vec<FeatureDecl> = ow_switch::placement::omniwindow_features(cfg)
-        .into_iter()
-        .map(|f| {
-            FeatureDecl::new(
-                f.name,
-                f.steps
-                    .iter()
-                    .map(|s| StepDecl {
-                        sram_kb: s.sram_kb,
-                        salus: s.salus,
-                        vliw: s.vliw,
-                        gateways: s.gateways,
-                    })
-                    .collect(),
-            )
-        })
-        .collect();
-
     let app_states = app_states.max(1);
     let bloom_cells = (cfg.bloom_kb as usize * 1024 * 8 / 32)
         .div_ceil(cfg.bloom_hashes.max(1) as usize)
@@ -306,15 +254,13 @@ pub fn omniwindow_program(cfg: &ResourceConfig, app_states: usize) -> PipelinePr
             .register(RegisterDecl::new("psn_counter", 1, 1))
             .register(RegisterDecl::new("icrc_state", 1, 1));
     }
-    for feature in features {
-        program = program.feature(feature);
-    }
+    program.features.extend(omniwindow_features(cfg));
     // Table 2 measures the framework's own overhead; the wrapped
     // application's state update is a pipeline feature too (its SALU
     // must be provisioned or win_state has nothing to serve it).
-    program = program.feature(FeatureDecl::new(
+    program = program.feature(Feature::new(
         "Application state",
-        vec![StepDecl {
+        vec![Step {
             sram_kb: ((2 * app_states * 4).div_ceil(1024)) as u32,
             salus: 1,
             vliw: 2,

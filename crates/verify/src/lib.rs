@@ -11,12 +11,11 @@
 //!    arrays, match-action features, and the per-packet-class paths a
 //!    deployment executes;
 //! 2. a static verifier ([`verify()`](crate::verify::verify)) proving
-//!    C4 discipline, §6
-//!    address-bounds safety, recirculation termination, per-stage and
-//!    whole-pipeline resource fit, and dependency-aware stage
-//!    placement (driving the branch-and-bound
-//!    `ow_switch::placement::place_optimal` over the [`depgraph`]
-//!    step-dependency graph, with the greedy packer as incumbent and
+//!    C4 discipline, §6 address-bounds safety, recirculation
+//!    termination, per-stage and whole-pipeline resource fit, and
+//!    dependency-aware stage placement (the branch-and-bound
+//!    `ow_switch::placement::place_optimal` over the program's
+//!    `Feature` step chains, with the greedy packer as incumbent and
 //!    packing-density reporting);
 //! 3. a witness type ([`VerifiedProgram`]) that is the only supported
 //!    way to construct a `Switch` — [`verified_switch`] is the front
@@ -33,7 +32,6 @@
 //! JSON ([`VerifyReport::to_json`]) for machine consumption.
 
 pub mod catalog;
-pub mod depgraph;
 pub mod derive;
 pub mod diag;
 pub mod exec;
@@ -43,7 +41,7 @@ pub mod verify;
 pub use derive::verified_switch;
 pub use diag::{Diagnostic, ErrorCode, ResourceTotals, Severity, VerifyReport};
 pub use ir::{
-    omniwindow_program, AccessDecl, AccessKind, FeatureDecl, PacketClass, PathDecl,
-    PipelineProgram, RegisterDecl, StepDecl,
+    omniwindow_program, AccessDecl, AccessKind, PacketClass, PathDecl, PipelineProgram,
+    RegisterDecl,
 };
-pub use verify::{verify, verify_with_budget, VerifiedProgram};
+pub use verify::{verify, VerifiedProgram};

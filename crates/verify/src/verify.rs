@@ -28,14 +28,14 @@
 //! its incumbent, so the verifier is *strictly more permissive* than
 //! the old greedy-only pass (any program greedy placed still places,
 //! in at most as many stages) while admitting programs greedy
-//! fragmented. The search budget is a node count, keeping every
-//! report — density figures included — byte-deterministic.
+//! fragmented. The search stops after a fixed node count, keeping
+//! every report — density figures included — byte-deterministic.
 
 use std::collections::HashMap;
 
 use ow_common::error::OwError;
 use ow_switch::app::DataPlaneApp;
-use ow_switch::placement::{place_optimal, Feature, Placement, SearchBudget, Step};
+use ow_switch::placement::{place_optimal, Placement, Step};
 use ow_switch::switch::{Switch, SwitchConfig};
 
 use crate::diag::{Diagnostic, ErrorCode, ResourceTotals, Severity, VerifyReport};
@@ -114,21 +114,9 @@ impl VerifiedProgram {
     }
 }
 
-/// Statically verify `program` with the default placement search
-/// budget. Returns the witness on success; the full report (with at
-/// least one error diagnostic) on rejection.
+/// Statically verify `program`. Returns the witness on success; the
+/// full report (with at least one error diagnostic) on rejection.
 pub fn verify(program: &PipelineProgram) -> Result<VerifiedProgram, Box<VerifyReport>> {
-    verify_with_budget(program, SearchBudget::default())
-}
-
-/// [`verify`] with an explicit placement [`SearchBudget`] — the knob
-/// `ow-lint --budget` exposes so CI can pin the node count (stable
-/// reports) and callers in a hurry can shrink it (the greedy incumbent
-/// keeps small budgets sound, just less optimal).
-pub fn verify_with_budget(
-    program: &PipelineProgram,
-    budget: SearchBudget,
-) -> Result<VerifiedProgram, Box<VerifyReport>> {
     let mut diags: Vec<Diagnostic> = Vec::new();
     let limits = program.limits;
 
@@ -201,7 +189,7 @@ pub fn verify_with_budget(
     }
 
     // --- Whole-program totals --------------------------------------
-    let sum = |f: fn(&crate::ir::StepDecl) -> u32| -> u32 {
+    let sum = |f: fn(&Step) -> u32| -> u32 {
         program
             .features
             .iter()
@@ -333,26 +321,7 @@ pub fn verify_with_budget(
     }
 
     // --- Stage placement (dependency-aware branch-and-bound) -------
-    let features: Vec<Feature> = program
-        .features
-        .iter()
-        .map(|f| {
-            Feature::new(
-                f.name.clone(),
-                f.steps
-                    .iter()
-                    .map(|s| Step {
-                        sram_kb: s.sram_kb,
-                        salus: s.salus,
-                        vliw: s.vliw,
-                        gateways: s.gateways,
-                    })
-                    .collect(),
-            )
-        })
-        .collect();
-    let conflicts = crate::depgraph::register_conflict_edges(program);
-    let placement = match place_optimal(&features, limits, &conflicts, budget) {
+    let placement = match place_optimal(&program.features, limits) {
         Ok(p) => {
             let d = p.density(limits);
             diags.push(Diagnostic::note(

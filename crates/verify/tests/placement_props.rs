@@ -5,8 +5,8 @@
 //! (same inputs, byte-identical placement — the contract the CI
 //! `cmp`-gate on `results/verify_table2.json` relies on).
 
-use ow_switch::placement::{place, place_optimal, Feature, SearchBudget, StageLimits, Step};
-use ow_verify::{verify, FeatureDecl, PipelineProgram, StepDecl};
+use ow_switch::placement::{place, place_optimal, Feature, StageLimits, Step};
+use ow_verify::{verify, PipelineProgram};
 use proptest::prelude::*;
 
 /// Random feature sets small enough to search exhaustively but shaped
@@ -116,7 +116,7 @@ proptest! {
         if let Ok(p) = place(&features, limits) {
             assert_sound(&p, &features, limits);
         }
-        if let Ok(p) = place_optimal(&features, limits, &[], SearchBudget::default()) {
+        if let Ok(p) = place_optimal(&features, limits) {
             assert_sound(&p, &features, limits);
         }
     }
@@ -130,7 +130,7 @@ proptest! {
         limits in limits_strategy(),
     ) {
         if let Ok(greedy) = place(&features, limits) {
-            let searched = place_optimal(&features, limits, &[], SearchBudget::default());
+            let searched = place_optimal(&features, limits);
             assert!(searched.is_ok(), "search rejected a greedy-feasible program");
             assert!(
                 searched.unwrap().stages_used <= greedy.stages_used,
@@ -146,8 +146,8 @@ proptest! {
         features in features_strategy(),
         limits in limits_strategy(),
     ) {
-        let a = place_optimal(&features, limits, &[], SearchBudget::default());
-        let b = place_optimal(&features, limits, &[], SearchBudget::default());
+        let a = place_optimal(&features, limits);
+        let b = place_optimal(&features, limits);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
@@ -158,20 +158,7 @@ proptest! {
         features in features_strategy(),
     ) {
         let mut program = PipelineProgram::new("generated", StageLimits::default());
-        for f in &features {
-            program = program.feature(FeatureDecl::new(
-                f.name.clone(),
-                f.steps
-                    .iter()
-                    .map(|s| StepDecl {
-                        sram_kb: s.sram_kb,
-                        salus: s.salus,
-                        vliw: s.vliw,
-                        gateways: s.gateways,
-                    })
-                    .collect(),
-            ));
-        }
+        program.features = features.clone();
         if let Ok(witness) = verify(&program) {
             assert_sound(witness.placement(), &features, program.limits);
             let report = witness.report();

@@ -7,11 +7,11 @@
 //! two independent encodings of the §2 constraints; this suite keeps
 //! them from drifting apart.
 
-use ow_switch::placement::StageLimits;
+use ow_switch::placement::{Feature, StageLimits, Step};
 use ow_verify::exec::execute;
 use ow_verify::{
-    omniwindow_program, verify, AccessDecl, AccessKind, ErrorCode, FeatureDecl, PacketClass,
-    PathDecl, PipelineProgram, RegisterDecl, StepDecl,
+    omniwindow_program, verify, AccessDecl, AccessKind, ErrorCode, PacketClass, PathDecl,
+    PipelineProgram, RegisterDecl,
 };
 use proptest::prelude::*;
 
@@ -50,11 +50,11 @@ fn build_program(
     }
     let nregs = registers.len().max(1);
     for (i, steps) in features.iter().enumerate() {
-        program = program.feature(FeatureDecl::new(
+        program = program.feature(Feature::new(
             format!("f{i}"),
             steps
                 .iter()
-                .map(|&(sram_kb, salus, vliw, gateways)| StepDecl {
+                .map(|&(sram_kb, salus, vliw, gateways)| Step {
                     sram_kb,
                     salus,
                     vliw,
@@ -149,16 +149,16 @@ fn valid_program() -> PipelineProgram {
     PipelineProgram::new("minimal", StageLimits::default())
         .register(RegisterDecl::new("state", 2, 16))
         .register(RegisterDecl::new("counter", 1, 1))
-        .feature(FeatureDecl::new(
+        .feature(Feature::new(
             "update",
             vec![
-                StepDecl {
+                Step {
                     sram_kb: 1,
                     salus: 1,
                     vliw: 1,
                     gateways: 1,
                 },
-                StepDecl {
+                Step {
                     sram_kb: 0,
                     salus: 1,
                     vliw: 1,
@@ -241,7 +241,7 @@ fn out_of_region_index_is_rejected() {
 #[test]
 fn stage_overflow_is_rejected() {
     let steps = vec![
-        StepDecl {
+        Step {
             sram_kb: 0,
             salus: 0,
             vliw: 1,
@@ -249,20 +249,20 @@ fn stage_overflow_is_rejected() {
         };
         13
     ];
-    let program = valid_program().feature(FeatureDecl::new("long-chain", steps));
+    let program = valid_program().feature(Feature::new("long-chain", steps));
     let report = verify(&program).unwrap_err();
     assert!(report.has_code(ErrorCode::StageOverflow), "{report}");
 }
 
 #[test]
 fn per_stage_budget_overflows_are_rejected() {
-    let oversized = |step: StepDecl, code: ErrorCode| {
-        let program = valid_program().feature(FeatureDecl::new("fat", vec![step]));
+    let oversized = |step: Step, code: ErrorCode| {
+        let program = valid_program().feature(Feature::new("fat", vec![step]));
         let report = verify(&program).unwrap_err();
         assert!(report.has_code(code), "{code:?}: {report}");
     };
     oversized(
-        StepDecl {
+        Step {
             sram_kb: 2000,
             salus: 0,
             vliw: 0,
@@ -271,7 +271,7 @@ fn per_stage_budget_overflows_are_rejected() {
         ErrorCode::SramOverflow,
     );
     oversized(
-        StepDecl {
+        Step {
             sram_kb: 0,
             salus: 5,
             vliw: 0,
@@ -280,7 +280,7 @@ fn per_stage_budget_overflows_are_rejected() {
         ErrorCode::SaluOverflow,
     );
     oversized(
-        StepDecl {
+        Step {
             sram_kb: 0,
             salus: 0,
             vliw: 9,
@@ -289,7 +289,7 @@ fn per_stage_budget_overflows_are_rejected() {
         ErrorCode::VliwOverflow,
     );
     oversized(
-        StepDecl {
+        Step {
             sram_kb: 0,
             salus: 0,
             vliw: 0,
@@ -360,16 +360,16 @@ fn placement_infeasibility_names_feature_step_and_resource() {
     let program = PipelineProgram::new("wedge", limits)
         .register(RegisterDecl::new("a", 1, 8))
         .register(RegisterDecl::new("b", 1, 8))
-        .feature(FeatureDecl::new(
+        .feature(Feature::new(
             "deep",
             vec![
-                StepDecl {
+                Step {
                     sram_kb: 0,
                     salus: 1,
                     vliw: 1,
                     gateways: 1,
                 },
-                StepDecl {
+                Step {
                     sram_kb: 0,
                     salus: 0,
                     vliw: 2,
@@ -377,9 +377,9 @@ fn placement_infeasibility_names_feature_step_and_resource() {
                 },
             ],
         ))
-        .feature(FeatureDecl::new(
+        .feature(Feature::new(
             "rider",
-            vec![StepDecl {
+            vec![Step {
                 sram_kb: 0,
                 salus: 1,
                 vliw: 1,
