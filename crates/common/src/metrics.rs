@@ -116,14 +116,6 @@ pub struct ReliabilityMetrics {
     /// Sessions that gave up on retransmission and read the sub-window
     /// through the slow switch-OS path.
     pub escalations: u64,
-    /// AFR **records** refused by a full controller ingest queue under
-    /// the non-blocking `offer` path (the blocking `send` path never
-    /// drops). A rejected block charges its record count — one refused
-    /// 1024-record block is 1024 drops, not 1 — and a rejected
-    /// control/empty message charges 1, so the counter stays comparable
-    /// across batch sizes. Explicit backpressure rejections, not silent
-    /// loss.
-    pub dropped: u64,
     /// Sessions abandoned because their switch departed the fleet
     /// mid-window (crash churn): the partial batch is discarded and the
     /// window released instead of merged.
@@ -146,7 +138,6 @@ impl ReliabilityMetrics {
         self.recovered += other.recovered;
         self.duplicates += other.duplicates;
         self.escalations += other.escalations;
-        self.dropped += other.dropped;
         self.departed += other.departed;
         self.wall_clock += other.wall_clock;
     }
@@ -230,7 +221,6 @@ mod tests {
             recovered: 3,
             duplicates: 1,
             escalations: 0,
-            dropped: 1,
             departed: 1,
             wall_clock: Duration::from_micros(400),
         };
@@ -238,7 +228,6 @@ mod tests {
         total.merge(&session);
         assert_eq!(total.announced, 20);
         assert_eq!(total.recovered, 6);
-        assert_eq!(total.dropped, 2);
         assert_eq!(total.departed, 2);
         assert_eq!(total.wall_clock, Duration::from_micros(800));
         assert!((total.first_pass_loss() - 0.3).abs() < 1e-12);

@@ -11,7 +11,6 @@
 //! | code | rule | signal |
 //! |------|------|--------|
 //! | `OW-HEALTH-201` | `shard_queue_saturation` | per-shard queued-record high-watermark near capacity |
-//! | `OW-HEALTH-202` | `backpressure_drops` | any record dropped by backpressure |
 //! | `OW-HEALTH-203` | `recovery_slo_burn` | recovery-latency SLO burn rate above budget |
 //! | `OW-HEALTH-204` | `escalation_storm` | switch-OS escalations per 1000 sessions above 50‰ (**critical**) |
 //! | `OW-HEALTH-205` | `cr_retransmit_storm` | AFRs recovered by retransmission per 1000 announced above 150‰ |
@@ -62,16 +61,6 @@ pub fn controller_health_rules(queue_depth: usize) -> RuleSet {
         )
         .group_by("shard")
         .entity("shard"),
-        Rule::new(
-            "OW-HEALTH-202",
-            "backpressure_drops",
-            MetricSelector::new("ow_controller_backpressure_dropped_total", &[]),
-            Signal::Value,
-            Cmp::Above,
-            0,
-            Severity::Warning,
-        )
-        .entity("controller"),
         Rule::new(
             "OW-HEALTH-203",
             "recovery_slo_burn",
@@ -138,7 +127,7 @@ mod tests {
             ow_switch::health::switch_health_rules(),
         ])
         .expect("cross-catalog codes stay unique");
-        assert_eq!(merged.rules().len(), 8);
+        assert_eq!(merged.rules().len(), 7);
     }
 
     #[test]
@@ -169,22 +158,19 @@ mod tests {
         assert_eq!(fired[0].code, "OW-HEALTH-201");
         assert_eq!(fired[0].entity, "shard:2");
         assert_eq!(fired[0].value, 877);
-        // A producer that outran the router and had an `offer` rejected
-        // lost records — any backpressure drop fires — and 30 of 100
-        // announced AFRs needing retransmission is a storm (300‰).
+        // 30 of 100 announced AFRs needing retransmission is a storm
+        // (300‰).
         let lossy = engine.tick_with_sample(HealthSample {
             at_ns: 2_000,
             metrics: vec![
-                metric("ow_controller_backpressure_dropped_total", &[], 5),
                 metric("ow_controller_afr_recovered_total", &[], 30),
                 metric("ow_controller_afr_announced_total", &[], 100),
             ],
             peaks: vec![],
         });
-        assert_eq!(lossy.len(), 2);
-        assert_eq!(lossy[0].code, "OW-HEALTH-202");
-        assert_eq!(lossy[1].code, "OW-HEALTH-205");
-        assert_eq!(lossy[1].value, 300);
+        assert_eq!(lossy.len(), 1);
+        assert_eq!(lossy[0].code, "OW-HEALTH-205");
+        assert_eq!(lossy[0].value, 300);
         assert_eq!(lossy[0].entity, "controller");
     }
 

@@ -12,8 +12,6 @@
 //!   incremental sliding-window eviction,
 //! * [`collector`] — the per-sub-window collection session, including
 //!   the sequence-id reliability check and retransmission requests (§8),
-//! * [`rdma`] — the simulated one-sided RDMA region: hot-key address
-//!   MAT, cold-key append buffer, and Fetch-and-Add offload (§7),
 //! * [`simd`] — scalar vs auto-vectorised AFR aggregation (Exp#7),
 //! * [`live`] — the threaded live deployment: two thin front-ends
 //!   (bounded channel + router thread) over one shared router that
@@ -27,7 +25,6 @@
 pub mod collector;
 pub mod health;
 pub mod live;
-pub mod rdma;
 pub mod reliability;
 mod router;
 pub mod simd;
@@ -37,7 +34,6 @@ pub mod wire;
 
 pub use collector::{CollectionSession, SessionStatus};
 pub use live::{LiveController, LiveHandle, ReliableLiveController, ReliableMsg};
-pub use rdma::{RdmaRegion, RdmaWriteKind};
 pub use reliability::{AfrTransport, ReliabilityDriver, RetryPolicy, SessionOutcome};
 pub use table::MergeTable;
 pub use timing::{InstrumentedController, OpBreakdown};

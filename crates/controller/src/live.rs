@@ -18,12 +18,11 @@
 //! the shards as they arrive, [`ReliableLiveController`] holds each
 //! sub-window in a session until the §8 loop has made it complete.
 //!
-//! Back-pressure is explicit at both boundaries: `sender.send` blocks
-//! when the router queue is full (as a NIC queue would), and the
-//! non-blocking `offer` rejects and counts the drop — there is no
-//! silent loss path.
+//! Back-pressure blocks and never drops: `sender.send` waits when the
+//! router queue is full (as a NIC queue would), and the router's sends
+//! into the shard queues wait the same way — no ingest path loses a
+//! record.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -35,7 +34,7 @@ use ow_common::block::RecordBlock;
 use ow_common::flowkey::{sort_by_packed_key, FlowKey};
 use ow_common::metrics::ReliabilityMetrics;
 use ow_common::time::Duration;
-use ow_obs::{Counter, Obs};
+use ow_obs::Obs;
 
 use crate::reliability::RetryPolicy;
 use crate::router::Router;
@@ -47,21 +46,9 @@ use crate::table::MergeTable;
 #[derive(Debug, Clone)]
 pub struct LiveHandle {
     pub(crate) tables: Vec<Arc<RwLock<MergeTable>>>,
-    pub(crate) dropped: Arc<AtomicU64>,
-    /// `ow_controller_backpressure_dropped_total`.
-    pub(crate) drop_counter: Counter,
 }
 
 impl LiveHandle {
-    /// Count one rejected `offer`, in *records*: a rejected block
-    /// charges its row count, or batching would deflate the loss
-    /// accounting; a control message or an empty block charges 1.
-    fn count_drop(&self, block: Option<&RecordBlock>) {
-        let records = block.map_or(1, |b| (b.len() as u64).max(1));
-        self.dropped.fetch_add(records, Ordering::Relaxed);
-        self.drop_counter.add(records);
-    }
-
     /// Every shard's answer to `query`, in canonical (ascending packed
     /// key) order — independent of the shard count. Each shard answers
     /// in that order already, so one shard's answer is the answer; several
@@ -103,11 +90,6 @@ impl LiveHandle {
     pub fn shard_count(&self) -> usize {
         self.tables.len()
     }
-
-    /// AFR records rejected by the non-blocking `offer` path so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
 }
 
 /// A message from the data plane to the controller.
@@ -144,9 +126,8 @@ impl LiveController {
     /// `window_subwindows` sub-windows over `shards` merge shards;
     /// `queue_depth` bounds every channel. It reports into `obs` (a
     /// detached one when `None`): engine transitions, per-shard queue
-    /// gauges, routed blocks/records, completed sub-windows
-    /// (`ow_controller_batches_total`) and rejected `offer`s
-    /// (`ow_controller_backpressure_dropped_total`).
+    /// gauges, routed blocks/records and completed sub-windows
+    /// (`ow_controller_batches_total`).
     pub fn spawn_sharded_obs(
         window_subwindows: usize,
         queue_depth: usize,
@@ -170,20 +151,6 @@ impl LiveController {
             handle,
             thread,
         }
-    }
-
-    /// Non-blocking send: when the router queue is full (or the
-    /// controller is gone) the message is rejected, the drop is counted
-    /// on the handle, and `false` comes back.
-    pub fn offer(&self, msg: DataPlaneMsg) -> bool {
-        let Err(e) = self.sender.try_send(msg) else {
-            return true;
-        };
-        match e.into_inner() {
-            DataPlaneMsg::AfrBlock { block, .. } => self.handle.count_drop(Some(&block)),
-            DataPlaneMsg::Shutdown => self.handle.count_drop(None),
-        }
-        false
     }
 
     /// Signal shutdown and wait for the router and every shard worker;
@@ -277,7 +244,6 @@ impl ReliableLiveController {
         let recovery = Some((policy, retransmit, os_read));
         let (mut router, handle) =
             Router::new(window_subwindows, queue_depth, shards, &obs, recovery);
-        let drops = handle.clone();
         let thread = std::thread::spawn(move || {
             while let Ok(msg) = rx.recv() {
                 match msg {
@@ -291,9 +257,7 @@ impl ReliableLiveController {
                     ReliableMsg::Shutdown => break,
                 }
             }
-            let mut total = router.shutdown().1;
-            total.dropped += drops.dropped();
-            total
+            router.shutdown().1
         });
         ReliableLiveController {
             sender,
@@ -302,22 +266,8 @@ impl ReliableLiveController {
         }
     }
 
-    /// Non-blocking send; a rejected message is counted on the handle
-    /// (and folded into `join()`'s metrics) instead of lost silently.
-    pub fn offer(&self, msg: ReliableMsg) -> bool {
-        let Err(e) = self.sender.try_send(msg) else {
-            return true;
-        };
-        match e.into_inner() {
-            ReliableMsg::AfrBlock(block) => self.handle.count_drop(Some(&block)),
-            _ => self.handle.count_drop(None),
-        }
-        false
-    }
-
     /// Signal shutdown and wait for the router and every shard worker;
-    /// returns the reliability counters folded across all sessions,
-    /// offer-path drops included.
+    /// returns the reliability counters folded across all sessions.
     pub fn join(self) -> ReliabilityMetrics {
         let _ = self.sender.send(ReliableMsg::Shutdown);
         self.thread.join().expect("controller thread panicked")
@@ -659,65 +609,6 @@ mod tests {
         }
     }
 
-    /// A reliable controller whose router wedges inside its first
-    /// retransmission round (input queue depth 2) until the returned
-    /// gate is sent to — the setup of every `offer` overflow test.
-    fn wedged_controller(obs: &Obs) -> (ReliableLiveController, std::sync::mpsc::Sender<()>) {
-        let (entered_tx, entered_rx) = std::sync::mpsc::channel::<()>();
-        let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
-        let replay = seq_batch(0, 1);
-        let ctl = ReliableLiveController::spawn_sharded_obs(
-            1,
-            2,
-            RetryPolicy::default(),
-            Box::new(move |_, seqs| {
-                entered_tx.send(()).unwrap();
-                gate_rx.recv().unwrap();
-                seqs.iter().map(|&s| replay[s as usize]).collect()
-            }),
-            Box::new(|_| panic!("no escalation expected")),
-            1,
-            Some(obs),
-        );
-        ctl.sender
-            .send(ReliableMsg::Announce {
-                subwindow: 0,
-                announced: 1,
-            })
-            .unwrap();
-        ctl.sender
-            .send(ReliableMsg::EndOfStream { subwindow: 0 })
-            .unwrap();
-        // The router is now inside the blocked retransmit callback and
-        // its input queue is empty: exactly two offers fit.
-        entered_rx.recv().unwrap();
-        (ctl, gate_tx)
-    }
-
-    fn one_row() -> ReliableMsg {
-        ReliableMsg::AfrBlock(RecordBlock::from_records(0, &seq_batch(0, 1)))
-    }
-
-    #[test]
-    fn offer_counts_drops_instead_of_blocking() {
-        // Offer past the bound: the overflow must be rejected and
-        // counted, never silently lost and never blocking.
-        let (ctl, gate) = wedged_controller(&Obs::new());
-        assert!(ctl.offer(one_row()));
-        assert!(ctl.offer(one_row()));
-        assert!(!ctl.offer(one_row()), "third offer overflows");
-        assert_eq!(ctl.handle.dropped(), 1);
-        gate.send(()).unwrap();
-        let handle = ctl.handle.clone();
-        let metrics = ctl.join();
-        assert_eq!(handle.merged_flows(), 1);
-        assert_eq!(metrics.recovered, 1);
-        assert_eq!(
-            metrics.dropped, 1,
-            "the drop is folded into join()'s metrics"
-        );
-    }
-
     #[test]
     fn obs_attached_reliable_controller_mirrors_join_metrics() {
         let obs = Obs::new();
@@ -882,25 +773,6 @@ mod tests {
     }
 
     #[test]
-    fn obs_attached_offer_drop_reaches_the_registry() {
-        // The rejected offer must surface as
-        // `ow_controller_backpressure_dropped_total`.
-        let obs = Obs::new();
-        let (ctl, gate) = wedged_controller(&obs);
-        assert!(ctl.offer(one_row()));
-        assert!(ctl.offer(one_row()));
-        assert!(!ctl.offer(one_row()));
-        gate.send(()).unwrap();
-        let metrics = ctl.join();
-        assert_eq!(metrics.dropped, 1);
-        assert_eq!(
-            obs.snapshot()
-                .value("ow_controller_backpressure_dropped_total", &[]),
-            1
-        );
-    }
-
-    #[test]
     fn block_stream_matches_batch_path_byte_for_byte() {
         // A workload delivered as chunked block streams (with a lost
         // seal flag on the last sub-window, repaired by shutdown) must
@@ -985,35 +857,6 @@ mod tests {
         assert_eq!(handle.merged_flows(), 8);
         assert_eq!(metrics.first_pass, 8);
         assert_eq!(metrics.recovered, 0);
-    }
-
-    #[test]
-    fn rejected_block_counts_dropped_records_not_messages() {
-        // The offer path's drop accounting is in *records*: fill the
-        // queue, then offer a 5-record block — `dropped` must rise by 5,
-        // not 1, and the registry counter must mirror it.
-        let obs = Obs::new();
-        let (ctl, gate) = wedged_controller(&obs);
-        assert!(ctl.offer(one_row()));
-        assert!(ctl.offer(one_row()));
-        let burst = RecordBlock::from_records(0, &seq_batch(0, 5));
-        assert!(
-            !ctl.offer(ReliableMsg::AfrBlock(burst)),
-            "third offer overflows"
-        );
-        assert_eq!(
-            ctl.handle.dropped(),
-            5,
-            "a rejected block drops its whole payload"
-        );
-        gate.send(()).unwrap();
-        let metrics = ctl.join();
-        assert_eq!(metrics.dropped, 5);
-        assert_eq!(
-            obs.snapshot()
-                .value("ow_controller_backpressure_dropped_total", &[]),
-            5
-        );
     }
 
     #[test]

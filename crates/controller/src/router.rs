@@ -215,8 +215,6 @@ impl Router {
         let pool = ShardPool::spawn(shards, queue_depth, obs);
         let handle = LiveHandle {
             tables: pool.tables.clone(),
-            dropped: Arc::default(),
-            drop_counter: obs.counter("ow_controller_backpressure_dropped_total", &[]),
         };
         let mut engine = WindowEngine::new();
         engine.set_sink(obs.engine_sink("controller"));

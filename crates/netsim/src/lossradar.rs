@@ -18,7 +18,10 @@ use std::collections::{HashMap, HashSet};
 use ow_common::flowkey::FlowKey;
 use ow_common::packet::Packet;
 use ow_common::time::{Duration, Instant};
-use ow_sketch::iblt::RawIblt;
+use ow_sketch::Iblt;
+
+/// Hash functions per digest (LossRadar's `k`).
+const HASHES: usize = 3;
 
 /// How a meter decides which sub-window a packet belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,11 +38,8 @@ pub struct LossRadarMeter {
     assign: WindowAssign,
     subwindow_len: Duration,
     cells: usize,
-    hashes: usize,
     seed: u64,
-    digests: HashMap<u32, RawIblt>,
-    /// Per-flow packet counters to make packet ids unique within a flow.
-    flow_seq: HashMap<FlowKey, u32>,
+    digests: HashMap<u32, Iblt>,
 }
 
 /// A packet identifier: flow key (packed) combined with the per-flow
@@ -60,10 +60,8 @@ impl LossRadarMeter {
             assign,
             subwindow_len,
             cells,
-            hashes: 3,
             seed,
             digests: HashMap::new(),
-            flow_seq: HashMap::new(),
         }
     }
 
@@ -76,22 +74,17 @@ impl LossRadarMeter {
 
     /// Digest one forwarded packet. The caller passes the *same* per-flow
     /// sequence number on both switches (it is derived from the packet
-    /// content in the real system; here the per-meter counter reproduces
-    /// it because both meters see the surviving packets in FIFO order —
-    /// the upstream meter's extra counts for lost packets are exactly
-    /// what the difference digest should contain).
+    /// content in the real system).
     ///
     /// Returns the sub-window the packet was digested into.
     pub fn digest(&mut self, pkt: &Packet, local: Instant, seq: u32) -> u32 {
         let sw = self.subwindow_for(pkt, local);
-        let key = pkt.five_tuple();
-        let id = packet_id(&key, seq);
-        let (cells, hashes, seed) = (self.cells, self.hashes, self.seed);
+        let id = packet_id(&pkt.five_tuple(), seq);
+        let (cells, seed) = (self.cells, self.seed);
         self.digests
             .entry(sw)
-            .or_insert_with(|| RawIblt::new(cells, hashes, seed))
+            .or_insert_with(|| Iblt::new(cells, HASHES, seed))
             .insert(id);
-        *self.flow_seq.entry(key).or_insert(0) += 1;
         sw
     }
 
@@ -103,7 +96,7 @@ impl LossRadarMeter {
     }
 
     /// Take (remove) the digest of one sub-window.
-    pub(crate) fn take_digest(&mut self, sw: u32) -> Option<RawIblt> {
+    pub(crate) fn take_digest(&mut self, sw: u32) -> Option<Iblt> {
         self.digests.remove(&sw)
     }
 }

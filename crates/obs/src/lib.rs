@@ -236,8 +236,6 @@ impl Obs {
             .add(m.duplicates);
         self.counter("ow_controller_escalations_total", &[])
             .add(m.escalations);
-        self.counter("ow_controller_backpressure_dropped_total", &[])
-            .add(m.dropped);
         self.counter("ow_controller_departed_sessions_total", &[])
             .add(m.departed);
         self.histogram("ow_controller_cr_phase_duration", &[("phase", "recovery")])
@@ -406,7 +404,6 @@ mod tests {
             recovered: 3,
             duplicates: 1,
             escalations: 1,
-            dropped: 0,
             departed: 1,
             wall_clock: Duration::from_micros(400),
         };

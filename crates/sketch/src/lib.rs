@@ -18,7 +18,7 @@
 //! | [`bloom`] | Bloom filter | flowkey tracking (Algorithm 1) |
 //! | [`elastic`] | Elastic Sketch (Yang et al.) | heavy-key telemetry (§4.2 integration) |
 //! | [`flowradar`] | FlowRadar (Li et al.) | the §8 state-migration path (no data-plane query) |
-//! | [`iblt`] | Invertible Bloom Lookup Table | LossRadar digests (Exp#9) |
+//! | [`iblt`] | Invertible Bloom Lookup Table over 128-bit ids | LossRadar packet digests (Exp#9) |
 //!
 //! Every structure is deterministic given a hash seed, supports `reset()`
 //! (the operation OmniWindow's clear packets perform region-by-region),

@@ -6,7 +6,6 @@ use ow_common::flowkey::{FlowKey, KeyKind};
 use ow_common::packet::{Packet, TcpFlags};
 use ow_common::time::{Duration, Instant};
 use ow_controller::collector::{CollectionSession, SessionStatus};
-use ow_controller::rdma::{RdmaRegion, RdmaWriteKind};
 use ow_controller::reliability::{ReliabilityDriver, RetryPolicy};
 use ow_controller::table::MergeTable;
 use ow_netsim::{FaultConfig, LossyChannel, PacketClass};
@@ -409,38 +408,6 @@ fn lossy_channel_recovers_byte_identical_merge_table() {
             "loss {loss}: counters overflow the announced total"
         );
     }
-}
-
-#[test]
-fn rdma_path_matches_cpu_path() {
-    // The same AFR stream through (a) the merge table (controller CPU)
-    // and (b) the simulated RDMA region with hot keys — identical merged
-    // values for the hot keys.
-    let mut table = MergeTable::new();
-    let mut region = RdmaRegion::new();
-    let hot = FlowKey::src_ip(1);
-    region.promote(hot);
-
-    for sw in 0..5u32 {
-        let afrs = vec![
-            ow_common::afr::FlowRecord::frequency(hot, 60 + sw as u64, sw),
-            ow_common::afr::FlowRecord::frequency(FlowKey::src_ip(2), 5, sw),
-        ];
-        for r in &afrs {
-            let kind = region.switch_write(*r);
-            if r.key == hot {
-                assert_eq!(kind, RdmaWriteKind::FetchAdd);
-            } else {
-                assert_eq!(kind, RdmaWriteKind::BufferAppend);
-            }
-        }
-        table.insert_batch(sw, afrs);
-    }
-    // Hot key: RNIC-accumulated value equals the CPU-merged value.
-    let cpu = table.get(&hot).unwrap().scalar() as u64;
-    assert_eq!(region.hot_value(&hot), Some(cpu));
-    // Cold keys came through the buffer and must drain completely.
-    assert_eq!(region.drain_buffer().len(), 5);
 }
 
 #[test]
