@@ -17,7 +17,7 @@
 //! the values seen, and merging unions the bitmaps — exactly the
 //! information a data-plane distinct structure can export.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::flowkey::FlowKey;
 
@@ -32,7 +32,7 @@ pub const DISTINCT_BITMAP_WORDS: usize = 8;
 /// bitwise OR. `logical_bits` lets a data-plane structure with smaller
 /// cells (e.g. the Vector Bloom Filter's 64-bit bitmaps) export its
 /// state at native size so the estimate formula stays correct.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DistinctBitmap {
     /// The raw bitmap words.
     pub words: [u64; DISTINCT_BITMAP_WORDS],
@@ -113,7 +113,7 @@ impl DistinctBitmap {
 }
 
 /// The statistic pattern of a flow attribute, which dictates merging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum AttrKind {
     /// Additive statistic (packet count, bytes): merged by summation.
     Frequency,
@@ -137,7 +137,7 @@ pub enum AttrKind {
 }
 
 /// A single flow attribute value, tagged with its merge pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum AttrValue {
     /// Additive counter.
     Frequency(u64),
@@ -293,7 +293,7 @@ impl AttrValue {
 
 /// An application-derived flow record: one flow's statistic in one
 /// sub-window, as exported by the data plane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FlowRecord {
     /// The flow this record describes.
     pub key: FlowKey,

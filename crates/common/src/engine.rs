@@ -216,11 +216,7 @@ pub struct WindowFsm {
     phase: WindowPhase,
     terminated_at: Option<Instant>,
     cr_due: Option<Instant>,
-    announced: Option<u32>,
     retransmit_rounds: u32,
-    escalated: bool,
-    evicted: bool,
-    departed: bool,
 }
 
 impl WindowFsm {
@@ -231,21 +227,16 @@ impl WindowFsm {
             phase: WindowPhase::Open,
             terminated_at: None,
             cr_due: None,
-            announced: None,
             retransmit_rounds: 0,
-            escalated: false,
-            evicted: false,
-            departed: false,
         }
     }
 
     /// A window entering the lifecycle at [`WindowPhase::Collected`] —
     /// the controller's entry point, where the first thing it learns
-    /// about a window is the announced batch size.
-    pub fn announced(subwindow: u32, announced: u32) -> WindowFsm {
+    /// about a window is that its batch was announced.
+    pub fn announced(subwindow: u32) -> WindowFsm {
         WindowFsm {
             phase: WindowPhase::Collected,
-            announced: Some(announced),
             ..WindowFsm::open(subwindow)
         }
     }
@@ -275,21 +266,6 @@ impl WindowFsm {
         self.retransmit_rounds
     }
 
-    /// Whether the OS-path escalation ran.
-    pub fn was_escalated(&self) -> bool {
-        self.escalated
-    }
-
-    /// Whether the retained copy was evicted before release.
-    pub fn was_evicted(&self) -> bool {
-        self.evicted
-    }
-
-    /// Whether the owning switch departed the fleet mid-lifecycle.
-    pub fn was_departed(&self) -> bool {
-        self.departed
-    }
-
     fn reject(&self, event: &WindowEvent) -> FsmError {
         FsmError {
             subwindow: self.subwindow,
@@ -312,10 +288,7 @@ impl WindowFsm {
                 P::CrWait
             }
             (P::CrWait, WindowEvent::CollectStarted { .. }) => P::Collecting,
-            (P::Collecting, WindowEvent::BatchGenerated { announced }) => {
-                self.announced = Some(*announced);
-                P::Collected
-            }
+            (P::Collecting, WindowEvent::BatchGenerated { .. }) => P::Collected,
             (P::Collected | P::Retransmitting | P::Escalated, WindowEvent::StreamComplete) => {
                 P::Merged
             }
@@ -323,19 +296,10 @@ impl WindowFsm {
                 self.retransmit_rounds += 1;
                 P::Retransmitting
             }
-            (P::Collected | P::Retransmitting, WindowEvent::EscalateOsRead) => {
-                self.escalated = true;
-                P::Escalated
-            }
+            (P::Collected | P::Retransmitting, WindowEvent::EscalateOsRead) => P::Escalated,
             (P::Merged, WindowEvent::Acked) => P::Released,
-            (P::Collected | P::Retransmitting | P::Escalated, WindowEvent::Evicted) => {
-                self.evicted = true;
-                P::Released
-            }
-            (phase, WindowEvent::SwitchDeparted) if !phase.is_terminal() => {
-                self.departed = true;
-                P::Released
-            }
+            (P::Collected | P::Retransmitting | P::Escalated, WindowEvent::Evicted) => P::Released,
+            (phase, WindowEvent::SwitchDeparted) if !phase.is_terminal() => P::Released,
             _ => return Err(self.reject(&event)),
         };
         self.phase = next;
@@ -555,23 +519,25 @@ mod tests {
         let mut fsm = WindowFsm::open(0);
         full_switch_side(&mut fsm);
         assert_eq!(fsm.phase(), WindowPhase::Collected);
-        assert_eq!(fsm.announced, Some(10));
-        fsm.apply(WindowEvent::StreamComplete).unwrap();
-        fsm.apply(WindowEvent::Acked).unwrap();
-        assert_eq!(fsm.phase(), WindowPhase::Released);
+        assert_eq!(
+            fsm.apply(WindowEvent::StreamComplete),
+            Ok(WindowPhase::Merged)
+        );
+        assert_eq!(fsm.apply(WindowEvent::Acked), Ok(WindowPhase::Released));
         assert!(fsm.phase().is_terminal());
-        assert!(!fsm.was_escalated());
     }
 
     #[test]
     fn retransmit_side_loop_counts_rounds() {
-        let mut fsm = WindowFsm::announced(7, 5);
+        let mut fsm = WindowFsm::announced(7);
         fsm.apply(WindowEvent::RetransmitRound).unwrap();
         fsm.apply(WindowEvent::RetransmitRound).unwrap();
         assert_eq!(fsm.phase(), WindowPhase::Retransmitting);
         assert_eq!(fsm.retransmit_rounds(), 2);
-        fsm.apply(WindowEvent::EscalateOsRead).unwrap();
-        assert!(fsm.was_escalated());
+        assert_eq!(
+            fsm.apply(WindowEvent::EscalateOsRead),
+            Ok(WindowPhase::Escalated)
+        );
         fsm.apply(WindowEvent::StreamComplete).unwrap();
         assert_eq!(fsm.phase(), WindowPhase::Merged);
     }
@@ -590,9 +556,8 @@ mod tests {
 
     #[test]
     fn eviction_releases_unmerged_windows() {
-        let mut fsm = WindowFsm::announced(1, 4);
-        fsm.apply(WindowEvent::Evicted).unwrap();
-        assert!(fsm.was_evicted());
+        let mut fsm = WindowFsm::announced(1);
+        assert_eq!(fsm.apply(WindowEvent::Evicted), Ok(WindowPhase::Released));
         assert_eq!(fsm.phase(), WindowPhase::Released);
     }
 
@@ -637,16 +602,17 @@ mod tests {
             WindowPhase::Merged,
         ] {
             let mut fsm = reach(phase);
-            fsm.apply(WindowEvent::SwitchDeparted)
+            let to = fsm
+                .apply(WindowEvent::SwitchDeparted)
                 .unwrap_or_else(|e| panic!("departure from {phase}: {e}"));
+            assert_eq!(to, WindowPhase::Released);
             assert_eq!(fsm.phase(), WindowPhase::Released);
-            assert!(fsm.was_departed());
         }
     }
 
     #[test]
     fn released_windows_reject_departure() {
-        let mut fsm = WindowFsm::announced(2, 1);
+        let mut fsm = WindowFsm::announced(2);
         fsm.apply(WindowEvent::SwitchDeparted).unwrap();
         let err = fsm.apply(WindowEvent::SwitchDeparted).unwrap_err();
         assert_eq!(err.event, "switch_departed");
@@ -655,7 +621,7 @@ mod tests {
 
     #[test]
     fn merged_windows_cannot_be_evicted() {
-        let mut fsm = WindowFsm::announced(1, 4);
+        let mut fsm = WindowFsm::announced(1);
         fsm.apply(WindowEvent::StreamComplete).unwrap();
         assert!(fsm.apply(WindowEvent::Evicted).is_err());
     }
@@ -716,10 +682,10 @@ mod tests {
     #[test]
     fn engine_insert_is_idempotent_for_duplicate_announcements() {
         let mut engine = WindowEngine::new();
-        engine.insert(WindowFsm::announced(4, 10));
+        engine.insert(WindowFsm::announced(4));
         engine.apply(4, WindowEvent::RetransmitRound).unwrap();
         // The duplicated trigger clone announces again; state survives.
-        engine.insert(WindowFsm::announced(4, 10));
+        engine.insert(WindowFsm::announced(4));
         assert_eq!(engine.phase(4), Some(WindowPhase::Retransmitting));
         assert_eq!(engine.len(), 1);
     }
@@ -739,7 +705,7 @@ mod tests {
         let rec = Arc::new(Rec::default());
         let mut engine = WindowEngine::new();
         engine.set_sink(rec.clone());
-        engine.insert(WindowFsm::announced(2, 1));
+        engine.insert(WindowFsm::announced(2));
         engine.apply(2, WindowEvent::StreamComplete).unwrap();
         assert!(engine.apply(9, WindowEvent::Acked).is_err());
         let ts = rec.0.lock().unwrap();

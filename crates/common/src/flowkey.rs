@@ -6,12 +6,12 @@
 //! as a compact `Copy` value: the full five-tuple plus a [`KeyKind`]
 //! projection that selects which fields participate in hashing/equality.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::packet::Packet;
 
 /// Which projection of the five-tuple a telemetry application keys on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum KeyKind {
     /// Full 5-tuple `(src ip, dst ip, src port, dst port, proto)`.
     FiveTuple,
@@ -27,7 +27,7 @@ pub enum KeyKind {
 ///
 /// Equality and hashing respect the projection: two packets between the
 /// same hosts but different ports compare equal under [`KeyKind::SrcDst`].
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct FlowKey {
     /// Source IPv4 address.
     pub src_ip: u32,

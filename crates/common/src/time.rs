@@ -5,18 +5,14 @@
 //! `std::time`) keeps the simulator fully deterministic and lets tests pin
 //! exact boundary conditions (a packet *exactly* on a sub-window boundary).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A point in virtual time, in nanoseconds since trace start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct Instant(pub u64);
 
 /// A span of virtual time, in nanoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct Duration(pub u64);
 
 impl Instant {

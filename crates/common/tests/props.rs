@@ -1,10 +1,8 @@
 //! Property-based tests for the foundation types.
 
-use bytes::Bytes;
 use ow_common::afr::{AttrKind, AttrValue, DistinctBitmap};
 use ow_common::flowkey::{packed_order, sort_by_packed_key, FlowKey, KeyKind};
 use ow_common::hash::{HashFamily, HashFn};
-use ow_common::packet::{OwFlag, OwHeader};
 use proptest::prelude::*;
 
 fn arb_kind() -> impl Strategy<Value = KeyKind> {
@@ -38,44 +36,7 @@ fn arb_key() -> impl Strategy<Value = FlowKey> {
         })
 }
 
-fn arb_flag() -> impl Strategy<Value = OwFlag> {
-    prop_oneof![
-        Just(OwFlag::Normal),
-        Just(OwFlag::Collection),
-        Just(OwFlag::Reset),
-        Just(OwFlag::Trigger),
-        Just(OwFlag::InjectKey),
-        Just(OwFlag::AfrReport),
-    ]
-}
-
-fn arb_header() -> impl Strategy<Value = OwHeader> {
-    (
-        any::<u32>(),
-        arb_flag(),
-        proptest::option::of(arb_key()),
-        any::<u64>(),
-        any::<u32>(),
-    )
-        .prop_map(|(subwindow, flag, flowkey, afr_value, seq)| OwHeader {
-            subwindow,
-            flag,
-            flowkey,
-            afr_value,
-            seq,
-        })
-}
-
 proptest! {
-    /// Wire codec roundtrip: decode(encode(h)) == h for every header.
-    #[test]
-    fn header_codec_roundtrips(h in arb_header()) {
-        let enc = h.encode();
-        prop_assert_eq!(enc.len(), OwHeader::WIRE_SIZE);
-        let dec = OwHeader::decode(enc).unwrap();
-        prop_assert_eq!(dec, h);
-    }
-
     /// Canonicalisation is idempotent and equality-preserving.
     #[test]
     fn canonical_is_idempotent(k in arb_key()) {
@@ -168,18 +129,6 @@ proptest! {
         prop_assert!(ab.ones() >= b.ones());
     }
 
-    /// Decoding arbitrary bytes either fails or re-encodes to the same bytes.
-    #[test]
-    fn decode_is_safe_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let buf = Bytes::from(data.clone());
-        if let Ok(h) = OwHeader::decode(buf) {
-            // A successful decode must produce a header that encodes to the
-            // same canonical prefix bytes.
-            let re = h.encode();
-            let dec2 = OwHeader::decode(re).unwrap();
-            prop_assert_eq!(dec2, h);
-        }
-    }
 }
 
 /// A deterministic stream of `u64`s (splitmix64) for building inputs

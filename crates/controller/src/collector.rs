@@ -54,7 +54,7 @@ impl CollectionSession {
     /// Open a session after the trigger packet announced `announced`
     /// tracked flowkeys for `subwindow`.
     pub fn new(subwindow: u32, announced: u32) -> CollectionSession {
-        let mut fsm = WindowFsm::announced(subwindow, announced);
+        let mut fsm = WindowFsm::announced(subwindow);
         if announced == 0 {
             // Nothing to wait for: the empty batch is complete on arrival.
             fsm.apply(WindowEvent::StreamComplete)
@@ -215,11 +215,6 @@ impl CollectionSession {
         }
     }
 
-    /// How many retransmission rounds this session needed.
-    pub fn retransmissions(&self) -> u32 {
-        self.fsm.retransmit_rounds()
-    }
-
     /// Finish the session, yielding the complete batch as one columnar
     /// [`RecordBlock`] sorted by sequence id — the form the sharded
     /// merge path scatters without reassembling per-record vectors.
@@ -275,7 +270,7 @@ mod tests {
         }
         assert_eq!(s.status(), SessionStatus::Complete);
         assert!(s.missing().is_empty());
-        assert_eq!(s.retransmissions(), 0);
+        assert_eq!(s.fsm().retransmit_rounds(), 0);
         let batch = s.into_batch();
         assert_eq!(batch.len(), 5);
         assert!(batch.windows(2).all(|w| w[0].seq < w[1].seq));
@@ -288,7 +283,7 @@ mod tests {
         s.receive(rec(2, 0)).unwrap();
         assert_eq!(s.status(), SessionStatus::Collecting);
         assert_eq!(s.missing(), vec![1, 3]);
-        assert_eq!(s.retransmissions(), 1);
+        assert_eq!(s.fsm().retransmit_rounds(), 1);
         // Retransmitted AFRs arrive.
         s.receive(rec(1, 0)).unwrap();
         s.receive(rec(3, 0)).unwrap();
@@ -329,12 +324,11 @@ mod tests {
         assert_eq!(s.status(), SessionStatus::MissingAfrs);
         s.escalate();
         assert_eq!(s.phase(), WindowPhase::Escalated);
-        assert!(s.fsm().was_escalated());
         s.receive(rec(1, 2)).unwrap();
         s.receive(rec(2, 2)).unwrap();
         assert_eq!(s.phase(), WindowPhase::Merged);
         assert_eq!(s.status(), SessionStatus::Complete);
-        assert_eq!(s.retransmissions(), 1);
+        assert_eq!(s.fsm().retransmit_rounds(), 1);
     }
 
     #[test]

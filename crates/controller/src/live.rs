@@ -85,11 +85,6 @@ impl LiveHandle {
     pub fn snapshot(&self) -> Vec<(FlowKey, AttrValue)> {
         self.fold(MergeTable::snapshot)
     }
-
-    /// Number of merge shards behind this handle.
-    pub fn shard_count(&self) -> usize {
-        self.tables.len()
-    }
 }
 
 /// A message from the data plane to the controller.
@@ -401,7 +396,6 @@ mod tests {
             }
             let h = ctl.handle.clone();
             assert_eq!(ctl.join(), 6);
-            assert_eq!(h.shard_count(), shards);
             assert_eq!(h.subwindows(), vec![3, 4, 5]);
             assert_eq!(
                 encode_merged(&h.snapshot()),
@@ -474,7 +468,8 @@ mod tests {
         // must not be parked in `early` forever.
         let batch = seq_batch(0, 5);
         let link = faithful(HashMap::from([(0, batch.clone())]));
-        let (mut router, handle) = reliable_router(4, 1, &Obs::new(), link);
+        let obs = Obs::new();
+        let (mut router, handle) = reliable_router(4, 1, &obs, link);
         run_session(&mut router, &batch, |_| true);
         assert!(router.sessions.is_closed(0));
         router.announce(0, 5);
@@ -489,6 +484,8 @@ mod tests {
         }
         assert_eq!((metrics.announced, metrics.recovered), (5, 0));
         assert_eq!(metrics.duplicates, 3, "late rows are charged as duplicates");
+        let snap = obs.snapshot();
+        assert_eq!(snap.value("ow_controller_afr_duplicates_total", &[]), 3);
     }
 
     #[test]

@@ -189,8 +189,8 @@ pub(crate) struct Router {
     /// `ow_controller_sessions_total` on the reliable one).
     merged: (u64, Counter),
     scatter: ShardScatter,
-    /// The plain path's open stream: its sub-window and rows so far.
-    stream: Option<(u32, u64)>,
+    /// The plain path's open stream: its sub-window.
+    stream: Option<u32>,
     pub(crate) sessions: Sessions,
     /// The §8 loop's retry schedule and back-channel to the switch;
     /// `None` on the plain path, which never opens a session.
@@ -265,13 +265,13 @@ impl Router {
     /// complete stream is a merged sub-window.
     pub(crate) fn stream_block(&mut self, block: RecordBlock, seal: bool) {
         let subwindow = block.subwindow();
-        if self.stream.is_some_and(|(open, _)| open != subwindow) {
+        if self.stream.is_some_and(|open| open != subwindow) {
             self.seal_stream();
         }
         if self.stream.is_none() {
             self.scatter.begin(subwindow);
+            self.stream = Some(subwindow);
         }
-        self.stream.get_or_insert((subwindow, 0)).1 += block.len() as u64;
         self.route(&block);
         if seal {
             self.seal_stream();
@@ -279,11 +279,10 @@ impl Router {
     }
 
     fn seal_stream(&mut self) {
-        let Some((subwindow, routed)) = self.stream.take() else {
+        let Some(subwindow) = self.stream.take() else {
             return;
         };
-        self.engine
-            .insert(WindowFsm::announced(subwindow, routed as u32));
+        self.engine.insert(WindowFsm::announced(subwindow));
         if self.engine.phase(subwindow) == Some(WindowPhase::Collected) {
             let _ = self.engine.apply(subwindow, WindowEvent::StreamComplete);
         }

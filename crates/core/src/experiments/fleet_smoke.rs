@@ -14,7 +14,9 @@ use ow_common::time::{Duration, Instant};
 use ow_controller::health::controller_health_rules;
 use ow_netsim::fleet::{self, fleet_health_rules};
 use ow_netsim::{ChurnEvent, ChurnKind, FleetConfig, RackBurst};
-use ow_obs::{accuracy_health_rules, AccuracyConfig, AccuracyScorer, HealthEngine, Obs, RuleSet};
+use ow_obs::{
+    accuracy_health_rules, AccuracyScorer, HealthEngine, Obs, RuleSet, ACCURACY_THRESHOLD,
+};
 use ow_switch::health::switch_health_rules;
 
 use crate::evaluate;
@@ -109,7 +111,7 @@ pub fn run_with_health(cfg: &FleetConfig) -> (Arc<HealthEngine>, Obs) {
 pub fn run_with_accuracy(cfg: &FleetConfig) -> (Arc<AccuracyScorer>, Arc<HealthEngine>, Obs) {
     let obs = Obs::with_journal_capacity(1 << 15);
     let engine = obs.install_health(accuracy_health_rules());
-    let scorer = obs.install_accuracy(AccuracyConfig::default());
+    let scorer = obs.install_accuracy();
     fleet::run(cfg, &obs);
     (scorer, engine, obs)
 }
@@ -137,12 +139,11 @@ pub fn judge_obs_smoke(obs: &Obs) -> Arc<HealthEngine> {
 /// summed in: `(mechanism, reference)` results, thresholded like the
 /// live query.
 pub fn offline_inputs(scorer: &AccuracyScorer) -> (Vec<WindowResult>, Vec<WindowResult>) {
-    let threshold = scorer.config().threshold;
     let result = |i: usize, rows: &[(ow_common::flowkey::FlowKey, f64)]| WindowResult {
         index: i,
         reported: rows
             .iter()
-            .filter(|(_, s)| *s >= threshold)
+            .filter(|(_, s)| *s >= ACCURACY_THRESHOLD)
             .map(|(k, _)| *k)
             .collect(),
         estimates: rows.iter().cloned().collect(),

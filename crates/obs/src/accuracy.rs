@@ -82,26 +82,15 @@ pub(crate) const CARDINALITY_DRIFT_PERMILLE: u64 = 900;
 /// collapse — critical, freezing the flight recorder.
 pub(crate) const ACCURACY_COLLAPSE_PERMILLE: u64 = 500;
 
-/// Configuration of the live accuracy query being scored.
-#[derive(Debug, Clone)]
-pub struct AccuracyConfig {
-    /// Value of the `query` label on every `ow_accuracy_*` series.
-    pub query: String,
-    /// Scalar threshold a key must reach ([`AttrValue::scalar`]) to be
-    /// *reported* by the query, on both the merged and the oracle side
-    /// (the heavy-hitter detection threshold). Keys below it still
-    /// contribute to the ARE estimate pairs.
-    pub threshold: f64,
-}
+/// Value of the `query` label on every `ow_accuracy_*` series: the one
+/// live query the scorer grades.
+pub(crate) const ACCURACY_QUERY: &str = "heavy_hitter";
 
-impl Default for AccuracyConfig {
-    fn default() -> AccuracyConfig {
-        AccuracyConfig {
-            query: "heavy_hitter".to_string(),
-            threshold: 1.0,
-        }
-    }
-}
+/// Scalar a key must reach ([`AttrValue::scalar`]) to be *reported* by
+/// the scored query, on both the merged and the oracle side (the
+/// heavy-hitter detection threshold). Keys below it still contribute to
+/// the ARE estimate pairs.
+pub const ACCURACY_THRESHOLD: f64 = 1.0;
 
 /// One scored window, with enough detail to replay the offline scoring
 /// path (`evaluate::score_reports` / `score_estimates`) over the same
@@ -207,7 +196,6 @@ type TruthTable = BTreeMap<u128, (FlowKey, AttrValue)>;
 /// [`crate::Obs::install_accuracy`]; every clone of the handle sees it.
 #[derive(Debug)]
 pub struct AccuracyScorer {
-    cfg: AccuracyConfig,
     journal: Arc<EventJournal>,
     /// Exact per-sub-window truth, aggregated per key; consumed at
     /// scoring (or dropped at departure).
@@ -230,12 +218,8 @@ impl AccuracyScorer {
     /// `ow_accuracy_*` series. The precision/recall gauges start at
     /// 1000‰ ("perfect until a window proves otherwise") so alert
     /// rules evaluated before the first scored window stay silent.
-    pub fn new(
-        cfg: AccuracyConfig,
-        registry: Arc<MetricsRegistry>,
-        journal: Arc<EventJournal>,
-    ) -> Arc<AccuracyScorer> {
-        let labels = [("query", cfg.query.as_str())];
+    pub fn new(registry: Arc<MetricsRegistry>, journal: Arc<EventJournal>) -> Arc<AccuracyScorer> {
+        let labels = [("query", ACCURACY_QUERY)];
         let scorer = AccuracyScorer {
             journal,
             oracle: Mutex::new(HashMap::new()),
@@ -248,17 +232,11 @@ impl AccuracyScorer {
             merged_keys_c: registry.counter("ow_accuracy_merged_keys_total", &labels),
             departed_c: registry.counter("ow_accuracy_oracle_departed_total", &labels),
             recall_err_h: registry.histogram("ow_accuracy_recall_error_permille", &labels),
-            cfg,
         };
         scorer.precision_g.set(1000);
         scorer.recall_g.set(1000);
         scorer.aare_g.set(0);
         Arc::new(scorer)
-    }
-
-    /// The scored query's configuration.
-    pub fn config(&self) -> &AccuracyConfig {
-        &self.cfg
     }
 
     /// Feed the oracle one sub-window's *exact* records — called by the
@@ -328,12 +306,12 @@ impl AccuracyScorer {
         // offline scorer uses.
         let reported: HashSet<FlowKey> = merged_scalars
             .iter()
-            .filter(|(_, s)| *s >= self.cfg.threshold)
+            .filter(|(_, s)| *s >= ACCURACY_THRESHOLD)
             .map(|(k, _)| *k)
             .collect();
         let truth_set: HashSet<FlowKey> = truth_scalars
             .iter()
-            .filter(|(_, s)| *s >= self.cfg.threshold)
+            .filter(|(_, s)| *s >= ACCURACY_THRESHOLD)
             .map(|(k, _)| *k)
             .collect();
         let pr = metrics::precision_recall(&reported, &truth_set);
@@ -397,7 +375,7 @@ impl AccuracyScorer {
                 "accuracy_scored",
                 format!(
                     "query '{}': precision {}‰ recall {}‰ are {}‰ ({} truth keys, {} merged)",
-                    self.cfg.query,
+                    ACCURACY_QUERY,
                     brief.precision_permille,
                     brief.recall_permille,
                     brief.are_permille,
@@ -439,7 +417,7 @@ impl AccuracyScorer {
             )
         };
         AccuracySummary {
-            query: self.cfg.query.clone(),
+            query: ACCURACY_QUERY.to_string(),
             windows_scored: scores.len() as u64,
             precision_permille: permille(precision),
             recall_permille: permille(recall),
@@ -539,7 +517,7 @@ mod tests {
     #[test]
     fn perfect_merge_scores_perfectly() {
         let obs = Obs::new();
-        let acc = obs.install_accuracy(AccuracyConfig::default());
+        let acc = obs.install_accuracy();
         let batch = vec![freq(1, 60, 7), freq(2, 80, 7), freq(1, 40, 7)];
         acc.feed_truth(7, &batch);
         let brief = acc
@@ -569,7 +547,7 @@ mod tests {
     #[test]
     fn missing_and_spurious_keys_degrade_the_scores() {
         let obs = Obs::new();
-        let acc = obs.install_accuracy(AccuracyConfig::default());
+        let acc = obs.install_accuracy();
         acc.feed_truth(1, &[freq(1, 100, 1), freq(2, 50, 1)]);
         // The merged answer lost key 2 and invented key 9.
         let brief = acc
@@ -589,7 +567,7 @@ mod tests {
     #[test]
     fn aggregates_average_over_windows_in_subwindow_order() {
         let obs = Obs::new();
-        let acc = obs.install_accuracy(AccuracyConfig::default());
+        let acc = obs.install_accuracy();
         // Score out of order: window 5 first, then window 2.
         acc.feed_truth(5, &[freq(1, 10, 5), freq(2, 10, 5)]);
         acc.feed_truth(2, &[freq(3, 10, 2)]);
@@ -613,7 +591,7 @@ mod tests {
     #[test]
     fn unfed_windows_are_skipped_and_departures_drop_the_oracle_entry() {
         let obs = Obs::new();
-        let acc = obs.install_accuracy(AccuracyConfig::default());
+        let acc = obs.install_accuracy();
         assert!(acc
             .score_block(&RecordBlock::from_records(3, &[freq(1, 1, 3)]))
             .is_none());
@@ -641,7 +619,7 @@ mod tests {
     fn collapse_rule_fires_and_freezes_only_on_bad_recall() {
         let obs = Obs::new();
         let engine = obs.install_health(accuracy_health_rules());
-        let acc = obs.install_accuracy(AccuracyConfig::default());
+        let acc = obs.install_accuracy();
         // Perfect window: every 4xx rule stays silent.
         let batch = vec![freq(1, 10, 0), freq(2, 10, 0)];
         acc.feed_truth(0, &batch);

@@ -488,20 +488,21 @@ impl HealthEngine {
                     Cmp::Above => value > rule.threshold,
                     Cmp::Below => value < rule.threshold,
                 };
+                let transition = |label: &str| AlertEvent {
+                    tick,
+                    at_ns: sample.at_ns,
+                    code: rule.code.clone(),
+                    rule: rule.name.clone(),
+                    entity: entity.clone(),
+                    severity: rule.severity.name().to_string(),
+                    state: label.into(),
+                    value,
+                    threshold: rule.threshold,
+                };
                 if breach && !state.active {
                     state.active = true;
                     state.severity_penalty = rule.severity.penalty();
-                    let alert = AlertEvent {
-                        tick,
-                        at_ns: sample.at_ns,
-                        code: rule.code.clone(),
-                        rule: rule.name.clone(),
-                        entity: entity.clone(),
-                        severity: rule.severity.name().to_string(),
-                        state: "fired".into(),
-                        value,
-                        threshold: rule.threshold,
-                    };
+                    let alert = transition("fired");
                     match rule.severity {
                         Severity::Info => self.alerts_info.inc(),
                         Severity::Warning => self.alerts_warning.inc(),
@@ -530,17 +531,6 @@ impl HealthEngine {
                 } else if !breach && state.active {
                     state.active = false;
                     state.severity_penalty = 0;
-                    let alert = AlertEvent {
-                        tick,
-                        at_ns: sample.at_ns,
-                        code: rule.code.clone(),
-                        rule: rule.name.clone(),
-                        entity: entity.clone(),
-                        severity: rule.severity.name().to_string(),
-                        state: "cleared".into(),
-                        value,
-                        threshold: rule.threshold,
-                    };
                     self.journal.record(
                         Event::new(
                             "health_clear",
@@ -551,7 +541,7 @@ impl HealthEngine {
                         )
                         .at(Instant(sample.at_ns)),
                     );
-                    transitions.push(alert);
+                    transitions.push(transition("cleared"));
                 }
             }
         }
@@ -1156,7 +1146,7 @@ mod tests {
         let engine = obs.install_health(RuleSet::default());
         let mut fsm_engine = WindowEngine::new();
         fsm_engine.set_sink(obs.engine_sink("controller"));
-        fsm_engine.insert(WindowFsm::announced(3, 5));
+        fsm_engine.insert(WindowFsm::announced(3));
         fsm_engine.apply(3, WindowEvent::StreamComplete).unwrap();
         fsm_engine.apply(3, WindowEvent::Acked).unwrap();
         assert!(!engine.frozen());

@@ -59,8 +59,8 @@ use ow_common::engine::{Transition, TransitionSink, WindowPhase};
 use ow_common::metrics::ReliabilityMetrics;
 
 pub use accuracy::{
-    accuracy_health_rules, AccuracyConfig, AccuracyScorer, AccuracySummary, WindowScore,
-    WindowScoreBrief,
+    accuracy_health_rules, AccuracyScorer, AccuracySummary, WindowScore, WindowScoreBrief,
+    ACCURACY_THRESHOLD,
 };
 pub use export::ObsReport;
 pub use flightrec::{FlightDump, FlightEntry, FlightRecorder, FlightRecorderConfig, TraceBrief};
@@ -145,9 +145,8 @@ impl Obs {
     /// streams ground truth into it and the controller scores each
     /// window at its `Merged` transition. Installing again replaces the
     /// previous scorer (and starts a fresh oracle).
-    pub fn install_accuracy(&self, cfg: AccuracyConfig) -> Arc<AccuracyScorer> {
-        let scorer =
-            AccuracyScorer::new(cfg, Arc::clone(&self.registry), Arc::clone(&self.journal));
+    pub fn install_accuracy(&self) -> Arc<AccuracyScorer> {
+        let scorer = AccuracyScorer::new(Arc::clone(&self.registry), Arc::clone(&self.journal));
         *self.accuracy.write() = Some(Arc::clone(&scorer));
         scorer
     }
@@ -328,7 +327,7 @@ mod tests {
         let obs = Obs::new();
         let mut engine = WindowEngine::new();
         engine.set_sink(obs.engine_sink("controller"));
-        engine.insert(WindowFsm::announced(3, 5));
+        engine.insert(WindowFsm::announced(3));
         engine.apply(3, WindowEvent::RetransmitRound).unwrap();
         engine.apply(3, WindowEvent::StreamComplete).unwrap();
         engine.apply(3, WindowEvent::Acked).unwrap();
@@ -380,7 +379,7 @@ mod tests {
         obs.tracer().start_window(3, "controller", 0);
         let mut engine = WindowEngine::new();
         engine.set_sink(obs.engine_sink("controller"));
-        engine.insert(WindowFsm::announced(3, 5));
+        engine.insert(WindowFsm::announced(3));
         engine.apply(3, WindowEvent::StreamComplete).unwrap();
         engine.apply(3, WindowEvent::Acked).unwrap();
         let report = TraceReport::capture("unit", obs.tracer(), None);

@@ -426,7 +426,7 @@ mod tests {
         use ow_common::block::RecordBlock;
         use ow_common::flowkey::FlowKey;
         let obs = Obs::new();
-        let acc = obs.install_accuracy(crate::AccuracyConfig::default());
+        let acc = obs.install_accuracy();
         let batch = vec![
             FlowRecord::frequency(FlowKey::src_ip(1), 40, 2),
             FlowRecord::frequency(FlowKey::src_ip(2), 60, 2),

@@ -48,7 +48,7 @@ pub use placement::{
     StageLimits,
 };
 pub use regions::TwoRegionState;
-pub use register::{FlattenedLayout, RegisterArray, SaluOp};
+pub use register::{RegisterArray, SaluOp};
 pub use resources::{FeatureUsage, ResourceReport};
 pub use signal::{SignalEngine, Termination, WindowSignal};
 pub use switch::{EventSink, Switch, SwitchConfig, SwitchEvent};

@@ -1,5 +1,4 @@
-//! Register arrays with the Stateful-ALU access discipline, and the
-//! flattened two-region layout built on them (§6, made literal).
+//! Register arrays with the Stateful-ALU access discipline.
 //!
 //! RMT constraint **C4**: each packet pass may access *one* location of
 //! each on-chip register array, through that array's SALU. The types
@@ -22,13 +21,6 @@
 //! os-read paths run on the switch CPU and must *not* open passes at
 //! all; they read state through [`RegisterArray::snapshot`], which is
 //! deliberately outside the pass discipline.
-//!
-//! [`FlattenedLayout`] is the §6 memory layout verbatim: two regions
-//! concatenated into one array, with each region's base offset installed
-//! in a match-action table; `address = offset(sub-window) + index`, one
-//! SALU regardless of the region count. Each `access` is one atomic
-//! pipeline pass (begin → SALU → end), so the layout can never leak a
-//! pass.
 
 use ow_common::error::OwError;
 
@@ -169,95 +161,6 @@ impl RegisterArray {
     }
 }
 
-/// The §6 flattened layout: `regions` regions of `region_cells` cells
-/// concatenated into one register array, with the per-region offsets in
-/// a MAT. One SALU serves every region.
-///
-/// ```
-/// use ow_switch::register::{FlattenedLayout, SaluOp};
-///
-/// let mut layout = FlattenedLayout::new("counters", 2, 1024);
-/// // Sub-windows 0 and 1 write the same index of different regions…
-/// layout.access(0, 5, SaluOp::AddSat(10)).unwrap();
-/// layout.access(1, 5, SaluOp::AddSat(99)).unwrap();
-/// assert_eq!(layout.access(0, 5, SaluOp::Read).unwrap(), 10);
-/// // …through a single SALU, however many regions exist.
-/// assert_eq!(layout.salus(), 1);
-/// // Every access is one atomic pass; none is ever leaked.
-/// assert_eq!(layout.leaked_passes(), 0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct FlattenedLayout {
-    array: RegisterArray,
-    /// The offset MAT: region index → base offset.
-    offsets: Vec<usize>,
-    region_cells: usize,
-}
-
-impl FlattenedLayout {
-    /// Build a layout of `regions` regions × `region_cells` cells.
-    pub fn new(name: impl Into<String>, regions: usize, region_cells: usize) -> FlattenedLayout {
-        assert!(regions > 0 && region_cells > 0, "layout must be non-empty");
-        FlattenedLayout {
-            array: RegisterArray::new(name, regions * region_cells),
-            offsets: (0..regions).map(|r| r * region_cells).collect(),
-            region_cells,
-        }
-    }
-
-    /// The region a sub-window number maps to (round-robin over regions,
-    /// as Figure 5 assigns sub-window 1,3,… to region 0 and 2,4,… to
-    /// region 1).
-    pub fn region_of_subwindow(&self, subwindow: u32) -> usize {
-        subwindow as usize % self.offsets.len()
-    }
-
-    /// One packet pass: apply `op` at `index` of the sub-window's
-    /// region. The MAT lookup computes the physical address; the single
-    /// SALU performs the operation (C4-compliant by construction). The
-    /// pass is scoped atomically — begin, one SALU access, end — so the
-    /// layout can never leak a pass, whichever handler path calls it.
-    pub fn access(&mut self, subwindow: u32, index: usize, op: SaluOp) -> Result<u32, OwError> {
-        if index >= self.region_cells {
-            return Err(OwError::Config(format!(
-                "index {index} exceeds region size {}",
-                self.region_cells
-            )));
-        }
-        let offset = self.offsets[self.region_of_subwindow(subwindow)];
-        self.array.begin_pass();
-        let result = self.array.access(offset + index, op);
-        self.array.end_pass();
-        result
-    }
-
-    /// SALUs this layout consumes: always exactly one.
-    pub fn salus(&self) -> usize {
-        1
-    }
-
-    /// Cells per region.
-    pub fn region_cells(&self) -> usize {
-        self.region_cells
-    }
-
-    /// Number of regions.
-    pub fn regions(&self) -> usize {
-        self.offsets.len()
-    }
-
-    /// Total SALU accesses so far.
-    pub fn accesses(&self) -> u64 {
-        self.array.accesses()
-    }
-
-    /// Passes leaked by the underlying array — zero by construction,
-    /// exposed so harnesses can assert the invariant.
-    pub fn leaked_passes(&self) -> u64 {
-        self.array.leaked_passes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,37 +244,5 @@ mod tests {
         assert_eq!(r.snapshot()[2], 9);
         assert_eq!(r.accesses(), 1, "snapshot is not a SALU access");
         assert_eq!(r.leaked_passes(), 0);
-    }
-
-    #[test]
-    fn flattened_layout_isolates_regions_with_one_salu() {
-        let mut l = FlattenedLayout::new("win_state", 2, 8);
-        assert_eq!(l.salus(), 1);
-        // Sub-window 0 writes region 0, sub-window 1 writes region 1 —
-        // same index, different physical cells.
-        l.access(0, 5, SaluOp::AddSat(10)).unwrap();
-        l.access(1, 5, SaluOp::AddSat(99)).unwrap();
-        assert_eq!(l.access(0, 5, SaluOp::Read).unwrap(), 10);
-        assert_eq!(l.access(1, 5, SaluOp::Read).unwrap(), 99);
-        // Sub-window 2 reuses region 0 (Figure 5's alternation).
-        assert_eq!(l.region_of_subwindow(2), 0);
-        assert_eq!(l.access(2, 5, SaluOp::Read).unwrap(), 10);
-        // No pass leaked anywhere along the way.
-        assert_eq!(l.leaked_passes(), 0);
-    }
-
-    #[test]
-    fn flattened_layout_rejects_out_of_region_index() {
-        let mut l = FlattenedLayout::new("x", 2, 8);
-        assert!(l.access(0, 8, SaluOp::Read).is_err());
-    }
-
-    #[test]
-    fn accounting_counts_accesses() {
-        let mut l = FlattenedLayout::new("x", 2, 4);
-        for sw in 0..6u32 {
-            l.access(sw, 0, SaluOp::AddSat(1)).unwrap();
-        }
-        assert_eq!(l.accesses(), 6);
     }
 }

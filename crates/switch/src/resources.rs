@@ -11,7 +11,7 @@
 //! step); only the totals' stage/VLIW sharing and the normalisation
 //! baseline are the paper's measured build of Q1.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::placement::{omniwindow_features, Step};
 
@@ -33,7 +33,7 @@ pub struct FeatureUsage {
 }
 
 /// Configuration knobs that size the variable rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ResourceConfig {
     /// Bloom filter size in KB (flowkey tracking).
     pub bloom_kb: u32,

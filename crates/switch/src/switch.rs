@@ -162,9 +162,10 @@ impl<A: DataPlaneApp> Switch<A> {
     /// `ow_verify::verified_switch` (or a
     /// `VerifiedProgram::build_switch`), which first proves C4, stage
     /// placement, and resource fit for the program this configuration
-    /// implies. Constructing directly skips those proofs, so a
-    /// constraint violation will only surface as a runtime error in the
-    /// hot path.
+    /// implies. Constructing directly skips those proofs, and nothing
+    /// catches a violation later: the packet path never touches a
+    /// `RegisterArray`. C4 is checked statically, and at runtime only by
+    /// `ow_verify::exec`'s soundness oracle in tests.
     pub fn new_unchecked(cfg: SwitchConfig, region_a: A, region_b: A) -> Switch<A> {
         let tracker =
             |salt| FlowkeyTracker::new(cfg.fk_capacity, cfg.expected_flows, cfg.seed ^ salt);
@@ -824,7 +825,7 @@ mod tests {
         sw.process(pkt(9, 310));
         sw.flush();
         // Depth 1: every batch but the newest was evicted unrepairable;
-        // the engine released those windows (was_evicted), never acked.
+        // the engine released those windows on eviction, never acked.
         assert_eq!(sw.retransmit_buffer().retained().len(), 1);
         assert!(sw.retransmit_buffer().evicted() > 0);
         let evicted = sw.retransmit_buffer().evicted();

@@ -13,7 +13,6 @@ use ow_switch::collect::{
 use ow_switch::consistency::{ConsistencyModel, Placement};
 use ow_switch::flowkey::{FlowkeyTracker, TrackOutcome};
 use ow_switch::latency::{inject, recirc_enumeration};
-use ow_switch::register::{FlattenedLayout, SaluOp};
 use ow_switch::signal::{SignalEngine, WindowSignal};
 use ow_switch::{Switch, SwitchConfig, SwitchEvent};
 use proptest::prelude::*;
@@ -381,29 +380,6 @@ proptest! {
         prop_assert!(tracked + 3 >= ids.len(), "{tracked} of {}", ids.len());
         // Buffered never exceeds capacity.
         prop_assert!(t.buffered().len() <= 64);
-    }
-
-    /// The flattened layout keeps regions perfectly isolated: writes to
-    /// one sub-window's region are invisible to the other's, at every
-    /// index, for any interleaving.
-    #[test]
-    fn flattened_regions_are_isolated(
-        writes in proptest::collection::vec((0u32..8, 0usize..16, 1u32..100), 1..60),
-    ) {
-        let mut l = FlattenedLayout::new("t", 2, 16);
-        let mut shadow = [[0u32; 16]; 2];
-        for &(sw, idx, v) in &writes {
-            let region = l.region_of_subwindow(sw);
-            l.access(sw, idx, SaluOp::AddSat(v)).unwrap();
-            shadow[region][idx] = shadow[region][idx].saturating_add(v);
-        }
-        #[allow(clippy::needless_range_loop)]
-        for sw in 0..2u32 {
-            for idx in 0..16usize {
-                let got = l.access(sw, idx, SaluOp::Read).unwrap();
-                prop_assert_eq!(got, shadow[sw as usize][idx]);
-            }
-        }
     }
 
     /// The latency model is monotone: more items never collect faster,

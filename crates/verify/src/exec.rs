@@ -121,9 +121,9 @@ pub fn execute(program: &PipelineProgram) -> Result<ExecReport, OwError> {
                             path.name, access.register
                         ))
                     })?;
-                // The §6 MAT bounds-check, exactly as FlattenedLayout
-                // performs it: a within-region index at or past the
-                // region size would alias the next region.
+                // The §6 MAT bounds-check: in the flattened layout a
+                // within-region index at or past the region size would
+                // alias the next region.
                 if access.max_index >= region_cells {
                     return Err(OwError::Config(format!(
                         "path '{}': index {} exceeds region size {} of register '{}'",

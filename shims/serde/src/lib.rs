@@ -4,9 +4,8 @@
 //! the small serialization surface the workspace actually uses: a JSON
 //! [`Value`] tree, a [`Serialize`] trait producing it (the only bound
 //! `serde_json::to_string_pretty` needs), a no-op [`Deserialize`]
-//! marker so existing `#[derive(Deserialize)]` attributes keep
-//! compiling, and — behind the `derive` feature — the derive macros
-//! from the sibling `serde_derive` shim.
+//! marker that mirrors serde's API, and — behind the `derive` feature —
+//! the derive macros from the sibling `serde_derive` shim.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,8 +47,8 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// No-op marker: the workspace derives `Deserialize` on wire types but
-/// never actually deserializes through serde (it has its own codecs).
+/// No-op marker mirroring serde's API: the workspace never deserializes
+/// through serde (it has its own codecs).
 pub trait Deserialize {}
 
 macro_rules! impl_serialize_uint {

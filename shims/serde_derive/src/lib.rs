@@ -8,9 +8,8 @@
 //! and enums whose variants are unit (optionally with explicit
 //! discriminants), tuple, or struct-like.
 //!
-//! `#[derive(Deserialize)]` is accepted and expands to nothing: no code
-//! in the workspace deserializes, but the attribute appears throughout
-//! the source and must keep compiling.
+//! `#[derive(Deserialize)]` is accepted and expands to nothing, so the
+//! shim mirrors serde's API; no code in the workspace deserializes.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 

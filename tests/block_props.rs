@@ -23,7 +23,7 @@ use ow_controller::live::{DataPlaneMsg, LiveController, ReliableLiveController, 
 use ow_controller::reliability::RetryPolicy;
 use ow_controller::table::MergeTable;
 use ow_controller::wire::encode_merged;
-use ow_obs::{accuracy_health_rules, AccuracyConfig, Obs, RuleSet, TraceContext};
+use ow_obs::{accuracy_health_rules, Obs, RuleSet, TraceContext};
 use proptest::prelude::*;
 
 /// Shard counts × block capacities every property sweeps. Capacity 1
@@ -318,10 +318,7 @@ fn fold_digest(batches: &[Vec<FlowRecord>], shards: usize, observed: bool) -> u6
         let rules = RuleSet::merged(vec![controller_health_rules(256), accuracy_health_rules()])
             .expect("controller + accuracy catalogs merge")
             .without(&["OW-HEALTH-201"]);
-        (
-            o.install_health(rules),
-            o.install_accuracy(AccuracyConfig::default()),
-        )
+        (o.install_health(rules), o.install_accuracy())
     });
     let ctl = ReliableLiveController::spawn_sharded_obs(
         4,

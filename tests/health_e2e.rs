@@ -102,7 +102,7 @@ fn fsm_invariant_rejection_freezes_through_the_sink() {
     let engine = obs.install_health(fleet_catalog());
     let mut fsm = WindowEngine::new();
     fsm.set_sink(obs.engine_sink("controller"));
-    fsm.insert(WindowFsm::announced(9, 4));
+    fsm.insert(WindowFsm::announced(9));
     fsm.apply(9, WindowEvent::StreamComplete).unwrap();
     fsm.apply(9, WindowEvent::Acked).unwrap();
     assert!(!engine.frozen());

@@ -409,22 +409,3 @@ fn lossy_channel_recovers_byte_identical_merge_table() {
         );
     }
 }
-
-#[test]
-fn header_stamps_survive_wire_roundtrip() {
-    // The sub-window stamp must survive serialisation between switches.
-    let mut first = mk_switch(true, 1024);
-    let p = pkt(9, 250);
-    let forwarded = first
-        .process(p)
-        .into_iter()
-        .find_map(|e| match e {
-            SwitchEvent::Forward(fp) => Some(fp),
-            _ => None,
-        })
-        .expect("forwarded");
-    assert_eq!(forwarded.ow.subwindow, 2);
-    let wire = forwarded.ow.encode();
-    let decoded = ow_common::packet::OwHeader::decode(wire).unwrap();
-    assert_eq!(decoded, forwarded.ow);
-}
