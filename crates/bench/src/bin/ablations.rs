@@ -48,8 +48,7 @@ fn main() {
     println!("\nExtension: FlowRadar under state migration (§8)");
     {
         use omniwindow::config::WindowConfig;
-        use omniwindow::mechanisms::Mode;
-        use omniwindow::migration::{run_flowradar, FlowRadarConfig};
+        use omniwindow::migration::run_flowradar;
         use ow_common::time::Duration;
         use ow_trace::{TraceBuilder, TraceConfig};
         let trace = TraceBuilder::new(TraceConfig {
@@ -60,13 +59,7 @@ fn main() {
             ..TraceConfig::default()
         })
         .build();
-        let run = run_flowradar(
-            &trace,
-            &WindowConfig::paper_default(),
-            Mode::Tumbling,
-            &FlowRadarConfig::default(),
-            100.0,
-        );
+        let run = run_flowradar(&trace, &WindowConfig::paper_default());
         println!(
             "  {} windows, every sub-window state decoded completely: {}",
             run.windows.len(),

@@ -116,15 +116,9 @@ pub enum WindowEvent {
         due: Instant,
     },
     /// The collect-and-reset began executing.
-    CollectStarted {
-        /// Collection start time.
-        at: Instant,
-    },
-    /// AFR generation finished; `announced` records exist.
-    BatchGenerated {
-        /// Batch size announced to the controller.
-        announced: u32,
-    },
+    CollectStarted,
+    /// AFR generation finished; the batch is announced to the controller.
+    BatchGenerated,
     /// Every announced AFR reached the controller; the batch merged.
     StreamComplete,
     /// One §8 retransmission round ran (request for the missing ids).
@@ -153,8 +147,8 @@ impl WindowEvent {
         match self {
             WindowEvent::SignalFired { .. } => "signal_fired",
             WindowEvent::CrScheduled { .. } => "cr_scheduled",
-            WindowEvent::CollectStarted { .. } => "collect_started",
-            WindowEvent::BatchGenerated { .. } => "batch_generated",
+            WindowEvent::CollectStarted => "collect_started",
+            WindowEvent::BatchGenerated => "batch_generated",
             WindowEvent::StreamComplete => "stream_complete",
             WindowEvent::RetransmitRound => "retransmit_round",
             WindowEvent::EscalateOsRead => "escalate_os_read",
@@ -201,8 +195,8 @@ impl std::error::Error for FsmError {}
 /// let mut fsm = WindowFsm::open(3);
 /// fsm.apply(WindowEvent::SignalFired { at: Instant::from_millis(100) }).unwrap();
 /// fsm.apply(WindowEvent::CrScheduled { due: Instant::from_millis(101) }).unwrap();
-/// fsm.apply(WindowEvent::CollectStarted { at: Instant::from_millis(101) }).unwrap();
-/// fsm.apply(WindowEvent::BatchGenerated { announced: 42 }).unwrap();
+/// fsm.apply(WindowEvent::CollectStarted).unwrap();
+/// fsm.apply(WindowEvent::BatchGenerated).unwrap();
 /// assert_eq!(fsm.phase(), WindowPhase::Collected);
 /// // Skipping straight to release is a protocol bug, not a panic:
 /// assert!(fsm.apply(WindowEvent::Acked).is_err());
@@ -287,8 +281,8 @@ impl WindowFsm {
                 self.cr_due = Some(*due);
                 P::CrWait
             }
-            (P::CrWait, WindowEvent::CollectStarted { .. }) => P::Collecting,
-            (P::Collecting, WindowEvent::BatchGenerated { .. }) => P::Collected,
+            (P::CrWait, WindowEvent::CollectStarted) => P::Collecting,
+            (P::Collecting, WindowEvent::BatchGenerated) => P::Collected,
             (P::Collected | P::Retransmitting | P::Escalated, WindowEvent::StreamComplete) => {
                 P::Merged
             }
@@ -506,12 +500,8 @@ mod tests {
             due: Instant::from_millis(101),
         })
         .unwrap();
-        fsm.apply(WindowEvent::CollectStarted {
-            at: Instant::from_millis(101),
-        })
-        .unwrap();
-        fsm.apply(WindowEvent::BatchGenerated { announced: 10 })
-            .unwrap();
+        fsm.apply(WindowEvent::CollectStarted).unwrap();
+        fsm.apply(WindowEvent::BatchGenerated).unwrap();
     }
 
     #[test]
@@ -574,10 +564,8 @@ mod tests {
                 WindowEvent::CrScheduled {
                     due: Instant::from_millis(101),
                 },
-                WindowEvent::CollectStarted {
-                    at: Instant::from_millis(101),
-                },
-                WindowEvent::BatchGenerated { announced: 3 },
+                WindowEvent::CollectStarted,
+                WindowEvent::BatchGenerated,
                 WindowEvent::RetransmitRound,
                 WindowEvent::EscalateOsRead,
                 WindowEvent::StreamComplete,
@@ -649,17 +637,8 @@ mod tests {
         assert_eq!(engine.pending_cr(), Some((0, Instant::from_millis(101))));
         assert_eq!(engine.due_collection(Instant::from_millis(100)), None);
         assert_eq!(engine.due_collection(Instant::from_millis(101)), Some(0));
-        engine
-            .apply(
-                0,
-                WindowEvent::CollectStarted {
-                    at: Instant::from_millis(101),
-                },
-            )
-            .unwrap();
-        engine
-            .apply(0, WindowEvent::BatchGenerated { announced: 2 })
-            .unwrap();
+        engine.apply(0, WindowEvent::CollectStarted).unwrap();
+        engine.apply(0, WindowEvent::BatchGenerated).unwrap();
         assert_eq!(engine.pending_cr(), None);
         engine.apply(0, WindowEvent::StreamComplete).unwrap();
         engine.apply(0, WindowEvent::Acked).unwrap();

@@ -24,10 +24,8 @@ const EVENTS: [E; 10] = [
     E::CrScheduled {
         due: Instant::from_millis(101),
     },
-    E::CollectStarted {
-        at: Instant::from_millis(101),
-    },
-    E::BatchGenerated { announced: 3 },
+    E::CollectStarted,
+    E::BatchGenerated,
     E::StreamComplete,
     E::RetransmitRound,
     E::EscalateOsRead,

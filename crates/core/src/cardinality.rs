@@ -7,15 +7,17 @@
 //! structure supports — bitmap OR for Linear Counting, register-wise max
 //! for HyperLogLog (§8, "Merging intermediate data without AFRs").
 
-use std::collections::HashSet;
-
-use ow_common::flowkey::{FlowKey, KeyKind};
+use ow_common::flowkey::KeyKind;
+use ow_common::packet::Packet;
 use ow_common::time::Duration;
 use ow_sketch::{HyperLogLog, LinearCounting};
 use ow_trace::Trace;
 
+use crate::app::HeavyHitterApp;
 use crate::config::WindowConfig;
-use crate::mechanisms::Mode;
+use crate::mechanisms::{
+    per_subwindow, run_ideal, sliding_sketch_rotation, tumbling_with_blackout, window_ranges, Mode,
+};
 
 /// Which estimator backs the cardinality pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,10 +47,12 @@ impl State {
         }
     }
 
-    fn insert(&mut self, key: &FlowKey) {
+    /// Insert the packet's five-tuple.
+    fn insert(&mut self, pkt: &Packet) {
+        let key = pkt.key(KeyKind::FiveTuple);
         match self {
-            State::Lc(lc) => lc.insert(key),
-            State::Hll(h) => h.insert(key),
+            State::Lc(lc) => lc.insert(&key),
+            State::Hll(h) => h.insert(&key),
         }
     }
 
@@ -68,25 +72,13 @@ impl State {
     }
 }
 
-/// Exact per-window flow cardinalities (the ideal baseline).
+/// Exact per-window flow cardinalities (the ideal baseline): the number
+/// of distinct five-tuples the exact reference sees in each window.
 pub(crate) fn ideal_cardinality(trace: &Trace, cfg: &WindowConfig, mode: Mode) -> Vec<f64> {
-    let n_sub = cfg.subwindows_in(trace.duration);
-    let mut subs: Vec<HashSet<FlowKey>> = vec![HashSet::new(); n_sub];
-    for pkt in trace.iter() {
-        let s = cfg.subwindow_of(pkt.ts) as usize;
-        if s < n_sub {
-            subs[s].insert(pkt.key(KeyKind::FiveTuple));
-        }
-    }
-    window_ranges(cfg, n_sub, mode)
-        .into_iter()
-        .map(|(lo, hi)| {
-            let mut u: HashSet<&FlowKey> = HashSet::new();
-            for s in &subs[lo..hi] {
-                u.extend(s.iter());
-            }
-            u.len() as f64
-        })
+    let every_flow = HeavyHitterApp::mv(u64::MAX);
+    run_ideal(&every_flow, trace, cfg, mode)
+        .iter()
+        .map(|w| w.estimates.len() as f64)
         .collect()
 }
 
@@ -99,15 +91,10 @@ pub(crate) fn omniwindow_cardinality(
     est: Estimator,
     seed: u64,
 ) -> Vec<f64> {
-    let n_sub = cfg.subwindows_in(trace.duration);
-    let mut subs: Vec<State> = (0..n_sub).map(|_| State::new(est, seed)).collect();
-    for pkt in trace.iter() {
-        let s = cfg.subwindow_of(pkt.ts) as usize;
-        if s < n_sub {
-            subs[s].insert(&pkt.key(KeyKind::FiveTuple));
-        }
-    }
-    window_ranges(cfg, n_sub, mode)
+    let subs = per_subwindow(trace, cfg, State::new(est, seed), State::insert, |st, _| {
+        std::mem::replace(st, State::new(est, seed))
+    });
+    window_ranges(cfg, subs.len(), mode)
         .into_iter()
         .map(|(lo, hi)| {
             let mut acc = State::new(est, seed);
@@ -129,39 +116,15 @@ pub(crate) fn conventional_cardinality(
     blackout: Duration,
     seed: u64,
 ) -> Vec<f64> {
-    let n_sub = cfg.subwindows_in(trace.duration);
-    let ranges = window_ranges(cfg, n_sub, Mode::Tumbling);
-    let win_ns = cfg.window().as_nanos();
-    let mut state = State::new(est, seed);
-    let mut out = Vec::with_capacity(ranges.len());
-    let mut window_idx = 0usize;
-    for pkt in trace.iter() {
-        if window_idx >= ranges.len() {
-            break;
-        }
-        let w = (pkt.ts.as_nanos() / win_ns) as usize;
-        while w > window_idx && window_idx < ranges.len() {
-            out.push(state.estimate());
-            state = State::new(est, seed);
-            window_idx += 1;
-        }
-        if window_idx >= ranges.len() {
-            break;
-        }
-        if window_idx > 0 {
-            let into = pkt.ts.as_nanos() - window_idx as u64 * win_ns;
-            if into < blackout.as_nanos() {
-                continue;
-            }
-        }
-        state.insert(&pkt.key(KeyKind::FiveTuple));
-    }
-    while window_idx < ranges.len() {
-        out.push(state.estimate());
-        state = State::new(est, seed);
-        window_idx += 1;
-    }
-    out
+    tumbling_with_blackout(
+        trace,
+        cfg,
+        blackout,
+        State::new(est, seed),
+        State::insert,
+        |st| *st = State::new(est, seed),
+        |st, _| st.estimate(),
+    )
 }
 
 /// Sliding-Sketch-style sliding cardinality: two half-size instances,
@@ -179,66 +142,20 @@ pub(crate) fn sliding_sketch_cardinality(
             precision: precision.saturating_sub(1).max(4),
         },
     };
-    let n_sub = cfg.subwindows_in(trace.duration);
-    let ranges = window_ranges(cfg, n_sub, Mode::Sliding);
-    let win_ns = cfg.window().as_nanos();
-    let sub_ns = cfg.subwindow().as_nanos();
-    let mut cur = State::new(half, seed);
-    let mut prev = State::new(half, seed);
-    let mut next_rotation = win_ns;
-    let mut next_report = 0usize;
-    let mut out = Vec::with_capacity(ranges.len());
-
-    for pkt in trace.iter() {
-        while next_report < ranges.len() {
-            let end_ns = ranges[next_report].1 as u64 * sub_ns;
-            if pkt.ts.as_nanos() >= end_ns {
-                // Rotations strictly before the report point only; one
-                // landing exactly on the boundary applies after the query.
-                while next_rotation < end_ns {
-                    std::mem::swap(&mut cur, &mut prev);
-                    cur = State::new(half, seed);
-                    next_rotation += win_ns;
-                }
-                let mut merged = State::new(half, seed);
-                merged.merge(&cur);
-                merged.merge(&prev);
-                out.push(merged.estimate());
-                next_report += 1;
-            } else {
-                break;
-            }
-        }
-        while pkt.ts.as_nanos() >= next_rotation {
-            std::mem::swap(&mut cur, &mut prev);
-            cur = State::new(half, seed);
-            next_rotation += win_ns;
-        }
-        cur.insert(&pkt.key(KeyKind::FiveTuple));
-    }
-    while next_report < ranges.len() {
-        let mut merged = State::new(half, seed);
-        merged.merge(&cur);
-        merged.merge(&prev);
-        out.push(merged.estimate());
-        next_report += 1;
-    }
-    out
-}
-
-fn window_ranges(cfg: &WindowConfig, total: usize, mode: Mode) -> Vec<(usize, usize)> {
-    let spw = cfg.subwindows_per_window();
-    let step = match mode {
-        Mode::Tumbling => spw,
-        Mode::Sliding => cfg.subwindows_per_slide(),
-    };
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    while start + spw <= total {
-        out.push((start, start + spw));
-        start += step;
-    }
-    out
+    sliding_sketch_rotation(
+        trace,
+        cfg,
+        State::new(half, seed),
+        State::new(half, seed),
+        State::insert,
+        |st| *st = State::new(half, seed),
+        |cur, prev, _| {
+            let mut merged = State::new(half, seed);
+            merged.merge(cur);
+            merged.merge(prev);
+            merged.estimate()
+        },
+    )
 }
 
 #[cfg(test)]

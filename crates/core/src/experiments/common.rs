@@ -3,9 +3,13 @@
 
 use serde::Serialize;
 
+use ow_common::metrics::PrecisionRecall;
 use ow_common::time::{Duration, Instant};
 use ow_trace::anomaly::{Anomaly, AnomalyKind};
 use ow_trace::{Trace, TraceBuilder, TraceConfig};
+
+use crate::evaluate::score_reports;
+use crate::mechanisms::Lineup;
 
 /// Experiment scale: `Small` for tests, `Paper` for the bench binaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,6 +97,24 @@ pub struct MechScore {
     pub precision: f64,
     /// Average per-window recall.
     pub recall: f64,
+}
+
+impl MechScore {
+    pub(crate) fn new(mechanism: &str, pr: PrecisionRecall) -> MechScore {
+        MechScore {
+            mechanism: mechanism.to_string(),
+            precision: pr.precision,
+            recall: pr.recall,
+        }
+    }
+
+    /// The lineup's precision/recall rows against the ideals.
+    pub(crate) fn rows(lineup: &Lineup) -> Vec<MechScore> {
+        lineup
+            .scores(score_reports)
+            .map(|(name, pr)| MechScore::new(name, pr))
+            .collect()
+    }
 }
 
 /// The anomaly set injected into the evaluation trace: several instances

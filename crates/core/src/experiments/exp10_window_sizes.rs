@@ -13,12 +13,8 @@ use ow_common::time::Duration;
 
 use crate::app::HeavyHitterApp;
 use crate::config::WindowConfig;
-use crate::evaluate::score_reports;
 use crate::experiments::common::{evaluation_trace_stretched, MechScore, Scale};
-use crate::experiments::exp1_queries::TW1_BLACKOUT;
-use crate::mechanisms::{
-    run_conventional_tw, run_ideal, run_omniwindow_probed, run_sliding_sketch, Mode,
-};
+use crate::mechanisms::Lineup;
 
 /// Accuracy rows for one window size.
 #[derive(Debug, Clone, Serialize)]
@@ -47,8 +43,8 @@ pub fn run(scale: Scale, window_sizes_ms: &[u64], threshold: u64, seed: u64) -> 
     // thousands of flows against 8 MB), which a tenth of the window
     // budget reproduces at this trace's flow counts. OmniWindow's
     // per-sub-window budget is fixed regardless of the window size.
-    let tw_memory = scale.window_memory() / 10;
-    let sub_memory = scale.subwindow_memory();
+    let mem = scale.window_memory() / 10;
+    let sub_mem = scale.subwindow_memory();
     let fk = scale.fk_capacity();
 
     let mut points = Vec::new();
@@ -60,41 +56,10 @@ pub fn run(scale: Scale, window_sizes_ms: &[u64], threshold: u64, seed: u64) -> 
         )
         .expect("geometry valid");
 
-        let itw = run_ideal(&app, &trace, &cfg, Mode::Tumbling);
-        let isw = run_ideal(&app, &trace, &cfg, Mode::Sliding);
-        let tw1 = run_conventional_tw(&app, &trace, &cfg, tw_memory, TW1_BLACKOUT, seed, &[]);
-        let tw2 = run_conventional_tw(&app, &trace, &cfg, tw_memory, Duration::ZERO, seed, &[]);
-        let otw = run_omniwindow_probed(
-            &app,
-            &trace,
-            &cfg,
-            Mode::Tumbling,
-            sub_memory,
-            fk,
-            seed,
-            &[],
-        );
-        let osw =
-            run_omniwindow_probed(&app, &trace, &cfg, Mode::Sliding, sub_memory, fk, seed, &[]);
-        let ss = run_sliding_sketch(&app, &trace, &cfg, tw_memory, seed, &[]);
-
-        let mut rows = Vec::new();
-        let mut push = |name: &str, pr: ow_common::metrics::PrecisionRecall| {
-            rows.push(MechScore {
-                mechanism: name.to_string(),
-                precision: pr.precision,
-                recall: pr.recall,
-            });
-        };
-        push("TW1", score_reports(&tw1, &itw));
-        push("TW2", score_reports(&tw2, &itw));
-        push("OTW", score_reports(&otw, &itw));
-        push("OSW", score_reports(&osw, &isw));
-        push("SS", score_reports(&ss, &isw));
-
+        let lineup = Lineup::run(&app, &trace, &cfg, mem, sub_mem, fk, seed, &[], true);
         points.push(WindowSizePoint {
             window_ms: win_ms,
-            rows,
+            rows: MechScore::rows(&lineup),
         });
     }
     Exp10Result { points }

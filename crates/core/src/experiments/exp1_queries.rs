@@ -8,14 +8,13 @@
 
 use serde::Serialize;
 
-use ow_common::time::Duration;
 use ow_query::spec::standard_queries;
 
 use crate::app::QueryApp;
 use crate::config::WindowConfig;
-use crate::evaluate::{score_reports, union_score};
+use crate::evaluate::union_score;
 use crate::experiments::common::{evaluation_trace, MechScore, Scale};
-use crate::mechanisms::{run_conventional_tw, run_ideal, run_omniwindow_probed, Mode};
+use crate::mechanisms::Lineup;
 
 /// One query's accuracy rows.
 #[derive(Debug, Clone, Serialize)]
@@ -33,11 +32,6 @@ pub struct Exp1Result {
     pub queries: Vec<QueryAccuracy>,
 }
 
-/// TW1's blackout: the switch-OS C&R time for the query state, during
-/// which the single memory region cannot measure. 60 ms ≈ the OS reading
-/// + clearing a Sonata-scale register array via PCIe.
-pub(crate) const TW1_BLACKOUT: Duration = Duration::from_millis(60);
-
 /// Run Exp#1.
 pub fn run(scale: Scale, seed: u64) -> Exp1Result {
     let trace = evaluation_trace(scale, seed);
@@ -50,31 +44,14 @@ pub fn run(scale: Scale, seed: u64) -> Exp1Result {
         // Window state sized to the scale's slot budget; sub-windows get
         // 1/4 of the window's memory (paper §9.1).
         let mem = app.memory_for_slots(scale.query_slots());
-        let sub_mem = mem / 4;
-        let itw = run_ideal(&app, &trace, &cfg, Mode::Tumbling);
-        let isw = run_ideal(&app, &trace, &cfg, Mode::Sliding);
-        let tw1 = run_conventional_tw(&app, &trace, &cfg, mem, TW1_BLACKOUT, seed, &[]);
-        let tw2 = run_conventional_tw(&app, &trace, &cfg, mem, Duration::ZERO, seed, &[]);
-        let otw = run_omniwindow_probed(&app, &trace, &cfg, Mode::Tumbling, sub_mem, fk, seed, &[]);
-        let osw = run_omniwindow_probed(&app, &trace, &cfg, Mode::Sliding, sub_mem, fk, seed, &[]);
-
-        let mut rows = Vec::new();
-        let mut push = |name: &str, pr: ow_common::metrics::PrecisionRecall| {
-            rows.push(MechScore {
-                mechanism: name.to_string(),
-                precision: pr.precision,
-                recall: pr.recall,
-            });
-        };
+        let lineup = Lineup::run(&app, &trace, &cfg, mem, mem / 4, fk, seed, &[], false);
         // ITW vs ISW compares the *union over time* of detections: every
         // tumbling window is also a sliding position, so ITW's precision
         // is 1.0 by construction and its recall measures the anomalies
         // only a sliding window catches (Figure 1).
-        push("ITW-vs-ISW", union_score(&itw, &isw));
-        push("TW1", score_reports(&tw1, &itw));
-        push("TW2", score_reports(&tw2, &itw));
-        push("OTW", score_reports(&otw, &itw));
-        push("OSW", score_reports(&osw, &isw));
+        let itw_vs_isw = union_score(&lineup.itw, &lineup.isw);
+        let mut rows = vec![MechScore::new("ITW-vs-ISW", itw_vs_isw)];
+        rows.extend(MechScore::rows(&lineup));
 
         queries.push(QueryAccuracy {
             query: spec.name.to_string(),

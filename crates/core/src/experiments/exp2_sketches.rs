@@ -13,6 +13,7 @@ use serde::Serialize;
 
 use ow_common::flowkey::{sort_by_packed_key, FlowKey};
 use ow_common::time::Duration;
+use ow_trace::Trace;
 
 use crate::app::{HeavyHitterApp, SizeApp, SpreadApp, VbfApp, WindowApp};
 use crate::cardinality::{
@@ -20,12 +21,9 @@ use crate::cardinality::{
     sliding_sketch_cardinality, Estimator,
 };
 use crate::config::WindowConfig;
-use crate::evaluate::{aare, score_estimates, score_reports};
+use crate::evaluate::{aare, score_estimates};
 use crate::experiments::common::{evaluation_trace, MechScore, Scale};
-use crate::experiments::exp1_queries::TW1_BLACKOUT;
-use crate::mechanisms::{
-    run_conventional_tw, run_ideal, run_omniwindow_probed, run_sliding_sketch, Mode,
-};
+use crate::mechanisms::{Lineup, Mode, TW1_BLACKOUT};
 
 /// Accuracy of one sketch under every window setting.
 #[derive(Debug, Clone, Serialize)]
@@ -49,41 +47,7 @@ pub struct Exp2Result {
     pub sketches: Vec<SketchAccuracy>,
 }
 
-fn detection_rows<A: WindowApp>(
-    app: &A,
-    trace: &ow_trace::Trace,
-    cfg: &WindowConfig,
-    scale: Scale,
-    seed: u64,
-) -> Vec<MechScore> {
-    let mem = scale.window_memory();
-    let sub_mem = scale.subwindow_memory();
-    let fk = scale.fk_capacity();
-    let itw = run_ideal(app, trace, cfg, Mode::Tumbling);
-    let isw = run_ideal(app, trace, cfg, Mode::Sliding);
-    let tw1 = run_conventional_tw(app, trace, cfg, mem, TW1_BLACKOUT, seed, &[]);
-    let tw2 = run_conventional_tw(app, trace, cfg, mem, Duration::ZERO, seed, &[]);
-    let otw = run_omniwindow_probed(app, trace, cfg, Mode::Tumbling, sub_mem, fk, seed, &[]);
-    let osw = run_omniwindow_probed(app, trace, cfg, Mode::Sliding, sub_mem, fk, seed, &[]);
-    let ss = run_sliding_sketch(app, trace, cfg, mem, seed, &[]);
-
-    let mut rows = Vec::new();
-    let mut push = |name: &str, pr: ow_common::metrics::PrecisionRecall| {
-        rows.push(MechScore {
-            mechanism: name.to_string(),
-            precision: pr.precision,
-            recall: pr.recall,
-        });
-    };
-    push("TW1", score_reports(&tw1, &itw));
-    push("TW2", score_reports(&tw2, &itw));
-    push("OTW", score_reports(&otw, &itw));
-    push("OSW", score_reports(&osw, &isw));
-    push("SS", score_reports(&ss, &isw));
-    rows
-}
-
-fn probe_keys<A: WindowApp>(app: &A, trace: &ow_trace::Trace) -> Vec<FlowKey> {
+fn probe_keys<A: WindowApp>(app: &A, trace: &Trace) -> Vec<FlowKey> {
     let mut keys: HashSet<FlowKey> = HashSet::new();
     for pkt in trace.iter() {
         if app.filter(pkt) {
@@ -95,159 +59,114 @@ fn probe_keys<A: WindowApp>(app: &A, trace: &ow_trace::Trace) -> Vec<FlowKey> {
     v
 }
 
-fn error_rows<A: WindowApp>(
-    app: &A,
-    trace: &ow_trace::Trace,
-    cfg: &WindowConfig,
+/// The inputs every sketch of the experiment shares.
+struct Setup {
+    trace: Trace,
+    cfg: WindowConfig,
     scale: Scale,
     seed: u64,
-) -> Vec<(String, f64)> {
-    let mem = scale.window_memory();
-    let sub_mem = scale.subwindow_memory();
-    let fk = scale.fk_capacity();
-    let probes = probe_keys(app, trace);
-    let itw = run_ideal(app, trace, cfg, Mode::Tumbling);
-    let isw = run_ideal(app, trace, cfg, Mode::Sliding);
-    let tw1 = run_conventional_tw(app, trace, cfg, mem, TW1_BLACKOUT, seed, &probes);
-    let tw2 = run_conventional_tw(app, trace, cfg, mem, Duration::ZERO, seed, &probes);
-    let otw = run_omniwindow_probed(app, trace, cfg, Mode::Tumbling, sub_mem, fk, seed, &probes);
-    let osw = run_omniwindow_probed(app, trace, cfg, Mode::Sliding, sub_mem, fk, seed, &probes);
-    let ss = run_sliding_sketch(app, trace, cfg, mem, seed, &probes);
-    vec![
-        ("TW1".into(), score_estimates(&tw1, &itw)),
-        ("TW2".into(), score_estimates(&tw2, &itw)),
-        ("OTW".into(), score_estimates(&otw, &itw)),
-        ("OSW".into(), score_estimates(&osw, &isw)),
-        ("SS".into(), score_estimates(&ss, &isw)),
-    ]
 }
 
-fn cardinality_rows(
-    trace: &ow_trace::Trace,
-    cfg: &WindowConfig,
-    est_window: Estimator,
-    est_sub: Estimator,
-    seed: u64,
-) -> Vec<(String, f64)> {
-    let ideal_t = ideal_cardinality(trace, cfg, Mode::Tumbling);
-    let ideal_s = ideal_cardinality(trace, cfg, Mode::Sliding);
-    let tw1 = conventional_cardinality(trace, cfg, est_window, TW1_BLACKOUT, seed);
-    let tw2 = conventional_cardinality(trace, cfg, est_window, Duration::ZERO, seed);
-    let otw = omniwindow_cardinality(trace, cfg, Mode::Tumbling, est_sub, seed);
-    let osw = omniwindow_cardinality(trace, cfg, Mode::Sliding, est_sub, seed);
-    let ss = sliding_sketch_cardinality(trace, cfg, est_window, seed);
-    vec![
-        ("TW1".into(), aare(&tw1, &ideal_t)),
-        ("TW2".into(), aare(&tw2, &ideal_t)),
-        ("OTW".into(), aare(&otw, &ideal_t)),
-        ("OSW".into(), aare(&osw, &ideal_s)),
-        ("SS".into(), aare(&ss, &ideal_s)),
-    ]
+impl Setup {
+    fn lineup<A: WindowApp>(&self, app: &A, probes: &[FlowKey]) -> Lineup {
+        let (trace, cfg, s) = (&self.trace, &self.cfg, self.scale);
+        let (mem, sub_mem, fk) = (s.window_memory(), s.subwindow_memory(), s.fk_capacity());
+        Lineup::run(app, trace, cfg, mem, sub_mem, fk, self.seed, probes, true)
+    }
+
+    /// Precision/recall rows of a detection sketch.
+    fn detection<A: WindowApp>(&self, query: &str, sketch: &str, app: &A) -> SketchAccuracy {
+        let rows = MechScore::rows(&self.lineup(app, &[]));
+        SketchAccuracy::new(query, sketch, rows, vec![])
+    }
+
+    /// Relative-error rows of an estimation sketch, over every key.
+    fn errors<A: WindowApp>(&self, query: &str, sketch: &str, app: &A) -> SketchAccuracy {
+        let errors = self
+            .lineup(app, &probe_keys(app, &self.trace))
+            .scores(score_estimates)
+            .map(|(name, error)| (name.to_string(), error))
+            .collect();
+        SketchAccuracy::new(query, sketch, vec![], errors)
+    }
+
+    /// Q11's AARE rows: window instances `est_window`, sub-window
+    /// instances `est_sub`.
+    fn cardinality(
+        &self,
+        sketch: &str,
+        est_window: Estimator,
+        est_sub: Estimator,
+    ) -> SketchAccuracy {
+        let (trace, cfg, seed) = (&self.trace, &self.cfg, self.seed);
+        let ideal_t = ideal_cardinality(trace, cfg, Mode::Tumbling);
+        let ideal_s = ideal_cardinality(trace, cfg, Mode::Sliding);
+        let tw1 = conventional_cardinality(trace, cfg, est_window, TW1_BLACKOUT, seed);
+        let tw2 = conventional_cardinality(trace, cfg, est_window, Duration::ZERO, seed);
+        let otw = omniwindow_cardinality(trace, cfg, Mode::Tumbling, est_sub, seed);
+        let osw = omniwindow_cardinality(trace, cfg, Mode::Sliding, est_sub, seed);
+        let ss = sliding_sketch_cardinality(trace, cfg, est_window, seed);
+        let errors = vec![
+            ("TW1".into(), aare(&tw1, &ideal_t)),
+            ("TW2".into(), aare(&tw2, &ideal_t)),
+            ("OTW".into(), aare(&otw, &ideal_t)),
+            ("OSW".into(), aare(&osw, &ideal_s)),
+            ("SS".into(), aare(&ss, &ideal_s)),
+        ];
+        SketchAccuracy::new("Q11", sketch, vec![], errors)
+    }
 }
 
 /// Run Exp#2.
 pub fn run(scale: Scale, seed: u64) -> Exp2Result {
-    let trace = evaluation_trace(scale, seed);
-    let cfg = WindowConfig::paper_default();
-    let mut sketches = Vec::new();
-
-    // Q8: super-spreaders.
-    let spread_threshold = 80;
-    let sps = SpreadApp::new(spread_threshold);
-    sketches.push(SketchAccuracy {
-        query: "Q8".into(),
-        sketch: "SpreadSketch".into(),
-        rows: detection_rows(&sps, &trace, &cfg, scale, seed),
-        errors: vec![],
-    });
-    let vbf = VbfApp::new(spread_threshold);
-    sketches.push(SketchAccuracy {
-        query: "Q8".into(),
-        sketch: "VectorBloomFilter".into(),
-        rows: detection_rows(&vbf, &trace, &cfg, scale, seed),
-        errors: vec![],
-    });
-
-    // Q9: heavy hitters (packets per five-tuple).
-    let hh_threshold = 120;
-    let mv = HeavyHitterApp::mv(hh_threshold);
-    sketches.push(SketchAccuracy {
-        query: "Q9".into(),
-        sketch: "MvSketch".into(),
-        rows: detection_rows(&mv, &trace, &cfg, scale, seed),
-        errors: vec![],
-    });
-    let hp = HeavyHitterApp::hashpipe(hh_threshold);
-    sketches.push(SketchAccuracy {
-        query: "Q9".into(),
-        sketch: "HashPipe".into(),
-        rows: detection_rows(&hp, &trace, &cfg, scale, seed),
-        errors: vec![],
-    });
-    // Extension beyond the paper's eight: Elastic Sketch (§4.2's
-    // heavy-keys-only example) under the same window settings.
-    let es = HeavyHitterApp::elastic(hh_threshold);
-    sketches.push(SketchAccuracy {
-        query: "Q9".into(),
-        sketch: "ElasticSketch".into(),
-        rows: detection_rows(&es, &trace, &cfg, scale, seed),
-        errors: vec![],
-    });
-
-    // Q10: per-flow size (bytes), scored by ARE.
-    let cm = SizeApp::count_min(u64::MAX); // never reports; ARE only
-    sketches.push(SketchAccuracy {
-        query: "Q10".into(),
-        sketch: "CountMin".into(),
-        rows: vec![],
-        errors: error_rows(&cm, &trace, &cfg, scale, seed),
-    });
-    let sm = SizeApp::sumax(u64::MAX);
-    sketches.push(SketchAccuracy {
-        query: "Q10".into(),
-        sketch: "SuMax".into(),
-        rows: vec![],
-        errors: error_rows(&sm, &trace, &cfg, scale, seed),
-    });
-
-    // Q11: flow cardinality, scored by AARE. Window instances get the
-    // full window budget; sub-window instances the sub-window budget.
+    let x = Setup {
+        trace: evaluation_trace(scale, seed),
+        cfg: WindowConfig::paper_default(),
+        scale,
+        seed,
+    };
+    // Q8: super-spreaders; Q9: heavy hitters (packets per five-tuple).
+    let (spread_threshold, hh_threshold) = (80, 120);
+    // Q11: window instances get the full window budget, sub-window
+    // instances the sub-window budget.
     let lc_bits_win = scale.window_memory() * 8 / 16; // bits
-    let lc_bits_sub = lc_bits_win / 4;
-    sketches.push(SketchAccuracy {
-        query: "Q11".into(),
-        sketch: "LinearCounting".into(),
-        rows: vec![],
-        errors: cardinality_rows(
-            &trace,
-            &cfg,
-            Estimator::LinearCounting { bits: lc_bits_win },
-            Estimator::LinearCounting { bits: lc_bits_sub },
-            seed,
-        ),
-    });
     let hll_p_win = match scale {
         Scale::Tiny => 11,
         Scale::Small => 12,
         Scale::Paper => 14,
     };
-    sketches.push(SketchAccuracy {
-        query: "Q11".into(),
-        sketch: "HyperLogLog".into(),
-        rows: vec![],
-        errors: cardinality_rows(
-            &trace,
-            &cfg,
+    let sketches = vec![
+        x.detection("Q8", "SpreadSketch", &SpreadApp::new(spread_threshold)),
+        x.detection("Q8", "VectorBloomFilter", &VbfApp::new(spread_threshold)),
+        x.detection("Q9", "MvSketch", &HeavyHitterApp::mv(hh_threshold)),
+        x.detection("Q9", "HashPipe", &HeavyHitterApp::hashpipe(hh_threshold)),
+        // Extension beyond the paper's eight: Elastic Sketch (§4.2's
+        // heavy-keys-only example) under the same window settings.
+        x.detection(
+            "Q9",
+            "ElasticSketch",
+            &HeavyHitterApp::elastic(hh_threshold),
+        ),
+        // Q10: per-flow size (bytes), scored by ARE; the apps never report.
+        x.errors("Q10", "CountMin", &SizeApp::count_min(u64::MAX)),
+        x.errors("Q10", "SuMax", &SizeApp::sumax(u64::MAX)),
+        x.cardinality(
+            "LinearCounting",
+            Estimator::LinearCounting { bits: lc_bits_win },
+            Estimator::LinearCounting {
+                bits: lc_bits_win / 4,
+            },
+        ),
+        x.cardinality(
+            "HyperLogLog",
             Estimator::HyperLogLog {
                 precision: hll_p_win,
             },
             Estimator::HyperLogLog {
                 precision: hll_p_win - 2,
             },
-            seed,
         ),
-    });
-
+    ];
     Exp2Result { sketches }
 }
 
@@ -261,6 +180,15 @@ impl Exp2Result {
 }
 
 impl SketchAccuracy {
+    fn new(query: &str, sketch: &str, rows: Vec<MechScore>, errors: Vec<(String, f64)>) -> Self {
+        SketchAccuracy {
+            query: query.into(),
+            sketch: sketch.into(),
+            rows,
+            errors,
+        }
+    }
+
     /// A detection row by mechanism name.
     pub fn row(&self, mechanism: &str) -> Option<&MechScore> {
         self.rows.iter().find(|r| r.mechanism == mechanism)

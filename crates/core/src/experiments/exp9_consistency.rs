@@ -109,7 +109,18 @@ fn build_trace(cfg: &Exp9Config) -> Vec<Packet> {
     packets
 }
 
-fn run_one(cfg: &Exp9Config, assign: WindowAssign, deviation_us: u64) -> ConsistencyPoint {
+/// Run the trace along a path of switches with the given clock offsets:
+/// the first hop stamps each packet's sub-window and digests it, the last
+/// hop digests what arrives, and the loss report between the two is
+/// scored against the flows whose packets the links truly dropped.
+fn run_path(
+    cfg: &Exp9Config,
+    assign: WindowAssign,
+    deviation_us: u64,
+    offsets_ns: &[i64],
+    links: &[Link],
+    seed: u64,
+) -> ConsistencyPoint {
     let trace = build_trace(cfg);
     // Map every possible packet id to its flow for report attribution.
     let mut id_to_flow: HashMap<u128, FlowKey> = HashMap::new();
@@ -119,21 +130,12 @@ fn run_one(cfg: &Exp9Config, assign: WindowAssign, deviation_us: u64) -> Consist
 
     let mut up = LossRadarMeter::new(assign, cfg.subwindow, cfg.iblt_cells, cfg.seed);
     let mut down = LossRadarMeter::new(assign, cfg.subwindow, cfg.iblt_cells, cfg.seed);
-
-    let mut sim = NetSim::path(
-        vec![
-            NodeConfig { clock_offset_ns: 0 },
-            NodeConfig {
-                clock_offset_ns: deviation_us as i64 * 1_000,
-            },
-        ],
-        vec![Link {
-            delay: Duration::from_micros(5),
-            jitter: Duration::ZERO,
-            loss_prob: cfg.loss_prob,
-        }],
-        cfg.seed ^ deviation_us,
-    );
+    let nodes = offsets_ns
+        .iter()
+        .map(|&clock_offset_ns| NodeConfig { clock_offset_ns })
+        .collect();
+    let mut sim = NetSim::path(nodes, links.to_vec(), seed);
+    let last = offsets_ns.len() - 1;
 
     let sub_ns = cfg.subwindow.as_nanos();
     sim.run(&trace, |hop, _idx, pkt, local| {
@@ -142,12 +144,12 @@ fn run_one(cfg: &Exp9Config, assign: WindowAssign, deviation_us: u64) -> Consist
             // stamp); its local clock is the reference.
             pkt.ow.subwindow = (local.as_nanos() / sub_ns) as u32;
             up.digest(pkt, local, pkt.ow.seq);
-        } else {
+        } else if hop == last {
             down.digest(pkt, local, pkt.ow.seq);
         }
     });
 
-    // Ground truth: flows that actually lost a packet on the link.
+    // Ground truth: flows that actually lost a packet on a link.
     let truth: HashSet<FlowKey> = sim
         .drops()
         .iter()
@@ -187,8 +189,22 @@ fn run_one(cfg: &Exp9Config, assign: WindowAssign, deviation_us: u64) -> Consist
 pub fn run(cfg: &Exp9Config) -> Exp9Result {
     let mut points = Vec::new();
     for &dev in &cfg.deviations_us {
-        points.push(run_one(cfg, WindowAssign::Embedded, dev));
-        points.push(run_one(cfg, WindowAssign::LocalClock, dev));
+        let offsets_ns = [0, dev as i64 * 1_000];
+        let link = [Link {
+            delay: Duration::from_micros(5),
+            jitter: Duration::ZERO,
+            loss_prob: cfg.loss_prob,
+        }];
+        for assign in [WindowAssign::Embedded, WindowAssign::LocalClock] {
+            points.push(run_path(
+                cfg,
+                assign,
+                dev,
+                &offsets_ns,
+                &link,
+                cfg.seed ^ dev,
+            ));
+        }
     }
     Exp9Result { points }
 }
@@ -214,77 +230,30 @@ pub struct HopPoint {
 pub fn run_hop_sweep(cfg: &Exp9Config, deviation_us: u64, hops: &[usize]) -> Vec<HopPoint> {
     hops.iter()
         .map(|&n| {
-            let lc = run_chain(cfg, WindowAssign::LocalClock, deviation_us, n);
-            let ow = run_chain(cfg, WindowAssign::Embedded, deviation_us, n);
+            assert!(n >= 2, "a chain needs at least two switches");
+            // Alternating-sign offsets: switch k deviates by ±k·dev
+            // (worst-case accumulation across a PTP tree).
+            let offsets_ns: Vec<i64> = (0..n)
+                .map(|k| k as i64 * deviation_us as i64 * 1_000 * if k % 2 == 0 { 1 } else { -1 })
+                .collect();
+            // Loss only on the last link; earlier links add delay.
+            let links: Vec<Link> = (0..n - 1)
+                .map(|k| Link {
+                    delay: Duration::from_micros(20),
+                    jitter: Duration::ZERO,
+                    loss_prob: if k + 2 == n { cfg.loss_prob } else { 0.0 },
+                })
+                .collect();
+            let seed = cfg.seed ^ deviation_us ^ n as u64;
+            let precision =
+                |assign| run_path(cfg, assign, deviation_us, &offsets_ns, &links, seed).precision;
             HopPoint {
                 hops: n,
-                local_clock_precision: lc,
-                omniwindow_precision: ow,
+                local_clock_precision: precision(WindowAssign::LocalClock),
+                omniwindow_precision: precision(WindowAssign::Embedded),
             }
         })
         .collect()
-}
-
-fn run_chain(cfg: &Exp9Config, assign: WindowAssign, deviation_us: u64, hops: usize) -> f64 {
-    assert!(hops >= 2, "a chain needs at least two switches");
-    let trace = build_trace(cfg);
-    let mut id_to_flow: HashMap<u128, FlowKey> = HashMap::new();
-    for p in &trace {
-        id_to_flow.insert(packet_id(&p.five_tuple(), p.ow.seq), p.five_tuple());
-    }
-
-    let mut up = LossRadarMeter::new(assign, cfg.subwindow, cfg.iblt_cells, cfg.seed);
-    let mut down = LossRadarMeter::new(assign, cfg.subwindow, cfg.iblt_cells, cfg.seed);
-
-    // Alternating-sign offsets: switch k deviates by ±k·dev (worst-case
-    // accumulation across a PTP tree).
-    let nodes: Vec<NodeConfig> = (0..hops)
-        .map(|k| NodeConfig {
-            clock_offset_ns: (k as i64)
-                * (deviation_us as i64)
-                * 1_000
-                * if k % 2 == 0 { 1 } else { -1 },
-        })
-        .collect();
-    // Loss only on the last link; earlier links add delay.
-    let links: Vec<Link> = (0..hops - 1)
-        .map(|k| Link {
-            delay: Duration::from_micros(20),
-            jitter: Duration::ZERO,
-            loss_prob: if k + 2 == hops { cfg.loss_prob } else { 0.0 },
-        })
-        .collect();
-    let mut sim = NetSim::path(nodes, links, cfg.seed ^ deviation_us ^ hops as u64);
-
-    let sub_ns = cfg.subwindow.as_nanos();
-    let last = hops - 1;
-    sim.run(&trace, |hop, _idx, pkt, local| {
-        if hop == 0 {
-            pkt.ow.subwindow = (local.as_nanos() / sub_ns) as u32;
-            up.digest(pkt, local, pkt.ow.seq);
-        } else if hop == last {
-            down.digest(pkt, local, pkt.ow.seq);
-        }
-    });
-
-    let truth: HashSet<FlowKey> = sim
-        .drops()
-        .iter()
-        .map(|d| trace[d.pkt_idx].five_tuple())
-        .collect();
-    let lost_ids = loss_report(up, down);
-    let mut reported: HashSet<FlowKey> = HashSet::new();
-    for (i, id) in lost_ids.iter().enumerate() {
-        match id_to_flow.get(id) {
-            Some(f) => {
-                reported.insert(*f);
-            }
-            None => {
-                reported.insert(FlowKey::src_ip(0xFFFF_0000 + i as u32));
-            }
-        }
-    }
-    ow_common::metrics::precision_recall(&reported, &truth).precision
 }
 
 impl Exp9Result {

@@ -18,6 +18,7 @@ use std::collections::{HashMap, HashSet};
 
 use ow_common::afr::FlowRecord;
 use ow_common::flowkey::{sort_by_packed_key, FlowKey};
+use ow_common::packet::Packet;
 use ow_common::time::Duration;
 use ow_controller::table::MergeTable;
 use ow_switch::flowkey::FlowkeyTracker;
@@ -48,7 +49,13 @@ pub struct WindowResult {
     pub estimates: HashMap<FlowKey, f64>,
 }
 
-fn window_ranges(cfg: &WindowConfig, total_subwindows: usize, mode: Mode) -> Vec<(usize, usize)> {
+/// The complete sub-windows `[lo, hi)` of each window position: tumbling
+/// windows step by a whole window, sliding positions by the slide.
+pub(crate) fn window_ranges(
+    cfg: &WindowConfig,
+    total_subwindows: usize,
+    mode: Mode,
+) -> Vec<(usize, usize)> {
     let spw = cfg.subwindows_per_window();
     let step = match mode {
         Mode::Tumbling => spw,
@@ -63,6 +70,118 @@ fn window_ranges(cfg: &WindowConfig, total_subwindows: usize, mode: Mode) -> Vec
     out
 }
 
+/// The sub-window cut every sub-window mechanism shares: `update` folds
+/// each packet of the trace's complete sub-windows into `state`, and
+/// `finish(state, sub)` turns the state into sub-window `sub`'s unit and
+/// leaves it empty for the next. Returns one unit per complete
+/// sub-window; the trace must be in timestamp order.
+pub(crate) fn per_subwindow<S, U>(
+    trace: &Trace,
+    cfg: &WindowConfig,
+    mut state: S,
+    mut update: impl FnMut(&mut S, &Packet),
+    mut finish: impl FnMut(&mut S, usize) -> U,
+) -> Vec<U> {
+    let n_sub = cfg.subwindows_in(trace.duration);
+    let mut units = Vec::with_capacity(n_sub);
+    for pkt in trace.iter() {
+        let s = cfg.subwindow_of(pkt.ts) as usize;
+        if s >= n_sub {
+            break; // tail beyond the last complete sub-window
+        }
+        while s > units.len() {
+            units.push(finish(&mut state, units.len()));
+        }
+        update(&mut state, pkt);
+    }
+    while units.len() < n_sub {
+        units.push(finish(&mut state, units.len()));
+    }
+    units
+}
+
+/// The conventional tumbling schedule (TW1 / TW2) on the sub-window cut:
+/// one full-window `state` absorbs every packet through `update`; at each
+/// window end `report` answers for the window and `reset` clears the
+/// state.
+///
+/// `blackout` models TW1's hazard: the slow C&R of the previous window
+/// runs on the *same* memory region at the start of each window, so
+/// traffic arriving during the first `blackout` of every window (except
+/// the first) is not measured. `Duration::ZERO` is TW2 (a second region
+/// absorbs the C&R).
+pub(crate) fn tumbling_with_blackout<S, R>(
+    trace: &Trace,
+    cfg: &WindowConfig,
+    blackout: Duration,
+    state: S,
+    mut update: impl FnMut(&mut S, &Packet),
+    mut reset: impl FnMut(&mut S),
+    mut report: impl FnMut(&S, usize) -> R,
+) -> Vec<R> {
+    let spw = cfg.subwindows_per_window();
+    let win_ns = cfg.window().as_nanos();
+    per_subwindow(
+        trace,
+        cfg,
+        state,
+        |st, pkt| {
+            let ts = pkt.ts.as_nanos();
+            if ts < win_ns || ts % win_ns >= blackout.as_nanos() {
+                update(st, pkt);
+            }
+        },
+        |st, sub| {
+            ((sub + 1) % spw == 0).then(|| {
+                let answer = report(st, sub / spw);
+                reset(st);
+                answer
+            })
+        },
+    )
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// The Sliding Sketch schedule on the sub-window cut: `cur` absorbs
+/// traffic through `update`, and at every tumbling-window boundary the two
+/// states swap and `reset` clears the new `cur`. `report(cur, prev, i)`
+/// answers sliding position `i` from both states at the position's end,
+/// before a rotation on the same boundary, so an answer covers one to two
+/// windows of traffic — the over-inclusion the paper measures.
+pub(crate) fn sliding_sketch_rotation<S, R>(
+    trace: &Trace,
+    cfg: &WindowConfig,
+    cur: S,
+    prev: S,
+    mut update: impl FnMut(&mut S, &Packet),
+    mut reset: impl FnMut(&mut S),
+    mut report: impl FnMut(&S, &S, usize) -> R,
+) -> Vec<R> {
+    let (spw, slide) = (cfg.subwindows_per_window(), cfg.subwindows_per_slide());
+    per_subwindow(
+        trace,
+        cfg,
+        (cur, prev),
+        |(cur, _), pkt| update(cur, pkt),
+        |(cur, prev), sub| {
+            // Position i covers sub-windows [i·slide, i·slide + spw).
+            let end = sub + 1;
+            let answer = (end >= spw && (end - spw) % slide == 0)
+                .then(|| report(cur, prev, (end - spw) / slide));
+            if end % spw == 0 {
+                std::mem::swap(cur, prev);
+                reset(cur);
+            }
+            answer
+        },
+    )
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
 // ---------------------------------------------------------------------
 // Ideal mechanisms (ITW / ISW).
 // ---------------------------------------------------------------------
@@ -74,22 +193,21 @@ pub fn run_ideal<A: WindowApp>(
     cfg: &WindowConfig,
     mode: Mode,
 ) -> Vec<WindowResult> {
-    let n_sub = cfg.subwindows_in(trace.duration);
-    let mut sub_states: Vec<HashMap<FlowKey, ExactStat>> = vec![HashMap::new(); n_sub];
-    for pkt in trace.iter() {
-        if !app.filter(pkt) {
-            continue;
-        }
-        let s = cfg.subwindow_of(pkt.ts) as usize;
-        if s >= n_sub {
-            continue; // tail beyond the last complete sub-window
-        }
-        let key = pkt.key(app.key_kind());
-        let st = sub_states[s].entry(key).or_insert_with(|| app.exact_new());
-        app.exact_update(st, pkt);
-    }
+    let sub_states = per_subwindow(
+        trace,
+        cfg,
+        HashMap::<FlowKey, ExactStat>::new(),
+        |sub, pkt| {
+            if app.filter(pkt) {
+                let key = pkt.key(app.key_kind());
+                let st = sub.entry(key).or_insert_with(|| app.exact_new());
+                app.exact_update(st, pkt);
+            }
+        },
+        |sub, _| std::mem::take(sub),
+    );
 
-    window_ranges(cfg, n_sub, mode)
+    window_ranges(cfg, sub_states.len(), mode)
         .into_iter()
         .enumerate()
         .map(|(index, (lo, hi))| {
@@ -123,13 +241,9 @@ pub fn run_ideal<A: WindowApp>(
 // Conventional tumbling windows (TW1 / TW2).
 // ---------------------------------------------------------------------
 
-/// Run a conventional tumbling-window mechanism with full-window state.
-///
-/// `blackout` models TW1's hazard: the slow C&R of the previous window
-/// runs on the *same* memory region at the start of each window, so
-/// traffic arriving during the first `blackout` of every window (except
-/// the first) is not measured. Pass `Duration::ZERO` for TW2 (a second
-/// region absorbs the C&R).
+/// Run a conventional tumbling-window mechanism with full-window state on
+/// [`tumbling_with_blackout`]: `blackout` is TW1's C&R hazard, pass
+/// `Duration::ZERO` for TW2.
 pub fn run_conventional_tw<A: WindowApp>(
     app: &A,
     trace: &Trace,
@@ -139,47 +253,19 @@ pub fn run_conventional_tw<A: WindowApp>(
     seed: u64,
     probes: &[FlowKey],
 ) -> Vec<WindowResult> {
-    let n_sub = cfg.subwindows_in(trace.duration);
-    let ranges = window_ranges(cfg, n_sub, Mode::Tumbling);
-    let win_ns = cfg.window().as_nanos();
-    let mut state = app.make_state(memory_bytes, seed);
-    let mut results = Vec::with_capacity(ranges.len());
-    let mut window_idx = 0usize;
-
-    for pkt in trace.iter() {
-        if window_idx >= ranges.len() {
-            break;
-        }
-        let w = (pkt.ts.as_nanos() / win_ns) as usize;
-        // Close finished windows (possibly several on a sparse trace).
-        while w > window_idx && window_idx < ranges.len() {
-            results.push(report_window(app, &state, window_idx, probes));
-            app.reset(&mut state);
-            window_idx += 1;
-        }
-        if window_idx >= ranges.len() {
-            break;
-        }
-        if !app.filter(pkt) {
-            continue;
-        }
-        // TW1 blackout: the region is being reset during the first
-        // `blackout` of every window after the first.
-        if window_idx > 0 {
-            let into_window = pkt.ts.as_nanos() - window_idx as u64 * win_ns;
-            if into_window < blackout.as_nanos() {
-                continue;
+    tumbling_with_blackout(
+        trace,
+        cfg,
+        blackout,
+        app.make_state(memory_bytes, seed),
+        |st, pkt| {
+            if app.filter(pkt) {
+                app.update(st, pkt);
             }
-        }
-        app.update(&mut state, pkt);
-    }
-    // Close remaining complete windows.
-    while window_idx < ranges.len() {
-        results.push(report_window(app, &state, window_idx, probes));
-        app.reset(&mut state);
-        window_idx += 1;
-    }
-    results
+        },
+        |st| app.reset(st),
+        |st, index| report_window(app, st, index, probes),
+    )
 }
 
 fn report_window<A: WindowApp>(
@@ -217,7 +303,6 @@ fn report_window<A: WindowApp>(
 /// because traffic is non-uniform). `fk_capacity` bounds the data-plane
 /// flowkey array; overflow keys are tracked by the controller exactly as
 /// Algorithm 1 prescribes.
-#[allow(clippy::too_many_arguments)]
 pub fn run_omniwindow<A: WindowApp>(
     app: &A,
     trace: &Trace,
@@ -250,17 +335,14 @@ pub fn run_omniwindow_probed<A: WindowApp>(
     seed: u64,
     probes: &[FlowKey],
 ) -> Vec<WindowResult> {
-    let n_sub = cfg.subwindows_in(trace.duration);
     // Generate one AFR batch per sub-window. The hardware reuses two
     // regions; functionally each sub-window sees a freshly reset state,
     // which a single state + reset reproduces exactly.
-    let mut state = app.make_state(subwindow_memory, seed);
-    let mut tracker = FlowkeyTracker::new(fk_capacity, fk_capacity * 2, seed ^ 0xF1);
-    let mut batches: Vec<Vec<FlowRecord>> = Vec::with_capacity(n_sub);
-    let mut current = 0usize;
+    let state = app.make_state(subwindow_memory, seed);
+    let tracker = FlowkeyTracker::new(fk_capacity, fk_capacity * 2, seed ^ 0xF1);
 
     let finish_subwindow =
-        |state: &mut A::State, tracker: &mut FlowkeyTracker, sw: usize| -> Vec<FlowRecord> {
+        |(state, tracker): &mut (A::State, FlowkeyTracker), sw: usize| -> Vec<FlowRecord> {
             let mut keys: Vec<FlowKey> = app.resident_keys(state);
             keys.extend_from_slice(tracker.buffered());
             keys.extend_from_slice(tracker.overflowed());
@@ -281,31 +363,22 @@ pub fn run_omniwindow_probed<A: WindowApp>(
             batch
         };
 
-    for pkt in trace.iter() {
-        let s = cfg.subwindow_of(pkt.ts) as usize;
-        if s >= n_sub {
-            break;
-        }
-        while s > current {
-            let b = finish_subwindow(&mut state, &mut tracker, current);
-            batches.push(b);
-            current += 1;
-        }
-        if !app.filter(pkt) {
-            continue;
-        }
-        app.update(&mut state, pkt);
-        tracker.track(&pkt.key(app.key_kind()));
-    }
-    while current < n_sub {
-        let b = finish_subwindow(&mut state, &mut tracker, current);
-        batches.push(b);
-        current += 1;
-    }
+    let batches = per_subwindow(
+        trace,
+        cfg,
+        (state, tracker),
+        |(state, tracker), pkt| {
+            if app.filter(pkt) {
+                app.update(state, pkt);
+                tracker.track(&pkt.key(app.key_kind()));
+            }
+        },
+        finish_subwindow,
+    );
 
     // Controller-side merging.
     let spw = cfg.subwindows_per_window();
-    let ranges = window_ranges(cfg, n_sub, mode);
+    let ranges = window_ranges(cfg, batches.len(), mode);
     let mut results = Vec::with_capacity(ranges.len());
     match mode {
         Mode::Tumbling => {
@@ -364,10 +437,9 @@ fn report_table<A: WindowApp>(
 // Sliding Sketch baseline (SS).
 // ---------------------------------------------------------------------
 
-/// Run the Sliding Sketch baseline: two half-memory states; the current
-/// one absorbs traffic, both answer queries, rotation happens at
-/// tumbling boundaries. Queries therefore reflect one-to-two windows of
-/// traffic — the over-inclusion the paper measures.
+/// Run the Sliding Sketch baseline on [`sliding_sketch_rotation`]: two
+/// half-memory states; the current one absorbs traffic, both answer
+/// queries, rotation happens at tumbling boundaries.
 pub(crate) fn run_sliding_sketch<A: WindowApp>(
     app: &A,
     trace: &Trace,
@@ -376,77 +448,109 @@ pub(crate) fn run_sliding_sketch<A: WindowApp>(
     seed: u64,
     probes: &[FlowKey],
 ) -> Vec<WindowResult> {
-    let n_sub = cfg.subwindows_in(trace.duration);
-    let ranges = window_ranges(cfg, n_sub, Mode::Sliding);
-    let win_ns = cfg.window().as_nanos();
-    let sub_ns = cfg.subwindow().as_nanos();
-
-    let mut cur = app.make_state(memory_bytes / 2, seed);
-    let mut prev = app.make_state(memory_bytes / 2, seed);
-    let mut results = Vec::with_capacity(ranges.len());
-    let mut next_rotation = win_ns;
-
-    // Sliding position i ends at sub-window boundary (i + spw) * sub.
-    let mut next_report_idx = 0usize;
-
-    let report_ss = |cur: &A::State, prev: &A::State, index: usize| {
-        let mut keys: Vec<FlowKey> = app.resident_keys(cur);
-        keys.extend(app.resident_keys(prev));
-        sort_by_packed_key(&mut keys, |k| *k);
-        keys.dedup();
-        let merged = |k: &FlowKey| {
-            let mut a = app.query(cur, k);
-            let b = app.query(prev, k);
-            let _ = a.merge(&b);
-            a
-        };
-        let reported = keys
-            .into_iter()
-            .filter(|k| app.passes_attr(&merged(k)))
-            .collect();
-        let estimates = probes.iter().map(|k| (*k, merged(k).scalar())).collect();
-        WindowResult {
-            index,
-            reported,
-            estimates,
-        }
-    };
-
-    for pkt in trace.iter() {
-        // Emit reports for every sliding position that ended before this
-        // packet.
-        while next_report_idx < ranges.len() {
-            let end_ns = (ranges[next_report_idx].1 as u64) * sub_ns;
-            if pkt.ts.as_nanos() >= end_ns {
-                // Rotations strictly before this report point happen
-                // first; a rotation exactly at the report boundary is
-                // applied after the query, so the estimate reflects the
-                // one-to-two windows ending at the boundary.
-                while next_rotation < end_ns {
-                    std::mem::swap(&mut cur, &mut prev);
-                    app.reset(&mut cur);
-                    next_rotation += win_ns;
-                }
-                results.push(report_ss(&cur, &prev, next_report_idx));
-                next_report_idx += 1;
-            } else {
-                break;
+    sliding_sketch_rotation(
+        trace,
+        cfg,
+        app.make_state(memory_bytes / 2, seed),
+        app.make_state(memory_bytes / 2, seed),
+        |st, pkt| {
+            if app.filter(pkt) {
+                app.update(st, pkt);
             }
+        },
+        |st| app.reset(st),
+        |cur, prev, index| {
+            let mut keys: Vec<FlowKey> = app.resident_keys(cur);
+            keys.extend(app.resident_keys(prev));
+            sort_by_packed_key(&mut keys, |k| *k);
+            keys.dedup();
+            let merged = |k: &FlowKey| {
+                let mut a = app.query(cur, k);
+                let b = app.query(prev, k);
+                let _ = a.merge(&b);
+                a
+            };
+            let reported = keys
+                .into_iter()
+                .filter(|k| app.passes_attr(&merged(k)))
+                .collect();
+            let estimates = probes.iter().map(|k| (*k, merged(k).scalar())).collect();
+            WindowResult {
+                index,
+                reported,
+                estimates,
+            }
+        },
+    )
+}
+
+// ---------------------------------------------------------------------
+// The evaluation lineup (Figures 7, 8 and 15).
+// ---------------------------------------------------------------------
+
+/// TW1's blackout: the switch-OS C&R time for the query state, during
+/// which the single memory region cannot measure. 60 ms ≈ the OS reading
+/// + clearing a Sonata-scale register array via PCIe.
+pub(crate) const TW1_BLACKOUT: Duration = Duration::from_millis(60);
+
+/// One evaluation run of every compared mechanism, with the two ideals
+/// they are scored against.
+pub(crate) struct Lineup {
+    /// ITW: the reference of the tumbling mechanisms.
+    pub(crate) itw: Vec<WindowResult>,
+    /// ISW: the reference of the sliding mechanisms.
+    pub(crate) isw: Vec<WindowResult>,
+    /// TW1, TW2, OTW, OSW and SS (when run), each with its mode.
+    compared: Vec<(&'static str, Mode, Vec<WindowResult>)>,
+}
+
+impl Lineup {
+    /// Run ITW and ISW; TW1, TW2 and (with `sliding_sketch`; Figure 7
+    /// plots no SS) SS on `mem` bytes of window state; OTW and OSW on
+    /// `sub_mem` bytes per sub-window and an `fk`-slot flowkey array.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run<A: WindowApp>(
+        app: &A,
+        trace: &Trace,
+        cfg: &WindowConfig,
+        mem: usize,
+        sub_mem: usize,
+        fk: usize,
+        seed: u64,
+        probes: &[FlowKey],
+        sliding_sketch: bool,
+    ) -> Lineup {
+        let tw = |blackout| run_conventional_tw(app, trace, cfg, mem, blackout, seed, probes);
+        let ow = |mode| run_omniwindow_probed(app, trace, cfg, mode, sub_mem, fk, seed, probes);
+        let itw = run_ideal(app, trace, cfg, Mode::Tumbling);
+        let isw = run_ideal(app, trace, cfg, Mode::Sliding);
+        let mut compared = vec![
+            ("TW1", Mode::Tumbling, tw(TW1_BLACKOUT)),
+            ("TW2", Mode::Tumbling, tw(Duration::ZERO)),
+            ("OTW", Mode::Tumbling, ow(Mode::Tumbling)),
+            ("OSW", Mode::Sliding, ow(Mode::Sliding)),
+        ];
+        if sliding_sketch {
+            let ss = run_sliding_sketch(app, trace, cfg, mem, seed, probes);
+            compared.push(("SS", Mode::Sliding, ss));
         }
-        while pkt.ts.as_nanos() >= next_rotation {
-            std::mem::swap(&mut cur, &mut prev);
-            app.reset(&mut cur);
-            next_rotation += win_ns;
-        }
-        if app.filter(pkt) {
-            app.update(&mut cur, pkt);
-        }
+        Lineup { itw, isw, compared }
     }
-    while next_report_idx < ranges.len() {
-        results.push(report_ss(&cur, &prev, next_report_idx));
-        next_report_idx += 1;
+
+    /// Score every compared mechanism against its ideal: ITW for the
+    /// tumbling ones, ISW for the sliding ones.
+    pub(crate) fn scores<'a, T>(
+        &'a self,
+        score: impl Fn(&[WindowResult], &[WindowResult]) -> T + 'a,
+    ) -> impl Iterator<Item = (&'static str, T)> + 'a {
+        self.compared.iter().map(move |(name, mode, results)| {
+            let ideal = match mode {
+                Mode::Tumbling => &self.itw,
+                Mode::Sliding => &self.isw,
+            };
+            (*name, score(results, ideal))
+        })
     }
-    results
 }
 
 #[cfg(test)]

@@ -4,10 +4,8 @@
 //! each state into AFRs and merges those — the same recirculate-and-
 //! clone machinery, but carrying register contents instead of AFRs.
 
-use std::collections::HashMap;
-
 use ow_common::afr::FlowRecord;
-use ow_common::flowkey::{FlowKey, KeyKind};
+use ow_common::flowkey::KeyKind;
 use ow_common::time::Duration;
 use ow_controller::table::MergeTable;
 use ow_sketch::FlowRadar;
@@ -15,31 +13,7 @@ use ow_switch::latency;
 use ow_trace::Trace;
 
 use crate::config::WindowConfig;
-use crate::mechanisms::{Mode, WindowResult};
-
-/// Configuration of the FlowRadar deployment.
-#[derive(Debug, Clone)]
-pub struct FlowRadarConfig {
-    /// Counting cells per sub-window instance.
-    pub cells: usize,
-    /// Encoding hashes.
-    pub hashes: usize,
-    /// Expected flows per sub-window (sizes the flow filter).
-    pub expected_flows: usize,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for FlowRadarConfig {
-    fn default() -> Self {
-        FlowRadarConfig {
-            cells: 16 * 1024,
-            hashes: 3,
-            expected_flows: 8 * 1024,
-            seed: 0xF10,
-        }
-    }
-}
+use crate::mechanisms::{per_subwindow, window_ranges, Mode, WindowResult};
 
 /// Outcome of the migration pipeline.
 #[derive(Debug, Clone)]
@@ -49,110 +23,85 @@ pub struct MigrationRun {
     /// Whether every sub-window state decoded completely.
     pub all_complete: bool,
     /// Modelled per-sub-window migration time (recirculating the state
-    /// registers to the controller, like DPC over `cells` slots).
+    /// registers to the controller, like DPC over the state's slots).
     pub migration_time: Duration,
 }
 
+/// Counting cells per sub-window instance.
+const CELLS: usize = 16 * 1024;
+/// Encoding hashes.
+const HASHES: usize = 3;
+/// Expected flows per sub-window (sizes the flow filter).
+const EXPECTED_FLOWS: usize = 8 * 1024;
+const SEED: u64 = 0xF10;
+/// A merged flow at or above this many packets is reported.
+const THRESHOLD: f64 = 100.0;
+
 /// Run FlowRadar under OmniWindow with state migration: one instance per
-/// sub-window, decoded by the controller, merged per window position.
-pub fn run_flowradar(
-    trace: &Trace,
-    cfg: &WindowConfig,
-    mode: Mode,
-    fr_cfg: &FlowRadarConfig,
-    threshold: f64,
-) -> MigrationRun {
-    let n_sub = cfg.subwindows_in(trace.duration);
-    let mut state = FlowRadar::new(
-        fr_cfg.cells,
-        fr_cfg.hashes,
-        fr_cfg.expected_flows,
-        fr_cfg.seed,
-    );
-    let mut batches: Vec<Vec<FlowRecord>> = Vec::with_capacity(n_sub);
+/// sub-window, decoded by the controller, merged per tumbling window.
+pub fn run_flowradar(trace: &Trace, cfg: &WindowConfig) -> MigrationRun {
     let mut all_complete = true;
-    let mut current = 0usize;
+    let batches = per_subwindow(
+        trace,
+        cfg,
+        FlowRadar::new(CELLS, HASHES, EXPECTED_FLOWS, SEED),
+        |state, pkt| state.update(&pkt.key(KeyKind::FiveTuple)),
+        |state, sw| {
+            // Migrate: the controller receives the raw state and decodes
+            // it into AFRs (clone keeps the functional state intact for
+            // reset).
+            let decoded = state.clone().decode();
+            all_complete &= decoded.complete;
+            let batch: Vec<FlowRecord> = decoded
+                .flows
+                .into_iter()
+                .enumerate()
+                .map(|(i, (key, count))| {
+                    let mut r = FlowRecord::frequency(key, count, sw as u32);
+                    r.seq = i as u32;
+                    r
+                })
+                .collect();
+            state.reset();
+            batch
+        },
+    );
 
-    let finish = |state: &mut FlowRadar, sw: usize, all_complete: &mut bool| {
-        // Migrate: the controller receives the raw state and decodes it
-        // into AFRs (clone keeps the functional state intact for reset).
-        let decoded = state.clone().decode();
-        *all_complete &= decoded.complete;
-        let batch = decoded
-            .flows
-            .into_iter()
-            .enumerate()
-            .map(|(i, (key, count))| {
-                let mut r = FlowRecord::frequency(key, count, sw as u32);
-                r.seq = i as u32;
-                r
-            })
-            .collect();
-        state.reset();
-        batch
-    };
-
-    for pkt in trace.iter() {
-        let s = cfg.subwindow_of(pkt.ts) as usize;
-        if s >= n_sub {
-            break;
-        }
-        while s > current {
-            let b = finish(&mut state, current, &mut all_complete);
-            batches.push(b);
-            current += 1;
-        }
-        state.update(&pkt.key(KeyKind::FiveTuple));
-    }
-    while current < n_sub {
-        let b = finish(&mut state, current, &mut all_complete);
-        batches.push(b);
-        current += 1;
-    }
-
-    // Merge per window position.
-    let spw = cfg.subwindows_per_window();
-    let step = match mode {
-        Mode::Tumbling => spw,
-        Mode::Sliding => cfg.subwindows_per_slide(),
-    };
-    let mut windows = Vec::new();
-    let mut start = 0usize;
-    let mut index = 0usize;
-    while start + spw <= n_sub {
-        let mut table = MergeTable::new();
-        for (i, b) in batches[start..start + spw].iter().enumerate() {
-            table.insert_batch((start + i) as u32, b.clone());
-        }
-        let reported = table
-            .iter()
-            .filter(|(_, v)| v.scalar() >= threshold)
-            .map(|(k, _)| k)
-            .collect();
-        let estimates: HashMap<FlowKey, f64> = table.iter().map(|(k, v)| (k, v.scalar())).collect();
-        windows.push(WindowResult {
-            index,
-            reported,
-            estimates,
-        });
-        start += step;
-        index += 1;
-    }
-
-    // The migration recirculates one packet per register slot, like the
-    // data-plane collection path over `cells` slots.
-    let migration_time = latency::recirc_enumeration(fr_cfg.cells, 16);
+    let windows = window_ranges(cfg, batches.len(), Mode::Tumbling)
+        .into_iter()
+        .enumerate()
+        .map(|(index, (lo, hi))| {
+            let mut table = MergeTable::new();
+            for (sw, batch) in batches[lo..hi].iter().enumerate() {
+                table.insert_batch((lo + sw) as u32, batch.clone());
+            }
+            let reported = table
+                .iter()
+                .filter(|(_, v)| v.scalar() >= THRESHOLD)
+                .map(|(k, _)| k)
+                .collect();
+            let estimates = table.iter().map(|(k, v)| (k, v.scalar())).collect();
+            WindowResult {
+                index,
+                reported,
+                estimates,
+            }
+        })
+        .collect();
 
     MigrationRun {
         windows,
         all_complete,
-        migration_time,
+        // The migration recirculates one packet per register slot, like
+        // the data-plane collection path over `CELLS` slots.
+        migration_time: latency::recirc_enumeration(CELLS, 16),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ow_common::flowkey::FlowKey;
     use ow_common::packet::{Packet, TcpFlags};
     use ow_common::time::Instant;
 
@@ -204,13 +153,7 @@ mod tests {
 
     #[test]
     fn flowradar_migration_recovers_exact_counts() {
-        let run = run_flowradar(
-            &trace(),
-            &WindowConfig::paper_default(),
-            Mode::Tumbling,
-            &FlowRadarConfig::default(),
-            100.0,
-        );
+        let run = run_flowradar(&trace(), &WindowConfig::paper_default());
         assert!(run.all_complete, "states must decode completely");
         assert_eq!(run.windows.len(), 1);
         let w = &run.windows[0];
@@ -226,13 +169,7 @@ mod tests {
 
     #[test]
     fn migration_time_fits_subwindow() {
-        let run = run_flowradar(
-            &trace(),
-            &WindowConfig::paper_default(),
-            Mode::Tumbling,
-            &FlowRadarConfig::default(),
-            100.0,
-        );
+        let run = run_flowradar(&trace(), &WindowConfig::paper_default());
         assert!(run.migration_time < Duration::from_millis(10));
     }
 }

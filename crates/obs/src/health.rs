@@ -812,14 +812,17 @@ fn eval_signal(signal: &Signal, agg: &GroupAgg) -> u64 {
     }
 }
 
+/// Copy the journal events recorded since `last_seq` into the recorder.
+/// The next `last_seq` comes from the same snapshot: an event another
+/// thread records after it is pulled by the next call, not skipped.
 fn pull_journal(journal: &EventJournal, last_seq: &mut u64, recorder: &mut FlightRecorder) {
     for e in journal.events() {
         if e.seq < *last_seq {
             continue;
         }
         recorder.record(FlightEntry::from(&e));
+        *last_seq = e.seq + 1;
     }
-    *last_seq = journal.total_recorded();
 }
 
 #[cfg(test)]
@@ -1137,6 +1140,39 @@ mod tests {
             "ring holds signal readings"
         );
         dump.check().expect("dump validates");
+    }
+
+    #[test]
+    fn events_recorded_while_ticks_pull_reach_the_dump_exactly_once() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // Fewer events than the journal ring and the recorder hold, so
+        // every one of them must survive to the dump.
+        const EVENTS: usize = 2_000;
+        const MAX_TICKS: u64 = 4_000;
+        let (obs, engine) = engine_with(vec![]);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..EVENTS {
+                    obs.journal()
+                        .record(Event::new("race", format!("race-{i:05}")));
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            let mut at_ns = 0;
+            while !done.load(Ordering::SeqCst) && at_ns < MAX_TICKS {
+                at_ns += 1;
+                engine.tick_with_sample(sample(at_ns, vec![]));
+            }
+        });
+        engine.fsm_invariant_rejected("controller", 0, "freeze for the test");
+        let dump = engine.flight_dump("unit").expect("frozen");
+        let mut pulled: Vec<&str> = (dump.entries.iter())
+            .filter_map(|e| e.detail.strip_prefix("info race: "))
+            .collect();
+        pulled.sort_unstable();
+        let recorded: Vec<String> = (0..EVENTS).map(|i| format!("race-{i:05}")).collect();
+        assert_eq!(pulled, recorded, "every recorded event is in the dump once");
     }
 
     #[test]

@@ -344,17 +344,12 @@ impl<A: DataPlaneApp> Switch<A> {
 
     fn run_collection(&mut self, ended: u32, started: Instant, sink: &mut impl EventSink) {
         self.engine
-            .apply(ended, WindowEvent::CollectStarted { at: started })
+            .apply(ended, WindowEvent::CollectStarted)
             .expect("C&R must start from cr_wait");
         let (app, tracker) = self.state.inactive_mut();
         let outcome = collect_and_reset(app, tracker, ended, CollectConfig::default());
         self.engine
-            .apply(
-                ended,
-                WindowEvent::BatchGenerated {
-                    announced: outcome.afrs.len() as u32,
-                },
-            )
+            .apply(ended, WindowEvent::BatchGenerated)
             .expect("batch generation follows collection");
         // The region is reset now; the generated batch is the only copy
         // left on the switch. Park it for §8 retransmission until the

@@ -1,12 +1,14 @@
 //! Property-based tests of the window mechanisms as whole pipelines:
 //! on arbitrary traces, OmniWindow with ample memory must agree with the
 //! error-free ideal, sub-window merging must be exact for frequency
-//! statistics, and the sliding reconstruction must be consistent with
-//! the tumbling one wherever they overlap.
+//! statistics, the sliding reconstruction must be consistent with the
+//! tumbling one wherever they overlap, and FlowRadar's state migration
+//! must reproduce the ideal wherever its states decode.
 
 use omniwindow::app::HeavyHitterApp;
 use omniwindow::config::WindowConfig;
 use omniwindow::mechanisms::{run_ideal, run_omniwindow_probed, Mode};
+use omniwindow::migration::run_flowradar;
 use ow_common::flowkey::FlowKey;
 use ow_common::packet::{Packet, TcpFlags};
 use ow_common::time::{Duration, Instant};
@@ -91,6 +93,22 @@ proptest! {
                 let truth = i.estimates.get(key).copied().unwrap_or(0.0);
                 let est = o.estimates.get(key).copied().unwrap_or(0.0);
                 prop_assert_eq!(truth, est, "window {} key {}", i.index, key);
+            }
+        }
+    }
+
+    /// FlowRadar decodes exact per-flow counts, so a run whose every
+    /// sub-window state decodes completely reports and estimates exactly
+    /// what the ideal heavy-hitter windows do at its 100-packet threshold.
+    #[test]
+    fn flowradar_migration_equals_ideal(trace in arb_trace()) {
+        let run = run_flowradar(&trace, &cfg());
+        let ideal = run_ideal(&HeavyHitterApp::mv(100), &trace, &cfg(), Mode::Tumbling);
+        prop_assert_eq!(ideal.len(), run.windows.len());
+        if run.all_complete {
+            for (i, w) in ideal.iter().zip(run.windows.iter()) {
+                prop_assert_eq!(&i.estimates, &w.estimates, "window {}", i.index);
+                prop_assert_eq!(&i.reported, &w.reported, "window {}", i.index);
             }
         }
     }
