@@ -79,11 +79,6 @@ impl DistinctBitmap {
         self.words.iter().map(|w| w.count_ones()).sum()
     }
 
-    /// Whether no value has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
     /// Linear-counting estimate of the number of distinct values recorded.
     pub fn estimate(&self) -> f64 {
         let m = self.logical_bits as f64;

@@ -52,13 +52,13 @@ pub enum AttrColumn {
 
 impl AttrColumn {
     /// An empty column, optimistically scalar.
-    pub fn with_capacity(cap: usize) -> AttrColumn {
+    pub(crate) fn with_capacity(cap: usize) -> AttrColumn {
         AttrColumn::Frequency(Vec::with_capacity(cap))
     }
 
     /// Number of rows.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             AttrColumn::Frequency(v) | AttrColumn::Max(v) | AttrColumn::Min(v) => v.len(),
             AttrColumn::Mixed(v) => v.len(),
@@ -83,7 +83,7 @@ impl AttrColumn {
 
     /// Row `i` as a full [`AttrValue`].
     #[inline]
-    pub fn get(&self, i: usize) -> AttrValue {
+    pub(crate) fn get(&self, i: usize) -> AttrValue {
         match self {
             AttrColumn::Frequency(v) => AttrValue::Frequency(v[i]),
             AttrColumn::Max(v) => AttrValue::Max(v[i]),
@@ -95,7 +95,7 @@ impl AttrColumn {
     /// Append a row, promoting an empty column to the row's scalar
     /// pattern and demoting to `Mixed` on the first pattern clash.
     #[inline]
-    pub fn push(&mut self, attr: AttrValue) {
+    pub(crate) fn push(&mut self, attr: AttrValue) {
         // An empty column adopts whichever scalar pattern arrives first.
         if self.is_empty() {
             *self = match attr {
@@ -287,16 +287,6 @@ impl ShardScatter {
             opened: vec![false; shards],
             scratch: Vec::new(),
         }
-    }
-
-    /// The partition in force.
-    pub fn partition(&self) -> ShardPartition {
-        self.partition
-    }
-
-    /// The sub-window currently open (meaningful only when active).
-    pub fn subwindow(&self) -> u32 {
-        self.subwindow
     }
 
     /// Open a sub-window.

@@ -236,7 +236,7 @@ impl WindowFsm {
     }
 
     /// The sub-window this FSM tracks.
-    pub fn subwindow(&self) -> u32 {
+    pub(crate) fn subwindow(&self) -> u32 {
         self.subwindow
     }
 
@@ -317,13 +317,6 @@ pub struct Transition {
     pub to: Option<WindowPhase>,
 }
 
-impl Transition {
-    /// Whether the engine rejected this transition (lifecycle drift).
-    pub fn rejected(&self) -> bool {
-        self.to.is_none()
-    }
-}
-
 /// Observer of [`WindowEngine`] transitions.
 ///
 /// The observability layer (`ow-obs`) implements this to mirror every
@@ -378,16 +371,6 @@ impl WindowEngine {
         if let Some(sink) = &self.sink {
             sink.on_transition(&transition);
         }
-    }
-
-    /// Number of windows currently tracked (not yet released).
-    pub fn len(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// Whether no window is in flight.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
     }
 
     /// Get (or create in [`WindowPhase::Open`]) the FSM for `subwindow`.
@@ -642,7 +625,7 @@ mod tests {
         assert_eq!(engine.pending_cr(), None);
         engine.apply(0, WindowEvent::StreamComplete).unwrap();
         engine.apply(0, WindowEvent::Acked).unwrap();
-        assert!(engine.is_empty());
+        assert!(engine.windows.is_empty());
         assert_eq!(engine.released(), 1);
         assert_eq!(engine.rejected(), 0);
     }
@@ -666,7 +649,7 @@ mod tests {
         // The duplicated trigger clone announces again; state survives.
         engine.insert(WindowFsm::announced(4));
         assert_eq!(engine.phase(4), Some(WindowPhase::Retransmitting));
-        assert_eq!(engine.len(), 1);
+        assert_eq!(engine.windows.len(), 1);
     }
 
     #[test]
@@ -698,7 +681,7 @@ mod tests {
                 to: Some(WindowPhase::Merged),
             }
         );
-        assert!(ts[1].rejected());
+        assert_eq!(ts[1].to, None, "rejected");
         assert_eq!(ts[1].from, WindowPhase::Released);
     }
 }

@@ -195,8 +195,9 @@ impl ShardPartition {
         self.shards
     }
 
-    /// The shard owning `key`, in `[0, shards)`.
-    #[inline]
+    /// The shard owning `key`, in `[0, shards)`: the one-key form of
+    /// [`ShardPartition::shard_indices`], its tests' reference.
+    #[cfg(test)]
     pub(crate) fn shard_of(&self, key: &FlowKey) -> usize {
         if self.shards == 1 {
             0
@@ -222,10 +223,13 @@ impl ShardPartition {
     }
 
     /// Split a batch of flow records into one vector per shard,
-    /// preserving the input order within each shard (order preservation
-    /// is what keeps per-key merge folds identical across shard
-    /// counts).
-    pub fn split(&self, records: &[crate::afr::FlowRecord]) -> Vec<Vec<crate::afr::FlowRecord>> {
+    /// preserving the input order within each shard: the reference the
+    /// block scatter's tests compare against.
+    #[cfg(test)]
+    pub(crate) fn split(
+        &self,
+        records: &[crate::afr::FlowRecord],
+    ) -> Vec<Vec<crate::afr::FlowRecord>> {
         let mut out = vec![Vec::new(); self.shards];
         for rec in records {
             out[self.shard_of(&rec.key)].push(*rec);

@@ -98,7 +98,7 @@ pub struct OwHeader {
 
 impl OwHeader {
     /// A fresh header for normal traffic, not yet stamped with a sub-window.
-    pub fn normal() -> OwHeader {
+    pub(crate) fn normal() -> OwHeader {
         OwHeader {
             subwindow: 0,
             flag: OwFlag::Normal,

@@ -46,13 +46,8 @@ impl Instant {
     }
 
     /// Advance by `d`, saturating at the end of representable time.
-    ///
-    /// The `+` operator is unchecked (debug-panics on overflow), which
-    /// is the right default for clock arithmetic mid-trace — but the
-    /// switch's final `flush()` stamps its synthetic termination at
-    /// `Instant::from_nanos(u64::MAX)`, and span timelines built on top
-    /// of that instant must clamp instead of panic.
-    pub const fn saturating_add(self, d: Duration) -> Instant {
+    #[cfg(test)]
+    pub(crate) const fn saturating_add(self, d: Duration) -> Instant {
         Instant(self.0.saturating_add(d.0))
     }
 }
@@ -74,11 +69,6 @@ impl Duration {
     /// Construct from whole milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
         Duration(ms * 1_000_000)
-    }
-
-    /// Construct from whole seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        Duration(s * 1_000_000_000)
     }
 
     /// Nanoseconds in this span.
@@ -106,9 +96,9 @@ impl Duration {
         self.0 / other.0
     }
 
-    /// Add two spans, saturating at the maximum representable span
-    /// (see [`Instant::saturating_add`] for when this matters).
-    pub const fn saturating_add(self, rhs: Duration) -> Duration {
+    /// Add two spans, saturating at the maximum representable span.
+    #[cfg(test)]
+    pub(crate) const fn saturating_add(self, rhs: Duration) -> Duration {
         Duration(self.0.saturating_add(rhs.0))
     }
 }
@@ -235,6 +225,6 @@ mod tests {
         assert_eq!(Duration::from_nanos(12).to_string(), "12ns");
         assert_eq!(Duration::from_micros(12).to_string(), "12.000us");
         assert_eq!(Duration::from_millis(12).to_string(), "12.000ms");
-        assert_eq!(Duration::from_secs(2).to_string(), "2.000s");
+        assert_eq!(Duration::from_millis(2_000).to_string(), "2.000s");
     }
 }

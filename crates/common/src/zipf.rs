@@ -77,11 +77,6 @@ impl Zipf {
         Self::h_inv_static(self.alpha, x)
     }
 
-    /// Number of items.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
     /// Draw a rank in `1..=n`; rank 1 is the most popular.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         loop {

@@ -72,7 +72,7 @@ impl CollectionSession {
     }
 
     /// The sub-window being collected.
-    pub fn subwindow(&self) -> u32 {
+    pub(crate) fn subwindow(&self) -> u32 {
         self.subwindow
     }
 
@@ -80,11 +80,6 @@ impl CollectionSession {
     /// window lifecycle).
     pub fn fsm(&self) -> &WindowFsm {
         &self.fsm
-    }
-
-    /// Current lifecycle phase.
-    pub fn phase(&self) -> WindowPhase {
-        self.fsm.phase()
     }
 
     /// Whether `rec` is a first arrival; records it if so.
@@ -162,13 +157,8 @@ impl CollectionSession {
         Ok((fresh, block.len() as u64 - fresh))
     }
 
-    /// How many AFRs the trigger announced for this session.
-    pub fn announced(&self) -> u32 {
-        self.announced
-    }
-
     /// Distinct sequence ids received so far (duplicates collapse).
-    pub fn received(&self) -> usize {
+    pub(crate) fn received(&self) -> usize {
         self.in_range as usize + self.stragglers.len()
     }
 
@@ -204,7 +194,7 @@ impl CollectionSession {
 
     /// Mark the §8 OS-read escalation: retransmission is abandoned and
     /// the reliable switch-OS readback will produce the batch.
-    pub fn escalate(&mut self) {
+    pub(crate) fn escalate(&mut self) {
         if matches!(
             self.fsm.phase(),
             WindowPhase::Collected | WindowPhase::Retransmitting
@@ -316,17 +306,17 @@ mod tests {
     #[test]
     fn status_is_a_projection_of_the_lifecycle_fsm() {
         let mut s = CollectionSession::new(2, 3);
-        assert_eq!(s.phase(), WindowPhase::Collected);
+        assert_eq!(s.fsm().phase(), WindowPhase::Collected);
         assert_eq!(s.status(), SessionStatus::Collecting);
         s.receive(rec(0, 2)).unwrap();
         assert_eq!(s.missing(), vec![1, 2]);
-        assert_eq!(s.phase(), WindowPhase::Retransmitting);
+        assert_eq!(s.fsm().phase(), WindowPhase::Retransmitting);
         assert_eq!(s.status(), SessionStatus::MissingAfrs);
         s.escalate();
-        assert_eq!(s.phase(), WindowPhase::Escalated);
+        assert_eq!(s.fsm().phase(), WindowPhase::Escalated);
         s.receive(rec(1, 2)).unwrap();
         s.receive(rec(2, 2)).unwrap();
-        assert_eq!(s.phase(), WindowPhase::Merged);
+        assert_eq!(s.fsm().phase(), WindowPhase::Merged);
         assert_eq!(s.status(), SessionStatus::Complete);
         assert_eq!(s.fsm().retransmit_rounds(), 1);
     }
@@ -334,7 +324,7 @@ mod tests {
     #[test]
     fn empty_announcement_merges_on_open() {
         let s = CollectionSession::new(9, 0);
-        assert_eq!(s.phase(), WindowPhase::Merged);
+        assert_eq!(s.fsm().phase(), WindowPhase::Merged);
         assert_eq!(s.status(), SessionStatus::Complete);
         assert!(s.into_batch().is_empty());
     }

@@ -139,11 +139,6 @@ impl ReliabilityDriver {
         ReliabilityDriver { policy }
     }
 
-    /// The driver's retry schedule.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
     /// Collect one announced sub-window end to end: initial stream,
     /// retransmission rounds, OS-path escalation if needed.
     ///

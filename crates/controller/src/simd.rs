@@ -126,7 +126,7 @@ macro_rules! fold_slots {
         /// # Panics
         /// Panics when `slots` and `src` differ in length, or a non-skip
         /// slot is out of bounds for `dst`.
-        pub fn $name(dst: &mut [u64], slots: &[u32], src: &[u64]) {
+        pub(crate) fn $name(dst: &mut [u64], slots: &[u32], src: &[u64]) {
             assert_eq!(slots.len(), src.len(), "length mismatch");
             let op = $scalar_op;
             let mut i = 0;

@@ -94,11 +94,6 @@ impl QueryApp {
         QueryApp { spec }
     }
 
-    /// The wrapped spec.
-    pub fn spec(&self) -> &QuerySpec {
-        &self.spec
-    }
-
     /// The memory budget that yields `slots` register cells for this
     /// query's statistic layout (lets experiments size states by slot
     /// count rather than raw bytes, since cell sizes vary per query).
@@ -275,7 +270,7 @@ impl HeavyHitterApp<MvSketch> {
 
 impl HeavyHitterApp<HashPipe> {
     /// HashPipe heavy-hitter app (paper depth 4).
-    pub fn hashpipe(threshold: u64) -> Self {
+    pub(crate) fn hashpipe(threshold: u64) -> Self {
         HeavyHitterApp {
             rows: 4,
             threshold,
@@ -286,7 +281,7 @@ impl HeavyHitterApp<HashPipe> {
 
 impl HeavyHitterApp<ElasticSketch> {
     /// Elastic Sketch heavy-hitter app (heavy part + light part).
-    pub fn elastic(threshold: u64) -> Self {
+    pub(crate) fn elastic(threshold: u64) -> Self {
         HeavyHitterApp {
             rows: 1,
             threshold,
@@ -371,7 +366,7 @@ impl SizeApp<CountMin> {
 
 impl SizeApp<SuMax> {
     /// SuMax size app (paper depth 4).
-    pub fn sumax(threshold: u64) -> Self {
+    pub(crate) fn sumax(threshold: u64) -> Self {
         SizeApp {
             rows: 4,
             threshold,
@@ -439,7 +434,7 @@ pub(crate) struct SpreadApp {
 
 impl SpreadApp {
     /// Paper configuration: depth 4.
-    pub fn new(threshold: u64) -> SpreadApp {
+    pub(crate) fn new(threshold: u64) -> SpreadApp {
         SpreadApp { rows: 4, threshold }
     }
 }
@@ -503,7 +498,7 @@ pub(crate) struct VbfApp {
 impl VbfApp {
     /// Paper configuration: 5 arrays of 4096 bitmaps (the invertible
     /// bit-slice geometry is fixed, so the memory budget is too: 160 KB).
-    pub fn new(threshold: u64) -> VbfApp {
+    pub(crate) fn new(threshold: u64) -> VbfApp {
         VbfApp { threshold }
     }
 

@@ -56,18 +56,8 @@ impl WindowConfig {
     }
 
     /// Window size.
-    pub fn window(&self) -> Duration {
+    pub(crate) fn window(&self) -> Duration {
         self.window
-    }
-
-    /// Slide distance.
-    pub fn slide(&self) -> Duration {
-        self.slide
-    }
-
-    /// Sub-window length.
-    pub fn subwindow(&self) -> Duration {
-        self.subwindow
     }
 
     /// Sub-windows per window.

@@ -42,7 +42,7 @@ pub fn score_reports(mechanism: &[WindowResult], reference: &[WindowResult]) -> 
 /// Average relative error of a mechanism's probed estimates against the
 /// reference's exact values, across all windows. Probe keys absent from
 /// the reference window (true value 0) are skipped.
-pub fn score_estimates(mechanism: &[WindowResult], reference: &[WindowResult]) -> f64 {
+pub(crate) fn score_estimates(mechanism: &[WindowResult], reference: &[WindowResult]) -> f64 {
     assert_eq!(mechanism.len(), reference.len(), "window counts differ");
     let mut pairs = Vec::new();
     for (m, r) in mechanism.iter().zip(reference.iter()) {
@@ -81,7 +81,7 @@ pub(crate) fn union_score(
 /// Per-window relative errors of a scalar series (used by the
 /// cardinality experiments): `|est - truth| / truth` per window, then
 /// averaged (the paper's AARE).
-pub fn aare(estimates: &[f64], truths: &[f64]) -> f64 {
+pub(crate) fn aare(estimates: &[f64], truths: &[f64]) -> f64 {
     assert_eq!(estimates.len(), truths.len(), "window counts differ");
     let errs: Vec<f64> = estimates
         .iter()

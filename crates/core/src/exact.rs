@@ -31,7 +31,7 @@ impl ExactStat {
     /// # Panics
     /// Panics on pattern mismatch — exact stats for one app always share
     /// a pattern, so a mismatch is a harness bug.
-    pub fn merge(&mut self, other: &ExactStat) {
+    pub(crate) fn merge(&mut self, other: &ExactStat) {
         match (self, other) {
             (ExactStat::Count(a), ExactStat::Count(b)) => *a += b,
             (ExactStat::Distinct(a), ExactStat::Distinct(b)) => a.extend(b.iter().copied()),
@@ -55,28 +55,12 @@ impl ExactStat {
 
     /// Scalar view (exact): the count, set size, difference, or bytes
     /// per connection.
-    pub fn scalar(&self) -> f64 {
+    pub(crate) fn scalar(&self) -> f64 {
         match self {
             ExactStat::Count(v) => *v as f64,
             ExactStat::Distinct(s) => s.len() as f64,
             ExactStat::Signed(v) => *v as f64,
             ExactStat::ConnBytes { conns, bytes } => *bytes as f64 / (conns.len().max(1)) as f64,
-        }
-    }
-
-    /// Distinct connections (only for `ConnBytes`).
-    pub fn conns(&self) -> Option<usize> {
-        match self {
-            ExactStat::ConnBytes { conns, .. } => Some(conns.len()),
-            _ => None,
-        }
-    }
-
-    /// Total bytes (only for `ConnBytes`).
-    pub fn bytes(&self) -> Option<u64> {
-        match self {
-            ExactStat::ConnBytes { bytes, .. } => Some(*bytes),
-            _ => None,
         }
     }
 }
@@ -118,8 +102,10 @@ mod tests {
             conns: [2u64, 3].into_iter().collect(),
             bytes: 50,
         });
-        assert_eq!(a.conns(), Some(3));
-        assert_eq!(a.bytes(), Some(150));
+        let ExactStat::ConnBytes { conns, bytes } = &a else {
+            panic!("merging keeps the variant");
+        };
+        assert_eq!((conns.len(), *bytes), (3, 150));
         assert_eq!(a.scalar(), 50.0);
     }
 

@@ -24,7 +24,7 @@ pub enum Scale {
 
 impl Scale {
     /// Background flows in the evaluation trace.
-    pub fn flows(self) -> usize {
+    pub(crate) fn flows(self) -> usize {
         match self {
             Scale::Tiny => 1_000,
             Scale::Small => 4_000,
@@ -33,7 +33,7 @@ impl Scale {
     }
 
     /// Background packets in the evaluation trace.
-    pub fn packets(self) -> usize {
+    pub(crate) fn packets(self) -> usize {
         match self {
             Scale::Tiny => 20_000,
             Scale::Small => 80_000,
@@ -42,7 +42,7 @@ impl Scale {
     }
 
     /// Trace duration (multiple complete 500 ms windows).
-    pub fn duration(self) -> Duration {
+    pub(crate) fn duration(self) -> Duration {
         match self {
             Scale::Tiny => Duration::from_millis(1_500),
             Scale::Small => Duration::from_millis(2_000),
@@ -79,7 +79,7 @@ impl Scale {
     }
 
     /// Data-plane flowkey array capacity.
-    pub fn fk_capacity(self) -> usize {
+    pub(crate) fn fk_capacity(self) -> usize {
         match self {
             Scale::Tiny => 4 * 1024,
             Scale::Small => 8 * 1024,

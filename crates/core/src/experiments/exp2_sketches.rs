@@ -65,6 +65,11 @@ struct Setup {
     cfg: WindowConfig,
     scale: Scale,
     seed: u64,
+    /// Q11's exact per-window cardinalities under tumbling and sliding
+    /// windows; they depend only on the trace, so both estimators share
+    /// them.
+    ideal_t: Vec<f64>,
+    ideal_s: Vec<f64>,
 }
 
 impl Setup {
@@ -99,19 +104,18 @@ impl Setup {
         est_sub: Estimator,
     ) -> SketchAccuracy {
         let (trace, cfg, seed) = (&self.trace, &self.cfg, self.seed);
-        let ideal_t = ideal_cardinality(trace, cfg, Mode::Tumbling);
-        let ideal_s = ideal_cardinality(trace, cfg, Mode::Sliding);
+        let (ideal_t, ideal_s) = (&self.ideal_t, &self.ideal_s);
         let tw1 = conventional_cardinality(trace, cfg, est_window, TW1_BLACKOUT, seed);
         let tw2 = conventional_cardinality(trace, cfg, est_window, Duration::ZERO, seed);
         let otw = omniwindow_cardinality(trace, cfg, Mode::Tumbling, est_sub, seed);
         let osw = omniwindow_cardinality(trace, cfg, Mode::Sliding, est_sub, seed);
         let ss = sliding_sketch_cardinality(trace, cfg, est_window, seed);
         let errors = vec![
-            ("TW1".into(), aare(&tw1, &ideal_t)),
-            ("TW2".into(), aare(&tw2, &ideal_t)),
-            ("OTW".into(), aare(&otw, &ideal_t)),
-            ("OSW".into(), aare(&osw, &ideal_s)),
-            ("SS".into(), aare(&ss, &ideal_s)),
+            ("TW1".into(), aare(&tw1, ideal_t)),
+            ("TW2".into(), aare(&tw2, ideal_t)),
+            ("OTW".into(), aare(&otw, ideal_t)),
+            ("OSW".into(), aare(&osw, ideal_s)),
+            ("SS".into(), aare(&ss, ideal_s)),
         ];
         SketchAccuracy::new("Q11", sketch, vec![], errors)
     }
@@ -119,9 +123,13 @@ impl Setup {
 
 /// Run Exp#2.
 pub fn run(scale: Scale, seed: u64) -> Exp2Result {
+    let trace = evaluation_trace(scale, seed);
+    let cfg = WindowConfig::paper_default();
     let x = Setup {
-        trace: evaluation_trace(scale, seed),
-        cfg: WindowConfig::paper_default(),
+        ideal_t: ideal_cardinality(&trace, &cfg, Mode::Tumbling),
+        ideal_s: ideal_cardinality(&trace, &cfg, Mode::Sliding),
+        trace,
+        cfg,
         scale,
         seed,
     };

@@ -60,13 +60,6 @@ impl LifetimeInspector {
         }
     }
 
-    /// Retained sub-windows, sorted.
-    pub fn subwindows(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self.batches.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Reconstruct a flow's lifetime: its first/last active sub-window
     /// and the merged statistic over exactly that span. Returns `None`
     /// if the flow appears in no retained sub-window.

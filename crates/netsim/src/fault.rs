@@ -106,7 +106,7 @@ impl ClassProfile {
     };
 
     /// A profile that only loses packets (no dup/reorder/delay).
-    pub fn lossy(loss: f64) -> ClassProfile {
+    pub(crate) fn lossy(loss: f64) -> ClassProfile {
         ClassProfile {
             loss,
             ..ClassProfile::IDEAL
@@ -315,11 +315,6 @@ impl LossyChannel {
             self.rng.gen_range(0..=jitter_ns)
         };
         profile.delay + Duration::from_nanos(jitter)
-    }
-
-    /// The channel's configuration.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
     }
 
     /// Delivery counters so far.

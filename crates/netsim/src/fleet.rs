@@ -47,7 +47,6 @@ use ow_sketch::traits::{FrequencySketch, InvertibleSketch};
 use ow_sketch::MvSketch;
 
 use crate::fault::{FaultConfig, FaultStats, LossyChannel, PacketClass};
-use crate::sketchobs::ObsSketchObs;
 
 /// Bits of the global sub-window id reserved for the switch-local
 /// window index; the rest carry the switch id.
@@ -244,7 +243,7 @@ impl FleetConfig {
 
     /// The synthetic AFR batch of `(switch, local)`: deterministic keys
     /// over the shared population, seq-numbered for the §8 loop.
-    pub fn workload(&self, switch: u32, local: u32) -> Vec<FlowRecord> {
+    pub(crate) fn workload(&self, switch: u32, local: u32) -> Vec<FlowRecord> {
         let global = global_subwindow(switch, local);
         (0..RECORDS_PER_WINDOW)
             .map(|i| {
@@ -262,13 +261,15 @@ impl FleetConfig {
     /// workload unless [`FleetConfig::sketch_feed`] is set, in which
     /// case the window passes through an MV-Sketch of that geometry and
     /// the announced records are its recovered heavy-hitter candidates
-    /// with their estimated counts. Quality signals (occupancy,
-    /// collisions, evictions) are published through `sketch_obs`.
+    /// with their estimated counts. The sketch's quality readings go to
+    /// `obs` as `ow_sketch_*{sketch="mv"}`: its occupancy, and its
+    /// collision and eviction tallies (each window's sketch is fresh, so
+    /// the tallies are this window's).
     pub(crate) fn announced_batch(
         &self,
         exact: &[FlowRecord],
         global: u32,
-        sketch_obs: &ObsSketchObs,
+        obs: &Obs,
     ) -> Vec<FlowRecord> {
         let Some((rows, width)) = self.sketch_feed else {
             return exact.to_vec();
@@ -287,7 +288,13 @@ impl FleetConfig {
         for (i, rec) in batch.iter_mut().enumerate() {
             rec.seq = i as u32;
         }
-        mv.publish_quality(sketch_obs);
+        let label = [("sketch", "mv")];
+        obs.gauge("ow_sketch_occupancy_permille", &label)
+            .set(mv.occupancy_permille());
+        obs.counter("ow_sketch_hash_collisions_total", &label)
+            .add(mv.collisions());
+        obs.counter("ow_sketch_heavy_evicts_total", &label)
+            .add(mv.heavy_evicts());
         batch
     }
 }
@@ -539,10 +546,8 @@ pub fn run(cfg: &FleetConfig, obs: &Obs) -> FleetReport {
         })
         .collect();
     // The accuracy observatory's feeder side: the oracle receives every
-    // exact batch before loss and before any sketch compression; the
-    // sketch adapter turns data-plane quality signals into telemetry.
+    // exact batch before loss and before any sketch compression.
     let accuracy = obs.accuracy();
-    let sketch_obs = ObsSketchObs::new(obs);
 
     // Per-switch lossy links: a baseline channel plus a degraded burst
     // channel, both privately seeded so the draw sequences are fixed by
@@ -586,7 +591,7 @@ pub fn run(cfg: &FleetConfig, obs: &Obs) -> FleetReport {
                 if let Some(acc) = &accuracy {
                     acc.feed_truth(global, &exact);
                 }
-                let batch = cfg.announced_batch(&exact, global, &sketch_obs);
+                let batch = cfg.announced_batch(&exact, global, obs);
                 store
                     .lock()
                     .expect("store lock")

@@ -27,7 +27,6 @@ pub mod fault;
 pub mod fleet;
 pub mod lossradar;
 pub mod sim;
-pub mod sketchobs;
 
 pub use fault::{ClassProfile, ClassStats, FaultConfig, FaultStats, LossyChannel, PacketClass};
 pub use fleet::{fleet_health_rules, ChurnEvent, ChurnKind, FleetConfig, FleetReport, RackBurst};

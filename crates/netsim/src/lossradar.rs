@@ -89,7 +89,7 @@ impl LossRadarMeter {
     }
 
     /// The sub-windows this meter has digests for.
-    pub fn subwindows(&self) -> Vec<u32> {
+    pub(crate) fn subwindows(&self) -> Vec<u32> {
         let mut s: Vec<u32> = self.digests.keys().copied().collect();
         s.sort_unstable();
         s

@@ -218,7 +218,10 @@ impl AccuracyScorer {
     /// `ow_accuracy_*` series. The precision/recall gauges start at
     /// 1000‰ ("perfect until a window proves otherwise") so alert
     /// rules evaluated before the first scored window stay silent.
-    pub fn new(registry: Arc<MetricsRegistry>, journal: Arc<EventJournal>) -> Arc<AccuracyScorer> {
+    pub(crate) fn new(
+        registry: Arc<MetricsRegistry>,
+        journal: Arc<EventJournal>,
+    ) -> Arc<AccuracyScorer> {
         let labels = [("query", ACCURACY_QUERY)];
         let scorer = AccuracyScorer {
             journal,

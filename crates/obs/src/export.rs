@@ -33,7 +33,7 @@ pub struct ObsReport {
 
 impl ObsReport {
     /// Capture the current state of `registry` and `journal`.
-    pub fn capture(
+    pub(crate) fn capture(
         run: &str,
         registry: &crate::MetricsRegistry,
         journal: &EventJournal,
@@ -84,8 +84,14 @@ mod tests {
         // interleaving can reorder — plus untimestamped ones.
         let events = || {
             vec![
-                Event::new("merge", "done").subwindow(3).shard(1),
-                Event::new("merge", "done").subwindow(3).shard(0),
+                Event {
+                    shard: Some(1),
+                    ..Event::new("merge", "done").subwindow(3)
+                },
+                Event {
+                    shard: Some(0),
+                    ..Event::new("merge", "done").subwindow(3)
+                },
                 Event::new("merge", "done").subwindow(3).phase("sealed"),
                 Event::new("merge", "done").subwindow(3).warn(),
                 Event::new("progress", "b"),

@@ -1,12 +1,13 @@
 //! The black-box flight recorder.
 //!
-//! A bounded ring of recent observability context — journal events,
-//! per-tick rule-signal readings, tick summaries — that [`freeze`]s the
+//! A bounded ring of recent observability context — per-tick
+//! rule-signal readings and tick summaries — that [`freeze`]s the
 //! moment something goes badly wrong (a [`crate::health`] rule firing
 //! at `Severity::Critical`, or a `WindowFsm` invariant rejection) and
 //! becomes a deterministic `results/flightrec_*.json` post-mortem: the
-//! retained ring, the full registry snapshot at the freeze instant, a
-//! brief of every causal span tree, and the health-alert timeline.
+//! retained ring joined by the journal's events at the freeze, the full
+//! registry snapshot at the freeze instant, a brief of every causal
+//! span tree, and the health-alert timeline.
 //! Chaos failures become diagnosable artifacts instead of log
 //! archaeology.
 //!
@@ -34,7 +35,7 @@ use crate::registry::RegistrySnapshot;
 pub struct FlightRecorderConfig {
     /// Maximum retained entries.
     pub max_entries: usize,
-    /// Maximum total [`FlightEntry::cost`] bytes retained.
+    /// Maximum total `FlightEntry::cost` bytes retained.
     pub max_bytes: usize,
 }
 
@@ -62,7 +63,7 @@ pub struct FlightEntry {
 
 impl FlightEntry {
     /// Accounting size of this entry against the byte budget.
-    pub fn cost(&self) -> usize {
+    pub(crate) fn cost(&self) -> usize {
         16 + self.kind.len() + self.detail.len()
     }
 }
@@ -108,9 +109,13 @@ pub struct FlightDump {
     pub freeze_reason: String,
     /// Virtual-clock instant of the freeze.
     pub frozen_at_ns: u64,
-    /// Entries the bounded ring evicted before the freeze.
+    /// Signal and tick lines the bounded ring evicted (or rejected as
+    /// oversized) before the freeze. Journal events never enter the
+    /// ring: the journal's own ring bounds them, so they are not
+    /// counted here.
     pub entries_dropped: u64,
-    /// The retained ring in canonical `(at_ns, kind, detail)` order.
+    /// The retained ring and the journal's events at the freeze, in
+    /// canonical `(at_ns, kind, detail)` order.
     pub entries: Vec<FlightEntry>,
     /// Full registry snapshot at the freeze instant.
     pub registry: RegistrySnapshot,
@@ -127,7 +132,7 @@ impl FlightDump {
         serde_json::to_string_pretty(self).expect("flight dump serializes")
     }
 
-    /// Write the dump to `path` and its [`render`](FlightDump::render)ed
+    /// Write the dump to `path` and its `render`ed
     /// form beside it as `<stem>.txt`, creating parent directories.
     pub fn write(&self, path: &Path) -> io::Result<()> {
         crate::render::write_artifact(path, self.to_json(), self.render())
@@ -166,6 +171,7 @@ struct FrozenState {
     registry: RegistrySnapshot,
     traces: Vec<TraceBrief>,
     timeline: Vec<AlertEvent>,
+    events: Vec<FlightEntry>,
 }
 
 /// The bounded black-box ring. Owned by the health engine (single
@@ -220,9 +226,11 @@ impl FlightRecorder {
         self.ring.push_back(entry);
     }
 
-    /// Freeze the recorder with the post-mortem context. The first
-    /// trigger wins; later freezes are ignored so the dump reflects the
-    /// *initial* failure, not the last symptom.
+    /// Freeze the recorder with the post-mortem context; `events` (the
+    /// journal's, read at the freeze) join the dump beside the ring
+    /// without evicting from it. The first trigger wins; later freezes
+    /// are ignored so the dump reflects the *initial* failure, not the
+    /// last symptom.
     pub fn freeze(
         &mut self,
         reason: &str,
@@ -230,6 +238,7 @@ impl FlightRecorder {
         registry: RegistrySnapshot,
         traces: Vec<TraceBrief>,
         timeline: Vec<AlertEvent>,
+        events: Vec<FlightEntry>,
     ) {
         if self.frozen.is_some() {
             return;
@@ -240,6 +249,7 @@ impl FlightRecorder {
             registry,
             traces,
             timeline,
+            events,
         });
     }
 
@@ -263,16 +273,12 @@ impl FlightRecorder {
         self.dropped
     }
 
-    /// The configured bounds.
-    pub fn config(&self) -> FlightRecorderConfig {
-        self.cfg
-    }
-
     /// The frozen post-mortem, if a freeze happened; entries in
     /// canonical order.
     pub fn dump(&self, run: &str) -> Option<FlightDump> {
         let frozen = self.frozen.as_ref()?;
         let mut entries: Vec<FlightEntry> = self.ring.iter().cloned().collect();
+        entries.extend(frozen.events.iter().cloned());
         entries.sort();
         let mut traces = frozen.traces.clone();
         traces.sort_by_key(|t| t.trace_id);
@@ -345,11 +351,13 @@ mod tests {
             RegistrySnapshot::default(),
             vec![],
             vec![],
+            vec![],
         );
         rec.freeze(
             "second failure",
             20,
             RegistrySnapshot::default(),
+            vec![],
             vec![],
             vec![],
         );
@@ -362,6 +370,28 @@ mod tests {
     }
 
     #[test]
+    fn journal_events_join_the_dump_without_evicting_ring_lines() {
+        let mut rec = FlightRecorder::new(FlightRecorderConfig {
+            max_entries: 1,
+            max_bytes: 1 << 20,
+        });
+        rec.record(entry(2, "tick line"));
+        let events = vec![entry(1, "journal a"), entry(3, "journal b")];
+        rec.freeze(
+            "unit",
+            3,
+            RegistrySnapshot::default(),
+            vec![],
+            vec![],
+            events,
+        );
+        let dump = rec.dump("unit").expect("frozen");
+        let order: Vec<&str> = dump.entries.iter().map(|e| e.detail.as_str()).collect();
+        assert_eq!(order, vec!["journal a", "tick line", "journal b"]);
+        assert_eq!(dump.entries_dropped, 0);
+    }
+
+    #[test]
     fn dump_is_canonically_ordered_and_schema_valid() {
         let mut rec = FlightRecorder::new(FlightRecorderConfig::default());
         rec.record(entry(9, "late"));
@@ -371,7 +401,14 @@ mod tests {
             kind: "tick".into(),
             detail: "tick=0".into(),
         });
-        rec.freeze("unit test", 9, RegistrySnapshot::default(), vec![], vec![]);
+        rec.freeze(
+            "unit test",
+            9,
+            RegistrySnapshot::default(),
+            vec![],
+            vec![],
+            vec![],
+        );
         let dump = rec.dump("unit").expect("frozen");
         let order: Vec<&str> = dump.entries.iter().map(|e| e.detail.as_str()).collect();
         assert_eq!(order, vec!["early", "tick=0", "late"]);
@@ -382,7 +419,7 @@ mod tests {
     fn validator_rejects_malformed_dumps() {
         let mut rec = FlightRecorder::new(FlightRecorderConfig::default());
         rec.record(entry(1, "d"));
-        rec.freeze("r", 1, RegistrySnapshot::default(), vec![], vec![]);
+        rec.freeze("r", 1, RegistrySnapshot::default(), vec![], vec![], vec![]);
         let good = rec.dump("x").expect("frozen");
         good.check().expect("well-formed dump");
 

@@ -78,7 +78,7 @@ impl Severity {
     }
 
     /// Stable lowercase name (label value / JSON field).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Severity::Info => "info",
             Severity::Warning => "warning",
@@ -317,7 +317,7 @@ pub struct HealthSample {
 
 impl HealthSample {
     /// Capture the live registry at `now`.
-    pub fn capture(registry: &MetricsRegistry, now: Instant) -> HealthSample {
+    pub(crate) fn capture(registry: &MetricsRegistry, now: Instant) -> HealthSample {
         HealthSample {
             at_ns: now.as_nanos(),
             metrics: registry.snapshot().metrics,
@@ -370,7 +370,6 @@ struct GroupAgg {
 struct EngineInner {
     ticks: u64,
     last_at_ns: Option<u64>,
-    last_journal_seq: u64,
     states: BTreeMap<(usize, String), RuleState>,
     timeline: Vec<AlertEvent>,
     recorder: FlightRecorder,
@@ -405,7 +404,7 @@ impl HealthEngine {
     /// engine's own metrics pre-registered: `ow_health_alerts_total`
     /// per severity, `ow_health_ticks_total`, and the
     /// `ow_health_fleet_score` gauge (initialized to a healthy 1000).
-    pub fn new(
+    pub(crate) fn new(
         rules: RuleSet,
         registry: Arc<MetricsRegistry>,
         journal: Arc<EventJournal>,
@@ -432,17 +431,11 @@ impl HealthEngine {
             inner: Mutex::new(EngineInner {
                 ticks: 0,
                 last_at_ns: None,
-                last_journal_seq: 0,
                 states: BTreeMap::new(),
                 timeline: Vec::new(),
                 recorder: FlightRecorder::new(FlightRecorderConfig::default()),
             }),
         }
-    }
-
-    /// The installed rules.
-    pub fn rules(&self) -> &RuleSet {
-        &self.rules
     }
 
     /// Sample the live registry at `now` and evaluate one tick.
@@ -558,15 +551,9 @@ impl HealthEngine {
                 .set(*score);
         }
 
-        // Feed the black box: new journal events since the last tick
-        // (sequence numbers stripped for cross-run determinism), every
-        // rule-signal reading, and a tick summary.
+        // Feed the black box every rule-signal reading and a tick
+        // summary; journal events join the dump at the freeze.
         let active = inner.states.values().filter(|s| s.active).count();
-        pull_journal(
-            &self.journal,
-            &mut inner.last_journal_seq,
-            &mut inner.recorder,
-        );
         for line in signal_lines {
             inner.recorder.record(line);
         }
@@ -620,11 +607,6 @@ impl HealthEngine {
         inner.timeline.push(alert);
         let reason =
             format!("{FSM_REJECT_CODE} WindowFsm invariant rejected on {side} sub-window {subwindow}: {detail}");
-        pull_journal(
-            &self.journal,
-            &mut inner.last_journal_seq,
-            &mut inner.recorder,
-        );
         self.freeze_recorder(inner, &reason, at_ns, None);
     }
 
@@ -657,9 +639,22 @@ impl HealthEngine {
                 wall_ns: t.critical_path.wall_ns,
             })
             .collect();
-        inner
-            .recorder
-            .freeze(reason, at_ns, registry, traces, inner.timeline.clone());
+        // The journal's retained events, read once, sequence numbers
+        // stripped for cross-run determinism.
+        let events = self
+            .journal
+            .events()
+            .iter()
+            .map(FlightEntry::from)
+            .collect();
+        inner.recorder.freeze(
+            reason,
+            at_ns,
+            registry,
+            traces,
+            inner.timeline.clone(),
+            events,
+        );
     }
 
     /// The full alert timeline so far.
@@ -809,19 +804,6 @@ fn eval_signal(signal: &Signal, agg: &GroupAgg) -> u64 {
             let violated_permille = violated.saturating_mul(1000) / agg.hist_count;
             violated_permille.saturating_mul(1000) / budget_permille
         }
-    }
-}
-
-/// Copy the journal events recorded since `last_seq` into the recorder.
-/// The next `last_seq` comes from the same snapshot: an event another
-/// thread records after it is pulled by the next call, not skipped.
-fn pull_journal(journal: &EventJournal, last_seq: &mut u64, recorder: &mut FlightRecorder) {
-    for e in journal.events() {
-        if e.seq < *last_seq {
-            continue;
-        }
-        recorder.record(FlightEntry::from(&e));
-        *last_seq = e.seq + 1;
     }
 }
 

@@ -86,12 +86,6 @@ impl Event {
         self
     }
 
-    /// Attach the shard index.
-    pub fn shard(mut self, shard: u32) -> Event {
-        self.shard = Some(shard);
-        self
-    }
-
     /// Attach the virtual-clock timestamp.
     pub fn at(mut self, at: Instant) -> Event {
         self.at_ns = Some(at.as_nanos());
@@ -165,7 +159,7 @@ impl std::fmt::Debug for EventJournal {
 
 impl EventJournal {
     /// A journal retaining at most `capacity` events (≥ 1).
-    pub fn with_capacity(capacity: usize) -> EventJournal {
+    pub(crate) fn with_capacity(capacity: usize) -> EventJournal {
         EventJournal {
             inner: Mutex::new(JournalInner {
                 ring: VecDeque::new(),
@@ -193,7 +187,7 @@ impl EventJournal {
 
     /// Record one event, stamping its sequence number; returns the
     /// stamped sequence.
-    pub fn record(&self, mut event: Event) -> u64 {
+    pub(crate) fn record(&self, mut event: Event) -> u64 {
         let mut inner = self.inner.lock();
         let seq = inner.next_seq;
         event.seq = seq;
@@ -229,7 +223,7 @@ impl EventJournal {
     }
 
     /// Events discarded by the bounded ring (oldest-first eviction).
-    pub fn dropped_total(&self) -> u64 {
+    pub(crate) fn dropped_total(&self) -> u64 {
         self.inner.lock().dropped
     }
 }
@@ -279,12 +273,14 @@ mod tests {
 
     #[test]
     fn builder_attaches_context() {
-        let e = Event::new("fsm_transition", "collected")
-            .warn()
-            .subwindow(4)
-            .phase("collected")
-            .shard(2)
-            .at(Instant::from_micros(10));
+        let e = Event {
+            shard: Some(2),
+            ..Event::new("fsm_transition", "collected")
+                .warn()
+                .subwindow(4)
+                .phase("collected")
+                .at(Instant::from_micros(10))
+        };
         assert_eq!(e.level, Level::Warn);
         assert_eq!(e.subwindow, Some(4));
         assert_eq!(e.phase.as_deref(), Some("collected"));

@@ -18,7 +18,7 @@
 //!   trees on the virtual clock, stitched across switch and
 //!   controller by the [`TraceContext`] the tracer holds per
 //!   sub-window, analysed by
-//!   [`critical_path`] and exported as `results/trace_*.json`.
+//!   `critical_path` and exported as `results/trace_*.json`.
 //! * [`HealthEngine`] ([`health`]) — the streaming interpretation
 //!   layer: declarative `OW-HEALTH-*` rules over derived signals
 //!   (ratios, saturation, SLO burn rate), per-entity scoring
@@ -73,9 +73,7 @@ pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot, MetricsRegistry, PeakSample,
     RegistrySnapshot,
 };
-pub use span::{
-    critical_path, CriticalPath, PhaseMark, Span, TraceContext, TraceReport, TraceSummary, Tracer,
-};
+pub use span::{CriticalPath, PhaseMark, Span, TraceContext, TraceReport, TraceSummary, Tracer};
 
 /// The combined observability handle: one metrics registry, one event
 /// journal, one span tracer. Cheap to clone (three `Arc`s); every clone
@@ -161,11 +159,6 @@ impl Obs {
         &self.tracer
     }
 
-    /// The metrics registry.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-
     /// The event journal.
     pub fn journal(&self) -> &Arc<EventJournal> {
         &self.journal
@@ -176,7 +169,7 @@ impl Obs {
         self.registry.counter(name, labels)
     }
 
-    /// Register (or look up) a gauge. See [`MetricsRegistry::gauge`].
+    /// Register (or look up) a gauge. See `MetricsRegistry::gauge`.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         self.registry.gauge(name, labels)
     }

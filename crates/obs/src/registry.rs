@@ -61,7 +61,7 @@ pub(crate) struct MetricId {
 
 impl MetricId {
     /// Build an id, sorting the labels so identity is order-insensitive.
-    pub fn new(name: &str, labels: &[(&str, &str)]) -> MetricId {
+    pub(crate) fn new(name: &str, labels: &[(&str, &str)]) -> MetricId {
         let mut labels: Vec<(String, String)> = labels
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
@@ -75,7 +75,7 @@ impl MetricId {
 
     /// Prometheus-style rendering: `name{k="v",…}` (bare name when
     /// unlabelled).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         if self.labels.is_empty() {
             return self.name.clone();
         }
@@ -160,7 +160,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.value.load(Ordering::Relaxed)
     }
 
@@ -254,12 +254,12 @@ impl Histogram {
     }
 
     /// Number of recorded values.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
     }
 
     /// Sum of recorded values.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.0.sum.load(Ordering::Relaxed)
     }
 
@@ -334,7 +334,7 @@ impl MetricsRegistry {
     /// # Panics
     /// Panics when `name` violates the `ow_<crate>_<name>` scheme or is
     /// already registered as a different kind.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
+    pub(crate) fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         match self.register(name, labels, || Metric::Gauge(Gauge::default())) {
             Metric::Gauge(g) => g,
             other => panic!(

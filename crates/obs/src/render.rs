@@ -226,13 +226,10 @@ fn render_accuracy(reg: &RegistrySnapshot, out: &mut String) {
     for sketch in label_values(reg, "ow_sketch_occupancy_permille", "sketch") {
         let of = |name: &str| labelled(reg, name, "sketch", &sketch);
         out.push_str(&format!(
-            "  sketch {sketch}: occupancy {}‰, {} collision(s), {} eviction(s), \
-             {} decode failure(s), {} saturation(s)\n",
+            "  sketch {sketch}: occupancy {}‰, {} collision(s), {} eviction(s)\n",
             of("ow_sketch_occupancy_permille"),
             of("ow_sketch_hash_collisions_total"),
             of("ow_sketch_heavy_evicts_total"),
-            of("ow_sketch_decode_failures_total"),
-            of("ow_sketch_saturations_total"),
         ));
     }
     out.push('\n');
@@ -241,7 +238,7 @@ fn render_accuracy(reg: &RegistrySnapshot, out: &mut String) {
 impl TraceReport {
     /// One block per traced window: the critical path and SLO verdict,
     /// then the span tree as an indented virtual-clock timeline.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = format!(
             "run: {} — {} window trace(s)\n",
             self.run,
@@ -293,7 +290,7 @@ fn render_span_tree(spans: &[Span], parent: Option<u64>, depth: usize, out: &mut
 impl FlightDump {
     /// The post-mortem as text: freeze header, alert timeline, and the
     /// newest black-box entries.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = format!(
             "run: {} — FLIGHT RECORDER POST-MORTEM\nfrozen at: {}ns\nreason: {}\n\
              captured: {} entries ({} evicted), {} metrics, {} trace(s)\n\n",
@@ -389,7 +386,10 @@ mod tests {
         for i in 0..25 {
             obs.event(Event::new("progress", format!("step {i}")).subwindow(i));
         }
-        obs.event(Event::new("drift_detected", "late").warn().shard(2));
+        obs.event(Event {
+            shard: Some(2),
+            ..Event::new("drift_detected", "late").warn()
+        });
         let rendered = obs.report("unit").render();
         has(&rendered, "== histograms (virtual ns) ==\nname  ");
         has(

@@ -19,7 +19,7 @@
 //!   and retires it at ack / OS-read / eviction; the controller looks
 //!   it up by sub-window when the session closes, so no message
 //!   carries it and no drop, dup or reordering can lose it.
-//! * [`critical_path`] — the analyser: per-name self-time, the
+//! * `critical_path` — the analyser: per-name self-time, the
 //!   longest blocking chain from the root, the fraction of window
 //!   wall latency attributed to named child spans, and SLO/deadline
 //!   violations.
@@ -83,7 +83,7 @@ pub struct Span {
 
 impl Span {
     /// The span's duration in virtual nanoseconds.
-    pub fn duration_ns(&self) -> u64 {
+    pub(crate) fn duration_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
     }
 }
@@ -133,7 +133,7 @@ pub struct Tracer {
 
 impl Tracer {
     /// A tracer with no traces.
-    pub fn new() -> Tracer {
+    pub(crate) fn new() -> Tracer {
         Tracer::default()
     }
 
@@ -141,7 +141,7 @@ impl Tracer {
     /// `"window"` on `side`, starting (and provisionally ending) at
     /// `start_ns`. Returns the new trace id (= root span id). The
     /// sub-window's active-trace slot is repointed here, so later
-    /// [`Tracer::mark`]s land in this trace.
+    /// `Tracer::mark`s land in this trace.
     pub fn start_window(&self, subwindow: u32, side: &str, start_ns: u64) -> u64 {
         let mut inner = self.inner.lock();
         inner.next_id += 1;
@@ -217,7 +217,7 @@ impl Tracer {
     /// Record an engine transition against `subwindow`'s active trace;
     /// a no-op when no trace is active (e.g. engines running without
     /// tracing, or transitions after release).
-    pub fn mark(&self, subwindow: u32, side: &str, event: &str, from: &str, to: &str) {
+    pub(crate) fn mark(&self, subwindow: u32, side: &str, event: &str, from: &str, to: &str) {
         let mut inner = self.inner.lock();
         let Some(trace_id) = inner.active.get(&subwindow).copied() else {
             return;
@@ -255,7 +255,7 @@ impl Tracer {
     }
 }
 
-/// Per-trace critical-path analysis (see [`critical_path`]).
+/// Per-trace critical-path analysis (see `critical_path`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CriticalPath {
     /// Root span duration — the window's wall (virtual-clock) latency.
@@ -320,7 +320,7 @@ fn covered_ns(mut intervals: Vec<(u64, u64)>, lo: u64, hi: u64) -> u64 {
 ///   retransmission round under `collect`).
 ///
 /// `slo` is an optional deadline on the root duration.
-pub fn critical_path(spans: &[Span], root: u64, slo: Option<Duration>) -> CriticalPath {
+pub(crate) fn critical_path(spans: &[Span], root: u64, slo: Option<Duration>) -> CriticalPath {
     let by_id: HashMap<u64, &Span> = spans.iter().map(|s| (s.id, s)).collect();
     let mut children: HashMap<u64, Vec<&Span>> = HashMap::new();
     for s in spans {
@@ -487,7 +487,7 @@ impl TraceReport {
         serde_json::to_string_pretty(self).expect("trace report serializes")
     }
 
-    /// Write the report to `path` and its [`render`](TraceReport::render)ed
+    /// Write the report to `path` and its `render`ed
     /// form beside it as `<stem>.txt`, creating parent directories.
     pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
         crate::render::write_artifact(path, self.to_json(), self.render())

@@ -67,6 +67,7 @@ proptest! {
             ow_obs::RegistrySnapshot::default(),
             Vec::new(),
             Vec::new(),
+            Vec::new(),
         );
         let before = rec.dump("props").expect("frozen").to_json();
         for raw in flood {

@@ -9,8 +9,6 @@
 //! "the stateful operators of Sonata do not handle hash conflicts, which
 //! cannot be avoided by OmniWindow."
 
-use std::collections::HashSet;
-
 use ow_common::afr::AttrValue;
 use ow_common::flowkey::{sort_by_packed_key, FlowKey};
 use ow_common::hash::{mix64, HashFn};
@@ -78,16 +76,6 @@ impl RegisterEngine {
         }
     }
 
-    /// The query being executed.
-    pub fn spec(&self) -> &QuerySpec {
-        &self.spec
-    }
-
-    /// Number of register cells.
-    pub fn slots(&self) -> usize {
-        self.cells.len()
-    }
-
     /// Process one packet (single SALU access per array — C4).
     pub fn update(&mut self, pkt: &Packet) {
         if !(self.spec.filter)(pkt) {
@@ -118,16 +106,6 @@ impl RegisterEngine {
         keys
     }
 
-    /// Report: cells whose statistic passes the predicate report their
-    /// resident key.
-    pub fn report(&self) -> HashSet<FlowKey> {
-        self.cells
-            .iter()
-            .filter(|c| c.key.is_some() && self.spec.passes(&c.attr))
-            .filter_map(|c| c.key)
-            .collect()
-    }
-
     /// Reset all cells (the in-switch reset target).
     pub fn reset(&mut self) {
         let id = AttrValue::identity(self.spec.stat.attr_kind());
@@ -137,9 +115,21 @@ impl RegisterEngine {
         }
     }
 
+    /// Report: cells whose statistic passes the predicate report their
+    /// resident key.
+    #[cfg(test)]
+    pub(crate) fn report(&self) -> std::collections::HashSet<FlowKey> {
+        self.cells
+            .iter()
+            .filter(|c| c.key.is_some() && self.spec.passes(&c.attr))
+            .filter_map(|c| c.key)
+            .collect()
+    }
+
     /// Bytes of register memory this engine occupies (statistic payload
     /// + 13-byte key slot per cell).
-    pub fn memory_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn memory_bytes(&self) -> usize {
         let attr_bytes = match self.spec.stat.attr_kind() {
             ow_common::afr::AttrKind::Frequency | ow_common::afr::AttrKind::Signed => 4,
             ow_common::afr::AttrKind::Max | ow_common::afr::AttrKind::Min => 4,
@@ -153,6 +143,8 @@ impl RegisterEngine {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::spec::standard_queries;
     use ow_common::packet::TcpFlags;

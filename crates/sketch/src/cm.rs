@@ -61,21 +61,6 @@ impl CountMin {
         CountMin::new(rows, width, seed)
     }
 
-    /// Number of rows (depth).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Counters per row (width).
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Raw access to the counter array (state migration path, §8).
-    pub fn counters(&self) -> &[u32] {
-        &self.counters
-    }
-
     /// Merge another instance by element-wise summation — the *state
     /// merging* strategy the paper argues against (§4.1): it works but
     /// amplifies collision error. Exposed for the AFR-vs-state-merge
@@ -207,7 +192,7 @@ mod tests {
     fn with_memory_respects_budget() {
         let cm = CountMin::with_memory(4, 128 * 1024, 7);
         assert_eq!(cm.meta().memory_bytes, 128 * 1024);
-        assert_eq!(cm.width(), 8192);
+        assert_eq!(cm.width, 8192);
     }
 
     #[test]

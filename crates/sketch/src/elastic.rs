@@ -45,7 +45,7 @@ impl ElasticSketch {
     ///
     /// # Panics
     /// Panics if `heavy_buckets == 0`.
-    pub fn new(heavy_buckets: usize, light_bytes: usize, seed: u64) -> ElasticSketch {
+    pub(crate) fn new(heavy_buckets: usize, light_bytes: usize, seed: u64) -> ElasticSketch {
         assert!(heavy_buckets > 0, "ElasticSketch needs heavy buckets");
         ElasticSketch {
             heavy: vec![Bucket::default(); heavy_buckets],

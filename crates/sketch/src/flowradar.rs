@@ -16,7 +16,6 @@ use ow_common::flowkey::{sort_by_packed_key, FlowKey};
 use ow_common::hash::{HashFamily, HashFn};
 
 use crate::bloom::BloomFilter;
-use crate::traits::SketchMeta;
 
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Cell {
@@ -136,17 +135,6 @@ impl FlowRadar {
     pub fn reset(&mut self) {
         self.filter.reset();
         self.cells.fill(Cell::default());
-    }
-
-    /// Resource footprint.
-    pub fn meta(&self) -> SketchMeta {
-        SketchMeta {
-            name: "FlowRadar",
-            memory_bytes: self.filter.meta().memory_bytes + self.cells.len() * 32,
-            register_arrays: 4, // filter + flow_xor + flow_count + packet_count
-            salus_per_packet: self.filter.meta().salus_per_packet + self.hashes.len() * 3,
-            hash_units: self.filter.meta().hash_units + self.hashes.len(),
-        }
     }
 }
 

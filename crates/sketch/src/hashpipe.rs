@@ -54,11 +54,6 @@ impl HashPipe {
         let width = (total_bytes / HASHPIPE_SLOT_BYTES / stages).max(1);
         HashPipe::new(stages, width, seed)
     }
-
-    /// Slots per stage.
-    pub fn width(&self) -> usize {
-        self.width
-    }
 }
 
 impl FrequencySketch for HashPipe {

@@ -9,8 +9,6 @@
 use ow_common::flowkey::FlowKey;
 use ow_common::hash::HashFn;
 
-use crate::traits::SketchMeta;
-
 /// A HyperLogLog estimator with `m = 2^p` one-byte registers.
 ///
 /// ```
@@ -45,7 +43,7 @@ impl HyperLogLog {
     }
 
     /// Number of registers.
-    pub fn m(&self) -> usize {
+    pub(crate) fn m(&self) -> usize {
         self.registers.len()
     }
 
@@ -99,24 +97,9 @@ impl HyperLogLog {
     }
 
     /// Clear all registers.
-    pub fn reset(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&mut self) {
         self.registers.fill(0);
-    }
-
-    /// Raw registers (state-migration export).
-    pub fn registers(&self) -> &[u8] {
-        &self.registers
-    }
-
-    /// Resource footprint.
-    pub fn meta(&self) -> SketchMeta {
-        SketchMeta {
-            name: "HyperLogLog",
-            memory_bytes: self.registers.len(),
-            register_arrays: 1,
-            salus_per_packet: 1,
-            hash_units: 1,
-        }
     }
 }
 

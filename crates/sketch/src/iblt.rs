@@ -144,7 +144,8 @@ impl Iblt {
     }
 
     /// Clear all cells.
-    pub fn reset(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&mut self) {
         self.cells.fill(Cell::default());
     }
 }

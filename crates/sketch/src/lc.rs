@@ -9,8 +9,6 @@
 use ow_common::flowkey::FlowKey;
 use ow_common::hash::HashFn;
 
-use crate::traits::{SketchMeta, SketchObs};
-
 /// A linear-counting bitmap over `m` bits.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinearCounting {
@@ -64,46 +62,9 @@ impl LinearCounting {
     }
 
     /// Clear the bitmap.
-    pub fn reset(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&mut self) {
         self.bits.fill(0);
-    }
-
-    /// Raw bitmap words (state-migration export).
-    pub fn words(&self) -> &[u64] {
-        &self.bits
-    }
-
-    /// Set bits, in permille of the bitmap size. Estimates degrade as
-    /// this climbs; at 1000‰ the formula degenerates to its ceiling.
-    pub fn occupancy_permille(&self) -> u64 {
-        let ones: u64 = self.bits.iter().map(|w| u64::from(w.count_ones())).sum();
-        ones * 1000 / self.nbits as u64
-    }
-
-    /// Whether every bit is set — [`LinearCounting::estimate`] is
-    /// pinned at its (unreachable) upper bound `m·ln(m)`.
-    pub(crate) fn is_saturated(&self) -> bool {
-        self.occupancy_permille() == 1000
-    }
-
-    /// Publish data-quality signals: the occupancy reading, plus one
-    /// saturation event per publish observed while the bitmap is full.
-    pub fn publish_quality(&self, obs: &dyn SketchObs) {
-        obs.occupancy_permille("lc", self.occupancy_permille());
-        if self.is_saturated() {
-            obs.saturations("lc", 1);
-        }
-    }
-
-    /// Resource footprint.
-    pub fn meta(&self) -> SketchMeta {
-        SketchMeta {
-            name: "LinearCounting",
-            memory_bytes: self.bits.len() * 8,
-            register_arrays: 1,
-            salus_per_packet: 1,
-            hash_units: 1,
-        }
     }
 }
 

@@ -52,5 +52,5 @@ pub use lc::LinearCounting;
 pub use mv::MvSketch;
 pub use spread::SpreadSketch;
 pub use sumax::SuMax;
-pub use traits::{FrequencySketch, InvertibleSketch, SketchMeta, SketchObs, SpreadEstimator};
+pub use traits::{FrequencySketch, InvertibleSketch, SketchMeta, SpreadEstimator};
 pub use vbf::VectorBloomFilter;

@@ -12,7 +12,7 @@
 use ow_common::flowkey::{sort_by_packed_key, FlowKey};
 use ow_common::hash::HashFamily;
 
-use crate::traits::{FrequencySketch, InvertibleSketch, SketchMeta, SketchObs};
+use crate::traits::{FrequencySketch, InvertibleSketch, SketchMeta};
 
 /// One MV-Sketch bucket.
 #[derive(Debug, Clone, Copy, Default)]
@@ -44,11 +44,9 @@ pub struct MvSketch {
     width: usize,
     buckets: Vec<Bucket>,
     hashes: HashFamily,
-    /// Updates that landed in a bucket owned by a different candidate
-    /// (drained by [`MvSketch::publish_quality`]).
+    /// Updates that landed in a bucket owned by a different candidate.
     collisions: u64,
-    /// Majority-vote candidate flips (drained by
-    /// [`MvSketch::publish_quality`]).
+    /// Majority-vote candidate flips.
     heavy_evicts: u64,
 }
 
@@ -84,11 +82,6 @@ impl MvSketch {
         MvSketch::new(rows, width, seed)
     }
 
-    /// Buckets per row.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Buckets currently holding a candidate key, in permille of
     /// capacity. A full structure (1000‰) can no longer admit new
     /// candidates without evicting — the leading indicator that recall
@@ -98,26 +91,16 @@ impl MvSketch {
         occupied * 1000 / self.buckets.len() as u64
     }
 
-    /// Undrained hash-collision tally (updates into a foreign
-    /// candidate's bucket) since the last [`MvSketch::publish_quality`].
+    /// Updates that hashed into a bucket owned by a different candidate
+    /// key, since construction or the last `reset`.
     pub fn collisions(&self) -> u64 {
         self.collisions
     }
 
-    /// Undrained candidate-eviction tally since the last
-    /// [`MvSketch::publish_quality`].
+    /// Majority-vote candidate flips (a heavier key replaced the
+    /// bucket's candidate), since construction or the last `reset`.
     pub fn heavy_evicts(&self) -> u64 {
         self.heavy_evicts
-    }
-
-    /// Publish data-quality signals to `obs`: the current occupancy
-    /// reading plus the collision/eviction tallies accumulated since
-    /// the previous publish (the tallies are drained, so periodic
-    /// publishing never double-counts).
-    pub fn publish_quality(&mut self, obs: &dyn SketchObs) {
-        obs.occupancy_permille("mv", self.occupancy_permille());
-        obs.hash_collisions("mv", std::mem::take(&mut self.collisions));
-        obs.heavy_evicts("mv", std::mem::take(&mut self.heavy_evicts));
     }
 }
 
@@ -171,6 +154,8 @@ impl FrequencySketch for MvSketch {
 
     fn reset(&mut self) {
         self.buckets.fill(Bucket::default());
+        self.collisions = 0;
+        self.heavy_evicts = 0;
     }
 
     fn meta(&self) -> SketchMeta {
@@ -249,6 +234,19 @@ mod tests {
     }
 
     #[test]
+    fn reset_zeroes_the_collision_and_evict_tallies() {
+        // One bucket, three keys: every foreign update collides and the
+        // heavier newcomers flip the candidate.
+        let mut mv = MvSketch::new(1, 1, 7);
+        mv.update(&key(1), 1);
+        mv.update(&key(2), 3);
+        mv.update(&key(3), 9);
+        assert_eq!((mv.collisions(), mv.heavy_evicts()), (2, 2));
+        mv.reset();
+        assert_eq!((mv.collisions(), mv.heavy_evicts()), (0, 0));
+    }
+
+    #[test]
     fn majority_vote_flips_candidate() {
         // Single bucket: the later, larger flow must take over the slot.
         let mut mv = MvSketch::new(1, 1, 5);
@@ -264,6 +262,6 @@ mod tests {
     #[test]
     fn with_memory_budget_shapes_width() {
         let mv = MvSketch::with_memory(4, 8 * 1024 * 1024, 6);
-        assert_eq!(mv.width(), 8 * 1024 * 1024 / MV_BUCKET_BYTES / 4);
+        assert_eq!(mv.width, 8 * 1024 * 1024 / MV_BUCKET_BYTES / 4);
     }
 }

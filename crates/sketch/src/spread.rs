@@ -59,11 +59,6 @@ impl SpreadSketch {
         SpreadSketch::new(rows, width, seed)
     }
 
-    /// Buckets per row.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// The distinct-value bitmap backing the key's spread estimate (the
     /// min-estimate row's bucket). This is the distinction AFR OmniWindow
     /// exports for the key: per-sub-window bitmaps union losslessly into

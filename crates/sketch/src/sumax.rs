@@ -42,11 +42,6 @@ impl SuMax {
         SuMax::new(rows, width, seed)
     }
 
-    /// Counters per row.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// The key's cell in every row (the same cells Count-Min would
     /// touch under the same seed).
     fn cell_indices(&self, key: &FlowKey) -> impl Iterator<Item = usize> + Clone {

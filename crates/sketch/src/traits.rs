@@ -62,46 +62,3 @@ pub trait SpreadEstimator {
     /// Resource footprint.
     fn meta(&self) -> SketchMeta;
 }
-
-/// Observer hook for sketch data-quality signals: slot occupancy, hash
-/// collisions, heavy-candidate evictions, decode failures, and bitmap
-/// saturation — the degradation signals that move *before* query
-/// accuracy drops.
-///
-/// `ow-sketch` carries no metrics dependency, so the hook speaks only
-/// names and integers; an observability-backed adapter (the netsim
-/// crate's `ObsSketchObs`) maps the calls onto `ow_sketch_*` series.
-/// Every method defaults to a no-op, letting sketches publish
-/// unconditionally and adapters override only what they chart.
-///
-/// Counter-style methods (`hash_collisions`, `heavy_evicts`,
-/// `decode_failures`, `saturations`) report *increments*: sketches that
-/// accumulate internally drain their tallies when publishing, so
-/// repeated publishes never double-count. Gauge-style methods
-/// (`occupancy_permille`) report absolute readings.
-pub trait SketchObs {
-    /// Occupancy of `sketch`'s slots/cells, in permille of capacity.
-    fn occupancy_permille(&self, sketch: &'static str, permille: u64) {
-        let _ = (sketch, permille);
-    }
-    /// `n` new updates that hashed into a slot owned by a *different*
-    /// candidate key (the raw interference signal).
-    fn hash_collisions(&self, sketch: &'static str, n: u64) {
-        let _ = (sketch, n);
-    }
-    /// `n` new candidate evictions: a majority-vote slot flipped to a
-    /// new key, discarding the previous candidate.
-    fn heavy_evicts(&self, sketch: &'static str, n: u64) {
-        let _ = (sketch, n);
-    }
-    /// `n` new failed decodes (an IBLT/FlowRadar peel that could not
-    /// empty the table — recovered data is incomplete).
-    fn decode_failures(&self, sketch: &'static str, n: u64) {
-        let _ = (sketch, n);
-    }
-    /// `n` cells/bitmaps observed pinned at their ceiling (every bit
-    /// set), where the estimate formula degenerates.
-    fn saturations(&self, sketch: &'static str, n: u64) {
-        let _ = (sketch, n);
-    }
-}

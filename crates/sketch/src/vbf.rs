@@ -16,7 +16,7 @@
 use ow_common::flowkey::{sort_by_packed_key, FlowKey, KeyKind};
 use ow_common::hash::HashFn;
 
-use crate::traits::{SketchMeta, SketchObs, SpreadEstimator};
+use crate::traits::{SketchMeta, SpreadEstimator};
 
 /// Bits per small bitmap (one per (array, index) cell).
 pub const VBF_CELL_BITS: usize = 64;
@@ -135,26 +135,6 @@ impl VectorBloomFilter {
             .collect();
         sort_by_packed_key(&mut keys, |k| *k);
         keys
-    }
-
-    /// Cells whose 64-bit `DistinctBitmap` is fully set: their
-    /// linear-counting estimate is pinned at the ceiling, so spreads
-    /// read through them are unbounded-noise.
-    pub(crate) fn saturated_cells(&self) -> usize {
-        self.bits.iter().filter(|w| **w == u64::MAX).count()
-    }
-
-    /// Publish data-quality signals: overall bit occupancy (permille of
-    /// all cell bits) and the count of saturated cell bitmaps observed
-    /// at this publish.
-    pub fn publish_quality(&self, obs: &dyn SketchObs) {
-        let ones: u64 = self.bits.iter().map(|w| u64::from(w.count_ones())).sum();
-        let total = (self.bits.len() * VBF_CELL_BITS) as u64;
-        obs.occupancy_permille("vbf", ones * 1000 / total);
-        let saturated = self.saturated_cells();
-        if saturated > 0 {
-            obs.saturations("vbf", saturated as u64);
-        }
     }
 }
 

@@ -70,11 +70,6 @@ impl<S: ow_sketch::traits::FrequencySketch> FrequencyApp<S> {
             count_bytes,
         }
     }
-
-    /// Access the wrapped sketch.
-    pub fn sketch(&self) -> &S {
-        &self.sketch
-    }
 }
 
 impl<S: ow_sketch::traits::FrequencySketch> DataPlaneApp for FrequencyApp<S> {

@@ -192,7 +192,7 @@ pub fn collect_and_reset<A: DataPlaneApp>(
 /// switch still has. They are parked here — indexed by sub-window, as a
 /// columnar [`RecordBlock`] (28 bytes a scalar record instead of a
 /// 112-byte row), in cheap DRAM on the switch CPU — until the controller
-/// either confirms completeness ([`RetransmitBuffer::release`]) or gives
+/// either confirms completeness (`RetransmitBuffer::release`) or gives
 /// up on the fast path and reads the whole batch back
 /// ([`RetransmitBuffer::full_batch`],
 /// the OS-path escalation). Retransmission requests replay exactly the
@@ -212,7 +212,7 @@ pub struct RetransmitBuffer {
 
 impl RetransmitBuffer {
     /// A buffer retaining at most `capacity` sub-windows (0 = unbounded).
-    pub fn new(capacity: usize) -> RetransmitBuffer {
+    pub(crate) fn new(capacity: usize) -> RetransmitBuffer {
         RetransmitBuffer {
             batches: BTreeMap::new(),
             capacity,
@@ -225,7 +225,7 @@ impl RetransmitBuffer {
     /// sub-windows (oldest first) so the caller can retire their
     /// lifecycle state; with `capacity == 0` (unbounded) the eviction
     /// path provably never runs and the result is always empty.
-    pub fn retain(&mut self, subwindow: u32, afrs: &[FlowRecord]) -> Vec<u32> {
+    pub(crate) fn retain(&mut self, subwindow: u32, afrs: &[FlowRecord]) -> Vec<u32> {
         self.batches
             .insert(subwindow, RecordBlock::from_records(subwindow, afrs));
         if self.capacity == 0 {
@@ -248,7 +248,7 @@ impl RetransmitBuffer {
     /// [`collect_and_reset`] numbers a batch `0..n`, so a seq
     /// is its own index; a batch with gaps (seqs still ascending) is
     /// binary-searched instead.
-    pub fn retransmit(&self, subwindow: u32, seqs: &[u32]) -> Vec<FlowRecord> {
+    pub(crate) fn retransmit(&self, subwindow: u32, seqs: &[u32]) -> Vec<FlowRecord> {
         let Some(batch) = self.batches.get(&subwindow) else {
             return Vec::new();
         };
@@ -268,18 +268,19 @@ impl RetransmitBuffer {
     }
 
     /// Drop a batch the controller has confirmed complete.
-    pub fn release(&mut self, subwindow: u32) {
+    pub(crate) fn release(&mut self, subwindow: u32) {
         self.batches.remove(&subwindow);
+    }
+
+    /// Batches evicted before the controller released them.
+    #[cfg(test)]
+    pub(crate) fn evicted(&self) -> u64 {
+        self.evicted
     }
 
     /// Sub-windows currently retained, oldest first.
     pub fn retained(&self) -> Vec<u32> {
         self.batches.keys().copied().collect()
-    }
-
-    /// Batches evicted before the controller released them.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
     }
 }
 

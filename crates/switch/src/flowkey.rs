@@ -82,11 +82,6 @@ impl FlowkeyTracker {
         &self.overflow
     }
 
-    /// Array capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Total distinct keys tracked this sub-window (whp; Bloom false
     /// positives can drop a key, mirroring the real structure).
     pub fn total_tracked(&self) -> usize {

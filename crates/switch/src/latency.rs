@@ -45,7 +45,7 @@ pub const TRIGGER_RTT: Duration = Duration::from_micros(100);
 
 /// Time for the switch OS to read `arrays` register arrays of
 /// `entries` entries each (sequential, no concurrency — C1).
-pub fn os_read(arrays: usize, entries: usize) -> Duration {
+pub(crate) fn os_read(arrays: usize, entries: usize) -> Duration {
     OS_READ_PER_ENTRY.saturating_mul((arrays * entries) as u64)
 }
 
@@ -86,7 +86,7 @@ pub(crate) fn rdma_inject(keys: usize) -> Duration {
 }
 
 /// Controller-side time to receive `afrs` AFR reports.
-pub fn receive(afrs: usize, rdma: bool) -> Duration {
+pub(crate) fn receive(afrs: usize, rdma: bool) -> Duration {
     if rdma {
         RDMA_WRITE_PER_AFR.saturating_mul(afrs as u64)
     } else {

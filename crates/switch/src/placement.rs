@@ -240,7 +240,7 @@ pub enum ResourceClass {
 
 impl ResourceClass {
     /// Stable lowercase name used in diagnostics.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             ResourceClass::Stages => "stages",
             ResourceClass::Sram => "sram",

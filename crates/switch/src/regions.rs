@@ -38,7 +38,7 @@ pub struct TwoRegionState<A> {
 impl<A: DataPlaneApp> TwoRegionState<A> {
     /// Create the wrapper from two identically-configured application
     /// instances and two flowkey trackers.
-    pub fn new(
+    pub(crate) fn new(
         region_a: A,
         region_b: A,
         tracker_a: FlowkeyTracker,
@@ -55,7 +55,7 @@ impl<A: DataPlaneApp> TwoRegionState<A> {
     }
 
     /// The active region (current sub-window's state).
-    pub fn active(&self) -> &A {
+    pub(crate) fn active(&self) -> &A {
         &self.regions[self.active]
     }
 
@@ -105,7 +105,7 @@ impl<A: DataPlaneApp> TwoRegionState<A> {
     /// outgoing region will complete (from the latency model).
     ///
     /// Returns the sub-window whose state is now pending collection.
-    pub fn rotate(&mut self, next: u32, now: Instant, cr_finish: Instant) -> u32 {
+    pub(crate) fn rotate(&mut self, next: u32, now: Instant, cr_finish: Instant) -> u32 {
         // If the previous C&R hadn't finished, measuring would have raced
         // with reset — count the overrun (OmniWindow's design goal is that
         // this never happens; TW1 hits it every window).
@@ -128,16 +128,8 @@ impl<A: DataPlaneApp> TwoRegionState<A> {
     }
 
     /// The pending C&R, if any.
-    pub fn pending_cr(&self) -> Option<(u32, Instant)> {
+    pub(crate) fn pending_cr(&self) -> Option<(u32, Instant)> {
         self.pending_cr
-    }
-
-    /// Total memory across both regions in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.regions[0].meta().memory_bytes
-            + self.regions[1].meta().memory_bytes
-            + self.trackers[0].memory_bytes()
-            + self.trackers[1].memory_bytes()
     }
 }
 

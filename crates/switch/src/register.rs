@@ -69,16 +69,6 @@ impl RegisterArray {
         }
     }
 
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the array has no cells (never true; arrays are non-empty).
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     /// Start a new packet pass: the SALU becomes available again.
     ///
     /// Beginning a pass while the previous one was never ended is
@@ -147,11 +137,6 @@ impl RegisterArray {
                 old
             }
         })
-    }
-
-    /// Total SALU operations performed.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
     }
 
     /// Control-plane snapshot (the slow OS path may read freely — it is
@@ -242,7 +227,7 @@ mod tests {
         r.access(2, SaluOp::Write(9)).unwrap();
         r.end_pass();
         assert_eq!(r.snapshot()[2], 9);
-        assert_eq!(r.accesses(), 1, "snapshot is not a SALU access");
+        assert_eq!(r.accesses, 1, "snapshot is not a SALU access");
         assert_eq!(r.leaked_passes(), 0);
     }
 }

@@ -200,11 +200,6 @@ impl<A: DataPlaneApp> Switch<A> {
         self.spikes
     }
 
-    /// Two-region state (for inspection in tests/benches).
-    pub fn state(&self) -> &TwoRegionState<A> {
-        &self.state
-    }
-
     /// The window lifecycle engine — the authoritative per-window phase
     /// of everything this switch has in flight.
     pub fn engine(&self) -> &WindowEngine {

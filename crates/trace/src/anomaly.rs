@@ -120,7 +120,7 @@ impl Anomaly {
     }
 
     /// Append this anomaly's packets to `out`.
-    pub fn inject(&self, out: &mut Vec<Packet>, rng: &mut impl Rng) {
+    pub(crate) fn inject(&self, out: &mut Vec<Packet>, rng: &mut impl Rng) {
         let atk = self.attacker();
         let vic = self.victim();
         match self.kind {

@@ -62,7 +62,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// The stable string form of the code.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             ErrorCode::C4DoubleAccess => "OW-C4-DOUBLE-ACCESS",
             ErrorCode::UnknownRegister => "OW-UNKNOWN-REGISTER",
@@ -137,7 +137,11 @@ pub struct Diagnostic {
 
 impl Diagnostic {
     /// An error-severity diagnostic.
-    pub fn error(code: ErrorCode, context: impl Into<String>, message: impl Into<String>) -> Self {
+    pub(crate) fn error(
+        code: ErrorCode,
+        context: impl Into<String>,
+        message: impl Into<String>,
+    ) -> Self {
         Diagnostic {
             code,
             severity: Severity::Error,
@@ -147,7 +151,7 @@ impl Diagnostic {
     }
 
     /// A warning-severity diagnostic.
-    pub fn warning(
+    pub(crate) fn warning(
         code: ErrorCode,
         context: impl Into<String>,
         message: impl Into<String>,
@@ -161,7 +165,11 @@ impl Diagnostic {
     }
 
     /// A note-severity (informational) diagnostic.
-    pub fn note(code: ErrorCode, context: impl Into<String>, message: impl Into<String>) -> Self {
+    pub(crate) fn note(
+        code: ErrorCode,
+        context: impl Into<String>,
+        message: impl Into<String>,
+    ) -> Self {
         Diagnostic {
             code,
             severity: Severity::Note,

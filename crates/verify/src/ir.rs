@@ -46,7 +46,7 @@ impl RegisterDecl {
     }
 
     /// Total physical cells across all regions.
-    pub fn cells(&self) -> usize {
+    pub(crate) fn cells(&self) -> usize {
         self.regions.saturating_mul(self.region_cells)
     }
 }
@@ -71,7 +71,7 @@ pub enum PacketClass {
 
 impl PacketClass {
     /// Stable lowercase label used in diagnostics and JSON reports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             PacketClass::Normal => "normal",
             PacketClass::Clear => "clear",
@@ -83,7 +83,7 @@ impl PacketClass {
 
     /// Whether packets of this class re-enter the pipeline after a pass,
     /// requiring a static termination bound.
-    pub fn recirculates(&self) -> bool {
+    pub(crate) fn recirculates(&self) -> bool {
         matches!(self, PacketClass::Clear | PacketClass::Recirculated)
     }
 
@@ -144,7 +144,7 @@ pub struct PathDecl {
     pub accesses: Vec<AccessDecl>,
     /// Static bound on recirculations of one packet of this class
     /// (`None` = unknown / unbounded). Required (`Some`, finite) for
-    /// classes where [`PacketClass::recirculates`] holds; a clear-packet
+    /// classes where `PacketClass::recirculates` holds; a clear-packet
     /// sweep, for instance, is bounded by the region's cell count.
     pub max_recirculations: Option<u64>,
 }

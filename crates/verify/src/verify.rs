@@ -73,7 +73,7 @@ impl VerifiedProgram {
     /// the verified declarations — the witness must actually cover what
     /// is about to run — then constructs the pipeline via the unchecked
     /// constructor the witness guards.
-    pub fn build_switch<A: DataPlaneApp>(
+    pub(crate) fn build_switch<A: DataPlaneApp>(
         &self,
         cfg: SwitchConfig,
         region_a: A,

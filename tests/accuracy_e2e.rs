@@ -1,13 +1,15 @@
 //! End-to-end acceptance for the live query-accuracy observatory:
 //!
 //! 1. **Perfect pipeline, perfect score.** A lossless exact-feed fleet
-//!    scores every window at 1000‰ precision/recall and 0‰ AARE, and
-//!    the `OW-HEALTH-4xx` catalog stays silent.
+//!    scores every window at 1000‰ precision/recall and 0‰ AARE, the
+//!    `OW-HEALTH-4xx` catalog stays silent, and no `ow_sketch_*` series
+//!    exists.
 //! 2. **Live ≡ offline.** The scores the observatory publishes while
 //!    the run is still in flight equal — to the permille — what the
 //!    offline `evaluate::score_reports` / `score_estimates` path
 //!    computes over the same windows after the fact.
-//! 3. **Recall collapse pages.** An undersized data-plane sketch fires
+//! 3. **Recall collapse pages.** An undersized data-plane sketch
+//!    publishes its occupancy, collision and eviction readings, fires
 //!    exactly the expected 4xx set, and the critical `OW-HEALTH-404`
 //!    freezes the flight recorder.
 //! 4. **Determinism.** Same-seed runs — threaded workers and all —
@@ -32,7 +34,15 @@ fn lossless_exact_feed_scores_perfectly_and_stays_silent() {
         seed: 7,
         ..FleetConfig::default()
     };
-    let (scorer, engine, _obs) = run_with_accuracy(&cfg);
+    let (scorer, engine, obs) = run_with_accuracy(&cfg);
+    let sketch_series: Vec<String> = (obs.snapshot().metrics.into_iter())
+        .map(|m| m.name)
+        .filter(|name| name.starts_with("ow_sketch_"))
+        .collect();
+    assert!(
+        sketch_series.is_empty(),
+        "an exact feed runs no sketch: {sketch_series:?}"
+    );
     let summary = scorer.summary();
     assert_eq!(summary.windows_scored, 8 * 3);
     assert_eq!(summary.precision_permille, 1000);
@@ -87,12 +97,19 @@ fn live_scores_equal_the_offline_evaluation_path() {
 fn undersized_sketch_fires_the_accuracy_catalog_and_freezes() {
     // Four buckets against a ~20-distinct-key window: most flows are
     // lost in the data plane, invisibly to transport health.
-    let (scorer, engine, _obs) = run_with_accuracy(&accuracy_config(31, Some((1, 4))));
+    let (scorer, engine, obs) = run_with_accuracy(&accuracy_config(31, Some((1, 4))));
     let summary = scorer.summary();
     assert!(
         summary.recall_permille < 500,
         "recall must collapse ({summary:?})"
     );
+    // The fleet publishes the sketch's own readings: every bucket holds
+    // a candidate, and ~20 keys over 4 buckets collide and evict.
+    let snap = obs.snapshot();
+    let mv = [("sketch", "mv")];
+    assert_eq!(snap.value("ow_sketch_occupancy_permille", &mv), 1000);
+    assert!(snap.value("ow_sketch_hash_collisions_total", &mv) > 0);
+    assert!(snap.value("ow_sketch_heavy_evicts_total", &mv) > 0);
     let fired = fired_pairs(&engine);
     let want: BTreeSet<(String, String)> = [
         ("OW-HEALTH-401", "accuracy"),  // recall SLO burn
