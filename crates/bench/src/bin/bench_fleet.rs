@@ -11,10 +11,10 @@
 //!
 //! Nothing here reads the wall clock (the runs last 3–50 ms; speed is
 //! `benchmark/`'s job), so with `--json results/fleet_bench.meta.json`
-//! the report is byte-identical across same-seed processes — CI runs
-//! the binary twice and `cmp`s it. Next to it goes
-//! `fleet_bench.obs.json`, the largest run's metrics snapshot (fleet
-//! gauges included), and its rendered text, `fleet_bench.obs.txt`.
+//! the report is byte-identical across same-seed processes. Next to it
+//! goes `fleet_bench.obs.json`, the largest run's metrics snapshot
+//! (fleet gauges included), and its rendered text,
+//! `fleet_bench.obs.txt`; CI runs the binary twice and `cmp`s all three.
 
 use std::path::Path;
 

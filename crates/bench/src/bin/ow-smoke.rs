@@ -115,10 +115,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         "health_smoke.json",
         serde_json::to_string_pretty(&doc)?,
     )?;
-    // Fleet workers journal from their own router threads: only the
-    // canonical order of the snapshot is seed-deterministic.
-    let snapshot = chaos_obs.report("health_smoke").canonicalized();
-    snapshot.write(&out.join("health_smoke.obs.json"))?;
+    chaos_obs
+        .report("health_smoke")
+        .write(&out.join("health_smoke.obs.json"))?;
     write_dump(&out, "flightrec_health_smoke.json", &chaos)?;
 
     let (exact, _, _) = run_with_accuracy(&accuracy_config(seed, None));
@@ -138,8 +137,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         "accuracy_smoke.json",
         serde_json::to_string_pretty(&doc)?,
     )?;
-    let snapshot = degraded_obs.report("accuracy_smoke").canonicalized();
-    snapshot.write(&out.join("accuracy_smoke.obs.json"))?;
+    degraded_obs
+        .report("accuracy_smoke")
+        .write(&out.join("accuracy_smoke.obs.json"))?;
     write_dump(&out, "flightrec_accuracy_smoke.json", &engine)?;
 
     println!("ow-smoke: seed {seed}, artifacts in {}", out.display());

@@ -37,4 +37,4 @@ pub use live::{LiveController, LiveHandle, ReliableLiveController, ReliableMsg};
 pub use reliability::{AfrTransport, ReliabilityDriver, RetryPolicy, SessionOutcome};
 pub use table::MergeTable;
 pub use timing::{InstrumentedController, OpBreakdown};
-pub use wire::{decode_batch, decode_merged, encode_batch, encode_merged};
+pub use wire::{decode_batch, encode_batch, encode_merged};

@@ -695,7 +695,6 @@ mod tests {
                 .expect("collect span under a live trace");
             let ctx = TraceContext {
                 trace_id: trace,
-                root: trace,
                 collect,
                 anchor_ns: 2_500,
             };

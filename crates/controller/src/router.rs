@@ -403,15 +403,15 @@ impl Router {
         }
         let end = ctx.anchor_ns.saturating_add(metrics.wall_clock.as_nanos());
         if metrics.escalations > 0 {
-            span(ctx.root, "os_read", None, t, end);
+            span(ctx.trace_id, "os_read", None, t, end);
         }
-        if let Some(merge) = span(ctx.root, "merge", None, end, end) {
+        if let Some(merge) = span(ctx.trace_id, "merge", None, end, end) {
             for shard in 0..self.pool.partition.shards() {
                 span(merge, "shard_insert", Some(shard as u32), end, end);
             }
         }
         if scored {
-            span(ctx.root, "accuracy_score", None, end, end);
+            span(ctx.trace_id, "accuracy_score", None, end, end);
         }
         tracer.finish_window(ctx.trace_id, end);
     }
@@ -448,7 +448,7 @@ impl Router {
             let (tracer, at) = (self.obs.tracer(), ctx.anchor_ns);
             tracer.span(
                 ctx.trace_id,
-                ctx.root,
+                ctx.trace_id,
                 "departed",
                 "controller",
                 None,

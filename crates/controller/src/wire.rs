@@ -17,18 +17,19 @@ use ow_common::flowkey::{FlowKey, KeyKind};
 
 /// Encoded size of a flow key.
 const KEY_BYTES: usize = 14;
-/// Smallest encoded attribute: the tag and existence's one byte.
-const MIN_ATTR_BYTES: usize = 2;
+/// Smallest encoded record: key, sub-window, seq, and an existence
+/// attribute (the tag and one byte).
+const MIN_RECORD_BYTES: usize = KEY_BYTES + 8 + 2;
 
-/// Read a `count:u32` header and refuse one that claims more rows than
-/// the bytes behind it could hold at `min_row` bytes each — the count is
-/// the sender's, so nothing is reserved for it until it is plausible.
-fn get_count(b: &mut impl Buf, min_row: usize) -> Result<usize, OwError> {
+/// Read a `count:u32` header and refuse one that claims more records
+/// than the bytes behind it could hold — the count is the sender's, so
+/// nothing is reserved for it until it is plausible.
+fn get_count(b: &mut impl Buf) -> Result<usize, OwError> {
     if b.remaining() < 4 {
         return Err(OwError::Decode("truncated count header".into()));
     }
     let count = b.get_u32() as usize;
-    let fits = b.remaining() / min_row;
+    let fits = b.remaining() / MIN_RECORD_BYTES;
     if count > fits {
         return Err(OwError::Decode(format!(
             "header claims {count} rows, {} bytes hold at most {fits}",
@@ -195,7 +196,7 @@ pub fn encode_batch(records: &[FlowRecord]) -> Bytes {
 
 /// Decode an AFR batch.
 pub fn decode_batch(mut buf: impl Buf) -> Result<Vec<FlowRecord>, OwError> {
-    let count = get_count(&mut buf, KEY_BYTES + 8 + MIN_ATTR_BYTES)?;
+    let count = get_count(&mut buf)?;
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
         let key = get_key(&mut buf)?;
@@ -236,24 +237,6 @@ pub fn encode_merged(entries: &[(FlowKey, AttrValue)]) -> Bytes {
         put_attr(&mut b, attr);
     }
     b.freeze()
-}
-
-/// Decode a merged-table snapshot produced by [`encode_merged`].
-pub fn decode_merged(mut buf: impl Buf) -> Result<Vec<(FlowKey, AttrValue)>, OwError> {
-    let count = get_count(&mut buf, KEY_BYTES + MIN_ATTR_BYTES)?;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let key = get_key(&mut buf)?;
-        let attr = get_attr(&mut buf)?;
-        out.push((key, attr));
-    }
-    if buf.has_remaining() {
-        return Err(OwError::Decode(format!(
-            "{} trailing bytes after snapshot",
-            buf.remaining()
-        )));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -333,14 +316,19 @@ mod tests {
         assert!(decode_batch(&wire[..]).is_err());
     }
 
+    /// Every attribute kind survives the snapshot layout: the count,
+    /// then each pair as the batch codec's key and attribute fields.
     #[test]
     fn merged_snapshot_roundtrips() {
         let entries: Vec<(FlowKey, AttrValue)> = sample().iter().map(|r| (r.key, r.attr)).collect();
-        let wire = encode_merged(&entries);
-        assert_eq!(decode_merged(wire).unwrap(), entries);
-        assert_eq!(decode_merged(encode_merged(&[])).unwrap(), vec![]);
-        let cut = encode_merged(&entries);
-        assert!(decode_merged(&cut[..cut.len() - 2]).is_err());
+        let mut wire = encode_merged(&entries);
+        assert_eq!(wire.get_u32() as usize, entries.len());
+        for (key, attr) in &entries {
+            assert_eq!(get_key(&mut wire).unwrap(), *key);
+            assert_eq!(get_attr(&mut wire).unwrap(), *attr);
+        }
+        assert!(!wire.has_remaining());
+        assert_eq!(&encode_merged(&[])[..], [0u8; 4]);
     }
 
     fn hex(s: &str) -> Vec<u8> {

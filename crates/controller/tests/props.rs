@@ -7,7 +7,7 @@ use ow_common::error::OwError;
 use ow_common::flowkey::FlowKey;
 use ow_controller::table::MergeTable;
 use ow_controller::timing::{InstrumentedController, WindowMode};
-use ow_controller::wire::{decode_batch, decode_merged, encode_batch, encode_merged};
+use ow_controller::wire::{decode_batch, encode_batch};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -274,15 +274,10 @@ proptest! {
             let re = encode_batch(&batch);
             prop_assert_eq!(decode_batch(re).unwrap(), batch);
         }
-        if let Ok(entries) = decode_merged(&data[..]) {
-            let re = encode_merged(&entries);
-            prop_assert_eq!(decode_merged(re).unwrap(), entries);
-        }
         let mut lying = u32::MAX.to_be_bytes().to_vec();
         lying.extend_from_slice(&data);
         let refused = |e: OwError| matches!(e, OwError::Decode(m) if m.contains("claims"));
         prop_assert!(refused(decode_batch(&lying[..]).unwrap_err()));
-        prop_assert!(refused(decode_merged(&lying[..]).unwrap_err()));
 
         let valid: Vec<FlowRecord> = valid
             .into_iter()

@@ -14,7 +14,7 @@ use ow_common::time::Duration;
 use crate::app::HeavyHitterApp;
 use crate::config::WindowConfig;
 use crate::experiments::common::{evaluation_trace_stretched, MechScore, Scale};
-use crate::mechanisms::Lineup;
+use crate::mechanisms::{Ideals, Lineup};
 
 /// Accuracy rows for one window size.
 #[derive(Debug, Clone, Serialize)]
@@ -56,7 +56,8 @@ pub fn run(scale: Scale, window_sizes_ms: &[u64], threshold: u64, seed: u64) -> 
         )
         .expect("geometry valid");
 
-        let lineup = Lineup::run(&app, &trace, &cfg, mem, sub_mem, fk, seed, &[], true);
+        let ideals = Ideals::run(&app, &trace, &cfg);
+        let lineup = Lineup::run(&app, &ideals, mem, sub_mem, fk, seed, &[], true);
         points.push(WindowSizePoint {
             window_ms: win_ms,
             rows: MechScore::rows(&lineup),

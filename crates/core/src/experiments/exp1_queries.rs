@@ -14,7 +14,7 @@ use crate::app::QueryApp;
 use crate::config::WindowConfig;
 use crate::evaluate::union_score;
 use crate::experiments::common::{evaluation_trace, MechScore, Scale};
-use crate::mechanisms::Lineup;
+use crate::mechanisms::{Ideals, Lineup};
 
 /// One query's accuracy rows.
 #[derive(Debug, Clone, Serialize)]
@@ -44,12 +44,13 @@ pub fn run(scale: Scale, seed: u64) -> Exp1Result {
         // Window state sized to the scale's slot budget; sub-windows get
         // 1/4 of the window's memory (paper §9.1).
         let mem = app.memory_for_slots(scale.query_slots());
-        let lineup = Lineup::run(&app, &trace, &cfg, mem, mem / 4, fk, seed, &[], false);
+        let ideals = Ideals::run(&app, &trace, &cfg);
+        let lineup = Lineup::run(&app, &ideals, mem, mem / 4, fk, seed, &[], false);
         // ITW vs ISW compares the *union over time* of detections: every
         // tumbling window is also a sliding position, so ITW's precision
         // is 1.0 by construction and its recall measures the anomalies
         // only a sliding window catches (Figure 1).
-        let itw_vs_isw = union_score(&lineup.itw, &lineup.isw);
+        let itw_vs_isw = union_score(&ideals.itw, &ideals.isw);
         let mut rows = vec![MechScore::new("ITW-vs-ISW", itw_vs_isw)];
         rows.extend(MechScore::rows(&lineup));
 

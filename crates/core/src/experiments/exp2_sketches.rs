@@ -23,7 +23,7 @@ use crate::cardinality::{
 use crate::config::WindowConfig;
 use crate::evaluate::{aare, score_estimates};
 use crate::experiments::common::{evaluation_trace, MechScore, Scale};
-use crate::mechanisms::{Lineup, Mode, TW1_BLACKOUT};
+use crate::mechanisms::{Ideals, Lineup, Mode, TW1_BLACKOUT};
 
 /// Accuracy of one sketch under every window setting.
 #[derive(Debug, Clone, Serialize)]
@@ -59,6 +59,11 @@ fn probe_keys<A: WindowApp>(app: &A, trace: &Trace) -> Vec<FlowKey> {
     v
 }
 
+/// Q8's super-spreader threshold (distinct destinations per source).
+const SPREAD_THRESHOLD: u64 = 80;
+/// Q9's heavy-hitter threshold (packets per five-tuple).
+const HH_THRESHOLD: u64 = 120;
+
 /// The inputs every sketch of the experiment shares.
 struct Setup {
     trace: Trace,
@@ -73,22 +78,39 @@ struct Setup {
 }
 
 impl Setup {
-    fn lineup<A: WindowApp>(&self, app: &A, probes: &[FlowKey]) -> Lineup {
-        let (trace, cfg, s) = (&self.trace, &self.cfg, self.scale);
+    fn lineup<'a, A: WindowApp>(
+        &self,
+        app: &A,
+        ideals: &'a Ideals,
+        probes: &[FlowKey],
+    ) -> Lineup<'a> {
+        let s = self.scale;
         let (mem, sub_mem, fk) = (s.window_memory(), s.subwindow_memory(), s.fk_capacity());
-        Lineup::run(app, trace, cfg, mem, sub_mem, fk, self.seed, probes, true)
+        Lineup::run(app, ideals, mem, sub_mem, fk, self.seed, probes, true)
     }
 
     /// Precision/recall rows of a detection sketch.
-    fn detection<A: WindowApp>(&self, query: &str, sketch: &str, app: &A) -> SketchAccuracy {
-        let rows = MechScore::rows(&self.lineup(app, &[]));
+    fn detection<A: WindowApp>(
+        &self,
+        query: &str,
+        sketch: &str,
+        app: &A,
+        ideals: &Ideals,
+    ) -> SketchAccuracy {
+        let rows = MechScore::rows(&self.lineup(app, ideals, &[]));
         SketchAccuracy::new(query, sketch, rows, vec![])
     }
 
     /// Relative-error rows of an estimation sketch, over every key.
-    fn errors<A: WindowApp>(&self, query: &str, sketch: &str, app: &A) -> SketchAccuracy {
+    fn errors<A: WindowApp>(
+        &self,
+        query: &str,
+        sketch: &str,
+        app: &A,
+        ideals: &Ideals,
+    ) -> SketchAccuracy {
         let errors = self
-            .lineup(app, &probe_keys(app, &self.trace))
+            .lineup(app, ideals, &probe_keys(app, &self.trace))
             .scores(score_estimates)
             .map(|(name, error)| (name.to_string(), error))
             .collect();
@@ -133,8 +155,6 @@ pub fn run(scale: Scale, seed: u64) -> Exp2Result {
         scale,
         seed,
     };
-    // Q8: super-spreaders; Q9: heavy hitters (packets per five-tuple).
-    let (spread_threshold, hh_threshold) = (80, 120);
     // Q11: window instances get the full window budget, sub-window
     // instances the sub-window budget.
     let lc_bits_win = scale.window_memory() * 8 / 16; // bits
@@ -143,21 +163,37 @@ pub fn run(scale: Scale, seed: u64) -> Exp2Result {
         Scale::Small => 12,
         Scale::Paper => 14,
     };
-    let sketches = vec![
-        x.detection("Q8", "SpreadSketch", &SpreadApp::new(spread_threshold)),
-        x.detection("Q8", "VectorBloomFilter", &VbfApp::new(spread_threshold)),
-        x.detection("Q9", "MvSketch", &HeavyHitterApp::mv(hh_threshold)),
-        x.detection("Q9", "HashPipe", &HeavyHitterApp::hashpipe(hh_threshold)),
-        // Extension beyond the paper's eight: Elastic Sketch (§4.2's
-        // heavy-keys-only example) under the same window settings.
-        x.detection(
-            "Q9",
-            "ElasticSketch",
-            &HeavyHitterApp::elastic(hh_threshold),
-        ),
-        // Q10: per-flow size (bytes), scored by ARE; the apps never report.
-        x.errors("Q10", "CountMin", &SizeApp::count_min(u64::MAX)),
-        x.errors("Q10", "SuMax", &SizeApp::sumax(u64::MAX)),
+    // Each query's sketches differ only in their sketch, so they share
+    // one ideal pair; it is replaced query by query to hold one at a time.
+    let (spread, vbf) = (
+        SpreadApp::new(SPREAD_THRESHOLD),
+        VbfApp::new(SPREAD_THRESHOLD),
+    );
+    let mut ideals = Ideals::run(&spread, &x.trace, &x.cfg);
+    let mut sketches = vec![
+        x.detection("Q8", "SpreadSketch", &spread, &ideals),
+        x.detection("Q8", "VectorBloomFilter", &vbf, &ideals),
+    ];
+    let mv = HeavyHitterApp::mv(HH_THRESHOLD);
+    let hashpipe = HeavyHitterApp::hashpipe(HH_THRESHOLD);
+    // Extension beyond the paper's eight: Elastic Sketch (§4.2's
+    // heavy-keys-only example) under the same window settings.
+    let elastic = HeavyHitterApp::elastic(HH_THRESHOLD);
+    ideals = Ideals::run(&mv, &x.trace, &x.cfg);
+    sketches.extend([
+        x.detection("Q9", "MvSketch", &mv, &ideals),
+        x.detection("Q9", "HashPipe", &hashpipe, &ideals),
+        x.detection("Q9", "ElasticSketch", &elastic, &ideals),
+    ]);
+    // Q10: per-flow size (bytes), scored by ARE; the apps never report.
+    let (count_min, sumax) = (SizeApp::count_min(u64::MAX), SizeApp::sumax(u64::MAX));
+    ideals = Ideals::run(&count_min, &x.trace, &x.cfg);
+    sketches.extend([
+        x.errors("Q10", "CountMin", &count_min, &ideals),
+        x.errors("Q10", "SuMax", &sumax, &ideals),
+    ]);
+    drop(ideals);
+    sketches.extend([
         x.cardinality(
             "LinearCounting",
             Estimator::LinearCounting { bits: lc_bits_win },
@@ -174,7 +210,7 @@ pub fn run(scale: Scale, seed: u64) -> Exp2Result {
                 precision: hll_p_win - 2,
             },
         ),
-    ];
+    ]);
     Exp2Result { sketches }
 }
 
@@ -208,5 +244,33 @@ impl SketchAccuracy {
             .iter()
             .find(|(m, _)| m == mechanism)
             .map(|(_, e)| *e)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mechanisms::WindowResult;
+
+    fn pair<A: WindowApp>(app: &A, trace: &Trace) -> (Vec<WindowResult>, Vec<WindowResult>) {
+        let cfg = WindowConfig::paper_default();
+        let ideals = Ideals::run(app, trace, &cfg);
+        (ideals.itw, ideals.isw)
+    }
+
+    /// The ideals read only an app's exact half, so the pair `run`
+    /// shares within a query is each of that query's sketches' own.
+    #[test]
+    fn each_querys_sketches_share_one_ideal_pair() {
+        let trace = evaluation_trace(Scale::Tiny, 7);
+        let q8 = pair(&SpreadApp::new(SPREAD_THRESHOLD), &trace);
+        assert_eq!(pair(&VbfApp::new(SPREAD_THRESHOLD), &trace), q8);
+        let q9 = pair(&HeavyHitterApp::mv(HH_THRESHOLD), &trace);
+        assert_eq!(pair(&HeavyHitterApp::hashpipe(HH_THRESHOLD), &trace), q9);
+        assert_eq!(pair(&HeavyHitterApp::elastic(HH_THRESHOLD), &trace), q9);
+        let q10 = pair(&SizeApp::count_min(u64::MAX), &trace);
+        assert_eq!(pair(&SizeApp::sumax(u64::MAX), &trace), q10);
+        assert!(q9.0.iter().any(|w| !w.reported.is_empty()), "Q9 reports");
+        assert_ne!(q9, q10, "a packet count and a byte count differ");
     }
 }

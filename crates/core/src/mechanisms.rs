@@ -38,7 +38,7 @@ pub enum Mode {
 }
 
 /// One window's outcome from a mechanism.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowResult {
     /// Window index (tumbling index or sliding position).
     pub index: usize,
@@ -493,37 +493,59 @@ pub(crate) fn run_sliding_sketch<A: WindowApp>(
 /// + clearing a Sonata-scale register array via PCIe.
 pub(crate) const TW1_BLACKOUT: Duration = Duration::from_millis(60);
 
-/// One evaluation run of every compared mechanism, with the two ideals
-/// they are scored against.
-pub(crate) struct Lineup {
+/// The two error-free references of one app over one trace, which a
+/// [`Lineup`] over the same trace and geometry is scored against. They
+/// read only the app's exact half (`key_kind`, `filter`, `exact_new`,
+/// `exact_update`, `passes_exact`), so apps that differ only in their
+/// sketch share one pair.
+pub(crate) struct Ideals<'t> {
+    trace: &'t Trace,
+    cfg: &'t WindowConfig,
     /// ITW: the reference of the tumbling mechanisms.
     pub(crate) itw: Vec<WindowResult>,
     /// ISW: the reference of the sliding mechanisms.
     pub(crate) isw: Vec<WindowResult>,
+}
+
+impl<'t> Ideals<'t> {
+    /// Run ITW and ISW.
+    pub(crate) fn run<A: WindowApp>(app: &A, trace: &'t Trace, cfg: &'t WindowConfig) -> Self {
+        Ideals {
+            trace,
+            cfg,
+            itw: run_ideal(app, trace, cfg, Mode::Tumbling),
+            isw: run_ideal(app, trace, cfg, Mode::Sliding),
+        }
+    }
+}
+
+/// One evaluation run of every compared mechanism, with the two ideals
+/// they are scored against.
+pub(crate) struct Lineup<'a> {
+    ideals: &'a Ideals<'a>,
     /// TW1, TW2, OTW, OSW and SS (when run), each with its mode.
     compared: Vec<(&'static str, Mode, Vec<WindowResult>)>,
 }
 
-impl Lineup {
-    /// Run ITW and ISW; TW1, TW2 and (with `sliding_sketch`; Figure 7
-    /// plots no SS) SS on `mem` bytes of window state; OTW and OSW on
-    /// `sub_mem` bytes per sub-window and an `fk`-slot flowkey array.
+impl<'a> Lineup<'a> {
+    /// Run TW1, TW2 and (with `sliding_sketch`; Figure 7 plots no SS)
+    /// SS on `mem` bytes of window state, and OTW and OSW on `sub_mem`
+    /// bytes per sub-window and an `fk`-slot flowkey array, over the
+    /// trace of `app`'s `ideals`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run<A: WindowApp>(
         app: &A,
-        trace: &Trace,
-        cfg: &WindowConfig,
+        ideals: &'a Ideals<'a>,
         mem: usize,
         sub_mem: usize,
         fk: usize,
         seed: u64,
         probes: &[FlowKey],
         sliding_sketch: bool,
-    ) -> Lineup {
+    ) -> Lineup<'a> {
+        let (trace, cfg) = (ideals.trace, ideals.cfg);
         let tw = |blackout| run_conventional_tw(app, trace, cfg, mem, blackout, seed, probes);
         let ow = |mode| run_omniwindow_probed(app, trace, cfg, mode, sub_mem, fk, seed, probes);
-        let itw = run_ideal(app, trace, cfg, Mode::Tumbling);
-        let isw = run_ideal(app, trace, cfg, Mode::Sliding);
         let mut compared = vec![
             ("TW1", Mode::Tumbling, tw(TW1_BLACKOUT)),
             ("TW2", Mode::Tumbling, tw(Duration::ZERO)),
@@ -534,19 +556,19 @@ impl Lineup {
             let ss = run_sliding_sketch(app, trace, cfg, mem, seed, probes);
             compared.push(("SS", Mode::Sliding, ss));
         }
-        Lineup { itw, isw, compared }
+        Lineup { ideals, compared }
     }
 
     /// Score every compared mechanism against its ideal: ITW for the
     /// tumbling ones, ISW for the sliding ones.
-    pub(crate) fn scores<'a, T>(
-        &'a self,
-        score: impl Fn(&[WindowResult], &[WindowResult]) -> T + 'a,
-    ) -> impl Iterator<Item = (&'static str, T)> + 'a {
+    pub(crate) fn scores<'s, T>(
+        &'s self,
+        score: impl Fn(&[WindowResult], &[WindowResult]) -> T + 's,
+    ) -> impl Iterator<Item = (&'static str, T)> + 's {
         self.compared.iter().map(move |(name, mode, results)| {
             let ideal = match mode {
-                Mode::Tumbling => &self.itw,
-                Mode::Sliding => &self.isw,
+                Mode::Tumbling => &self.ideals.itw,
+                Mode::Sliding => &self.ideals.isw,
             };
             (*name, score(results, ideal))
         })

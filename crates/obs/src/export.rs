@@ -27,7 +27,10 @@ pub struct ObsReport {
     /// Events the bounded ring discarded (also surfaced as the
     /// `ow_obs_journal_dropped_total` counter in `registry`).
     pub events_dropped: u64,
-    /// The retained journal tail, oldest first.
+    /// The retained journal tail in the flight recorder's canonical
+    /// order, `seq` renumbered to match. A run whose emitters share the
+    /// journal across threads (fleet workers) is seed-deterministic only
+    /// as an event *multiset*, so recording order is not kept.
     pub events: Vec<Event>,
 }
 
@@ -38,25 +41,18 @@ impl ObsReport {
         registry: &crate::MetricsRegistry,
         journal: &EventJournal,
     ) -> ObsReport {
+        let mut events = journal.events();
+        events.sort_by_cached_key(|e| FlightEntry::from(e));
+        for (seq, event) in events.iter_mut().enumerate() {
+            event.seq = seq as u64;
+        }
         ObsReport {
             run: run.to_string(),
             registry: registry.snapshot(),
             events_recorded: journal.total_recorded(),
             events_dropped: journal.dropped_total(),
-            events: journal.events(),
+            events,
         }
-    }
-
-    /// The report with its journal in the flight recorder's canonical
-    /// order and `seq` renumbered to match. A run whose emitters share
-    /// the journal across threads (fleet workers) is seed-deterministic
-    /// only as an event *multiset*; this is the form to write or `cmp`.
-    pub fn canonicalized(mut self) -> ObsReport {
-        self.events.sort_by_cached_key(|e| FlightEntry::from(e));
-        for (seq, event) in self.events.iter_mut().enumerate() {
-            event.seq = seq as u64;
-        }
-        self
     }
 
     /// Pretty-printed JSON (the byte-stable form the determinism
@@ -80,19 +76,13 @@ mod tests {
     #[test]
     fn canonicalized_is_independent_of_recording_order() {
         // Events tying on (at_ns, kind, subwindow, message) and
-        // differing only in shard, phase or level — the ties a racy
+        // differing only in phase or level — the ties a racy
         // interleaving can reorder — plus untimestamped ones.
         let events = || {
             vec![
-                Event {
-                    shard: Some(1),
-                    ..Event::new("merge", "done").subwindow(3)
-                },
-                Event {
-                    shard: Some(0),
-                    ..Event::new("merge", "done").subwindow(3)
-                },
                 Event::new("merge", "done").subwindow(3).phase("sealed"),
+                Event::new("merge", "done").subwindow(3).phase("merged"),
+                Event::new("merge", "done").subwindow(3),
                 Event::new("merge", "done").subwindow(3).warn(),
                 Event::new("progress", "b"),
                 Event::new("progress", "a"),
@@ -104,9 +94,7 @@ mod tests {
             for e in order {
                 journal.record(e);
             }
-            ObsReport::capture("unit", &reg, &journal)
-                .canonicalized()
-                .to_json()
+            ObsReport::capture("unit", &reg, &journal).to_json()
         };
         let mut reversed = events();
         reversed.reverse();

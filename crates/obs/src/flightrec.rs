@@ -1,55 +1,32 @@
-//! The black-box flight recorder.
+//! The black-box post-mortem.
 //!
-//! A bounded ring of recent observability context — per-tick
-//! rule-signal readings and tick summaries — that [`freeze`]s the
-//! moment something goes badly wrong (a [`crate::health`] rule firing
-//! at `Severity::Critical`, or a `WindowFsm` invariant rejection) and
-//! becomes a deterministic `results/flightrec_*.json` post-mortem: the
-//! retained ring joined by the journal's events at the freeze, the full
-//! registry snapshot at the freeze instant, a brief of every causal
+//! When something goes badly wrong (a [`crate::health`] rule firing at
+//! `Severity::Critical`, or a `WindowFsm` invariant rejection) the
+//! health engine freezes a [`FlightDump`], which becomes a deterministic
+//! `results/flightrec_*.json`: the signal readings and tick line of the
+//! most recent tick joined by the journal's events at the freeze, the
+//! full registry snapshot at the freeze instant, a brief of every causal
 //! span tree, and the health-alert timeline.
 //! Chaos failures become diagnosable artifacts instead of log
 //! archaeology.
 //!
-//! The ring is bounded by **both** an entry count and a byte budget
-//! ([`FlightRecorderConfig`]); eviction is oldest-first, and the dump
-//! canonicalizes entry order by `(at_ns, kind, detail)` with journal
+//! The dump orders its entries by `(at_ns, kind, detail)` with journal
 //! sequence numbers stripped, so two same-seed runs — whose journal
 //! *multiset* is deterministic even when cross-thread interleaving is
 //! not — dump byte-identical post-mortems.
-//!
-//! [`freeze`]: FlightRecorder::freeze
 
-use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
 
 use serde::Serialize;
 
 use crate::health::AlertEvent;
-use crate::journal::{Event, Level};
-use crate::registry::RegistrySnapshot;
+use crate::journal::{Event, EventJournal, Level};
+use crate::registry::{MetricSnapshot, RegistrySnapshot};
+use crate::span::{TraceReport, Tracer};
 
-/// Byte/entry bounds of the recorder ring.
-#[derive(Debug, Clone, Copy)]
-pub struct FlightRecorderConfig {
-    /// Maximum retained entries.
-    pub max_entries: usize,
-    /// Maximum total `FlightEntry::cost` bytes retained.
-    pub max_bytes: usize,
-}
-
-impl Default for FlightRecorderConfig {
-    fn default() -> FlightRecorderConfig {
-        FlightRecorderConfig {
-            max_entries: 8192,
-            max_bytes: 1 << 20,
-        }
-    }
-}
-
-/// One retained black-box entry: a journal event, a rule-signal
-/// reading, or a tick summary, pre-rendered to a canonical line.
+/// One black-box entry: a journal event, a rule-signal reading, or a
+/// tick summary, pre-rendered to a canonical line.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub struct FlightEntry {
     /// Virtual-clock timestamp (0 when the source carried none).
@@ -59,13 +36,6 @@ pub struct FlightEntry {
     /// Canonical rendered detail (journal sequence numbers excluded so
     /// same-seed runs match byte for byte).
     pub detail: String,
-}
-
-impl FlightEntry {
-    /// Accounting size of this entry against the byte budget.
-    pub(crate) fn cost(&self) -> usize {
-        16 + self.kind.len() + self.detail.len()
-    }
 }
 
 /// A journal event's canonical line. The sequence number is left out:
@@ -109,13 +79,9 @@ pub struct FlightDump {
     pub freeze_reason: String,
     /// Virtual-clock instant of the freeze.
     pub frozen_at_ns: u64,
-    /// Signal and tick lines the bounded ring evicted (or rejected as
-    /// oversized) before the freeze. Journal events never enter the
-    /// ring: the journal's own ring bounds them, so they are not
-    /// counted here.
-    pub entries_dropped: u64,
-    /// The retained ring and the journal's events at the freeze, in
-    /// canonical `(at_ns, kind, detail)` order.
+    /// The freezing tick's signal and tick lines (none when no tick
+    /// ran) and the journal's events at the freeze, in canonical
+    /// `(at_ns, kind, detail)` order.
     pub entries: Vec<FlightEntry>,
     /// Full registry snapshot at the freeze instant.
     pub registry: RegistrySnapshot,
@@ -126,6 +92,45 @@ pub struct FlightDump {
 }
 
 impl FlightDump {
+    /// Assemble the post-mortem at a freeze: `last_tick`'s lines joined
+    /// by `journal`'s retained events (read once), `metrics` in series
+    /// order, and a brief of every span tree in `tracer`. `run` is left
+    /// empty; [`crate::HealthEngine::flight_dump`] names it.
+    pub(crate) fn capture(
+        reason: String,
+        at_ns: u64,
+        last_tick: &[FlightEntry],
+        journal: &EventJournal,
+        mut metrics: Vec<MetricSnapshot>,
+        tracer: &Tracer,
+        timeline: Vec<AlertEvent>,
+    ) -> FlightDump {
+        let mut entries: Vec<FlightEntry> =
+            journal.events().iter().map(FlightEntry::from).collect();
+        entries.extend_from_slice(last_tick);
+        entries.sort();
+        metrics.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        let traces = TraceReport::capture("flightrec", tracer, None)
+            .traces
+            .iter()
+            .map(|t| TraceBrief {
+                trace_id: t.trace_id,
+                subwindow: t.subwindow,
+                spans: t.spans.len() as u64,
+                wall_ns: t.critical_path.wall_ns,
+            })
+            .collect();
+        FlightDump {
+            run: String::new(),
+            freeze_reason: reason,
+            frozen_at_ns: at_ns,
+            entries,
+            registry: RegistrySnapshot { metrics },
+            traces,
+            timeline,
+        }
+    }
+
     /// Pretty-printed JSON (the byte-stable form the CI determinism
     /// gate compares with `cmp`).
     pub fn to_json(&self) -> String {
@@ -163,264 +168,90 @@ impl FlightDump {
     }
 }
 
-/// What the freeze captured (set once, first trigger wins).
-#[derive(Debug)]
-struct FrozenState {
-    reason: String,
-    at_ns: u64,
-    registry: RegistrySnapshot,
-    traces: Vec<TraceBrief>,
-    timeline: Vec<AlertEvent>,
-    events: Vec<FlightEntry>,
-}
-
-/// The bounded black-box ring. Owned by the health engine (single
-/// writer behind its lock); not internally synchronized.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    cfg: FlightRecorderConfig,
-    ring: VecDeque<FlightEntry>,
-    bytes: usize,
-    dropped: u64,
-    frozen: Option<FrozenState>,
-}
-
-impl FlightRecorder {
-    /// An empty recorder with the given bounds.
-    pub fn new(cfg: FlightRecorderConfig) -> FlightRecorder {
-        FlightRecorder {
-            cfg: FlightRecorderConfig {
-                max_entries: cfg.max_entries.max(1),
-                max_bytes: cfg.max_bytes.max(1),
-            },
-            ring: VecDeque::new(),
-            bytes: 0,
-            dropped: 0,
-            frozen: None,
-        }
-    }
-
-    /// Append an entry, evicting oldest-first until both bounds hold.
-    /// After a freeze this is a no-op (the black box stops recording).
-    /// An entry whose own cost exceeds the byte budget is dropped
-    /// outright rather than blowing the bound.
-    pub fn record(&mut self, entry: FlightEntry) {
-        if self.frozen.is_some() {
-            return;
-        }
-        let cost = entry.cost();
-        if cost > self.cfg.max_bytes {
-            self.dropped += 1;
-            return;
-        }
-        while self.ring.len() >= self.cfg.max_entries || self.bytes + cost > self.cfg.max_bytes {
-            match self.ring.pop_front() {
-                Some(old) => {
-                    self.bytes -= old.cost();
-                    self.dropped += 1;
-                }
-                None => break,
-            }
-        }
-        self.bytes += cost;
-        self.ring.push_back(entry);
-    }
-
-    /// Freeze the recorder with the post-mortem context; `events` (the
-    /// journal's, read at the freeze) join the dump beside the ring
-    /// without evicting from it. The first trigger wins; later freezes
-    /// are ignored so the dump reflects the *initial* failure, not the
-    /// last symptom.
-    pub fn freeze(
-        &mut self,
-        reason: &str,
-        at_ns: u64,
-        registry: RegistrySnapshot,
-        traces: Vec<TraceBrief>,
-        timeline: Vec<AlertEvent>,
-        events: Vec<FlightEntry>,
-    ) {
-        if self.frozen.is_some() {
-            return;
-        }
-        self.frozen = Some(FrozenState {
-            reason: reason.to_string(),
-            at_ns,
-            registry,
-            traces,
-            timeline,
-            events,
-        });
-    }
-
-    /// Whether a freeze already happened.
-    pub(crate) fn is_frozen(&self) -> bool {
-        self.frozen.is_some()
-    }
-
-    /// Retained entry count.
-    pub fn entry_count(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Retained byte total (sum of entry costs).
-    pub fn byte_usage(&self) -> usize {
-        self.bytes
-    }
-
-    /// Entries evicted (or oversized-rejected) so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The frozen post-mortem, if a freeze happened; entries in
-    /// canonical order.
-    pub fn dump(&self, run: &str) -> Option<FlightDump> {
-        let frozen = self.frozen.as_ref()?;
-        let mut entries: Vec<FlightEntry> = self.ring.iter().cloned().collect();
-        entries.extend(frozen.events.iter().cloned());
-        entries.sort();
-        let mut traces = frozen.traces.clone();
-        traces.sort_by_key(|t| t.trace_id);
-        Some(FlightDump {
-            run: run.to_string(),
-            freeze_reason: frozen.reason.clone(),
-            frozen_at_ns: frozen.at_ns,
-            entries_dropped: self.dropped,
-            entries,
-            registry: frozen.registry.clone(),
-            traces,
-            timeline: frozen.timeline.clone(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::health::RuleSet;
+    use crate::Obs;
+    use ow_common::time::Instant;
 
-    fn entry(i: u64, detail: &str) -> FlightEntry {
-        FlightEntry {
-            at_ns: i,
-            kind: "event".into(),
-            detail: detail.to_string(),
-        }
+    fn event(obs: &Obs, at_ns: u64, message: &str) {
+        obs.event(Event::new("unit", message).at(Instant(at_ns)));
     }
 
-    #[test]
-    fn ring_enforces_entry_bound_oldest_first() {
-        let mut rec = FlightRecorder::new(FlightRecorderConfig {
-            max_entries: 3,
-            max_bytes: 1 << 20,
-        });
-        for i in 0..5 {
-            rec.record(entry(i, "x"));
-        }
-        assert_eq!(rec.entry_count(), 3);
-        assert_eq!(rec.dropped(), 2);
-        let dumpless = rec.dump("unit");
-        assert!(dumpless.is_none(), "no dump before a freeze");
-    }
-
-    #[test]
-    fn ring_enforces_byte_bound() {
-        let cfg = FlightRecorderConfig {
-            max_entries: 1000,
-            max_bytes: 100,
-        };
-        let mut rec = FlightRecorder::new(cfg);
-        for i in 0..50 {
-            rec.record(entry(i, "0123456789"));
-            assert!(rec.byte_usage() <= cfg.max_bytes);
-        }
-        assert!(rec.dropped() > 0);
-        // One entry bigger than the whole budget is rejected outright.
-        let before = rec.entry_count();
-        rec.record(entry(99, &"y".repeat(200)));
-        assert_eq!(rec.entry_count(), before);
-        assert!(rec.byte_usage() <= cfg.max_bytes);
+    /// `(kind, detail)` of every entry, in dump order.
+    fn lines(dump: &FlightDump) -> Vec<(&str, &str)> {
+        (dump.entries.iter())
+            .map(|e| (e.kind.as_str(), e.detail.as_str()))
+            .collect()
     }
 
     #[test]
     fn freeze_is_first_wins_and_stops_recording() {
-        let mut rec = FlightRecorder::new(FlightRecorderConfig::default());
-        rec.record(entry(5, "before"));
-        rec.freeze(
-            "first failure",
-            10,
-            RegistrySnapshot::default(),
-            vec![],
-            vec![],
-            vec![],
-        );
-        rec.freeze(
-            "second failure",
-            20,
-            RegistrySnapshot::default(),
-            vec![],
-            vec![],
-            vec![],
-        );
-        rec.record(entry(30, "after"));
-        let dump = rec.dump("unit").expect("frozen");
-        assert_eq!(dump.freeze_reason, "first failure");
+        let obs = Obs::new();
+        let engine = obs.install_health(RuleSet::default());
+        engine.tick(Instant(10));
+        engine.fsm_invariant_rejected("controller", 1, "first failure");
+        engine.fsm_invariant_rejected("controller", 2, "second failure");
+        engine.tick(Instant(30));
+        event(&obs, 30, "after");
+        let dump = engine.flight_dump("unit").expect("frozen");
+        assert!(dump.freeze_reason.ends_with("first failure"));
         assert_eq!(dump.frozen_at_ns, 10);
-        assert_eq!(dump.entries.len(), 1, "post-freeze entries ignored");
-        assert_eq!(dump.entries[0].detail, "before");
+        assert_eq!(dump.timeline.len(), 1, "later alerts are not in the dump");
+        assert_eq!(
+            lines(&dump),
+            vec![
+                ("event", "warn health_alert [sw=1]: OW-HEALTH-001 fsm_invariant_rejected fired for controller:1: first failure"),
+                ("tick", "tick=0 fleet_score=1000 active_alerts=0"),
+            ],
+            "post-freeze lines ignored"
+        );
     }
 
     #[test]
     fn journal_events_join_the_dump_without_evicting_ring_lines() {
-        let mut rec = FlightRecorder::new(FlightRecorderConfig {
-            max_entries: 1,
-            max_bytes: 1 << 20,
-        });
-        rec.record(entry(2, "tick line"));
-        let events = vec![entry(1, "journal a"), entry(3, "journal b")];
-        rec.freeze(
-            "unit",
-            3,
-            RegistrySnapshot::default(),
-            vec![],
-            vec![],
-            events,
+        let obs = Obs::new();
+        let engine = obs.install_health(RuleSet::default());
+        event(&obs, 1, "journal a");
+        event(&obs, 3, "journal b");
+        engine.tick(Instant(2));
+        engine.fsm_invariant_rejected("switch", 4, "unit");
+        let dump = engine.flight_dump("unit").expect("frozen");
+        assert_eq!(
+            lines(&dump),
+            vec![
+                ("event", "warn health_alert [sw=4]: OW-HEALTH-001 fsm_invariant_rejected fired for switch:4: unit"),
+                ("event", "info unit: journal a"),
+                ("tick", "tick=0 fleet_score=1000 active_alerts=0"),
+                ("event", "info unit: journal b"),
+            ]
         );
-        let dump = rec.dump("unit").expect("frozen");
-        let order: Vec<&str> = dump.entries.iter().map(|e| e.detail.as_str()).collect();
-        assert_eq!(order, vec!["journal a", "tick line", "journal b"]);
-        assert_eq!(dump.entries_dropped, 0);
     }
 
     #[test]
     fn dump_is_canonically_ordered_and_schema_valid() {
-        let mut rec = FlightRecorder::new(FlightRecorderConfig::default());
-        rec.record(entry(9, "late"));
-        rec.record(entry(1, "early"));
-        rec.record(FlightEntry {
-            at_ns: 1,
-            kind: "tick".into(),
-            detail: "tick=0".into(),
-        });
-        rec.freeze(
-            "unit test",
-            9,
-            RegistrySnapshot::default(),
-            vec![],
-            vec![],
-            vec![],
-        );
-        let dump = rec.dump("unit").expect("frozen");
+        let obs = Obs::new();
+        let engine = obs.install_health(RuleSet::default());
+        event(&obs, 9, "late");
+        event(&obs, 1, "early");
+        engine.fsm_invariant_rejected("controller", 0, "no tick ran");
+        let dump = engine.flight_dump("unit").expect("frozen");
         let order: Vec<&str> = dump.entries.iter().map(|e| e.detail.as_str()).collect();
-        assert_eq!(order, vec!["early", "tick=0", "late"]);
+        assert_eq!(order[1..], ["info unit: early", "info unit: late"]);
+        assert!(
+            dump.entries.iter().all(|e| e.kind == "event"),
+            "a freeze before any tick carries no tick lines"
+        );
         dump.check().expect("dump validates");
     }
 
     #[test]
     fn validator_rejects_malformed_dumps() {
-        let mut rec = FlightRecorder::new(FlightRecorderConfig::default());
-        rec.record(entry(1, "d"));
-        rec.freeze("r", 1, RegistrySnapshot::default(), vec![], vec![], vec![]);
-        let good = rec.dump("x").expect("frozen");
+        let obs = Obs::new();
+        let engine = obs.install_health(RuleSet::default());
+        engine.fsm_invariant_rejected("controller", 0, "unit");
+        let good = engine.flight_dump("x").expect("frozen");
         good.check().expect("well-formed dump");
 
         let mut empty_reason = good.clone();
@@ -433,17 +264,7 @@ mod tests {
         assert!(err.contains("unknown kind"), "{err}");
 
         let mut bad_timeline = good;
-        bad_timeline.timeline.push(AlertEvent {
-            tick: 0,
-            at_ns: 1,
-            code: "OW-HEALTH-999".into(),
-            rule: "unit".into(),
-            entity: "unit".into(),
-            severity: "critical".into(),
-            state: "flapping".into(),
-            value: 1,
-            threshold: 0,
-        });
+        bad_timeline.timeline[0].state = "flapping".into();
         let err = bad_timeline.check().unwrap_err();
         assert!(err.contains("state 'flapping'"), "{err}");
         bad_timeline.timeline[0].state = "fired".into();

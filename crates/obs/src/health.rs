@@ -20,10 +20,10 @@
 //! * per-entity scores (1000 = healthy, severity-weighted penalties
 //!   for active alerts) rolled up to the `ow_health_fleet_score`
 //!   gauge — the one number an operator watches;
-//! * a [`crate::flightrec::FlightRecorder`] black box that freezes a
-//!   deterministic post-mortem when a rule fires at
-//!   [`Severity::Critical`] or a `WindowFsm` invariant is rejected
-//!   (code [`FSM_REJECT_CODE`]).
+//! * a black box that freezes a deterministic [`FlightDump`]
+//!   post-mortem, holding the last tick's signal readings, when a rule
+//!   fires at [`Severity::Critical`] or a `WindowFsm` invariant is
+//!   rejected (code [`FSM_REJECT_CODE`]).
 //!
 //! Evaluation is **order-independent**: series matched by a selector
 //! are aggregated per entity into sorted maps before any comparison,
@@ -38,10 +38,10 @@ use serde::Serialize;
 
 use ow_common::time::Instant;
 
-use crate::flightrec::{FlightDump, FlightEntry, FlightRecorder, FlightRecorderConfig, TraceBrief};
+use crate::flightrec::{FlightDump, FlightEntry};
 use crate::journal::{Event, EventJournal};
 use crate::registry::{MetricSnapshot, MetricsRegistry, PeakSample};
-use crate::span::{TraceReport, Tracer};
+use crate::span::Tracer;
 use crate::{Counter, Gauge};
 
 /// The reserved code for `WindowFsm` invariant rejections — not part of
@@ -372,7 +372,12 @@ struct EngineInner {
     last_at_ns: Option<u64>,
     states: BTreeMap<(usize, String), RuleState>,
     timeline: Vec<AlertEvent>,
-    recorder: FlightRecorder,
+    /// The most recent tick's signal readings and tick line; the next
+    /// tick replaces them.
+    last_tick: Vec<FlightEntry>,
+    /// The post-mortem of the first freeze; later freezes are ignored so
+    /// the dump shows the *initial* failure, not the last symptom.
+    dump: Option<FlightDump>,
 }
 
 /// The deterministic streaming health engine. Install on an
@@ -433,7 +438,8 @@ impl HealthEngine {
                 last_at_ns: None,
                 states: BTreeMap::new(),
                 timeline: Vec::new(),
-                recorder: FlightRecorder::new(FlightRecorderConfig::default()),
+                last_tick: Vec::new(),
+                dump: None,
             }),
         }
     }
@@ -457,7 +463,7 @@ impl HealthEngine {
 
         let mut transitions: Vec<AlertEvent> = Vec::new();
         let mut freeze: Option<AlertEvent> = None;
-        let mut signal_lines: Vec<FlightEntry> = Vec::new();
+        let mut lines: Vec<FlightEntry> = Vec::new();
 
         for (ri, rule) in self.rules.rules().iter().enumerate() {
             for (entity, agg) in aggregate(rule, &sample) {
@@ -469,7 +475,7 @@ impl HealthEngine {
                 }
                 let state = inner.states.entry((ri, entity.clone())).or_default();
                 let value = eval_signal(&rule.signal, &agg);
-                signal_lines.push(FlightEntry {
+                lines.push(FlightEntry {
                     at_ns: sample.at_ns,
                     kind: "signal".into(),
                     detail: format!(
@@ -551,33 +557,31 @@ impl HealthEngine {
                 .set(*score);
         }
 
-        // Feed the black box every rule-signal reading and a tick
-        // summary; journal events join the dump at the freeze.
+        // The black box keeps this tick's rule-signal readings and a
+        // tick summary; journal events join the dump at the freeze.
         let active = inner.states.values().filter(|s| s.active).count();
-        for line in signal_lines {
-            inner.recorder.record(line);
-        }
-        inner.recorder.record(FlightEntry {
+        lines.push(FlightEntry {
             at_ns: sample.at_ns,
             kind: "tick".into(),
             detail: format!("tick={tick} fleet_score={fleet} active_alerts={active}"),
         });
+        inner.last_tick = lines;
 
         if let Some(alert) = freeze {
             let reason = format!(
                 "{} {} fired at severity critical for {}",
                 alert.code, alert.rule, alert.entity
             );
-            self.freeze_recorder(inner, &reason, sample.at_ns, Some(&sample));
+            self.freeze(inner, reason, sample.at_ns, sample.metrics);
         }
         transitions
     }
 
     /// Report a rejected `WindowFsm` transition: appends a critical
     /// [`FSM_REJECT_CODE`] record to the timeline, counts it, and
-    /// freezes the flight recorder. Called from the engine-transition
-    /// sink, so any invariant rejection anywhere in the system becomes
-    /// a post-mortem.
+    /// freezes the flight recorder with the last tick's readings.
+    /// Called from the engine-transition sink, so any invariant
+    /// rejection anywhere in the system becomes a post-mortem.
     pub(crate) fn fsm_invariant_rejected(&self, side: &str, subwindow: u32, detail: &str) {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
@@ -607,54 +611,32 @@ impl HealthEngine {
         inner.timeline.push(alert);
         let reason =
             format!("{FSM_REJECT_CODE} WindowFsm invariant rejected on {side} sub-window {subwindow}: {detail}");
-        self.freeze_recorder(inner, &reason, at_ns, None);
+        self.freeze(inner, reason, at_ns, self.registry.snapshot().metrics);
     }
 
-    fn freeze_recorder(
+    /// Build the post-mortem, unless an earlier freeze did. A tick's
+    /// freeze passes the evaluating sample's `metrics`, so the dump shows
+    /// exactly the metrics the decision was made on; out-of-tick freezes
+    /// (FSM rejections) pass a fresh snapshot.
+    fn freeze(
         &self,
         inner: &mut EngineInner,
-        reason: &str,
+        reason: String,
         at_ns: u64,
-        sample: Option<&HealthSample>,
+        metrics: Vec<MetricSnapshot>,
     ) {
-        if inner.recorder.is_frozen() {
+        if inner.dump.is_some() {
             return;
         }
-        // Use the evaluating sample when we have one so the dump shows
-        // exactly the metrics the decision was made on; fall back to a
-        // fresh snapshot for out-of-tick freezes (FSM rejections).
-        let mut metrics = match sample {
-            Some(s) => s.metrics.clone(),
-            None => self.registry.snapshot().metrics,
-        };
-        metrics.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-        let registry = crate::RegistrySnapshot { metrics };
-        let traces = TraceReport::capture("flightrec", &self.tracer, None)
-            .traces
-            .iter()
-            .map(|t| TraceBrief {
-                trace_id: t.trace_id,
-                subwindow: t.subwindow,
-                spans: t.spans.len() as u64,
-                wall_ns: t.critical_path.wall_ns,
-            })
-            .collect();
-        // The journal's retained events, read once, sequence numbers
-        // stripped for cross-run determinism.
-        let events = self
-            .journal
-            .events()
-            .iter()
-            .map(FlightEntry::from)
-            .collect();
-        inner.recorder.freeze(
+        inner.dump = Some(FlightDump::capture(
             reason,
             at_ns,
-            registry,
-            traces,
+            &inner.last_tick,
+            &self.journal,
+            metrics,
+            &self.tracer,
             inner.timeline.clone(),
-            events,
-        );
+        ));
     }
 
     /// The full alert timeline so far.
@@ -664,12 +646,16 @@ impl HealthEngine {
 
     /// Whether the flight recorder froze.
     pub fn frozen(&self) -> bool {
-        self.inner.lock().recorder.is_frozen()
+        self.inner.lock().dump.is_some()
     }
 
     /// The frozen post-mortem, when a freeze happened.
     pub fn flight_dump(&self, run: &str) -> Option<FlightDump> {
-        self.inner.lock().recorder.dump(run)
+        let dump = self.inner.lock().dump.clone()?;
+        Some(FlightDump {
+            run: run.to_string(),
+            ..dump
+        })
     }
 
     /// A serializable summary of the engine state (for
@@ -682,7 +668,7 @@ impl HealthEngine {
             ticks: inner.ticks,
             fleet_score: fleet,
             entity_scores: scores,
-            frozen: inner.recorder.is_frozen(),
+            frozen: inner.dump.is_some(),
             timeline: inner.timeline.clone(),
         }
     }

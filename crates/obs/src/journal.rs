@@ -1,7 +1,7 @@
 //! The structured event journal.
 //!
 //! Typed [`Event`]s — each carrying the sub-window, lifecycle phase,
-//! shard, and (when the emitter knows it) the *virtual* timestamp —
+//! and (when the emitter knows it) the *virtual* timestamp —
 //! are appended to a bounded in-memory ring. An optional **console
 //! sink** renders every event as a progress line on *stderr* as it is
 //! recorded — stdout stays clean for `--json` pipelines.
@@ -43,8 +43,6 @@ pub struct Event {
     pub subwindow: Option<u32>,
     /// Lifecycle phase name, when applicable.
     pub phase: Option<String>,
-    /// Merge shard, when applicable.
-    pub shard: Option<u32>,
     /// Virtual-clock timestamp, when the emitter runs on the virtual
     /// clock (nanoseconds since trace start). Never wall-clock.
     pub at_ns: Option<u64>,
@@ -62,7 +60,6 @@ impl Event {
             kind: kind.to_string(),
             subwindow: None,
             phase: None,
-            shard: None,
             at_ns: None,
             message: message.into(),
         }
@@ -92,7 +89,7 @@ impl Event {
         self
     }
 
-    /// The event's context as ` [sw=3 phase=merged shard=1]` (empty when
+    /// The event's context as ` [sw=3 phase=merged]` (empty when
     /// it carries none); `with_time` appends the virtual timestamp.
     pub(crate) fn context(&self, with_time: bool) -> String {
         let mut ctx = Vec::new();
@@ -101,9 +98,6 @@ impl Event {
         }
         if let Some(p) = &self.phase {
             ctx.push(format!("phase={p}"));
-        }
-        if let Some(s) = self.shard {
-            ctx.push(format!("shard={s}"));
         }
         if let Some(ns) = self.at_ns.filter(|_| with_time) {
             ctx.push(format!("t={ns}ns"));
@@ -273,18 +267,14 @@ mod tests {
 
     #[test]
     fn builder_attaches_context() {
-        let e = Event {
-            shard: Some(2),
-            ..Event::new("fsm_transition", "collected")
-                .warn()
-                .subwindow(4)
-                .phase("collected")
-                .at(Instant::from_micros(10))
-        };
+        let e = Event::new("fsm_transition", "collected")
+            .warn()
+            .subwindow(4)
+            .phase("collected")
+            .at(Instant::from_micros(10));
         assert_eq!(e.level, Level::Warn);
         assert_eq!(e.subwindow, Some(4));
         assert_eq!(e.phase.as_deref(), Some("collected"));
-        assert_eq!(e.shard, Some(2));
         assert_eq!(e.at_ns, Some(10_000));
         let line = e.console_line();
         assert!(line.contains("WARN"), "{line}");

@@ -8,7 +8,7 @@
 //!   atomics shared out of the registry, so hot paths never touch the
 //!   registry lock. Names follow `ow_<crate>_<name>`.
 //! * [`EventJournal`] ([`journal`]) — typed lifecycle events (window,
-//!   phase, shard) in a bounded ring, with an optional console sink;
+//!   phase) in a bounded ring, with an optional console sink;
 //!   this replaces free-form `eprintln!` progress prints.
 //! * [`ObsReport`] ([`export`]) — the `results/obs_*.json` snapshot.
 //!   It, [`TraceReport`] and [`FlightDump`] each `render()` to text
@@ -22,10 +22,11 @@
 //! * [`HealthEngine`] ([`health`]) — the streaming interpretation
 //!   layer: declarative `OW-HEALTH-*` rules over derived signals
 //!   (ratios, saturation, SLO burn rate), per-entity scoring
-//!   rolled up to `ow_health_fleet_score`, and a bounded black-box
-//!   [`FlightRecorder`] ([`flightrec`]) that freezes a deterministic
-//!   `results/flightrec_*.json` post-mortem on critical alerts or FSM
-//!   invariant rejections.
+//!   rolled up to `ow_health_fleet_score`, and a black box that
+//!   freezes a deterministic [`FlightDump`] ([`flightrec`]) — the last
+//!   tick's readings, the journal, the registry, span briefs and the
+//!   alert timeline — as `results/flightrec_*.json` on critical alerts
+//!   or FSM invariant rejections.
 //!
 //! * [`AccuracyScorer`] ([`accuracy`]) — the live query-accuracy
 //!   observatory: a streaming ground-truth oracle fed per sub-window
@@ -63,7 +64,7 @@ pub use accuracy::{
     ACCURACY_THRESHOLD,
 };
 pub use export::ObsReport;
-pub use flightrec::{FlightDump, FlightEntry, FlightRecorder, FlightRecorderConfig, TraceBrief};
+pub use flightrec::{FlightDump, FlightEntry, TraceBrief};
 pub use health::{
     AlertEvent, Cmp, HealthEngine, HealthReport, HealthSample, MetricSelector, Rule, RuleSet,
     Severity, Signal, FSM_REJECT_CODE,
@@ -190,7 +191,8 @@ impl Obs {
         self.registry.snapshot()
     }
 
-    /// Capture a full on-disk report (registry + journal tail).
+    /// Capture a full on-disk report (registry + journal tail in
+    /// canonical order, so same-seed runs write the same bytes).
     pub fn report(&self, run: &str) -> ObsReport {
         ObsReport::capture(run, &self.registry, &self.journal)
     }

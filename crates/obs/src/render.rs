@@ -293,12 +293,11 @@ impl FlightDump {
     pub(crate) fn render(&self) -> String {
         let mut out = format!(
             "run: {} — FLIGHT RECORDER POST-MORTEM\nfrozen at: {}ns\nreason: {}\n\
-             captured: {} entries ({} evicted), {} metrics, {} trace(s)\n\n",
+             captured: {} entries, {} metrics, {} trace(s)\n\n",
             self.run,
             self.frozen_at_ns,
             self.freeze_reason,
             self.entries.len(),
-            self.entries_dropped,
             self.registry.metrics.len(),
             self.traces.len()
         );
@@ -383,13 +382,13 @@ mod tests {
         let obs = Obs::new();
         obs.histogram("ow_test_latency", &[("phase", "x")])
             .record(Duration::from_micros(3));
+        // Timestamped, so the report's canonical order is recording order.
         for i in 0..25 {
-            obs.event(Event::new("progress", format!("step {i}")).subwindow(i));
+            let step = Event::new("progress", format!("step {i}")).subwindow(i);
+            obs.event(step.at(Instant(u64::from(i))));
         }
-        obs.event(Event {
-            shard: Some(2),
-            ..Event::new("drift_detected", "late").warn()
-        });
+        let drift = Event::new("drift_detected", "late").warn().phase("merged");
+        obs.event(drift.at(Instant(25)));
         let rendered = obs.report("unit").render();
         has(&rendered, "== histograms (virtual ns) ==\nname  ");
         has(
@@ -400,7 +399,7 @@ mod tests {
             &rendered,
             "== journal (last 20 of 26) ==\n     6  info  progress [sw=6]: step 6\n",
         );
-        assert!(rendered.ends_with("    25  WARN  drift_detected [shard=2]: late\n"));
+        assert!(rendered.ends_with("    25  WARN  drift_detected [phase=merged]: late\n"));
     }
 
     #[test]

@@ -45,10 +45,9 @@ use ow_common::time::Duration;
 /// window next to file its spans under the originating window's tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TraceContext {
-    /// The trace this window's lifecycle belongs to.
+    /// The trace this window's lifecycle belongs to; also the id of its
+    /// root (`window`) span.
     pub trace_id: u64,
-    /// The root (`window`) span id.
-    pub root: u64,
     /// The switch-side `collect` span id — retransmission spans parent
     /// here, because a retransmit replays *collection* output.
     pub collect: u64,
@@ -105,7 +104,6 @@ pub struct PhaseMark {
 #[derive(Debug)]
 struct TraceData {
     subwindow: u32,
-    root: u64,
     spans: Vec<Span>,
     marks: Vec<PhaseMark>,
 }
@@ -113,6 +111,7 @@ struct TraceData {
 #[derive(Debug, Default)]
 struct TracerInner {
     next_id: u64,
+    /// Trace id (= root span id) → trace.
     traces: BTreeMap<u64, TraceData>,
     /// Sub-window → currently active trace (latest wins on reuse).
     active: HashMap<u32, u64>,
@@ -150,7 +149,6 @@ impl Tracer {
             id,
             TraceData {
                 subwindow,
-                root: id,
                 spans: vec![Span {
                     id,
                     parent: None,
@@ -207,8 +205,7 @@ impl Tracer {
     pub fn finish_window(&self, trace_id: u64, end_ns: u64) {
         let mut inner = self.inner.lock();
         if let Some(trace) = inner.traces.get_mut(&trace_id) {
-            let root = trace.root;
-            if let Some(span) = trace.spans.iter_mut().find(|s| s.id == root) {
+            if let Some(span) = trace.spans.iter_mut().find(|s| s.id == trace_id) {
                 span.end_ns = span.end_ns.max(end_ns);
             }
         }
@@ -424,8 +421,6 @@ pub struct TraceSummary {
     pub trace_id: u64,
     /// The traced sub-window.
     pub subwindow: u32,
-    /// Root span id.
-    pub root: u64,
     /// Every span, sorted by id.
     pub spans: Vec<Span>,
     /// Engine transitions in recording order.
@@ -456,19 +451,18 @@ impl TraceReport {
         let inner = tracer.inner.lock();
         let traces = inner
             .traces
-            .values()
-            .map(|t| {
+            .iter()
+            .map(|(&trace_id, t)| {
                 let mut spans = t.spans.clone();
                 spans.sort_unstable_by_key(|s| s.id);
                 let max_end = spans.iter().map(|s| s.end_ns).max().unwrap_or(0);
-                if let Some(root) = spans.iter_mut().find(|s| s.id == t.root) {
+                if let Some(root) = spans.iter_mut().find(|s| s.id == trace_id) {
                     root.end_ns = root.end_ns.max(max_end);
                 }
                 TraceSummary {
-                    trace_id: t.root,
+                    trace_id,
                     subwindow: t.subwindow,
-                    root: t.root,
-                    critical_path: critical_path(&spans, t.root, slo),
+                    critical_path: critical_path(&spans, trace_id, slo),
                     spans,
                     transitions: t.marks.clone(),
                 }
@@ -503,7 +497,7 @@ impl TraceReport {
             return Err("trace report has no traces".to_string());
         }
         for trace in &self.traces {
-            let (trace_id, root) = (trace.trace_id, trace.root);
+            let trace_id = trace.trace_id;
             let mut ids = std::collections::HashSet::new();
             let mut roots = 0usize;
             for span in &trace.spans {
@@ -512,7 +506,7 @@ impl TraceReport {
                     return Err(format!("span {id} ends before it starts"));
                 }
                 match span.parent {
-                    None if id != root => {
+                    None if id != trace_id => {
                         return Err(format!("trace {trace_id}: span {id} has no parent"));
                     }
                     None => roots += 1,
@@ -627,7 +621,7 @@ mod tests {
         assert_eq!(cp.wall_ns, 0);
         assert_eq!(cp.attributed_permille, 1000);
         assert_eq!(cp.chain, vec!["window"]);
-        assert_eq!(root, report.traces[0].root);
+        assert_eq!(root, report.traces[0].trace_id);
     }
 
     #[test]

@@ -1,81 +1,15 @@
-//! Property tests for the health engine and the flight recorder: the
-//! ring honours its byte/entry budget under arbitrary floods, and rule
-//! evaluation is a pure function of the sample *set* (never its
-//! order), which is what lets threaded runs alert deterministically.
+//! Property tests for the health engine and its black box: a frozen
+//! dump holds exactly the freezing tick's readings and nothing recorded
+//! after it, and rule evaluation is a pure function of the sample *set*
+//! (never its order), which is what lets threaded runs alert
+//! deterministically.
 
 use proptest::prelude::*;
 
 use ow_obs::{
-    Cmp, FlightEntry, FlightRecorder, FlightRecorderConfig, HealthSample, MetricSelector,
-    MetricSnapshot, Obs, PeakSample, Rule, RuleSet, Severity, Signal,
+    Cmp, Event, FlightEntry, HealthEngine, HealthSample, MetricSelector, MetricSnapshot, Obs,
+    PeakSample, Rule, RuleSet, Severity, Signal,
 };
-
-/// One flood entry: kind selector plus payload length.
-fn arb_entry() -> impl Strategy<Value = (u8, u16, u64)> {
-    (any::<u8>(), any::<u16>(), any::<u64>())
-}
-
-fn entry_of((kind, len, at): (u8, u16, u64)) -> FlightEntry {
-    let kinds = ["event", "signal", "tick"];
-    FlightEntry {
-        at_ns: at % 1_000_000,
-        kind: kinds[kind as usize % 3].into(),
-        detail: "x".repeat(len as usize % 512),
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// However hard the recorder is flooded, the retained ring never
-    /// exceeds either configured bound, and every eviction is counted.
-    #[test]
-    fn recorder_ring_never_exceeds_its_bounds(
-        max_entries in 1usize..64,
-        max_bytes in 1usize..4096,
-        flood in proptest::collection::vec(arb_entry(), 0..256),
-    ) {
-        let mut rec = FlightRecorder::new(FlightRecorderConfig { max_entries, max_bytes });
-        let mut offered = 0u64;
-        for raw in flood {
-            let entry = entry_of(raw);
-            offered += 1;
-            rec.record(entry);
-            prop_assert!(rec.entry_count() <= max_entries,
-                "{} entries retained with max_entries {max_entries}", rec.entry_count());
-            prop_assert!(rec.byte_usage() <= max_bytes,
-                "{} bytes retained with max_bytes {max_bytes}", rec.byte_usage());
-        }
-        prop_assert!(rec.dropped() + rec.entry_count() as u64 <= offered);
-    }
-
-    /// A frozen recorder is inert: floods after the freeze change
-    /// nothing about what the dump will say.
-    #[test]
-    fn frozen_recorder_ignores_floods(
-        flood in proptest::collection::vec(arb_entry(), 1..64),
-    ) {
-        let mut rec = FlightRecorder::new(FlightRecorderConfig::default());
-        rec.record(FlightEntry {
-            at_ns: 1,
-            kind: "event".into(),
-            detail: "before the freeze".into(),
-        });
-        rec.freeze(
-            "prop test freeze",
-            2,
-            ow_obs::RegistrySnapshot::default(),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-        );
-        let before = rec.dump("props").expect("frozen").to_json();
-        for raw in flood {
-            rec.record(entry_of(raw));
-        }
-        prop_assert_eq!(before, rec.dump("props").expect("still frozen").to_json());
-    }
-}
 
 /// A small fixed metric space the order-independence property draws
 /// samples over: two counter families sharded four ways plus one
@@ -188,6 +122,74 @@ proptest! {
                 engine_a.flight_dump("props").map(|d| d.to_json()),
                 engine_b.flight_dump("props").map(|d| d.to_json())
             );
+        }
+    }
+}
+
+/// `sample_of(values)` at `at_ns`, in generation order.
+fn sample_at(values: &[u64], at_ns: u64) -> HealthSample {
+    HealthSample {
+        at_ns,
+        ..sample_of(values, &[])
+    }
+}
+
+/// The frozen dump's entries of `kind`.
+fn lines(engine: &HealthEngine, kind: &str) -> Vec<FlightEntry> {
+    let dump = engine.flight_dump("props").expect("frozen");
+    dump.entries
+        .into_iter()
+        .filter(|e| e.kind == kind)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A frozen black box is inert: ticks and journal events after the
+    /// freeze leave the dump byte-identical.
+    #[test]
+    fn frozen_recorder_ignores_floods(
+        flood in proptest::collection::vec((any::<bool>(), proptest::collection::vec(0u64..120, 8)), 1..32),
+    ) {
+        let obs = Obs::new();
+        let engine = obs.install_health(prop_rules());
+        engine.tick_with_sample(sample_at(&[100; 8], 1_000));
+        let before = engine.flight_dump("props").expect("rule 903 froze the box").to_json();
+        for (i, (tick, values)) in flood.into_iter().enumerate() {
+            let at_ns = 2_000 + i as u64;
+            if tick {
+                engine.tick_with_sample(sample_at(&values, at_ns));
+            } else {
+                let event = Event::new("flood", format!("{values:?}"));
+                obs.event(event.at(ow_common::time::Instant(at_ns)));
+            }
+        }
+        prop_assert_eq!(before, engine.flight_dump("props").expect("still frozen").to_json());
+    }
+
+    /// However many ticks ran before and after it, the dump's signal
+    /// lines are the ones an engine that saw only the freezing sample
+    /// reads, and its one tick line is the freezing tick's.
+    #[test]
+    fn dump_holds_exactly_the_freezing_ticks_lines(
+        ticks in proptest::collection::vec(proptest::collection::vec(0u64..60, 8), 1..12),
+    ) {
+        let engine = Obs::new().install_health(prop_rules());
+        let at = |i: usize| 1_000 * (i as u64 + 1);
+        let mut freezing = None;
+        for (i, values) in ticks.iter().enumerate() {
+            engine.tick_with_sample(sample_at(values, at(i)));
+            freezing = freezing.or(engine.frozen().then_some(i));
+        }
+        if let Some(i) = freezing {
+            let alone = Obs::new().install_health(prop_rules());
+            alone.tick_with_sample(sample_at(&ticks[i], at(i)));
+            prop_assert_eq!(lines(&engine, "signal"), lines(&alone, "signal"));
+            let tick = lines(&engine, "tick");
+            prop_assert_eq!(tick.len(), 1);
+            prop_assert_eq!(tick[0].at_ns, at(i));
+            prop_assert!(tick[0].detail.starts_with(&format!("tick={i} ")), "{}", tick[0].detail);
         }
     }
 }

@@ -419,7 +419,6 @@ impl<A: DataPlaneApp> Switch<A> {
                     ended,
                     TraceContext {
                         trace_id: trace,
-                        root: trace,
                         collect,
                         anchor_ns: anchor,
                     },

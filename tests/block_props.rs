@@ -342,7 +342,6 @@ fn fold_digest(batches: &[Vec<FlowRecord>], shards: usize, observed: bool) -> u6
                 .expect("collect span under a live trace");
             let ctx = TraceContext {
                 trace_id: trace,
-                root: trace,
                 collect,
                 anchor_ns: 1,
             };

@@ -48,7 +48,7 @@ fn every_window_yields_a_complete_single_rooted_span_tree() {
         let ids: HashSet<u64> = trace.spans.iter().map(|s| s.id).collect();
         let roots: Vec<_> = trace.spans.iter().filter(|s| s.parent.is_none()).collect();
         assert_eq!(roots.len(), 1, "sub-window {}: one root", trace.subwindow);
-        assert_eq!(roots[0].id, trace.root);
+        assert_eq!(roots[0].id, trace.trace_id);
         assert_eq!(roots[0].name, "window");
         for span in &trace.spans {
             if let Some(parent) = span.parent {
@@ -115,7 +115,7 @@ fn retransmit_spans_parent_to_the_original_collect_span() {
             .iter()
             .find(|s| s.name == "merge")
             .unwrap_or_else(|| panic!("sub-window {} merged", trace.subwindow));
-        assert_eq!(merge.parent, Some(trace.root));
+        assert_eq!(merge.parent, Some(trace.trace_id));
     }
     assert!(
         rounds_seen >= report.traces.len(),
@@ -234,7 +234,6 @@ fn departed_and_escalated_windows_leave_complete_single_rooted_traces() {
             .expect("collect span under a live trace");
         let ctx = TraceContext {
             trace_id: trace,
-            root: trace,
             collect,
             anchor_ns: 1,
         };
@@ -319,7 +318,7 @@ fn departed_and_escalated_windows_leave_complete_single_rooted_traces() {
                 .iter()
                 .find(|s| s.name == "departed")
                 .expect("departed window records the abandonment");
-            assert_eq!(departed.parent, Some(trace.root));
+            assert_eq!(departed.parent, Some(trace.trace_id));
             assert_eq!(departed.side, "controller");
             assert!(!names.contains(&"merge"), "a departed window never merges");
         } else {
