@@ -10,7 +10,7 @@
 //!
 //! * one queue send per block instead of per record,
 //! * shard routing hashes the key column in one pass
-//!   ([`ShardPartition::shard_indices`]) via the [`ShardScatter`]
+//!   (`ShardPartition::shard_indices`) via the [`ShardScatter`]
 //!   builder, which amortizes partitioning across the block,
 //! * the merge table folds a scalar attribute lane with the
 //!   auto-vectorizable sum/max/min kernels instead of per-record

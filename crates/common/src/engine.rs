@@ -63,6 +63,19 @@ pub enum WindowPhase {
 }
 
 impl WindowPhase {
+    /// Every phase, in lifecycle order.
+    pub const LIFECYCLE: [WindowPhase; 9] = [
+        WindowPhase::Open,
+        WindowPhase::Terminated,
+        WindowPhase::CrWait,
+        WindowPhase::Collecting,
+        WindowPhase::Collected,
+        WindowPhase::Retransmitting,
+        WindowPhase::Escalated,
+        WindowPhase::Merged,
+        WindowPhase::Released,
+    ];
+
     /// Short stable name (diagnostics, JSON).
     pub fn name(self) -> &'static str {
         match self {
@@ -562,16 +575,10 @@ mod tests {
             assert_eq!(fsm.phase(), phase, "script reaches {phase}");
             fsm
         };
-        for phase in [
-            WindowPhase::Open,
-            WindowPhase::Terminated,
-            WindowPhase::CrWait,
-            WindowPhase::Collecting,
-            WindowPhase::Collected,
-            WindowPhase::Retransmitting,
-            WindowPhase::Escalated,
-            WindowPhase::Merged,
-        ] {
+        for phase in WindowPhase::LIFECYCLE
+            .into_iter()
+            .filter(|p| !p.is_terminal())
+        {
             let mut fsm = reach(phase);
             let to = fsm
                 .apply(WindowEvent::SwitchDeparted)

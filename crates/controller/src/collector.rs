@@ -231,7 +231,7 @@ impl CollectionSession {
 
     /// Finish the session, yielding the complete AFR batch sorted by
     /// sequence id (per-record compatibility view of
-    /// [`CollectionSession::into_block`]).
+    /// `CollectionSession::into_block`).
     ///
     /// # Panics
     /// Panics if called while AFRs are still missing — callers must

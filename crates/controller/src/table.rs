@@ -505,7 +505,7 @@ impl MergeTable {
     /// Each evicted record is hashed and probed once: pass A remembers
     /// the *bucket* it found. Only an insert rebuilds the index and none
     /// runs before this returns, so a live flow keeps its bucket; the
-    /// slot id in it follows `swap_remove`, and it reads [`TOMB`] once
+    /// slot id in it follows `swap_remove`, and it reads `TOMB` once
     /// the flow is gone.
     pub fn evict_oldest(&mut self) -> Option<u32> {
         let (evicted_sw, evicted) = self.batches.pop_front()?;

@@ -11,8 +11,8 @@
 //!
 //! Adapters are provided for the Sonata queries ([`QueryApp`]), the
 //! heavy-hitter sketches ([`HeavyHitterApp`] — MV-Sketch / HashPipe),
-//! the per-flow size sketches ([`SizeApp`] — Count-Min / SuMax), and the
-//! super-spreader structures ([`SpreadApp`] / [`VbfApp`]).
+//! the per-flow size sketches (`SizeApp` — Count-Min / SuMax), and the
+//! super-spreader structures (`SpreadApp` / `VbfApp`).
 
 use std::collections::HashSet;
 

@@ -8,7 +8,7 @@
 //! | [`run_conventional_tw`] without | TW2 | two memory regions; no loss, double memory |
 //! | [`run_omniwindow`] (tumbling) | OTW | sub-window states + flowkey tracking + AFR merging |
 //! | [`run_omniwindow`] (sliding) | OSW | same, sliding merge with eviction |
-//! | [`run_sliding_sketch`] | SS | the Sliding Sketch baseline: two half-size states |
+//! | `run_sliding_sketch` | SS | the Sliding Sketch baseline: two half-size states |
 //!
 //! All mechanisms take an optional `probes` list: keys whose merged
 //! estimate is recorded per window, which is how the ARE experiments
@@ -242,7 +242,7 @@ pub fn run_ideal<A: WindowApp>(
 // ---------------------------------------------------------------------
 
 /// Run a conventional tumbling-window mechanism with full-window state on
-/// [`tumbling_with_blackout`]: `blackout` is TW1's C&R hazard, pass
+/// `tumbling_with_blackout`: `blackout` is TW1's C&R hazard, pass
 /// `Duration::ZERO` for TW2.
 pub fn run_conventional_tw<A: WindowApp>(
     app: &A,

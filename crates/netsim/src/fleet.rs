@@ -720,7 +720,7 @@ pub(crate) const RACK_DEGRADED_PERMILLE: u64 = 500;
 /// | code | rule | signal |
 /// |------|------|--------|
 /// | `OW-HEALTH-301` | `fleet_switch_crash` | any crash departure (graceful leaves stay silent) |
-/// | `OW-HEALTH-302` | `rack_degraded` | per-rack dropped/offered ratio above [`RACK_DEGRADED_PERMILLE`] |
+/// | `OW-HEALTH-302` | `rack_degraded` | per-rack dropped/offered ratio above `RACK_DEGRADED_PERMILLE` |
 /// | `OW-HEALTH-303` | `fleet_window_wedged` | in-flight windows left after the fleet drained (**critical**) |
 pub fn fleet_health_rules() -> RuleSet {
     RuleSet::new(vec![

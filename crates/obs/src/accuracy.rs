@@ -445,10 +445,10 @@ impl AccuracyScorer {
 ///
 /// | code | rule | signal |
 /// |------|------|--------|
-/// | `OW-HEALTH-401` | `recall_slo_burn` | burn rate of per-window recall errors ≥ [`RECALL_SLO_ERROR_PERMILLE`]‰ against a [`RECALL_SLO_BUDGET_PERMILLE`]‰ budget (conservative straddling-bucket undercount — see [`Signal::BurnRatePermille`]) |
-/// | `OW-HEALTH-402` | `sketch_saturation` | per-sketch occupancy above [`SKETCH_SATURATION_PERMILLE`]‰ |
-/// | `OW-HEALTH-403` | `cardinality_drift` | merged/oracle distinct-key ratio below [`CARDINALITY_DRIFT_PERMILLE`]‰ |
-/// | `OW-HEALTH-404` | `accuracy_collapse` | live recall below [`ACCURACY_COLLAPSE_PERMILLE`]‰ (**critical** — freezes the flight recorder) |
+/// | `OW-HEALTH-401` | `recall_slo_burn` | burn rate of per-window recall errors ≥ `RECALL_SLO_ERROR_PERMILLE`‰ against a `RECALL_SLO_BUDGET_PERMILLE`‰ budget (conservative straddling-bucket undercount — see [`Signal::BurnRatePermille`]) |
+/// | `OW-HEALTH-402` | `sketch_saturation` | per-sketch occupancy above `SKETCH_SATURATION_PERMILLE`‰ |
+/// | `OW-HEALTH-403` | `cardinality_drift` | merged/oracle distinct-key ratio below `CARDINALITY_DRIFT_PERMILLE`‰ |
+/// | `OW-HEALTH-404` | `accuracy_collapse` | live recall below `ACCURACY_COLLAPSE_PERMILLE`‰ (**critical** — freezes the flight recorder) |
 pub fn accuracy_health_rules() -> RuleSet {
     RuleSet::new(vec![
         Rule::new(

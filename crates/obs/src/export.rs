@@ -8,6 +8,7 @@
 use std::io;
 use std::path::Path;
 
+use ow_common::engine::WindowPhase;
 use serde::Serialize;
 
 use crate::flightrec::FlightEntry;
@@ -28,9 +29,10 @@ pub struct ObsReport {
     /// `ow_obs_journal_dropped_total` counter in `registry`).
     pub events_dropped: u64,
     /// The retained journal tail in the flight recorder's canonical
-    /// order, `seq` renumbered to match. A run whose emitters share the
-    /// journal across threads (fleet workers) is seed-deterministic only
-    /// as an event *multiset*, so recording order is not kept.
+    /// order (a lifecycle phase ranks by its ordinal, not its name),
+    /// `seq` renumbered to match. A run whose emitters share the journal
+    /// across threads (fleet workers) is seed-deterministic only as an
+    /// event *multiset*, so recording order is not kept.
     pub events: Vec<Event>,
 }
 
@@ -42,7 +44,19 @@ impl ObsReport {
         journal: &EventJournal,
     ) -> ObsReport {
         let mut events = journal.events();
-        events.sort_by_cached_key(|e| FlightEntry::from(e));
+        events.sort_by_cached_key(|e| {
+            // A lifecycle phase ranks by its ordinal, not its name, so
+            // same-instant transitions of one sub-window keep causal order.
+            let mut key = e.clone();
+            let ordinal = e
+                .phase
+                .as_deref()
+                .and_then(|name| WindowPhase::LIFECYCLE.iter().position(|p| p.name() == name));
+            if let Some(i) = ordinal {
+                key.phase = Some(i.to_string());
+            }
+            FlightEntry::from(&key)
+        });
         for (seq, event) in events.iter_mut().enumerate() {
             event.seq = seq as u64;
         }
@@ -103,5 +117,24 @@ mod tests {
         let want = canonical(events());
         assert_eq!(canonical(reversed), want);
         assert_eq!(canonical(rotated), want);
+    }
+
+    #[test]
+    fn same_instant_transitions_keep_lifecycle_order() {
+        // Recorded effect first: the canonical order must still put the
+        // cause (open -> terminated) before it, though "cr_wait" sorts
+        // before "terminated" by name.
+        let at = ow_common::time::Instant::from_millis(5);
+        let journal = EventJournal::default();
+        for (phase, message) in [
+            ("cr_wait", "terminated -> cr_wait"),
+            ("terminated", "open -> terminated"),
+        ] {
+            let e = Event::new("fsm_transition", message);
+            journal.record(e.subwindow(2).phase(phase).at(at));
+        }
+        let report = ObsReport::capture("unit", &MetricsRegistry::new(), &journal);
+        let order: Vec<&str> = report.events.iter().map(|e| e.message.as_str()).collect();
+        assert_eq!(order, ["open -> terminated", "terminated -> cr_wait"]);
     }
 }

@@ -46,7 +46,7 @@ use crate::{Counter, Gauge};
 
 /// The reserved code for `WindowFsm` invariant rejections — not part of
 /// any installed [`RuleSet`], emitted directly by
-/// [`HealthEngine::fsm_invariant_rejected`].
+/// `HealthEngine::fsm_invariant_rejected`.
 pub const FSM_REJECT_CODE: &str = "OW-HEALTH-001";
 
 /// Check an alert code against the stable scheme `OW-HEALTH-<3 digits>`.
@@ -147,7 +147,7 @@ pub enum Signal {
         denominator: MetricSelector,
     },
     /// `peak · 1000 / capacity` — how close a gauge's high-watermark
-    /// since the previous tick (see [`crate::Gauge::take_peak`]) came
+    /// since the previous tick (see `crate::Gauge::take_peak`) came
     /// to a fixed capacity.
     SaturationPermille {
         /// The capacity the gauge saturates at.

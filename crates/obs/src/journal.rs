@@ -6,7 +6,7 @@
 //! sink** renders every event as a progress line on *stderr* as it is
 //! recorded — stdout stays clean for `--json` pipelines.
 //!
-//! The ring is bounded (default [`DEFAULT_CAPACITY`]) so a long run
+//! The ring is bounded (default `DEFAULT_CAPACITY`) so a long run
 //! keeps the newest events without growing; `total_recorded` keeps the
 //! true count for "N events, showing last M" reporting.
 

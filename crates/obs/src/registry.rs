@@ -12,7 +12,7 @@
 //! [`RegistrySnapshot`]s.
 //!
 //! Metric names follow the workspace scheme `ow_<crate>_<name>`
-//! (lower-snake, `ow_` prefix) — [`validate_metric_name`] enforces it at
+//! (lower-snake, `ow_` prefix) — `validate_metric_name` enforces it at
 //! registration time so a misnamed metric fails the first test that
 //! touches it instead of silently polluting the snapshots.
 
@@ -300,7 +300,7 @@ enum Metric {
     Histogram(Histogram),
 }
 
-/// The metric registry: a map from [`MetricId`] to live metric cells.
+/// The metric registry: a map from `MetricId` to live metric cells.
 ///
 /// Shareable via `Arc`; see the module docs for the locking story.
 #[derive(Debug, Default)]
@@ -476,7 +476,7 @@ impl HistogramSnapshot {
 }
 
 /// One gauge's read-and-reset high watermark (see
-/// [`MetricsRegistry::take_gauge_peaks`]).
+/// `MetricsRegistry::take_gauge_peaks`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PeakSample {
     /// Gauge name (`ow_<crate>_<name>`).

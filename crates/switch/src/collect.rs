@@ -194,7 +194,7 @@ pub fn collect_and_reset<A: DataPlaneApp>(
 /// 112-byte row), in cheap DRAM on the switch CPU — until the controller
 /// either confirms completeness (`RetransmitBuffer::release`) or gives
 /// up on the fast path and reads the whole batch back
-/// ([`RetransmitBuffer::full_batch`],
+/// (`RetransmitBuffer::full_batch`,
 /// the OS-path escalation). Retransmission requests replay exactly the
 /// requested sequence ids.
 ///

@@ -2,7 +2,7 @@
 //! configuration, and [`verified_switch`] — the front door the rest of
 //! the workspace uses to build a [`Switch`].
 //!
-//! [`program_for_switch`] reads the facts a [`SwitchConfig`] and its
+//! `program_for_switch` reads the facts a [`SwitchConfig`] and its
 //! application's [`SketchMeta`] already state — Bloom filter geometry,
 //! `fk_buffer` capacity, application array count and width — and writes
 //! them down as the IR the verifier can reason about. Nothing is

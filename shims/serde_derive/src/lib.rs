@@ -2,7 +2,7 @@
 //!
 //! Parses the deriving item with nothing but `proc_macro` (no syn /
 //! quote, which are unavailable offline) and emits an implementation of
-//! the workspace's [`serde::Serialize`] shim trait, which models values
+//! the workspace's `serde::Serialize` shim trait, which models values
 //! as a JSON tree. Supports the shapes this repository actually derives
 //! on: non-generic named-field structs, tuple structs, unit structs,
 //! and enums whose variants are unit (optionally with explicit
