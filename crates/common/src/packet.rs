@@ -1,11 +1,12 @@
 //! The packet model, including the OmniWindow custom header.
 //!
 //! The paper's prototype places a custom header between Ethernet and IP
-//! carrying: the sub-window number, a collection/reset flag, and an
-//! (optionally) injected flow key; the switch also appends generated AFRs
-//! to this header on cloned packets (§8 *Switch*). [`OwHeader`] models that
-//! header, and [`Packet`] models the parsed representation a pipeline
-//! stage works on.
+//! carrying the sub-window number and a collection/reset flag (§8
+//! *Switch*). [`OwHeader`] models that header, and [`Packet`] models the
+//! parsed representation a pipeline stage works on. The flow key and value
+//! of a generated AFR travel only on its report clone, so they ride beside
+//! the clone in `ow_switch::collect::PassResult::Report`, not in every
+//! packet's header.
 
 use serde::Serialize;
 
@@ -79,19 +80,16 @@ pub enum OwFlag {
 ///
 /// Fields: the sub-window number the first-hop switch stamped on the packet
 /// (the Lamport-style consistency model of §5), the packet's role flag,
-/// the injected flow key (valid when `flag == InjectKey`), an AFR value
-/// slot filled by the switch on `AfrReport` clones, and a sequence id the
-/// reliability mechanism (§8 *Reliability of AFRs*) uses to detect losses.
+/// and a sequence id the reliability mechanism (§8 *Reliability of AFRs*)
+/// uses to detect losses. An `InjectKey` packet's key is its own
+/// five-tuple; an `AfrReport` clone's key and value ride beside it in
+/// `PassResult::Report`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct OwHeader {
     /// Sub-window number stamped by the first-hop switch.
     pub subwindow: u32,
     /// Role of the packet.
     pub flag: OwFlag,
-    /// Flow key carried by `InjectKey`/`AfrReport` packets.
-    pub flowkey: Option<FlowKey>,
-    /// AFR attribute value appended by the switch on report clones.
-    pub afr_value: u64,
     /// Sequence id for AFR-loss detection and retransmission.
     pub seq: u32,
 }
@@ -102,8 +100,6 @@ impl OwHeader {
         OwHeader {
             subwindow: 0,
             flag: OwFlag::Normal,
-            flowkey: None,
-            afr_value: 0,
             seq: 0,
         }
     }
@@ -114,7 +110,8 @@ impl OwHeader {
 /// `Copy` and heap-free: the simulator replays millions of packets per
 /// experiment, so a packet is a fixed-size value. Application payload is
 /// represented only by its length (`wire_len`) — telemetry never reads
-/// payload bytes.
+/// payload bytes. The OW header carries the sub-window, flag and seq
+/// only, which keeps a packet at 40 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Packet {
     /// Arrival timestamp at the current hop (virtual time).
@@ -139,6 +136,9 @@ pub struct Packet {
     /// e.g. the training-iteration number in the DML case study (Exp#3).
     pub app_tag: u32,
 }
+
+// A trace holds millions of packets: a field that regrows one fails the build.
+const _: () = assert!(std::mem::size_of::<Packet>() == 40);
 
 /// IP protocol number for TCP.
 pub const PROTO_TCP: u8 = 6;

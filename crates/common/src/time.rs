@@ -44,12 +44,6 @@ impl Instant {
     pub const fn saturating_since(self, earlier: Instant) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Advance by `d`, saturating at the end of representable time.
-    #[cfg(test)]
-    pub(crate) const fn saturating_add(self, d: Duration) -> Instant {
-        Instant(self.0.saturating_add(d.0))
-    }
 }
 
 impl Duration {
@@ -94,12 +88,6 @@ impl Duration {
     /// Integer division of spans (how many `other` fit in `self`).
     pub const fn div_duration(self, other: Duration) -> u64 {
         self.0 / other.0
-    }
-
-    /// Add two spans, saturating at the maximum representable span.
-    #[cfg(test)]
-    pub(crate) const fn saturating_add(self, rhs: Duration) -> Duration {
-        Duration(self.0.saturating_add(rhs.0))
     }
 }
 
@@ -196,21 +184,6 @@ mod tests {
         let late = Instant::from_millis(2);
         assert_eq!(early.saturating_since(late), Duration::ZERO);
         assert_eq!(late.saturating_since(early), Duration::from_millis(1));
-    }
-
-    #[test]
-    fn saturating_add_clamps_at_end_of_time() {
-        let end = Instant::from_nanos(u64::MAX);
-        assert_eq!(end.saturating_add(Duration::from_millis(40)), end);
-        let t = Instant::from_millis(1);
-        assert_eq!(
-            t.saturating_add(Duration::from_millis(2)),
-            Instant::from_millis(3)
-        );
-        assert_eq!(
-            Duration::from_nanos(u64::MAX).saturating_add(Duration::from_nanos(1)),
-            Duration::from_nanos(u64::MAX)
-        );
     }
 
     #[test]

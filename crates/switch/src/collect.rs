@@ -10,10 +10,11 @@
 //!   charges the configured path's latency.
 //! * [`PacketCollector`] — a literal interpreter of Algorithm 2: feeds
 //!   `Collection` packets through the pipeline one recirculation at a
-//!   time, maintaining the enumeration counter, appending AFRs to packet
-//!   headers, cloning reports to the controller, and converting the
-//!   packets to `Reset` clears at the end. Used by protocol-level tests
-//!   and the quickstart to show the mechanism exactly as published.
+//!   time, maintaining the enumeration counter, cloning each AFR's
+//!   report to the controller, and converting the packets to `Reset`
+//!   clears at the end. Used by protocol-level tests and the
+//!   `switch_protocol` example to show the mechanism exactly as
+//!   published.
 
 use std::collections::BTreeMap;
 
@@ -302,10 +303,16 @@ pub struct PacketCollector {
 #[derive(Debug, Clone, PartialEq)]
 pub enum PassResult {
     /// The packet generated an AFR: the clone to send to the controller,
-    /// and the original recirculates (Algorithm 2 lines 7–11).
+    /// the AFR it carries, and whether the original recirculates
+    /// (Algorithm 2 lines 7–11).
     Report {
-        /// Clone carrying the AFR to the controller.
+        /// `AfrReport` clone for the controller, stamped with the
+        /// sub-window and the AFR's seq.
         clone: Packet,
+        /// The AFR's flow key.
+        key: FlowKey,
+        /// The AFR's attribute value.
+        afr_value: u64,
         /// The original packet, already recirculated (mutated in place).
         recirculate: bool,
     },
@@ -349,41 +356,13 @@ impl PacketCollector {
                     p.ow.flag = OwFlag::Reset;
                     return PassResult::BecameReset;
                 }
-                let key = buffered[index];
-                let attr = app.query(&key);
-                let clone = Packet {
-                    ow: OwHeader {
-                        subwindow: self.subwindow,
-                        flag: OwFlag::AfrReport,
-                        flowkey: Some(key),
-                        afr_value: attr.scalar() as u64,
-                        seq: index as u32,
-                    },
-                    ..*p
-                };
-                PassResult::Report {
-                    clone,
-                    recirculate: true,
-                }
+                self.report(p, app, buffered[index], index as u32, true)
             }
             OwFlag::InjectKey => {
-                // Controller-injected key: query and report, no recirculation.
-                let key = p.ow.flowkey.expect("InjectKey carries a key");
-                let attr = app.query(&key);
-                let clone = Packet {
-                    ow: OwHeader {
-                        subwindow: self.subwindow,
-                        flag: OwFlag::AfrReport,
-                        flowkey: Some(key),
-                        afr_value: attr.scalar() as u64,
-                        seq: p.ow.seq,
-                    },
-                    ..*p
-                };
-                PassResult::Report {
-                    clone,
-                    recirculate: false,
-                }
+                // Controller-injected key, carried in the packet's own
+                // five-tuple: query and report, no recirculation.
+                let key = p.key(app.key_kind());
+                self.report(p, app, key, p.ow.seq, false)
             }
             OwFlag::Reset => {
                 let index = self.reset_counter;
@@ -400,6 +379,31 @@ impl PacketCollector {
                 PassResult::ResetPass { index }
             }
             _ => PassResult::Done,
+        }
+    }
+
+    /// Query `key` and clone `p` into the `AfrReport` that carries it.
+    fn report<A: DataPlaneApp>(
+        &self,
+        p: &Packet,
+        app: &A,
+        key: FlowKey,
+        seq: u32,
+        recirculate: bool,
+    ) -> PassResult {
+        let clone = Packet {
+            ow: OwHeader {
+                subwindow: self.subwindow,
+                flag: OwFlag::AfrReport,
+                seq,
+            },
+            ..*p
+        };
+        PassResult::Report {
+            clone,
+            key,
+            afr_value: app.query(&key).scalar() as u64,
+            recirculate,
         }
     }
 
@@ -423,8 +427,6 @@ pub fn make_collection_packets(n: usize, subwindow: u32, now: Instant) -> Vec<Pa
             p.ow = OwHeader {
                 subwindow,
                 flag: OwFlag::Collection,
-                flowkey: None,
-                afr_value: 0,
                 seq: i as u32,
             };
             p
@@ -679,20 +681,25 @@ mod tests {
         // Pass 1: AFR for the first buffered key.
         let r1 = pc.pass(p, &mut a, &t);
         match r1 {
-            PassResult::Report { clone, recirculate } => {
+            PassResult::Report {
+                clone,
+                key,
+                afr_value,
+                recirculate,
+            } => {
                 assert!(recirculate);
                 assert_eq!(clone.ow.flag, OwFlag::AfrReport);
-                assert_eq!(clone.ow.flowkey, Some(FlowKey::src_ip(1)));
-                assert_eq!(clone.ow.afr_value, 2);
+                assert_eq!(key, FlowKey::src_ip(1));
+                assert_eq!(afr_value, 2);
                 assert_eq!(clone.ow.subwindow, 3);
             }
             other => panic!("expected report, got {other:?}"),
         }
         // Pass 2: second key.
         match pc.pass(p, &mut a, &t) {
-            PassResult::Report { clone, .. } => {
-                assert_eq!(clone.ow.flowkey, Some(FlowKey::src_ip(2)));
-                assert_eq!(clone.ow.afr_value, 4);
+            PassResult::Report { key, afr_value, .. } => {
+                assert_eq!(key, FlowKey::src_ip(2));
+                assert_eq!(afr_value, 4);
             }
             other => panic!("expected report, got {other:?}"),
         }
@@ -719,14 +726,22 @@ mod tests {
             a.update(&p);
         }
         let mut pc = PacketCollector::new(0);
-        let mut p = Packet::udp(Instant::ZERO, 0, 0, 0, 0, 64);
+        // The injected key is the packet's five-tuple, projected onto the
+        // app's `SrcIp` key.
+        let mut p = Packet::udp(Instant::ZERO, 42, 9, 1, 80, 64);
         p.ow.flag = OwFlag::InjectKey;
-        p.ow.flowkey = Some(FlowKey::src_ip(42));
         p.ow.seq = 17;
         match pc.pass(&mut p, &mut a, &t) {
-            PassResult::Report { clone, recirculate } => {
+            PassResult::Report {
+                clone,
+                key,
+                afr_value,
+                recirculate,
+            } => {
                 assert!(!recirculate);
-                assert_eq!(clone.ow.afr_value, 6);
+                assert_eq!(key, FlowKey::src_ip(42));
+                assert_eq!(afr_value, 6);
+                assert_eq!(clone.ow.flag, OwFlag::AfrReport);
                 assert_eq!(clone.ow.seq, 17);
             }
             other => panic!("expected report, got {other:?}"),

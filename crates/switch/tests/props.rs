@@ -261,10 +261,9 @@ proptest! {
         let mut reported: Vec<(FlowKey, u64)> = Vec::new();
         loop {
             match collector.pass(&mut p, &mut literal_app, &literal_tracker) {
-                PassResult::Report { clone, recirculate } => {
+                PassResult::Report { clone, key, afr_value, recirculate } => {
                     prop_assert!(recirculate && clone.ow.subwindow == 9);
-                    let key = clone.ow.flowkey.expect("a report carries its key");
-                    reported.push((key, clone.ow.afr_value));
+                    reported.push((key, afr_value));
                 }
                 PassResult::BecameReset | PassResult::ResetPass { .. } => {}
                 PassResult::Done => break,

@@ -40,11 +40,11 @@ fn main() {
     let p = &mut pkts[0];
     loop {
         match pc.pass(p, &mut app, &tracker) {
-            PassResult::Report { clone, .. } => println!(
+            PassResult::Report { key, afr_value, .. } => println!(
                 "  collection pass {}: AFR {{key: {}, count: {}}} cloned to controller",
                 pc.enumerated(),
-                clone.ow.flowkey.unwrap(),
-                clone.ow.afr_value
+                key,
+                afr_value
             ),
             PassResult::BecameReset => {
                 println!("  enumeration done → packet converted to clear packet");
