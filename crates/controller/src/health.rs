@@ -105,7 +105,9 @@ pub fn controller_health_rules(queue_depth: usize) -> RuleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ow_obs::{HealthSample, MetricSnapshot, Obs, PeakSample};
+    use ow_obs::{
+        evaluate, AlertEvent, HealthSample, MetricSnapshot, MetricsRegistry, Obs, PeakSample,
+    };
 
     fn metric(name: &str, labels: &[(&str, &str)], value: u64) -> MetricSnapshot {
         MetricSnapshot {
@@ -117,6 +119,24 @@ mod tests {
             kind: "counter".into(),
             value,
             histogram: None,
+        }
+    }
+
+    /// The alerts the depth-256 catalog fires on one sample.
+    fn fired(sample: &HealthSample) -> Vec<AlertEvent> {
+        evaluate(&controller_health_rules(256), sample).alerts
+    }
+
+    /// `escalated` of 100 sessions escalating, the inputs of the
+    /// critical 204.
+    fn escalations(escalated: u64) -> HealthSample {
+        HealthSample {
+            at_ns: 1_000,
+            metrics: vec![
+                metric("ow_controller_escalations_total", &[], escalated),
+                metric("ow_controller_sessions_total", &[], 100),
+            ],
+            peaks: vec![],
         }
     }
 
@@ -132,15 +152,13 @@ mod tests {
 
     #[test]
     fn queue_saturation_judges_the_peak_not_the_drained_value() {
-        let obs = Obs::new();
-        let engine = obs.install_health(controller_health_rules(256));
         // What `fleet::run` and `obs_smoke` install: 256 blocks × 1024
         // rows = 262,144 records per shard queue. The queue spiked
         // mid-window but drained to 0 by the sample: the instantaneous
         // gauge hides it, the high-watermark does not — 200,000 queued
         // is 762‰ (silent), 230,000 is 877‰ (over the 800‰ threshold).
-        let spiked_to = |at_ns, peak| HealthSample {
-            at_ns,
+        let spiked_to = |peak| HealthSample {
+            at_ns: 1_000,
             metrics: vec![metric(
                 "ow_controller_shard_queue_records",
                 &[("shard", "2")],
@@ -152,15 +170,15 @@ mod tests {
                 peak,
             }],
         };
-        assert!(engine.tick_with_sample(spiked_to(500, 200_000)).is_empty());
-        let fired = engine.tick_with_sample(spiked_to(1_000, 230_000));
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].code, "OW-HEALTH-201");
-        assert_eq!(fired[0].entity, "shard:2");
-        assert_eq!(fired[0].value, 877);
+        assert!(fired(&spiked_to(200_000)).is_empty());
+        let saturated = fired(&spiked_to(230_000));
+        assert_eq!(saturated.len(), 1);
+        assert_eq!(saturated[0].code, "OW-HEALTH-201");
+        assert_eq!(saturated[0].entity, "shard:2");
+        assert_eq!(saturated[0].value, 877);
         // 30 of 100 announced AFRs needing retransmission is a storm
         // (300‰).
-        let lossy = engine.tick_with_sample(HealthSample {
+        let lossy = fired(&HealthSample {
             at_ns: 2_000,
             metrics: vec![
                 metric("ow_controller_afr_recovered_total", &[], 30),
@@ -176,30 +194,16 @@ mod tests {
 
     #[test]
     fn escalation_storm_is_critical_and_freezes_the_black_box() {
+        // 1 escalation per 100 sessions = 10‰: within tolerance.
+        assert!(fired(&escalations(1)).is_empty());
+        // 10 per 100 = 100‰: a storm — critical, so the engine's
+        // recorder freezes with the rule in the reason line.
         let obs = Obs::new();
         let engine = obs.install_health(controller_health_rules(256));
-        // 1 escalation per 100 sessions = 10‰: within tolerance.
-        engine.tick_with_sample(HealthSample {
-            at_ns: 1_000,
-            metrics: vec![
-                metric("ow_controller_escalations_total", &[], 1),
-                metric("ow_controller_sessions_total", &[], 100),
-            ],
-            peaks: vec![],
-        });
-        assert!(!engine.frozen());
-        // 10 per 100 = 100‰: a storm — critical, so the recorder
-        // freezes with the rule in the reason line.
-        let fired = engine.tick_with_sample(HealthSample {
-            at_ns: 2_000,
-            metrics: vec![
-                metric("ow_controller_escalations_total", &[], 10),
-                metric("ow_controller_sessions_total", &[], 100),
-            ],
-            peaks: vec![],
-        });
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].severity, "critical");
+        let storm = engine.tick_with_sample(escalations(10)).alerts;
+        assert_eq!(storm.len(), 1);
+        assert_eq!(storm[0].code, "OW-HEALTH-204");
+        assert_eq!(storm[0].severity, "critical");
         assert!(engine.frozen());
         let dump = engine.flight_dump("unit").expect("critical froze the box");
         assert!(dump.freeze_reason.contains("OW-HEALTH-204"));
@@ -208,9 +212,15 @@ mod tests {
     #[test]
     fn recovery_burn_fires_when_escalated_sessions_blow_the_deadline() {
         use ow_common::time::Duration;
-        let obs = Obs::new();
-        let engine = obs.install_health(controller_health_rules(256));
-        let hist = obs.histogram("ow_controller_cr_phase_duration", &[("phase", "recovery")]);
+        let registry = MetricsRegistry::new();
+        let hist = registry.histogram("ow_controller_cr_phase_duration", &[("phase", "recovery")]);
+        let burn = |at_ns| {
+            fired(&HealthSample {
+                at_ns,
+                metrics: registry.snapshot().metrics,
+                peaks: vec![],
+            })
+        };
         // 19 fast recoveries (~100µs) + 1 escalated one (40ms): 5% of
         // sessions past the 1ms deadline against a 5% budget — at the
         // edge, not over. Ten escalations (~34%) burn 6.9× the budget.
@@ -218,18 +228,18 @@ mod tests {
             hist.record(Duration::from_micros(100));
         }
         hist.record(Duration::from_millis(40));
-        let edge = engine.tick(ow_common::time::Instant(1_000_000));
+        let edge = burn(1_000_000);
         assert!(edge.iter().all(|a| a.code != "OW-HEALTH-203"), "{edge:?}");
         for _ in 0..9 {
             hist.record(Duration::from_millis(40));
         }
-        let fired = engine.tick(ow_common::time::Instant(2_000_000));
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].code, "OW-HEALTH-203");
+        let burning = burn(2_000_000);
+        assert_eq!(burning.len(), 1);
+        assert_eq!(burning[0].code, "OW-HEALTH-203");
         assert!(
-            fired[0].value > 1000,
+            burning[0].value > 1000,
             "burn {} must exceed budget",
-            fired[0].value
+            burning[0].value
         );
     }
 }

@@ -22,13 +22,12 @@ use ow_switch::health::switch_health_rules;
 use crate::evaluate;
 use crate::mechanisms::WindowResult;
 
-/// The `(code, entity)` pairs that *fired* (ignoring clears) in an
-/// engine's timeline, deduplicated and sorted.
+/// The `(code, entity)` pairs in an engine's timeline, deduplicated
+/// and sorted.
 pub fn fired_pairs(engine: &HealthEngine) -> BTreeSet<(String, String)> {
     engine
         .timeline()
         .iter()
-        .filter(|a| a.state == "fired")
         .map(|a| (a.code.clone(), a.entity.clone()))
         .collect()
 }

@@ -764,6 +764,8 @@ pub fn fleet_health_rules() -> RuleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ow_obs::AlertEvent;
+    use std::collections::BTreeSet;
 
     #[test]
     fn rendezvous_assignment_is_stable_and_minimally_disruptive() {
@@ -912,8 +914,8 @@ mod tests {
         let snap = obs.snapshot();
         assert_eq!(snap.value("ow_health_fleet_score", &[]), 1000);
         assert_eq!(
-            snap.value("ow_health_ticks_total", &[]),
-            1,
+            snap.value("ow_health_entity_score", &[("entity", "fleet")]),
+            1000,
             "settle tick ran"
         );
     }
@@ -944,10 +946,14 @@ mod tests {
         };
         let report = run(&cfg, &obs);
         assert!(report.all_windows_accounted());
-        let timeline = engine.timeline();
-        let fired: Vec<(&str, &str)> = timeline
-            .iter()
-            .map(|a| (a.code.as_str(), a.entity.as_str()))
+        let pairs = |alerts: &[AlertEvent]| -> BTreeSet<(String, String)> {
+            (alerts.iter())
+                .map(|a| (a.code.clone(), a.entity.clone()))
+                .collect()
+        };
+        let settled = pairs(&engine.timeline());
+        let fired: Vec<(&str, &str)> = (settled.iter())
+            .map(|(c, e)| (c.as_str(), e.as_str()))
             .collect();
         assert!(fired.contains(&("OW-HEALTH-301", "fleet")), "{fired:?}");
         assert!(fired.contains(&("OW-HEALTH-302", "rack:1")), "{fired:?}");
@@ -959,12 +965,16 @@ mod tests {
         );
         assert!(!engine.frozen(), "no critical rule fired");
         // A window still in flight after the fleet drained is wedged:
-        // critical, so the next tick freezes the black box.
+        // critical, so the next tick fires it beside every rule the
+        // settled totals still breach, and freezes the black box.
         obs.gauge("ow_fleet_windows_inflight", &[("worker", "0")])
             .set(1);
-        let wedged = engine.tick(Instant::from_millis(200));
-        assert_eq!(wedged.len(), 1, "{wedged:?}");
-        assert_eq!(wedged[0].code, "OW-HEALTH-303");
+        let wedged = pairs(&engine.tick(Instant::from_millis(200)).alerts);
+        let new: Vec<(&str, &str)> = (wedged.difference(&settled))
+            .map(|(c, e)| (c.as_str(), e.as_str()))
+            .collect();
+        assert_eq!(new, [("OW-HEALTH-303", "fleet")]);
+        assert!(wedged.is_superset(&settled), "{wedged:?}");
         assert!(engine.frozen());
     }
 }

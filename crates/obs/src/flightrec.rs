@@ -3,8 +3,8 @@
 //! When something goes badly wrong (a [`crate::health`] rule firing at
 //! `Severity::Critical`, or a `WindowFsm` invariant rejection) the
 //! health engine freezes a [`FlightDump`], which becomes a deterministic
-//! `results/flightrec_*.json`: the signal readings and tick line of the
-//! most recent tick joined by the journal's events at the freeze, the
+//! `results/flightrec_*.json`: the latest verdict's signal readings and
+//! summary line joined by the journal's events at the freeze, the
 //! full registry snapshot at the freeze instant, a brief of every causal
 //! span tree, and the health-alert timeline.
 //! Chaos failures become diagnosable artifacts instead of log
@@ -26,7 +26,7 @@ use crate::registry::{MetricSnapshot, RegistrySnapshot};
 use crate::span::{TraceReport, Tracer};
 
 /// One black-box entry: a journal event, a rule-signal reading, or a
-/// tick summary, pre-rendered to a canonical line.
+/// verdict's summary, pre-rendered to a canonical line.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub struct FlightEntry {
     /// Virtual-clock timestamp (0 when the source carried none).
@@ -79,7 +79,7 @@ pub struct FlightDump {
     pub freeze_reason: String,
     /// Virtual-clock instant of the freeze.
     pub frozen_at_ns: u64,
-    /// The freezing tick's signal and tick lines (none when no tick
+    /// The latest verdict's signal and tick lines (none when no tick
     /// ran) and the journal's events at the freeze, in canonical
     /// `(at_ns, kind, detail)` order.
     pub entries: Vec<FlightEntry>,
@@ -87,19 +87,20 @@ pub struct FlightDump {
     pub registry: RegistrySnapshot,
     /// Brief of every causal span tree at the freeze instant, by id.
     pub traces: Vec<TraceBrief>,
-    /// The health-alert timeline up to and including the freeze.
+    /// Every alert fired up to and including the freeze.
     pub timeline: Vec<AlertEvent>,
 }
 
 impl FlightDump {
-    /// Assemble the post-mortem at a freeze: `last_tick`'s lines joined
-    /// by `journal`'s retained events (read once), `metrics` in series
-    /// order, and a brief of every span tree in `tracer`. `run` is left
-    /// empty; [`crate::HealthEngine::flight_dump`] names it.
+    /// Assemble the post-mortem at a freeze: the latest verdict's
+    /// `lines` joined by `journal`'s retained events (read once),
+    /// `metrics` in series order, and a brief of every span tree in
+    /// `tracer`. `run` is left empty; [`crate::HealthEngine::flight_dump`]
+    /// names it.
     pub(crate) fn capture(
         reason: String,
         at_ns: u64,
-        last_tick: &[FlightEntry],
+        lines: &[FlightEntry],
         journal: &EventJournal,
         mut metrics: Vec<MetricSnapshot>,
         tracer: &Tracer,
@@ -107,7 +108,7 @@ impl FlightDump {
     ) -> FlightDump {
         let mut entries: Vec<FlightEntry> =
             journal.events().iter().map(FlightEntry::from).collect();
-        entries.extend_from_slice(last_tick);
+        entries.extend_from_slice(lines);
         entries.sort();
         metrics.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
         let traces = TraceReport::capture("flightrec", tracer, None)
@@ -144,9 +145,8 @@ impl FlightDump {
     }
 
     /// What the types do not already guarantee about a dump: a
-    /// non-empty `freeze_reason`, entry kinds in `event|signal|tick`,
-    /// a stable `OW-HEALTH-*` code and a `fired|cleared` state on every
-    /// timeline record.
+    /// non-empty `freeze_reason`, entry kinds in `event|signal|tick`
+    /// and a stable `OW-HEALTH-*` code on every timeline record.
     pub fn check(&self) -> Result<(), String> {
         if self.freeze_reason.is_empty() {
             return Err("empty freeze_reason".into());
@@ -159,9 +159,6 @@ impl FlightDump {
         for (i, a) in self.timeline.iter().enumerate() {
             if !crate::health::valid_code(&a.code) {
                 return Err(format!("timeline record {i} has bad code '{}'", a.code));
-            }
-            if !matches!(a.state.as_str(), "fired" | "cleared") {
-                return Err(format!("timeline record {i} has state '{}'", a.state));
             }
         }
         Ok(())
@@ -203,7 +200,7 @@ mod tests {
             lines(&dump),
             vec![
                 ("event", "warn health_alert [sw=1]: OW-HEALTH-001 fsm_invariant_rejected fired for controller:1: first failure"),
-                ("tick", "tick=0 fleet_score=1000 active_alerts=0"),
+                ("tick", "fleet_score=1000 active_alerts=0"),
             ],
             "post-freeze lines ignored"
         );
@@ -223,7 +220,7 @@ mod tests {
             vec![
                 ("event", "warn health_alert [sw=4]: OW-HEALTH-001 fsm_invariant_rejected fired for switch:4: unit"),
                 ("event", "info unit: journal a"),
-                ("tick", "tick=0 fleet_score=1000 active_alerts=0"),
+                ("tick", "fleet_score=1000 active_alerts=0"),
                 ("event", "info unit: journal b"),
             ]
         );
@@ -264,10 +261,6 @@ mod tests {
         assert!(err.contains("unknown kind"), "{err}");
 
         let mut bad_timeline = good;
-        bad_timeline.timeline[0].state = "flapping".into();
-        let err = bad_timeline.check().unwrap_err();
-        assert!(err.contains("state 'flapping'"), "{err}");
-        bad_timeline.timeline[0].state = "fired".into();
         bad_timeline.timeline[0].code = "HEALTH-1".into();
         let err = bad_timeline.check().unwrap_err();
         assert!(err.contains("bad code"), "{err}");

@@ -1,29 +1,28 @@
-//! The streaming fleet health engine.
+//! The fleet health engine: one verdict over one sample.
 //!
 //! Raw signals — per-shard queue gauges, recovery-latency histograms,
 //! retransmit counters — say nothing by themselves; this module is the
 //! interpretation layer. A declarative [`RuleSet`] of [`Rule`]s (stable
-//! `OW-HEALTH-*` codes, threshold + [`Severity`]) is
-//! evaluated on explicit virtual-clock **ticks** against a
-//! [`HealthSample`] (registry snapshot + gauge high-watermarks), with
-//! derived [`Signal`] evaluators: instantaneous values, saturation and
-//! numerator/denominator ratios, and SLO burn rate read straight from
-//! the log2 latency histograms. All arithmetic is
-//! integer/permille, so two same-seed runs produce byte-identical
-//! alert timelines.
+//! `OW-HEALTH-*` codes, threshold + [`Severity`]) is judged by
+//! [`evaluate`] against one [`HealthSample`] (registry snapshot + gauge
+//! high watermarks), with derived [`Signal`] evaluators: instantaneous
+//! values, saturation and numerator/denominator ratios, and SLO burn
+//! rate read straight from the log2 latency histograms. A rule
+//! breaches or it does not; nothing is remembered between samples.
+//! All arithmetic is integer/permille, so two same-seed runs produce
+//! byte-identical verdicts.
 //!
-//! Firing rules drive three outputs:
+//! [`HealthEngine::tick`] captures a sample, evaluates it and publishes
+//! the [`Verdict`]:
 //!
-//! * an append-only [`AlertEvent`] timeline plus `health_alert` /
-//!   `health_clear` journal events and `ow_health_alerts_total`
-//!   counters;
-//! * per-entity scores (1000 = healthy, severity-weighted penalties
-//!   for active alerts) rolled up to the `ow_health_fleet_score`
-//!   gauge — the one number an operator watches;
-//! * a black box that freezes a deterministic [`FlightDump`]
-//!   post-mortem, holding the last tick's signal readings, when a rule
-//!   fires at [`Severity::Critical`] or a `WindowFsm` invariant is
-//!   rejected (code [`FSM_REJECT_CODE`]).
+//! * each fired [`AlertEvent`] joins the engine's timeline, a
+//!   `health_alert` journal event and `ow_health_alerts_total`;
+//! * per-entity scores (1000 = healthy, minus severity-weighted
+//!   penalties for this sample's breaches) roll up to the
+//!   `ow_health_fleet_score` gauge — the one number an operator watches;
+//! * the first [`Severity::Critical`] alert, or a rejected `WindowFsm`
+//!   transition (code [`FSM_REJECT_CODE`]), freezes a deterministic
+//!   [`FlightDump`] post-mortem holding the latest verdict's lines.
 //!
 //! Evaluation is **order-independent**: series matched by a selector
 //! are aggregated per entity into sorted maps before any comparison,
@@ -42,7 +41,6 @@ use crate::flightrec::{FlightDump, FlightEntry};
 use crate::journal::{Event, EventJournal};
 use crate::registry::{MetricSnapshot, MetricsRegistry, PeakSample};
 use crate::span::Tracer;
-use crate::{Counter, Gauge};
 
 /// The reserved code for `WindowFsm` invariant rejections — not part of
 /// any installed [`RuleSet`], emitted directly by
@@ -68,7 +66,7 @@ pub enum Severity {
 }
 
 impl Severity {
-    /// Health-score penalty while a rule of this severity is active.
+    /// Health-score penalty of one breach at this severity.
     pub(crate) fn penalty(self) -> u64 {
         match self {
             Severity::Info => 0,
@@ -129,7 +127,7 @@ impl MetricSelector {
     }
 }
 
-/// A derived signal computed from the selected series each tick. All
+/// A derived signal computed from the selected series of a sample. All
 /// math is integer (permille where a fraction is meant) so evaluation
 /// is deterministic across platforms.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -139,16 +137,16 @@ pub enum Signal {
     /// `numerator · 1000 / denominator` where the numerator is the
     /// rule's selector and the denominator its own selector, matched
     /// per entity. A group whose denominator is still 0 carries no
-    /// signal yet and is **skipped** for the tick — never evaluated as
-    /// ratio 0 — so `Cmp::Below` ratio rules stay silent until the
-    /// denominator series actually moves.
+    /// signal yet and is **skipped** — never evaluated as ratio 0 — so
+    /// `Cmp::Below` ratio rules stay silent until the denominator
+    /// series actually moves.
     RatioPermille {
         /// The denominator series.
         denominator: MetricSelector,
     },
-    /// `peak · 1000 / capacity` — how close a gauge's high-watermark
-    /// since the previous tick (see `crate::Gauge::take_peak`) came
-    /// to a fixed capacity.
+    /// `peak · 1000 / capacity` — how close a gauge's high watermark
+    /// since it was registered (see [`crate::Gauge::peak`]) came to a
+    /// fixed capacity.
     SaturationPermille {
         /// The capacity the gauge saturates at.
         capacity: u64,
@@ -204,7 +202,7 @@ pub struct Rule {
 
 impl Rule {
     /// A rule with defaults: entity `"fleet"`, no grouping. It fires on
-    /// the first breaching tick. Refine with the builder methods.
+    /// every breaching sample. Refine with the builder methods.
     pub fn new(
         code: &str,
         name: &str,
@@ -301,17 +299,16 @@ impl RuleSet {
     }
 }
 
-/// What the engine evaluates each tick: a point-in-time metric sample
-/// plus the read-and-reset gauge high-watermarks. Normally captured
-/// from the registry by [`HealthEngine::tick`]; tests build synthetic
-/// samples directly.
+/// What [`evaluate`] judges: a point-in-time metric sample plus every
+/// gauge's high watermark. Normally captured from the registry by
+/// [`HealthEngine::tick`]; tests build synthetic samples directly.
 #[derive(Debug, Clone)]
 pub struct HealthSample {
     /// Virtual-clock instant of the sample.
     pub at_ns: u64,
     /// Every metric (any order — evaluation is order-independent).
     pub metrics: Vec<MetricSnapshot>,
-    /// Gauge high-watermarks since the previous sample.
+    /// Gauge high watermarks since each gauge was registered.
     pub peaks: Vec<PeakSample>,
 }
 
@@ -321,16 +318,15 @@ impl HealthSample {
         HealthSample {
             at_ns: now.as_nanos(),
             metrics: registry.snapshot().metrics,
-            peaks: registry.take_gauge_peaks(),
+            peaks: registry.gauge_peaks(),
         }
     }
 }
 
-/// One timeline record: a rule firing or clearing for an entity.
+/// One fired alert: a rule breaching for an entity in one sample, or a
+/// rejected `WindowFsm` transition.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct AlertEvent {
-    /// Engine tick index (0-based).
-    pub tick: u64,
     /// Virtual-clock instant of the evaluating sample.
     pub at_ns: u64,
     /// The stable rule code.
@@ -341,19 +337,27 @@ pub struct AlertEvent {
     pub entity: String,
     /// `"info"` / `"warning"` / `"critical"`.
     pub severity: String,
-    /// `"fired"` or `"cleared"`.
-    pub state: String,
-    /// The signal value that triggered the transition.
+    /// The signal value that breached.
     pub value: u64,
     /// The rule threshold.
     pub threshold: u64,
 }
 
-/// Per-(rule, entity) evaluation state.
-#[derive(Debug, Clone, Default)]
-struct RuleState {
-    active: bool,
-    severity_penalty: u64,
+/// What [`evaluate`] says about one sample.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Verdict {
+    /// Virtual-clock instant of the sample.
+    pub at_ns: u64,
+    /// Every breaching (rule, entity), in rule order, then entity order.
+    pub alerts: Vec<AlertEvent>,
+    /// 1000 minus the penalties of the entity's breaches, for every
+    /// entity some rule evaluated, sorted by entity key.
+    pub entity_scores: BTreeMap<String, u64>,
+    /// The worst entity score (1000 when no rule evaluated anything).
+    pub fleet_score: u64,
+    /// One `signal` line per evaluated (rule, entity), then a `tick`
+    /// summary line: what the black box keeps of this sample.
+    pub lines: Vec<FlightEntry>,
 }
 
 /// Aggregated inputs of one entity under one rule.
@@ -366,33 +370,85 @@ struct GroupAgg {
     hist_buckets: BTreeMap<u64, u64>,
 }
 
-#[derive(Debug)]
+/// Judge one sample: every rule, per entity, breaches or it does not.
+/// A ratio whose denominator is 0 carries no signal yet and is
+/// skipped, never read as ratio 0.
+pub fn evaluate(rules: &RuleSet, sample: &HealthSample) -> Verdict {
+    let at_ns = sample.at_ns;
+    let mut alerts = Vec::new();
+    let mut penalties: BTreeMap<String, u64> = BTreeMap::new();
+    let mut lines = Vec::new();
+    for rule in rules.rules() {
+        for (entity, agg) in aggregate(rule, sample) {
+            if matches!(rule.signal, Signal::RatioPermille { .. }) && agg.denom == 0 {
+                continue;
+            }
+            let value = eval_signal(&rule.signal, &agg);
+            lines.push(FlightEntry {
+                at_ns,
+                kind: "signal".into(),
+                detail: format!(
+                    "{} {} value={value} threshold={}",
+                    rule.code, entity, rule.threshold
+                ),
+            });
+            let penalty = penalties.entry(entity.clone()).or_insert(0);
+            let breach = match rule.cmp {
+                Cmp::Above => value > rule.threshold,
+                Cmp::Below => value < rule.threshold,
+            };
+            if breach {
+                *penalty += rule.severity.penalty();
+                alerts.push(AlertEvent {
+                    at_ns,
+                    code: rule.code.clone(),
+                    rule: rule.name.clone(),
+                    entity,
+                    severity: rule.severity.name().to_string(),
+                    value,
+                    threshold: rule.threshold,
+                });
+            }
+        }
+    }
+    let entity_scores: BTreeMap<String, u64> = penalties
+        .into_iter()
+        .map(|(e, p)| (e, 1000u64.saturating_sub(p)))
+        .collect();
+    let fleet_score = entity_scores.values().copied().min().unwrap_or(1000);
+    lines.push(FlightEntry {
+        at_ns,
+        kind: "tick".into(),
+        detail: format!("fleet_score={fleet_score} active_alerts={}", alerts.len()),
+    });
+    Verdict {
+        at_ns,
+        alerts,
+        entity_scores,
+        fleet_score,
+        lines,
+    }
+}
+
+#[derive(Debug, Default)]
 struct EngineInner {
-    ticks: u64,
-    last_at_ns: Option<u64>,
-    states: BTreeMap<(usize, String), RuleState>,
+    /// Every alert fired so far, by ticks and FSM rejections, in order.
     timeline: Vec<AlertEvent>,
-    /// The most recent tick's signal readings and tick line; the next
-    /// tick replaces them.
-    last_tick: Vec<FlightEntry>,
+    /// The latest tick's verdict; the next tick replaces it.
+    latest: Option<Verdict>,
     /// The post-mortem of the first freeze; later freezes are ignored so
     /// the dump shows the *initial* failure, not the last symptom.
     dump: Option<FlightDump>,
 }
 
-/// The deterministic streaming health engine. Install on an
-/// [`crate::Obs`] via [`crate::Obs::install_health`]; drive with
-/// [`HealthEngine::tick`] at virtual-clock checkpoints.
+/// The health engine: [`evaluate`] on a captured sample, with the
+/// verdict published. Install on an [`crate::Obs`] via
+/// [`crate::Obs::install_health`]; drive with [`HealthEngine::tick`].
 pub struct HealthEngine {
     rules: RuleSet,
     registry: Arc<MetricsRegistry>,
     journal: Arc<EventJournal>,
     tracer: Arc<Tracer>,
-    alerts_info: Counter,
-    alerts_warning: Counter,
-    alerts_critical: Counter,
-    ticks_total: Counter,
-    fleet_score: Gauge,
     inner: Mutex<EngineInner>,
 }
 
@@ -407,231 +463,118 @@ impl fmt::Debug for HealthEngine {
 impl HealthEngine {
     /// Build an engine over the given observability parts, with the
     /// engine's own metrics pre-registered: `ow_health_alerts_total`
-    /// per severity, `ow_health_ticks_total`, and the
-    /// `ow_health_fleet_score` gauge (initialized to a healthy 1000).
+    /// per severity and the `ow_health_fleet_score` gauge (initialized
+    /// to a healthy 1000).
     pub(crate) fn new(
         rules: RuleSet,
         registry: Arc<MetricsRegistry>,
         journal: Arc<EventJournal>,
         tracer: Arc<Tracer>,
     ) -> HealthEngine {
-        let alerts_info = registry.counter("ow_health_alerts_total", &[("severity", "info")]);
-        let alerts_warning = registry.counter("ow_health_alerts_total", &[("severity", "warning")]);
-        let alerts_critical =
-            registry.counter("ow_health_alerts_total", &[("severity", "critical")]);
-        let ticks_total = registry.counter("ow_health_ticks_total", &[]);
-        let fleet_score = registry.gauge("ow_health_fleet_score", &[]);
-        fleet_score.set(1000);
-        let _ = fleet_score.take_peak();
+        for severity in [Severity::Info, Severity::Warning, Severity::Critical] {
+            registry.counter("ow_health_alerts_total", &[("severity", severity.name())]);
+        }
+        registry.gauge("ow_health_fleet_score", &[]).set(1000);
         HealthEngine {
             rules,
             registry,
             journal,
             tracer,
-            alerts_info,
-            alerts_warning,
-            alerts_critical,
-            ticks_total,
-            fleet_score,
-            inner: Mutex::new(EngineInner {
-                ticks: 0,
-                last_at_ns: None,
-                states: BTreeMap::new(),
-                timeline: Vec::new(),
-                last_tick: Vec::new(),
-                dump: None,
-            }),
+            inner: Mutex::new(EngineInner::default()),
         }
     }
 
-    /// Sample the live registry at `now` and evaluate one tick.
-    /// Returns the alert transitions (fired/cleared) of this tick.
-    pub fn tick(&self, now: Instant) -> Vec<AlertEvent> {
-        let sample = HealthSample::capture(&self.registry, now);
-        self.tick_with_sample(sample)
+    /// Sample the live registry at `now` and judge it.
+    pub fn tick(&self, now: Instant) -> Verdict {
+        self.tick_with_sample(HealthSample::capture(&self.registry, now))
     }
 
-    /// Evaluate one tick against an explicit sample (the testable
-    /// core — `tick` is capture + this).
-    pub fn tick_with_sample(&self, sample: HealthSample) -> Vec<AlertEvent> {
+    /// Judge an explicit sample (`tick` is capture + this): publish the
+    /// verdict's alerts and scores, keep it as the latest, and freeze
+    /// the black box on its first critical alert.
+    pub fn tick_with_sample(&self, sample: HealthSample) -> Verdict {
         let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        let tick = inner.ticks;
-        inner.ticks += 1;
-        self.ticks_total.inc();
-        inner.last_at_ns = Some(sample.at_ns);
-
-        let mut transitions: Vec<AlertEvent> = Vec::new();
-        let mut freeze: Option<AlertEvent> = None;
-        let mut lines: Vec<FlightEntry> = Vec::new();
-
-        for (ri, rule) in self.rules.rules().iter().enumerate() {
-            for (entity, agg) in aggregate(rule, &sample) {
-                // A ratio with an untouched denominator is "no signal
-                // yet", not "ratio 0": evaluating it would false-fire
-                // every `Below` ratio rule on the first tick.
-                if matches!(rule.signal, Signal::RatioPermille { .. }) && agg.denom == 0 {
-                    continue;
-                }
-                let state = inner.states.entry((ri, entity.clone())).or_default();
-                let value = eval_signal(&rule.signal, &agg);
-                lines.push(FlightEntry {
-                    at_ns: sample.at_ns,
-                    kind: "signal".into(),
-                    detail: format!(
-                        "{} {} value={value} threshold={}",
-                        rule.code, entity, rule.threshold
-                    ),
-                });
-                let breach = match rule.cmp {
-                    Cmp::Above => value > rule.threshold,
-                    Cmp::Below => value < rule.threshold,
-                };
-                let transition = |label: &str| AlertEvent {
-                    tick,
-                    at_ns: sample.at_ns,
-                    code: rule.code.clone(),
-                    rule: rule.name.clone(),
-                    entity: entity.clone(),
-                    severity: rule.severity.name().to_string(),
-                    state: label.into(),
-                    value,
-                    threshold: rule.threshold,
-                };
-                if breach && !state.active {
-                    state.active = true;
-                    state.severity_penalty = rule.severity.penalty();
-                    let alert = transition("fired");
-                    match rule.severity {
-                        Severity::Info => self.alerts_info.inc(),
-                        Severity::Warning => self.alerts_warning.inc(),
-                        Severity::Critical => self.alerts_critical.inc(),
-                    }
-                    self.journal.record(
-                        Event::new(
-                            "health_alert",
-                            format!(
-                                "{} {} fired for {}: value {} vs threshold {} ({})",
-                                rule.code,
-                                rule.name,
-                                entity,
-                                value,
-                                rule.threshold,
-                                rule.severity.name()
-                            ),
-                        )
-                        .warn()
-                        .at(Instant(sample.at_ns)),
-                    );
-                    if rule.severity == Severity::Critical && freeze.is_none() {
-                        freeze = Some(alert.clone());
-                    }
-                    transitions.push(alert);
-                } else if !breach && state.active {
-                    state.active = false;
-                    state.severity_penalty = 0;
-                    self.journal.record(
-                        Event::new(
-                            "health_clear",
-                            format!(
-                                "{} {} cleared for {}: value {} vs threshold {}",
-                                rule.code, rule.name, entity, value, rule.threshold
-                            ),
-                        )
-                        .at(Instant(sample.at_ns)),
-                    );
-                    transitions.push(transition("cleared"));
-                }
-            }
+        let verdict = evaluate(&self.rules, &sample);
+        for a in &verdict.alerts {
+            let message = format!(
+                "{} {} fired for {}: value {} vs threshold {} ({})",
+                a.code, a.rule, a.entity, a.value, a.threshold, a.severity
+            );
+            let event = Event::new("health_alert", message).warn();
+            self.raise(&mut inner, a.clone(), event.at(Instant(a.at_ns)));
         }
-
-        inner.timeline.extend(transitions.iter().cloned());
-
-        // Scores: 1000 minus the summed penalties of active alerts,
-        // per entity; the fleet score is the worst entity.
-        let (scores, fleet) = compute_scores(&inner.states);
-        self.fleet_score.set(fleet);
-        for (entity, score) in &scores {
+        self.registry
+            .gauge("ow_health_fleet_score", &[])
+            .set(verdict.fleet_score);
+        for (entity, score) in &verdict.entity_scores {
             self.registry
                 .gauge("ow_health_entity_score", &[("entity", entity)])
                 .set(*score);
         }
-
-        // The black box keeps this tick's rule-signal readings and a
-        // tick summary; journal events join the dump at the freeze.
-        let active = inner.states.values().filter(|s| s.active).count();
-        lines.push(FlightEntry {
-            at_ns: sample.at_ns,
-            kind: "tick".into(),
-            detail: format!("tick={tick} fleet_score={fleet} active_alerts={active}"),
-        });
-        inner.last_tick = lines;
-
-        if let Some(alert) = freeze {
-            let reason = format!(
+        let critical = (verdict.alerts.iter()).find(|a| a.severity == Severity::Critical.name());
+        let reason = critical.map(|a| {
+            format!(
                 "{} {} fired at severity critical for {}",
-                alert.code, alert.rule, alert.entity
-            );
-            self.freeze(inner, reason, sample.at_ns, sample.metrics);
+                a.code, a.rule, a.entity
+            )
+        });
+        inner.latest = Some(verdict.clone());
+        if let Some(reason) = reason {
+            self.freeze(&mut inner, reason, sample.metrics);
         }
-        transitions
+        verdict
+    }
+
+    /// Count `alert`, journal `event` and append the alert to the
+    /// timeline.
+    fn raise(&self, inner: &mut EngineInner, alert: AlertEvent, event: Event) {
+        self.registry
+            .counter("ow_health_alerts_total", &[("severity", &alert.severity)])
+            .inc();
+        self.journal.record(event);
+        inner.timeline.push(alert);
     }
 
     /// Report a rejected `WindowFsm` transition: appends a critical
     /// [`FSM_REJECT_CODE`] record to the timeline, counts it, and
-    /// freezes the flight recorder with the last tick's readings.
+    /// freezes the flight recorder with the latest verdict's lines.
     /// Called from the engine-transition sink, so any invariant
     /// rejection anywhere in the system becomes a post-mortem.
     pub(crate) fn fsm_invariant_rejected(&self, side: &str, subwindow: u32, detail: &str) {
         let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        let at_ns = inner.last_at_ns.unwrap_or(0);
         let alert = AlertEvent {
-            tick: inner.ticks,
-            at_ns,
+            at_ns: inner.latest.as_ref().map_or(0, |v| v.at_ns),
             code: FSM_REJECT_CODE.to_string(),
             rule: "fsm_invariant_rejected".into(),
             entity: format!("{side}:{subwindow}"),
             severity: Severity::Critical.name().to_string(),
-            state: "fired".into(),
             value: 1,
             threshold: 0,
         };
-        self.alerts_critical.inc();
-        self.journal.record(
-            Event::new(
-                "health_alert",
-                format!(
-                    "{FSM_REJECT_CODE} fsm_invariant_rejected fired for {side}:{subwindow}: {detail}"
-                ),
-            )
-            .warn()
-            .subwindow(subwindow),
+        let message = format!(
+            "{FSM_REJECT_CODE} fsm_invariant_rejected fired for {side}:{subwindow}: {detail}"
         );
-        inner.timeline.push(alert);
+        let event = Event::new("health_alert", message).warn();
+        self.raise(&mut inner, alert, event.subwindow(subwindow));
         let reason =
             format!("{FSM_REJECT_CODE} WindowFsm invariant rejected on {side} sub-window {subwindow}: {detail}");
-        self.freeze(inner, reason, at_ns, self.registry.snapshot().metrics);
+        self.freeze(&mut inner, reason, self.registry.snapshot().metrics);
     }
 
-    /// Build the post-mortem, unless an earlier freeze did. A tick's
-    /// freeze passes the evaluating sample's `metrics`, so the dump shows
-    /// exactly the metrics the decision was made on; out-of-tick freezes
-    /// (FSM rejections) pass a fresh snapshot.
-    fn freeze(
-        &self,
-        inner: &mut EngineInner,
-        reason: String,
-        at_ns: u64,
-        metrics: Vec<MetricSnapshot>,
-    ) {
+    /// Build the post-mortem from the latest verdict, unless an earlier
+    /// freeze did. A tick's freeze passes the evaluating sample's
+    /// `metrics`, so the dump shows exactly the metrics the decision
+    /// was made on; FSM rejections pass a fresh snapshot.
+    fn freeze(&self, inner: &mut EngineInner, reason: String, metrics: Vec<MetricSnapshot>) {
         if inner.dump.is_some() {
             return;
         }
+        let (at_ns, lines) =
+            (inner.latest.as_ref()).map_or((0, &[][..]), |v| (v.at_ns, &v.lines[..]));
         inner.dump = Some(FlightDump::capture(
             reason,
             at_ns,
-            &inner.last_tick,
+            lines,
             &self.journal,
             metrics,
             &self.tracer,
@@ -639,7 +582,7 @@ impl HealthEngine {
         ));
     }
 
-    /// The full alert timeline so far.
+    /// Every alert fired so far.
     pub fn timeline(&self) -> Vec<AlertEvent> {
         self.inner.lock().timeline.clone()
     }
@@ -658,16 +601,18 @@ impl HealthEngine {
         })
     }
 
-    /// A serializable summary of the engine state (for
-    /// `results/health_*.json` artifacts).
+    /// A serializable summary: the latest verdict's scores and every
+    /// alert so far (for `results/health_*.json` artifacts).
     pub fn report(&self, run: &str) -> HealthReport {
         let inner = self.inner.lock();
-        let (scores, fleet) = compute_scores(&inner.states);
+        let (fleet_score, entity_scores) = (inner.latest.as_ref())
+            .map_or((1000, BTreeMap::new()), |v| {
+                (v.fleet_score, v.entity_scores.clone())
+            });
         HealthReport {
             run: run.to_string(),
-            ticks: inner.ticks,
-            fleet_score: fleet,
-            entity_scores: scores,
+            fleet_score,
+            entity_scores,
             frozen: inner.dump.is_some(),
             timeline: inner.timeline.clone(),
         }
@@ -679,32 +624,14 @@ impl HealthEngine {
 pub struct HealthReport {
     /// Name of the run.
     pub run: String,
-    /// Ticks evaluated.
-    pub ticks: u64,
-    /// The fleet score (worst entity; 1000 = healthy).
+    /// The latest fleet score (worst entity; 1000 = healthy).
     pub fleet_score: u64,
-    /// Per-entity scores, sorted by entity key.
+    /// The latest per-entity scores, sorted by entity key.
     pub entity_scores: BTreeMap<String, u64>,
     /// Whether the flight recorder froze during the run.
     pub frozen: bool,
-    /// The full alert timeline.
+    /// Every alert fired during the run.
     pub timeline: Vec<AlertEvent>,
-}
-
-fn compute_scores(states: &BTreeMap<(usize, String), RuleState>) -> (BTreeMap<String, u64>, u64) {
-    let mut penalties: BTreeMap<String, u64> = BTreeMap::new();
-    for ((_, entity), state) in states {
-        let p = penalties.entry(entity.clone()).or_insert(0);
-        if state.active {
-            *p += state.severity_penalty;
-        }
-    }
-    let scores: BTreeMap<String, u64> = penalties
-        .into_iter()
-        .map(|(e, p)| (e, 1000u64.saturating_sub(p)))
-        .collect();
-    let fleet = scores.values().copied().min().unwrap_or(1000);
-    (scores, fleet)
 }
 
 fn entity_key(rule: &Rule, labels: &[(String, String)]) -> Option<String> {
@@ -854,8 +781,8 @@ mod tests {
     }
 
     #[test]
-    fn threshold_duration_fire_and_clear() {
-        let (_obs, engine) = engine_with(vec![Rule::new(
+    fn a_breach_fires_on_every_sample_that_holds_it() {
+        let rule = Rule::new(
             "OW-HEALTH-900",
             "unit_pending",
             MetricSelector::new("ow_test_pending", &[]),
@@ -863,45 +790,42 @@ mod tests {
             Cmp::Above,
             10,
             Severity::Warning,
-        )
-        .entity("unit")]);
+        );
+        let rules = RuleSet::new(vec![rule.entity("unit")]).expect("rules validate");
+        let pending =
+            |at_ns, value| sample(at_ns, vec![metric("ow_test_pending", &[], "gauge", value)]);
+        // A healthy sample is silent and scores 1000…
+        let healthy = evaluate(&rules, &pending(100, 5));
+        assert!(healthy.alerts.is_empty());
+        assert_eq!(healthy.entity_scores["unit"], 1000);
+        // …each breaching sample fires on its own…
+        for (at_ns, value) in [(200, 60), (300, 70)] {
+            let breach = evaluate(&rules, &pending(at_ns, value));
+            assert_eq!(breach.alerts.len(), 1);
+            let alert = &breach.alerts[0];
+            assert_eq!(
+                (alert.code.as_str(), alert.entity.as_str()),
+                ("OW-HEALTH-900", "unit")
+            );
+            assert_eq!((alert.at_ns, alert.value), (at_ns, value));
+            assert_eq!(breach.fleet_score, 750);
+        }
+        // …and a verdict reads its own sample only.
+        assert_eq!(evaluate(&rules, &pending(100, 5)), healthy);
 
-        // A healthy tick is silent…
-        let t0 = engine.tick_with_sample(sample(
-            100,
-            vec![metric("ow_test_pending", &[], "gauge", 5)],
-        ));
-        assert!(t0.is_empty());
-        // …the first breach fires.
-        let t1 = engine.tick_with_sample(sample(
-            200,
-            vec![metric("ow_test_pending", &[], "gauge", 60)],
-        ));
-        assert_eq!(t1.len(), 1);
-        assert_eq!(t1[0].state, "fired");
-        assert_eq!(t1[0].code, "OW-HEALTH-900");
-        assert_eq!(t1[0].entity, "unit");
-        // Active alerts don't refire…
-        assert!(engine
-            .tick_with_sample(sample(
-                300,
-                vec![metric("ow_test_pending", &[], "gauge", 70)]
-            ))
-            .is_empty());
-        assert_eq!(engine.report("unit").fleet_score, 750);
-        // …and clear as soon as the signal recovers.
-        let t3 = engine.tick_with_sample(sample(
-            400,
-            vec![metric("ow_test_pending", &[], "gauge", 5)],
-        ));
-        assert_eq!(t3.len(), 1);
-        assert_eq!(t3[0].state, "cleared");
+        // The engine publishes each verdict: two breaching ticks fire
+        // twice, and the report carries the latest verdict's scores.
+        let obs = Obs::new();
+        let engine = obs.install_health(rules);
+        for (at_ns, value) in [(200, 60), (300, 70), (400, 5)] {
+            engine.tick_with_sample(pending(at_ns, value));
+        }
         assert!(!engine.frozen(), "warning severity never freezes");
-
         let report = engine.report("unit");
-        assert_eq!(report.ticks, 4);
-        assert_eq!(report.fleet_score, 1000, "cleared alert restores health");
         assert_eq!(report.timeline.len(), 2);
+        assert_eq!(report.fleet_score, 1000);
+        let warnings = [("severity", "warning")];
+        assert_eq!(obs.snapshot().value("ow_health_alerts_total", &warnings), 2);
     }
 
     #[test]
@@ -924,8 +848,8 @@ mod tests {
                 metric("ow_test_depth", &[("shard", "1")], "gauge", 99),
             ],
         ));
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].entity, "shard:1");
+        assert_eq!(fired.alerts.len(), 1);
+        assert_eq!(fired.alerts[0].entity, "shard:1");
         let report = engine.report("unit");
         assert_eq!(report.entity_scores["shard:0"], 1000);
         assert_eq!(report.entity_scores["shard:1"], 750);
@@ -997,7 +921,7 @@ mod tests {
 
     #[test]
     fn below_ratio_rules_skip_groups_with_a_zero_denominator() {
-        let (_obs, engine) = engine_with(vec![Rule::new(
+        let rule = Rule::new(
             "OW-HEALTH-902",
             "unit_drift",
             MetricSelector::new("ow_test_num", &[]),
@@ -1007,39 +931,32 @@ mod tests {
             Cmp::Below,
             900,
             Severity::Warning,
-        )
-        .entity("unit")]);
+        );
+        let rules = RuleSet::new(vec![rule.entity("unit")]).expect("rules validate");
+        let ratio = |num, den| {
+            let num = metric("ow_test_num", &[], "counter", num);
+            evaluate(
+                &rules,
+                &sample(100, vec![num, metric("ow_test_den", &[], "counter", den)]),
+            )
+        };
 
         // Both series exist but the denominator is still 0: no signal
         // yet, so the `Below` rule must not read 0/0 as ratio 0.
-        let t0 = engine.tick_with_sample(sample(
-            100,
-            vec![
-                metric("ow_test_num", &[], "counter", 0),
-                metric("ow_test_den", &[], "counter", 0),
-            ],
-        ));
-        assert!(t0.is_empty(), "zero denominator fired: {t0:?}");
-        // Once the denominator moves, a genuine drift fires…
-        let t1 = engine.tick_with_sample(sample(
-            200,
-            vec![
-                metric("ow_test_num", &[], "counter", 10),
-                metric("ow_test_den", &[], "counter", 100),
-            ],
-        ));
-        assert_eq!(t1.len(), 1);
-        assert_eq!(t1[0].value, 100);
-        // …and parity clears it.
-        let t2 = engine.tick_with_sample(sample(
-            300,
-            vec![
-                metric("ow_test_num", &[], "counter", 100),
-                metric("ow_test_den", &[], "counter", 100),
-            ],
-        ));
-        assert_eq!(t2.len(), 1);
-        assert_eq!(t2[0].state, "cleared");
+        let unmoved = ratio(0, 0);
+        assert!(
+            unmoved.alerts.is_empty(),
+            "zero denominator fired: {unmoved:?}"
+        );
+        assert!(
+            unmoved.entity_scores.is_empty(),
+            "a skipped group is not scored"
+        );
+        assert!(unmoved.lines.iter().all(|l| l.kind != "signal"));
+        // Once the denominator moves, a genuine drift fires.
+        let drift = ratio(10, 100);
+        assert_eq!(drift.alerts.len(), 1);
+        assert_eq!(drift.alerts[0].value, 100);
     }
 
     #[test]
@@ -1093,7 +1010,7 @@ mod tests {
         assert!(!engine.frozen());
         let fired =
             engine.tick_with_sample(sample(200, vec![metric("ow_test_wedged", &[], "gauge", 3)]));
-        assert_eq!(fired.len(), 1);
+        assert_eq!(fired.alerts.len(), 1);
         assert!(engine.frozen());
         let dump = engine.flight_dump("unit").expect("frozen dump");
         assert!(dump.freeze_reason.contains("OW-HEALTH-902"));
@@ -1101,11 +1018,11 @@ mod tests {
         assert_eq!(dump.timeline.len(), 1);
         assert!(
             dump.entries.iter().any(|e| e.kind == "tick"),
-            "ring holds tick summaries"
+            "the dump holds the tick summary"
         );
         assert!(
             dump.entries.iter().any(|e| e.kind == "signal"),
-            "ring holds signal readings"
+            "the dump holds the signal readings"
         );
         dump.check().expect("dump validates");
     }
@@ -1196,16 +1113,17 @@ mod tests {
         .group_by("shard")
         .entity("shard");
 
-        let mut timelines = Vec::new();
-        for order in [[0usize, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]] {
-            let (_obs, engine) = engine_with(vec![rule.clone()]);
-            let shuffled: Vec<MetricSnapshot> = order.iter().map(|i| metrics[*i].clone()).collect();
-            engine.tick_with_sample(sample(100, shuffled));
-            timelines.push(engine.timeline());
-        }
-        assert_eq!(timelines[0], timelines[1]);
-        assert_eq!(timelines[0], timelines[2]);
-        assert_eq!(timelines[0].len(), 1);
-        assert_eq!(timelines[0][0].entity, "shard:0");
+        let rules = RuleSet::new(vec![rule]).expect("rules validate");
+        let verdicts: Vec<Verdict> = [[0usize, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]]
+            .iter()
+            .map(|order| {
+                let shuffled = order.iter().map(|i| metrics[*i].clone()).collect();
+                evaluate(&rules, &sample(100, shuffled))
+            })
+            .collect();
+        assert_eq!(verdicts[0], verdicts[1]);
+        assert_eq!(verdicts[0], verdicts[2]);
+        assert_eq!(verdicts[0].alerts.len(), 1);
+        assert_eq!(verdicts[0].alerts[0].entity, "shard:0");
     }
 }

@@ -19,13 +19,14 @@
 //!   controller by the [`TraceContext`] the tracer holds per
 //!   sub-window, analysed by
 //!   `critical_path` and exported as `results/trace_*.json`.
-//! * [`HealthEngine`] ([`health`]) — the streaming interpretation
-//!   layer: declarative `OW-HEALTH-*` rules over derived signals
-//!   (ratios, saturation, SLO burn rate), per-entity scoring
-//!   rolled up to `ow_health_fleet_score`, and a black box that
-//!   freezes a deterministic [`FlightDump`] ([`flightrec`]) — the last
-//!   tick's readings, the journal, the registry, span briefs and the
-//!   alert timeline — as `results/flightrec_*.json` on critical alerts
+//! * [`HealthEngine`] ([`health`]) — the interpretation layer:
+//!   [`evaluate`] judges one sample against declarative `OW-HEALTH-*`
+//!   rules over derived signals (ratios, saturation, SLO burn rate)
+//!   and scores each entity, rolled up to `ow_health_fleet_score`;
+//!   the engine publishes that [`Verdict`] and keeps a black box that
+//!   freezes a deterministic [`FlightDump`] ([`flightrec`]) — the
+//!   latest verdict's readings, the journal, the registry, span briefs
+//!   and the alerts — as `results/flightrec_*.json` on critical alerts
 //!   or FSM invariant rejections.
 //!
 //! * [`AccuracyScorer`] ([`accuracy`]) — the live query-accuracy
@@ -66,8 +67,8 @@ pub use accuracy::{
 pub use export::ObsReport;
 pub use flightrec::{FlightDump, FlightEntry, TraceBrief};
 pub use health::{
-    AlertEvent, Cmp, HealthEngine, HealthReport, HealthSample, MetricSelector, Rule, RuleSet,
-    Severity, Signal, FSM_REJECT_CODE,
+    evaluate, AlertEvent, Cmp, HealthEngine, HealthReport, HealthSample, MetricSelector, Rule,
+    RuleSet, Severity, Signal, Verdict, FSM_REJECT_CODE,
 };
 pub use journal::{Event, EventJournal, Level};
 pub use registry::{

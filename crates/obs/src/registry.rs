@@ -113,8 +113,8 @@ impl Counter {
 #[derive(Debug, Default)]
 struct GaugeCore {
     value: AtomicU64,
-    /// High watermark since the last [`Gauge::take_peak`] — queue-depth
-    /// spikes survive between health-engine ticks even when the gauge
+    /// High watermark since the gauge was registered — a queue-depth
+    /// spike survives to the health engine's tick even when the gauge
     /// has already drained back down.
     peak: AtomicU64,
 }
@@ -149,7 +149,7 @@ impl Gauge {
     }
 
     /// Decrement by `n`, saturating at zero (the watermark is
-    /// untouched: it only ever rises until read).
+    /// untouched: it only ever rises).
     pub fn sub(&self, n: u64) {
         let _ = self
             .0
@@ -164,15 +164,7 @@ impl Gauge {
         self.0.value.load(Ordering::Relaxed)
     }
 
-    /// The high watermark since the previous `take_peak`, resetting it
-    /// to the current value (never below it — a reader observing a
-    /// still-elevated gauge keeps seeing at least that level).
-    pub(crate) fn take_peak(&self) -> u64 {
-        let now = self.0.value.load(Ordering::Relaxed);
-        self.0.peak.swap(now, Ordering::Relaxed).max(now)
-    }
-
-    /// The high watermark without resetting it.
+    /// The high watermark since the gauge was registered.
     pub fn peak(&self) -> u64 {
         self.0
             .peak
@@ -370,12 +362,9 @@ impl MetricsRegistry {
         self.metrics.write().entry(id).or_insert_with(mk).clone()
     }
 
-    /// Read-and-reset the high watermark of every registered gauge, in
-    /// deterministic (name, labels) order. This is the health engine's
-    /// per-tick peak sample; [`MetricsRegistry::snapshot`] deliberately
-    /// leaves watermarks alone so exports stay side-effect-free and
-    /// byte-stable.
-    pub(crate) fn take_gauge_peaks(&self) -> Vec<PeakSample> {
+    /// The high watermark of every registered gauge, in deterministic
+    /// (name, labels) order: the health engine's peak sample.
+    pub(crate) fn gauge_peaks(&self) -> Vec<PeakSample> {
         let metrics = self.metrics.read();
         metrics
             .iter()
@@ -383,7 +372,7 @@ impl MetricsRegistry {
                 Metric::Gauge(g) => Some(PeakSample {
                     name: id.name.clone(),
                     labels: id.labels.clone(),
-                    peak: g.take_peak(),
+                    peak: g.peak(),
                 }),
                 _ => None,
             })
@@ -475,15 +464,14 @@ impl HistogramSnapshot {
     }
 }
 
-/// One gauge's read-and-reset high watermark (see
-/// `MetricsRegistry::take_gauge_peaks`).
+/// One gauge's high watermark (see `MetricsRegistry::gauge_peaks`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PeakSample {
     /// Gauge name (`ow_<crate>_<name>`).
     pub name: String,
     /// Sorted label pairs.
     pub labels: Vec<(String, String)>,
-    /// High watermark since the previous read.
+    /// High watermark since the gauge was registered.
     pub peak: u64,
 }
 
@@ -582,20 +570,16 @@ mod tests {
     }
 
     #[test]
-    fn gauge_watermark_survives_a_drained_spike_and_resets_on_read() {
+    fn gauge_watermark_survives_a_drained_spike() {
         let g = Gauge::default();
         g.set(3);
         g.add(97); // spike to 100…
         g.sub(98); // …and drain back to 2 before anyone looks
         assert_eq!(g.get(), 2);
-        assert_eq!(g.peak(), 100, "peek does not reset");
-        assert_eq!(g.take_peak(), 100, "the spike survived the drain");
-        // After the read the watermark restarts from the current value,
-        // not zero: a still-elevated gauge is still a peak of itself.
-        assert_eq!(g.take_peak(), 2);
+        assert_eq!(g.peak(), 100, "the spike survived the drain");
+        assert_eq!(g.peak(), 100, "reading does not reset");
         g.set(1);
-        assert_eq!(g.take_peak(), 2, "the pre-drop level was the max");
-        assert_eq!(g.take_peak(), 1);
+        assert_eq!(g.peak(), 100, "a lower set leaves the watermark");
     }
 
     #[test]
@@ -609,26 +593,18 @@ mod tests {
             g.sub(3);
         }
         assert_eq!(g.get(), 10);
-        assert_eq!(g.take_peak(), 13, "max of the sawtooth, not the rest");
-        // Post-take cycles restart cleanly: each take reports only its
-        // own cycle's max, not a stale one.
-        g.sub(9); // down to 1
-        g.add(4); // up to 5
-        g.sub(5); // saturating path to 0
-        assert_eq!(g.get(), 0);
-        assert_eq!(g.take_peak(), 10, "pre-sub level from take time");
-        g.add(2);
-        assert_eq!(g.take_peak(), 2);
+        assert_eq!(g.peak(), 13, "max of the sawtooth, not the rest");
         // Oversized sub saturates at zero and leaves the watermark
-        // alone — the next take reads the pre-sub value, never wraps.
+        // alone, never wraps.
         g.sub(1000);
         assert_eq!(g.get(), 0);
-        assert_eq!(g.take_peak(), 2);
-        assert_eq!(g.take_peak(), 0, "fully drained and fully taken");
+        assert_eq!(g.peak(), 13);
+        g.add(20);
+        assert_eq!(g.peak(), 20, "a new high raises it");
     }
 
     #[test]
-    fn registry_peak_sampling_resets_every_gauge_deterministically() {
+    fn registry_peak_sampling_reads_every_gauge_and_resets_none() {
         let reg = MetricsRegistry::new();
         reg.counter("ow_test_events_total", &[]).inc();
         let g0 = reg.gauge("ow_test_depth", &[("shard", "0")]);
@@ -636,16 +612,12 @@ mod tests {
         g0.add(50);
         g0.sub(50);
         g1.add(7);
-        let peaks = reg.take_gauge_peaks();
+        let peaks = reg.gauge_peaks();
         assert_eq!(peaks.len(), 2, "counters are not peak-sampled");
         assert_eq!(peaks[0].labels, vec![("shard".into(), "0".into())]);
         assert_eq!(peaks[0].peak, 50);
         assert_eq!(peaks[1].peak, 7);
-        // Snapshots never touch watermarks; sampling does.
-        let _ = reg.snapshot();
-        let again = reg.take_gauge_peaks();
-        assert_eq!(again[0].peak, 0);
-        assert_eq!(again[1].peak, 7, "gauge 1 is still at 7");
+        assert_eq!(reg.gauge_peaks(), peaks, "sampling again reads the same");
     }
 
     #[test]

@@ -144,11 +144,8 @@ fn render_health(reg: &RegistrySnapshot, out: &mut String) {
         return;
     };
     let score = fleet.value;
-    let ticks = series(reg, "ow_health_ticks_total")
-        .next()
-        .map_or(0, |m| m.value);
     out.push_str(&format!(
-        "== health ==\nfleet score: {score}/1000 ({}) over {ticks} tick(s)\n",
+        "== health ==\nfleet score: {score}/1000 ({})\n",
         if score == 1000 { "healthy" } else { "DEGRADED" }
     ));
     let fired: Vec<&MetricSnapshot> = series(reg, "ow_health_alerts_total")
@@ -305,8 +302,8 @@ impl FlightDump {
             out.push_str("== alert timeline ==\n");
             for a in &self.timeline {
                 out.push_str(&format!(
-                    "{:>12}ns  {}  {} {} for {} ({}): value {} vs threshold {}\n",
-                    a.at_ns, a.code, a.rule, a.state, a.entity, a.severity, a.value, a.threshold
+                    "{:>12}ns  {}  {} fired for {} ({}): value {} vs threshold {}\n",
+                    a.at_ns, a.code, a.rule, a.entity, a.severity, a.value, a.threshold
                 ));
             }
             out.push('\n');
@@ -411,7 +408,7 @@ mod tests {
         let rendered = obs.report("unit").render();
         has(
             &rendered,
-            "== health ==\nfleet score: 750/1000 (DEGRADED) over 1 tick(s)\n",
+            "== health ==\nfleet score: 750/1000 (DEGRADED)\n",
         );
         has(
             &rendered,

@@ -95,12 +95,6 @@ impl HyperLogLog {
             *a = (*a).max(*b);
         }
     }
-
-    /// Clear all registers.
-    #[cfg(test)]
-    pub(crate) fn reset(&mut self) {
-        self.registers.fill(0);
-    }
 }
 
 #[cfg(test)]
@@ -167,14 +161,6 @@ mod tests {
         let copy = a.clone();
         a.merge(&copy);
         assert_eq!(a, before);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut hll = HyperLogLog::new(10, 6);
-        hll.insert(&key(1));
-        hll.reset();
-        assert_eq!(hll.estimate(), 0.0);
     }
 
     #[test]

@@ -142,12 +142,6 @@ impl Iblt {
     pub fn is_empty(&self) -> bool {
         self.cells.iter().all(|c| *c == Cell::default())
     }
-
-    /// Clear all cells.
-    #[cfg(test)]
-    pub(crate) fn reset(&mut self) {
-        self.cells.fill(Cell::default());
-    }
 }
 
 #[cfg(test)]
@@ -222,14 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears() {
-        let mut t = Iblt::new(32, 3, 6);
-        t.insert(1);
-        t.reset();
-        assert!(t.is_empty());
-    }
-
-    #[test]
     fn raw_iblt_decodes_packet_ids() {
         let mut up = Iblt::new(256, 3, 7);
         let mut down = Iblt::new(256, 3, 7);
@@ -252,7 +238,7 @@ mod tests {
     }
 
     #[test]
-    fn raw_iblt_cancels_and_resets() {
+    fn raw_iblt_cancels() {
         let mut t = Iblt::new(64, 3, 8);
         for id in 0..100u128 {
             t.insert(id * 77);
@@ -260,9 +246,6 @@ mod tests {
         for id in 0..100u128 {
             t.delete(id * 77);
         }
-        assert!(t.is_empty());
-        t.insert(5);
-        t.reset();
         assert!(t.is_empty());
     }
 }

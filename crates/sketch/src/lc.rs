@@ -60,12 +60,6 @@ impl LinearCounting {
             *a |= b;
         }
     }
-
-    /// Clear the bitmap.
-    #[cfg(test)]
-    pub(crate) fn reset(&mut self) {
-        self.bits.fill(0);
-    }
 }
 
 #[cfg(test)]
@@ -119,14 +113,6 @@ mod tests {
     #[test]
     fn empty_estimates_zero() {
         let lc = LinearCounting::new(1024, 4);
-        assert_eq!(lc.estimate(), 0.0);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut lc = LinearCounting::new(1024, 5);
-        lc.insert(&key(1));
-        lc.reset();
         assert_eq!(lc.estimate(), 0.0);
     }
 }

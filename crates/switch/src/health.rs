@@ -62,7 +62,7 @@ pub fn switch_health_rules() -> RuleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ow_obs::{HealthSample, MetricSnapshot, Obs};
+    use ow_obs::{evaluate, HealthSample, MetricSnapshot};
 
     fn metric(name: &str, value: u64) -> MetricSnapshot {
         MetricSnapshot {
@@ -71,6 +71,14 @@ mod tests {
             kind: "counter".into(),
             value,
             histogram: None,
+        }
+    }
+
+    fn sample(metrics: Vec<MetricSnapshot>) -> HealthSample {
+        HealthSample {
+            at_ns: 1_000,
+            metrics,
+            peaks: vec![],
         }
     }
 
@@ -86,61 +94,43 @@ mod tests {
 
     #[test]
     fn retransmit_storm_fires_on_ratio_not_raw_count() {
-        let obs = Obs::new();
-        let engine = obs.install_health(switch_health_rules());
+        let storm = |retransmits, collections| {
+            let metrics = vec![
+                metric("ow_switch_retransmit_requests_total", retransmits),
+                metric("ow_switch_collections_total", collections),
+            ];
+            evaluate(&switch_health_rules(), &sample(metrics)).alerts
+        };
         // 100 retransmits over 1000 collections = 100‰: loud in
         // absolute terms, healthy as a ratio.
-        let quiet = engine.tick_with_sample(HealthSample {
-            at_ns: 1_000,
-            metrics: vec![
-                metric("ow_switch_retransmit_requests_total", 100),
-                metric("ow_switch_collections_total", 1000),
-            ],
-            peaks: vec![],
-        });
-        assert!(quiet.is_empty());
+        assert!(storm(100, 1000).is_empty());
         // 30 retransmits over 40 collections = 750‰: a storm.
-        let storm = engine.tick_with_sample(HealthSample {
-            at_ns: 2_000,
-            metrics: vec![
-                metric("ow_switch_retransmit_requests_total", 30),
-                metric("ow_switch_collections_total", 40),
-            ],
-            peaks: vec![],
-        });
-        assert_eq!(storm.len(), 1);
-        assert_eq!(storm[0].code, "OW-HEALTH-101");
-        assert_eq!(storm[0].entity, "switch");
-        assert_eq!(storm[0].value, 750);
+        let fired = storm(30, 40);
+        assert_eq!(fired.len(), 1);
+        assert_eq!(fired[0].code, "OW-HEALTH-101");
+        assert_eq!(fired[0].entity, "switch");
+        assert_eq!(fired[0].value, 750);
     }
 
     #[test]
     fn os_escalation_fires_on_any_fallback_read() {
-        let obs = Obs::new();
-        let engine = obs.install_health(switch_health_rules());
         // The histogram's snapshot value is its sample count; one
         // switch-OS read is already noteworthy.
-        let fired = engine.tick_with_sample(HealthSample {
-            at_ns: 1_000,
-            metrics: vec![MetricSnapshot {
-                name: "ow_switch_os_read_duration".into(),
-                labels: vec![],
-                kind: "histogram".into(),
-                value: 1,
-                histogram: None,
-            }],
-            peaks: vec![],
-        });
+        let os_read = MetricSnapshot {
+            name: "ow_switch_os_read_duration".into(),
+            labels: vec![],
+            kind: "histogram".into(),
+            value: 1,
+            histogram: None,
+        };
+        let fired = evaluate(&switch_health_rules(), &sample(vec![os_read])).alerts;
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].code, "OW-HEALTH-102");
         assert_eq!(fired[0].severity, "warning");
         // A batch evicted unacknowledged from the retransmit buffer can
         // no longer be repaired: worth a record, not a page.
-        let evicted = engine.tick_with_sample(HealthSample {
-            at_ns: 2_000,
-            metrics: vec![metric("ow_switch_evictions_total", 1)],
-            peaks: vec![],
-        });
+        let evicted = vec![metric("ow_switch_evictions_total", 1)];
+        let evicted = evaluate(&switch_health_rules(), &sample(evicted)).alerts;
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].code, "OW-HEALTH-103");
         assert_eq!(evicted[0].severity, "info");
