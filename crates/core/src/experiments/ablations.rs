@@ -145,29 +145,30 @@ pub struct SaluRow {
     pub naive: usize,
 }
 
-/// The §6 SALU ablation across the evaluation's sketches.
+/// The §6 SALU ablation across the evaluation's sketches: a packet makes
+/// one SALU access per register array of a region (C4).
 pub fn salu_ablation() -> Vec<SaluRow> {
     use ow_sketch::traits::SpreadEstimator;
     let rows: Vec<(&str, usize)> = vec![
         (
             "CountMin",
-            ow_sketch::CountMin::new(4, 64, 1).meta().salus_per_packet,
+            ow_sketch::CountMin::new(4, 64, 1).meta().register_arrays,
         ),
         (
             "SuMax",
-            ow_sketch::SuMax::new(4, 64, 1).meta().salus_per_packet,
+            ow_sketch::SuMax::new(4, 64, 1).meta().register_arrays,
         ),
         (
             "MvSketch",
-            FrequencySketch::meta(&ow_sketch::MvSketch::new(4, 64, 1)).salus_per_packet,
+            FrequencySketch::meta(&ow_sketch::MvSketch::new(4, 64, 1)).register_arrays,
         ),
         (
             "HashPipe",
-            FrequencySketch::meta(&ow_sketch::HashPipe::new(4, 64, 1)).salus_per_packet,
+            FrequencySketch::meta(&ow_sketch::HashPipe::new(4, 64, 1)).register_arrays,
         ),
         (
             "SpreadSketch",
-            SpreadEstimator::meta(&ow_sketch::SpreadSketch::new(4, 64, 1)).salus_per_packet,
+            SpreadEstimator::meta(&ow_sketch::SpreadSketch::new(4, 64, 1)).register_arrays,
         ),
     ];
     rows.into_iter()

@@ -125,20 +125,6 @@ impl RegisterEngine {
             .filter_map(|c| c.key)
             .collect()
     }
-
-    /// Bytes of register memory this engine occupies (statistic payload
-    /// + 13-byte key slot per cell).
-    #[cfg(test)]
-    pub(crate) fn memory_bytes(&self) -> usize {
-        let attr_bytes = match self.spec.stat.attr_kind() {
-            ow_common::afr::AttrKind::Frequency | ow_common::afr::AttrKind::Signed => 4,
-            ow_common::afr::AttrKind::Max | ow_common::afr::AttrKind::Min => 4,
-            ow_common::afr::AttrKind::Existence => 1,
-            ow_common::afr::AttrKind::Distinction => 64,
-            ow_common::afr::AttrKind::ConnBytes => 72,
-        };
-        self.cells.len() * (attr_bytes + 13)
-    }
 }
 
 #[cfg(test)]
@@ -257,13 +243,5 @@ mod tests {
         assert!(reg.report().is_empty());
         assert!(reg.resident_keys().is_empty());
         assert_eq!(reg.query(&FlowKey::dst_ip(10)).scalar(), 0.0);
-    }
-
-    #[test]
-    fn memory_accounting_scales_with_slots() {
-        let q5 = standard_queries()[4];
-        let small = RegisterEngine::new(q5, 64, 6);
-        let big = RegisterEngine::new(q5, 128, 6);
-        assert_eq!(big.memory_bytes(), small.memory_bytes() * 2);
     }
 }

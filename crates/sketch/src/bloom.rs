@@ -106,14 +106,19 @@ impl BloomFilter {
         ones as f64 / self.nbits as f64
     }
 
-    /// Resource footprint.
+    /// Resource footprint in the hardware layout: a k-hash filter is k
+    /// register arrays of 32-bit cells, one SALU each. This simulator
+    /// sets its k bits anywhere in one bit array (one insert can change
+    /// several words of it), so it has no C4 test; partitioning it would
+    /// move its false positives.
     pub fn meta(&self) -> SketchMeta {
+        let k = self.hashes.len();
+        let memory_bytes = self.bits.len() * 8;
         SketchMeta {
             name: "BloomFilter",
-            memory_bytes: self.bits.len() * 8,
-            register_arrays: 1,
-            salus_per_packet: self.hashes.len(),
-            hash_units: self.hashes.len(),
+            memory_bytes,
+            register_arrays: k,
+            cells_per_array: (memory_bytes * 8 / 32).div_ceil(k),
         }
     }
 }
@@ -173,6 +178,7 @@ mod tests {
     fn meta_reports_memory() {
         let bf = BloomFilter::new(1024, 4, 3);
         assert_eq!(bf.meta().memory_bytes, 128);
-        assert_eq!(bf.meta().hash_units, 4);
+        assert_eq!(bf.meta().register_arrays, 4);
+        assert_eq!(bf.meta().cells_per_array, 8);
     }
 }

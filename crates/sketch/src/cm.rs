@@ -105,18 +105,47 @@ impl FrequencySketch for CountMin {
             name: "CountMin",
             memory_bytes: self.counters.len() * 4,
             register_arrays: self.rows,
-            salus_per_packet: self.rows,
-            hash_units: self.rows,
+            cells_per_array: self.width,
         }
+    }
+}
+
+#[cfg(test)]
+impl CountMin {
+    /// The counters as the `rows` register arrays they are on hardware.
+    pub(crate) fn arrays(&self) -> Vec<Vec<u32>> {
+        self.counters
+            .chunks(self.width)
+            .map(<[u32]>::to_vec)
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn key(i: u32) -> FlowKey {
         FlowKey::five_tuple(i, i ^ 0xffff, 1000, 80, 6)
+    }
+
+    proptest! {
+        /// C4: one update changes at most one counter of each row.
+        #[test]
+        fn one_update_touches_one_cell_per_array(
+            rows in 1usize..5,
+            width in 1usize..32,
+            updates in proptest::collection::vec((0u32..64, 1u64..5), 1..100),
+        ) {
+            let mut cm = CountMin::new(rows, width, 3);
+            let (&(last, w), prefix) = updates.split_last().unwrap();
+            for &(k, w) in prefix {
+                cm.update(&key(k), w);
+            }
+            let c4 = crate::check_c4(&cm, cm.meta(), CountMin::arrays, |s| s.update(&key(last), w));
+            prop_assert!(c4.is_ok(), "{c4:?}");
+        }
     }
 
     #[test]

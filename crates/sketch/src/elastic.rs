@@ -115,9 +115,11 @@ impl FrequencySketch for ElasticSketch {
         SketchMeta {
             name: "ElasticSketch",
             memory_bytes: self.heavy.len() * ELASTIC_BUCKET_BYTES + light.memory_bytes,
-            register_arrays: 3 + light.register_arrays, // key, pos, neg + light rows
-            salus_per_packet: 3 + light.salus_per_packet,
-            hash_units: 1 + light.hash_units,
+            // key (with its flag), pos, neg + light rows
+            register_arrays: 3 + light.register_arrays,
+            // `with_memory` sizes both parts to the same width; the
+            // widest array sets the clear sweep otherwise.
+            cells_per_array: self.heavy.len().max(light.cells_per_array),
         }
     }
 }
@@ -134,9 +136,44 @@ impl InvertibleSketch for ElasticSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn key(i: u32) -> FlowKey {
         FlowKey::five_tuple(i + 1, i.wrapping_mul(0x9E37_79B9), 7, 80, 6)
+    }
+
+    /// The heavy part as its key (with the flag), `pos` and `neg`
+    /// arrays, then the light rows.
+    fn arrays(es: &ElasticSketch) -> Vec<Vec<(Option<FlowKey>, bool, u64)>> {
+        let heavy =
+            |f: fn(&Bucket) -> (Option<FlowKey>, bool, u64)| es.heavy.iter().map(f).collect();
+        let mut arrays = vec![
+            heavy(|b| (b.key, b.flag, 0)),
+            heavy(|b| (None, false, b.pos)),
+            heavy(|b| (None, false, b.neg)),
+        ];
+        for row in es.light.arrays() {
+            arrays.push(row.into_iter().map(|c| (None, false, c.into())).collect());
+        }
+        arrays
+    }
+
+    proptest! {
+        /// C4: one update changes at most one cell of each heavy array
+        /// and each light row, evictions included.
+        #[test]
+        fn one_update_touches_one_cell_per_array(
+            total_bytes in 256usize..2048,
+            updates in proptest::collection::vec((0u32..48, 1u64..5), 1..100),
+        ) {
+            let mut es = ElasticSketch::with_memory(total_bytes, 3);
+            let (&(last, w), prefix) = updates.split_last().unwrap();
+            for &(k, w) in prefix {
+                es.update(&key(k), w);
+            }
+            let c4 = crate::check_c4(&es, es.meta(), arrays, |s| s.update(&key(last), w));
+            prop_assert!(c4.is_ok(), "{c4:?}");
+        }
     }
 
     #[test]

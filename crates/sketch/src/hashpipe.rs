@@ -143,8 +143,7 @@ impl FrequencySketch for HashPipe {
             name: "HashPipe",
             memory_bytes: self.slots.len() * HASHPIPE_SLOT_BYTES,
             register_arrays: self.stages * 2, // key + count array per stage
-            salus_per_packet: self.stages * 2,
-            hash_units: self.stages,
+            cells_per_array: self.width,
         }
     }
 }
@@ -161,9 +160,42 @@ impl InvertibleSketch for HashPipe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn key(i: u32) -> FlowKey {
         FlowKey::five_tuple(i, i.wrapping_mul(0x9E3779B9), 1, 80, 6)
+    }
+
+    /// Stage `s`'s slots as its key and count arrays.
+    fn arrays(hp: &HashPipe) -> Vec<Vec<(Option<FlowKey>, u64)>> {
+        hp.slots
+            .chunks(hp.width)
+            .flat_map(|stage| {
+                [
+                    stage.iter().map(|s| (s.key, 0)).collect(),
+                    stage.iter().map(|s| (None, s.count)).collect(),
+                ]
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// C4: the carried entry touches one slot per stage, swaps
+        /// included.
+        #[test]
+        fn one_update_touches_one_cell_per_array(
+            stages in 1usize..5,
+            width in 1usize..16,
+            updates in proptest::collection::vec((0u32..48, 1u64..5), 1..100),
+        ) {
+            let mut hp = HashPipe::new(stages, width, 3);
+            let (&(last, w), prefix) = updates.split_last().unwrap();
+            for &(k, w) in prefix {
+                hp.update(&key(k), w);
+            }
+            let c4 = crate::check_c4(&hp, hp.meta(), arrays, |s| s.update(&key(last), w));
+            prop_assert!(c4.is_ok(), "{c4:?}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!
 //! Every structure is deterministic given a hash seed, supports `reset()`
 //! (the operation OmniWindow's clear packets perform region-by-region),
-//! and reports its memory/SALU footprint via [`SketchMeta`].
+//! and reports its register-array footprint via [`SketchMeta`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,3 +54,46 @@ pub use spread::SpreadSketch;
 pub use sumax::SuMax;
 pub use traits::{FrequencySketch, InvertibleSketch, SketchMeta, SpreadEstimator};
 pub use vbf::VectorBloomFilter;
+
+/// Constraint C4 (§2) checked on a sketch's real state: applies `update`
+/// to a clone of `sketch` and compares the two states, each viewed by
+/// `arrays` as the register arrays `meta` declares. There must be
+/// `register_arrays` arrays of `cells_per_array` cells each, and the
+/// update may change at most one cell of any array.
+#[cfg(test)]
+pub(crate) fn check_c4<S: Clone, T: PartialEq>(
+    sketch: &S,
+    meta: SketchMeta,
+    arrays: impl Fn(&S) -> Vec<Vec<T>>,
+    update: impl FnOnce(&mut S),
+) -> Result<(), String> {
+    let mut after = sketch.clone();
+    update(&mut after);
+    let (before, after) = (arrays(sketch), arrays(&after));
+    if before.len() != meta.register_arrays {
+        return Err(format!(
+            "{} declares {} arrays but holds {}",
+            meta.name,
+            meta.register_arrays,
+            before.len()
+        ));
+    }
+    for (a, (old, new)) in before.iter().zip(&after).enumerate() {
+        if old.len() != meta.cells_per_array {
+            return Err(format!(
+                "{} declares {} cells per array but array {a} holds {}",
+                meta.name,
+                meta.cells_per_array,
+                old.len()
+            ));
+        }
+        let changed = old.iter().zip(new).filter(|(x, y)| x != y).count();
+        if changed > 1 {
+            return Err(format!(
+                "{}: one update changed {changed} cells of array {a}",
+                meta.name
+            ));
+        }
+    }
+    Ok(())
+}

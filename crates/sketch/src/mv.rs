@@ -163,8 +163,7 @@ impl FrequencySketch for MvSketch {
             name: "MvSketch",
             memory_bytes: self.buckets.len() * MV_BUCKET_BYTES,
             register_arrays: self.rows * 3, // v, k, c arrays per row
-            salus_per_packet: self.rows * 3,
-            hash_units: self.rows,
+            cells_per_array: self.width,
         }
     }
 }
@@ -181,9 +180,47 @@ impl InvertibleSketch for MvSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn key(i: u32) -> FlowKey {
         FlowKey::five_tuple(i, i.wrapping_mul(2654435761), 555, 80, 6)
+    }
+
+    /// Row `r`'s buckets as its `v`, `k` and `c` arrays.
+    fn arrays(mv: &MvSketch) -> Vec<Vec<(u64, Option<FlowKey>, i64)>> {
+        let field = |row: &[Bucket], f: fn(&Bucket) -> (u64, Option<FlowKey>, i64)| {
+            row.iter().map(f).collect()
+        };
+        mv.buckets
+            .chunks(mv.width)
+            .flat_map(|row| {
+                [
+                    field(row, |b| (b.v, None, 0)),
+                    field(row, |b| (0, b.k, 0)),
+                    field(row, |b| (0, None, b.c)),
+                ]
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// C4: one update changes at most one cell of each of a row's
+        /// `v`, `k` and `c` arrays, majority-vote flips included.
+        #[test]
+        fn one_update_touches_one_cell_per_array(
+            rows in 1usize..4,
+            width in 1usize..16,
+            updates in proptest::collection::vec((0u32..48, 1u64..5), 1..100),
+        ) {
+            let mut mv = MvSketch::new(rows, width, 3);
+            let (&(last, w), prefix) = updates.split_last().unwrap();
+            for &(k, w) in prefix {
+                mv.update(&key(k), w);
+            }
+            let meta = FrequencySketch::meta(&mv);
+            let c4 = crate::check_c4(&mv, meta, arrays, |s| s.update(&key(last), w));
+            prop_assert!(c4.is_ok(), "{c4:?}");
+        }
     }
 
     #[test]

@@ -113,8 +113,7 @@ impl SpreadEstimator for SpreadSketch {
             name: "SpreadSketch",
             memory_bytes: self.buckets.len() * SPREAD_BUCKET_BYTES,
             register_arrays: self.rows * 3, // bitmap, key, level arrays
-            salus_per_packet: self.rows * 3,
-            hash_units: self.rows + 1,
+            cells_per_array: self.width,
         }
     }
 }
@@ -131,9 +130,46 @@ impl InvertibleSketch for SpreadSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn src(i: u32) -> FlowKey {
         FlowKey::src_ip(i)
+    }
+
+    /// Row `r`'s buckets as its bitmap, key and level arrays.
+    fn arrays(ss: &SpreadSketch) -> Vec<Vec<(DistinctBitmap, Option<FlowKey>, u8)>> {
+        let field = |row: &[Bucket], f: fn(&Bucket) -> (DistinctBitmap, Option<FlowKey>, u8)| {
+            row.iter().map(f).collect()
+        };
+        ss.buckets
+            .chunks(ss.width)
+            .flat_map(|row| {
+                [
+                    field(row, |b| (b.bitmap, None, 0)),
+                    field(row, |b| (DistinctBitmap::default(), b.key, 0)),
+                    field(row, |b| (DistinctBitmap::default(), None, b.level)),
+                ]
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// C4: one element changes at most one cell of each of a row's
+        /// bitmap, key and level arrays.
+        #[test]
+        fn one_update_touches_one_cell_per_array(
+            rows in 1usize..4,
+            width in 1usize..16,
+            updates in proptest::collection::vec((0u32..24, 0u64..64), 1..100),
+        ) {
+            let mut ss = SpreadSketch::new(rows, width, 3);
+            let (&(last, e), prefix) = updates.split_last().unwrap();
+            for &(k, e) in prefix {
+                ss.update_element(&src(k), e);
+            }
+            let c4 = crate::check_c4(&ss, ss.meta(), arrays, |s| s.update_element(&src(last), e));
+            prop_assert!(c4.is_ok(), "{c4:?}");
+        }
     }
 
     #[test]

@@ -79,11 +79,10 @@ impl FrequencySketch for SuMax {
         SketchMeta {
             name: "SuMax",
             memory_bytes: self.counters.len() * 4,
-            register_arrays: self.rows,
             // Conservative update needs a read pass and a write pass per
             // row, which the hardware folds into one SALU op per row.
-            salus_per_packet: self.rows,
-            hash_units: self.rows,
+            register_arrays: self.rows,
+            cells_per_array: self.width,
         }
     }
 }
@@ -92,9 +91,33 @@ impl FrequencySketch for SuMax {
 mod tests {
     use super::*;
     use crate::cm::CountMin;
+    use proptest::prelude::*;
 
     fn key(i: u32) -> FlowKey {
         FlowKey::five_tuple(i, i.rotate_left(13), 1000, 80, 6)
+    }
+
+    fn arrays(sm: &SuMax) -> Vec<Vec<u32>> {
+        sm.counters.chunks(sm.width).map(<[u32]>::to_vec).collect()
+    }
+
+    proptest! {
+        /// C4: the conservative update's read-compare-write changes at
+        /// most one counter of each row.
+        #[test]
+        fn one_update_touches_one_cell_per_array(
+            rows in 1usize..5,
+            width in 1usize..32,
+            updates in proptest::collection::vec((0u32..64, 1u64..5), 1..100),
+        ) {
+            let mut sm = SuMax::new(rows, width, 3);
+            let (&(last, w), prefix) = updates.split_last().unwrap();
+            for &(k, w) in prefix {
+                sm.update(&key(k), w);
+            }
+            let c4 = crate::check_c4(&sm, sm.meta(), arrays, |s| s.update(&key(last), w));
+            prop_assert!(c4.is_ok(), "{c4:?}");
+        }
     }
 
     #[test]

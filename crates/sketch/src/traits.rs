@@ -2,25 +2,24 @@
 
 use ow_common::flowkey::FlowKey;
 
-/// Static resource footprint of a sketch instance, used by the switch
-/// resource accountant (Exp#5) and the state-management layer (§6).
-///
-/// `salus_per_packet` counts the Stateful-ALU accesses one packet incurs
-/// in a *single* region — the paper's flattened two-region layout (§6)
-/// keeps this number unchanged when a second region is added, whereas the
-/// naive layout doubles it; the accountant models both.
+/// Static resource footprint of a sketch instance, as the RMT hardware
+/// lays it out: `register_arrays` arrays of `cells_per_array` cells,
+/// one SALU access per array per packet (C4, §2). Each field is read off
+/// what the sketch allocates, and each sketch's C4 proptest views its
+/// state as exactly these arrays and checks that one update changes at
+/// most one cell of each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SketchMeta {
     /// Human-readable structure name.
     pub name: &'static str,
     /// Total memory in bytes for one instance (one region).
     pub memory_bytes: usize,
-    /// Distinct register arrays (on-chip memory blocks).
+    /// Distinct register arrays (on-chip memory blocks); one packet
+    /// makes at most one SALU access to each.
     pub register_arrays: usize,
-    /// SALU accesses per packet per region.
-    pub salus_per_packet: usize,
-    /// Hash units consumed per packet.
-    pub hash_units: usize,
+    /// Cells in each register array: how many passes a clear-packet
+    /// sweep of one region takes (§4.3).
+    pub cells_per_array: usize,
 }
 
 /// A sketch that answers per-flow frequency (count/bytes) point queries.

@@ -175,8 +175,7 @@ impl SpreadEstimator for VectorBloomFilter {
             name: "VectorBloomFilter",
             memory_bytes: self.bits.len() * 8,
             register_arrays: VBF_ARRAYS,
-            salus_per_packet: VBF_ARRAYS,
-            hash_units: 1, // element hash only; indexing is bit slicing
+            cells_per_array: VBF_CELLS,
         }
     }
 }
@@ -184,9 +183,31 @@ impl SpreadEstimator for VectorBloomFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn src(i: u32) -> FlowKey {
         FlowKey::src_ip(i)
+    }
+
+    fn arrays(vbf: &VectorBloomFilter) -> Vec<Vec<u64>> {
+        vbf.bits.chunks(VBF_CELLS).map(<[u64]>::to_vec).collect()
+    }
+
+    proptest! {
+        /// C4: one element sets a bit in at most one bitmap of each
+        /// array.
+        #[test]
+        fn one_update_touches_one_cell_per_array(
+            updates in proptest::collection::vec((any::<u32>(), 0u64..256), 1..100),
+        ) {
+            let mut vbf = VectorBloomFilter::new(3);
+            let (&(last, e), prefix) = updates.split_last().unwrap();
+            for &(s, e) in prefix {
+                vbf.update_element(&src(s), e);
+            }
+            let c4 = crate::check_c4(&vbf, vbf.meta(), arrays, |s| s.update_element(&src(last), e));
+            prop_assert!(c4.is_ok(), "{c4:?}");
+        }
     }
 
     #[test]

@@ -43,11 +43,8 @@ pub trait DataPlaneApp {
     /// Reset all state (what the clear packets do cell-by-cell).
     fn reset(&mut self);
 
-    /// Number of register entries per array — determines how many
-    /// recirculation passes a full in-switch reset needs (§4.3).
-    fn states_per_array(&self) -> usize;
-
-    /// Resource footprint of one instance.
+    /// Resource footprint of one instance. Its `cells_per_array` is how
+    /// many recirculation passes a full in-switch reset needs (§4.3).
     fn meta(&self) -> SketchMeta;
 }
 
@@ -99,15 +96,6 @@ impl<S: ow_sketch::traits::FrequencySketch> DataPlaneApp for FrequencyApp<S> {
         self.sketch.reset();
     }
 
-    fn states_per_array(&self) -> usize {
-        let m = self.sketch.meta();
-        // Entries per array, assuming 4-byte cells (the layout all
-        // frequency sketches here use).
-        (m.memory_bytes / 4)
-            .checked_div(m.register_arrays)
-            .unwrap_or(0)
-    }
-
     fn meta(&self) -> SketchMeta {
         self.sketch.meta()
     }
@@ -150,8 +138,8 @@ mod tests {
     }
 
     #[test]
-    fn states_per_array_matches_width() {
+    fn cells_per_array_matches_width() {
         let app = FrequencyApp::new(CountMin::new(4, 4096, 4), KeyKind::FiveTuple, false);
-        assert_eq!(app.states_per_array(), 4096);
+        assert_eq!(app.meta().cells_per_array, 4096);
     }
 }

@@ -137,11 +137,9 @@ pub fn collect_and_reset<A: DataPlaneApp>(
     // the trigger round trip plus the max of (generation+injection)
     // and receive.
     let receive = latency::receive(afrs.len(), cfg.rdma);
+    let m = app.meta();
     let collect_time = match cfg.mode {
-        CollectMode::SwitchOs => {
-            let m = app.meta();
-            latency::os_read(m.register_arrays, app.states_per_array())
-        }
+        CollectMode::SwitchOs => latency::os_read(m.register_arrays, m.cells_per_array),
         CollectMode::ControlPlane => {
             latency::TRIGGER_RTT + latency::inject(injected, cfg.rdma).max(receive)
         }
@@ -165,11 +163,8 @@ pub fn collect_and_reset<A: DataPlaneApp>(
     // clears the same index of all arrays (§4.3), so array count does
     // not multiply the time. The OS path is linear in arrays (Exp#8).
     let reset_time = match cfg.mode {
-        CollectMode::SwitchOs => {
-            let m = app.meta();
-            latency::os_reset(m.register_arrays, app.states_per_array())
-        }
-        _ => latency::recirc_enumeration(app.states_per_array(), cfg.recirc_packets),
+        CollectMode::SwitchOs => latency::os_reset(m.register_arrays, m.cells_per_array),
+        _ => latency::recirc_enumeration(m.cells_per_array, cfg.recirc_packets),
     };
 
     // Perform the functional reset.
@@ -202,13 +197,11 @@ pub fn collect_and_reset<A: DataPlaneApp>(
 /// The buffer holds at most `capacity` sub-windows (0 = unbounded);
 /// beyond that the oldest batch is evicted, modelling bounded switch-CPU
 /// memory. An eviction before release means that sub-window can no
-/// longer be repaired — the counter is exposed so experiments can detect
-/// an undersized buffer.
+/// longer be repaired; `retain` returns the evicted sub-windows.
 #[derive(Debug, Clone, Default)]
 pub struct RetransmitBuffer {
     batches: BTreeMap<u32, RecordBlock>,
     capacity: usize,
-    evicted: u64,
 }
 
 impl RetransmitBuffer {
@@ -217,7 +210,6 @@ impl RetransmitBuffer {
         RetransmitBuffer {
             batches: BTreeMap::new(),
             capacity,
-            evicted: 0,
         }
     }
 
@@ -236,7 +228,6 @@ impl RetransmitBuffer {
         while self.batches.len() > self.capacity {
             let oldest = *self.batches.keys().next().expect("non-empty");
             self.batches.remove(&oldest);
-            self.evicted += 1;
             evicted.push(oldest);
         }
         evicted
@@ -271,12 +262,6 @@ impl RetransmitBuffer {
     /// Drop a batch the controller has confirmed complete.
     pub(crate) fn release(&mut self, subwindow: u32) {
         self.batches.remove(&subwindow);
-    }
-
-    /// Batches evicted before the controller released them.
-    #[cfg(test)]
-    pub(crate) fn evicted(&self) -> u64 {
-        self.evicted
     }
 
     /// Sub-windows currently retained, oldest first.
@@ -366,14 +351,15 @@ impl PacketCollector {
             }
             OwFlag::Reset => {
                 let index = self.reset_counter;
-                if index >= app.states_per_array() {
+                let cells = app.meta().cells_per_array;
+                if index >= cells {
                     return PassResult::Done;
                 }
                 self.reset_counter += 1;
                 // The functional model clears the whole region when the
                 // sweep completes; each pass represents clearing `index`
                 // across all arrays in one pipeline transit.
-                if self.reset_counter >= app.states_per_array() {
+                if self.reset_counter >= cells {
                     app.reset();
                 }
                 PassResult::ResetPass { index }
@@ -581,7 +567,6 @@ mod tests {
             reported.extend(buf.retain(sw, &[afr(0, sw)]));
         }
         assert_eq!(buf.retained(), vec![2, 3]);
-        assert_eq!(buf.evicted(), 2);
         assert_eq!(reported, vec![0, 1], "evictions are reported oldest first");
         assert!(buf.full_batch(0).is_none());
     }
@@ -595,14 +580,8 @@ mod tests {
         for sw in 0..512u32 {
             assert!(buf.retain(sw, &[afr(0, sw)]).is_empty());
         }
-        assert_eq!(buf.evicted(), 0);
         assert_eq!(buf.retained().len(), 512);
         assert!(buf.full_batch(0).is_some(), "oldest batch still retained");
-        // Releases do not disturb the counter either.
-        for sw in 0..512u32 {
-            buf.release(sw);
-        }
-        assert_eq!(buf.evicted(), 0);
     }
 
     #[test]
@@ -708,7 +687,7 @@ mod tests {
         assert_eq!(p.ow.flag, OwFlag::Reset);
 
         // Reset passes sweep every register index, then the packet drops.
-        let n = a.states_per_array();
+        let n = a.meta().cells_per_array;
         for i in 0..n {
             assert_eq!(pc.pass(p, &mut a, &t), PassResult::ResetPass { index: i });
         }

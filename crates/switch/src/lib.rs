@@ -13,7 +13,8 @@
 //!   sized, every feature's footprint is tracked ([`resources`]), and a
 //!   greedy stage placer derives the pipeline packing ([`placement`]);
 //! * **C4** — single-pass processing: one SALU access per register array
-//!   per pass, enforced by the [`register`] types; sliding windows are
+//!   per pass, which `ow-verify` proves for the deployed program and each
+//!   sketch's proptest checks on its real update; sliding windows are
 //!   *not* built by replicating state but by the sub-window machinery.
 //!
 //! Composition: [`switch::Switch`] wires the window [`signal`] engine,
@@ -34,7 +35,6 @@ pub mod latency;
 pub mod osmodel;
 pub mod placement;
 pub mod regions;
-pub mod register;
 pub mod resources;
 pub mod signal;
 pub mod switch;
@@ -48,7 +48,6 @@ pub use placement::{
     StageLimits,
 };
 pub use regions::TwoRegionState;
-pub use register::{RegisterArray, SaluOp};
 pub use resources::{FeatureUsage, ResourceReport};
 pub use signal::{SignalEngine, Termination, WindowSignal};
 pub use switch::{EventSink, Switch, SwitchConfig, SwitchEvent};

@@ -163,9 +163,10 @@ impl<A: DataPlaneApp> Switch<A> {
     /// `VerifiedProgram::build_switch`), which first proves C4, stage
     /// placement, and resource fit for the program this configuration
     /// implies. Constructing directly skips those proofs, and nothing
-    /// catches a violation later: the packet path never touches a
-    /// `RegisterArray`. C4 is checked statically, and at runtime only by
-    /// `ow_verify::exec`'s soundness oracle in tests.
+    /// catches a violation later: the packet path checks no constraint.
+    /// C4 is proven statically on the program, and each sketch's own
+    /// proptest checks that one update touches at most one cell of each
+    /// array its `SketchMeta` declares.
     pub fn new_unchecked(cfg: SwitchConfig, region_a: A, region_b: A) -> Switch<A> {
         let tracker =
             |salt| FlowkeyTracker::new(cfg.fk_capacity, cfg.expected_flows, cfg.seed ^ salt);
@@ -260,7 +261,8 @@ impl<A: DataPlaneApp> Switch<A> {
     pub fn os_read_terminated(&mut self, subwindow: u32) -> Option<(Vec<FlowRecord>, Duration)> {
         let batch = self.retransmit.full_batch(subwindow)?.to_records();
         let app = self.state.active();
-        let cost = latency::os_read(app.meta().register_arrays, app.states_per_array());
+        let m = app.meta();
+        let cost = latency::os_read(m.register_arrays, m.cells_per_array);
         self.retire_window(subwindow, true);
         self.retransmit.release(subwindow);
         if let Some(o) = &self.obs {
@@ -554,7 +556,7 @@ impl<A: DataPlaneApp> Switch<A> {
         let packets = CollectConfig::default().recirc_packets;
         let (app, tracker) = self.state.active_mut();
         let collect = latency::recirc_enumeration(tracker.total_tracked(), packets);
-        let reset = latency::recirc_enumeration(app.states_per_array(), packets);
+        let reset = latency::recirc_enumeration(app.meta().cells_per_array, packets);
         start + collect + reset
     }
 }
@@ -808,16 +810,17 @@ mod tests {
         );
         let obs = Obs::new();
         sw.attach_obs(&obs);
+        let mut events = Vec::new();
         for w in 0..3u64 {
-            sw.process(pkt(w as u32 + 1, w * 100 + 10));
+            events.extend(sw.process(pkt(w as u32 + 1, w * 100 + 10)));
         }
-        sw.process(pkt(9, 310));
-        sw.flush();
+        events.extend(sw.process(pkt(9, 310)));
+        events.extend(sw.flush());
         // Depth 1: every batch but the newest was evicted unrepairable;
         // the engine released those windows on eviction, never acked.
         assert_eq!(sw.retransmit_buffer().retained().len(), 1);
-        assert!(sw.retransmit_buffer().evicted() > 0);
-        let evicted = sw.retransmit_buffer().evicted();
+        let evicted = afr_batches(&events).len() as u64 - 1;
+        assert!(evicted > 0);
         assert_eq!(sw.engine().released(), evicted);
         assert_eq!(sw.engine().rejected(), 0);
         // Eviction retired the trace context with the batch: only the

@@ -74,9 +74,6 @@ impl DataPlaneApp for KeyedApp {
         self.inner.reset();
         self.own.clear();
     }
-    fn states_per_array(&self) -> usize {
-        self.inner.states_per_array()
-    }
     fn meta(&self) -> SketchMeta {
         self.inner.meta()
     }
@@ -272,7 +269,7 @@ proptest! {
         expected.sort_by_key(|(k, _)| k.as_u128());
         reported.sort_by_key(|(k, _)| k.as_u128());
         prop_assert_eq!(reported, expected);
-        prop_assert_eq!(collector.reset_passes(), literal_app.states_per_array());
+        prop_assert_eq!(collector.reset_passes(), literal_app.meta().cells_per_array);
         for &(id, _) in &ids {
             let key = FlowKey::src_ip(id);
             prop_assert_eq!(app.query(&key), AttrValue::Frequency(0));

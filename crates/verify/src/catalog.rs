@@ -35,7 +35,7 @@ fn countmin_program(
         ..SwitchConfig::default()
     };
     let app = FrequencyApp::new(CountMin::new(rows, width, 1), KeyKind::SrcIp, false);
-    program_for_switch(&cfg, &app.meta(), app.states_per_array())
+    program_for_switch(&cfg, &app.meta())
 }
 
 /// The multi-tenant dense-packing regression pin: a three-stage tenant

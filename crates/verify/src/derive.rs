@@ -3,9 +3,9 @@
 //! the workspace uses to build a [`Switch`].
 //!
 //! `program_for_switch` reads the facts a [`SwitchConfig`] and its
-//! application's [`SketchMeta`] already state — Bloom filter geometry,
-//! `fk_buffer` capacity, application array count and width — and writes
-//! them down as the IR the verifier can reason about. Nothing is
+//! application's [`SketchMeta`] already state — the Bloom filter's
+//! arrays, `fk_buffer` capacity, application array count and width —
+//! and writes them down as the IR the verifier can reason about. Nothing is
 //! invented: every register array, step, and index bound is computed
 //! from the same numbers the runtime uses, so a verdict about the
 //! program is a verdict about the deployment.
@@ -22,22 +22,17 @@ use crate::ir::{AccessDecl, AccessKind, PacketClass, PathDecl, PipelineProgram, 
 use crate::verify::verify;
 
 /// Derive the static pipeline program that a [`SwitchConfig`] wrapped
-/// around an application with `meta` / `app_states` actually deploys.
-pub(crate) fn program_for_switch(
-    cfg: &SwitchConfig,
-    meta: &SketchMeta,
-    app_states: usize,
-) -> PipelineProgram {
-    let app_states = app_states.max(1);
+/// around an application with `meta` actually deploys.
+pub(crate) fn program_for_switch(cfg: &SwitchConfig, meta: &SketchMeta) -> PipelineProgram {
+    let app_states = meta.cells_per_array.max(1);
     let fk_cells = cfg.fk_capacity.max(1);
 
-    // Read the Bloom geometry off the exact tracker the switch builds.
+    // Read the Bloom filter's hardware arrays (one per hash, one SALU
+    // each) off the exact tracker the switch builds.
     let tracker = FlowkeyTracker::new(cfg.fk_capacity, cfg.expected_flows, cfg.seed);
     let bloom = tracker.bloom_meta();
-    let hashes = bloom.hash_units.max(1);
-    // On hardware a k-hash Bloom filter is k register arrays (one SALU
-    // each); split the simulator's single bit array accordingly.
-    let bloom_cells = (bloom.memory_bytes * 8 / 32).div_ceil(hashes).max(1);
+    let hashes = bloom.register_arrays;
+    let bloom_cells = bloom.cells_per_array;
     // Both regions' tracking state lives on-chip simultaneously.
     let fk_sram = ((2 * tracker.memory_bytes()).div_ceil(1024)) as u32;
     let app_sram_per_array = ((2 * app_states * 4)
@@ -151,7 +146,7 @@ pub fn verified_switch<A: DataPlaneApp>(
     region_a: A,
     region_b: A,
 ) -> Result<Switch<A>, Box<VerifyReport>> {
-    let program = program_for_switch(&cfg, &region_a.meta(), region_a.states_per_array());
+    let program = program_for_switch(&cfg, &region_a.meta());
     let witness = verify(&program)?;
     witness
         .build_switch(cfg, region_a, region_b)
@@ -180,7 +175,7 @@ fn mismatch_report(program: String, err: OwError) -> VerifyReport {
 mod tests {
     use super::*;
     use ow_common::flowkey::KeyKind;
-    use ow_sketch::CountMin;
+    use ow_sketch::{CountMin, MvSketch};
     use ow_switch::app::FrequencyApp;
 
     fn quick_cfg() -> SwitchConfig {
@@ -207,16 +202,29 @@ mod tests {
     fn derived_program_matches_runtime_geometry() {
         let cfg = quick_cfg();
         let a = app(1);
-        let p = program_for_switch(&cfg, &a.meta(), a.states_per_array());
+        let p = program_for_switch(&cfg, &a.meta());
         let fk = p.find_register("fk_buffer").unwrap();
         assert_eq!(fk.region_cells, 1024);
         assert_eq!(fk.regions, 2);
         let arr = p.find_register("app_arr0").unwrap();
-        assert_eq!(arr.region_cells, a.states_per_array());
+        assert_eq!(arr.region_cells, 4096);
         // One bloom array per hash the real filter performs.
         let bloom = FlowkeyTracker::new(cfg.fk_capacity, cfg.expected_flows, cfg.seed).bloom_meta();
-        for h in 0..bloom.hash_units {
+        for h in 0..bloom.register_arrays {
             assert!(p.find_register(&format!("bloom_{h}")).is_some());
         }
+    }
+
+    #[test]
+    fn app_arrays_are_as_wide_as_the_sketch_whatever_its_cell_size() {
+        // MV-Sketch buckets are 24 bytes over three arrays: a 2 × 256
+        // sketch is six arrays of 256 cells, which a 4-byte-cell reading
+        // of its memory would call 512.
+        let mv = FrequencyApp::new(MvSketch::new(2, 256, 7), KeyKind::SrcIp, false);
+        let p = program_for_switch(&quick_cfg(), &mv.meta());
+        assert_eq!(p.find_register("app_arr0").unwrap().region_cells, 256);
+        assert!(p.find_register("app_arr5").is_some() && p.find_register("app_arr6").is_none());
+        let clear = p.paths.iter().find(|path| path.name == "clear").unwrap();
+        assert_eq!(clear.max_recirculations, Some(256));
     }
 }

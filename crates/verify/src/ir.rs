@@ -95,8 +95,8 @@ impl PacketClass {
     }
 }
 
-/// What the SALU does at the accessed cell (mirrors
-/// `ow_switch::register::SaluOp` without carrying an operand).
+/// What the SALU does at the accessed cell (the operand is not
+/// modelled).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum AccessKind {
     /// Read the cell.

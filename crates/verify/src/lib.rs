@@ -1,11 +1,10 @@
 //! # ow-verify — static RMT pipeline verification
 //!
-//! The simulator in `ow-switch` enforces the §2 hardware constraints
-//! *at runtime*: a second SALU access in a pass, an out-of-region
-//! index, or an unplaceable feature set only surfaces once traffic is
-//! flowing. A real deployment cannot afford that — the Tofino compiler
-//! rejects such programs before they load. This crate is that step for
-//! the simulated pipeline:
+//! The simulator in `ow-switch` checks none of the §2 hardware
+//! constraints on its packet path: a second SALU access in a pass, an
+//! out-of-region index, or an unplaceable feature set would simply run.
+//! On hardware the Tofino compiler rejects such programs before they
+//! load. This crate is that step for the simulated pipeline:
 //!
 //! 1. a declarative IR ([`PipelineProgram`]) describing register
 //!    arrays, match-action features, and the per-packet-class paths a
@@ -21,10 +20,11 @@
 //!    way to construct a `Switch` — [`verified_switch`] is the front
 //!    door used by every example, test, benchmark, and the network
 //!    simulator;
-//! 4. a runtime soundness bridge ([`exec::execute`]) that replays any
-//!    program against the real register machinery, keeping the static
-//!    and dynamic encodings of the constraints honest against each
-//!    other (property-tested in `tests/soundness.rs`);
+//! 4. programs derived from what runs: [`verified_switch`] reads the
+//!    application's register-array count and size off its `SketchMeta`,
+//!    and every sketch's own proptest checks that meta against its
+//!    update (one update touches at most one cell of each declared
+//!    array);
 //! 5. `ow-lint`, a binary gating CI on the [`catalog`] of every
 //!    configuration this repo deploys.
 //!
@@ -34,7 +34,6 @@
 pub mod catalog;
 pub mod derive;
 pub mod diag;
-pub mod exec;
 pub mod ir;
 pub mod verify;
 

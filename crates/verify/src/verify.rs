@@ -53,7 +53,7 @@ pub struct VerifiedProgram {
 
 impl VerifiedProgram {
     /// The verified program.
-    pub fn program(&self) -> &PipelineProgram {
+    pub(crate) fn program(&self) -> &PipelineProgram {
         &self.program
     }
 
@@ -84,7 +84,7 @@ impl VerifiedProgram {
                 "the two region applications are configured differently".into(),
             ));
         }
-        let states = region_a.states_per_array();
+        let states = region_a.meta().cells_per_array;
         let covers_app = self
             .program
             .registers
