@@ -133,24 +133,29 @@ impl FlowKey {
 /// sort of the packed keys is as fast.
 const PACKED_ORDER_MIN_KEYS: usize = 256;
 
-/// The `(key, index)` pairs of `keys` in ascending order — exactly what
-/// collecting `(k, i)` for the `i`-th key and calling `sort_unstable`
-/// returns (equal keys stay in index order), built in linear passes.
+/// The `(packed key, id)` pairs of `pairs` in ascending order — exactly
+/// what collecting them and calling `sort_unstable` returns (with ids
+/// numbering the keys, equal keys stay in id order), built in linear
+/// passes. The ids are the caller's: an arrival index, or the slot id of
+/// each live row that a filtering iterator passes through.
 ///
 /// Pass 1 collects the pairs, ORs every key against the first, which
 /// finds the bits that vary, and checks whether the pairs already
 /// ascend; if they do, they are returned as they are. Otherwise pass 2
 /// counts the keys into about n/2 buckets taken from the top varying
 /// bits (a bucket is monotone in the key, since the bits above it are
-/// shared), and pass 3 reads `keys` again — so each key is packed twice
+/// shared), and pass 3 reads `pairs` again — so each key is packed twice
 /// — and places each pair straight into its bucket of the same vector,
 /// overwriting pass 1's copy; a bucket holds about two pairs and is
 /// finished with a swap or `sort_unstable`. Besides the output it
 /// allocates one `u32` per bucket and no scratch buffer: the feeder
 /// thread's heap peak is measurable downstream (DESIGN.md §4o). Below
 /// 256 keys it is collect + `sort_unstable`.
-pub fn packed_order(keys: impl ExactSizeIterator<Item = u128> + Clone) -> Vec<(u128, u32)> {
-    let mut out: Vec<(u128, u32)> = keys.clone().zip(0u32..).collect();
+pub fn packed_order(pairs: impl Iterator<Item = (u128, u32)> + Clone) -> Vec<(u128, u32)> {
+    // A filter's upper bound, not its lower one: collecting through the
+    // lower bound would regrow the vector from empty.
+    let mut out: Vec<(u128, u32)> = Vec::with_capacity(pairs.size_hint().1.unwrap_or(0));
+    out.extend(pairs.clone());
     let n = out.len();
     if n < PACKED_ORDER_MIN_KEYS {
         out.sort_unstable();
@@ -160,7 +165,7 @@ pub fn packed_order(keys: impl ExactSizeIterator<Item = u128> + Clone) -> Vec<(u
     let (mut varying, mut ascending) = (0u128, true);
     for pair in out.windows(2) {
         varying |= pair[1].0 ^ first;
-        ascending &= pair[0].0 <= pair[1].0;
+        ascending &= pair[0] <= pair[1];
     }
     if ascending {
         return out;
@@ -183,7 +188,7 @@ pub fn packed_order(keys: impl ExactSizeIterator<Item = u128> + Clone) -> Vec<(u
         *cursor = start;
         start += count;
     }
-    for (k, i) in keys.zip(0u32..) {
+    for (k, i) in pairs {
         let cursor = &mut ends[bucket(k)];
         out[*cursor as usize] = (k, i);
         *cursor += 1;
@@ -220,7 +225,10 @@ pub fn sort_by_packed_key<T>(v: &mut [T], key: impl Fn(&T) -> FlowKey) {
         pairs[..n].sort_unstable();
         permute(v, &mut pairs[..n]);
     } else {
-        permute(v, &mut packed_order(v.iter().map(|x| key(x).as_u128())));
+        permute(
+            v,
+            &mut packed_order(v.iter().map(|x| key(x).as_u128()).zip(0u32..)),
+        );
     }
 }
 

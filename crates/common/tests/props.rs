@@ -216,17 +216,26 @@ fn arb_len() -> impl Strategy<Value = usize> {
 }
 
 proptest! {
-    /// `packed_order` is collect + `sort_unstable`, whatever the shape.
+    /// `packed_order` is collect + `sort_unstable`, whatever the shape
+    /// and whatever the ids: arrival indices, the ids a filter leaves
+    /// with gaps (a table's live slots), or descending ids, where equal
+    /// keys must still come out in id order.
     #[test]
     fn packed_order_is_the_sorted_pairs(
         shape in 0u8..10,
         n in arb_len(),
         seed in any::<u64>(),
+        ids in 0u8..3,
     ) {
         let keys = shaped_keys(shape, n, seed);
-        let mut want: Vec<(u128, u32)> = keys.iter().copied().zip(0u32..).collect();
+        let pairs = keys
+            .iter()
+            .zip(0u32..)
+            .filter(|&(k, i)| ids != 1 || (*k as u32 ^ i) % 4 != 0)
+            .map(|(k, i)| (*k, if ids == 2 { u32::MAX - i } else { i }));
+        let mut want: Vec<(u128, u32)> = pairs.clone().collect();
         want.sort_unstable();
-        prop_assert_eq!(packed_order(keys.iter().copied()), want);
+        prop_assert_eq!(packed_order(pairs), want);
     }
 
     /// `sort_by_packed_key` is the stable `sort_by_key(as_u128)`: source

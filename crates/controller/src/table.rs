@@ -8,17 +8,26 @@
 //! frequency statistics in place (Exp#4's O5) and recomputing the
 //! non-subtractable patterns from the retained blocks.
 //!
-//! Storage is a pre-sized **open-addressing** index (linear probing over
-//! a power-of-two bucket array) on top of dense structure-of-arrays slot
+//! Storage is an **open-addressing** index (linear probing over a
+//! power-of-two bucket array) on top of structure-of-arrays slot
 //! columns: keys, cached hashes, pattern tags, one `u64` scalar lane,
 //! a one-byte magnitude of that lane, and a per-slot retained-record
 //! refcount. Scalar-pattern statistics
 //! (frequency / max / min / existence / signed) live entirely in the
 //! lane; the two bitmap-carrying patterns spill to a side map keyed by
-//! slot. [`MergeTable::insert_block`] is the hot path: it resolves every
-//! row of a [`RecordBlock`] to a slot first, then folds the block's
-//! scalar lane with the auto-vectorizable [`crate::simd`] kernels —
-//! per-row `match`ing only happens for mixed-pattern blocks.
+//! slot. [`MergeTable::insert_block`] is the hot path: it makes room for
+//! the block once, resolves every row of a [`RecordBlock`] to a slot,
+//! then folds the block's scalar lane with the auto-vectorizable
+//! [`crate::simd`] kernels — per-row `match`ing only happens for
+//! mixed-pattern blocks.
+//!
+//! A slot id is stable from the insert that creates it to the eviction
+//! that frees it, and each retained block keeps the slot id of every
+//! row beside it. Eviction and the non-invertible recompute therefore
+//! read slots, never keys: nothing is hashed or looked up. A slot whose
+//! refcount reaches zero is tombstoned in the index (probed for by id),
+//! zeroed, and put on a free list the next insert takes from; the
+//! readers skip freed slots by their zero refcount.
 //!
 //! The read side ([`MergeTable::flows_over`], [`MergeTable::snapshot`])
 //! is written as explicit loops over those columns. A per-slot closure
@@ -111,6 +120,9 @@ fn integer_cut(t: f64) -> Option<u64> {
     }
 }
 
+/// A retained block beside the slot id of each of its rows.
+type Retained = (RecordBlock, Vec<u32>);
+
 /// The controller's merge table over a span of sub-windows.
 ///
 /// The §4.1 motivating case — 60 packets in one sub-window, 80 in the
@@ -135,7 +147,7 @@ pub struct MergeTable {
     mask: usize,
     /// Tombstones currently in the index.
     tombs: usize,
-    /// Dense slot columns (SoA).
+    /// Slot columns (SoA), live and freed slots alike.
     keys: Vec<FlowKey>,
     hashes: Vec<u64>,
     kinds: Vec<AttrKind>,
@@ -144,15 +156,19 @@ pub struct MergeTable {
     /// write to `kinds` or `scalars`.
     mags: Vec<u8>,
     /// Retained records referencing each slot (any pattern, matching or
-    /// not) — drives vanished-flow removal on eviction.
+    /// not) — drives vanished-flow removal on eviction. Zero exactly for
+    /// a freed slot.
     refs: Vec<u32>,
+    /// Freed slot ids, taken last-first by the next inserts.
+    free: Vec<u32>,
     /// Bitmap-pattern values (distinction / conn-bytes), by slot.
     heavy: FastMap<u32, AttrValue>,
-    /// Retained per-sub-window blocks, oldest first. One entry per
-    /// evictable unit; a unit may hold several blocks.
-    batches: VecDeque<(u32, Vec<RecordBlock>)>,
-    /// Scratch slot ids for the block fold.
-    slot_scratch: Vec<u32>,
+    /// Retained per-sub-window blocks, oldest first, each beside the
+    /// slot id of every row. One entry per evictable unit; a unit may
+    /// hold several blocks.
+    batches: VecDeque<(u32, Vec<Retained>)>,
+    /// Slot-id vectors of evicted blocks, reused by the next inserts.
+    spare: Vec<Vec<u32>>,
 }
 
 impl Default for MergeTable {
@@ -183,9 +199,10 @@ impl MergeTable {
             scalars: Vec::with_capacity(flows),
             mags: Vec::with_capacity(flows),
             refs: Vec::with_capacity(flows),
+            free: Vec::new(),
             heavy: FastMap::default(),
             batches: VecDeque::new(),
-            slot_scratch: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -196,17 +213,17 @@ impl MergeTable {
 
     /// Number of flows in the merged view.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.keys.len() - self.free.len()
     }
 
     /// Whether the merged view is empty.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.len() == 0
     }
 
-    /// Find the bucket whose slot holds `key`, if any.
+    /// Find the slot holding `key`, if any.
     #[inline]
-    fn bucket_of(&self, key: &FlowKey) -> Option<usize> {
+    fn lookup(&self, key: &FlowKey) -> Option<usize> {
         let h = hash_key(key);
         let mut b = (h as usize) & self.mask;
         loop {
@@ -217,17 +234,11 @@ impl MergeTable {
             if e != TOMB {
                 let s = e as usize;
                 if self.hashes[s] == h && self.keys[s] == *key {
-                    return Some(b);
+                    return Some(s);
                 }
             }
             b = (b + 1) & self.mask;
         }
-    }
-
-    /// Find the slot holding `key`, if any.
-    #[inline]
-    fn lookup(&self, key: &FlowKey) -> Option<usize> {
-        self.bucket_of(key).map(|b| self.buckets[b] as usize)
     }
 
     /// Rebuild the index at `new_buckets` capacity (drops tombstones).
@@ -237,6 +248,9 @@ impl MergeTable {
         self.mask = new_buckets - 1;
         self.tombs = 0;
         for s in 0..self.keys.len() {
+            if self.refs[s] == 0 {
+                continue; // freed
+            }
             let mut b = (self.hashes[s] as usize) & self.mask;
             while self.buckets[b] != EMPTY {
                 b = (b + 1) & self.mask;
@@ -245,26 +259,32 @@ impl MergeTable {
         }
     }
 
-    /// Keep the index under 7/8 load counting tombstones; rehash in
-    /// place when tombstones alone crowd the probe chains.
-    #[inline]
-    fn ensure_room(&mut self) {
-        let occupied = self.keys.len() + self.tombs;
-        if (occupied + 1) * 8 > self.buckets.len() * 7 {
-            let target = if self.keys.len() * 4 >= self.buckets.len() {
-                self.buckets.len() * 2
-            } else {
-                self.buckets.len() // tombstone-driven: same size, fresh index
-            };
-            self.rebuild(target.max(MIN_BUCKETS));
+    /// Make room for `n` more flows before a block's rows are resolved,
+    /// so that the index stays under 7/8 load counting tombstones
+    /// whatever the block holds: at most one rebuild, straight to its
+    /// final size. An index whose live flows fill a quarter of it
+    /// doubles; one crowded by tombstones alone rehashes at its size.
+    fn reserve(&mut self, n: usize) {
+        let live = self.len();
+        if (live + self.tombs + n) * 8 <= self.buckets.len() * 7 {
+            return;
         }
+        let mut target = self.buckets.len();
+        if live * 4 >= target {
+            target *= 2;
+        }
+        while (live + n) * 8 > target * 7 {
+            target *= 2;
+        }
+        self.rebuild(target.max(MIN_BUCKETS));
     }
 
     /// Find `key`'s slot or create one seeded with the identity of
-    /// `attr`'s pattern (so folding `attr` in yields `attr`).
+    /// `kind` (so folding the first value in yields that value). A new
+    /// slot reuses the last freed id, if any. The caller has made room
+    /// ([`MergeTable::reserve`]).
     #[inline]
-    fn find_or_insert(&mut self, key: FlowKey, attr: &AttrValue) -> usize {
-        self.ensure_room();
+    fn find_or_insert(&mut self, key: FlowKey, kind: AttrKind) -> usize {
         let h = hash_key(&key);
         let mut b = (h as usize) & self.mask;
         let mut first_tomb: Option<usize> = None;
@@ -285,19 +305,33 @@ impl MergeTable {
             }
             b = (b + 1) & self.mask;
         }
-        let slot = self.keys.len();
-        debug_assert!(slot < TOMB as usize, "slot id overflow");
-        let kind = attr.kind();
-        self.keys.push(key);
-        self.hashes.push(h);
-        self.kinds.push(kind);
         let lane = lane_identity(kind);
-        self.scalars.push(lane);
-        self.mags.push(mag_of(kind, lane));
-        self.refs.push(0);
         // Heavy patterns get no identity seed: a Distinction identity
         // carries the default bitmap geometry, which may not match the
         // workload's. The first merge clones the incoming value instead.
+        let slot = match self.free.pop() {
+            Some(s) => {
+                let s = s as usize;
+                self.keys[s] = key;
+                self.hashes[s] = h;
+                self.kinds[s] = kind;
+                self.scalars[s] = lane;
+                self.mags[s] = mag_of(kind, lane);
+                debug_assert_eq!(self.refs[s], 0, "a freed slot holds no references");
+                s
+            }
+            None => {
+                let s = self.keys.len();
+                debug_assert!(s < TOMB as usize, "slot id overflow");
+                self.keys.push(key);
+                self.hashes.push(h);
+                self.kinds.push(kind);
+                self.scalars.push(lane);
+                self.mags.push(mag_of(kind, lane));
+                self.refs.push(0);
+                s
+            }
+        };
         let target = match first_tomb {
             Some(t) => {
                 self.tombs -= 1;
@@ -306,6 +340,7 @@ impl MergeTable {
             None => b,
         };
         self.buckets[target] = slot as u32;
+        debug_assert!((self.len() + self.tombs) * 8 <= self.buckets.len() * 7);
         slot
     }
 
@@ -401,7 +436,8 @@ impl MergeTable {
     /// attribute column. A scalar column folds through the slot-indexed
     /// [`crate::simd`] kernels; a mixed column falls back to the exact
     /// per-row merge. Row order is preserved either way, which keeps the
-    /// block path byte-identical to the per-record baseline.
+    /// block path byte-identical to the per-record baseline. The
+    /// resolved slot ids are retained beside the block for eviction.
     pub fn insert_block(&mut self, block: RecordBlock, open: bool) {
         debug_assert!(
             open || self
@@ -411,36 +447,52 @@ impl MergeTable {
             "appending a block to a different sub-window"
         );
         let n = block.len();
-        let mut slots = std::mem::take(&mut self.slot_scratch);
+        self.reserve(n);
+        let mut slots = self.spare.pop().unwrap_or_default();
         slots.clear();
         slots.reserve(n);
 
         match block.column().scalar_lane() {
             Some((kind, lane)) => {
-                // Phase 1: resolve slots; rows whose slot holds another
-                // pattern are masked out of the lane fold (mismatches
-                // are ignored, exactly like the merge algebra).
-                for i in 0..n {
-                    let s = self.find_or_insert(block.key(i), &block.attr(i));
+                // Phase 1: resolve slots.
+                let mut mismatched = false;
+                for key in block.keys() {
+                    let s = self.find_or_insert(*key, kind);
                     self.refs[s] += 1;
-                    slots.push(if self.kinds[s] == kind {
-                        s as u32
-                    } else {
-                        simd::SKIP_SLOT
-                    });
+                    mismatched |= self.kinds[s] != kind;
+                    slots.push(s as u32);
                 }
+                // Rows whose slot holds another pattern are masked out
+                // of the lane fold (mismatches are ignored, exactly like
+                // the merge algebra). Within one app there are none.
+                let masked: Vec<u32>;
+                let fold = if mismatched {
+                    masked = slots
+                        .iter()
+                        .map(|&s| {
+                            if self.kinds[s as usize] == kind {
+                                s
+                            } else {
+                                simd::SKIP_SLOT
+                            }
+                        })
+                        .collect();
+                    &masked
+                } else {
+                    &slots
+                };
                 // Phase 2: one slot-indexed lane fold over the block.
                 match kind {
                     AttrKind::Frequency => {
-                        simd::fold_slots_sum_saturating(&mut self.scalars, &slots, lane)
+                        simd::fold_slots_sum_saturating(&mut self.scalars, fold, lane)
                     }
-                    AttrKind::Max => simd::fold_slots_max(&mut self.scalars, &slots, lane),
-                    AttrKind::Min => simd::fold_slots_min(&mut self.scalars, &slots, lane),
+                    AttrKind::Max => simd::fold_slots_max(&mut self.scalars, fold, lane),
+                    AttrKind::Min => simd::fold_slots_min(&mut self.scalars, fold, lane),
                     _ => unreachable!("scalar_lane only yields foldable patterns"),
                 }
                 // Min slots stay EXACT; the counters' lanes just moved.
                 if kind != AttrKind::Min {
-                    for &s in &slots {
+                    for &s in fold {
                         if s != simd::SKIP_SLOT {
                             self.mags[s as usize] = bit_len(self.scalars[s as usize]);
                         }
@@ -450,90 +502,62 @@ impl MergeTable {
             None => {
                 for i in 0..n {
                     let attr = block.attr(i);
-                    let s = self.find_or_insert(block.key(i), &attr);
+                    let s = self.find_or_insert(block.key(i), attr.kind());
                     self.refs[s] += 1;
                     self.merge_into_slot(s, &attr);
+                    slots.push(s as u32);
                 }
             }
         }
-        self.slot_scratch = slots;
 
         match (open, self.batches.back_mut()) {
-            (false, Some((_, blocks))) => blocks.push(block),
-            _ => self.batches.push_back((block.subwindow(), vec![block])),
+            (false, Some((_, blocks))) => blocks.push((block, slots)),
+            _ => self
+                .batches
+                .push_back((block.subwindow(), vec![(block, slots)])),
         }
     }
 
-    /// Unlink slot `s`, which bucket `b` points at, from the index and
-    /// drop its columns (`swap_remove`; the displaced last slot's index
-    /// entry is fixed up).
-    fn remove_slot(&mut self, s: usize, b: usize) {
-        debug_assert_eq!(self.buckets[b], s as u32);
+    /// Free slot `s`, whose last retained record was just evicted:
+    /// tombstone the bucket holding its id (probed for from its cached
+    /// hash, comparing ids, not keys), zero it so that it reads as an
+    /// empty counter of magnitude 0, and put it on the free list.
+    fn free_slot(&mut self, s: usize) {
+        let mut b = (self.hashes[s] as usize) & self.mask;
+        while self.buckets[b] != s as u32 {
+            b = (b + 1) & self.mask;
+        }
         self.buckets[b] = TOMB;
         self.tombs += 1;
-        self.heavy.remove(&(s as u32));
-
-        let last = self.keys.len() - 1;
-        if s != last {
-            // The last slot moves into s: repoint its bucket and its
-            // heavy entry.
-            let mut b = (self.hashes[last] as usize) & self.mask;
-            while self.buckets[b] != last as u32 {
-                b = (b + 1) & self.mask;
-            }
-            self.buckets[b] = s as u32;
-            if let Some(v) = self.heavy.remove(&(last as u32)) {
-                self.heavy.insert(s as u32, v);
-            }
+        if matches!(self.kinds[s], AttrKind::Distinction | AttrKind::ConnBytes) {
+            self.heavy.remove(&(s as u32));
         }
-        self.keys.swap_remove(s);
-        self.hashes.swap_remove(s);
-        self.kinds.swap_remove(s);
-        self.scalars.swap_remove(s);
-        self.mags.swap_remove(s);
-        self.refs.swap_remove(s);
+        self.kinds[s] = AttrKind::Frequency;
+        self.scalars[s] = 0;
+        self.mags[s] = 0;
+        self.free.push(s as u32);
     }
 
     /// Evict the oldest sub-window (sliding-window advance, O5).
     ///
-    /// Frequency statistics are subtracted in place; other patterns are
-    /// recomputed from the retained blocks (they are not invertible).
-    /// Flows that only appeared in the evicted sub-window are removed —
-    /// detected by the per-slot retained-record refcount instead of the
-    /// old full scan over every retained record.
-    ///
-    /// Each evicted record is hashed and probed once: pass A remembers
-    /// the *bucket* it found. Only an insert rebuilds the index and none
-    /// runs before this returns, so a live flow keeps its bucket; the
-    /// slot id in it follows `swap_remove`, and it reads `TOMB` once
-    /// the flow is gone.
+    /// One pass over the evicted rows through the slot ids kept beside
+    /// them: each row retires one reference of its slot. A slot left with
+    /// none held only evicted records, so its flow vanished and the slot
+    /// is freed (`free_slot`). Otherwise a frequency is
+    /// subtracted in place and any other pattern is queued, by slot, for
+    /// recompute from the retained blocks (they are not invertible). A
+    /// queued slot that a later row frees has no retained row, so the
+    /// recompute never touches it. No key is hashed, compared or moved.
     pub fn evict_oldest(&mut self) -> Option<u32> {
         let (evicted_sw, evicted) = self.batches.pop_front()?;
-
-        // Pass A: retire the evicted records' refcounts, so refs == the
-        // number of *retained* records per slot.
-        let mut found: Vec<usize> = Vec::with_capacity(evicted.iter().map(RecordBlock::len).sum());
-        for block in &evicted {
-            for key in block.keys() {
-                let b = self.bucket_of(key).expect("evicted key must have a slot");
-                self.refs[self.buckets[b] as usize] -= 1;
-                found.push(b);
-            }
-        }
-
-        // Pass B: per evicted record in order — remove vanished flows,
-        // subtract invertible frequencies, queue the rest for recompute.
-        let mut needs_recompute: Vec<usize> = Vec::new();
-        let mut found = found.into_iter(); // one bucket per row, pass A's order
-        for block in &evicted {
-            for (i, b) in (0..block.len()).zip(&mut found) {
-                let e = self.buckets[b];
-                if e == TOMB {
-                    continue; // removed earlier in this eviction
-                }
-                let s = e as usize;
+        let freed_before = self.free.len();
+        let mut needs_recompute: Vec<u32> = Vec::new();
+        for (block, slots) in &evicted {
+            for (i, &s) in slots.iter().enumerate() {
+                let s = s as usize;
+                self.refs[s] -= 1;
                 if self.refs[s] == 0 {
-                    self.remove_slot(s, b);
+                    self.free_slot(s);
                     continue;
                 }
                 match block.attr(i) {
@@ -545,35 +569,36 @@ impl MergeTable {
                             self.remag(s);
                         }
                     }
-                    // Retained (refs > 0), so its bucket stays live.
-                    _ => needs_recompute.push(b),
+                    _ => needs_recompute.push(s as u32),
                 }
             }
         }
+        // Taken last-first, this eviction's ids come back in row order.
+        self.free[freed_before..].reverse();
         if !needs_recompute.is_empty() {
             self.recompute(&needs_recompute);
         }
+        self.spare
+            .extend(evicted.into_iter().map(|(_, slots)| slots));
         Some(evicted_sw)
     }
 
-    /// Rebuild the non-invertible values of the slots `buckets` point at
-    /// from the retained blocks: one pass, oldest row first, that reseeds
-    /// a marked slot with its first retained row and merges the later
-    /// ones in — whatever the number of marked slots.
-    fn recompute(&mut self, buckets: &[usize]) {
+    /// Rebuild the non-invertible values of `slots` from the retained
+    /// blocks: one pass, oldest row first, that reseeds a marked slot
+    /// with its first retained row and merges the later ones in —
+    /// whatever the number of marked slots.
+    fn recompute(&mut self, slots: &[u32]) {
         const KEEP: u8 = 0;
         const RESEED: u8 = 1;
         const FOLD: u8 = 2;
         let mut marks = vec![KEEP; self.keys.len()];
-        for &b in buckets {
-            marks[self.buckets[b] as usize] = RESEED;
+        for &s in slots {
+            marks[s as usize] = RESEED;
         }
         let batches = std::mem::take(&mut self.batches);
-        for block in batches.iter().flat_map(|(_, blocks)| blocks) {
-            for i in 0..block.len() {
-                let s = self
-                    .lookup(&block.key(i))
-                    .expect("retained key must have a slot");
+        for (block, slots) in batches.iter().flat_map(|(_, blocks)| blocks) {
+            for (i, &s) in slots.iter().enumerate() {
+                let s = s as usize;
                 match marks[s] {
                     KEEP => {}
                     RESEED => {
@@ -595,7 +620,9 @@ impl MergeTable {
     /// Iterate over the merged view (slot order — not canonical; use
     /// [`MergeTable::snapshot`] for the deterministic order).
     pub fn iter(&self) -> impl Iterator<Item = (FlowKey, AttrValue)> + '_ {
-        (0..self.keys.len()).map(move |s| (self.keys[s], self.value_of(s)))
+        (0..self.keys.len())
+            .filter(|&s| self.refs[s] != 0)
+            .map(move |s| (self.keys[s], self.value_of(s)))
     }
 
     /// Whether every magnitude byte matches its definition — what
@@ -610,8 +637,13 @@ impl MergeTable {
     /// the deterministic snapshot used to compare tables byte for byte
     /// regardless of probe order or shard layout.
     pub fn snapshot(&self) -> Vec<(FlowKey, AttrValue)> {
-        // Order a narrow index, then gather each wide row exactly once.
-        let order = packed_order(self.keys.iter().map(|k| k.as_u128()));
+        // Order a narrow index of the live slots, then gather each wide
+        // row exactly once.
+        let live = self.keys.iter().zip(&self.refs).zip(0u32..);
+        let order = packed_order(
+            live.filter(|((_, &refs), _)| refs != 0)
+                .map(|((k, _), s)| (k.as_u128(), s)),
+        );
         let mut out = Vec::with_capacity(order.len());
         for &(_, s) in &order {
             out.push((self.keys[s as usize], self.value_of(s as usize)));
@@ -625,7 +657,9 @@ impl MergeTable {
     /// A plain counter can only reach the threshold's integer cut if its
     /// magnitude byte reaches the cut's bit length, so the scan reads one
     /// byte per slot, skips whole chunks on their byte maximum, and
-    /// touches the wide columns for candidates only.
+    /// touches the wide columns for candidates only. A freed slot's
+    /// magnitude is 0, so only a threshold ≤ 0 makes it a candidate; its
+    /// zero refcount turns it away.
     pub fn flows_over(&self, threshold: f64) -> Vec<(FlowKey, f64)> {
         let cut = integer_cut(threshold);
         let floor = cut.map_or(0, bit_len);
@@ -637,10 +671,10 @@ impl MergeTable {
                 continue;
             }
             for (i, &mag) in chunk.iter().enumerate() {
-                if mag < floor {
+                let s = c * MAG_CHUNK + i;
+                if mag < floor || self.refs[s] == 0 {
                     continue;
                 }
-                let s = c * MAG_CHUNK + i;
                 let hit = match cut {
                     Some(cut) if mag != EXACT => {
                         (self.scalars[s] >= cut).then_some(self.scalars[s] as f64)
@@ -667,8 +701,10 @@ impl MergeTable {
         self.scalars.clear();
         self.mags.clear();
         self.refs.clear();
+        self.free.clear();
         self.heavy.clear();
-        self.batches.clear();
+        let retained = self.batches.drain(..).flat_map(|(_, blocks)| blocks);
+        self.spare.extend(retained.map(|(_, slots)| slots));
     }
 }
 

@@ -120,6 +120,80 @@ fn arb_ops() -> impl Strategy<Value = Vec<TableOp>> {
     proptest::collection::vec(op, 1..24)
 }
 
+/// One step of the churn test: a sub-window unit of one or more blocks
+/// (the first `open`, the rest appended to it), an eviction, or a clear.
+#[derive(Debug, Clone)]
+enum ChurnOp {
+    Unit(Vec<Vec<(u8, u16)>>),
+    Evict,
+    Clear,
+}
+
+/// Churn over a 40-key population in which each key keeps one pattern
+/// (`key % 5`: two frequency keys, then max, min and distinction), so
+/// the naive fold is well defined. Units are small and evictions
+/// frequent, so flows vanish with their last unit and come back later,
+/// on reused slot ids. A block is either one pattern's keys (the lane
+/// fold) or any keys (the per-row merge); values include zeros, so a
+/// live zero counter sits beside the freed slots.
+fn arb_churn() -> impl Strategy<Value = Vec<ChurnOp>> {
+    let value = (0u8..4, 1u16..600).prop_map(|(z, v)| if z == 0 { 0 } else { v });
+    let block =
+        (0u8..6, proptest::collection::vec((0u8..40, value), 0..10)).prop_map(|(pattern, rows)| {
+            rows.into_iter()
+                .map(|(k, v)| match pattern {
+                    5 => (k, v),
+                    p => (k / 5 * 5 + p.min(4), v),
+                })
+                .collect()
+        });
+    let op = (0u8..6, proptest::collection::vec(block, 1..4)).prop_map(|(tag, blocks)| match tag {
+        0 | 1 => ChurnOp::Evict,
+        2 if blocks.len() == 3 => ChurnOp::Clear,
+        _ => ChurnOp::Unit(blocks),
+    });
+    proptest::collection::vec(op, 1..40)
+}
+
+/// A churn row: key `k`'s pattern carries the value `v`.
+fn churn_record(sw: u32, (k, v): (u8, u16)) -> FlowRecord {
+    let attr = match k % 5 {
+        0 | 1 => AttrValue::Frequency(v as u64),
+        2 => AttrValue::Max(v as u64),
+        3 => AttrValue::Min(v as u64),
+        _ => {
+            let mut bm = DistinctBitmap::default();
+            bm.insert_hash((v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            AttrValue::Distinction(bm)
+        }
+    };
+    FlowRecord {
+        key: FlowKey::src_ip(k as u32),
+        attr,
+        subwindow: sw,
+        seq: 0,
+    }
+}
+
+/// Naive reference for the churn test: every retained record folded in
+/// order with `AttrValue::merge`, sorted by packed key.
+fn naive_fold(
+    units: &std::collections::VecDeque<(u32, Vec<FlowRecord>)>,
+) -> Vec<(FlowKey, AttrValue)> {
+    let mut merged: HashMap<FlowKey, AttrValue> = HashMap::new();
+    for r in units.iter().flat_map(|(_, rows)| rows) {
+        match merged.get_mut(&r.key) {
+            Some(v) => v.merge(&r.attr).unwrap(),
+            None => {
+                merged.insert(r.key, r.attr);
+            }
+        }
+    }
+    let mut out: Vec<(FlowKey, AttrValue)> = merged.into_iter().collect();
+    out.sort_by_key(|(k, _)| k.as_u128());
+    out
+}
+
 /// Thresholds on both sides of every branch of the integer cut:
 /// negative, zero, fractional, powers of two and their neighbours, 2⁵³
 /// and beyond (where `f64` stops holding every integer), ∞ and NaN.
@@ -334,6 +408,61 @@ proptest! {
             prop_assert_eq!(&table.snapshot(), &rows, "snapshot, step {}", step);
             for t in thresholds() {
                 let expect: Vec<(FlowKey, f64)> = rows
+                    .iter()
+                    .map(|(k, v)| (*k, v.scalar()))
+                    .filter(|(_, s)| *s >= t)
+                    .collect();
+                prop_assert_eq!(table.flows_over(t), expect, "T = {}, step {}", t, step);
+            }
+        }
+    }
+
+    /// Stable slot ids under churn: after every multi-block insert,
+    /// eviction and clear, the table equals the naive fold of the
+    /// retained units — `snapshot`, `len`, `get` on every key of the
+    /// population (vanished ones read `None`), and `flows_over` at
+    /// thresholds ≤ 0, in (0, 1] and above. A freed slot reads as a
+    /// zero counter, so the first two ranges are where it could leak
+    /// into an answer; `Max`, `Min` and `Distinction` keys take the
+    /// recompute through the retained slot ids.
+    #[test]
+    fn churn_with_reused_slots_matches_naive_fold(ops in arb_churn()) {
+        let mut table = MergeTable::new();
+        let mut units = std::collections::VecDeque::new();
+        let mut sw = 0u32;
+        for (step, op) in ops.into_iter().enumerate() {
+            match op {
+                ChurnOp::Evict => {
+                    let want = units.pop_front().map(|(sw, _)| sw);
+                    prop_assert_eq!(table.evict_oldest(), want, "step {}", step);
+                }
+                ChurnOp::Clear => {
+                    table.clear();
+                    units.clear();
+                }
+                ChurnOp::Unit(blocks) => {
+                    sw += 1;
+                    let mut unit = Vec::new();
+                    for (n, rows) in blocks.into_iter().enumerate() {
+                        let rows: Vec<FlowRecord> =
+                            rows.into_iter().map(|r| churn_record(sw, r)).collect();
+                        table.insert_block(RecordBlock::from_records(sw, &rows), n == 0);
+                        unit.extend(rows);
+                    }
+                    units.push_back((sw, unit));
+                }
+            }
+            let want = naive_fold(&units);
+            prop_assert_eq!(&table.snapshot(), &want, "snapshot, step {}", step);
+            prop_assert_eq!(table.len(), want.len(), "len, step {}", step);
+            prop_assert!(table.mags_current(), "stale magnitude byte, step {}", step);
+            for k in 0..40u32 {
+                let key = FlowKey::src_ip(k);
+                let expect = want.iter().find(|(w, _)| *w == key).map(|(_, v)| *v);
+                prop_assert_eq!(table.get(&key), expect, "get {}, step {}", k, step);
+            }
+            for t in [-1.0, 0.0, 0.5, 1.0, 2.0, 300.0, 1e6] {
+                let expect: Vec<(FlowKey, f64)> = want
                     .iter()
                     .map(|(k, v)| (*k, v.scalar()))
                     .filter(|(_, s)| *s >= t)

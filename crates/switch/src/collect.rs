@@ -100,7 +100,7 @@ pub fn collect_and_reset<A: DataPlaneApp>(
     arrived.extend_from_slice(tracker.overflowed());
     // Ascending packed key, one entry per distinct key. Equal keys come
     // out in arrival order, so `dedup_by_key` keeps the first arrival.
-    let mut order = packed_order(arrived.iter().map(|k| k.as_u128()));
+    let mut order = packed_order(arrived.iter().map(|k| k.as_u128()).zip(0u32..));
     order.dedup_by_key(|&mut (packed, _)| packed);
     let keys: Vec<FlowKey> = order.iter().map(|&(_, i)| arrived[i as usize]).collect();
     // The index is 32 bytes an arrival: freed here, the batch below is
