@@ -1,16 +1,16 @@
 //! `ow-smoke [--seed N] [--out DIR]` — run every observability smoke
-//! scenario once and write its artifacts. Every snapshot, span trace
-//! and post-mortem is written with its rendered text beside it
+//! scenario once and write its artifacts. Every snapshot and
+//! post-mortem is written with its rendered text beside it
 //! (`<stem>.txt` for `<stem>.json`).
 //!
 //! | file (under `--out`, default `results/`) | scenario |
 //! | --- | --- |
-//! | `obs_smoke.json`, `trace_smoke.json` | the instrumented lossy C&R run: metrics snapshot and per-window span trees (10ms SLO) |
+//! | `obs_smoke.json` | the instrumented lossy C&R run: metrics snapshot and journal |
 //! | `health_smoke.json`, `health_smoke.obs.json`, `flightrec_health_smoke.json` | the chaos fleet under the fleet + controller catalogs (plus the C&R run judged by the switch + controller catalogs): health reports, metrics snapshot, flight-recorder post-mortem |
 //! | `accuracy_smoke.json`, `accuracy_smoke.obs.json`, `flightrec_accuracy_smoke.json` | the accuracy fleet on an exact feed and on an undersized 4-bucket sketch: scorer summaries with the offline re-evaluation beside the live one, metrics snapshot, post-mortem |
 //!
 //! This binary writes; it does not judge. Every acceptance check on
-//! these scenarios lives in `tests/{obs,trace,health,accuracy}_e2e.rs`,
+//! these scenarios lives in `tests/{obs,health,accuracy}_e2e.rs`,
 //! which run the same `omniwindow::experiments` functions. Same seed ⇒
 //! byte-identical files, so CI `cmp`s two runs. The exit status is
 //! nonzero only for a bad flag (2) or an IO / serialization failure (1).
@@ -23,8 +23,7 @@ use omniwindow::experiments::fleet_smoke::{
     run_with_accuracy, run_with_health,
 };
 use omniwindow::experiments::obs_smoke::{self, ObsSmokeConfig};
-use ow_common::time::Duration;
-use ow_obs::{AccuracySummary, HealthEngine, HealthReport, TraceReport};
+use ow_obs::{AccuracySummary, HealthEngine, HealthReport};
 use serde::Serialize;
 
 /// `health_smoke.json`.
@@ -94,12 +93,6 @@ fn main() -> Result<(), Box<dyn Error>> {
     cr.obs
         .report("obs_smoke")
         .write(&out.join("obs_smoke.json"))?;
-    let traces = TraceReport::capture(
-        "obs_smoke",
-        cr.obs.tracer(),
-        Some(Duration::from_millis(10)),
-    );
-    traces.write(&out.join("trace_smoke.json"))?;
     let forced = judge_obs_smoke(&cr.obs);
 
     let (chaos, chaos_obs) = run_with_health(&chaos_config(seed));

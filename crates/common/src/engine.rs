@@ -118,11 +118,8 @@ impl core::fmt::Display for WindowPhase {
 /// An event driving a [`WindowFsm`] transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowEvent {
-    /// The window termination signal fired at `at`.
-    SignalFired {
-        /// Detection time.
-        at: Instant,
-    },
+    /// The window termination signal fired.
+    SignalFired,
     /// The delayed C&R was scheduled for `due` (the `cr_wait` drain).
     CrScheduled {
         /// When the collection may start.
@@ -158,7 +155,7 @@ impl WindowEvent {
     /// Short stable name (diagnostics).
     pub fn name(&self) -> &'static str {
         match self {
-            WindowEvent::SignalFired { .. } => "signal_fired",
+            WindowEvent::SignalFired => "signal_fired",
             WindowEvent::CrScheduled { .. } => "cr_scheduled",
             WindowEvent::CollectStarted => "collect_started",
             WindowEvent::BatchGenerated => "batch_generated",
@@ -206,7 +203,7 @@ impl std::error::Error for FsmError {}
 /// use ow_common::time::Instant;
 ///
 /// let mut fsm = WindowFsm::open(3);
-/// fsm.apply(WindowEvent::SignalFired { at: Instant::from_millis(100) }).unwrap();
+/// fsm.apply(WindowEvent::SignalFired).unwrap();
 /// fsm.apply(WindowEvent::CrScheduled { due: Instant::from_millis(101) }).unwrap();
 /// fsm.apply(WindowEvent::CollectStarted).unwrap();
 /// fsm.apply(WindowEvent::BatchGenerated).unwrap();
@@ -221,7 +218,6 @@ impl std::error::Error for FsmError {}
 pub struct WindowFsm {
     subwindow: u32,
     phase: WindowPhase,
-    terminated_at: Option<Instant>,
     cr_due: Option<Instant>,
     retransmit_rounds: u32,
 }
@@ -232,7 +228,6 @@ impl WindowFsm {
         WindowFsm {
             subwindow,
             phase: WindowPhase::Open,
-            terminated_at: None,
             cr_due: None,
             retransmit_rounds: 0,
         }
@@ -258,11 +253,6 @@ impl WindowFsm {
         self.phase
     }
 
-    /// When the termination signal fired (set by `SignalFired`).
-    pub fn terminated_at(&self) -> Option<Instant> {
-        self.terminated_at
-    }
-
     /// When the scheduled C&R becomes due (set by `CrScheduled`).
     pub fn cr_due(&self) -> Option<Instant> {
         self.cr_due
@@ -286,10 +276,7 @@ impl WindowFsm {
     pub fn apply(&mut self, event: WindowEvent) -> Result<WindowPhase, FsmError> {
         use WindowPhase as P;
         let next = match (self.phase, &event) {
-            (P::Open, WindowEvent::SignalFired { at }) => {
-                self.terminated_at = Some(*at);
-                P::Terminated
-            }
+            (P::Open, WindowEvent::SignalFired) => P::Terminated,
             (P::Terminated, WindowEvent::CrScheduled { due }) => {
                 self.cr_due = Some(*due);
                 P::CrWait
@@ -488,10 +475,7 @@ mod tests {
     use crate::time::Duration;
 
     fn full_switch_side(fsm: &mut WindowFsm) {
-        fsm.apply(WindowEvent::SignalFired {
-            at: Instant::from_millis(100),
-        })
-        .unwrap();
+        fsm.apply(WindowEvent::SignalFired).unwrap();
         fsm.apply(WindowEvent::CrScheduled {
             due: Instant::from_millis(101),
         })
@@ -554,9 +538,7 @@ mod tests {
         let reach = |phase: WindowPhase| -> WindowFsm {
             let mut fsm = WindowFsm::open(5);
             let script: &[WindowEvent] = &[
-                WindowEvent::SignalFired {
-                    at: Instant::from_millis(100),
-                },
+                WindowEvent::SignalFired,
                 WindowEvent::CrScheduled {
                     due: Instant::from_millis(101),
                 },
@@ -608,14 +590,7 @@ mod tests {
     fn engine_schedules_and_prunes() {
         let mut engine = WindowEngine::new();
         engine.open(0);
-        engine
-            .apply(
-                0,
-                WindowEvent::SignalFired {
-                    at: Instant::from_millis(100),
-                },
-            )
-            .unwrap();
+        engine.apply(0, WindowEvent::SignalFired).unwrap();
         engine
             .apply(
                 0,

@@ -191,7 +191,7 @@ impl ShardPartition {
     }
 
     /// Number of shards.
-    pub fn shards(&self) -> usize {
+    pub(crate) fn shards(&self) -> usize {
         self.shards
     }
 

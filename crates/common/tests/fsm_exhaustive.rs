@@ -18,9 +18,7 @@ const PHASES: [P; 9] = [
 ];
 
 const EVENTS: [E; 10] = [
-    E::SignalFired {
-        at: Instant::from_millis(100),
-    },
+    E::SignalFired,
     E::CrScheduled {
         due: Instant::from_millis(101),
     },

@@ -22,7 +22,7 @@ use ow_common::block::{RecordBlock, ShardScatter, DEFAULT_BLOCK_CAPACITY};
 use ow_common::engine::{WindowEngine, WindowEvent, WindowFsm, WindowPhase};
 use ow_common::hash::ShardPartition;
 use ow_common::metrics::ReliabilityMetrics;
-use ow_obs::{Counter, Event, Gauge, Obs, TraceContext};
+use ow_obs::{Counter, Event, Gauge, Obs};
 
 use crate::collector::CollectionSession;
 use crate::live::{LiveHandle, OsReadFn, RetransmitFn};
@@ -339,15 +339,11 @@ impl Router {
         let Some((mut session, mut metrics)) = self.sessions.close(subwindow) else {
             return;
         };
-        // Read the context the switch published before the §8 loop can
-        // make it retire it (an OS read does).
-        let ctx = self.obs.tracer().context(subwindow);
-        let policy = *policy;
         let mut link = FnTransport {
             retransmit,
             os_read,
         };
-        ReliabilityDriver::new(policy).complete_session(&mut session, &mut metrics, &mut link);
+        ReliabilityDriver::new(*policy).complete_session(&mut session, &mut metrics, &mut link);
         self.total.merge(&metrics);
         self.obs.fold_reliability(&metrics);
         let detail = format!(
@@ -367,53 +363,12 @@ impl Router {
         // Score the recovered answer against the accuracy oracle (when
         // installed) before it is scattered.
         let block = session.into_block();
-        let scored = self
-            .obs
-            .accuracy()
-            .is_some_and(|acc| acc.score_block(&block).is_some());
-        if let Some(ctx) = ctx {
-            self.trace_recovery(ctx, &metrics, &policy, scored);
+        if let Some(acc) = self.obs.accuracy() {
+            acc.score_block(&block);
         }
         self.scatter.begin(subwindow);
         self.route(&block);
         self.seal(subwindow);
-    }
-
-    /// Reconstruct the recovery timeline into the window's causal
-    /// trace. `complete_session` accumulates the same quantities into
-    /// `wall_clock` (one backoff timeout per round, then any charged
-    /// OS-read latency), so the spans tile the session's virtual-clock
-    /// interval exactly, anchored at the switch-side batch instant.
-    fn trace_recovery(
-        &self,
-        ctx: TraceContext,
-        metrics: &ReliabilityMetrics,
-        policy: &RetryPolicy,
-        scored: bool,
-    ) {
-        let tracer = self.obs.tracer();
-        let span = |parent, name, shard, start, end| {
-            tracer.span(ctx.trace_id, parent, name, "controller", shard, start, end)
-        };
-        let mut t = ctx.anchor_ns;
-        for round in 1..=metrics.retransmit_rounds {
-            let next = t.saturating_add(policy.timeout_for_round(round as u32).as_nanos());
-            span(ctx.collect, "retransmit_round", None, t, next);
-            t = next;
-        }
-        let end = ctx.anchor_ns.saturating_add(metrics.wall_clock.as_nanos());
-        if metrics.escalations > 0 {
-            span(ctx.trace_id, "os_read", None, t, end);
-        }
-        if let Some(merge) = span(ctx.trace_id, "merge", None, end, end) {
-            for shard in 0..self.pool.partition.shards() {
-                span(merge, "shard_insert", Some(shard as u32), end, end);
-            }
-        }
-        if scored {
-            span(ctx.trace_id, "accuracy_score", None, end, end);
-        }
-        tracer.finish_window(ctx.trace_id, end);
     }
 
     /// [`ReliableMsg::Depart`](crate::live::ReliableMsg): the partial
@@ -442,21 +397,6 @@ impl Router {
         );
         let event = Event::new("switch_departed", detail);
         self.obs.event(event.subwindow(subwindow).phase("released"));
-        // Close the window's causal trace so the tree stays complete
-        // even though no merge span will ever arrive.
-        if let Some(ctx) = self.obs.tracer().context(subwindow) {
-            let (tracer, at) = (self.obs.tracer(), ctx.anchor_ns);
-            tracer.span(
-                ctx.trace_id,
-                ctx.trace_id,
-                "departed",
-                "controller",
-                None,
-                at,
-                at,
-            );
-            tracer.finish_window(ctx.trace_id, at);
-        }
     }
 
     /// Seal a stream left open and complete every open session (one

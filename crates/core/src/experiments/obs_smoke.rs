@@ -1,6 +1,5 @@
-//! The instrumented lossy C&R smoke run: `tests/obs_e2e.rs` and
-//! `tests/trace_e2e.rs` assert on it, and the `ow-smoke` binary writes
-//! its snapshot and span traces.
+//! The instrumented lossy C&R smoke run: `tests/obs_e2e.rs` asserts on
+//! it, and the `ow-smoke` binary writes its snapshot.
 //!
 //! One [`ow_obs::Obs`] handle is attached to the whole pipeline: a
 //! verified switch generates AFR batches (recording its collect/reset
@@ -169,9 +168,6 @@ pub fn run(cfg: &ObsSmokeConfig) -> ObsSmokeOutcome {
     // Stream every batch through the lossy channel. On top of the
     // seeded random loss, one AFR per sub-window is force-dropped so
     // the recovery loop provably runs for every session at any seed.
-    // The switch published one trace context per retained batch into
-    // the shared tracer, so the controller's recovery spans stitch into
-    // the switch-side causal tree whatever the channel drops.
     let mut channel = LossyChannel::new(FaultConfig::afr_loss(cfg.seed, cfg.loss));
     for (subwindow, afrs) in &batches {
         let (subwindow, announced) = (*subwindow, afrs.len() as u32);

@@ -5,8 +5,8 @@
 //! health engine freezes a [`FlightDump`], which becomes a deterministic
 //! `results/flightrec_*.json`: the latest verdict's signal readings and
 //! summary line joined by the journal's events at the freeze, the
-//! full registry snapshot at the freeze instant, a brief of every causal
-//! span tree, and the health-alert timeline.
+//! full registry snapshot at the freeze instant, and the health-alert
+//! timeline.
 //! Chaos failures become diagnosable artifacts instead of log
 //! archaeology.
 //!
@@ -23,7 +23,6 @@ use serde::Serialize;
 use crate::health::AlertEvent;
 use crate::journal::{Event, EventJournal, Level};
 use crate::registry::{MetricSnapshot, RegistrySnapshot};
-use crate::span::{TraceReport, Tracer};
 
 /// One black-box entry: a journal event, a rule-signal reading, or a
 /// verdict's summary, pre-rendered to a canonical line.
@@ -56,19 +55,6 @@ impl From<&Event> for FlightEntry {
     }
 }
 
-/// One span tree's brief in the post-mortem.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct TraceBrief {
-    /// Trace id (root span id).
-    pub trace_id: u64,
-    /// The traced sub-window.
-    pub subwindow: u32,
-    /// Spans in the tree.
-    pub spans: u64,
-    /// Critical-path wall latency of the tree, ns.
-    pub wall_ns: u64,
-}
-
 /// The deterministic on-disk post-mortem (`results/flightrec_*.json`).
 #[derive(Debug, Clone, Serialize)]
 pub struct FlightDump {
@@ -85,8 +71,6 @@ pub struct FlightDump {
     pub entries: Vec<FlightEntry>,
     /// Full registry snapshot at the freeze instant.
     pub registry: RegistrySnapshot,
-    /// Brief of every causal span tree at the freeze instant, by id.
-    pub traces: Vec<TraceBrief>,
     /// Every alert fired up to and including the freeze.
     pub timeline: Vec<AlertEvent>,
 }
@@ -94,8 +78,7 @@ pub struct FlightDump {
 impl FlightDump {
     /// Assemble the post-mortem at a freeze: the latest verdict's
     /// `lines` joined by `journal`'s retained events (read once),
-    /// `metrics` in series order, and a brief of every span tree in
-    /// `tracer`. `run` is left empty; [`crate::HealthEngine::flight_dump`]
+    /// and `metrics` in series order. `run` is left empty; [`crate::HealthEngine::flight_dump`]
     /// names it.
     pub(crate) fn capture(
         reason: String,
@@ -103,7 +86,6 @@ impl FlightDump {
         lines: &[FlightEntry],
         journal: &EventJournal,
         mut metrics: Vec<MetricSnapshot>,
-        tracer: &Tracer,
         timeline: Vec<AlertEvent>,
     ) -> FlightDump {
         let mut entries: Vec<FlightEntry> =
@@ -111,23 +93,12 @@ impl FlightDump {
         entries.extend_from_slice(lines);
         entries.sort();
         metrics.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-        let traces = TraceReport::capture("flightrec", tracer, None)
-            .traces
-            .iter()
-            .map(|t| TraceBrief {
-                trace_id: t.trace_id,
-                subwindow: t.subwindow,
-                spans: t.spans.len() as u64,
-                wall_ns: t.critical_path.wall_ns,
-            })
-            .collect();
         FlightDump {
             run: String::new(),
             freeze_reason: reason,
             frozen_at_ns: at_ns,
             entries,
             registry: RegistrySnapshot { metrics },
-            traces,
             timeline,
         }
     }

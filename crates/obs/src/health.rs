@@ -40,7 +40,6 @@ use ow_common::time::Instant;
 use crate::flightrec::{FlightDump, FlightEntry};
 use crate::journal::{Event, EventJournal};
 use crate::registry::{MetricSnapshot, MetricsRegistry, PeakSample};
-use crate::span::Tracer;
 
 /// The reserved code for `WindowFsm` invariant rejections — not part of
 /// any installed [`RuleSet`], emitted directly by
@@ -448,7 +447,6 @@ pub struct HealthEngine {
     rules: RuleSet,
     registry: Arc<MetricsRegistry>,
     journal: Arc<EventJournal>,
-    tracer: Arc<Tracer>,
     inner: Mutex<EngineInner>,
 }
 
@@ -469,7 +467,6 @@ impl HealthEngine {
         rules: RuleSet,
         registry: Arc<MetricsRegistry>,
         journal: Arc<EventJournal>,
-        tracer: Arc<Tracer>,
     ) -> HealthEngine {
         for severity in [Severity::Info, Severity::Warning, Severity::Critical] {
             registry.counter("ow_health_alerts_total", &[("severity", severity.name())]);
@@ -479,7 +476,6 @@ impl HealthEngine {
             rules,
             registry,
             journal,
-            tracer,
             inner: Mutex::new(EngineInner::default()),
         }
     }
@@ -577,7 +573,6 @@ impl HealthEngine {
             lines,
             &self.journal,
             metrics,
-            &self.tracer,
             inner.timeline.clone(),
         ));
     }

@@ -1,34 +1,31 @@
 //! `ow-obs` — observability for the OmniWindow reproduction.
 //!
-//! Three pieces, all designed around the repo's *virtual* clock so that
-//! everything recorded is deterministic and testable:
+//! Everything is recorded on the repo's *virtual* clock, so a run's
+//! record is deterministic and testable:
 //!
 //! * [`MetricsRegistry`] ([`registry`]) — named counters, gauges, and
 //!   fixed-bucket log2 histograms with percentile readout. Handles are
 //!   atomics shared out of the registry, so hot paths never touch the
 //!   registry lock. Names follow `ow_<crate>_<name>`.
-//! * [`EventJournal`] ([`journal`]) — typed lifecycle events (window,
-//!   phase) in a bounded ring, with an optional console sink;
-//!   this replaces free-form `eprintln!` progress prints.
+//! * [`EventJournal`] ([`journal`]) — typed lifecycle events in a
+//!   bounded ring, each tagged with its sub-window and phase where it
+//!   has one, with an optional console sink. It is the one causal
+//!   record of a window's life: the switch's FSM steps and `cr_session`,
+//!   the controller's `session_complete` or `switch_departed`, and any
+//!   `os_read` escalation.
 //! * [`ObsReport`] ([`export`]) — the `results/obs_*.json` snapshot.
-//!   It, [`TraceReport`] and [`FlightDump`] each `render()` to text
-//!   from their typed fields, and `write(path)` puts that text beside
-//!   the JSON as `<stem>.txt`.
-//! * [`Tracer`] ([`span`]) — causal span tracing: per-window span
-//!   trees on the virtual clock, stitched across switch and
-//!   controller by the [`TraceContext`] the tracer holds per
-//!   sub-window, analysed by
-//!   `critical_path` and exported as `results/trace_*.json`.
+//!   It and [`FlightDump`] each `render()` to text from their typed
+//!   fields, and `write(path)` puts that text beside the JSON as
+//!   `<stem>.txt`.
 //! * [`HealthEngine`] ([`health`]) — the interpretation layer:
 //!   [`evaluate`] judges one sample against declarative `OW-HEALTH-*`
 //!   rules over derived signals (ratios, saturation, SLO burn rate)
 //!   and scores each entity, rolled up to `ow_health_fleet_score`;
 //!   the engine publishes that [`Verdict`] and keeps a black box that
 //!   freezes a deterministic [`FlightDump`] ([`flightrec`]) — the
-//!   latest verdict's readings, the journal, the registry, span briefs
-//!   and the alerts — as `results/flightrec_*.json` on critical alerts
-//!   or FSM invariant rejections.
-//!
+//!   latest verdict's readings, the journal, the registry and the
+//!   alerts — as `results/flightrec_*.json` on critical alerts or FSM
+//!   invariant rejections.
 //! * [`AccuracyScorer`] ([`accuracy`]) — the live query-accuracy
 //!   observatory: a streaming ground-truth oracle fed per sub-window
 //!   by the feeder, scored synchronously against each window's merged
@@ -36,12 +33,13 @@
 //!   permille gauges and closed through the health engine by the
 //!   `OW-HEALTH-4xx` catalog ([`accuracy_health_rules`]).
 //!
-//! [`Obs`] bundles one registry, one journal, and one tracer into a
-//! cheap-clone handle that threads through the switch, controller, and
-//! fleet. [`Obs::engine_sink`] adapts the handle onto
+//! [`Obs`] bundles one registry and one journal, plus the optional
+//! health engine and accuracy scorer, into a cheap-clone handle that
+//! threads through the switch, controller, and fleet.
+//! [`Obs::engine_sink`] adapts the handle onto
 //! [`ow_common::engine::TransitionSink`] so every `WindowEngine`
-//! transition — including rejected drift — lands in the registry, the
-//! journal, and (when the window has an active trace) the span tree.
+//! transition — including rejected drift — lands in the registry and
+//! the journal.
 
 pub mod accuracy;
 pub mod export;
@@ -50,7 +48,6 @@ pub mod health;
 pub mod journal;
 pub mod registry;
 mod render;
-pub mod span;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -65,7 +62,7 @@ pub use accuracy::{
     ACCURACY_THRESHOLD,
 };
 pub use export::ObsReport;
-pub use flightrec::{FlightDump, FlightEntry, TraceBrief};
+pub use flightrec::{FlightDump, FlightEntry};
 pub use health::{
     evaluate, AlertEvent, Cmp, HealthEngine, HealthReport, HealthSample, MetricSelector, Rule,
     RuleSet, Severity, Signal, Verdict, FSM_REJECT_CODE,
@@ -75,16 +72,15 @@ pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot, MetricsRegistry, PeakSample,
     RegistrySnapshot,
 };
-pub use span::{CriticalPath, PhaseMark, Span, TraceContext, TraceReport, TraceSummary, Tracer};
 
 /// The combined observability handle: one metrics registry, one event
-/// journal, one span tracer. Cheap to clone (three `Arc`s); every clone
-/// observes the same run.
+/// journal, and the slots for an installed health engine and accuracy
+/// scorer. Cheap to clone (four `Arc`s); every clone observes the same
+/// run.
 #[derive(Debug, Clone)]
 pub struct Obs {
     registry: Arc<MetricsRegistry>,
     journal: Arc<EventJournal>,
-    tracer: Arc<Tracer>,
     health: Arc<RwLock<Option<Arc<HealthEngine>>>>,
     accuracy: Arc<RwLock<Option<Arc<AccuracyScorer>>>>,
 }
@@ -96,7 +92,7 @@ impl Default for Obs {
 }
 
 impl Obs {
-    /// A fresh registry + journal + tracer triple, with the crate's own
+    /// A fresh registry + journal pair, with the crate's own
     /// health metric pre-registered: `ow_obs_journal_dropped_total`
     /// (events the bounded journal ring discarded).
     pub fn new() -> Obs {
@@ -108,19 +104,17 @@ impl Obs {
     pub fn with_journal_capacity(capacity: usize) -> Obs {
         let registry = Arc::new(MetricsRegistry::new());
         let journal = Arc::new(EventJournal::with_capacity(capacity));
-        let tracer = Arc::new(Tracer::new());
         journal.set_drop_counter(registry.counter("ow_obs_journal_dropped_total", &[]));
         Obs {
             registry,
             journal,
-            tracer,
             health: Arc::new(RwLock::new(None)),
             accuracy: Arc::new(RwLock::new(None)),
         }
     }
 
-    /// Install a [`HealthEngine`] over this handle's registry, journal,
-    /// and tracer. Every clone of the handle sees the engine (the
+    /// Install a [`HealthEngine`] over this handle's registry and
+    /// journal. Every clone of the handle sees the engine (the
     /// engine-transition sink uses it to freeze the flight recorder on
     /// FSM invariant rejections). Installing again replaces the
     /// previous engine.
@@ -129,7 +123,6 @@ impl Obs {
             rules,
             Arc::clone(&self.registry),
             Arc::clone(&self.journal),
-            Arc::clone(&self.tracer),
         ));
         *self.health.write() = Some(Arc::clone(&engine));
         engine
@@ -154,11 +147,6 @@ impl Obs {
     /// The installed accuracy scorer, if any.
     pub fn accuracy(&self) -> Option<Arc<AccuracyScorer>> {
         self.accuracy.read().clone()
-    }
-
-    /// The span tracer.
-    pub fn tracer(&self) -> &Arc<Tracer> {
-        &self.tracer
     }
 
     /// The event journal.
@@ -258,9 +246,6 @@ impl TransitionSink for EngineObserver {
                 if to == WindowPhase::Released {
                     self.released.inc();
                 }
-                self.obs
-                    .tracer
-                    .mark(t.subwindow, &self.side, t.event, t.from.name(), to.name());
                 self.obs.event(
                     Event::new(
                         "fsm_transition",
@@ -367,25 +352,6 @@ mod tests {
             report.to_json().contains("\"events_dropped\": 6"),
             "JSON snapshot carries the drop count"
         );
-    }
-
-    #[test]
-    fn engine_sink_marks_transitions_into_the_active_trace() {
-        let obs = Obs::new();
-        obs.tracer().start_window(3, "controller", 0);
-        let mut engine = WindowEngine::new();
-        engine.set_sink(obs.engine_sink("controller"));
-        engine.insert(WindowFsm::announced(3));
-        engine.apply(3, WindowEvent::StreamComplete).unwrap();
-        engine.apply(3, WindowEvent::Acked).unwrap();
-        let report = TraceReport::capture("unit", obs.tracer(), None);
-        let events: Vec<&str> = report.traces[0]
-            .transitions
-            .iter()
-            .map(|m| m.event.as_str())
-            .collect();
-        assert_eq!(events, vec!["stream_complete", "acked"]);
-        assert_eq!(report.traces[0].transitions[0].to, "merged");
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Human-readable renderings of the artifact types.
 //!
-//! [`ObsReport::render`], [`TraceReport::render`] and
-//! [`FlightDump::render`] print what the value holds — tables for a
-//! metrics snapshot, an indented span tree per traced window, the
-//! freeze header and alert timeline of a post-mortem — and each type's
-//! `write(path)` puts that text beside the JSON as `<stem>.txt`, so an
-//! artifact ships with its readable form. Rendering reads the typed
-//! fields; nothing is serialised and parsed back.
+//! [`ObsReport::render`] and [`FlightDump::render`] print what the
+//! value holds — tables for a metrics snapshot, the freeze header and
+//! alert timeline of a post-mortem — and each type's `write(path)` puts
+//! that text beside the JSON as `<stem>.txt`, so an artifact ships with
+//! its readable form. Rendering reads the typed fields; nothing is
+//! serialised and parsed back.
 
 use std::io;
 use std::path::Path;
@@ -15,7 +14,6 @@ use crate::export::ObsReport;
 use crate::flightrec::FlightDump;
 use crate::journal::Level;
 use crate::registry::{MetricSnapshot, RegistrySnapshot};
-use crate::span::{Span, TraceReport};
 
 /// Journal events / black-box entries shown: the newest this many.
 const TAIL: usize = 20;
@@ -232,71 +230,18 @@ fn render_accuracy(reg: &RegistrySnapshot, out: &mut String) {
     out.push('\n');
 }
 
-impl TraceReport {
-    /// One block per traced window: the critical path and SLO verdict,
-    /// then the span tree as an indented virtual-clock timeline.
-    pub(crate) fn render(&self) -> String {
-        let mut out = format!(
-            "run: {} — {} window trace(s)\n",
-            self.run,
-            self.traces.len()
-        );
-        if let Some(slo) = self.slo_deadline_ns {
-            out.push_str(&format!("SLO deadline: {slo}ns\n"));
-        }
-        for trace in &self.traces {
-            let cp = &trace.critical_path;
-            let slo = if cp.slo_violated {
-                ", SLO VIOLATED"
-            } else {
-                ""
-            };
-            out.push_str(&format!(
-                "\n== sub-window {} (trace {}) ==\n\
-                 critical path: {} — wall {}ns, {}‰ attributed{slo}\n",
-                trace.subwindow,
-                trace.trace_id,
-                cp.chain.join(" → "),
-                cp.wall_ns,
-                cp.attributed_permille,
-            ));
-            render_span_tree(&trace.spans, None, 0, &mut out);
-        }
-        out
-    }
-}
-
-/// Append `parent`'s children (in span-id order) at `depth`, recursing.
-fn render_span_tree(spans: &[Span], parent: Option<u64>, depth: usize, out: &mut String) {
-    for s in spans.iter().filter(|s| s.parent == parent) {
-        let shard = s.shard.map(|sh| format!(" shard={sh}")).unwrap_or_default();
-        out.push_str(&format!(
-            "{:indent$}{} [{}{shard}]  {}..{}  ({}ns)\n",
-            "",
-            s.name,
-            s.side,
-            s.start_ns,
-            s.end_ns,
-            s.duration_ns(),
-            indent = 2 + depth * 2,
-        ));
-        render_span_tree(spans, Some(s.id), depth + 1, out);
-    }
-}
-
 impl FlightDump {
     /// The post-mortem as text: freeze header, alert timeline, and the
     /// newest black-box entries.
     pub(crate) fn render(&self) -> String {
         let mut out = format!(
             "run: {} — FLIGHT RECORDER POST-MORTEM\nfrozen at: {}ns\nreason: {}\n\
-             captured: {} entries, {} metrics, {} trace(s)\n\n",
+             captured: {} entries, {} metrics\n\n",
             self.run,
             self.frozen_at_ns,
             self.freeze_reason,
             self.entries.len(),
             self.registry.metrics.len(),
-            self.traces.len()
         );
         if !self.timeline.is_empty() {
             out.push_str("== alert timeline ==\n");
@@ -445,29 +390,6 @@ mod tests {
         has(
             &rendered,
             "  sketch mv: occupancy 875‰, 4 collision(s), 0 eviction(s)",
-        );
-    }
-
-    #[test]
-    fn trace_report_renders_the_span_tree() {
-        let obs = Obs::new();
-        let t = obs.tracer();
-        let root = t.start_window(3, "switch", 1_000);
-        let collect = t
-            .span(root, root, "collect", "switch", None, 1_000, 1_400)
-            .unwrap();
-        t.span(root, collect, "merge", "controller", Some(1), 1_400, 1_700)
-            .unwrap();
-        t.finish_window(root, 1_700);
-        let report = crate::TraceReport::capture("unit", t, Some(Duration::from_nanos(500)));
-        assert_eq!(
-            report.render(),
-            "run: unit — 1 window trace(s)\nSLO deadline: 500ns\n\n\
-             == sub-window 3 (trace 1) ==\n\
-             critical path: window → collect → merge — wall 700ns, 1000‰ attributed, SLO VIOLATED\n\
-             \x20 window [switch]  1000..1700  (700ns)\n\
-             \x20   collect [switch]  1000..1400  (400ns)\n\
-             \x20     merge [controller shard=1]  1400..1700  (300ns)\n"
         );
     }
 

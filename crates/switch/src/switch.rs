@@ -7,7 +7,7 @@ use ow_common::packet::Packet;
 use ow_common::time::{Duration, Instant};
 
 use ow_common::afr::FlowRecord;
-use ow_obs::{Counter, Event, Histogram, Obs, TraceContext};
+use ow_obs::{Counter, Event, Histogram, Obs};
 
 use crate::app::DataPlaneApp;
 use crate::collect::{collect_and_reset, CollectConfig, CollectOutcome, RetransmitBuffer};
@@ -224,21 +224,6 @@ impl<A: DataPlaneApp> Switch<A> {
         let replayed = self.retransmit.retransmit(subwindow, seqs);
         if let Some(o) = &self.obs {
             o.retransmit_requests.inc();
-            // Zero-length marker under the collect span: the buffer was
-            // replayed for this window (the controller-side span carries
-            // the round's duration; the replay itself is instantaneous
-            // on the virtual clock).
-            if let Some(ctx) = o.obs.tracer().context(subwindow) {
-                o.obs.tracer().span(
-                    ctx.trace_id,
-                    ctx.collect,
-                    "retransmit_replay",
-                    "switch",
-                    None,
-                    ctx.anchor_ns,
-                    ctx.anchor_ns,
-                );
-            }
         }
         replayed
     }
@@ -250,7 +235,6 @@ impl<A: DataPlaneApp> Switch<A> {
         self.retransmit.release(subwindow);
         if let Some(o) = &self.obs {
             o.acks.inc();
-            o.obs.tracer().retire_context(subwindow);
         }
     }
 
@@ -274,17 +258,6 @@ impl<A: DataPlaneApp> Switch<A> {
                 )
                 .subwindow(subwindow),
             );
-            if let Some(ctx) = o.obs.tracer().retire_context(subwindow) {
-                o.obs.tracer().span(
-                    ctx.trace_id,
-                    ctx.collect,
-                    "os_read",
-                    "switch",
-                    None,
-                    ctx.anchor_ns,
-                    ctx.anchor_ns.saturating_add(cost.as_nanos()),
-                );
-            }
         }
         Some((batch, cost))
     }
@@ -340,11 +313,13 @@ impl<A: DataPlaneApp> Switch<A> {
     }
 
     fn run_collection(&mut self, ended: u32, started: Instant, sink: &mut impl EventSink) {
+        // Unreachable: callers pass pending_cr's CrWait window (test: fsm_steps_never_reject).
         self.engine
             .apply(ended, WindowEvent::CollectStarted)
             .expect("C&R must start from cr_wait");
         let (app, tracker) = self.state.inactive_mut();
         let outcome = collect_and_reset(app, tracker, ended, CollectConfig::default());
+        // Unreachable: now Collecting (fsm_exhaustive: all_ninety_cells_match_the_table).
         self.engine
             .apply(ended, WindowEvent::BatchGenerated)
             .expect("batch generation follows collection");
@@ -356,7 +331,6 @@ impl<A: DataPlaneApp> Switch<A> {
             let _ = self.engine.apply(evicted, WindowEvent::Evicted);
             if let Some(o) = &self.obs {
                 o.evictions.inc();
-                o.obs.tracer().retire_context(evicted);
                 o.obs.event(
                     Event::new(
                         "retransmit_evicted",
@@ -368,12 +342,6 @@ impl<A: DataPlaneApp> Switch<A> {
             }
         }
         self.state.complete_cr();
-        let term_ns = self
-            .engine
-            .get(ended)
-            .and_then(|f| f.terminated_at())
-            .map(|t| t.as_nanos())
-            .unwrap_or_else(|| started.as_nanos());
         if let Some(o) = &self.obs {
             o.collections.inc();
             o.collect_time.record(outcome.collect_time);
@@ -393,39 +361,6 @@ impl<A: DataPlaneApp> Switch<A> {
                 .phase("collected")
                 .at(started),
             );
-            // Span out the on-switch portion of the window's lifecycle:
-            // cr_wait from termination to the C&R start, then the collect
-            // and reset passes back-to-back. The reset end is the anchor
-            // every downstream (controller-side) span hangs off of; the
-            // context stays published until ack / OS-read / eviction.
-            let tracer = o.obs.tracer();
-            let trace = tracer
-                .active_trace(ended)
-                .unwrap_or_else(|| tracer.start_window(ended, "switch", term_ns));
-            let started_ns = started.as_nanos();
-            let collect_end = started_ns.saturating_add(outcome.collect_time.as_nanos());
-            let anchor = collect_end.saturating_add(outcome.reset_time.as_nanos());
-            tracer.span(trace, trace, "cr_wait", "switch", None, term_ns, started_ns);
-            let collect = tracer.span(
-                trace,
-                trace,
-                "collect",
-                "switch",
-                None,
-                started_ns,
-                collect_end,
-            );
-            tracer.span(trace, trace, "reset", "switch", None, collect_end, anchor);
-            if let Some(collect) = collect {
-                tracer.publish_context(
-                    ended,
-                    TraceContext {
-                        trace_id: trace,
-                        collect,
-                        anchor_ns: anchor,
-                    },
-                );
-            }
         }
         sink.emit(SwitchEvent::AfrBatch {
             subwindow: ended,
@@ -446,14 +381,11 @@ impl<A: DataPlaneApp> Switch<A> {
         let next = active_sw + 1;
         let end_of_time = Instant::from_nanos(u64::MAX);
         self.engine.open(active_sw);
-        if let Some(o) = &self.obs {
-            o.obs
-                .tracer()
-                .start_window(active_sw, "switch", end_of_time.as_nanos());
-        }
+        // Unreachable: the active window is Open until now (test: fsm_steps_never_reject).
         self.engine
-            .apply(active_sw, WindowEvent::SignalFired { at: end_of_time })
+            .apply(active_sw, WindowEvent::SignalFired)
             .expect("active window terminates at flush");
+        // Unreachable: now Terminated (fsm_exhaustive: all_ninety_cells_match_the_table).
         self.engine
             .apply(active_sw, WindowEvent::CrScheduled { due: end_of_time })
             .expect("flush schedules the final C&R");
@@ -525,13 +457,9 @@ impl<A: DataPlaneApp> Switch<A> {
             self.run_collection(prev_ended, due.min(now), sink);
         }
         self.engine.open(ended);
-        // Open the window's causal trace before the signal fires so the
-        // FSM transitions below mark into it.
-        if let Some(o) = &self.obs {
-            o.obs.tracer().start_window(ended, "switch", now.as_nanos());
-        }
+        // Unreachable: a sub-window ends once, while Open (test: fsm_steps_never_reject).
         self.engine
-            .apply(ended, WindowEvent::SignalFired { at: now })
+            .apply(ended, WindowEvent::SignalFired)
             .expect("termination signal fires on an open window");
         let tracked = {
             let (_, tracker) = self.state.active_mut();
@@ -543,6 +471,7 @@ impl<A: DataPlaneApp> Switch<A> {
             tracked_keys: tracked,
         });
         let due = now + CR_WAIT;
+        // Unreachable: now Terminated (fsm_exhaustive: all_ninety_cells_match_the_table).
         self.engine
             .apply(ended, WindowEvent::CrScheduled { due })
             .expect("cr_wait schedules after termination");
@@ -774,6 +703,40 @@ mod tests {
         assert_eq!(batches[1].0, 1);
     }
 
+    /// The six `expect`ed FSM steps of `run_collection`, `flush` and
+    /// `on_termination` hold on every path into them: a C&R run when
+    /// due, one run early by the next termination at the same instant,
+    /// one run by `flush` while pending, a transit switch fast-forwarded
+    /// past skipped sub-windows, and `flush` twice. The switch's
+    /// `process_and_process_into_emit_the_same_stream` proptest asserts
+    /// the same over random traces.
+    #[test]
+    fn fsm_steps_never_reject() {
+        let collected = |events: &[SwitchEvent]| -> Vec<u32> {
+            afr_batches(events).iter().map(|(sw, _)| *sw).collect()
+        };
+        let mut sw = mk_switch(true);
+        let mut events = Vec::new();
+        for (src, ms) in [(1, 10), (2, 105), (3, 110), (4, 205)] {
+            events.extend(sw.process(pkt(src, ms)));
+        }
+        events.extend(sw.flush());
+        events.extend(sw.flush());
+        assert_eq!(collected(&events), vec![0, 1, 2, 3]);
+        assert_eq!(sw.engine().rejected(), 0);
+
+        let mut transit = mk_switch(false);
+        let mut events = Vec::new();
+        for stamp in [1, 4, 6] {
+            let mut p = pkt(stamp, 100);
+            p.ow.subwindow = stamp;
+            events.extend(transit.process(p));
+        }
+        events.extend(transit.flush());
+        assert_eq!(collected(&events), vec![0, 1, 4, 6]);
+        assert_eq!(transit.engine().rejected(), 0);
+    }
+
     #[test]
     fn window_engine_tracks_the_full_lifecycle() {
         use ow_common::engine::WindowPhase;
@@ -823,16 +786,19 @@ mod tests {
         assert!(evicted > 0);
         assert_eq!(sw.engine().released(), evicted);
         assert_eq!(sw.engine().rejected(), 0);
-        // Eviction retired the trace context with the batch: only the
-        // retained window can still be stitched by the controller.
-        let retained = sw.retransmit_buffer().retained();
-        for sub in 0..=sw.signals.current() {
-            assert_eq!(
-                obs.tracer().context(sub).is_some(),
-                retained.contains(&sub),
-                "sub-window {sub}"
-            );
-        }
+        // Every collected batch is retained or journaled as evicted,
+        // never both and never neither.
+        let journaled = |kind: &str| -> Vec<u32> {
+            let events = obs.journal().events().into_iter();
+            events
+                .filter(|e| e.kind == kind)
+                .filter_map(|e| e.subwindow)
+                .collect()
+        };
+        let mut accounted = journaled("retransmit_evicted");
+        accounted.extend(sw.retransmit_buffer().retained());
+        accounted.sort_unstable();
+        assert_eq!(accounted, journaled("cr_session"));
     }
 
     #[test]
@@ -845,13 +811,13 @@ mod tests {
         }
         let events = sw.flush();
         let (subwindow, announced) = afr_batches(&events)[0];
-        // The batch's trace context is published from generation…
-        let ctx = obs.tracer().context(subwindow).expect("context published");
-        assert_eq!(obs.tracer().active_trace(subwindow), Some(ctx.trace_id));
+        // The batch is retained from generation…
+        assert!(sw.retransmit_buffer().retained().contains(&subwindow));
         sw.handle_retransmit_request(subwindow, &[0]);
         sw.ack_collection(subwindow);
-        // …until the ack retires it.
-        assert_eq!(obs.tracer().context(subwindow), None);
+        // …until the ack releases it.
+        assert!(sw.retransmit_buffer().retained().is_empty());
+        assert_eq!(sw.engine().rejected(), 0);
 
         let snap = obs.snapshot();
         assert_eq!(snap.value("ow_switch_collections_total", &[]), 1);

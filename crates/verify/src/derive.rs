@@ -33,11 +33,12 @@ pub(crate) fn program_for_switch(cfg: &SwitchConfig, meta: &SketchMeta) -> Pipel
     let bloom = tracker.bloom_meta();
     let hashes = bloom.register_arrays;
     let bloom_cells = bloom.cells_per_array;
-    // Both regions' tracking state lives on-chip simultaneously.
+    // Both regions of every structure live on-chip simultaneously, and
+    // each array is charged its share of what the sketch allocates.
     let fk_sram = ((2 * tracker.memory_bytes()).div_ceil(1024)) as u32;
-    let app_sram_per_array = ((2 * app_states * 4)
-        .div_ceil(1024)
-        .div_ceil(meta.register_arrays.max(1))) as u32;
+    let app_sram_per_array = ((2 * meta.memory_bytes)
+        .div_ceil(meta.register_arrays.max(1))
+        .div_ceil(1024)) as u32;
 
     let mut program = PipelineProgram::new(
         format!(
@@ -175,8 +176,9 @@ fn mismatch_report(program: String, err: OwError) -> VerifyReport {
 mod tests {
     use super::*;
     use ow_common::flowkey::KeyKind;
-    use ow_sketch::{CountMin, MvSketch};
+    use ow_sketch::{CountMin, ElasticSketch, FrequencySketch, HashPipe, MvSketch, SuMax};
     use ow_switch::app::FrequencyApp;
+    use proptest::prelude::*;
 
     fn quick_cfg() -> SwitchConfig {
         SwitchConfig {
@@ -226,5 +228,71 @@ mod tests {
         assert!(p.find_register("app_arr5").is_some() && p.find_register("app_arr6").is_none());
         let clear = p.paths.iter().find(|path| path.name == "clear").unwrap();
         assert_eq!(clear.max_recirculations, Some(256));
+    }
+
+    /// The summed SRAM of `feature`'s steps, in KB.
+    fn feature_sram_kb(p: &PipelineProgram, feature: &str) -> usize {
+        let f = p.features.iter().find(|f| f.name == feature).unwrap();
+        f.steps.iter().map(|s| s.sram_kb as usize).sum()
+    }
+
+    /// `sram_kb` holds both regions of `bytes` and rounds up by less
+    /// than one KB per array.
+    fn charges_both_regions(sram_kb: usize, bytes: usize, arrays: usize) -> bool {
+        sram_kb * 1024 >= 2 * bytes && sram_kb * 1024 < 2 * bytes + arrays * 1024
+    }
+
+    fn meta_of(sketch: impl FrequencySketch) -> SketchMeta {
+        FrequencyApp::new(sketch, KeyKind::SrcIp, false).meta()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Each application array is charged its share of what the
+        /// sketch allocates, whatever the sketch's cell size.
+        #[test]
+        fn app_sram_is_what_the_sketch_allocates(
+            rows in 1usize..6,
+            width in 1usize..70_000,
+            seed in 0u64..1_000,
+        ) {
+            for meta in [
+                meta_of(CountMin::new(rows, width, seed)),
+                meta_of(SuMax::new(rows, width, seed)),
+                meta_of(MvSketch::new(rows, width, seed)),
+                meta_of(HashPipe::new(rows, width, seed)),
+                meta_of(ElasticSketch::with_memory(rows * width * 4, seed)),
+            ] {
+                let p = program_for_switch(&quick_cfg(), &meta);
+                let sram = feature_sram_kb(&p, meta.name);
+                prop_assert!(
+                    charges_both_regions(sram, meta.memory_bytes, meta.register_arrays),
+                    "{}: {sram} KB for 2 x {} B over {} arrays",
+                    meta.name,
+                    meta.memory_bytes,
+                    meta.register_arrays
+                );
+            }
+        }
+
+        /// The flowkey-tracking steps hold both regions of the tracker
+        /// the switch builds.
+        #[test]
+        fn flowkey_sram_is_what_the_tracker_allocates(
+            fk_capacity in 1usize..70_000,
+            expected_flows in 1usize..200_000,
+        ) {
+            let cfg = SwitchConfig {
+                fk_capacity,
+                expected_flows,
+                ..SwitchConfig::default()
+            };
+            let p = program_for_switch(&cfg, &app(1).meta());
+            let tracker = FlowkeyTracker::new(fk_capacity, expected_flows, cfg.seed);
+            let arrays = tracker.bloom_meta().register_arrays + 1;
+            let sram = feature_sram_kb(&p, "Flowkey tracking");
+            prop_assert!(charges_both_regions(sram, tracker.memory_bytes(), arrays));
+        }
     }
 }

@@ -23,7 +23,7 @@ use ow_controller::live::{DataPlaneMsg, LiveController, ReliableLiveController, 
 use ow_controller::reliability::RetryPolicy;
 use ow_controller::table::MergeTable;
 use ow_controller::wire::encode_merged;
-use ow_obs::{accuracy_health_rules, Obs, RuleSet, TraceContext};
+use ow_obs::{accuracy_health_rules, Obs, RuleSet};
 use proptest::prelude::*;
 
 /// Shard counts × block capacities every property sweeps. Capacity 1
@@ -307,11 +307,10 @@ fn cr_workload(subwindows: u32, records: u32, population: u32, seed: u64) -> Vec
 /// Stream `batches` losslessly through a reliable controller (span 4,
 /// queue 256, full-capacity blocks) and return FNV-1a 64 of the
 /// encoded final fold. `observed` attaches everything a production run
-/// can: registry + journal, a trace context published per sub-window,
-/// the controller + accuracy health catalogs ticking once per
-/// sub-window (minus the queue-watermark rule, whose reading depends on
-/// how the threads were scheduled), and the ground-truth oracle fed the
-/// exact workload.
+/// can: registry + journal, the controller + accuracy health catalogs
+/// ticking once per sub-window (minus the queue-watermark rule, whose
+/// reading depends on how the threads were scheduled), and the
+/// ground-truth oracle fed the exact workload.
 fn fold_digest(batches: &[Vec<FlowRecord>], shards: usize, observed: bool) -> u64 {
     let obs = observed.then(Obs::new);
     let watchers = obs.as_ref().map(|o| {
@@ -333,19 +332,6 @@ fn fold_digest(batches: &[Vec<FlowRecord>], shards: usize, observed: bool) -> u6
         let (sw, announced) = (sw as u32, afrs.len() as u32);
         if let Some((_, scorer)) = &watchers {
             scorer.feed_truth(sw, afrs);
-        }
-        if let Some(o) = &obs {
-            let trace = o.tracer().start_window(sw, "switch", 0);
-            let collect = o
-                .tracer()
-                .span(trace, trace, "collect", "switch", None, 0, 1)
-                .expect("collect span under a live trace");
-            let ctx = TraceContext {
-                trace_id: trace,
-                collect,
-                anchor_ns: 1,
-            };
-            o.tracer().publish_context(sw, ctx);
         }
         let send = |msg| ctl.sender.send(msg).expect("controller alive");
         send(ReliableMsg::Announce {
