@@ -1,11 +1,7 @@
-//! The per-window lifecycle state machine shared by the switch and the
-//! controller.
+//! The per-window lifecycle state machine of the switch.
 //!
-//! Before this module existed, the collect-and-reset lifecycle was
-//! smeared across `ow-switch` (an ad-hoc `pending: Option<(u32,
-//! Instant)>`) and `ow-controller` (which re-derived termination state
-//! from message order), and the two sides could silently drift. The
-//! [`WindowFsm`] makes the lifecycle explicit and event-driven:
+//! [`WindowFsm`] makes one sub-window's collect-and-reset lifecycle
+//! explicit and event-driven:
 //!
 //! ```text
 //!   Open ──SignalFired──▶ Terminated ──CrScheduled──▶ CrWait
@@ -21,16 +17,18 @@
 //!     any non-terminal phase ──SwitchDeparted──▶ Released    (fleet churn)
 //! ```
 //!
-//! `ow-switch` drives the left half (signal → C&R → batch retained for
-//! §8 retransmission), `ow-controller` the right half (announced batch →
-//! completeness → merge), and both consume the *same* transition table,
-//! so an illegal transition on either side is a protocol bug surfaced as
-//! an [`FsmError`] instead of silent divergence. The framework crate
-//! re-exports this module as `omniwindow::engine`.
+//! `ow-switch` drives it: signal → C&R → batch retained
+//! for §8 retransmission, then the retransmit / OS-read handlers, the
+//! acknowledgement and eviction of the retained copy. An illegal
+//! transition is a protocol bug surfaced as an [`FsmError`]. The
+//! controller keeps no copy of these phases: its record of a window is
+//! its collection session's seen-bitmap, its `ReliabilityMetrics` and
+//! its journal events. The framework crate re-exports this module as
+//! `omniwindow::engine`.
 //!
 //! [`WindowEngine`] manages the set of live windows (one FSM per
 //! sub-window), answers scheduling queries ("which C&R is due?"), and
-//! counts rejected transitions as a drift detector.
+//! counts rejected transitions.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -171,9 +169,8 @@ impl WindowEvent {
 
 /// A rejected transition: `event` is not legal in `phase`.
 ///
-/// On either side of the deployment this means the protocol drifted —
-/// e.g. the controller claiming completeness for a window the switch
-/// never collected.
+/// This means the protocol drifted — e.g. an acknowledgement for a
+/// window the switch never collected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FsmError {
     /// The sub-window whose FSM rejected the event.
@@ -223,23 +220,13 @@ pub struct WindowFsm {
 }
 
 impl WindowFsm {
-    /// A window starting at the beginning of its life (switch side).
+    /// A window starting at the beginning of its life.
     pub fn open(subwindow: u32) -> WindowFsm {
         WindowFsm {
             subwindow,
             phase: WindowPhase::Open,
             cr_due: None,
             retransmit_rounds: 0,
-        }
-    }
-
-    /// A window entering the lifecycle at [`WindowPhase::Collected`] —
-    /// the controller's entry point, where the first thing it learns
-    /// about a window is that its batch was announced.
-    pub fn announced(subwindow: u32) -> WindowFsm {
-        WindowFsm {
-            phase: WindowPhase::Collected,
-            ..WindowFsm::open(subwindow)
         }
     }
 
@@ -328,11 +315,11 @@ pub trait TransitionSink: Send + Sync {
     fn on_transition(&self, transition: &Transition);
 }
 
-/// The set of live window FSMs on one side of a deployment.
+/// The set of live window FSMs of one switch.
 ///
 /// Keyed by sub-window, with scheduling queries for the switch driver
-/// (which C&R is due, which single window is mid-C&R) and drift counters
-/// for both sides. Released windows are pruned eagerly so the engine
+/// (which C&R is due, which single window is mid-C&R) and a count of
+/// rejected transitions. Released windows are pruned eagerly so the engine
 /// stays bounded by the number of *in-flight* windows, not the trace
 /// length.
 #[derive(Clone, Default)]
@@ -380,13 +367,6 @@ impl WindowEngine {
             .or_insert_with(|| WindowFsm::open(subwindow))
     }
 
-    /// Insert a pre-built FSM (the controller's `announced` entry
-    /// point). An existing FSM for the same sub-window is kept — the
-    /// duplicate announcement case.
-    pub fn insert(&mut self, fsm: WindowFsm) -> &mut WindowFsm {
-        self.windows.entry(fsm.subwindow()).or_insert(fsm)
-    }
-
     /// The FSM for `subwindow`, if still in flight.
     pub fn get(&self, subwindow: u32) -> Option<&WindowFsm> {
         self.windows.get(&subwindow)
@@ -399,8 +379,8 @@ impl WindowEngine {
     }
 
     /// Apply `event` to `subwindow`'s FSM. Unknown windows and illegal
-    /// transitions are both counted into [`WindowEngine::rejected`] —
-    /// the drift detector — and returned as errors. A transition into
+    /// transitions are both counted into [`WindowEngine::rejected`] and
+    /// returned as errors. A transition into
     /// [`WindowPhase::Released`] prunes the FSM.
     pub fn apply(&mut self, subwindow: u32, event: WindowEvent) -> Result<WindowPhase, FsmError> {
         let Some(fsm) = self.windows.get_mut(&subwindow) else {
@@ -462,8 +442,8 @@ impl WindowEngine {
         self.released
     }
 
-    /// Rejected transitions observed — nonzero means the two sides
-    /// disagreed about a window's lifecycle.
+    /// Rejected transitions observed — nonzero means an event arrived
+    /// that the window's phase does not allow.
     pub fn rejected(&self) -> u64 {
         self.rejected
     }
@@ -484,6 +464,13 @@ mod tests {
         fsm.apply(WindowEvent::BatchGenerated).unwrap();
     }
 
+    /// A window walked from `open` to `Collected`: its batch exists.
+    fn collected(subwindow: u32) -> WindowFsm {
+        let mut fsm = WindowFsm::open(subwindow);
+        full_switch_side(&mut fsm);
+        fsm
+    }
+
     #[test]
     fn happy_path_reaches_released() {
         let mut fsm = WindowFsm::open(0);
@@ -499,7 +486,7 @@ mod tests {
 
     #[test]
     fn retransmit_side_loop_counts_rounds() {
-        let mut fsm = WindowFsm::announced(7);
+        let mut fsm = collected(7);
         fsm.apply(WindowEvent::RetransmitRound).unwrap();
         fsm.apply(WindowEvent::RetransmitRound).unwrap();
         assert_eq!(fsm.phase(), WindowPhase::Retransmitting);
@@ -526,7 +513,7 @@ mod tests {
 
     #[test]
     fn eviction_releases_unmerged_windows() {
-        let mut fsm = WindowFsm::announced(1);
+        let mut fsm = collected(1);
         assert_eq!(fsm.apply(WindowEvent::Evicted), Ok(WindowPhase::Released));
         assert_eq!(fsm.phase(), WindowPhase::Released);
     }
@@ -572,7 +559,7 @@ mod tests {
 
     #[test]
     fn released_windows_reject_departure() {
-        let mut fsm = WindowFsm::announced(2);
+        let mut fsm = collected(2);
         fsm.apply(WindowEvent::SwitchDeparted).unwrap();
         let err = fsm.apply(WindowEvent::SwitchDeparted).unwrap_err();
         assert_eq!(err.event, "switch_departed");
@@ -581,7 +568,7 @@ mod tests {
 
     #[test]
     fn merged_windows_cannot_be_evicted() {
-        let mut fsm = WindowFsm::announced(1);
+        let mut fsm = collected(1);
         fsm.apply(WindowEvent::StreamComplete).unwrap();
         assert!(fsm.apply(WindowEvent::Evicted).is_err());
     }
@@ -624,17 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_insert_is_idempotent_for_duplicate_announcements() {
-        let mut engine = WindowEngine::new();
-        engine.insert(WindowFsm::announced(4));
-        engine.apply(4, WindowEvent::RetransmitRound).unwrap();
-        // The duplicated trigger clone announces again; state survives.
-        engine.insert(WindowFsm::announced(4));
-        assert_eq!(engine.phase(4), Some(WindowPhase::Retransmitting));
-        assert_eq!(engine.windows.len(), 1);
-    }
-
-    #[test]
     fn sink_observes_accepted_and_rejected_transitions() {
         use std::sync::Mutex;
 
@@ -649,8 +625,8 @@ mod tests {
         let rec = Arc::new(Rec::default());
         let mut engine = WindowEngine::new();
         engine.set_sink(rec.clone());
-        engine.insert(WindowFsm::announced(2));
-        engine.apply(2, WindowEvent::StreamComplete).unwrap();
+        engine.open(2);
+        engine.apply(2, WindowEvent::SignalFired).unwrap();
         assert!(engine.apply(9, WindowEvent::Acked).is_err());
         let ts = rec.0.lock().unwrap();
         assert_eq!(ts.len(), 2);
@@ -658,9 +634,9 @@ mod tests {
             ts[0],
             Transition {
                 subwindow: 2,
-                event: "stream_complete",
-                from: WindowPhase::Collected,
-                to: Some(WindowPhase::Merged),
+                event: "signal_fired",
+                from: WindowPhase::Open,
+                to: Some(WindowPhase::Terminated),
             }
         );
         assert_eq!(ts[1].to, None, "rejected");

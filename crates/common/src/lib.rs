@@ -10,8 +10,8 @@
 //! * application-derived flow records ([`afr`]) and their merge algebra,
 //! * a deterministic multiply-shift / mixer hash family ([`hash`]) used by
 //!   all sketches so experiments are reproducible,
-//! * the per-window lifecycle state machine ([`engine`]) consumed by
-//!   both the switch and the controller so the two sides cannot drift,
+//! * the per-window lifecycle state machine ([`engine`]) the switch
+//!   drives through collect-and-reset and §8 recovery,
 //! * virtual time ([`time`]) — the discrete-event nanosecond clock,
 //! * a Zipf sampler ([`zipf`]) for CAIDA-like heavy-tailed synthetic traces,
 //! * accuracy metrics ([`metrics`]) — precision / recall / ARE / AARE.

@@ -1,6 +1,7 @@
 //! `WindowFsm` enumerated, not sampled: the whole phase × event table
 //! is pinned cell by cell, and every state reachable within six events
-//! of either entry point is shown to obey it and to be able to finish.
+//! of an open or a collected window is shown to obey it and to be able
+//! to finish.
 
 use ow_common::engine::{WindowEvent as E, WindowFsm, WindowPhase as P};
 use ow_common::time::Instant;
@@ -144,7 +145,14 @@ fn released_rejects_everything_and_departure_is_always_legal() {
 
 #[test]
 fn no_state_within_six_events_is_wedged() {
-    for start in [WindowFsm::open(1), WindowFsm::announced(1)] {
+    // The open window, and one walked to `Collected`, so the six events
+    // explore the §8 retransmit / escalate / evict loop past its entry.
+    let mut collected = WindowFsm::open(1);
+    for event in &LIFECYCLE[..4] {
+        collected.apply(EVENTS[*event]).unwrap();
+    }
+    assert_eq!(collected.phase(), P::Collected);
+    for start in [WindowFsm::open(1), collected] {
         let states = reachable(start, 6, true);
         if start.phase() == P::Open {
             for phase in PHASES {

@@ -6,31 +6,17 @@
 //! many flowkeys the sub-window tracked and gives every AFR a dense
 //! sequence id; the controller checks completeness after generation and
 //! asks the switch to retransmit exactly the missing sequence ids.
+//!
+//! A session's whole view of its sub-window is a seen-bitmap over the
+//! announced range: it is complete when every id in `0..announced` has
+//! arrived. The window's lifecycle phases are the switch's alone
+//! (`ow_common::engine`).
 
 use ow_common::afr::FlowRecord;
 use ow_common::block::RecordBlock;
-use ow_common::engine::{WindowEvent, WindowFsm, WindowPhase};
 use ow_common::hash::FastMap;
 
-/// State of one sub-window's collection session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionStatus {
-    /// Still expecting AFRs (count below announced).
-    Collecting,
-    /// All announced sequence ids received.
-    Complete,
-    /// Generation finished but ids are missing — retransmission needed.
-    MissingAfrs,
-}
-
 /// A collection session for one (switch, sub-window) pair.
-///
-/// The session's lifecycle is a [`WindowFsm`] entered at
-/// [`WindowPhase::Collected`] (the first thing the controller learns
-/// about a window is its announced batch size); [`SessionStatus`] is a
-/// projection of the FSM phase rather than an independently re-derived
-/// state, so the controller cannot drift from the switch's view of the
-/// same window.
 #[derive(Debug, Clone)]
 pub struct CollectionSession {
     subwindow: u32,
@@ -46,20 +32,14 @@ pub struct CollectionSession {
     records: RecordBlock,
     /// Out-of-range sequence ids (a switch announcing fewer AFRs than
     /// it emits is a protocol quirk, not a crash): first record wins.
+    /// They merge with the batch but do not count toward completeness.
     stragglers: FastMap<u32, FlowRecord>,
-    fsm: WindowFsm,
 }
 
 impl CollectionSession {
     /// Open a session after the trigger packet announced `announced`
     /// tracked flowkeys for `subwindow`.
     pub fn new(subwindow: u32, announced: u32) -> CollectionSession {
-        let mut fsm = WindowFsm::announced(subwindow);
-        if announced == 0 {
-            // Nothing to wait for: the empty batch is complete on arrival.
-            fsm.apply(WindowEvent::StreamComplete)
-                .expect("empty session completes immediately");
-        }
         CollectionSession {
             subwindow,
             announced,
@@ -67,19 +47,12 @@ impl CollectionSession {
             in_range: 0,
             records: RecordBlock::with_capacity(subwindow, announced as usize),
             stragglers: FastMap::default(),
-            fsm,
         }
     }
 
     /// The sub-window being collected.
     pub(crate) fn subwindow(&self) -> u32 {
         self.subwindow
-    }
-
-    /// The session's lifecycle FSM (the controller-side half of the
-    /// window lifecycle).
-    pub fn fsm(&self) -> &WindowFsm {
-        &self.fsm
     }
 
     /// Whether `rec` is a first arrival; records it if so.
@@ -107,16 +80,6 @@ impl CollectionSession {
         }
     }
 
-    /// Advance the FSM once the announced count is covered.
-    #[inline]
-    fn check_complete(&mut self) {
-        if self.received() as u32 >= self.announced && self.fsm.phase() != WindowPhase::Merged {
-            self.fsm
-                .apply(WindowEvent::StreamComplete)
-                .expect("a full session merges");
-        }
-    }
-
     /// Ingest one AFR report. Duplicates (retransmissions that crossed
     /// with the original) are idempotent. AFRs for the wrong sub-window
     /// are rejected.
@@ -128,14 +91,12 @@ impl CollectionSession {
             )));
         }
         self.admit(rec);
-        self.check_complete();
         Ok(())
     }
 
     /// Ingest one block of AFR reports — the wire-batched hot path: one
-    /// bitmap test-and-set per row and a single completion check for the
-    /// whole block. Returns `(fresh, duplicates)` counts. A block for
-    /// the wrong sub-window is rejected whole.
+    /// bitmap test-and-set per row. Returns `(fresh, duplicates)`
+    /// counts. A block for the wrong sub-window is rejected whole.
     pub(crate) fn receive_block(
         &mut self,
         block: &RecordBlock,
@@ -153,7 +114,6 @@ impl CollectionSession {
                 fresh += 1;
             }
         }
-        self.check_complete();
         Ok((fresh, block.len() as u64 - fresh))
     }
 
@@ -162,47 +122,18 @@ impl CollectionSession {
         self.in_range as usize + self.stragglers.len()
     }
 
-    /// Session status — a projection of the lifecycle phase.
-    pub fn status(&self) -> SessionStatus {
-        match self.fsm.phase() {
-            WindowPhase::Merged => SessionStatus::Complete,
-            WindowPhase::Retransmitting | WindowPhase::Escalated => SessionStatus::MissingAfrs,
-            _ => SessionStatus::Collecting,
-        }
+    /// Whether every announced sequence id has arrived. Stragglers (ids
+    /// past the announced range) do not count.
+    pub fn is_complete(&self) -> bool {
+        self.in_range == self.announced
     }
 
-    /// The missing sequence ids (the retransmission request payload).
-    /// Calling this marks the generation phase as over: a non-empty
-    /// result advances the FSM into its §8 retransmission side-loop; an
-    /// empty result means the session is complete.
-    pub fn missing(&mut self) -> Vec<u32> {
-        let miss: Vec<u32> = (0..self.announced)
+    /// The announced sequence ids not yet seen (the retransmission
+    /// request payload); empty exactly when the session is complete.
+    pub fn missing(&self) -> Vec<u32> {
+        (0..self.announced)
             .filter(|seq| self.seen[(seq / 64) as usize] & (1u64 << (seq % 64)) == 0)
-            .collect();
-        if !miss.is_empty()
-            && matches!(
-                self.fsm.phase(),
-                WindowPhase::Collected | WindowPhase::Retransmitting
-            )
-        {
-            self.fsm
-                .apply(WindowEvent::RetransmitRound)
-                .expect("phase checked above");
-        }
-        miss
-    }
-
-    /// Mark the §8 OS-read escalation: retransmission is abandoned and
-    /// the reliable switch-OS readback will produce the batch.
-    pub(crate) fn escalate(&mut self) {
-        if matches!(
-            self.fsm.phase(),
-            WindowPhase::Collected | WindowPhase::Retransmitting
-        ) {
-            self.fsm
-                .apply(WindowEvent::EscalateOsRead)
-                .expect("phase checked above");
-        }
+            .collect()
     }
 
     /// Finish the session, yielding the complete batch as one columnar
@@ -214,10 +145,10 @@ impl CollectionSession {
     /// drive retransmission to completion first.
     pub(crate) fn into_block(mut self) -> RecordBlock {
         assert!(
-            self.received() as u32 >= self.announced,
+            self.is_complete(),
             "session for sub-window {} incomplete: {}/{}",
             self.subwindow,
-            self.received(),
+            self.in_range,
             self.announced
         );
         for rec in self.stragglers.values() {
@@ -258,9 +189,8 @@ mod tests {
         for seq in 0..5 {
             s.receive(rec(seq, 3)).unwrap();
         }
-        assert_eq!(s.status(), SessionStatus::Complete);
+        assert!(s.is_complete());
         assert!(s.missing().is_empty());
-        assert_eq!(s.fsm().retransmit_rounds(), 0);
         let batch = s.into_batch();
         assert_eq!(batch.len(), 5);
         assert!(batch.windows(2).all(|w| w[0].seq < w[1].seq));
@@ -271,13 +201,12 @@ mod tests {
         let mut s = CollectionSession::new(0, 4);
         s.receive(rec(0, 0)).unwrap();
         s.receive(rec(2, 0)).unwrap();
-        assert_eq!(s.status(), SessionStatus::Collecting);
+        assert!(!s.is_complete());
         assert_eq!(s.missing(), vec![1, 3]);
-        assert_eq!(s.fsm().retransmit_rounds(), 1);
         // Retransmitted AFRs arrive.
         s.receive(rec(1, 0)).unwrap();
         s.receive(rec(3, 0)).unwrap();
-        assert_eq!(s.status(), SessionStatus::Complete);
+        assert!(s.is_complete());
         assert_eq!(s.into_batch().len(), 4);
     }
 
@@ -304,28 +233,27 @@ mod tests {
     }
 
     #[test]
-    fn status_is_a_projection_of_the_lifecycle_fsm() {
-        let mut s = CollectionSession::new(2, 3);
-        assert_eq!(s.fsm().phase(), WindowPhase::Collected);
-        assert_eq!(s.status(), SessionStatus::Collecting);
-        s.receive(rec(0, 2)).unwrap();
+    fn stragglers_do_not_complete_a_session() {
+        // Three ids announced, three distinct ids received — but two of
+        // them lie past the announced range, so 1 and 2 are still owed.
+        let mut s = CollectionSession::new(0, 3);
+        for seq in [0, 5, 7] {
+            s.receive(rec(seq, 0)).unwrap();
+        }
+        assert!(!s.is_complete());
         assert_eq!(s.missing(), vec![1, 2]);
-        assert_eq!(s.fsm().phase(), WindowPhase::Retransmitting);
-        assert_eq!(s.status(), SessionStatus::MissingAfrs);
-        s.escalate();
-        assert_eq!(s.fsm().phase(), WindowPhase::Escalated);
-        s.receive(rec(1, 2)).unwrap();
-        s.receive(rec(2, 2)).unwrap();
-        assert_eq!(s.fsm().phase(), WindowPhase::Merged);
-        assert_eq!(s.status(), SessionStatus::Complete);
-        assert_eq!(s.fsm().retransmit_rounds(), 1);
+        for seq in [1, 2] {
+            s.receive(rec(seq, 0)).unwrap();
+        }
+        assert!(s.is_complete());
+        let seqs: Vec<u32> = s.into_batch().iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [0, 1, 2, 5, 7], "stragglers merge with the batch");
     }
 
     #[test]
     fn empty_announcement_merges_on_open() {
         let s = CollectionSession::new(9, 0);
-        assert_eq!(s.fsm().phase(), WindowPhase::Merged);
-        assert_eq!(s.status(), SessionStatus::Complete);
+        assert!(s.is_complete());
         assert!(s.into_batch().is_empty());
     }
 }

@@ -99,6 +99,8 @@ pub fn controller_health_rules(queue_depth: usize) -> RuleSet {
         )
         .entity("controller"),
     ])
+    // Unreachable: codes and budgets are constants, `queue_depth` moves
+    // only a threshold (test: catalog_validates_and_merges_with_the_switch_catalog).
     .expect("controller rule catalog validates")
 }
 

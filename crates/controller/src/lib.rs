@@ -32,7 +32,7 @@ pub mod table;
 pub mod timing;
 pub mod wire;
 
-pub use collector::{CollectionSession, SessionStatus};
+pub use collector::CollectionSession;
 pub use live::{LiveController, LiveHandle, ReliableLiveController, ReliableMsg};
 pub use reliability::{AfrTransport, ReliabilityDriver, RetryPolicy, SessionOutcome};
 pub use table::MergeTable;

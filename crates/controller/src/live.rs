@@ -4,7 +4,7 @@
 //!
 //! * A **router thread** receives columnar [`RecordBlock`]s over a
 //!   bounded channel and hands each message to the shared `Router`
-//!   (`router.rs`), which drives every window's lifecycle and scatters
+//!   (`router.rs`), which completes each sub-window and scatters
 //!   the records by flow-key hash into per-shard blocks — one queue
 //!   send per *block*. A single record is a block of one; there is no
 //!   per-record message.
@@ -120,8 +120,8 @@ impl LiveController {
     /// Spawn a controller maintaining a sliding window of
     /// `window_subwindows` sub-windows over `shards` merge shards;
     /// `queue_depth` bounds every channel. It reports into `obs` (a
-    /// detached one when `None`): engine transitions, per-shard queue
-    /// gauges, routed blocks/records and completed sub-windows
+    /// detached one when `None`): per-shard queue gauges, routed
+    /// blocks/records and completed sub-windows
     /// (`ow_controller_batches_total`).
     pub fn spawn_sharded_obs(
         window_subwindows: usize,
@@ -149,10 +149,13 @@ impl LiveController {
     }
 
     /// Signal shutdown and wait for the router and every shard worker;
-    /// returns the number of sub-windows routed.
+    /// returns the number of sub-windows routed. A panic on the router
+    /// thread resumes here with its own payload.
     pub fn join(self) -> u64 {
         let _ = self.sender.send(DataPlaneMsg::Shutdown);
-        self.thread.join().expect("controller thread panicked")
+        self.thread
+            .join()
+            .unwrap_or_else(|e| std::panic::resume_unwind(e))
     }
 }
 
@@ -183,8 +186,8 @@ pub enum ReliableMsg {
     AfrBlock(RecordBlock),
     /// The switch owning `subwindow` left the fleet (crash churn)
     /// before its stream completed: the partial batch is never merged,
-    /// the `WindowFsm` is released instead of wedging in a recovery
-    /// loop against a dead peer, and late clones are dropped.
+    /// the session is closed instead of wedging in a recovery loop
+    /// against a dead peer, and late clones are dropped.
     Depart {
         /// The sub-window whose switch disappeared.
         subwindow: u32,
@@ -260,10 +263,14 @@ impl ReliableLiveController {
     }
 
     /// Signal shutdown and wait for the router and every shard worker;
-    /// returns the reliability counters folded across all sessions.
+    /// returns the reliability counters folded across all sessions. A
+    /// panic on the router thread (a back-channel callback's, or an
+    /// assertion's) resumes here with its own payload.
     pub fn join(self) -> ReliabilityMetrics {
         let _ = self.sender.send(ReliableMsg::Shutdown);
-        self.thread.join().expect("controller thread panicked")
+        self.thread
+            .join()
+            .unwrap_or_else(|e| std::panic::resume_unwind(e))
     }
 }
 
@@ -525,6 +532,7 @@ mod tests {
         router.afr_block(RecordBlock::from_records(3, &batch[4..5]));
         router.announce(3, 8);
         assert_eq!(router.sessions.early_records(), 0);
+        assert_eq!(router.sessions.open_sessions(), 0, "no session left open");
         let (sessions, metrics) = router.shutdown();
         assert_eq!(sessions, 0);
         assert_eq!(handle.merged_flows(), 0, "partial batch never merges");
@@ -535,12 +543,6 @@ mod tests {
         let snap = obs.snapshot();
         assert_eq!(snap.value("ow_controller_departed_sessions_total", &[]), 1);
         assert_eq!(snap.value("ow_controller_sessions_total", &[]), 0);
-        // The FSM went Collected → Released via switch_departed: the
-        // engine released it rather than leaving it in a recovery phase.
-        assert_eq!(
-            snap.value("ow_common_engine_released_total", &[("side", "controller")]),
-            1
-        );
         let departs: Vec<_> = obs
             .journal()
             .events()
@@ -611,6 +613,7 @@ mod tests {
         for sw in 0..3u32 {
             run_session(&mut router, &store[&sw], |r| r.seq % 2 == 0);
         }
+        assert_eq!(router.sessions.open_sessions(), 0, "every session merged");
         let (_, metrics) = router.shutdown();
         let snap = obs.snapshot();
 
@@ -632,17 +635,8 @@ mod tests {
             metrics.escalations
         );
         assert_eq!(snap.value("ow_controller_sessions_total", &[]), 3);
+        assert_eq!(snap.value("ow_controller_departed_sessions_total", &[]), 0);
         assert!(metrics.retransmit_rounds >= 1, "lossy run must retransmit");
-
-        // Engine transitions flowed through the sink: each of the 3
-        // sessions is inserted at Merged; the first is Acked on slide.
-        assert_eq!(
-            snap.value(
-                "ow_common_engine_transitions_total",
-                &[("side", "controller")]
-            ),
-            1
-        );
 
         // Per-shard queue-depth gauges exist for all 4 shards and read
         // zero after shutdown (every send was matched by a dequeue).
@@ -676,6 +670,34 @@ mod tests {
         assert_eq!(complete.len(), 3);
         assert_eq!(complete[0].subwindow, Some(0));
         assert_eq!(complete[0].phase.as_deref(), Some("merged"));
+    }
+
+    #[test]
+    fn a_router_thread_panic_reaches_join_with_its_own_message() {
+        let ctl = ReliableLiveController::spawn_sharded_obs(
+            1,
+            4,
+            RetryPolicy {
+                max_rounds: 1,
+                ..RetryPolicy::default()
+            },
+            Box::new(|_, _| Vec::new()),
+            Box::new(|sw| panic!("OS read of sub-window {sw} failed")),
+            1,
+            None,
+        );
+        let subwindow = 2;
+        let announce = ReliableMsg::Announce {
+            subwindow,
+            announced: 3,
+        };
+        ctl.sender.send(announce).unwrap();
+        let end = ReliableMsg::EndOfStream { subwindow };
+        ctl.sender.send(end).unwrap();
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctl.join()))
+            .expect_err("the OS read panicked on the router thread");
+        let message = payload.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(message, Some("OS read of sub-window 2 failed"));
     }
 
     #[test]

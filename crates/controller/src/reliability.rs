@@ -22,7 +22,7 @@ use ow_common::afr::FlowRecord;
 use ow_common::metrics::ReliabilityMetrics;
 use ow_common::time::Duration;
 
-use crate::collector::{CollectionSession, SessionStatus};
+use crate::collector::CollectionSession;
 
 /// Timeout/retry schedule for one collection session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,7 +178,7 @@ impl ReliabilityDriver {
         transport: &mut T,
     ) -> bool {
         let mut round = 0u32;
-        while session.status() != SessionStatus::Complete && round < self.policy.max_rounds {
+        while !session.is_complete() && round < self.policy.max_rounds {
             round += 1;
             // The timeout elapses first — that is how the controller
             // discovers the previous round (or the initial stream) did
@@ -190,10 +190,9 @@ impl ReliabilityDriver {
             let replayed = transport.request_retransmit(session.subwindow(), &missing);
             metrics.recovered += feed(session, metrics, replayed);
         }
-        if session.status() == SessionStatus::Complete {
+        if session.is_complete() {
             return false;
         }
-        session.escalate();
         let (batch, cost) = transport.os_read(session.subwindow());
         metrics.escalations += 1;
         metrics.wall_clock += cost;

@@ -1,17 +1,17 @@
 //! The controller's router: the one place a sub-window's AFRs become a
 //! merged window.
 //!
-//! [`Router`] owns the shard worker pool, the [`WindowEngine`] tracking
-//! every window's lifecycle, the merged-order deque behind the single
-//! slide/evict sweep, and an always-present [`Obs`] (a detached one
-//! nobody exports when the front-end's caller attached none). The
-//! front-ends in [`crate::live`] call one method per message: the plain
-//! path streams blocks through the scatter as they arrive; the reliable
-//! path holds a sub-window in [`Sessions`] until the §8 loop has
-//! completed it, then scatters it whole. No method touches a channel or
-//! a clock, so unit tests drive the router synchronously.
+//! [`Router`] owns the shard worker pool, the count of merged
+//! sub-windows behind the slide/evict step, and an always-present
+//! [`Obs`] (a detached one nobody exports when the front-end's caller
+//! attached none). The front-ends in [`crate::live`] call one method
+//! per message: the plain path streams blocks through the scatter as
+//! they arrive; the reliable path holds a sub-window in [`Sessions`]
+//! until the §8 loop has completed it, then scatters it whole. No
+//! method touches a channel or a clock, so unit tests drive the router
+//! synchronously.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -19,7 +19,6 @@ use crossbeam::channel::{bounded, Sender};
 use parking_lot::RwLock;
 
 use ow_common::block::{RecordBlock, ShardScatter, DEFAULT_BLOCK_CAPACITY};
-use ow_common::engine::{WindowEngine, WindowEvent, WindowFsm, WindowPhase};
 use ow_common::hash::ShardPartition;
 use ow_common::metrics::ReliabilityMetrics;
 use ow_obs::{Counter, Event, Gauge, Obs};
@@ -155,6 +154,12 @@ impl Sessions {
         self.closed.contains(&subwindow)
     }
 
+    /// Announced sub-windows still collecting.
+    #[cfg(test)]
+    pub(crate) fn open_sessions(&self) -> usize {
+        self.open.len()
+    }
+
     /// Records parked ahead of an announcement that has not arrived.
     #[cfg(test)]
     pub(crate) fn early_records(&self) -> usize {
@@ -179,9 +184,6 @@ fn feed(entry: &mut OpenSession, block: &RecordBlock) {
 /// See the module docs.
 pub(crate) struct Router {
     pool: ShardPool,
-    engine: WindowEngine,
-    /// Merged sub-windows, oldest first; the slide sweep pops the front.
-    merged_order: VecDeque<u32>,
     window_subwindows: usize,
     obs: Obs,
     /// Sub-windows merged so far, and the same count as a registry
@@ -216,13 +218,9 @@ impl Router {
         let handle = LiveHandle {
             tables: pool.tables.clone(),
         };
-        let mut engine = WindowEngine::new();
-        engine.set_sink(obs.engine_sink("controller"));
         let router = Router {
             scatter: ShardScatter::new(pool.partition, DEFAULT_BLOCK_CAPACITY),
             pool,
-            engine,
-            merged_order: VecDeque::new(),
             window_subwindows,
             merged: (0, obs.counter(merged_series, &[])),
             obs: obs.clone(),
@@ -241,21 +239,16 @@ impl Router {
             .push_block(block, |shard, b, open| pool.send_block(shard, b, open));
     }
 
-    /// `subwindow` is complete: flush the scatter's remainders, count
-    /// it, and slide — every sub-window past the span is released from
-    /// the engine and evicted from every shard.
-    fn seal(&mut self, subwindow: u32) {
+    /// The open sub-window is complete: flush the scatter's remainders,
+    /// count it, and slide — once the span is full, every seal evicts the
+    /// oldest sub-window from every shard.
+    fn seal(&mut self) {
         let pool = &self.pool;
         self.scatter
             .seal(|shard, b, open| pool.send_block(shard, b, open));
         self.merged.0 += 1;
         self.merged.1.inc();
-        self.merged_order.push_back(subwindow);
-        while self.merged_order.len() > self.window_subwindows {
-            let oldest = self.merged_order.pop_front().expect("non-empty");
-            if self.engine.phase(oldest) == Some(WindowPhase::Merged) {
-                let _ = self.engine.apply(oldest, WindowEvent::Acked);
-            }
+        if self.merged.0 > self.window_subwindows as u64 {
             self.pool.broadcast(|| ShardMsg::Evict);
         }
     }
@@ -279,14 +272,9 @@ impl Router {
     }
 
     fn seal_stream(&mut self) {
-        let Some(subwindow) = self.stream.take() else {
-            return;
-        };
-        self.engine.insert(WindowFsm::announced(subwindow));
-        if self.engine.phase(subwindow) == Some(WindowPhase::Collected) {
-            let _ = self.engine.apply(subwindow, WindowEvent::StreamComplete);
+        if self.stream.take().is_some() {
+            self.seal();
         }
-        self.seal(subwindow);
     }
 
     /// [`ReliableMsg::Announce`](crate::live::ReliableMsg): a duplicate
@@ -346,29 +334,30 @@ impl Router {
         ReliabilityDriver::new(*policy).complete_session(&mut session, &mut metrics, &mut link);
         self.total.merge(&metrics);
         self.obs.fold_reliability(&metrics);
+        let block = session.into_block();
+        // Whatever neither the first pass nor a retransmission supplied
+        // came from the OS read.
+        let os_read = block.len() as u64 - metrics.first_pass - metrics.recovered;
         let detail = format!(
-            "merged {} AFRs (first pass {}, recovered {}) after {} retransmit round(s), \
-             {} escalation(s)",
-            metrics.first_pass + metrics.recovered,
+            "merged {} AFRs (first pass {}, recovered {}, os read {}) after {} retransmit \
+             round(s), {} escalation(s)",
+            block.len(),
             metrics.first_pass,
             metrics.recovered,
+            os_read,
             metrics.retransmit_rounds,
             metrics.escalations,
         );
         let event = Event::new("session_complete", detail);
         self.obs.event(event.subwindow(subwindow).phase("merged"));
-        // The session's FSM arrives at Merged through the §8 loop; the
-        // engine tracks it until slide-eviction.
-        self.engine.insert(*session.fsm());
         // Score the recovered answer against the accuracy oracle (when
         // installed) before it is scattered.
-        let block = session.into_block();
         if let Some(acc) = self.obs.accuracy() {
             acc.score_block(&block);
         }
         self.scatter.begin(subwindow);
         self.route(&block);
-        self.seal(subwindow);
+        self.seal();
     }
 
     /// [`ReliableMsg::Depart`](crate::live::ReliableMsg): the partial
@@ -383,14 +372,12 @@ impl Router {
         if let Some(acc) = self.obs.accuracy() {
             acc.window_departed(subwindow);
         }
-        let Some((session, mut metrics)) = session else {
+        let Some((_, mut metrics)) = session else {
             return;
         };
         metrics.departed = 1;
         self.total.merge(&metrics);
         self.obs.fold_reliability(&metrics);
-        self.engine.insert(*session.fsm());
-        let _ = self.engine.apply(subwindow, WindowEvent::SwitchDeparted);
         let detail = format!(
             "abandoned after {} of {} AFRs: switch left the fleet mid-window",
             metrics.first_pass, metrics.announced,

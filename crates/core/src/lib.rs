@@ -30,8 +30,8 @@
 //!   resource fit, and gates all switch construction
 //!   ([`verify::verified_switch`]),
 //! * [`engine`] (re-export of `ow_common::engine`) — the per-window
-//!   lifecycle state machine ([`engine::WindowFsm`]) that both the
-//!   switch and the controller drive, so neither side can drift,
+//!   lifecycle state machine ([`engine::WindowFsm`]) the switch
+//!   drives, which rejects an illegal transition instead of drifting,
 //! * [`evaluate`] — precision/recall/ARE scoring against the ideals,
 //! * [`experiments`] — one driver per paper experiment (Exp#1–Exp#10),
 //!   shared by the `ow-bench` binaries and the integration tests.
@@ -84,7 +84,7 @@ pub mod migration;
 pub use ow_verify as verify;
 
 /// The per-window lifecycle state machine (re-export of
-/// `ow_common::engine`) driving both the switch and the controller.
+/// `ow_common::engine`) the switch drives.
 pub use ow_common::engine;
 
 pub use app::WindowApp;

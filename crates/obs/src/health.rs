@@ -1057,17 +1057,17 @@ mod tests {
 
     #[test]
     fn fsm_rejection_freezes_via_engine_sink() {
-        use ow_common::engine::{WindowEngine, WindowEvent, WindowFsm};
+        use ow_common::engine::{WindowEngine, WindowEvent};
         let obs = Obs::new();
         let engine = obs.install_health(RuleSet::default());
         let mut fsm_engine = WindowEngine::new();
-        fsm_engine.set_sink(obs.engine_sink("controller"));
-        fsm_engine.insert(WindowFsm::announced(3));
-        fsm_engine.apply(3, WindowEvent::StreamComplete).unwrap();
-        fsm_engine.apply(3, WindowEvent::Acked).unwrap();
+        fsm_engine.set_sink(obs.engine_sink());
+        fsm_engine.open(3);
+        fsm_engine.apply(3, WindowEvent::SignalFired).unwrap();
         assert!(!engine.frozen());
-        // Applying to a released (pruned) window is an invariant
-        // rejection — the black box freezes with the reserved code.
+        // Acknowledging a window that was never collected is an
+        // invariant rejection — the black box freezes with the reserved
+        // code.
         assert!(fsm_engine.apply(3, WindowEvent::Acked).is_err());
         assert!(engine.frozen());
         let dump = engine.flight_dump("unit").expect("frozen");
@@ -1077,7 +1077,7 @@ mod tests {
             dump.freeze_reason
         );
         assert_eq!(dump.timeline.len(), 1);
-        assert_eq!(dump.timeline[0].entity, "controller:3");
+        assert_eq!(dump.timeline[0].entity, "switch:3");
         assert!(
             dump.entries
                 .iter()

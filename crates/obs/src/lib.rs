@@ -37,9 +37,9 @@
 //! health engine and accuracy scorer, into a cheap-clone handle that
 //! threads through the switch, controller, and fleet.
 //! [`Obs::engine_sink`] adapts the handle onto
-//! [`ow_common::engine::TransitionSink`] so every `WindowEngine`
-//! transition — including rejected drift — lands in the registry and
-//! the journal.
+//! [`ow_common::engine::TransitionSink`] so every transition of the
+//! switch's `WindowEngine` — including a rejected one — lands in the
+//! registry and the journal.
 
 pub mod accuracy;
 pub mod export;
@@ -186,18 +186,18 @@ impl Obs {
         ObsReport::capture(run, &self.registry, &self.journal)
     }
 
-    /// A [`TransitionSink`] mirroring every `WindowEngine` transition on
-    /// the given `side` (`"switch"` / `"controller"`) into this handle:
-    /// `ow_common_engine_{transitions,released,rejected}_total{side=…}`
+    /// A [`TransitionSink`] mirroring every transition of the switch's
+    /// `WindowEngine` into this handle:
+    /// `ow_common_engine_{transitions,released,rejected}_total{side="switch"}`
     /// counters, an `fsm_transition` journal event per step, and a
     /// one-shot `drift_detected` warning on the first rejection.
-    pub fn engine_sink(&self, side: &str) -> Arc<EngineObserver> {
+    pub fn engine_sink(&self) -> Arc<EngineObserver> {
+        let side = [("side", ENGINE_SIDE)];
         Arc::new(EngineObserver {
             obs: self.clone(),
-            side: side.to_string(),
-            transitions: self.counter("ow_common_engine_transitions_total", &[("side", side)]),
-            released: self.counter("ow_common_engine_released_total", &[("side", side)]),
-            rejected: self.counter("ow_common_engine_rejected_total", &[("side", side)]),
+            transitions: self.counter("ow_common_engine_transitions_total", &side),
+            released: self.counter("ow_common_engine_released_total", &side),
+            rejected: self.counter("ow_common_engine_rejected_total", &side),
             drift_warned: AtomicBool::new(false),
         })
     }
@@ -226,12 +226,16 @@ impl Obs {
     }
 }
 
+/// The `side` an [`EngineObserver`] labels its series, journal lines
+/// and health entities with: the switch is the one side that keeps
+/// window FSMs.
+const ENGINE_SIDE: &str = "switch";
+
 /// Adapter from [`Obs`] onto the engine's [`TransitionSink`] hook; build
 /// via [`Obs::engine_sink`].
 #[derive(Debug)]
 pub struct EngineObserver {
     obs: Obs,
-    side: String,
     transitions: Counter,
     released: Counter,
     rejected: Counter,
@@ -249,7 +253,7 @@ impl TransitionSink for EngineObserver {
                 self.obs.event(
                     Event::new(
                         "fsm_transition",
-                        format!("{} -> {} via '{}' ({})", t.from, to, t.event, self.side),
+                        format!("{} -> {} via '{}' ({ENGINE_SIDE})", t.from, to, t.event),
                     )
                     .subwindow(t.subwindow)
                     .phase(to.name()),
@@ -261,8 +265,8 @@ impl TransitionSink for EngineObserver {
                     Event::new(
                         "fsm_transition",
                         format!(
-                            "rejected event '{}' in phase '{}' ({})",
-                            t.event, t.from, self.side
+                            "rejected event '{}' in phase '{}' ({ENGINE_SIDE})",
+                            t.event, t.from
                         ),
                     )
                     .warn()
@@ -274,8 +278,8 @@ impl TransitionSink for EngineObserver {
                         Event::new(
                             "drift_detected",
                             format!(
-                                "first rejected transition on side '{}': sub-window {} event '{}' in phase '{}'",
-                                self.side, t.subwindow, t.event, t.from
+                                "first rejected transition on side '{ENGINE_SIDE}': sub-window {} event '{}' in phase '{}'",
+                                t.subwindow, t.event, t.from
                             ),
                         )
                         .warn()
@@ -287,7 +291,7 @@ impl TransitionSink for EngineObserver {
                 // box so the failure becomes a post-mortem artifact.
                 if let Some(health) = self.obs.health() {
                     health.fsm_invariant_rejected(
-                        &self.side,
+                        ENGINE_SIDE,
                         t.subwindow,
                         &format!("event '{}' rejected in phase '{}'", t.event, t.from),
                     );
@@ -300,23 +304,24 @@ impl TransitionSink for EngineObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ow_common::engine::{WindowEngine, WindowEvent, WindowFsm};
-    use ow_common::time::Duration;
+    use ow_common::engine::{WindowEngine, WindowEvent};
+    use ow_common::time::{Duration, Instant};
 
     #[test]
     fn engine_sink_mirrors_transitions_into_registry_and_journal() {
         let obs = Obs::new();
         let mut engine = WindowEngine::new();
-        engine.set_sink(obs.engine_sink("controller"));
-        engine.insert(WindowFsm::announced(3));
-        engine.apply(3, WindowEvent::RetransmitRound).unwrap();
-        engine.apply(3, WindowEvent::StreamComplete).unwrap();
-        engine.apply(3, WindowEvent::Acked).unwrap();
+        engine.set_sink(obs.engine_sink());
+        engine.open(3);
+        engine.apply(3, WindowEvent::SignalFired).unwrap();
+        let due = Instant::from_millis(101);
+        engine.apply(3, WindowEvent::CrScheduled { due }).unwrap();
+        engine.apply(3, WindowEvent::SwitchDeparted).unwrap();
         assert!(engine.apply(3, WindowEvent::Acked).is_err(), "pruned");
         assert!(engine.apply(3, WindowEvent::Acked).is_err());
 
         let snap = obs.snapshot();
-        let side = [("side", "controller")];
+        let side = [("side", "switch")];
         assert_eq!(snap.value("ow_common_engine_transitions_total", &side), 5);
         assert_eq!(snap.value("ow_common_engine_released_total", &side), 1);
         assert_eq!(snap.value("ow_common_engine_rejected_total", &side), 2);

@@ -56,6 +56,8 @@ pub fn switch_health_rules() -> RuleSet {
         )
         .entity("switch"),
     ])
+    // Unreachable: codes and budgets are constants (test:
+    // catalog_validates_and_covers_the_documented_codes).
     .expect("switch rule catalog validates")
 }
 

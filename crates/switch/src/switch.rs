@@ -192,7 +192,7 @@ impl<A: DataPlaneApp> Switch<A> {
     /// collect / retransmit / ack / OS-read handlers record per-session
     /// histograms under `ow_switch_*`.
     pub fn attach_obs(&mut self, obs: &Obs) {
-        self.engine.set_sink(obs.engine_sink("switch"));
+        self.engine.set_sink(obs.engine_sink());
         self.obs = Some(SwitchObs::new(obs));
     }
 

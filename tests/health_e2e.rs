@@ -23,7 +23,7 @@ use omniwindow::experiments::fleet_smoke::{
     chaos_config, fired_pairs, fleet_catalog, judge_obs_smoke, run_with_health,
 };
 use omniwindow::experiments::obs_smoke::{self, ObsSmokeConfig};
-use ow_common::engine::{WindowEngine, WindowEvent, WindowFsm};
+use ow_common::engine::{WindowEngine, WindowEvent};
 use ow_netsim::FleetConfig;
 use ow_obs::{Obs, FSM_REJECT_CODE};
 use proptest::prelude::*;
@@ -101,18 +101,18 @@ fn fsm_invariant_rejection_freezes_through_the_sink() {
     let obs = Obs::new();
     let engine = obs.install_health(fleet_catalog());
     let mut fsm = WindowEngine::new();
-    fsm.set_sink(obs.engine_sink("controller"));
-    fsm.insert(WindowFsm::announced(9));
-    fsm.apply(9, WindowEvent::StreamComplete).unwrap();
-    fsm.apply(9, WindowEvent::Acked).unwrap();
+    fsm.set_sink(obs.engine_sink());
+    fsm.open(9);
+    fsm.apply(9, WindowEvent::SignalFired).unwrap();
     assert!(!engine.frozen());
-    assert!(fsm.apply(9, WindowEvent::Acked).is_err());
+    // A terminated window has no batch to merge.
+    assert!(fsm.apply(9, WindowEvent::StreamComplete).is_err());
     assert!(engine.frozen(), "invariant rejection must freeze the box");
     let dump = engine.flight_dump("e2e").expect("frozen");
     assert!(dump.freeze_reason.contains(FSM_REJECT_CODE));
     assert_eq!(
         dump.timeline.last().map(|a| a.entity.as_str()),
-        Some("controller:9")
+        Some("switch:9")
     );
 }
 

@@ -5,7 +5,7 @@ use ow_common::afr::AttrValue;
 use ow_common::flowkey::{FlowKey, KeyKind};
 use ow_common::packet::{Packet, TcpFlags};
 use ow_common::time::{Duration, Instant};
-use ow_controller::collector::{CollectionSession, SessionStatus};
+use ow_controller::collector::CollectionSession;
 use ow_controller::reliability::{ReliabilityDriver, RetryPolicy};
 use ow_controller::table::MergeTable;
 use ow_netsim::{FaultConfig, LossyChannel, PacketClass};
@@ -71,7 +71,7 @@ fn run_pipeline(switch: &mut Switch<App>, packets: Vec<Packet>) -> MergeTable {
             for afr in &outcome.afrs {
                 session.receive(*afr).expect("AFR for right sub-window");
             }
-            assert_eq!(session.status(), SessionStatus::Complete);
+            assert!(session.is_complete());
             table.insert_batch(subwindow, session.into_batch());
         }
     }

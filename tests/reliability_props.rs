@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use ow_common::afr::FlowRecord;
 use ow_common::flowkey::FlowKey;
 use ow_common::time::Duration;
-use ow_controller::collector::{CollectionSession, SessionStatus};
+use ow_controller::collector::CollectionSession;
 use ow_controller::reliability::{AfrTransport, ReliabilityDriver, RetryPolicy};
 use ow_netsim::{ClassProfile, FaultConfig, LossyChannel, PacketClass};
 
@@ -144,7 +144,7 @@ proptest! {
         for seq in missing {
             session.receive(store[seq as usize]).unwrap();
         }
-        prop_assert_eq!(session.status(), SessionStatus::Complete);
+        prop_assert!(session.is_complete());
         prop_assert_eq!(session.into_batch(), store);
     }
 }
